@@ -160,30 +160,42 @@ def _random_base_form(rng, box):
     return ProductTestForm(tuple(polys), box)
 
 
-def test_order(bundle, k, samples=8, seed=0, pass_tol=_PASS_TOL,
-               fail_tol=_FAIL_TOL):
-    """Probe J[lambda^{k+1} phi] = 0 over sampled vanishing scalars."""
-    _require_adapted(bundle)
+def _probe_test(bundle, build, test, order, samples, seed, pass_tol,
+                fail_tol):
+    """Pair ``bundle`` with ``samples`` probes and compare the worst
+    |pairing| with the thresholds.  ``build(rng, box, window)`` returns
+    one probe inside a random box around the worldline, given the
+    compact window over that box."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     scale_ref = 0.0
     for _ in range(samples):
         box = _probe_box(bundle.worldline, rng)
-        window = compact_window_expr(box.center, box.half)
-        lam = vanishing_scalar_expr(rng, window)
-        base = _random_base_form(rng, box)
-        probe = ScaledCovector(lam, k + 1, base)
+        probe = build(rng, box, compact_window_expr(box.center, box.half))
         report = pair_bundle(bundle, probe)
         worst = max(worst, abs(report.value))
         scale_ref = max(scale_ref, _probe_norm(probe, box))
     scale = max(1e-12, bundle.scale() * scale_ref)
     threshold = pass_tol * scale
     return ClassificationReport(
-        test="order", order=k, passed=worst <= threshold,
+        test=test, order=order, passed=worst <= threshold,
         max_residual=worst, threshold=threshold,
         fail_threshold=fail_tol * scale, scale=scale,
         seed=seed, samples=samples,
     )
+
+
+def test_order(bundle, k, samples=8, seed=0, pass_tol=_PASS_TOL,
+               fail_tol=_FAIL_TOL):
+    """Probe J[lambda^{k+1} phi] = 0 over sampled vanishing scalars."""
+    _require_adapted(bundle)
+
+    def build(rng, box, window):
+        lam = vanishing_scalar_expr(rng, window)
+        return ScaledCovector(lam, k + 1, _random_base_form(rng, box))
+
+    return _probe_test(bundle, build, "order", k, samples, seed, pass_tol,
+                       fail_tol)
 
 
 def test_electric_order(bundle, ell, samples=8, seed=0, pass_tol=_PASS_TOL,
@@ -193,12 +205,8 @@ def test_electric_order(bundle, ell, samples=8, seed=0, pass_tol=_PASS_TOL,
     _require_adapted(bundle)
     if ell < 1:
         raise DomainError("electric-order probes need ell >= 1")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    scale_ref = 0.0
-    for _ in range(samples):
-        box = _probe_box(bundle.worldline, rng)
-        window = compact_window_expr(box.center, box.half)
+
+    def build(rng, box, window):
         lam = vanishing_scalar_expr(rng, window)
         coeffs = rng.uniform(-1, 1, 3)
         mu = None
@@ -206,43 +214,23 @@ def test_electric_order(bundle, ell, samples=8, seed=0, pass_tol=_PASS_TOL,
             term = ex.mul(ex.const(float(coeffs[m - 1])), ex.Var(m))
             mu = term if mu is None else ex.add(mu, term)
         mu = ex.Mul(mu, random_poly_expr(rng))
-        dmu = ex.gradient_exprs(mu)
-        probe = ScaledCovector(lam, ell, ExprCovector(dmu, box))
-        report = pair_bundle(bundle, probe)
-        worst = max(worst, abs(report.value))
-        scale_ref = max(scale_ref, _probe_norm(probe, box))
-    scale = max(1e-12, bundle.scale() * scale_ref)
-    threshold = pass_tol * scale
-    return ClassificationReport(
-        test="electric order", order=ell, passed=worst <= threshold,
-        max_residual=worst, threshold=threshold,
-        fail_threshold=fail_tol * scale, scale=scale,
-        seed=seed, samples=samples,
-    )
+        return ScaledCovector(lam, ell, ExprCovector(ex.gradient_exprs(mu),
+                                                     box))
+
+    return _probe_test(bundle, build, "electric order", ell, samples, seed,
+                       pass_tol, fail_tol)
 
 
 def test_closed(bundle, samples=20, seed=0, pass_tol=_PASS_TOL,
                 fail_tol=_FAIL_TOL):
     """Probe J[d lambda] = 0 over sampled compact scalars."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    scale_ref = 0.0
-    for _ in range(samples):
-        box = _probe_box(bundle.worldline, rng)
-        window = compact_window_expr(box.center, box.half)
+
+    def build(rng, box, window):
         lam = ex.Mul(random_poly_expr(rng, degree=2), window)
-        probe = ExprCovector(ex.gradient_exprs(lam), box)
-        report = pair_bundle(bundle, probe)
-        worst = max(worst, abs(report.value))
-        scale_ref = max(scale_ref, _probe_norm(probe, box))
-    scale = max(1e-12, bundle.scale() * scale_ref)
-    threshold = pass_tol * scale
-    return ClassificationReport(
-        test="closed", order=None, passed=worst <= threshold,
-        max_residual=worst, threshold=threshold,
-        fail_threshold=fail_tol * scale, scale=scale,
-        seed=seed, samples=samples,
-    )
+        return ExprCovector(ex.gradient_exprs(lam), box)
+
+    return _probe_test(bundle, build, "closed", None, samples, seed,
+                       pass_tol, fail_tol)
 
 
 # -- charge extraction -------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,12 +22,7 @@ from . import transport as tp
 from .errors import PolekitError, SceneError
 from .fields import StaticSource, falloff_exponent, potential_magnitude
 from .moments import sample_taus
-from .pairing import (
-    pair_dipole,
-    pair_monopole,
-    pair_quadrupole,
-    pull_back_test_form,
-)
+from .pairing import SourceBundle, pair_bundle, pull_back_test_form
 from .scene import parse_scene
 from .sampling import rng_from_seed, random_test_form_along
 
@@ -138,52 +132,41 @@ def _run_verify(scene, job, out_dir):
     rng = rng_from_seed(seed)
     C = bundle.worldline
     hatC = C.push_through_chart(pair.forward)
-    parts_hat = []
-    if bundle.monopole is not None:
-        parts_hat.append(("monopole", bundle.monopole, None))
-    if bundle.dipole is not None:
-        parts_hat.append(
-            ("dipole", bundle.dipole,
-             tp.transform_dipole(bundle.dipole, pair.forward, C))
-        )
-    if bundle.quadrupole is not None:
-        parts_hat.append(
-            ("quadrupole", bundle.quadrupole,
-             tp.transform_quadrupole(bundle.quadrupole, pair.forward, C))
-        )
+    hat = SourceBundle(
+        hatC,
+        bundle.monopole,
+        None if bundle.dipole is None
+        else tp.transform_dipole(bundle.dipole, pair.forward, C),
+        None if bundle.quadrupole is None
+        else tp.transform_quadrupole(bundle.quadrupole, pair.forward,
+                                     C).gamma3_hat,
+    )
     rows = []
     passed = True
     for i in range(n):
         form_hat = random_test_form_along(rng, hatC)
-        form_src = pull_back_test_form(form_hat, pair)
-        src_total = 0.0
-        hat_total = 0.0
-        for kind, src_obj, hat_obj in parts_hat:
-            if kind == "monopole":
-                src_total += pair_monopole(src_obj, C, form_src).value
-                hat_total += pair_monopole(src_obj, hatC, form_hat).value
-            elif kind == "dipole":
-                src_total += pair_dipole(src_obj, C, form_src).value
-                hat_total += pair_dipole(hat_obj, hatC, form_hat).value
-            else:
-                src_total += pair_quadrupole(src_obj, C, form_src).value
-                hat_total += pair_quadrupole(
-                    hat_obj.gamma3_hat, hatC, form_hat
-                ).value
-        resid = abs(src_total - hat_total) / max(1.0, abs(src_total))
-        rows.append((src_total, hat_total, resid))
+        src = pair_bundle(bundle, pull_back_test_form(form_hat, pair))
+        hatted = pair_bundle(hat, form_hat)
+        resid = abs(src.value - hatted.value) / max(1.0, abs(src.value))
+        rows.append((src, hatted, resid))
         passed = passed and resid <= tol
     lines = [f"  {n} random probes, tolerance {_fmt(tol)} (seed {seed})"]
     for i, (s, h, r) in enumerate(rows):
         lines.append(
-            f"  probe {i:2d}: source {_fmt(s)}  hatted {_fmt(h)}  "
-            f"residual {_fmt(r)}"
+            f"  probe {i:2d}: source {_fmt(s.value)}  hatted {_fmt(h.value)}"
+            f"  residual {_fmt(r)}"
         )
     data = {
         "seed": seed,
         "tolerance": tol,
         "residuals": [r for _, _, r in rows],
         "max_residual": max((r for _, _, r in rows), default=0.0),
+        "nodes_used": {"source": [s.nodes_used for s, _, _ in rows],
+                       "hatted": [h.nodes_used for _, h, _ in rows]},
+        "quadrature_error_estimates": {
+            "source": [s.quadrature_error_estimate for s, _, _ in rows],
+            "hatted": [h.quadrature_error_estimate for _, h, _ in rows],
+        },
     }
     return JobResult(job["name"], "verify", passed, lines, data)
 
@@ -303,7 +286,7 @@ _RUNNERS = {
 }
 
 
-def run(scene, command="all", out_dir=".", parallel=False):
+def run(scene, command="all", out_dir="."):
     """Execute the scene's jobs (filtered by ``command`` unless "all").
 
     Writes report.txt / report.json into ``out_dir`` and returns
@@ -324,11 +307,7 @@ def run(scene, command="all", out_dir=".", parallel=False):
                 [f"  error: {err}"], {"error": str(err)},
             )
 
-    if parallel and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(jobs))) as pool:
-            results = list(pool.map(run_one, jobs))
-    else:
-        results = [run_one(j) for j in jobs]
+    results = [run_one(j) for j in jobs]
 
     text_lines = []
     for r in results:
@@ -392,7 +371,6 @@ def main(argv=None):
                       help="override sample counts")
     runp.add_argument("--kappa0", default=None,
                       help="antisymmetric entries, e.g. '12=1,01=-2'")
-    runp.add_argument("--parallel", action="store_true")
     valp = sub.add_parser("validate", help="parse and validate a scene")
     valp.add_argument("scene")
     args = parser.parse_args(argv)
@@ -439,8 +417,7 @@ def main(argv=None):
         for job in scene.jobs:
             if job["command"] == "transform":
                 job["kappa0"] = M
-    _, code = run(scene, command=args.command, out_dir=args.out_dir,
-                  parallel=args.parallel)
+    _, code = run(scene, command=args.command, out_dir=args.out_dir)
     return code
 
 

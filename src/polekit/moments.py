@@ -3,11 +3,15 @@
 Dipole components gamma2[a][b] are antisymmetric; quadrupole components
 gamma3[a][b][c] are symmetric in the last two slots and cyclic-free
 (gamma[abc] + gamma[bca] + gamma[cab] = 0), leaving 20 independent
-entries.  Components are functions of tau, read entry by entry as
-:class:`TauFn` or as whole arrays over a batch of taus (``values_at``,
-``derivs_at``), so both expression-declared sources and transport
-results computed from chart frames fit the same containers.  Symmetry
-is validated at sampled tau values, never assumed.
+entries.  Components are held as batch fields: functions mapping an
+array of N taus to the (N, 4, ...) arrays of the values and of their
+exact first and second tau derivatives, plus a mask of the entries
+that may be nonzero.  There are two ways in: ``from_dict`` for
+components given entry by entry as expressions or numbers, and
+``from_arrays`` for batch fields computed elsewhere (transport results,
+sampled quadrupoles).  Entries read back as :class:`TauFn`
+(``q[a, b, c](t)``), whole arrays as ``values_at`` / ``derivs_at``.
+Symmetry is validated at sampled tau values, never assumed.
 
 Index conventions: index 0 is the tau-like coordinate, spatial indices
 run 1..3, and the Levi-Civita symbol has eps[1,2,3] = +1.
@@ -16,13 +20,15 @@ run 1..3, and the Levi-Civita symbol has eps[1,2,3] = +1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .errors import DerivativeUnavailable, DomainError, SymmetryError
+from .expr import Const, Expr
 from .jets import entries_array
 from .quadrature import CumulativeIntegral
-from .taufn import TauFn, ZERO
+from .taufn import TauFn, ZERO, tau_derivative
 
 _SPATIAL = (1, 2, 3)
 
@@ -34,26 +40,6 @@ for _i, _j, _k, _s in (
     _EPS[_i, _j, _k] = _s
 
 
-def _wrap_grid(grid, rank):
-    if rank == 0:
-        return TauFn.wrap(grid)
-    return tuple(_wrap_grid(grid[i], rank - 1) for i in range(4))
-
-
-def _zero_grid(rank):
-    if rank == 0:
-        return ZERO
-    return [_zero_grid(rank - 1) for _ in range(4)]
-
-
-def _zero_grid2():
-    return _zero_grid(2)
-
-
-def _zero_grid3():
-    return _zero_grid(3)
-
-
 def sample_taus(interval, n=50, seed=0):
     """Deterministic random tau samples used by symmetry validation."""
     rng = np.random.default_rng(seed)
@@ -61,10 +47,41 @@ def sample_taus(interval, n=50, seed=0):
     return np.sort(rng.uniform(t0, t1, n))
 
 
-def _grid_mask(grid):
-    if isinstance(grid, TauFn):
-        return not grid.is_zero
-    return [_grid_mask(g) for g in grid]
+def _expr_fields(entries, rank):
+    """(values, derivs, derivs2, mask) batch fields of components given
+    as {index: Expr or number}; zero constants are left out of the mask."""
+    exprs = {}
+    for idx, e in entries.items():
+        if isinstance(e, (int, float)):
+            e = Const(float(e))
+        if not isinstance(e, Expr):
+            raise TypeError(f"expected Expr or number, got {type(e)!r}")
+        if not (isinstance(e, Const) and e.v == 0.0):
+            exprs[tuple(idx)] = e
+    mask = np.zeros((4,) * rank, dtype=bool)
+    for idx in exprs:
+        mask[idx] = True
+
+    def field(order):
+        def f(taus):
+            out = np.zeros(taus.shape + (4,) * rank)
+            for idx, e in exprs.items():
+                out[(Ellipsis, *idx)] = tau_derivative(e, taus, order)
+            return out
+
+        return f
+
+    return field(0), field(1), field(2), mask
+
+
+def _input_fields(obj, rank):
+    """Batch fields and mask of a constructor input: a container, or a
+    nested grid (lists or an array) of Expr or numbers."""
+    if isinstance(obj, _Components):
+        return obj._arrays + (obj.mask,)
+    entries = {idx: reduce(lambda g, i: g[i], idx, obj)
+               for idx in np.ndindex(*(4,) * rank)}
+    return _expr_fields(entries, rank)
 
 
 @dataclass(frozen=True)
@@ -75,30 +92,22 @@ class Monopole:
 
 
 class _Components:
-    """Components of one rank over tau, read entry by entry (``TauFn``)
-    or as whole arrays over a batch of taus.
+    """Components of one rank over tau, held as batch fields.
 
-    A container is built from a grid of :class:`TauFn` entries, whose
-    arrays are gathered entry by entry, or from batch functions mapping
-    N taus to (N, 4, ...) arrays of values and derivatives, whose
-    entries read their slot of the array.  ``mask`` marks the entries
-    that may be nonzero.
+    ``values``, ``derivs`` and ``derivs2`` map a 1-D array of N taus to
+    an (N, 4, ...) array (derivatives are optional: reading a missing
+    one raises :class:`DerivativeUnavailable`); ``mask`` marks the
+    entries that may be nonzero.  Entries read their slot of the arrays.
     """
 
     rank = None
 
-    def __init__(self, grid=None, arrays=None, mask=None):
+    def __init__(self, values, derivs=None, derivs2=None, mask=None):
         shape = (4,) * self.rank
-        if grid is not None:
-            self._grid = _wrap_grid(grid, self.rank)
-            mask = _grid_mask(self._grid)
-            arrays = tuple(self._gather(k) for k in range(3))
-        else:
-            self._grid = None
-            if mask is None:
-                mask = np.ones(shape, dtype=bool)
-        self._mask = np.asarray(mask, dtype=bool).reshape(shape)
-        self._arrays = arrays
+        if mask is None:
+            mask = np.ones(shape, dtype=bool)
+        self.mask = np.asarray(mask, dtype=bool).reshape(shape)
+        self._arrays = (values, derivs, derivs2)
         self._last = [None, None, None]
 
     @classmethod
@@ -109,18 +118,17 @@ class _Components:
         to an (N, 4, ...) array (derivatives are optional); ``mask``
         marks the entries that may be nonzero (default: all).
         """
-        return cls(arrays=(values, derivs, derivs2), mask=mask)
+        return cls(values, derivs, derivs2, mask)
 
-    def _gather(self, k):
-        rule = (TauFn.__call__, TauFn.deriv, TauFn.deriv2)[k]
+    @classmethod
+    def from_dict(cls, entries, **kwargs):
+        """Components from {index tuple: Expr or number}; entries not
+        listed are zero."""
+        return cls(*_expr_fields(entries, cls.rank), **kwargs)
 
-        def field(taus):
-            out = np.zeros(taus.shape + (4,) * self.rank)
-            for *idx, fn in self.nonzero():
-                out[(Ellipsis, *idx)] = rule(fn, taus)
-            return out
-
-        return field
+    @classmethod
+    def zero(cls):
+        return cls.from_dict({})
 
     def _read(self, k, t):
         """Array ``k`` (0: values, 1: derivatives, 2: second
@@ -131,7 +139,7 @@ class _Components:
         (tau, array) tuple replaced whole, so concurrent readers always
         see a matching pair.
         """
-        fn = self._arrays[k]
+        fn = self._arrays[k] if k < 3 else None
         if fn is None:
             raise DerivativeUnavailable(
                 "no exact derivative rule for these components"
@@ -144,45 +152,22 @@ class _Components:
             self._last[k] = last
         return last[1]
 
-    def _entry(self, idx):
-        if not self._mask[idx]:
-            return ZERO
+    def _entry(self, idx, order=0, scale=1.0):
+        """``scale`` times the ``order``-th tau derivative of entry
+        ``idx`` as a TauFn (with its next two derivatives)."""
 
         def slot(k):
-            if self._arrays[k] is None:
-                return None
-
             def read(t):
-                v = self._read(k, t)[(Ellipsis,) + idx]
+                v = scale * self._read(order + k, t)[(Ellipsis,) + idx]
                 return v if np.ndim(t) else float(v)
 
             return read
 
         return TauFn(slot(0), slot(1), slot(2))
 
-    def _entry_grid(self):
-        if self._grid is None:
-
-            def build(prefix):
-                if len(prefix) == self.rank:
-                    return self._entry(prefix)
-                return tuple(build(prefix + (i,)) for i in range(4))
-
-            self._grid = build(())
-        return self._grid
-
     def __getitem__(self, idx):
-        entry = self._entry_grid()
-        for i in idx:
-            entry = entry[i]
-        return entry
-
-    def nonzero(self):
-        """(index..., TauFn) for every entry that may be nonzero."""
-        return [
-            tuple(int(i) for i in idx) + (self[idx],)
-            for idx in zip(*np.nonzero(self._mask))
-        ]
+        idx = tuple(int(i) for i in idx)
+        return self._entry(idx) if self.mask[idx] else ZERO
 
     def values_at(self, tau):
         """Component values: an array of shape (4, ...) for one tau,
@@ -197,30 +182,15 @@ class _Components:
         return out if np.ndim(tau) else out.copy()
 
     def scale(self, taus):
-        if not np.any(self._mask):
+        if not np.any(self.mask):
             return 0.0
         return float(np.max(np.abs(self.values_at(np.asarray(taus)))))
 
 
 class DipoleComponents(_Components):
-    """Antisymmetric 4x4 grid of tau-dependent dipole components."""
+    """Antisymmetric 4x4 tau-dependent dipole components."""
 
     rank = 2
-
-    @property
-    def gamma2(self):
-        return self._entry_grid()
-
-    @staticmethod
-    def zero():
-        return DipoleComponents(_zero_grid2())
-
-    @staticmethod
-    def from_dict(entries):
-        grid = _zero_grid2()
-        for (a, b), fn in entries.items():
-            grid[a][b] = TauFn.wrap(fn)
-        return DipoleComponents(grid)
 
     def check_antisymmetry(self, taus, tol=1e-12):
         """Largest |gamma[ab] + gamma[ba]|; raises above tol * scale."""
@@ -243,7 +213,7 @@ class DipoleComponents(_Components):
 
 
 class QuadrupoleComponents(_Components):
-    """4x4x4 grid of tau-dependent quadrupole components.
+    """4x4x4 tau-dependent quadrupole components.
 
     Full storage with validated constraints is deliberate: the transport
     law is index-natural, and packing into 20 parameters is a
@@ -252,24 +222,10 @@ class QuadrupoleComponents(_Components):
 
     rank = 3
 
-    def __init__(self, grid=None, meta=None, arrays=None, mask=None):
-        super().__init__(grid, arrays, mask)
+    def __init__(self, values, derivs=None, derivs2=None, mask=None,
+                 meta=None):
+        super().__init__(values, derivs, derivs2, mask)
         self.meta = dict(meta) if meta else {}
-
-    @property
-    def gamma3(self):
-        return self._entry_grid()
-
-    @staticmethod
-    def zero():
-        return QuadrupoleComponents(_zero_grid3())
-
-    @staticmethod
-    def from_dict(entries, meta=None):
-        grid = _zero_grid3()
-        for (a, b, c), fn in entries.items():
-            grid[a][b][c] = TauFn.wrap(fn)
-        return QuadrupoleComponents(grid, meta)
 
     def _residuals(self, taus):
         g = self.values_at(np.asarray(taus))
@@ -398,6 +354,18 @@ def component_rank(kind, velocity=(1.0, 0.31, -0.22, 0.17)):
 # -- constructors -----------------------------------------------------------
 
 
+def _constant(cls, g, **kwargs):
+    """Components equal to the constant array ``g``."""
+
+    def values(taus):
+        return np.broadcast_to(g, taus.shape + g.shape).copy()
+
+    def zeros(taus):
+        return np.zeros(taus.shape + g.shape)
+
+    return cls(values, zeros, zeros, g != 0.0, **kwargs)
+
+
 def make_static_dipole(p_ed, p_md):
     """Constant dipole from electric and magnetic 3-vectors."""
     p_ed = np.asarray(p_ed, dtype=float)
@@ -411,9 +379,7 @@ def make_static_dipole(p_ed, p_md):
             g[mu, nu] = sum(
                 _EPS[mu, nu, s] * p_md[s - 1] for s in _SPATIAL
             )
-    return DipoleComponents(
-        [[TauFn.constant(g[a, b]) for b in range(4)] for a in range(4)]
-    )
+    return _constant(DipoleComponents, g)
 
 
 def static_dipole_vectors(dip, tau=0.0):
@@ -457,72 +423,75 @@ def make_toroidal_quadrupole(T):
     flat = raw.reshape(64)
     proj = symmetry_projector() @ flat
     resid = float(np.linalg.norm(flat - proj))
-    g = proj.reshape(4, 4, 4)
-    grid = [
-        [[TauFn.constant(g[a, b, c]) for c in range(4)] for b in range(4)]
-        for a in range(4)
-    ]
-    return QuadrupoleComponents(grid, meta={"projection_residual": resid})
+    return _constant(QuadrupoleComponents, proj.reshape(4, 4, 4),
+                     meta={"projection_residual": resid})
+
+
+def _velocity_product(cls, terms, X, worldline):
+    """Components sum_k sign_k einsum(spec_k, v, X) bilinear in the
+    worldline velocity v and the input fields X.
+
+    Derivatives follow the product rule with the curve's acceleration;
+    second derivatives are not available.  An entry may be nonzero where
+    some term meets a nonzero input entry.
+    """
+    xv, xd, _, xmask = X
+
+    def combine(v, x):
+        return sum(sign * np.einsum(spec, v, x) for spec, sign in terms)
+
+    def values(taus):
+        return combine(worldline.velocity_at(taus), xv(taus))
+
+    def derivs(taus):
+        if xd is None:
+            raise DerivativeUnavailable(
+                "no exact derivative rule for the input components"
+            )
+        return (combine(worldline.acceleration_at(taus), xv(taus))
+                + combine(worldline.velocity_at(taus), xd(taus)))
+
+    ones = np.ones((1, 4))
+    hits = sum(np.einsum(spec, ones, xmask[None].astype(float))
+               for spec, _ in terms)
+    return cls(values, derivs, None, hits[0] > 0.0)
 
 
 def make_electric_dipole(w, worldline):
     """gamma[ab] = w^a v^b - w^b v^a with v the worldline velocity."""
-    wf = [TauFn.wrap(c) for c in w]
-    vf = [worldline.velocity_taufn(a) for a in range(4)]
-    grid = _zero_grid2()
-    for a in range(4):
-        for b in range(4):
-            if a != b:
-                grid[a][b] = wf[a] * vf[b] - wf[b] * vf[a]
-    return DipoleComponents(grid)
+    terms = (("nb,na->nab", 1.0), ("na,nb->nab", -1.0))
+    return _velocity_product(DipoleComponents, terms, _input_fields(w, 1),
+                             worldline)
 
 
 def make_electric_quadrupole(qgrid, worldline, validate=True):
     """gamma[abc] = v^a q^{bc} + v^a q^{cb} - v^b q^{ac} - v^c q^{ab}."""
-    qf = [[TauFn.wrap(qgrid[b][c]) for c in range(4)] for b in range(4)]
-    vf = [worldline.velocity_taufn(a) for a in range(4)]
-    grid = _zero_grid3()
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                grid[a][b][c] = (
-                    vf[a] * qf[b][c]
-                    + vf[a] * qf[c][b]
-                    - vf[b] * qf[a][c]
-                    - vf[c] * qf[a][b]
-                )
-    out = QuadrupoleComponents(grid)
+    terms = (("na,nbc->nabc", 1.0), ("na,ncb->nabc", 1.0),
+             ("nb,nac->nabc", -1.0), ("nc,nab->nabc", -1.0))
+    out = _velocity_product(QuadrupoleComponents, terms,
+                            _input_fields(qgrid, 2), worldline)
     if validate:
         out.check_symmetries(sample_taus(worldline.interval), tol=1e-10)
     return out
 
 
-def _antisym_grid(p):
-    if isinstance(p, DipoleComponents):
-        return [[p.gamma2[a][b] for b in range(4)] for a in range(4)]
-    return [[TauFn.wrap(p[a][b]) for b in range(4)] for a in range(4)]
-
-
 def embed_dipole_as_quadrupole(p, worldline, validate=True):
     """gamma[abc] = p^{ab} v^c + p^{ac} v^b for antisymmetric p."""
-    pf = _antisym_grid(p)
+    X = _input_fields(p, 2)
     taus = sample_taus(worldline.interval, n=11)
-    for a in range(4):
-        for b in range(a, 4):
-            for t in taus:
-                if abs(pf[a][b](t) + pf[b][a](t)) > 1e-10:
-                    raise SymmetryError(
-                        f"p[{a}][{b}] is not antisymmetric at tau={t}",
-                        index=(a, b),
-                        tau=float(t),
-                    )
-    vf = [worldline.velocity_taufn(a) for a in range(4)]
-    grid = _zero_grid3()
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                grid[a][b][c] = pf[a][b] * vf[c] + pf[a][c] * vf[b]
-    out = QuadrupoleComponents(grid)
+    pv = X[0](taus)
+    # (a, b, t) order: the first offending pair has a <= b.
+    bad = np.argwhere(np.abs(pv + np.swapaxes(pv, -1, -2)).transpose(1, 2, 0)
+                      > 1e-10)
+    if len(bad):
+        a, b, i = (int(j) for j in bad[0])
+        raise SymmetryError(
+            f"p[{a}][{b}] is not antisymmetric at tau={taus[i]}",
+            index=(a, b),
+            tau=float(taus[i]),
+        )
+    terms = (("nc,nab->nabc", 1.0), ("nb,nac->nabc", 1.0))
+    out = _velocity_product(QuadrupoleComponents, terms, X, worldline)
     if validate:
         out.check_symmetries(sample_taus(worldline.interval), tol=1e-10)
     return out
@@ -531,19 +500,20 @@ def embed_dipole_as_quadrupole(p, worldline, validate=True):
 def extract_dipole(p):
     """The dipole gamma[ab] = d p^{ab} / d tau hiding in an embedded
     antisymmetric p."""
-    pf = _antisym_grid(p)
-    grid = _zero_grid2()
-    for a in range(4):
-        for b in range(4):
-            fn = pf[a][b]
-            if not fn.is_zero:
-                grid[a][b] = fn.derivative_fn()
-    return DipoleComponents(grid)
+    _, derivs, derivs2, mask = _input_fields(p, 2)
+    if derivs is None:
+        raise DerivativeUnavailable(
+            "no exact first-derivative rule for this component"
+        )
+    return DipoleComponents(derivs, derivs2, None, mask)
 
 
 # -- adapted-coordinate coefficient dictionary ------------------------------
 
 _SPAIRS = ((1, 2), (1, 3), (2, 3))
+# Sorted spatial pairs of second_0 and (pair, rho) triples of second.
+_S0 = tuple((mu, nu) for mu in _SPATIAL for nu in _SPATIAL if mu <= nu)
+_S = tuple((mu, nu, rho) for mu, nu in _S0 for rho in _SPATIAL)
 
 
 @dataclass
@@ -654,46 +624,60 @@ def _worst(values):
     return max((float(np.max(np.abs(v))) for v in values), default=0.0)
 
 
-def _deriv_taufn(fn, scale=1.0):
-    return TauFn(
-        lambda t: scale * fn.deriv(t),
-        (lambda t: scale * fn.deriv2(t)) if fn.d2fn is not None else None,
-    )
-
-
 def zeta_from_gamma(monopole, quad, worldline):
     """Adapted-basis coefficients of a monopole + quadrupole bundle.
 
     The worldline must be in adapted form C(tau) = (tau, 0, 0, 0); the
     time-slot components then enter through their tau derivatives.
+    Each coefficient reads one scaled entry of the component arrays or
+    of their derivatives.
     """
     if not worldline.is_adapted():
         raise DomainError(
             "coefficient extraction needs an adapted worldline "
             "C(tau) = (tau, 0, 0, 0)"
         )
-    g = quad.gamma3
+    g = quad._entry
     z = AdaptedCoefficients.zero(worldline.interval)
     z.charge = TauFn.constant(monopole.q)
     for mu in _SPATIAL:
-        z.first_0[mu] = _deriv_taufn(g[mu][0][0], 0.5)
-        z.zeroth[mu] = TauFn(lambda t, _f=g[mu][0][0]: 0.5 * _f.deriv2(t))
+        z.first_0[mu] = g((mu, 0, 0), 1, 0.5)
+        z.zeroth[mu] = g((mu, 0, 0), 2, 0.5)
         for nu in _SPATIAL:
-            z.first[mu][nu] = _deriv_taufn(g[nu][mu][0], -1.0)
-    for mu in _SPATIAL:
-        for nu in _SPATIAL:
-            if mu > nu:
-                continue
-            if mu == nu:
-                z.second_0[mu][mu] = g[0][mu][mu].scaled(0.5)
-            else:
-                z.second_0[mu][nu] = g[0][mu][nu]
-            for rho in _SPATIAL:
-                if mu == nu:
-                    z.second[mu][mu][rho] = g[rho][mu][mu].scaled(0.5)
-                else:
-                    z.second[mu][nu][rho] = g[rho][mu][nu]
+            z.first[mu][nu] = g((nu, mu, 0), 1, -1.0)
+    for mu, nu in _S0:
+        half = 0.5 if mu == nu else 1.0
+        z.second_0[mu][nu] = g((0, mu, nu), 0, half)
+        for rho in _SPATIAL:
+            z.second[mu][nu][rho] = g((rho, mu, nu), 0, half)
     return z
+
+
+def _gamma_from_zeta_map():
+    """(4, 4, 4, 30) linear map to gamma[abc] from, in order: the 6
+    second_0, the 18 second coefficients, gamma[mu][0][0] and the
+    antisymmetric part of gamma[nu][mu][0] over (1,2), (1,3), (2,3)."""
+    M = np.zeros((4, 4, 4, 30))
+    for i, (mu, nu) in enumerate(_S0):
+        if mu == nu:
+            M[0, mu, mu, i] = 2.0
+            M[mu, mu, 0, i] = M[mu, 0, mu, i] = -1.0
+            continue
+        M[0, mu, nu, i] = M[0, nu, mu, i] = 1.0
+        for a, b in ((mu, nu), (nu, mu)):
+            M[a, b, 0, i] = M[a, 0, b, i] = -0.5
+    for j, (mu, nu, rho) in enumerate(_S, start=6):
+        M[rho, mu, nu, j] = M[rho, nu, mu, j] = 1.0 if mu != nu else 2.0
+    for k, mu in enumerate(_SPATIAL, start=24):
+        M[mu, 0, 0, k] = 1.0
+        M[0, mu, 0, k] = M[0, 0, mu, k] = -0.5
+    for k, (a, b) in enumerate(_SPAIRS, start=27):
+        M[a, b, 0, k] = M[a, 0, b, k] = 1.0
+        M[b, a, 0, k] = M[b, 0, a, k] = -1.0
+    return M
+
+
+_GAMMA_FROM_ZETA = _gamma_from_zeta_map()
 
 
 def gamma_from_zeta(z, constants=None, tol=1e-10):
@@ -706,6 +690,9 @@ def gamma_from_zeta(z, constants=None, tol=1e-10):
     ``{"v00": 3 reals for gamma[mu][0][0](tau0),
        "spatial_time": 3 reals for the antisymmetric part of
        gamma[mu][nu][0](tau0) over pairs (1,2), (1,3), (2,3)}``.
+    The components are a fixed linear map of the second-order
+    coefficients and the two running integrals; second derivatives are
+    not available.
     """
     t0, t1 = z.interval
     constants = constants or {}
@@ -731,57 +718,22 @@ def gamma_from_zeta(z, constants=None, tol=1e-10):
         t0, t1, 3, tol_abs=tol * 1e-2, tol_rel=tol * 1e-2,
         label="spatial-time antisymmetric reconstruction",
     )
+    second = ([z.second0_at(mu, nu) for mu, nu in _S0]
+              + [z.second_at(mu, nu, rho) for mu, nu, rho in _S])
 
-    def v00_fn(mu):
-        k = mu - 1
-        return TauFn(
-            lambda t: c_v00[k] + cum_v00.value(t)[..., k],
-            lambda t: 2.0 * z.first_0[mu](t),
-            (lambda t: 2.0 * z.first_0[mu].deriv(t))
-            if z.first_0[mu].dfn is not None
-            else None,
-        )
+    def field(parts):
+        return lambda taus: np.tensordot(
+            np.concatenate([part(taus) for part in parts], axis=-1),
+            _GAMMA_FROM_ZETA, axes=([1], [3]))
 
-    def anti_fn(nu, mu, sign):
-        k = _SPAIRS.index((min(nu, mu), max(nu, mu)))
-        if (nu, mu) != _SPAIRS[k]:
-            sign = -sign
-
-        def dval(t, _k=k):
-            nu0, mu0 = _SPAIRS[_k]
-            return 0.5 * (z.first[nu0][mu0](t) - z.first[mu0][nu0](t))
-
-        return TauFn(
-            lambda t, _k=k, _s=sign: _s * (c_st[_k] + cum_anti.value(t)[..., _k]),
-            lambda t, _s=sign: _s * dval(t),
-        )
-
-    grid = _zero_grid3()
-    for mu in _SPATIAL:
-        grid[mu][0][0] = v00_fn(mu)
-        half = grid[mu][0][0].scaled(-0.5)
-        grid[0][mu][0] = half
-        grid[0][0][mu] = half
-    for mu in _SPATIAL:
-        for nu in _SPATIAL:
-            if mu == nu:
-                grid[0][mu][mu] = z.second0_at(mu, mu).scaled(2.0)
-            else:
-                grid[0][mu][nu] = z.second0_at(mu, nu)
-    for nu in _SPATIAL:
-        for mu in _SPATIAL:
-            if mu == nu:
-                entry = z.second0_at(mu, mu).scaled(-1.0)
-            else:
-                sym = z.second0_at(mu, nu).scaled(-0.5)
-                entry = sym + anti_fn(nu, mu, 1.0)
-            grid[nu][mu][0] = entry
-            grid[nu][0][mu] = entry
-    for rho in _SPATIAL:
-        for mu in _SPATIAL:
-            for nu in _SPATIAL:
-                if mu == nu:
-                    grid[rho][mu][mu] = z.second_at(mu, mu, rho).scaled(2.0)
-                else:
-                    grid[rho][mu][nu] = z.second_at(mu, nu, rho)
-    return Monopole(z.charge(t0)), QuadrupoleComponents(grid)
+    values = field([
+        stacked(second),
+        lambda taus: c_v00 + cum_v00.value(taus),
+        lambda taus: c_st + cum_anti.value(taus),
+    ])
+    derivs = field([
+        stacked([f.deriv for f in second]),
+        cum_v00.derivative,
+        cum_anti.derivative,
+    ])
+    return Monopole(z.charge(t0)), QuadrupoleComponents(values, derivs)

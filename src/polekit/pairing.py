@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .errors import DomainError
+from .errors import DomainError, QuadratureError
 from .jets import Jet2, apply_value, compose, entries_array, grad_array, \
     hess_array, jbump, value_array
 from .moments import DipoleComponents, Monopole, QuadrupoleComponents
@@ -350,12 +350,39 @@ def pull_back_test_form(hatted, pair, pad=0.1, samples_per_axis=3):
 # -- quadrature over the worldline parameter -------------------------------
 
 
+# Most samples the fine support scan may take before it gives up.
+_MAX_SCAN = 100_000
+
+
 def _support_window(worldline, form, scan=129):
+    """The parameter window where the worldline meets the form's
+    support, padded by two scan steps; None when it misses the support.
+
+    When none of the ``scan`` samples is inside, the scan is repeated
+    with spacing at most the smallest box half-width over the largest
+    sampled speed, so that no coordinate moves further than that
+    half-width between samples.  Raises :class:`QuadratureError` when
+    that would take more than ``_MAX_SCAN`` samples.
+    """
     t0, t1 = worldline.interval
     taus = np.linspace(t0, t1, scan)
     inside = taus[form.in_support(worldline.point_at(taus))]
     if not len(inside):
-        return None
+        speed = float(np.max(np.abs(worldline.velocity_at(taus))))
+        fine = int(np.ceil((t1 - t0) * speed / min(form.box.half))) + 1
+        if fine <= scan:
+            return None
+        if fine > _MAX_SCAN:
+            raise QuadratureError(
+                f"support scan would need {fine} samples (more than "
+                f"{_MAX_SCAN}) to find the test form along the worldline",
+                worst_interval=(t0, t1),
+            )
+        scan = fine
+        taus = np.linspace(t0, t1, scan)
+        inside = taus[form.in_support(worldline.point_at(taus))]
+        if not len(inside):
+            return None
     step = (t1 - t0) / (scan - 1)
     return (max(t0, float(inside[0]) - 2 * step),
             min(t1, float(inside[-1]) + 2 * step))
@@ -402,7 +429,7 @@ def pair_monopole(m, worldline, form, tol_abs=1e-10, tol_rel=1e-10,
 def pair_dipole(gamma2, worldline, form, tol_abs=1e-10, tol_rel=1e-10,
                 min_panels=5):
     """-integral of gamma[ab] d_b phi_a along the worldline."""
-    if not gamma2.nonzero():
+    if not gamma2.mask.any():
         return PairingReport(0.0, 0.0, 0)
 
     def integrand(taus):
@@ -416,7 +443,7 @@ def pair_dipole(gamma2, worldline, form, tol_abs=1e-10, tol_rel=1e-10,
 def pair_quadrupole(gamma3, worldline, form, tol_abs=1e-10, tol_rel=1e-10,
                     min_panels=5):
     """(1/2) integral of gamma[abc] d_b d_c phi_a along the worldline."""
-    if not gamma3.nonzero():
+    if not gamma3.mask.any():
         return PairingReport(0.0, 0.0, 0)
 
     def integrand(taus):

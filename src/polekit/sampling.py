@@ -13,7 +13,7 @@ from .charts import ChartPair, linear_chart
 from .jets import entries_array
 from .moments import DipoleComponents, QuadrupoleComponents, quadrupole_basis
 from .pairing import Box, ProductTestForm
-from .taufn import TauFn
+from .taufn import tau_derivative
 
 
 def rng_from_seed(seed):
@@ -53,32 +53,31 @@ def random_quadrupole(rng, degree=2, scale=1.0, directions=5):
     picks = rng.choice(len(basis), size=min(directions, len(basis)),
                        replace=False)
     tensors = np.array([basis[i] for i in picks])
-    coeffs = [TauFn.from_expr(poly_tau_expr(rng, degree, scale))
-              for _ in picks]
+    coeffs = [poly_tau_expr(rng, degree, scale) for _ in picks]
     mask = np.max(np.abs(tensors), axis=0) >= 1e-300
     tensors = np.where(mask, tensors, 0.0)
 
-    def combo(rule):
+    def combo(order):
         def field(taus):
-            w = entries_array([rule(f, taus) for f in coeffs], taus.shape)
+            w = entries_array([tau_derivative(e, taus, order) for e in coeffs],
+                              taus.shape)
             return np.einsum("ni,iabc->nabc", w, tensors)
 
         return field
 
-    return QuadrupoleComponents.from_arrays(
-        combo(TauFn.__call__), combo(TauFn.deriv), combo(TauFn.deriv2),
-        mask=mask,
-    )
+    return QuadrupoleComponents.from_arrays(combo(0), combo(1), combo(2),
+                                            mask=mask)
 
 
 def random_antisym_poly_grid(rng, degree=2, scale=1.0):
-    """Antisymmetric 4x4 grid of polynomial TauFns (embedding input)."""
-    grid = [[TauFn.constant(0.0) for _ in range(4)] for _ in range(4)]
+    """Antisymmetric 4x4 grid of polynomial expressions in tau
+    (embedding input)."""
+    grid = [[ex.const(0.0) for _ in range(4)] for _ in range(4)]
     for a in range(4):
         for b in range(a + 1, 4):
             p = poly_tau_expr(rng, degree, scale)
-            grid[a][b] = TauFn.from_expr(p)
-            grid[b][a] = TauFn.from_expr(ex.neg(p))
+            grid[a][b] = p
+            grid[b][a] = ex.neg(p)
     return grid
 
 

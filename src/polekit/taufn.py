@@ -1,32 +1,43 @@
 """Scalar functions of the curve parameter with exact derivative rules.
 
-Multipole component functions start life as expression trees but become
-quadrature-backed callables after a transport (the integral term has no
-closed form).  :class:`TauFn` wraps both: a value callable plus optional
-exact first/second derivative callables.  Derivatives are never
-approximated; when no rule is available, :class:`DerivativeUnavailable`
-is raised.  Every callable takes one tau or an array of taus; a
-constant may come back as a plain float for an array, which numpy
-broadcasting absorbs.
+Multipole components are held as arrays over batches of taus (see
+:mod:`polekit.moments`); :class:`TauFn` is the read-only view of one
+entry: a value callable plus exact first/second derivative callables.
+Derivatives are never approximated; when no rule is available,
+:class:`DerivativeUnavailable` is raised.  Every callable takes one tau
+or an array of taus; a constant may come back as a plain float for an
+array, which numpy broadcasting absorbs.  Functions of tau are combined
+as expression trees (:mod:`polekit.expr`), not as ``TauFn``.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .errors import DerivativeUnavailable
 from .expr import Const, Expr
 from .jets import Jet2
 
 
+def tau_derivative(e, t, order=0):
+    """The ``order``-th (0, 1 or 2) tau derivative of the expression
+    ``e`` at one tau or an array of taus."""
+    env = (t, 0.0, 0.0, 0.0)
+    if order == 0:
+        return e.eval_value(env)
+    jet = e.eval_jet(Jet2.seed_point(env))
+    return jet.grad[0] if order == 1 else jet.hess[0]
+
+
 class TauFn:
     """A real function of tau with optional exact derivatives."""
 
-    __slots__ = ("fn", "dfn", "d2fn", "expr", "is_zero")
+    __slots__ = ("fn", "dfn", "d2fn", "is_zero")
 
-    def __init__(self, fn, dfn=None, d2fn=None, expr=None, is_zero=False):
+    def __init__(self, fn, dfn=None, d2fn=None, is_zero=False):
         self.fn = fn
         self.dfn = dfn
         self.d2fn = d2fn
-        self.expr = expr
         self.is_zero = is_zero
 
     # -- constructors ---------------------------------------------------
@@ -37,18 +48,9 @@ class TauFn:
             return TauFn.constant(e)
         if not isinstance(e, Expr):
             raise TypeError(f"expected Expr or number, got {type(e)!r}")
-
-        def fn(t, _e=e):
-            return _e.eval_value((t, 0.0, 0.0, 0.0))
-
-        def dfn(t, _e=e):
-            return _e.eval_jet(Jet2.seed_point((t, 0.0, 0.0, 0.0))).grad[0]
-
-        def d2fn(t, _e=e):
-            return _e.eval_jet(Jet2.seed_point((t, 0.0, 0.0, 0.0))).hess[0]
-
         zero = isinstance(e, Const) and e.v == 0.0
-        return TauFn(fn, dfn, d2fn, expr=e, is_zero=zero)
+        return TauFn(*(partial(tau_derivative, e, order=k) for k in range(3)),
+                     is_zero=zero)
 
     @staticmethod
     def constant(c):
@@ -57,7 +59,6 @@ class TauFn:
             lambda t: c,
             lambda t: 0.0,
             lambda t: 0.0,
-            expr=Const(c),
             is_zero=(c == 0.0),
         )
 
@@ -89,84 +90,6 @@ class TauFn:
                 "no exact second-derivative rule for this component"
             )
         return self.d2fn(t)
-
-    @property
-    def has_deriv(self):
-        return self.dfn is not None
-
-    # -- arithmetic with derivative propagation --------------------------
-
-    def __add__(self, other):
-        other = TauFn.wrap(other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        a, b = self, other
-        dfn = None
-        if a.dfn is not None and b.dfn is not None:
-            dfn = lambda t: a.dfn(t) + b.dfn(t)
-        d2fn = None
-        if a.d2fn is not None and b.d2fn is not None:
-            d2fn = lambda t: a.d2fn(t) + b.d2fn(t)
-        return TauFn(lambda t: a.fn(t) + b.fn(t), dfn, d2fn)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        a = self
-        return TauFn(
-            lambda t: -a.fn(t),
-            None if a.dfn is None else (lambda t: -a.dfn(t)),
-            None if a.d2fn is None else (lambda t: -a.d2fn(t)),
-            is_zero=a.is_zero,
-        )
-
-    def __sub__(self, other):
-        return self + (-TauFn.wrap(other))
-
-    def __rsub__(self, other):
-        return TauFn.wrap(other) + (-self)
-
-    def __mul__(self, other):
-        other = TauFn.wrap(other)
-        if self.is_zero or other.is_zero:
-            return TauFn.constant(0.0)
-        a, b = self, other
-        dfn = None
-        if a.dfn is not None and b.dfn is not None:
-            dfn = lambda t: a.dfn(t) * b.fn(t) + a.fn(t) * b.dfn(t)
-        d2fn = None
-        if a.d2fn is not None and b.d2fn is not None:
-            d2fn = lambda t: (
-                a.d2fn(t) * b.fn(t)
-                + 2.0 * a.dfn(t) * b.dfn(t)
-                + a.fn(t) * b.d2fn(t)
-            )
-        return TauFn(lambda t: a.fn(t) * b.fn(t), dfn, d2fn)
-
-    __rmul__ = __mul__
-
-    def scaled(self, c):
-        c = float(c)
-        if c == 0.0 or self.is_zero:
-            return TauFn.constant(0.0)
-        a = self
-        return TauFn(
-            lambda t: c * a.fn(t),
-            None if a.dfn is None else (lambda t: c * a.dfn(t)),
-            None if a.d2fn is None else (lambda t: c * a.d2fn(t)),
-            expr=None,
-            is_zero=False,
-        )
-
-    def derivative_fn(self):
-        """The derivative as a TauFn (second derivative propagates)."""
-        if self.dfn is None:
-            raise DerivativeUnavailable(
-                "no exact first-derivative rule for this component"
-            )
-        return TauFn(self.dfn, self.d2fn, None)
 
 
 ZERO = TauFn.constant(0.0)

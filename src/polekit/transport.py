@@ -27,7 +27,6 @@ import numpy as np
 from .errors import DomainError
 from .moments import DipoleComponents, QuadrupoleComponents
 from .quadrature import CumulativeIntegral
-from .taufn import TauFn
 
 _DET_CUTOFF = 1e-12
 _PPAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -71,16 +70,6 @@ class PTerm:
     def deriv_matrix_at(self, tau):
         """The integrand; exact derivative of the running integral."""
         return _antisym_from_vec(self._cum.derivative(tau))
-
-    def entry(self, d, e):
-        return TauFn(
-            lambda t: _scalar(self.matrix_at(t)[..., d, e], t),
-            lambda t: _scalar(self.deriv_matrix_at(t)[..., d, e], t),
-        )
-
-
-def _scalar(v, t):
-    return v if np.ndim(t) else float(v)
 
 
 @dataclass

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import DomainError
 from .expr import Const, Expr, Var
 from .jets import Jet2, entries_array, value_array
-from .taufn import TauFn
 
 
 def _as_tau(t):
@@ -99,17 +98,6 @@ class Worldline:
         if not np.ndim(tau):
             return tuple(accel)
         return entries_array(accel, np.shape(tau))
-
-    def velocity_taufn(self, a):
-        """Component a of the velocity as a TauFn (second derivative
-        of the curve backs its derivative)."""
-        comp = self.components[a]
-
-        def jet(t):
-            self._check_tau(t)
-            return comp.eval_jet(Jet2.seed_point((t, 0.0, 0.0, 0.0)))
-
-        return TauFn(lambda t: jet(t).grad[0], lambda t: jet(t).hess[0])
 
     def sample_taus(self, n):
         t0, t1 = self.interval

@@ -420,22 +420,25 @@ def test_criterion_11_coefficient_dictionary():
             v <= scale for v in others.values()
         )
 
-    one = TauFn.constant(1.0)
+    def plus_one(fn):
+        """fn + 1, with the derivatives of fn."""
+        return TauFn(lambda t: fn(t) + 1.0, fn.dfn, fn.d2fn)
+
     tau_fn = TauFn.from_expr(ex.Var(0))
     violations = [
         (lambda zz: setattr(zz, "charge", tau_fn), "charge_constant"),
-        (lambda zz: zz.zeroth.__setitem__(1, zz.zeroth[1] + one),
+        (lambda zz: zz.zeroth.__setitem__(1, plus_one(zz.zeroth[1])),
          "velocity_pair"),
-        (lambda zz: zz.first[1].__setitem__(1, zz.first[1][1] + one),
+        (lambda zz: zz.first[1].__setitem__(1, plus_one(zz.first[1][1])),
          "diag_step"),
-        (lambda zz: zz.first[1].__setitem__(2, zz.first[1][2] + one),
+        (lambda zz: zz.first[1].__setitem__(2, plus_one(zz.first[1][2])),
          "offdiag_step"),
-        (lambda zz: zz.second[1][1].__setitem__(1, zz.second[1][1][1] + one),
-         "diag_spatial"),
-        (lambda zz: zz.second[1][1].__setitem__(2, zz.second[1][1][2] + one),
-         "mixed_spatial"),
-        (lambda zz: zz.second[1][2].__setitem__(3, zz.second[1][2][3] + one),
-         "triple"),
+        (lambda zz: zz.second[1][1].__setitem__(
+            1, plus_one(zz.second[1][1][1])), "diag_spatial"),
+        (lambda zz: zz.second[1][1].__setitem__(
+            2, plus_one(zz.second[1][1][2])), "mixed_spatial"),
+        (lambda zz: zz.second[1][2].__setitem__(
+            3, plus_one(zz.second[1][2][3])), "triple"),
     ]
     rejects = all(violated(mutate, family) for mutate, family in violations)
     ok = round_trip_ok and accepts_valid and rejects

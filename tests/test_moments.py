@@ -156,10 +156,9 @@ def test_electric_dipole_gauge_shift_invariance(rng, wobble_worldline):
     w = [ex.parse("0.3*tau", ex.TAU_VARS), ex.Const(1.0),
          ex.parse("sin(tau)", ex.TAU_VARS), ex.Const(-0.4)]
     xi = ex.parse("0.7 + 0.2*tau", ex.TAU_VARS)
-    xi_fn = TauFn.from_expr(xi)
     d1 = make_electric_dipole(w, C)
     w_shifted = [
-        TauFn.from_expr(w[a]) + xi_fn * C.velocity_taufn(a) for a in range(4)
+        ex.add(w[a], ex.mul(xi, C.components[a].diff(0))) for a in range(4)
     ]
     d2 = make_electric_dipole(w_shifted, C)
     for t in np.linspace(0.2, 5.8, 9):
@@ -185,7 +184,7 @@ def test_electric_quadrupole_antisymmetric_q_is_embedding(rng,
     C = wobble_worldline
     p = random_antisym_poly_grid(rng, degree=1)
     q_from_p = make_electric_quadrupole(p, C)
-    minus_p = [[p[a][b].scaled(-1.0) for b in range(4)] for a in range(4)]
+    minus_p = [[ex.neg(p[a][b]) for b in range(4)] for a in range(4)]
     embedded = embed_dipole_as_quadrupole(minus_p, C)
     for t in np.linspace(0.3, 5.7, 7):
         assert np.allclose(
@@ -198,18 +197,19 @@ def test_electric_quadrupole_gauge_direction(rng, wobble_worldline):
     exactly; s (x) v and the symmetrized shift do not (for generic s).
     The rank computation (kernel dimension 4) is the cross-check."""
     C = wobble_worldline
-    v = [C.velocity_taufn(a) for a in range(4)]
-    s = [TauFn.from_expr(ex.parse(t, ex.TAU_VARS))
+    v = [C.components[a].diff(0) for a in range(4)]
+    s = [ex.parse(t, ex.TAU_VARS)
          for t in ("0.5", "tau*0.1", "1 - 0.2*tau", "0.3")]
 
-    vs = [[v[a] * s[b] for b in range(4)] for a in range(4)]   # v (x) s
-    sv = [[s[a] * v[b] for b in range(4)] for a in range(4)]   # s (x) v
+    vs = [[ex.mul(v[a], s[b]) for b in range(4)] for a in range(4)]  # v (x) s
+    sv = [[ex.mul(s[a], v[b]) for b in range(4)] for a in range(4)]  # s (x) v
     q_vs = make_electric_quadrupole(vs, C, validate=False)
     q_sv = make_electric_quadrupole(sv, C, validate=False)
     taus = np.linspace(0.4, 5.6, 5)
     assert max(np.max(np.abs(q_vs.values_at(t))) for t in taus) <= 1e-12
     assert max(np.max(np.abs(q_sv.values_at(t))) for t in taus) > 1e-3
-    sym = [[s[a] * v[b] + v[a] * s[b] for b in range(4)] for a in range(4)]
+    sym = [[ex.add(ex.mul(s[a], v[b]), ex.mul(v[a], s[b])) for b in range(4)]
+           for a in range(4)]
     q_sym = make_electric_quadrupole(sym, C, validate=False)
     assert max(np.max(np.abs(q_sym.values_at(t))) for t in taus) > 1e-3
 

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from oracles import fd_gradient_plain
 from polekit import expr as ex
 from polekit.charts import get
-from polekit.errors import DomainError
+from polekit.errors import DomainError, QuadratureError
 from polekit.moments import Monopole, make_static_dipole
 from polekit.pairing import (
     Box,
@@ -26,6 +26,7 @@ from polekit.sampling import (
     random_test_form,
     random_test_form_along,
 )
+from polekit.worldlines import Worldline
 
 BUMP_INTEGRAL = 0.4439938161680793  # scipy quad of exp(-1/(1-u^2)) on [-1,1]
 
@@ -176,20 +177,10 @@ def test_pairing_linearity(rng, adapted_worldline):
     q1 = random_quadrupole(rng)
     q2 = random_quadrupole(rng)
     alpha, beta = 0.6, -1.7
-    combo_grid = [
-        [
-            [
-                q1.gamma3[a][b][c].scaled(alpha)
-                + q2.gamma3[a][b][c].scaled(beta)
-                for c in range(4)
-            ]
-            for b in range(4)
-        ]
-        for a in range(4)
-    ]
     from polekit.moments import QuadrupoleComponents
 
-    combo = QuadrupoleComponents(combo_grid)
+    combo = QuadrupoleComponents.from_arrays(
+        lambda t: alpha * q1.values_at(t) + beta * q2.values_at(t))
     for _ in range(3):
         form = random_test_form_along(rng, adapted_worldline)
         v1 = pair_quadrupole(q1, adapted_worldline, form).value
@@ -299,3 +290,43 @@ def test_concurrent_pairing_is_deterministic(rng, wobble_worldline):
     with ThreadPoolExecutor(max_workers=4) as pool:
         values = list(pool.map(work, range(8)))
     assert len(set(values)) == 1
+
+
+def _fast_worldline(speed):
+    return Worldline.from_exprs(
+        (ex.Var(0), ex.mul(ex.const(speed), ex.Var(0)), 0.0, 0.0), (0.0, 10.0)
+    )
+
+
+def test_support_between_scan_samples_is_found():
+    """A unit box that the worldline crosses between two of the coarse
+    scan samples is still integrated, against mpmath at 30 digits."""
+    import mpmath
+
+    C = _fast_worldline(100.0)
+    form = make_test_form([1, 1, 1, 1], (5.02, 502.0, 0.0, 0.0), (0.5,) * 4)
+    r = pair_monopole(Monopole(1.0), C, form)
+
+    def mbump(u):
+        return mpmath.exp(-1 / (1 - u * u)) if abs(u) < 1 else mpmath.mpf(0)
+
+    def integrand(t):
+        # v = (1, 100, 0, 0) and every component of phi is the window.
+        return (101 * mbump((t - mpmath.mpf(5.02)) * 2)
+                * mbump((100 * t - mpmath.mpf(502.0)) * 2) * mbump(0) ** 2)
+
+    # The support is tau in [5.015, 5.025], where x1 = 100 tau crosses it.
+    with mpmath.workdps(30):
+        ref = float(mpmath.quad(integrand, [5.015, 5.02, 5.025]))
+    assert ref == pytest.approx(0.011162924485830596, rel=1e-14)
+    assert r.nodes_used > 0
+    assert abs(r.value - ref) <= 1e-10
+
+
+def test_support_scan_too_fine_raises():
+    """A box too narrow for the bounded rescan raises instead of
+    returning 0."""
+    C = _fast_worldline(1e6)
+    form = make_test_form([1, 1, 1, 1], (5.02, 5.02e6, 0.0, 0.0), (0.5,) * 4)
+    with pytest.raises(QuadratureError):
+        pair_monopole(Monopole(1.0), C, form)

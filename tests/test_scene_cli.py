@@ -128,8 +128,8 @@ def test_reports_byte_identical(tmp_path):
     text = (SCENES / "worked_example.scene").read_text()
     scene1 = parse_scene(text)
     scene2 = parse_scene(text)
-    run(scene1, command="transform", out_dir=tmp_path / "a")
-    run(scene2, command="transform", out_dir=tmp_path / "b")
+    run(scene1, command="all", out_dir=tmp_path / "a")
+    run(scene2, command="all", out_dir=tmp_path / "b")
     for name in ("report.txt", "report.json"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
@@ -178,22 +178,6 @@ def test_potentials_job_writes_csv(tmp_path):
     exps = json.loads((tmp_path / "report.json").read_text())[
         "jobs"][0]["data"]["exponents"]
     assert all(abs(e + 1.0) < 0.01 for e in exps)
-
-
-def test_parallel_jobs_match_serial(tmp_path):
-    doc = json.loads(MINIMAL)
-    doc["jobs"] = [
-        {"command": "charge", "multipole": "charge", "worldline": "rest",
-         "choices": 2, "seed": 1, "name": "a"},
-        {"command": "classify", "multipole": "charge", "worldline": "rest",
-         "seed": 2, "name": "b", "orders": [0]},
-    ]
-    s1 = parse_scene(json.dumps(doc))
-    s2 = parse_scene(json.dumps(doc))
-    run(s1, out_dir=tmp_path / "serial")
-    run(s2, out_dir=tmp_path / "parallel", parallel=True)
-    assert (tmp_path / "serial" / "report.json").read_bytes() == \
-        (tmp_path / "parallel" / "report.json").read_bytes()
 
 
 def test_classify_job_with_tau_dependent_components(tmp_path):

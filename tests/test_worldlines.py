@@ -134,6 +134,6 @@ def test_velocity_taufn_derivative():
         (ex.Var(0), ex.Fun("sin", ex.Var(0)), ex.Const(0.0), ex.Const(0.0)),
         (0.0, 3.0),
     )
-    v1 = C.velocity_taufn(1)
-    assert v1(1.0) == pytest.approx(math.cos(1.0), rel=1e-14)
-    assert v1.deriv(1.0) == pytest.approx(-math.sin(1.0), rel=1e-13)
+    assert C.eval(1.0)[1][1] == pytest.approx(math.cos(1.0), rel=1e-14)
+    assert C.acceleration_at(1.0)[1] == pytest.approx(-math.sin(1.0),
+                                                      rel=1e-13)
