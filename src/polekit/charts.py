@@ -17,7 +17,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import DomainError, RegistryError, SingularJacobianWarning
-from .jets import Jet2, entries_array, grad_array, hess_array, value_array
+from .jets import Jet2, entries_array, full_hessian
 
 _DET_CUTOFF = 1e-12
 
@@ -107,10 +107,12 @@ class Chart:
         (N, 4, 4, 4)."""
         jlist = self.jets_at(x)
         shape = (len(x),) if np.ndim(x) == 2 else ()
-        value = value_array(jlist, shape)
+        value = entries_array([j.value for j in jlist], shape)
         if not shape:
             value = tuple(float(v) for v in value)
-        return value, grad_array(jlist, shape), hess_array(jlist, shape)
+        return (value, entries_array([j.grad for j in jlist], shape, (4,)),
+                full_hessian(entries_array([j.hess for j in jlist], shape,
+                                           (10,))))
 
     def jacobian_exprs(self):
         """Symbolic Jacobian entries, J[a][b] = d forward[a] / d x^b."""

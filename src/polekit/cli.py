@@ -163,6 +163,8 @@ def _run_verify(scene, job, out_dir):
         "max_residual": max((r for _, _, r in rows), default=0.0),
         "nodes_used": {"source": [s.nodes_used for s, _, _ in rows],
                        "hatted": [h.nodes_used for _, h, _ in rows]},
+        "floor_panels": {"source": [s.floor_panels for s, _, _ in rows],
+                         "hatted": [h.floor_panels for _, h, _ in rows]},
         "quadrature_error_estimates": {
             "source": [s.quadrature_error_estimate for s, _, _ in rows],
             "hatted": [h.quadrature_error_estimate for _, h, _ in rows],

@@ -66,13 +66,14 @@ class Expr:
         return Pow(self, float(p))
 
     def eval_jet(self, env):
-        """Evaluate with ``env`` a tuple of four Jet2 inputs (one point,
-        or batch jets)."""
+        """Evaluate with ``env`` the tuple of seed jets of
+        :meth:`Jet2.seed_point` (one point, or batch jets)."""
         raise NotImplementedError
 
     def eval_value(self, env):
-        """Evaluate with ``env`` a tuple of four floats, or of arrays
-        over a batch (a constant subtree may return a plain float)."""
+        """Evaluate with ``env`` a tuple of coordinates: floats, or
+        arrays over a batch (a constant subtree may return a plain
+        float)."""
         raise NotImplementedError
 
     def diff(self, var):
@@ -106,7 +107,7 @@ class Const(Expr):
     v: float
 
     def eval_jet(self, env):
-        return Jet2(self.v)
+        return Jet2.constant(self.v, len(env))
 
     def eval_value(self, env):
         return self.v

@@ -32,6 +32,12 @@ KINDS = (
 _SPATIAL = (1, 2, 3)
 
 
+def _spatial_hessian(j):
+    """The spatial block of a jet's Hessian as a contiguous (3, 3)
+    array (einsum's summation order depends on the memory layout)."""
+    return np.ascontiguousarray(j.hessian_rows()[1:, 1:])
+
+
 def _coulomb_expr(q, eps0):
     # q / (4 pi eps0) * (x1^2 + x2^2 + x3^2)^(-1/2)
     r2 = ex.Add(
@@ -101,23 +107,16 @@ class StaticSource:
             return float(self.moments) * j.value, np.zeros(3)
         if self.kind == "electric_dipole":
             j = self._kernel_jet(x3)
-            grad = np.array([j.grad[mu] for mu in _SPATIAL])
-            return float(self.moments @ grad), np.zeros(3)
+            return float(self.moments @ j.grad[1:]), np.zeros(3)
         if self.kind == "magnetic_dipole":
             j = self._kernel_jet(x3)
-            grad = np.array([j.grad[mu] for mu in _SPATIAL])
-            return 0.0, np.cross(self.moments, grad)
+            return 0.0, np.cross(self.moments, j.grad[1:])
         if self.kind == "electric_quadrupole":
             j = self._kernel_jet(x3)
-            hess = np.array(
-                [[j.hess_entry(m, n) for n in _SPATIAL] for m in _SPATIAL]
-            )
+            hess = _spatial_hessian(j)
             return float(np.einsum("mn,mn->", self.moments, hess)), np.zeros(3)
         j = self._kernel_jet(x3)
-        hess = np.array(
-            [[j.hess_entry(m, n) for n in _SPATIAL] for m in _SPATIAL]
-        )
-        A = np.einsum("mns,ns->m", self.moments, hess)
+        A = np.einsum("mns,ns->m", self.moments, _spatial_hessian(j))
         return 0.0, A
 
     def potential_exprs(self):

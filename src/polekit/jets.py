@@ -1,61 +1,48 @@
-"""Second-order truncated Taylor arithmetic in four variables.
+"""Second-order truncated Taylor arithmetic (vector forward mode).
 
-A :class:`Jet2` carries a value, a 4-gradient and a symmetric Hessian
-(10 independent entries).  Propagating jets through arithmetic gives the
-exact value, gradient and Hessian of the composed function at a point,
-up to rounding.  This is the single derivative engine of the package:
-chart Jacobians/Hessians, worldline velocities and test-form derivatives
-all come from here.  Finite differences appear only in tests, as an
-independent oracle.
+A :class:`Jet2` carries the value, gradient and symmetric Hessian of a
+scalar function of ``n`` variables, at one point or at every point of a
+batch.  Propagating jets through arithmetic gives the exact value,
+gradient and Hessian of the composed function, up to rounding.  This is
+the single derivative engine of the package: chart Jacobians/Hessians,
+worldline velocities and test-form derivatives all come from here.
+Finite differences appear only in tests, as an independent oracle.
 
-The same arithmetic runs over a batch of points (vector forward mode):
-every entry of a jet is either a float (one point, or a quantity that
-is constant over the batch) or a numpy array with one element per
-point, and numpy broadcasting does the rest.  Branches of the elementary
-functions (domain checks, the support of ``bump`` and of the ``sstep``
-family) are applied elementwise; a domain error anywhere in a batch
-raises.  Jets of one point keep plain Python floats throughout.
+One array layout serves one point and a batch of points of shape S
+(S = () for one point):
+
+* ``value`` has shape S (a float for one point);
+* ``grad`` is an array ``(*S, n)``;
+* ``hess`` is the packed upper triangle ``(*S, n(n+1)/2)``: entry (a, b),
+  a <= b, in the order of ``np.triu_indices(n)``.
+
+``n`` is the number of coordinates given to :meth:`Jet2.seed_point`:
+four for points of spacetime, one for functions of the curve parameter.
+The gradient and Hessian of a jet that is the same at every point of a
+batch (constants, seeds, linear combinations of seeds) may keep the
+shapes ``(n,)`` and ``(n(n+1)/2,)``, which broadcasting spreads over the
+batch.  Branches of the elementary functions (domain checks, the support
+of ``bump`` and of the ``sstep`` family) are applied elementwise; a
+domain error anywhere in a batch raises.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import EvaluationError
 
-N_VARS = 4
-
-#: Ordered (a, b) pairs, a <= b, indexing symmetric Hessian storage.
-HESS_PAIRS = (
-    (0, 0), (0, 1), (0, 2), (0, 3),
-    (1, 1), (1, 2), (1, 3),
-    (2, 2), (2, 3),
-    (3, 3),
-)
-
-#: HESS_LOOKUP[a][b] -> flat index into the 10-entry Hessian store.
-HESS_LOOKUP = (
-    (0, 1, 2, 3),
-    (1, 4, 5, 6),
-    (2, 5, 7, 8),
-    (3, 6, 8, 9),
-)
-
-_HESS_FULL = np.array(HESS_LOOKUP)
-_PAIR_ROWS = np.array([a for a, _ in HESS_PAIRS])
-_PAIR_COLS = np.array([b for _, b in HESS_PAIRS])
-
-_ZERO4 = (0.0, 0.0, 0.0, 0.0)
-_ZERO10 = (0.0,) * 10
-
-
-def hess_index(a, b):
-    """Flat symmetric-storage index for Hessian entry (a, b)."""
-    return HESS_LOOKUP[a][b]
-
 
 def _is_batch(x):
     return isinstance(x, np.ndarray)
+
+
+def _col(v):
+    """A value (float, or array of shape S) broadcastable against the
+    last axis of gradients and Hessians."""
+    return v[..., None] if _is_batch(v) else v
 
 
 def _first_bad(v, ok):
@@ -64,17 +51,54 @@ def _first_bad(v, ok):
     return float(np.asarray(v)[~np.asarray(ok)].flat[0])
 
 
-class Jet2:
-    """Value, gradient and symmetric Hessian of a scalar at a point, or
-    at each point of a batch.
+class _Layout:
+    """Index arrays and constant rows (read-only, shared by all jets) of
+    the packed Hessian of ``n`` variables."""
 
-    Instances are immutable; all operations return new jets, so jets can
-    be shared freely between threads.
+    def __init__(self, n):
+        self.rows, self.cols = rows, cols = np.triu_indices(n)
+        m = len(rows)
+        # The cross terms f_a g_b and f_b g_a of a product, side by side,
+        # with weights 2 and 0 on the diagonal, 1 and 1 off it.  For
+        # finite entries 0 * f_a * g_a is a zero with the sign of
+        # f_a * g_a, so adding it leaves every bit of the sum as it was.
+        self.cross_f = np.concatenate([rows, cols])
+        self.cross_g = np.concatenate([cols, rows])
+        diag = rows == cols
+        self.cross_w = np.concatenate([np.where(diag, 2.0, 1.0),
+                                       np.where(diag, 0.0, 1.0)])
+        self.full = np.empty((n, n), dtype=np.intp)
+        self.full[rows, cols] = self.full[cols, rows] = np.arange(m)
+        self.seeds, self.zero_grad, self.zero_hess = (
+            np.eye(n), np.zeros(n), np.zeros(m))
+        for a in vars(self).values():
+            a.setflags(write=False)
+
+
+@lru_cache(maxsize=None)
+def _layout(n):
+    return _Layout(n)
+
+
+def full_hessian(hess):
+    """Packed Hessians ``(..., n(n+1)/2)`` as full symmetric arrays
+    ``(..., n, n)``."""
+    m = np.shape(hess)[-1]
+    n = int(round((np.sqrt(8 * m + 1) - 1) / 2))
+    return np.asarray(hess)[..., _layout(n).full]
+
+
+class Jet2:
+    """Value, gradient and packed symmetric Hessian of a scalar at a
+    point, or at each point of a batch (see the module docstring).
+
+    Jets are not modified after construction; all operations return new
+    jets.
     """
 
     __slots__ = ("value", "grad", "hess")
 
-    def __init__(self, value, grad=_ZERO4, hess=_ZERO10):
+    def __init__(self, value, grad, hess):
         self.value = value if _is_batch(value) else float(value)
         self.grad = grad
         self.hess = hess
@@ -82,53 +106,42 @@ class Jet2:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def constant(x):
-        return Jet2(x)
-
-    @staticmethod
-    def seed(x, a):
-        """Jet of the coordinate function x^a at the point x (each x[i]
-        a float, or an array of coordinates over a batch)."""
-        grad = tuple(1.0 if i == a else 0.0 for i in range(N_VARS))
-        return Jet2(x[a], grad)
+    def constant(x, n):
+        """The jet of the constant x (a float, or an array over a batch)
+        in ``n`` variables."""
+        lay = _layout(n)
+        return Jet2(x, lay.zero_grad, lay.zero_hess)
 
     @staticmethod
     def seed_point(x):
-        """Jets of all four coordinate functions at the point x."""
-        return tuple(Jet2.seed(x, a) for a in range(N_VARS))
+        """Jets of the coordinate functions at the point x: one jet per
+        coordinate, in ``n = len(x)`` variables (each x[a] a float, or an
+        array of coordinates over a batch)."""
+        lay = _layout(len(x))
+        return tuple(Jet2(xa, lay.seeds[a], lay.zero_hess)
+                     for a, xa in enumerate(x))
 
     # -- views ---------------------------------------------------------
 
     def hess_entry(self, a, b):
-        return self.hess[HESS_LOOKUP[a][b]]
+        """Hessian entry (a, b), over the batch."""
+        return self.hess[..., _layout(self.grad.shape[-1]).full[a, b]]
 
     def hessian_rows(self):
-        """Hessian as a nested 4x4 tuple (symmetric)."""
-        return tuple(
-            tuple(self.hess[HESS_LOOKUP[a][b]] for b in range(N_VARS))
-            for a in range(N_VARS)
-        )
-
-    def at(self, i):
-        """The jet at point ``i`` of a batch, with float entries."""
-
-        def pick(e):
-            return float(e[i]) if _is_batch(e) else e
-
-        return Jet2(pick(self.value), tuple(map(pick, self.grad)),
-                    tuple(map(pick, self.hess)))
+        """The full symmetric Hessian, shape ``(*S, n, n)``."""
+        return full_hessian(self.hess)
 
     def scatter(self, mask):
         """A jet over the points of a batch where ``mask`` holds, spread
         over the whole batch with the zero jet elsewhere."""
 
-        def put(e):
-            out = np.zeros(np.shape(mask))
+        def put(e, tail):
+            out = np.zeros(np.shape(mask) + tail)
             out[mask] = e
             return out
 
-        return Jet2(put(self.value), tuple(map(put, self.grad)),
-                    tuple(map(put, self.hess)))
+        return Jet2(put(self.value, ()), put(self.grad, self.grad.shape[-1:]),
+                    put(self.hess, self.hess.shape[-1:]))
 
     def __repr__(self):
         return f"Jet2({self.value!r}, grad={self.grad!r}, hess={self.hess!r})"
@@ -138,72 +151,38 @@ class Jet2:
     def __add__(self, other):
         if not isinstance(other, Jet2):
             return Jet2(self.value + other, self.grad, self.hess)
-        sg, og = self.grad, other.grad
-        sh, oh = self.hess, other.hess
-        return Jet2(
-            self.value + other.value,
-            (sg[0] + og[0], sg[1] + og[1], sg[2] + og[2], sg[3] + og[3]),
-            (sh[0] + oh[0], sh[1] + oh[1], sh[2] + oh[2], sh[3] + oh[3],
-             sh[4] + oh[4], sh[5] + oh[5], sh[6] + oh[6], sh[7] + oh[7],
-             sh[8] + oh[8], sh[9] + oh[9]),
-        )
+        return Jet2(self.value + other.value, self.grad + other.grad,
+                    self.hess + other.hess)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if not isinstance(other, Jet2):
             return Jet2(self.value - other, self.grad, self.hess)
-        sg, og = self.grad, other.grad
-        sh, oh = self.hess, other.hess
-        return Jet2(
-            self.value - other.value,
-            (sg[0] - og[0], sg[1] - og[1], sg[2] - og[2], sg[3] - og[3]),
-            (sh[0] - oh[0], sh[1] - oh[1], sh[2] - oh[2], sh[3] - oh[3],
-             sh[4] - oh[4], sh[5] - oh[5], sh[6] - oh[6], sh[7] - oh[7],
-             sh[8] - oh[8], sh[9] - oh[9]),
-        )
+        return Jet2(self.value - other.value, self.grad - other.grad,
+                    self.hess - other.hess)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        g, h = self.grad, self.hess
-        return Jet2(
-            -self.value,
-            (-g[0], -g[1], -g[2], -g[3]),
-            (-h[0], -h[1], -h[2], -h[3], -h[4],
-             -h[5], -h[6], -h[7], -h[8], -h[9]),
-        )
+        return Jet2(-self.value, -self.grad, -self.hess)
 
     def __mul__(self, other):
         if not isinstance(other, Jet2):
             c = other if _is_batch(other) else float(other)
-            g, h = self.grad, self.hess
-            return Jet2(
-                self.value * c,
-                (g[0] * c, g[1] * c, g[2] * c, g[3] * c),
-                (h[0] * c, h[1] * c, h[2] * c, h[3] * c, h[4] * c,
-                 h[5] * c, h[6] * c, h[7] * c, h[8] * c, h[9] * c),
-            )
-        fv, gv = self.value, other.value
-        f0, f1, f2, f3 = self.grad
-        g0, g1, g2, g3 = other.grad
-        fh, gh = self.hess, other.hess
-        return Jet2(
-            fv * gv,
-            (fv * g0 + gv * f0, fv * g1 + gv * f1,
-             fv * g2 + gv * f2, fv * g3 + gv * f3),
-            (fv * gh[0] + gv * fh[0] + 2.0 * f0 * g0,
-             fv * gh[1] + gv * fh[1] + f0 * g1 + f1 * g0,
-             fv * gh[2] + gv * fh[2] + f0 * g2 + f2 * g0,
-             fv * gh[3] + gv * fh[3] + f0 * g3 + f3 * g0,
-             fv * gh[4] + gv * fh[4] + 2.0 * f1 * g1,
-             fv * gh[5] + gv * fh[5] + f1 * g2 + f2 * g1,
-             fv * gh[6] + gv * fh[6] + f1 * g3 + f3 * g1,
-             fv * gh[7] + gv * fh[7] + 2.0 * f2 * g2,
-             fv * gh[8] + gv * fh[8] + f2 * g3 + f3 * g2,
-             fv * gh[9] + gv * fh[9] + 2.0 * f3 * g3),
-        )
+            cc = _col(c)
+            return Jet2(self.value * c, self.grad * cc, self.hess * cc)
+        # Entry by entry: fv*gh + gv*fh + 2 f_a g_a on the diagonal,
+        # fv*gh + gv*fh + f_a g_b + f_b g_a off it, in this order.
+        f, g = self.grad, other.grad
+        fv, gv = _col(self.value), _col(other.value)
+        lay = _layout(f.shape[-1])
+        cross = (lay.cross_w * f[..., lay.cross_f]) * g[..., lay.cross_g]
+        m = len(lay.rows)
+        hess = (fv * other.hess + gv * self.hess
+                + cross[..., :m] + cross[..., m:])
+        return Jet2(self.value * other.value, fv * g + gv * f, hess)
 
     __rmul__ = __mul__
 
@@ -233,7 +212,7 @@ class Jet2:
     def _int_pow(self, n):
         # Repeated multiplication keeps polynomial jets exact to rounding.
         if n == 0:
-            return Jet2(1.0)
+            return Jet2.constant(1.0, self.grad.shape[-1])
         if n < 0:
             return self._int_pow(-n)._reciprocal()
         result = None
@@ -249,38 +228,23 @@ class Jet2:
 
 def _chain(u, f0, f1, f2):
     """Jet of f(u) given f, f', f'' at u.value (unary chain rule)."""
-    u0, u1, u2, u3 = u.grad
-    uh = u.hess
-    return Jet2(
-        f0,
-        (f1 * u0, f1 * u1, f1 * u2, f1 * u3),
-        (f1 * uh[0] + f2 * u0 * u0,
-         f1 * uh[1] + f2 * u0 * u1,
-         f1 * uh[2] + f2 * u0 * u2,
-         f1 * uh[3] + f2 * u0 * u3,
-         f1 * uh[4] + f2 * u1 * u1,
-         f1 * uh[5] + f2 * u1 * u2,
-         f1 * uh[6] + f2 * u1 * u3,
-         f1 * uh[7] + f2 * u2 * u2,
-         f1 * uh[8] + f2 * u2 * u3,
-         f1 * uh[9] + f2 * u3 * u3),
-    )
+    g = u.grad
+    lay = _layout(g.shape[-1])
+    c1, c2 = _col(f1), _col(f2)
+    return Jet2(f0, c1 * g,
+                c1 * u.hess + (c2 * g[..., lay.rows]) * g[..., lay.cols])
 
 
 def _chain2(u, v, f0, fu, fv, fuu, fuv, fvv):
     """Jet of f(u, v) (binary chain rule)."""
     ug, vg = u.grad, v.grad
-    uh, vh = u.hess, v.hess
-    grad = tuple(fu * ug[i] + fv * vg[i] for i in range(4))
-    hess = tuple(
-        fuu * ug[a] * ug[b]
-        + fuv * (ug[a] * vg[b] + ug[b] * vg[a])
-        + fvv * vg[a] * vg[b]
-        + fu * uh[k]
-        + fv * vh[k]
-        for k, (a, b) in enumerate(HESS_PAIRS)
-    )
-    return Jet2(f0, grad, hess)
+    lay = _layout(ug.shape[-1])
+    ua, ub = ug[..., lay.rows], ug[..., lay.cols]
+    va, vb = vg[..., lay.rows], vg[..., lay.cols]
+    fu, fv, fuu, fuv, fvv = map(_col, (fu, fv, fuu, fuv, fvv))
+    hess = (fuu * ua * ub + fuv * (ua * vb + ub * va) + fvv * va * vb
+            + fu * u.hess + fv * v.hess)
+    return Jet2(f0, fu * ug + fv * vg, hess)
 
 
 # -- value-level checks shared by jets and Expr.eval_value -------------
@@ -416,16 +380,6 @@ def apply_jet(name, u):
     return _chain(u, f0, f1, f2)
 
 
-def jbump(u):
-    """Smooth compactly supported bump exp(-1/(1-u^2)) on |u|<1, else 0.
-
-    The jet is the exact zero jet outside the support, so test forms
-    built from bumps vanish identically (value, gradient and Hessian)
-    beyond their box.
-    """
-    return apply_jet("bump", u)
-
-
 def atan2_value(y, x):
     """atan2(y, x), raising where both arguments are zero."""
     if np.any((x == 0.0) & (y == 0.0)):
@@ -451,61 +405,26 @@ def jatan2(y, x):
 # -- jets as arrays ------------------------------------------------------
 
 
-def entries_array(entries, shape):
-    """Floats or arrays broadcast to ``shape`` and stacked on a new last
-    axis."""
-    out = np.empty(tuple(shape) + (len(entries),))
+def entries_array(entries, shape, tail=()):
+    """Floats or arrays, each broadcast to ``shape + tail``, stacked as
+    an array of shape ``shape + (len(entries),) + tail``."""
+    tail = tuple(tail)
+    out = np.empty(tuple(shape) + (len(entries),) + tail)
+    rest = (slice(None),) * len(tail)
     for i, e in enumerate(entries):
-        out[..., i] = e
+        out[(Ellipsis, i) + rest] = e
     return out
-
-
-def batch_shape(jets):
-    """Common batch shape of a sequence of jets (() for one point)."""
-    return np.broadcast_shapes(*(np.shape(j.value) for j in jets))
-
-
-def value_array(jets, shape):
-    """Values of k jets as an array of shape ``shape + (k,)``."""
-    return entries_array([j.value for j in jets], shape)
-
-
-def _packed(jets, part, shape, width):
-    out = np.empty(tuple(shape) + (len(jets), width))
-    for k, j in enumerate(jets):
-        for i, e in enumerate(getattr(j, part)):
-            out[..., k, i] = e
-    return out
-
-
-def grad_array(jets, shape):
-    """Gradients of k jets, shape ``shape + (k, 4)``."""
-    return _packed(jets, "grad", shape, 4)
-
-
-def hess_array(jets, shape):
-    """Full symmetric Hessians of k jets, shape ``shape + (k, 4, 4)``."""
-    return _packed(jets, "hess", shape, 10)[..., _HESS_FULL]
 
 
 def compose(outer, inner):
     """Jet of F(Y(x)) from the jet of F at Y (w.r.t. the Y variables)
-    and the jets of the four components of Y (w.r.t. x)."""
-    shape = batch_shape((outer,) + tuple(inner))
-    G = entries_array(outer.grad, shape)                      # (..., b)
-    J = grad_array(inner, shape)                       # (..., b, a)
-    H = entries_array(outer.hess, shape)[..., _HESS_FULL]     # (..., b, d)
-    inner_hess = _packed(inner, "hess", shape, 10)
+    and the jets of the components of Y (w.r.t. x)."""
+    lay = _layout(inner[0].grad.shape[-1])
+    shape = np.broadcast_shapes(*(np.shape(j.value) for j in (outer, *inner)))
+    J = entries_array([j.grad for j in inner], shape, lay.zero_grad.shape)
+    K = entries_array([j.hess for j in inner], shape, lay.zero_hess.shape)
+    G, H = outer.grad, full_hessian(outer.hess)   # (..., b), (..., b, d)
     grad = np.einsum("...b,...ba->...a", G, J)
     JHJ = np.einsum("...ba,...bc->...ac", J, np.einsum("...bd,...dc->...bc", H, J))
-    hess = JHJ[..., _PAIR_ROWS, _PAIR_COLS] + np.einsum(
-        "...b,...bk->...k", G, inner_hess)
-    return Jet2(outer.value, _unstack(grad), _unstack(hess))
-
-
-def _unstack(arr):
-    """Split the last axis into a tuple of entries (floats for one
-    point)."""
-    if arr.ndim == 1:
-        return tuple(float(x) for x in arr)
-    return tuple(np.moveaxis(arr, -1, 0))
+    hess = JHJ[..., lay.rows, lay.cols] + np.einsum("...b,...bk->...k", G, K)
+    return Jet2(outer.value, grad, hess)

@@ -130,13 +130,15 @@ class _Components:
     def zero(cls):
         return cls.from_dict({})
 
-    def _read(self, k, t):
+    def _read(self, k, t, keep=False):
         """Array ``k`` (0: values, 1: derivatives, 2: second
         derivatives) at one tau or an array of taus.
 
-        The array at the last single tau is kept, so reading the entries
-        one at a time at the same tau computes it once.  The memo is one
-        (tau, array) tuple replaced whole, so concurrent readers always
+        The array at the last single tau is kept, and with ``keep`` the
+        array at the last array of taus too, so reading the entries one
+        at a time at the same taus computes it once.  Whole-array reads
+        (``values_at`` over taus) keep nothing.  The memo is one
+        (taus, array) tuple replaced whole, so concurrent readers always
         see a matching pair.
         """
         fn = self._arrays[k] if k < 3 else None
@@ -144,11 +146,14 @@ class _Components:
             raise DerivativeUnavailable(
                 "no exact derivative rule for these components"
             )
-        if np.ndim(t):
+        batch = np.ndim(t) > 0
+        if batch and not keep:
             return fn(np.asarray(t, dtype=float))
         last = self._last[k]
-        if last is None or last[0] != t:
-            last = (t, fn(np.array([float(t)]))[0])
+        if last is None or not (np.shape(last[0]) == np.shape(t)
+                                and np.array_equal(last[0], t)):
+            taus = np.array(t, dtype=float)
+            last = (taus, fn(taus) if batch else fn(taus[None])[0])
             self._last[k] = last
         return last[1]
 
@@ -158,7 +163,8 @@ class _Components:
 
         def slot(k):
             def read(t):
-                v = scale * self._read(order + k, t)[(Ellipsis,) + idx]
+                v = scale * self._read(order + k, t, keep=True)[
+                    (Ellipsis,) + idx]
                 return v if np.ndim(t) else float(v)
 
             return read

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import expr as ex
 from .errors import DomainError, QuadratureError
-from .jets import Jet2, apply_value, compose, entries_array, grad_array, \
-    hess_array, jbump, value_array
+from .jets import Jet2, apply_jet, apply_value, compose, entries_array, \
+    full_hessian
 from .moments import DipoleComponents, Monopole, QuadrupoleComponents
 from .quadrature import integrate
 
@@ -62,6 +62,7 @@ class PairingReport:
     quadrature_error_estimate: float
     nodes_used: int
     seed: int | None = None
+    floor_panels: int = 0
 
 
 # Test forms evaluate over batches: ``jets_at`` / ``values_at`` /
@@ -81,7 +82,7 @@ def _per_point(batch, x, unpack):
 
 
 def _first_jets(jets):
-    return tuple(j.at(0) for j in jets)
+    return tuple(Jet2(j.value[0], j.grad[0], j.hess[0]) for j in jets)
 
 
 def _first_values(vals):
@@ -97,7 +98,7 @@ def _coords(pts):
 
 
 def _zero_jets(n):
-    zero = Jet2(np.zeros(n))
+    zero = Jet2(np.zeros(n), np.zeros((n, 4)), np.zeros((n, 10)))
     return (zero,) * 4
 
 
@@ -135,8 +136,9 @@ class ProductTestForm:
         for b in range(4):
             hw = self.box.half[b]
             u = (pts[:, b] - self.box.center[b]) / hw
-            grad = tuple((1.0 / hw) if i == b else 0.0 for i in range(4))
-            bj = jbump(Jet2(u, grad))
+            grad = np.zeros(4)
+            grad[b] = 1.0 / hw
+            bj = apply_jet("bump", Jet2(u, grad, np.zeros(10)))
             w = bj if w is None else w * bj
         return w
 
@@ -144,7 +146,7 @@ class ProductTestForm:
         w = self._window_jet(pts)
         seeds = Jet2.seed_point(_coords(pts))
         return tuple(
-            Jet2(0.0) if isinstance(p, ex.Const) and p.v == 0.0
+            Jet2.constant(0.0, 4) if isinstance(p, ex.Const) and p.v == 0.0
             else p.eval_jet(seeds) * w
             for p in self.polys
         )
@@ -272,12 +274,13 @@ class PulledBackForm:
 
     def _jets_inside(self, pts):
         Y = self.chart.jets_at(pts)
-        outer = self.hatted.jets_at(value_array(Y, (len(pts),)))
+        outer = self.hatted.jets_at(
+            entries_array([j.value for j in Y], (len(pts),)))
         composed = tuple(compose(outer[b], Y) for b in range(4))
         seeds = Jet2.seed_point(_coords(pts))
         out = []
         for a in range(4):
-            acc = Jet2(0.0)
+            acc = Jet2.constant(0.0, 4)
             for b in range(4):
                 d = self._jac[b][a]
                 if isinstance(d, ex.Const):
@@ -399,12 +402,25 @@ def _run_pairing(worldline, form, integrand, tol_abs, tol_rel, min_panels):
         window[0], window[1],
         tol_abs=tol_abs, tol_rel=tol_rel, min_panels=min_panels,
     )
-    return PairingReport(float(res.value), float(res.error), int(res.nodes))
+    return PairingReport(float(res.value), float(res.error), int(res.nodes),
+                         floor_panels=int(res.floor_panels))
 
 
 def _form_jets(worldline, form, taus):
+    """The form's four jets at the worldline's points over ``taus``."""
     points, _ = worldline.eval(taus)
     return form.jets_at(points)
+
+
+def _grads(jets, taus):
+    """Gradients of the four form components, shape (N, 4, 4)."""
+    return entries_array([j.grad for j in jets], taus.shape, (4,))
+
+
+def _hessians(jets, taus):
+    """Full Hessians of the four form components, shape (N, 4, 4, 4)."""
+    return full_hessian(entries_array([j.hess for j in jets], taus.shape,
+                                      (10,)))
 
 
 def pair_monopole(m, worldline, form, tol_abs=1e-10, tol_rel=1e-10,
@@ -433,7 +449,7 @@ def pair_dipole(gamma2, worldline, form, tol_abs=1e-10, tol_rel=1e-10,
         return PairingReport(0.0, 0.0, 0)
 
     def integrand(taus):
-        grads = grad_array(_form_jets(worldline, form, taus), taus.shape)
+        grads = _grads(_form_jets(worldline, form, taus), taus)
         return -np.einsum("nab,nab->n", gamma2.values_at(taus), grads)
 
     return _run_pairing(worldline, form, integrand, tol_abs, tol_rel,
@@ -447,7 +463,7 @@ def pair_quadrupole(gamma3, worldline, form, tol_abs=1e-10, tol_rel=1e-10,
         return PairingReport(0.0, 0.0, 0)
 
     def integrand(taus):
-        hess = hess_array(_form_jets(worldline, form, taus), taus.shape)
+        hess = _hessians(_form_jets(worldline, form, taus), taus)
         return 0.5 * np.einsum("nabc,nabc->n", gamma3.values_at(taus), hess)
 
     return _run_pairing(worldline, form, integrand, tol_abs, tol_rel,
@@ -491,13 +507,15 @@ def pair_bundle(bundle, form, tol_abs=1e-10, tol_rel=1e-10, min_panels=5):
     value = 0.0
     err = 0.0
     nodes = 0
+    floor_panels = 0
     for kind, part in bundle.parts():
         r = pairings[kind](part, bundle.worldline, form, tol_abs, tol_rel,
                            min_panels)
         value += r.value
         err += r.quadrature_error_estimate
         nodes += r.nodes_used
-    return PairingReport(value, err, nodes)
+        floor_panels += r.floor_panels
+    return PairingReport(value, err, nodes, floor_panels=floor_panels)
 
 
 def pair_adapted_coefficients(z, worldline, form, tol_abs=1e-10,
@@ -510,21 +528,19 @@ def pair_adapted_coefficients(z, worldline, form, tol_abs=1e-10,
 
     def integrand(taus):
         jets = _form_jets(worldline, form, taus)
+        grads, hess = _grads(jets, taus), _hessians(jets, taus)
         acc = z.charge(taus) * jets[0].value
         for mu in (1, 2, 3):
-            acc = acc + z.first_0[mu](taus) * jets[0].grad[mu]
+            acc = acc + z.first_0[mu](taus) * grads[:, 0, mu]
             acc = acc + z.zeroth[mu](taus) * jets[mu].value
             for nu in (1, 2, 3):
-                acc = acc + z.first[mu][nu](taus) * jets[nu].grad[mu]
+                acc = acc + z.first[mu][nu](taus) * grads[:, nu, mu]
         for mu in (1, 2, 3):
             for nu in range(mu, 4):
-                acc = acc + (z.second0_at(mu, nu)(taus)
-                             * jets[0].hess_entry(mu, nu))
+                acc = acc + z.second0_at(mu, nu)(taus) * hess[:, 0, mu, nu]
                 for rho in (1, 2, 3):
-                    acc = acc + (
-                        z.second_at(mu, nu, rho)(taus)
-                        * jets[rho].hess_entry(mu, nu)
-                    )
+                    acc = acc + (z.second_at(mu, nu, rho)(taus)
+                                 * hess[:, rho, mu, nu])
         return acc
 
     return _run_pairing(worldline, form, integrand, tol_abs, tol_rel,

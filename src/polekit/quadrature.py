@@ -58,6 +58,7 @@ class QuadResult:
     value: float
     error: float
     nodes: int
+    floor_panels: int = 0
 
 
 def _batched(f, tail=()):
@@ -109,8 +110,9 @@ def _refine(f, a, b, tol_abs, tol_rel, min_panels, label):
 
     Returns the accepted panels as (pa, pm, pb, left values, right
     values, difference) in the order of a right-to-left depth-first
-    walk, and the number of nodes evaluated.  A refinement level with
-    more than ``_MAX_BATCH`` nodes is evaluated in several calls.
+    walk, the number of nodes evaluated, and the number of accepted
+    panels narrower than the width floor.  A refinement level with more
+    than ``_MAX_BATCH`` nodes is evaluated in several calls.
     """
     width = b - a
     n0 = max(1, min_panels)
@@ -120,6 +122,7 @@ def _refine(f, a, b, tol_abs, tol_rel, min_panels, label):
     accepted = []
     nodes = 0
     splits = 0
+    floor_panels = 0
     while pending:
         taus = []
         for pa, pb, coarse in pending:
@@ -149,8 +152,10 @@ def _refine(f, a, b, tol_abs, tol_rel, min_panels, label):
             budget = tol_abs * (pb - pa) / width + tol_rel * float(
                 np.max(np.abs(fine))
             )
-            if diff <= budget or (pb - pa) < 1e-14 * width:
+            at_floor = (pb - pa) < 1e-14 * width
+            if diff <= budget or at_floor:
                 accepted.append((pa, pm, pb, vl, vr, diff))
+                floor_panels += at_floor
                 continue
             splits += 1
             if splits > _MAX_SPLITS:
@@ -165,7 +170,7 @@ def _refine(f, a, b, tol_abs, tol_rel, min_panels, label):
     # Sum in the order a depth-first walk taking the right half first
     # meets the panels, independent of how the levels were batched.
     accepted.sort(key=lambda panel: -panel[0])
-    return accepted, nodes
+    return accepted, nodes, floor_panels
 
 
 def integrate(f, a, b, tol_abs=1e-10, tol_rel=1e-10, min_panels=4):
@@ -175,21 +180,24 @@ def integrate(f, a, b, tol_abs=1e-10, tol_rel=1e-10, min_panels=4):
     nodes of one refinement level arrive in one call, and no node is
     requested twice.  A function of one float is also accepted and is
     then called node by node.  ``nodes`` of the result counts the
-    integrand evaluations made (the number of taus passed to ``f``).
+    integrand evaluations made (the number of taus passed to ``f``),
+    ``floor_panels`` the accepted panels narrower than the width floor
+    (1e-14 of the interval), where the refinement stopped whether or
+    not the panel met its error budget.
 
     Raises :class:`QuadratureError` carrying the worst subinterval if the
     panel budget is exhausted before the tolerance is met.
     """
     if b <= a:
         return QuadResult(0.0, 0.0, 0)
-    accepted, nodes = _refine(_batched(f), a, b, tol_abs, tol_rel,
-                              min_panels, "integral")
+    accepted, nodes, floor_panels = _refine(_batched(f), a, b, tol_abs,
+                                            tol_rel, min_panels, "integral")
     total = 0.0
     err = 0.0
     for pa, pm, pb, vl, vr, diff in accepted:
         total += _panel_sum(vl, pa, pm) + _panel_sum(vr, pm, pb)
         err += diff
-    return QuadResult(total, err, nodes)
+    return QuadResult(total, err, nodes, floor_panels)
 
 
 class CumulativeIntegral:
@@ -197,8 +205,9 @@ class CumulativeIntegral:
 
     ``f`` maps a 1-D array of N taus to an (N, ``dim``) array (a
     function of one float returning a length-``dim`` array is called
-    node by node).  Segments are refined as in :func:`integrate`;
-    evaluation anywhere uses the per-segment Legendre antiderivative.
+    node by node).  Segments are refined as in :func:`integrate`
+    (``nodes`` and ``floor_panels`` count as there); evaluation anywhere
+    uses the per-segment Legendre antiderivative.
     """
 
     def __init__(self, f, a, b, dim, tol_abs=1e-10, tol_rel=1e-10,
@@ -210,8 +219,8 @@ class CumulativeIntegral:
         self.b = b
         self.dim = dim
         self.error = 0.0
-        accepted, self.nodes = _refine(self.f, a, b, tol_abs, tol_rel,
-                                       min_panels, label)
+        accepted, self.nodes, self.floor_panels = _refine(
+            self.f, a, b, tol_abs, tol_rel, min_panels, label)
         halves = []
         for pa, pm, pb, vl, vr, diff in accepted:
             self.error += diff

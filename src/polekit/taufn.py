@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from functools import partial
 
+import numpy as np
+
 from .errors import DerivativeUnavailable
 from .expr import Const, Expr
 from .jets import Jet2
@@ -21,12 +23,13 @@ from .jets import Jet2
 
 def tau_derivative(e, t, order=0):
     """The ``order``-th (0, 1 or 2) tau derivative of the expression
-    ``e`` at one tau or an array of taus."""
-    env = (t, 0.0, 0.0, 0.0)
+    ``e`` (a function of variable 0 only) at one tau or an array of
+    taus, from one-variable jets."""
     if order == 0:
-        return e.eval_value(env)
-    jet = e.eval_jet(Jet2.seed_point(env))
-    return jet.grad[0] if order == 1 else jet.hess[0]
+        return e.eval_value((t,))
+    jet = e.eval_jet(Jet2.seed_point((t,)))
+    d = (jet.grad if order == 1 else jet.hess)[..., 0]
+    return d if np.ndim(t) else float(d)
 
 
 class TauFn:

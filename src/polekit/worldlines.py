@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import DomainError
 from .expr import Const, Expr, Var
-from .jets import Jet2, entries_array, value_array
+from .jets import Jet2, entries_array
+from .taufn import tau_derivative
 
 
 def _as_tau(t):
@@ -65,39 +66,37 @@ class Worldline:
             )
 
     def _jets(self, tau):
-        """Jets of the four components in tau (a float, or an array of
-        taus evaluated as one batch)."""
+        """One-variable jets of the four components in tau (a float, or
+        an array of taus evaluated as one batch)."""
         self._check_tau(tau)
-        seeds = Jet2.seed_point((_as_tau(tau), 0.0, 0.0, 0.0))
+        seeds = Jet2.seed_point((_as_tau(tau),))
         return [c.eval_jet(seeds) for c in self.components]
+
+    @staticmethod
+    def _stack(entries, tau):
+        """Four per-component results as a 4-tuple of floats for one tau,
+        an (N, 4) array for an array of N taus."""
+        if not np.ndim(tau):
+            return tuple(float(e) for e in entries)
+        return entries_array(entries, np.shape(tau))
 
     def eval(self, tau):
         """(point, velocity) from one jet pass: 4-tuples for one tau,
         (N, 4) arrays for an array of N taus."""
         jlist = self._jets(tau)
-        if not np.ndim(tau):
-            return (tuple(j.value for j in jlist),
-                    tuple(j.grad[0] for j in jlist))
-        shape = np.shape(tau)
-        return (value_array(jlist, shape),
-                entries_array([j.grad[0] for j in jlist], shape))
+        return (self._stack([j.value for j in jlist], tau),
+                self._stack([j.grad[..., 0] for j in jlist], tau))
 
     def point_at(self, tau):
         self._check_tau(tau)
-        env = (_as_tau(tau), 0.0, 0.0, 0.0)
-        if not np.ndim(tau):
-            return tuple(c.eval_value(env) for c in self.components)
-        return entries_array([c.eval_value(env) for c in self.components],
-                      np.shape(tau))
+        env = (_as_tau(tau),)
+        return self._stack([c.eval_value(env) for c in self.components], tau)
 
     def velocity_at(self, tau):
         return self.eval(tau)[1]
 
     def acceleration_at(self, tau):
-        accel = [j.hess[0] for j in self._jets(tau)]
-        if not np.ndim(tau):
-            return tuple(accel)
-        return entries_array(accel, np.shape(tau))
+        return self._stack([j.hess[..., 0] for j in self._jets(tau)], tau)
 
     def sample_taus(self, n):
         t0, t1 = self.interval
@@ -158,13 +157,11 @@ class Reparametrization:
                 )
 
     def tau_of(self, tau_hat):
-        return self.map.eval_value((_as_tau(tau_hat), 0.0, 0.0, 0.0))
+        return tau_derivative(self.map, _as_tau(tau_hat), 0)
 
     def speed(self, tau_hat):
         """d tau / d tau_hat."""
-        seeds = Jet2.seed_point((_as_tau(tau_hat), 0.0, 0.0, 0.0))
-        return self.map.eval_jet(seeds).grad[0]
+        return tau_derivative(self.map, _as_tau(tau_hat), 1)
 
     def speed_deriv(self, tau_hat):
-        seeds = Jet2.seed_point((_as_tau(tau_hat), 0.0, 0.0, 0.0))
-        return self.map.eval_jet(seeds).hess[0]
+        return tau_derivative(self.map, _as_tau(tau_hat), 2)

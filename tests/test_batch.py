@@ -48,14 +48,13 @@ def _close(batch, single):
 
 def _jet_rows(jet, n):
     """(n, 15) array: value, gradient, packed Hessian of a batch jet."""
-    return np.stack(
-        [np.broadcast_to(e, (n,)) for e in (jet.value, *jet.grad, *jet.hess)],
-        axis=-1,
-    )
+    return np.concatenate([np.broadcast_to(jet.value, (n,))[:, None],
+                           np.broadcast_to(jet.grad, (n, 4)),
+                           np.broadcast_to(jet.hess, (n, 10))], axis=-1)
 
 
 def _jet_row(jet):
-    return np.array([jet.value, *jet.grad, *jet.hess])
+    return np.concatenate([[jet.value], jet.grad, jet.hess])
 
 
 def test_random_expressions_batch_equals_pointwise(rng):

@@ -17,10 +17,9 @@ def jet_of(e, x):
 
 def test_seed_semantics():
     x = (0.3, -1.2, 4.0, 0.5)
-    for a in range(4):
-        j = Jet2.seed(x, a)
+    for a, j in enumerate(Jet2.seed_point(x)):
         assert j.value == x[a]
-        assert j.grad == tuple(1.0 if i == a else 0.0 for i in range(4))
+        assert np.array_equal(j.grad, np.eye(4)[a])
         assert all(h == 0.0 for h in j.hess)
 
 
@@ -28,7 +27,7 @@ def test_square_of_coordinate():
     # (x1)^2 at x = (0, 3, 0, 0)
     j = jet_of(ex.Mul(ex.Var(1), ex.Var(1)), (0.0, 3.0, 0.0, 0.0))
     assert j.value == 9.0
-    assert j.grad == (0.0, 6.0, 0.0, 0.0)
+    assert np.array_equal(j.grad, (0.0, 6.0, 0.0, 0.0))
     assert j.hess_entry(1, 1) == 2.0
     assert sum(abs(h) for h in j.hess) == 2.0
 
@@ -36,7 +35,7 @@ def test_square_of_coordinate():
 def test_sin_at_zero():
     j = jet_of(ex.Fun("sin", ex.Var(0)), (0.0, 1.0, 2.0, 3.0))
     assert j.value == 0.0
-    assert j.grad == (1.0, 0.0, 0.0, 0.0)
+    assert np.array_equal(j.grad, (1.0, 0.0, 0.0, 0.0))
     assert j.hess_entry(0, 0) == 0.0
 
 
@@ -238,8 +237,8 @@ def test_mul_commutes_and_hessian_symmetric(coeffs, point):
     j1 = ex.Mul(a, b).eval_jet(Jet2.seed_point(x))
     j2 = ex.Mul(b, a).eval_jet(Jet2.seed_point(x))
     assert j1.value == j2.value
-    assert j1.grad == j2.grad
-    assert j1.hess == j2.hess
+    assert np.array_equal(j1.grad, j2.grad)
+    assert np.array_equal(j1.hess, j2.hess)
     rows = j1.hessian_rows()
     for i in range(4):
         for k in range(4):
@@ -261,3 +260,41 @@ def test_compose_matches_substitution(rng):
     assert composed.value == pytest.approx(direct.value, rel=1e-12, abs=1e-12)
     assert np.allclose(composed.grad, direct.grad, rtol=1e-10, atol=1e-10)
     assert np.allclose(composed.hess, direct.hess, rtol=1e-9, atol=1e-9)
+
+
+def _unrolled_product(f, g):
+    """Value, gradient and packed Hessian of f * g entry by entry, in
+    floats, with the product rule written out per entry."""
+    rows, cols = np.triu_indices(len(f.grad))
+    fv, gv = float(f.value), float(g.value)
+    fg, gg = [float(x) for x in f.grad], [float(x) for x in g.grad]
+    hess = []
+    for k, (a, b) in enumerate(zip(rows, cols)):
+        h = fv * float(g.hess[k]) + gv * float(f.hess[k])
+        if a == b:
+            h = h + 2.0 * fg[a] * gg[a]
+        else:
+            h = h + fg[a] * gg[b] + fg[b] * gg[a]
+        hess.append(h)
+    return fv * gv, [fv * gg[i] + gv * fg[i] for i in range(len(fg))], hess
+
+
+def test_packed_product_rounds_like_unrolled_formulas(rng):
+    """The whole-array product rounds every entry exactly as the
+    per-entry product rule does, for one point and over a batch."""
+    for n in (1, 2, 4):
+        m = n * (n + 1) // 2
+        f = Jet2(rng.normal(size=8), rng.normal(size=(8, n)),
+                 rng.normal(size=(8, m)))
+        g = Jet2(rng.normal(size=8), rng.normal(size=(8, n)),
+                 rng.normal(size=(8, m)))
+        batch = f * g
+        for i in range(8):
+            fi = Jet2(f.value[i], f.grad[i], f.hess[i])
+            gi = Jet2(g.value[i], g.grad[i], g.hess[i])
+            value, grad, hess = _unrolled_product(fi, gi)
+            one = fi * gi
+            for j, k in ((one, ()), (batch, (i,))):
+                assert np.asarray(j.value)[k] == value
+                assert np.array_equal(j.grad[k], grad)
+                assert np.array_equal(j.hess[k], hess)

@@ -332,6 +332,29 @@ def test_zeta_of_valid_quadrupole_is_closed(rng, adapted_worldline):
     assert ok, residuals
 
 
+def test_closedness_reads_each_field_once_per_taus(rng, adapted_worldline):
+    """The coefficients are read entry by entry; each component field is
+    evaluated at most once per distinct array of taus."""
+    q = random_quadrupole(rng)
+    calls = {k: [] for k in range(3)}
+
+    def counted(k, field):
+        def f(taus):
+            calls[k].append(taus.tobytes())
+            return field(taus)
+
+        return f
+
+    fields = [counted(k, field) for k, field in enumerate(q._arrays)]
+    counted_q = QuadrupoleComponents.from_arrays(*fields, mask=q.mask)
+    z = zeta_from_gamma(Monopole(1.2), counted_q, adapted_worldline)
+    ok, residuals = z.is_closed(tol=1e-9)
+    assert ok, residuals
+    for k, seen in calls.items():
+        assert seen, k
+        assert len(seen) == len(set(seen)), (k, len(seen))
+
+
 def test_zeta_round_trip(rng, adapted_worldline):
     C = adapted_worldline
     q = random_quadrupole(rng)

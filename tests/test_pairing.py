@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from scipy.integrate import quad
 
 from oracles import fd_gradient_plain
 from polekit import expr as ex
+from polekit import pairing
 from polekit.charts import get
 from polekit.errors import DomainError, QuadratureError
 from polekit.moments import Monopole, make_static_dipole
@@ -274,6 +276,25 @@ def test_bundle_pairing_sums_parts(rng, adapted_worldline):
         + pair_dipole(d, adapted_worldline, form).value
     )
     assert total.value == pytest.approx(parts, rel=1e-12)
+
+
+def test_floor_panels_reported_and_summed(rng, adapted_worldline,
+                                          monkeypatch):
+    """A pairing reports the floor panels of its quadrature, and a
+    bundle pairing sums them over its parts."""
+    real = pairing.integrate
+
+    def floored(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), floor_panels=3)
+
+    m = Monopole(0.7)
+    d = random_dipole(rng)
+    form = random_test_form_along(rng, adapted_worldline)
+    bundle = SourceBundle(adapted_worldline, monopole=m, dipole=d)
+    assert pair_bundle(bundle, form).floor_panels == 0
+    monkeypatch.setattr(pairing, "integrate", floored)
+    assert pair_monopole(m, adapted_worldline, form).floor_panels == 3
+    assert pair_bundle(bundle, form).floor_panels == 6
 
 
 def test_concurrent_pairing_is_deterministic(rng, wobble_worldline):

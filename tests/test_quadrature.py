@@ -95,3 +95,17 @@ def test_each_node_evaluated_once():
     assert len(set(seen)) == len(seen)
     assert res.nodes == len(seen)
     assert res.value == pytest.approx(0.01 * 0.4439938161680793, abs=1e-10)
+
+
+def test_floor_panels_counted():
+    """A jump cannot be resolved: the panels straddling it shrink to the
+    width floor and are accepted there, which the result reports."""
+    step = integrate(lambda t: (t > 1 / 3).astype(float), 0.0, 1.0)
+    assert step.floor_panels >= 1
+    assert step.value == pytest.approx(2 / 3, abs=1e-12)
+    cum = CumulativeIntegral(lambda t: (t[:, None] > 1 / 3).astype(float),
+                             0.0, 1.0, 1)
+    assert cum.floor_panels >= 1
+    assert integrate(np.sin, 0.0, 1.0).floor_panels == 0
+    assert CumulativeIntegral(lambda t: np.sin(t)[:, None], 0.0, 1.0,
+                              1).floor_panels == 0

@@ -111,6 +111,22 @@ def test_worked_example_scene_values(tmp_path):
     assert np.allclose(data["component_samples"]["012"], 0.0, atol=1e-12)
 
 
+def test_verify_reports_floor_panels(tmp_path):
+    """Verify records, per probe and side, the quadrature panels
+    accepted at the width floor next to the nodes used."""
+    scene = parse_scene((SCENES / "worked_example.scene").read_text())
+    for job in scene.jobs:
+        job["forms"] = 3
+    results, code = run(scene, command="verify", out_dir=tmp_path)
+    assert code == 0
+    payload = json.loads((tmp_path / "report.json").read_text())
+    data = payload["jobs"][0]["data"]
+    assert len(data["residuals"]) == 3
+    for side in ("source", "hatted"):
+        assert len(data["nodes_used"][side]) == 3
+        assert data["floor_panels"][side] == [0, 0, 0]
+
+
 def test_kappa0_flag_offsets_intercept(tmp_path):
     scene_path = SCENES / "worked_example.scene"
     code = main([

@@ -6,8 +6,14 @@ import pytest
 from polekit import expr as ex
 from polekit.charts import get, lorentz_boost_chart
 from polekit.errors import DomainError
+from polekit.jets import Jet2
 from polekit.pairing import pair_dipole
-from polekit.sampling import random_dipole, random_test_form_along
+from polekit.sampling import (
+    poly_tau_expr,
+    random_dipole,
+    random_test_form_along,
+)
+from polekit.taufn import tau_derivative
 from polekit.transport import transform_dipole
 from polekit.worldlines import Reparametrization, Worldline
 
@@ -137,3 +143,47 @@ def test_velocity_taufn_derivative():
     assert C.eval(1.0)[1][1] == pytest.approx(math.cos(1.0), rel=1e-14)
     assert C.acceleration_at(1.0)[1] == pytest.approx(-math.sin(1.0),
                                                       rel=1e-13)
+
+
+# -- one-variable seeding --------------------------------------------------
+
+
+def _four_variable(e, taus):
+    """Value, d/dtau and d2/dtau2 of e from jets seeded in four
+    variables at (tau, 0, 0, 0)."""
+    env = (taus, 0.0, 0.0, 0.0)
+    jet = e.eval_jet(Jet2.seed_point(env))
+    return e.eval_value(env), jet.grad[..., 0], jet.hess[..., 0]
+
+
+def test_one_variable_tau_derivatives_equal_four_variable_seeding(rng):
+    taus = np.linspace(-1.3, 2.1, 37)
+    for _ in range(40):
+        p = poly_tau_expr(rng, 3, 1.5)
+        for e in (p, ex.Fun("sin", p), ex.Fun("exp", p),
+                  ex.Fun("sqrt", ex.add(ex.mul(p, p), ex.const(1.0)))):
+            old = _four_variable(e, taus)
+            for k in range(3):
+                new = tau_derivative(e, taus, k)
+                assert np.array_equal(np.broadcast_to(new, taus.shape),
+                                      np.broadcast_to(old[k], taus.shape))
+            for t in (float(taus[0]), float(taus[17])):
+                single = _four_variable(e, t)
+                for k in range(3):
+                    assert tau_derivative(e, t, k) == single[k]
+
+
+def test_one_variable_worldline_equals_four_variable_seeding(
+        wobble_worldline):
+    C = wobble_worldline
+    taus = np.linspace(*C.interval, 41)
+    old = [_four_variable(c, taus) for c in C.components]
+    point, vel = C.eval(taus)
+    acc = C.acceleration_at(taus)
+    for a in range(4):
+        for new, ref in zip((point[:, a], vel[:, a], acc[:, a]), old[a]):
+            assert np.array_equal(new, np.broadcast_to(ref, taus.shape))
+    t = float(taus[9])
+    old = [_four_variable(c, t) for c in C.components]
+    assert C.eval(t) == (tuple(o[0] for o in old), tuple(o[1] for o in old))
+    assert C.acceleration_at(t) == tuple(o[2] for o in old)
