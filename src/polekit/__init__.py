@@ -50,7 +50,6 @@ from .pairing import (
     pull_back_test_form,
 )
 from .scene import Scene, parse_scene
-from .taufn import TauFn
 from .transport import TransportResult, dipole_part, transform_dipole, \
     transform_quadrupole
 from .worldlines import Reparametrization, Worldline
@@ -79,7 +78,6 @@ __all__ = [
     "SourceBundle",
     "StaticSource",
     "SymmetryError",
-    "TauFn",
     "TransportResult",
     "Worldline",
     "charge_probe_variations",

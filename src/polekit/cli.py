@@ -79,9 +79,9 @@ def _run_transform(scene, job, out_dir):
         if not p_fits:
             lines.append("  integral term P: zero at all samples")
         dip = {}
-        tmid = 0.5 * (t0 + t1)
+        g2 = tr.gamma2_hat.values_at(0.5 * (t0 + t1))
         for d, e in _UPPER_PAIRS:
-            v = tr.gamma2_hat[d, e](tmid)
+            v = float(g2[d, e])
             if abs(v) > tol:
                 dip[f"{d}{e}"] = v
                 lines.append(
@@ -112,11 +112,11 @@ def _run_transform(scene, job, out_dir):
     if spec.get("dipole") is not None:
         dhat = tp.transform_dipole(spec["dipole"], chart, C)
         t0, t1 = C.interval
-        tmid = 0.5 * (t0 + t1)
+        g2 = dhat.values_at(0.5 * (t0 + t1))
         vals = {
-            f"{a}{b}": float(dhat[a, b](tmid))
+            f"{a}{b}": float(g2[a, b])
             for a, b in _UPPER_PAIRS
-            if abs(dhat[a, b](tmid)) > tol
+            if abs(g2[a, b]) > tol
         }
         data["dipole_transported_mid"] = vals
         lines.append(f"  transported dipole entries at mid-parameter: {vals}")
@@ -165,6 +165,8 @@ def _run_verify(scene, job, out_dir):
                        "hatted": [h.nodes_used for _, h, _ in rows]},
         "floor_panels": {"source": [s.floor_panels for s, _, _ in rows],
                          "hatted": [h.floor_panels for _, h, _ in rows]},
+        "zero_node_probes": [i for i, (s, h, _) in enumerate(rows)
+                             if s.nodes_used == 0 or h.nodes_used == 0],
         "quadrature_error_estimates": {
             "source": [s.quadrature_error_estimate for s, _, _ in rows],
             "hatted": [h.quadrature_error_estimate for _, h, _ in rows],

@@ -6,10 +6,15 @@ variable 0 for functions of the curve parameter).  One evaluation path
 (:func:`Expr.eval_jet`) yields value, gradient and Hessian consistently;
 :func:`Expr.eval_value` is a cheaper value-only path built on the same
 primitives and domain checks (:mod:`polekit.jets`).  Both evaluate one
-point (floats in ``env``) or a batch of points (arrays in ``env``).  Trees support
-structural equality, substitution (for chart composition) and symbolic
-differentiation, which is what pullbacks of covector fields need: the
-Jacobian of a chart must itself be jet-evaluable.
+point (floats in ``env``) or a batch of points (arrays in ``env``).
+Functions of the curve parameter (worldlines, component entries) are
+trees in variable 0; :func:`tau_derivative` gives their exact value,
+first or second tau derivative at one tau or an array of taus from
+one-variable jets, and they are combined as trees (``add``, ``mul``,
+``Expr.diff``).  Trees support structural equality, substitution (for
+chart composition) and symbolic differentiation, which is what
+pullbacks of covector fields need: the Jacobian of a chart must itself
+be jet-evaluable.
 
 The grammar accepted by :func:`parse` (and emitted by ``to_str``):
 
@@ -25,6 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import jets
 from .errors import EvaluationError, SceneError
@@ -404,6 +411,17 @@ def neg(a):
 def gradient_exprs(e):
     """Symbolic partials (d e / d x^a) for a = 0..3."""
     return tuple(e.diff(a) for a in range(4))
+
+
+def tau_derivative(e, t, order=0):
+    """The ``order``-th (0, 1 or 2) tau derivative of the expression
+    ``e`` (a function of variable 0 only) at one tau or an array of
+    taus, from one-variable jets."""
+    if order == 0:
+        return e.eval_value((t,))
+    jet = e.eval_jet(Jet2.seed_point((t,)))
+    d = (jet.grad if order == 1 else jet.hess)[..., 0]
+    return d if np.ndim(t) else float(d)
 
 
 # -- helpers used throughout ---------------------------------------------

@@ -9,9 +9,18 @@ exact first and second tau derivatives, plus a mask of the entries
 that may be nonzero.  There are two ways in: ``from_dict`` for
 components given entry by entry as expressions or numbers, and
 ``from_arrays`` for batch fields computed elsewhere (transport results,
-sampled quadrupoles).  Entries read back as :class:`TauFn`
-(``q[a, b, c](t)``), whole arrays as ``values_at`` / ``derivs_at``.
+sampled quadrupoles).  Whole arrays read back as ``values_at`` /
+``derivs_at``; an entry ``q[a, b, c]`` is the function of tau that
+reads its slot of ``values_at``.  Functions of tau are combined as
+expression trees (:mod:`polekit.expr`), not entry by entry.
 Symmetry is validated at sampled tau values, never assumed.
+
+The adapted-basis coefficient dictionary (:class:`AdaptedCoefficients`)
+is held the same way: its 40 coefficients are a fixed linear map of
+batch fields, read family by family as arrays over taus.
+:func:`zeta_from_gamma` is a fixed linear map of the component arrays
+and their first two tau derivatives; :func:`gamma_from_zeta` maps the
+second-order coefficients and two running integrals back.
 
 Index conventions: index 0 is the tau-like coordinate, spatial indices
 run 1..3, and the Levi-Civita symbol has eps[1,2,3] = +1.
@@ -25,10 +34,8 @@ from functools import reduce
 import numpy as np
 
 from .errors import DerivativeUnavailable, DomainError, SymmetryError
-from .expr import Const, Expr
-from .jets import entries_array
+from .expr import Const, Expr, tau_derivative
 from .quadrature import CumulativeIntegral
-from .taufn import TauFn, ZERO, tau_derivative
 
 _SPATIAL = (1, 2, 3)
 
@@ -97,7 +104,7 @@ class _Components:
     ``values``, ``derivs`` and ``derivs2`` map a 1-D array of N taus to
     an (N, 4, ...) array (derivatives are optional: reading a missing
     one raises :class:`DerivativeUnavailable`); ``mask`` marks the
-    entries that may be nonzero.  Entries read their slot of the arrays.
+    entries that may be nonzero.
     """
 
     rank = None
@@ -108,7 +115,6 @@ class _Components:
             mask = np.ones(shape, dtype=bool)
         self.mask = np.asarray(mask, dtype=bool).reshape(shape)
         self._arrays = (values, derivs, derivs2)
-        self._last = [None, None, None]
 
     @classmethod
     def from_arrays(cls, values, derivs=None, derivs2=None, mask=None):
@@ -130,62 +136,38 @@ class _Components:
     def zero(cls):
         return cls.from_dict({})
 
-    def _read(self, k, t, keep=False):
-        """Array ``k`` (0: values, 1: derivatives, 2: second
-        derivatives) at one tau or an array of taus.
-
-        The array at the last single tau is kept, and with ``keep`` the
-        array at the last array of taus too, so reading the entries one
-        at a time at the same taus computes it once.  Whole-array reads
-        (``values_at`` over taus) keep nothing.  The memo is one
-        (taus, array) tuple replaced whole, so concurrent readers always
-        see a matching pair.
-        """
-        fn = self._arrays[k] if k < 3 else None
+    def _read(self, k, t):
+        """Array ``k`` (0: values, 1: derivatives) at one tau or an
+        array of taus."""
+        fn = self._arrays[k]
         if fn is None:
             raise DerivativeUnavailable(
                 "no exact derivative rule for these components"
             )
-        batch = np.ndim(t) > 0
-        if batch and not keep:
+        if np.ndim(t):
             return fn(np.asarray(t, dtype=float))
-        last = self._last[k]
-        if last is None or not (np.shape(last[0]) == np.shape(t)
-                                and np.array_equal(last[0], t)):
-            taus = np.array(t, dtype=float)
-            last = (taus, fn(taus) if batch else fn(taus[None])[0])
-            self._last[k] = last
-        return last[1]
-
-    def _entry(self, idx, order=0, scale=1.0):
-        """``scale`` times the ``order``-th tau derivative of entry
-        ``idx`` as a TauFn (with its next two derivatives)."""
-
-        def slot(k):
-            def read(t):
-                v = scale * self._read(order + k, t, keep=True)[
-                    (Ellipsis,) + idx]
-                return v if np.ndim(t) else float(v)
-
-            return read
-
-        return TauFn(slot(0), slot(1), slot(2))
+        return fn(np.array([t], dtype=float))[0]
 
     def __getitem__(self, idx):
-        idx = tuple(int(i) for i in idx)
-        return self._entry(idx) if self.mask[idx] else ZERO
+        """Entry ``idx`` as a function of one tau (giving a float) or of
+        an array of taus, read from :meth:`values_at`."""
+        idx = (Ellipsis,) + tuple(int(i) for i in idx)
+
+        def entry(t):
+            v = self.values_at(t)[idx]
+            return v if np.ndim(t) else float(v)
+
+        return entry
 
     def values_at(self, tau):
         """Component values: an array of shape (4, ...) for one tau,
         (N, 4, ...) for an array of N taus."""
-        out = self._read(0, tau)
-        return out if np.ndim(tau) else out.copy()
+        return self._read(0, tau)
 
     def derivs_at(self, tau):
         """Exact tau derivatives of the components, shaped like
         :meth:`values_at`."""
-        out = self._read(1, tau)
-        return out if np.ndim(tau) else out.copy()
+        return self._read(1, tau)
 
     def scale(self, taus):
         if not np.any(self.mask):
@@ -520,109 +502,158 @@ _SPAIRS = ((1, 2), (1, 3), (2, 3))
 # Sorted spatial pairs of second_0 and (pair, rho) triples of second.
 _S0 = tuple((mu, nu) for mu in _SPATIAL for nu in _SPATIAL if mu <= nu)
 _S = tuple((mu, nu, rho) for mu, nu in _S0 for rho in _SPATIAL)
+_PAIR = {pair: i for i, pair in enumerate(_S0)}
+_MU, _NU = np.array(_S0).T
+
+# The 40 coefficients in order: family -> (rows, shape per tau).
+_FAMILIES = {
+    "charge": (slice(0, 1), ()),
+    "zeroth": (slice(1, 4), (3,)),
+    "first_0": (slice(4, 7), (3,)),
+    "first": (slice(7, 16), (3, 3)),
+    "second_0": (slice(16, 22), (6,)),
+    "second": (slice(22, 40), (6, 3)),
+}
 
 
-@dataclass
+def _pair(mu, nu):
+    return _PAIR[min(mu, nu), max(mu, nu)]
+
+
 class AdaptedCoefficients:
     """Coefficients of a degree-three distribution over an adapted
     worldline in the basis of spatial probe derivatives.
 
-    ``charge``      -> coefficient of phi_0
-    ``zeroth[nu]``  -> coefficient of phi_nu            (nu = 1..3)
-    ``first_0[mu]`` -> coefficient of d_mu phi_0
-    ``first[mu][nu]``   -> coefficient of d_mu phi_nu
-    ``second_0[mu][nu]``    -> coefficient of d_mu d_nu phi_0   (sym)
-    ``second[mu][nu][rho]`` -> coefficient of d_mu d_nu phi_rho (sym in
-    mu, nu).  Spatial indices are stored 1..3 in 4-sized grids; slot 0
-    is unused.  The symmetric families are canonically stored at the
-    sorted index pair; use :meth:`second0_at` / :meth:`second_at`.
+    Forty coefficients in six families; a spatial index mu = 1..3 is
+    stored at mu - 1:
+
+    ``charge``          -> coefficient of phi_0
+    ``zeroth[nu]``      -> coefficient of phi_nu
+    ``first_0[mu]``     -> coefficient of d_mu phi_0
+    ``first[mu, nu]``   -> coefficient of d_mu phi_nu
+    ``second_0[i]``     -> coefficient of d_mu d_nu phi_0
+    ``second[i, rho]``  -> coefficient of d_mu d_nu phi_rho
+
+    where i runs over the sorted pairs (mu, nu) = (1,1), (1,2), (1,3),
+    (2,2), (2,3), (3,3).
+
+    The coefficients are a fixed linear map of a source: ``fields`` =
+    (values, derivs, derivs2) map N taus to (N, m) arrays of a vector
+    x(tau) and of its exact tau derivatives (derivatives optional), and
+    ``weights`` has shape (3, 40, m), so that the k-th tau derivative of
+    the coefficients is sum_j weights[j] @ x^(j + k).  A derivative
+    that needs x beyond what its fields give raises
+    :class:`DerivativeUnavailable`.
     """
 
-    charge: TauFn
-    zeroth: list
-    first_0: list
-    first: list
-    second_0: list
-    second: list
-    interval: tuple
+    def __init__(self, fields, weights, interval):
+        self.fields = tuple(fields)
+        self.weights = np.asarray(weights, dtype=float)
+        self.interval = interval
 
-    @staticmethod
-    def zero(interval):
-        z4 = [ZERO] * 4
-        return AdaptedCoefficients(
-            charge=ZERO,
-            zeroth=list(z4),
-            first_0=list(z4),
-            first=[list(z4) for _ in range(4)],
-            second_0=[list(z4) for _ in range(4)],
-            second=[[list(z4) for _ in range(4)] for _ in range(4)],
-            interval=interval,
-        )
+    @classmethod
+    def from_arrays(cls, interval, values, derivs=None, derivs2=None):
+        """Coefficients given directly: ``values`` (and the optional
+        derivatives) map N taus to (N, 40) arrays in family order."""
+        weights = np.zeros((3, 40, 40))
+        weights[0] = np.eye(40)
+        return cls((values, derivs, derivs2), weights, interval)
 
-    def second0_at(self, mu, nu):
-        return self.second_0[min(mu, nu)][max(mu, nu)]
+    def arrays(self, taus, *wanted):
+        """Arrays of coefficient families at one tau or an array of N
+        taus, one per ``wanted`` item: a family name (its values) or a
+        (name, k) pair (its k-th tau derivative).  Shapes are (N, ...)
+        for an array of taus and (...) for one tau.  Each source field
+        is read at most once per call.
+        """
+        t = np.atleast_1d(np.asarray(taus, dtype=float))
+        xs = {}
 
-    def second_at(self, mu, nu, rho):
-        return self.second[min(mu, nu)][max(mu, nu)][rho]
+        def source(k):
+            if k not in xs:
+                fn = self.fields[k] if k < 3 else None
+                if fn is None:
+                    raise DerivativeUnavailable(
+                        f"no exact tau derivative of order {k} for the "
+                        "source of these coefficients"
+                    )
+                xs[k] = fn(t)
+            return xs[k]
 
-    def closedness_residuals(self, n=33):
-        """Max residual of each conservation condition over sampled tau."""
-        t0, t1 = self.interval
-        taus = np.linspace(t0, t1, n)
-        s0, s = self.second0_at, self.second_at
-        return {
-            "charge_constant": _worst([self.charge.deriv(taus)]),
-            "velocity_pair": _worst(
-                self.first_0[mu].deriv(taus) - self.zeroth[mu](taus)
-                for mu in _SPATIAL
-            ),
-            "diag_step": _worst(
-                self.first[mu][mu](taus) - s0(mu, mu).deriv(taus)
-                for mu in _SPATIAL
-            ),
+        out = []
+        for item in wanted:
+            name, order = (item, 0) if isinstance(item, str) else item
+            rows, shape = _FAMILIES[name]
+            acc = np.zeros((len(t), rows.stop - rows.start))
+            for j, w in enumerate(self.weights[:, rows]):
+                if w.any():
+                    acc = acc + source(j + order) @ w.T
+            acc = acc.reshape((len(t),) + shape)
+            out.append(acc if np.ndim(taus) else acc[0])
+        return out
+
+    def density(self, taus, values, grads, hess):
+        """The distribution's integrand at N taus: the sum of each
+        coefficient times its probe term, from the form's (N, 4) values,
+        (N, 4, 4) gradients (grads[n, a, b] = d_b phi_a) and
+        (N, 4, 4, 4) Hessians."""
+        n = len(taus)
+        probes = np.concatenate([
+            values,
+            grads[:, 0, 1:],
+            grads[:, 1:, 1:].transpose(0, 2, 1).reshape(n, 9),
+            hess[:, 0, _MU, _NU],
+            hess[:, 1:, _MU, _NU].transpose(0, 2, 1).reshape(n, 18),
+        ], axis=1)
+        coeffs = np.concatenate(
+            [a.reshape(n, -1) for a in self.arrays(taus, *_FAMILIES)], axis=1)
+        return np.einsum("ni,ni->n", coeffs, probes)
+
+    def _checks(self, n):
+        """(closedness residuals, largest coefficient) over n taus."""
+        taus = np.linspace(*self.interval, n)
+        *values, dcharge, dfirst_0, dsecond_0 = self.arrays(
+            taus, *_FAMILIES, ("charge", 1), ("first_0", 1), ("second_0", 1))
+        _, zeroth, _, first, _, second = values
+
+        def f(mu, nu):
+            return first[:, mu - 1, nu - 1]
+
+        def ds0(mu, nu):
+            return dsecond_0[:, _pair(mu, nu)]
+
+        def s(mu, nu, rho):
+            return second[:, _pair(mu, nu), rho - 1]
+
+        residuals = {
+            "charge_constant": _worst([dcharge]),
+            "velocity_pair": _worst([dfirst_0 - zeroth]),
+            "diag_step": _worst(f(mu, mu) - ds0(mu, mu) for mu in _SPATIAL),
             "offdiag_step": _worst(
-                self.first[mu][nu](taus) + self.first[nu][mu](taus)
-                - s0(mu, nu).deriv(taus)
-                for mu, nu in _SPAIRS
+                f(mu, nu) + f(nu, mu) - ds0(mu, nu) for mu, nu in _SPAIRS
             ),
-            "diag_spatial": _worst(s(mu, mu, mu)(taus) for mu in _SPATIAL),
+            "diag_spatial": _worst(s(mu, mu, mu) for mu in _SPATIAL),
             "mixed_spatial": _worst(
-                s(mu, mu, rho)(taus) + s(mu, rho, mu)(taus)
+                s(mu, mu, rho) + s(mu, rho, mu)
                 for mu in _SPATIAL
                 for rho in _SPATIAL
                 if rho != mu
             ),
-            "triple": _worst(
-                [s(1, 2, 3)(taus) + s(1, 3, 2)(taus) + s(2, 3, 1)(taus)]
-            ),
+            "triple": _worst([s(1, 2, 3) + s(1, 3, 2) + s(2, 3, 1)]),
         }
+        return residuals, _worst(values)
+
+    def closedness_residuals(self, n=33):
+        """Max residual of each conservation condition over sampled tau."""
+        return self._checks(n)[0]
 
     def is_closed(self, tol=1e-9, n=33):
-        res = self.closedness_residuals(n)
-        scale = max(1.0, self._scale(n))
+        res, scale = self._checks(n)
+        scale = max(1.0, scale)
         return all(v <= tol * scale for v in res.values()), res
 
     def _scale(self, n=17):
-        t0, t1 = self.interval
-        taus = np.linspace(t0, t1, n)
-        fns = [self.charge]
-        fns += [self.zeroth[mu] for mu in _SPATIAL]
-        fns += [self.first_0[mu] for mu in _SPATIAL]
-        fns += [self.first[mu][nu] for mu in _SPATIAL for nu in _SPATIAL]
-        fns += [
-            self.second0_at(mu, nu)
-            for mu in _SPATIAL
-            for nu in _SPATIAL
-            if mu <= nu
-        ]
-        fns += [
-            self.second_at(mu, nu, rho)
-            for mu in _SPATIAL
-            for nu in _SPATIAL
-            for rho in _SPATIAL
-            if mu <= nu
-        ]
-        return _worst(f(taus) for f in fns if not f.is_zero)
+        return _worst(self.arrays(np.linspace(*self.interval, n), *_FAMILIES))
 
 
 def _worst(values):
@@ -630,33 +661,57 @@ def _worst(values):
     return max((float(np.max(np.abs(v))) for v in values), default=0.0)
 
 
+def _zeta_from_gamma_map():
+    """(3, 40, 65) weights of the coefficients on gamma[abc] (flattened
+    to columns 0..63) and the charge (column 64), then on their first
+    and second tau derivatives."""
+    W = np.zeros((3, 40, 65))
+    W[0, 0, 64] = 1.0
+
+    def col(a, b, c):
+        return 16 * a + 4 * b + c
+
+    for mu in _SPATIAL:
+        W[2, mu, col(mu, 0, 0)] = 0.5
+        W[1, 3 + mu, col(mu, 0, 0)] = 0.5
+        for nu in _SPATIAL:
+            W[1, 7 + 3 * (mu - 1) + (nu - 1), col(nu, mu, 0)] = -1.0
+    for i, (mu, nu) in enumerate(_S0):
+        half = 0.5 if mu == nu else 1.0
+        W[0, 16 + i, col(0, mu, nu)] = half
+        for rho in _SPATIAL:
+            W[0, 22 + 3 * i + (rho - 1), col(rho, mu, nu)] = half
+    return W
+
+
+_ZETA_FROM_GAMMA = _zeta_from_gamma_map()
+
+
 def zeta_from_gamma(monopole, quad, worldline):
     """Adapted-basis coefficients of a monopole + quadrupole bundle.
 
     The worldline must be in adapted form C(tau) = (tau, 0, 0, 0); the
-    time-slot components then enter through their tau derivatives.
-    Each coefficient reads one scaled entry of the component arrays or
-    of their derivatives.
+    time-slot components then enter through their tau derivatives.  The
+    coefficients are the fixed linear map ``_ZETA_FROM_GAMMA`` of the
+    component arrays and their first and second tau derivatives, with
+    the charge as one more (constant) source entry.
     """
     if not worldline.is_adapted():
         raise DomainError(
             "coefficient extraction needs an adapted worldline "
             "C(tau) = (tau, 0, 0, 0)"
         )
-    g = quad._entry
-    z = AdaptedCoefficients.zero(worldline.interval)
-    z.charge = TauFn.constant(monopole.q)
-    for mu in _SPATIAL:
-        z.first_0[mu] = g((mu, 0, 0), 1, 0.5)
-        z.zeroth[mu] = g((mu, 0, 0), 2, 0.5)
-        for nu in _SPATIAL:
-            z.first[mu][nu] = g((nu, mu, 0), 1, -1.0)
-    for mu, nu in _S0:
-        half = 0.5 if mu == nu else 1.0
-        z.second_0[mu][nu] = g((0, mu, nu), 0, half)
-        for rho in _SPATIAL:
-            z.second[mu][nu][rho] = g((rho, mu, nu), 0, half)
-    return z
+
+    def source(field, charge):
+        if field is None:
+            return None
+        return lambda taus: np.concatenate(
+            [field(taus).reshape(len(taus), 64),
+             np.full((len(taus), 1), charge)], axis=1)
+
+    fields = [source(field, monopole.q if k == 0 else 0.0)
+              for k, field in enumerate(quad._arrays)]
+    return AdaptedCoefficients(fields, _ZETA_FROM_GAMMA, worldline.interval)
 
 
 def _gamma_from_zeta_map():
@@ -706,40 +761,40 @@ def gamma_from_zeta(z, constants=None, tol=1e-10):
     c_st = np.asarray(
         constants.get("spatial_time", (0.0, 0.0, 0.0)), dtype=float
     )
-
-    def stacked(fns):
-        return lambda t: entries_array([f(t) for f in fns], np.shape(t))
-
     cum_v00 = CumulativeIntegral(
-        stacked([lambda t, mu=mu: 2.0 * z.first_0[mu](t) for mu in _SPATIAL]),
+        lambda t: 2.0 * z.arrays(t, "first_0")[0],
         t0, t1, 3, tol_abs=tol * 1e-2, tol_rel=tol * 1e-2,
         label="gamma[mu][0][0] reconstruction",
     )
-    # d/dtau of the antisymmetric part of gamma[nu][mu][0], sorted pairs.
+
+    def anti(t):
+        """d/dtau of the antisymmetric part of gamma[nu][mu][0] over the
+        sorted pairs (nu, mu)."""
+        first = z.arrays(t, "first")[0]
+        return np.stack([0.5 * (first[..., nu - 1, mu - 1]
+                                - first[..., mu - 1, nu - 1])
+                         for nu, mu in _SPAIRS], axis=-1)
+
     cum_anti = CumulativeIntegral(
-        stacked([
-            lambda t, nu=nu, mu=mu: 0.5 * (z.first[nu][mu](t) - z.first[mu][nu](t))
-            for nu, mu in _SPAIRS
-        ]),
-        t0, t1, 3, tol_abs=tol * 1e-2, tol_rel=tol * 1e-2,
+        anti, t0, t1, 3, tol_abs=tol * 1e-2, tol_rel=tol * 1e-2,
         label="spatial-time antisymmetric reconstruction",
     )
-    second = ([z.second0_at(mu, nu) for mu, nu in _S0]
-              + [z.second_at(mu, nu, rho) for mu, nu, rho in _S])
 
-    def field(parts):
-        return lambda taus: np.tensordot(
-            np.concatenate([part(taus) for part in parts], axis=-1),
-            _GAMMA_FROM_ZETA, axes=([1], [3]))
+    def field(order, parts):
+        def f(taus):
+            s0, s = z.arrays(taus, ("second_0", order), ("second", order))
+            flat = [s0, s.reshape(len(taus), 18)]
+            return np.tensordot(
+                np.concatenate(flat + [part(taus) for part in parts],
+                               axis=-1),
+                _GAMMA_FROM_ZETA, axes=([1], [3]))
 
-    values = field([
-        stacked(second),
+        return f
+
+    values = field(0, [
         lambda taus: c_v00 + cum_v00.value(taus),
         lambda taus: c_st + cum_anti.value(taus),
     ])
-    derivs = field([
-        stacked([f.deriv for f in second]),
-        cum_v00.derivative,
-        cum_anti.derivative,
-    ])
-    return Monopole(z.charge(t0)), QuadrupoleComponents(values, derivs)
+    derivs = field(1, [cum_v00.derivative, cum_anti.derivative])
+    charge = float(z.arrays(t0, "charge")[0])
+    return Monopole(charge), QuadrupoleComponents(values, derivs)

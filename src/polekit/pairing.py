@@ -119,7 +119,36 @@ def _values_on(pts, inside, values_inside):
     return out
 
 
-class ProductTestForm:
+class _BatchForm:
+    """The batch front end shared by the test forms.
+
+    A form gives ``in_support`` and its work on the live rows of an
+    (N, 4) array of points, ``_jets_inside`` and ``_values_inside``;
+    ``_live`` picks those rows (by default the support).
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # Each form class holds its own entry points, so that tools that
+        # wrap methods class by class (perfbench/tracing.py) see them all.
+        cls.jets_at = cls.jets_at
+        cls.values_at = cls.values_at
+
+    def _live(self, pts):
+        return self.in_support(pts)
+
+    def jets_at(self, x):
+        return _per_point(
+            lambda pts: _jets_on(pts, self._live(pts), self._jets_inside),
+            x, _first_jets)
+
+    def values_at(self, x):
+        return _per_point(
+            lambda pts: _values_on(pts, self._live(pts), self._values_inside),
+            x, _first_values)
+
+
+class ProductTestForm(_BatchForm):
     """phi_a(x) = poly_a(x) * prod_b bump((x^b - c^b) / w^b)."""
 
     def __init__(self, polys, box):
@@ -160,19 +189,8 @@ class ProductTestForm:
         return entries_array([p.eval_value(env) * w for p in self.polys],
                              (len(pts),))
 
-    def jets_at(self, x):
-        return _per_point(
-            lambda pts: _jets_on(pts, self.in_support(pts), self._jets_inside),
-            x, _first_jets)
 
-    def values_at(self, x):
-        return _per_point(
-            lambda pts: _values_on(pts, self.in_support(pts),
-                                   self._values_inside),
-            x, _first_values)
-
-
-class ExprCovector:
+class ExprCovector(_BatchForm):
     """Four raw expression components; support box is advisory (used
     for bracketing the quadrature, not enforced)."""
 
@@ -194,19 +212,8 @@ class ExprCovector:
         return entries_array([c.eval_value(env) for c in self.comps],
                              (len(pts),))
 
-    def jets_at(self, x):
-        return _per_point(
-            lambda pts: _jets_on(pts, self.in_support(pts), self._jets_inside),
-            x, _first_jets)
 
-    def values_at(self, x):
-        return _per_point(
-            lambda pts: _values_on(pts, self.in_support(pts),
-                                   self._values_inside),
-            x, _first_values)
-
-
-class ScaledCovector:
+class ScaledCovector(_BatchForm):
     """phi_a = scalar^power * base_a (integer power >= 1)."""
 
     def __init__(self, scalar, power, base):
@@ -229,19 +236,8 @@ class ScaledCovector:
         s = self.scalar.eval_value(_coords(pts)) ** self.power
         return self.base.values_at(pts) * np.reshape(s, (-1, 1))
 
-    def jets_at(self, x):
-        return _per_point(
-            lambda pts: _jets_on(pts, self.in_support(pts), self._jets_inside),
-            x, _first_jets)
 
-    def values_at(self, x):
-        return _per_point(
-            lambda pts: _values_on(pts, self.in_support(pts),
-                                   self._values_inside),
-            x, _first_values)
-
-
-class PulledBackForm:
+class PulledBackForm(_BatchForm):
     """A hatted-chart test form seen from the source chart.
 
     phi_a(x) = (d hatted^b / d x^a)(x) * hatted_phi_b(hatted(x)); the
@@ -267,7 +263,7 @@ class PulledBackForm:
             out[ok] = self.hatted.in_support(self.chart.value_at(pts[ok]))
         return out
 
-    def _image_in_support(self, pts):
+    def _live(self, pts):
         """Rows whose image lies in the hatted support; a row outside the
         chart domain raises."""
         return self.hatted.in_support(self.chart.value_at(pts))
@@ -304,18 +300,6 @@ class PulledBackForm:
                 else:
                     out[:, a] += d.eval_value(env) * hv[:, b]
         return out
-
-    def jets_at(self, x):
-        return _per_point(
-            lambda pts: _jets_on(pts, self._image_in_support(pts),
-                                 self._jets_inside),
-            x, _first_jets)
-
-    def values_at(self, x):
-        return _per_point(
-            lambda pts: _values_on(pts, self._image_in_support(pts),
-                                   self._values_inside),
-            x, _first_values)
 
 
 def make_test_form(polys, center, half_widths):
@@ -528,20 +512,9 @@ def pair_adapted_coefficients(z, worldline, form, tol_abs=1e-10,
 
     def integrand(taus):
         jets = _form_jets(worldline, form, taus)
-        grads, hess = _grads(jets, taus), _hessians(jets, taus)
-        acc = z.charge(taus) * jets[0].value
-        for mu in (1, 2, 3):
-            acc = acc + z.first_0[mu](taus) * grads[:, 0, mu]
-            acc = acc + z.zeroth[mu](taus) * jets[mu].value
-            for nu in (1, 2, 3):
-                acc = acc + z.first[mu][nu](taus) * grads[:, nu, mu]
-        for mu in (1, 2, 3):
-            for nu in range(mu, 4):
-                acc = acc + z.second0_at(mu, nu)(taus) * hess[:, 0, mu, nu]
-                for rho in (1, 2, 3):
-                    acc = acc + (z.second_at(mu, nu, rho)(taus)
-                                 * hess[:, rho, mu, nu])
-        return acc
+        values = entries_array([j.value for j in jets], taus.shape)
+        return z.density(taus, values, _grads(jets, taus),
+                         _hessians(jets, taus))
 
     return _run_pairing(worldline, form, integrand, tol_abs, tol_rel,
                         min_panels)

@@ -13,7 +13,7 @@ from .charts import ChartPair, linear_chart
 from .jets import entries_array
 from .moments import DipoleComponents, QuadrupoleComponents, quadrupole_basis
 from .pairing import Box, ProductTestForm
-from .taufn import tau_derivative
+from .expr import tau_derivative
 
 
 def rng_from_seed(seed):

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .expr import Const, Expr, Var
+from .expr import Const, Expr, Var, tau_derivative
 from .jets import Jet2, entries_array
-from .taufn import tau_derivative
 
 
 def _as_tau(t):

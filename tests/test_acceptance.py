@@ -21,6 +21,7 @@ from polekit.classify import (
 from polekit.errors import EvaluationError
 from polekit.jets import Jet2
 from polekit.moments import (
+    AdaptedCoefficients,
     Monopole,
     QuadrupoleComponents,
     component_rank,
@@ -49,7 +50,6 @@ from polekit.sampling import (
     random_test_form_along,
     rng_from_seed,
 )
-from polekit.taufn import TauFn
 from polekit.transport import transform_dipole, transform_quadrupole
 from polekit.worldlines import Worldline
 
@@ -410,9 +410,23 @@ def test_criterion_11_coefficient_dictionary():
     accepts_valid = z.is_closed(tol=1e-9)[0]
 
     # single violations must each be rejected, with the right family
-    def violated(mutate, family):
-        z2 = zeta_from_gamma(m, q, C)
-        mutate(z2)
+    def shifted(zz, row, f, df):
+        """zz with coefficient ``row`` (of the 40, in family order)
+        shifted by the function of tau ``f`` with tau derivative ``df``:
+        one more source column, weighted 1 on that row."""
+        extra = (f, df, np.zeros_like)
+        fields = [
+            None if fld is None
+            else (lambda t, fld=fld, g=g: np.column_stack([fld(t), g(t)]))
+            for fld, g in zip(zz.fields, extra)
+        ]
+        w = np.zeros((3, 40, 1))
+        w[0, row, 0] = 1.0
+        return AdaptedCoefficients(
+            fields, np.concatenate([zz.weights, w], axis=2), zz.interval)
+
+    def violated(row, f, df, family):
+        z2 = shifted(zeta_from_gamma(m, q, C), row, f, df)
         ok2, res = z2.is_closed(tol=1e-9)
         others = {k: v for k, v in res.items() if k != family}
         scale = 1e-9 * max(1.0, z2._scale())
@@ -420,27 +434,17 @@ def test_criterion_11_coefficient_dictionary():
             v <= scale for v in others.values()
         )
 
-    def plus_one(fn):
-        """fn + 1, with the derivatives of fn."""
-        return TauFn(lambda t: fn(t) + 1.0, fn.dfn, fn.d2fn)
-
-    tau_fn = TauFn.from_expr(ex.Var(0))
+    one, zero = np.ones_like, np.zeros_like
     violations = [
-        (lambda zz: setattr(zz, "charge", tau_fn), "charge_constant"),
-        (lambda zz: zz.zeroth.__setitem__(1, plus_one(zz.zeroth[1])),
-         "velocity_pair"),
-        (lambda zz: zz.first[1].__setitem__(1, plus_one(zz.first[1][1])),
-         "diag_step"),
-        (lambda zz: zz.first[1].__setitem__(2, plus_one(zz.first[1][2])),
-         "offdiag_step"),
-        (lambda zz: zz.second[1][1].__setitem__(
-            1, plus_one(zz.second[1][1][1])), "diag_spatial"),
-        (lambda zz: zz.second[1][1].__setitem__(
-            2, plus_one(zz.second[1][1][2])), "mixed_spatial"),
-        (lambda zz: zz.second[1][2].__setitem__(
-            3, plus_one(zz.second[1][2][3])), "triple"),
+        (0, lambda t: t, one, "charge_constant"),  # charge + tau
+        (1, one, zero, "velocity_pair"),  # zeroth[1] + 1
+        (7, one, zero, "diag_step"),  # first[1, 1] + 1
+        (8, one, zero, "offdiag_step"),  # first[1, 2] + 1
+        (22, one, zero, "diag_spatial"),  # second[(1, 1), 1] + 1
+        (23, one, zero, "mixed_spatial"),  # second[(1, 1), 2] + 1
+        (27, one, zero, "triple"),  # second[(1, 2), 3] + 1
     ]
-    rejects = all(violated(mutate, family) for mutate, family in violations)
+    rejects = all(violated(*v) for v in violations)
     ok = round_trip_ok and accepts_valid and rejects
     _report(
         11,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from polekit import expr as ex
-from polekit.errors import DomainError, SymmetryError
+from polekit.errors import DerivativeUnavailable, DomainError, SymmetryError
 from polekit.moments import (
     AdaptedCoefficients,
     DipoleComponents,
@@ -32,7 +32,6 @@ from polekit.sampling import (
     random_quadrupole,
     random_test_form_along,
 )
-from polekit.taufn import TauFn
 from polekit.worldlines import Worldline
 
 TAUS = np.linspace(-1.0, 1.0, 11)
@@ -318,8 +317,10 @@ def test_zeta_requires_adapted_worldline(rng):
 
 
 def test_zero_zeta_with_charge_is_monopole_only(adapted_worldline):
-    z = AdaptedCoefficients.zero(adapted_worldline.interval)
-    z.charge = TauFn.constant(2.0)
+    charge = 2.0 * np.eye(40)[0]
+    z = AdaptedCoefficients.from_arrays(
+        adapted_worldline.interval,
+        lambda taus: np.broadcast_to(charge, (len(taus), 40)))
     m, q = gamma_from_zeta(z)
     assert m.q == 2.0
     assert np.max(np.abs(q.values_at(1.0))) == 0.0
@@ -353,6 +354,32 @@ def test_closedness_reads_each_field_once_per_taus(rng, adapted_worldline):
     for k, seen in calls.items():
         assert seen, k
         assert len(seen) == len(set(seen)), (k, len(seen))
+
+
+def test_coefficient_derivatives_are_exact_or_unavailable(
+        rng, adapted_worldline):
+    """Coefficient derivatives come from the component derivatives; the
+    tau derivative of ``zeroth`` would need a third derivative of gamma,
+    so reading it raises instead of returning a stand-in."""
+    q = random_quadrupole(rng)
+    z = zeta_from_gamma(Monopole(1.2), q, adapted_worldline)
+    taus = np.linspace(0.5, 3.5, 7)
+    g2 = q._arrays[2](taus)
+    dfirst_0, zeroth, dcharge = z.arrays(
+        taus, ("first_0", 1), "zeroth", ("charge", 1))
+    assert np.array_equal(dfirst_0, 0.5 * g2[:, 1:, 0, 0])
+    assert np.array_equal(zeroth, 0.5 * g2[:, 1:, 0, 0])
+    assert np.array_equal(dcharge, np.zeros(7))
+    with pytest.raises(DerivativeUnavailable):
+        z.arrays(taus, ("zeroth", 1))
+    with pytest.raises(DerivativeUnavailable):
+        z.arrays(1.0, ("zeroth", 1))
+    # without second derivatives of gamma, zeroth itself is unavailable
+    q1 = QuadrupoleComponents.from_arrays(*q._arrays[:2], mask=q.mask)
+    z1 = zeta_from_gamma(Monopole(1.2), q1, adapted_worldline)
+    assert z1.arrays(1.0, "first")[0].shape == (3, 3)
+    with pytest.raises(DerivativeUnavailable):
+        z1.arrays(taus, "zeroth")
 
 
 def test_zeta_round_trip(rng, adapted_worldline):
@@ -422,5 +449,6 @@ def test_worked_example_in_adapted_frame(rng):
     assert C_adapted.is_adapted()
     z = zeta_from_gamma(Monopole(0.0), tr2.gamma3_hat, C_adapted)
     t = 5.0
-    assert z.first[1][2](t) == pytest.approx(kappa, abs=1e-9)
-    assert z.first[2][1](t) == pytest.approx(-kappa, abs=1e-9)
+    first = z.arrays(t, "first")[0]
+    assert first[0, 1] == pytest.approx(kappa, abs=1e-9)
+    assert first[1, 0] == pytest.approx(-kappa, abs=1e-9)

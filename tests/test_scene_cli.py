@@ -127,6 +127,29 @@ def test_verify_reports_floor_panels(tmp_path):
         assert data["floor_panels"][side] == [0, 0, 0]
 
 
+def test_verify_lists_zero_node_probes(tmp_path):
+    """A probe where either side used no quadrature nodes (here: a zero
+    charge, which pairs to 0 without integrating) is listed in
+    report.json; report.txt does not mention it."""
+    doc = json.loads(MINIMAL)
+    doc["multipoles"]["neutral"] = {"charge": 0.0}
+    doc["jobs"] = [
+        {"command": "verify", "name": name, "multipole": name,
+         "chart": "id", "worldline": "rest", "forms": 3, "seed": 4}
+        for name in ("neutral", "charge")
+    ]
+    results, code = run(parse_scene(json.dumps(doc)), out_dir=tmp_path)
+    assert code == 0
+    jobs = json.loads((tmp_path / "report.json").read_text())["jobs"]
+    neutral, charged = (job["data"] for job in jobs)
+    assert neutral["nodes_used"] == {"source": [0, 0, 0],
+                                     "hatted": [0, 0, 0]}
+    assert neutral["zero_node_probes"] == [0, 1, 2]
+    assert all(n > 0 for n in charged["nodes_used"]["source"])
+    assert charged["zero_node_probes"] == []
+    assert "zero_node" not in (tmp_path / "report.txt").read_text()
+
+
 def test_kappa0_flag_offsets_intercept(tmp_path):
     scene_path = SCENES / "worked_example.scene"
     code = main([

@@ -20,7 +20,12 @@ from polekit.moments import (
     make_static_dipole,
     sample_taus,
 )
-from polekit.pairing import pair_dipole, pair_quadrupole, pull_back_test_form
+from polekit.pairing import (
+    make_test_form,
+    pair_dipole,
+    pair_quadrupole,
+    pull_back_test_form,
+)
 from polekit.sampling import (
     random_antisym_poly_grid,
     random_dipole,
@@ -353,3 +358,57 @@ def test_quadrupole_transport_with_reparametrization(rng):
             q, C, pull_back_test_form(form, get("cylindrical_to_cartesian"))
         ).value
         assert abs(hat - src) <= 1e-6 * max(1.0, abs(src))
+
+
+
+# Two fixed product forms near the image worldline (tau, 1, 0, 0):
+# (phi_1, phi_2 polynomials, box center, box half-widths), with
+# phi_0 = phi_3 = 0.  The polynomials are Python functions of the four
+# coordinates, so the same formula builds a polekit expression and an
+# mpmath value.
+_ORACLE_FORMS = (
+    ((lambda x: 1 + x[0] * x[2] + 0.5 * x[1],
+      lambda x: x[1] * x[1] - 0.3 * x[0] + x[2]),
+     (5.0, 1.1, 0.05, -0.02), (1.5, 0.6, 0.5, 0.5)),
+    ((lambda x: x[0] * x[1] - x[2] * x[2],
+      lambda x: 0.7 + x[0] * x[2] - x[1] * x[2]),
+     (3.2, 0.8, -0.1, 0.1), (0.9, 0.5, 0.4, 0.3)),
+)
+
+
+def test_worked_example_pairing_against_mpmath():
+    """pair_quadrupole of the transported worked example against an
+    oracle that uses no polekit numerics: the closed-form hatted
+    components gamma[120] = gamma[102] = tau, gamma[210] = gamma[201] =
+    -tau, gamma[211] = 2, gamma[121] = gamma[112] = -1 (kappa = 1) on the
+    image worldline (tau, 1, 0, 0), second derivatives of the form taken
+    symbolically by sympy, and mpmath.quad at 30 digits."""
+    import mpmath
+    import sympy as sp
+
+    quad, C, chart = worked_example()
+    tr = transform_quadrupole(quad, chart, C)
+    coords = tuple(ex.var(a) for a in range(4))
+    x = sp.symbols("x0:4")
+    for (p1, p2), center, half in _ORACLE_FORMS:
+        form = make_test_form([0, p1(coords), p2(coords), 0], center, half)
+        got = pair_quadrupole(tr.gamma3_hat, tr.worldline_hat, form)
+
+        # Exact rationals keep |u| < 1 at every mpmath node inside the box.
+        window = sp.Mul(*(
+            sp.exp(-1 / (1 - ((xb - sp.Rational(cb)) / sp.Rational(hb)) ** 2))
+            for xb, cb, hb in zip(x, center, half)))
+        phi1, phi2 = p1(x) * window, p2(x) * window
+        # (1/2) gamma[abc] d_b d_c phi_a with tau = x0 on the worldline
+        density = (x[0] * sp.diff(phi1, x[0], x[2])
+                   - x[0] * sp.diff(phi2, x[0], x[1])
+                   + sp.diff(phi2, x[1], 2)
+                   - sp.diff(phi1, x[1], x[2]))
+        along = sp.lambdify(
+            x[0], density.subs({x[1]: 1, x[2]: 0, x[3]: 0}), "mpmath")
+        with mpmath.workdps(30):
+            c0, h0 = mpmath.mpf(center[0]), mpmath.mpf(half[0])
+            ref = float(mpmath.quad(along, [c0 - h0, c0, c0 + h0]))
+        assert math.isfinite(ref) and got.nodes_used > 0
+        assert abs(got.value - ref) <= 1e-10 * max(1.0, abs(ref)), (
+            got.value, ref)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from polekit import expr as ex
+from polekit.expr import tau_derivative
 from polekit.charts import get, lorentz_boost_chart
 from polekit.errors import DomainError
 from polekit.jets import Jet2
@@ -13,7 +14,6 @@ from polekit.sampling import (
     random_dipole,
     random_test_form_along,
 )
-from polekit.taufn import tau_derivative
 from polekit.transport import transform_dipole
 from polekit.worldlines import Reparametrization, Worldline
 
