@@ -3,6 +3,8 @@
 A chart is four expression trees mapping (x0..x3) to hatted coordinates.
 Jet evaluation of the component trees gives the Jacobian A^a_b and the
 Hessian A^a_bc in one pass, which is everything the transport law needs.
+Every evaluator takes an (N, 4) array of points (N = 1 for one point)
+and returns arrays with a leading axis of length N.
 The registry provides the built-in charts; pairs carry a verified
 inverse (no numerical inversion anywhere: an inverse is trusted only
 after round-trip and Jacobian-inverse checks).
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import DomainError, RegistryError, SingularJacobianWarning
-from .jets import Jet2, entries_array, full_hessian
+from .jets import Jet2, columns, entries_array, stacked
 
 _DET_CUTOFF = 1e-12
 
@@ -33,8 +35,8 @@ class DomainHint:
     description: str
 
     def contains(self, x):
-        ok = self.predicate(np.asarray(x, dtype=float))
-        return ok if np.ndim(x) == 2 else bool(ok)
+        """(N,) booleans for the rows of an (N, 4) array of points."""
+        return self.predicate(np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -44,75 +46,60 @@ class Chart:
     domain_hint: DomainHint | None = None
 
     def in_domain(self, x):
-        """Whether the point x (or each row of an (N, 4) array) lies in
-        the chart's domain."""
+        """Whether each row of an (N, 4) array of points lies in the
+        chart's domain."""
         if self.domain_hint is None:
-            return np.ones(len(x), dtype=bool) if np.ndim(x) == 2 else True
+            return np.ones(len(x), dtype=bool)
         return self.domain_hint.contains(x)
 
     def _check_domain(self, x):
         ok = self.in_domain(x)
         if not np.all(ok):
-            bad = x[np.argmin(ok)] if np.ndim(x) == 2 else x
+            bad = x[np.argmin(ok)]
             raise DomainError(
                 f"point {tuple(float(c) for c in bad)!r} outside domain of "
                 f"chart {self.label!r} ({self.domain_hint.description})"
             )
 
-    @staticmethod
-    def _coords(x):
-        """The four coordinates of a point as floats, or of N points
-        (rows of an (N, 4) array) as arrays."""
-        if np.ndim(x) == 2:
-            return tuple(np.asarray(x, dtype=float).T)
-        return tuple(float(c) for c in x)
-
     def value_at(self, x):
-        """Hatted coordinates of x: a 4-tuple for one point, an (N, 4)
-        array for an (N, 4) array of points."""
+        """Hatted coordinates of the rows of x, an (N, 4) array."""
+        env = columns(x)
         self._check_domain(x)
-        env = self._coords(x)
-        vals = [comp.eval_value(env) for comp in self.forward]
-        if np.ndim(x) == 2:
-            return entries_array(vals, (len(x),))
-        return tuple(vals)
+        return entries_array([comp.eval_value(env) for comp in self.forward],
+                             (len(x),))
 
     def jets_at(self, x):
-        """Jets of the four components at x (one point, or batch jets
-        over the rows of an (N, 4) array)."""
+        """Jets of the four components over the rows of x."""
+        env = columns(x)
         self._check_domain(x)
-        seeds = Jet2.seed_point(self._coords(x))
+        seeds = Jet2.seed_point(env)
         return tuple(comp.eval_jet(seeds) for comp in self.forward)
 
     def jacobian_at(self, x):
-        """A^a_b = d(hatted x^a)/d x^b as a 4x4 numpy array."""
+        """A^a_b = d(hatted x^a)/d x^b as an (N, 4, 4) array; warns when
+        |det A| is below the cutoff at any row."""
         A = self.frames_at(x)[1]
-        det = np.linalg.det(A)
-        if abs(det) < _DET_CUTOFF:
+        det = np.abs(np.linalg.det(A))
+        if np.any(det < _DET_CUTOFF):
+            i = np.argmin(det)
             warnings.warn(
-                f"chart {self.label!r} has |det A| = {abs(det):.3e} "
-                f"at {tuple(x)!r}",
+                f"chart {self.label!r} has |det A| = {det[i]:.3e} "
+                f"at {tuple(float(c) for c in x[i])!r}",
                 SingularJacobianWarning,
                 stacklevel=2,
             )
         return A
 
     def hessian_at(self, x):
-        """A^a_bc as a (4, 4, 4) array, symmetric in the last two slots."""
+        """A^a_bc as an (N, 4, 4, 4) array, symmetric in the last two
+        slots."""
         return self.frames_at(x)[2]
 
     def frames_at(self, x):
-        """(value, Jacobian, Hessian) from a single jet pass; for an
-        (N, 4) array of points: arrays of shape (N, 4), (N, 4, 4) and
-        (N, 4, 4, 4)."""
+        """(value, Jacobian, Hessian) from a single jet pass: arrays of
+        shape (N, 4), (N, 4, 4) and (N, 4, 4, 4)."""
         jlist = self.jets_at(x)
-        shape = (len(x),) if np.ndim(x) == 2 else ()
-        value = entries_array([j.value for j in jlist], shape)
-        if not shape:
-            value = tuple(float(v) for v in value)
-        return (value, entries_array([j.grad for j in jlist], shape, (4,)),
-                full_hessian(entries_array([j.hess for j in jlist], shape,
-                                           (10,))))
+        return tuple(stacked(jlist, (len(x),), k) for k in range(3))
 
     def jacobian_exprs(self):
         """Symbolic Jacobian entries, J[a][b] = d forward[a] / d x^b."""
@@ -129,11 +116,10 @@ def compose_charts(outer, inner, label=None):
     if inner.domain_hint is not None or outer.domain_hint is not None:
 
         def pred(x, _in=inner, _out=outer):
-            pts = np.atleast_2d(x)
-            ok = _in.in_domain(pts)
+            ok = _in.in_domain(x)
             if _out.domain_hint is not None and np.any(ok):
-                ok[ok] = _out.in_domain(_in.value_at(pts[ok]))
-            return ok if np.ndim(x) == 2 else ok[0]
+                ok[ok] = _out.in_domain(_in.value_at(x[ok]))
+            return ok
 
         parts = [
             h.description
@@ -154,30 +140,28 @@ class ChartPair:
     inverse: Chart
 
     def verify(self, points, round_trip_tol=1e-9, jacobian_tol=1e-8):
-        """Check the inverse on sample points.
+        """Check the inverse on sample points (an (N, 4) array).
 
         Round trip in the hatted coordinates and Jacobian-inverse
-        agreement; raises DomainError on failure.
+        agreement; raises DomainError naming the first failing point.
         """
-        for x in points:
-            xh = self.forward.value_at(x)
-            back = self.inverse.value_at(xh)
-            there = self.forward.value_at(back)
-            scale = max(1.0, max(abs(v) for v in xh))
-            err = max(abs(there[i] - xh[i]) for i in range(4))
-            if err > round_trip_tol * scale:
+        x = np.asarray(points, dtype=float)
+        xh = self.forward.value_at(x)
+        there = self.forward.value_at(self.inverse.value_at(xh))
+        scale = np.maximum(1.0, np.max(np.abs(xh), axis=1))
+        err = np.max(np.abs(there - xh), axis=1)
+        resid = np.max(np.abs(self.inverse.jacobian_at(xh)
+                              @ self.forward.jacobian_at(x) - np.eye(4)),
+                       axis=(1, 2))
+        for i, p in enumerate(x):
+            at = f"at {tuple(float(c) for c in p)!r} for pair"
+            if err[i] > round_trip_tol * scale[i]:
+                raise DomainError(f"round trip error {err[i]:.3e} {at} "
+                                  f"{self.forward.label!r}")
+            if resid[i] > jacobian_tol:
                 raise DomainError(
-                    f"round trip error {err:.3e} at {tuple(x)!r} for "
-                    f"pair {self.forward.label!r}"
-                )
-            A = self.forward.jacobian_at(x)
-            B = self.inverse.jacobian_at(xh)
-            resid = float(np.max(np.abs(B @ A - np.eye(4))))
-            if resid > jacobian_tol:
-                raise DomainError(
-                    f"Jacobians are not inverse (residual {resid:.3e}) "
-                    f"at {tuple(x)!r} for pair {self.forward.label!r}"
-                )
+                    f"Jacobians are not inverse (residual {resid[i]:.3e}) "
+                    f"{at} {self.forward.label!r}")
         return True
 
 

@@ -145,7 +145,7 @@ def _probe_box(worldline, rng, margin=0.2, min_width=0.15, max_width=0.3):
     t0, t1 = worldline.interval
     length = t1 - t0
     tc = rng.uniform(t0 + margin * length, t1 - margin * length)
-    base = worldline.point_at(float(tc))
+    base = worldline.point_at(np.array([tc]))[0]
     widths = rng.uniform(min_width, max_width, 4) * min(1.0, length)
     offsets = rng.uniform(-0.45, 0.45, 3) * widths[1:]
     center = (float(tc),) + tuple(
@@ -264,9 +264,7 @@ def make_charge_probe(worldline, window=None, lam0=0.0, lam1=1.0,
         raise DomainError(f"ramp window {window!r} not inside [{t0}, {t1}]")
     if lam0 == lam1:
         raise DomainError("ramp needs distinct end values")
-    pts = [worldline.point_at(float(t))
-           for t in np.linspace(t_on, t_off, 33)]
-    spatial = np.array([p[1:] for p in pts])
+    spatial = worldline.point_at(np.linspace(t_on, t_off, 33))[:, 1:]
     center = spatial.mean(axis=0)
     spread = np.max(np.abs(spatial - center), axis=0)
     if tube_halfwidths is None:

@@ -79,7 +79,7 @@ def _run_transform(scene, job, out_dir):
         if not p_fits:
             lines.append("  integral term P: zero at all samples")
         dip = {}
-        g2 = tr.gamma2_hat.values_at(0.5 * (t0 + t1))
+        g2 = tr.gamma2_hat.values_at(np.array([0.5 * (t0 + t1)]))[0]
         for d, e in _UPPER_PAIRS:
             v = float(g2[d, e])
             if abs(v) > tol:
@@ -112,7 +112,7 @@ def _run_transform(scene, job, out_dir):
     if spec.get("dipole") is not None:
         dhat = tp.transform_dipole(spec["dipole"], chart, C)
         t0, t1 = C.interval
-        g2 = dhat.values_at(0.5 * (t0 + t1))
+        g2 = dhat.values_at(np.array([0.5 * (t0 + t1)]))[0]
         vals = {
             f"{a}{b}": float(g2[a, b])
             for a, b in _UPPER_PAIRS
@@ -274,8 +274,8 @@ def _run_potentials(scene, job, out_dir):
         csv_path = Path(out_dir) / csv_name
         with open(csv_path, "w", newline="\n") as fh:
             fh.write("r,value\n")
-            for r in rs:
-                value = potential_magnitude(source, r * d)
+            values = potential_magnitude(source, rs[:, None] * d)
+            for r, value in zip(rs, values):
                 fh.write(f"{float(r)!r},{float(value)!r}\n")
         files.append(csv_name)
     return JobResult(job["name"], "potentials", True, lines, data, files)

@@ -9,7 +9,7 @@ primitives and domain checks (:mod:`polekit.jets`).  Both evaluate one
 point (floats in ``env``) or a batch of points (arrays in ``env``).
 Functions of the curve parameter (worldlines, component entries) are
 trees in variable 0; :func:`tau_derivative` gives their exact value,
-first or second tau derivative at one tau or an array of taus from
+first or second tau derivative over a 1-D array of taus from
 one-variable jets, and they are combined as trees (``add``, ``mul``,
 ``Expr.diff``).  Trees support structural equality, substitution (for
 chart composition) and symbolic differentiation, which is what
@@ -31,11 +31,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import jets
 from .errors import EvaluationError, SceneError
-from .jets import Jet2
+from .jets import Jet2, entries_array, stacked
 
 
 class Expr:
@@ -415,13 +413,13 @@ def gradient_exprs(e):
 
 def tau_derivative(e, t, order=0):
     """The ``order``-th (0, 1 or 2) tau derivative of the expression
-    ``e`` (a function of variable 0 only) at one tau or an array of
-    taus, from one-variable jets."""
+    ``e`` (a function of variable 0 only) over a 1-D array of taus, as
+    an array of the same shape; from one-variable jets."""
     if order == 0:
-        return e.eval_value((t,))
-    jet = e.eval_jet(Jet2.seed_point((t,)))
-    d = (jet.grad if order == 1 else jet.hess)[..., 0]
-    return d if np.ndim(t) else float(d)
+        rows = entries_array([e.eval_value((t,))], t.shape)
+    else:
+        rows = stacked([e.eval_jet(Jet2.seed_point((t,)))], t.shape, order)
+    return rows.reshape(t.shape)
 
 
 # -- helpers used throughout ---------------------------------------------

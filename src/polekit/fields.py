@@ -17,7 +17,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import DomainError
-from .jets import Jet2
+from .jets import Jet2, columns
 
 EPS0_SI = 8.8541878128e-12
 
@@ -33,9 +33,10 @@ _SPATIAL = (1, 2, 3)
 
 
 def _spatial_hessian(j):
-    """The spatial block of a jet's Hessian as a contiguous (3, 3)
-    array (einsum's summation order depends on the memory layout)."""
-    return np.ascontiguousarray(j.hessian_rows()[1:, 1:])
+    """The spatial block of a batch jet's Hessian as a contiguous
+    (N, 3, 3) array (einsum's summation order depends on the memory
+    layout)."""
+    return np.ascontiguousarray(j.hessian_rows()[:, 1:, 1:])
 
 
 def _coulomb_expr(q, eps0):
@@ -94,30 +95,28 @@ class StaticSource:
         self.moments = m
 
     def _kernel_jet(self, x3):
-        x = (0.0, float(x3[0]), float(x3[1]), float(x3[2]))
-        if x[1] * x[1] + x[2] * x[2] + x[3] * x[3] == 0.0:
+        x = columns(x3, 3)
+        if np.any(x[0] * x[0] + x[1] * x[1] + x[2] * x[2] == 0.0):
             raise DomainError("potential evaluated at the source point")
         ker = _coulomb_expr(1.0, self.eps0)
-        return ker.eval_jet(Jet2.seed_point(x))
+        return ker.eval_jet(Jet2.seed_point((np.zeros(len(x[0])), *x)))
 
     def potential_at(self, x3):
-        """(scalar potential, vector potential[3]) at a spatial point."""
-        if self.kind == "monopole":
-            j = self._kernel_jet(x3)
-            return float(self.moments) * j.value, np.zeros(3)
-        if self.kind == "electric_dipole":
-            j = self._kernel_jet(x3)
-            return float(self.moments @ j.grad[1:]), np.zeros(3)
-        if self.kind == "magnetic_dipole":
-            j = self._kernel_jet(x3)
-            return 0.0, np.cross(self.moments, j.grad[1:])
-        if self.kind == "electric_quadrupole":
-            j = self._kernel_jet(x3)
-            hess = _spatial_hessian(j)
-            return float(np.einsum("mn,mn->", self.moments, hess)), np.zeros(3)
+        """(scalar potential (N,), vector potential (N, 3)) at the rows
+        of an (N, 3) array of spatial points, from one jet pass."""
         j = self._kernel_jet(x3)
-        A = np.einsum("mns,ns->m", self.moments, _spatial_hessian(j))
-        return 0.0, A
+        n = len(j.value)
+        if self.kind == "monopole":
+            return float(self.moments) * j.value, np.zeros((n, 3))
+        if self.kind == "electric_dipole":
+            return (np.einsum("m,nm->n", self.moments, j.grad[:, 1:]),
+                    np.zeros((n, 3)))
+        if self.kind == "magnetic_dipole":
+            return np.zeros(n), np.cross(self.moments, j.grad[:, 1:])
+        hess = _spatial_hessian(j)
+        if self.kind == "electric_quadrupole":
+            return np.einsum("mn,kmn->k", self.moments, hess), np.zeros((n, 3))
+        return np.zeros(n), np.einsum("mns,kns->km", self.moments, hess)
 
     def potential_exprs(self):
         """Closed-form scalar and vector potential expressions in
@@ -180,8 +179,9 @@ def _eps3(i, j, k):
 
 
 def potential_magnitude(source, x3):
+    """|(phi, A)| at the rows of an (N, 3) array of spatial points."""
     phi, A = source.potential_at(x3)
-    return float(np.hypot(abs(phi), np.linalg.norm(A)))
+    return np.hypot(np.abs(phi), np.linalg.norm(A, axis=-1))
 
 
 def falloff_exponent(source, direction, r_lo=10.0, r_hi=1000.0, n=50):
@@ -196,7 +196,7 @@ def falloff_exponent(source, direction, r_lo=10.0, r_hi=1000.0, n=50):
         raise DomainError("direction must be nonzero")
     d = d / norm
     rs = np.geomspace(r_lo, r_hi, n)
-    mags = np.array([potential_magnitude(source, r * d) for r in rs])
+    mags = potential_magnitude(source, rs[:, None] * d)
     if np.min(mags) <= 0.0 or np.max(mags) < 1e-300:
         raise DomainError(
             f"potential vanishes along direction {tuple(direction)!r}; "

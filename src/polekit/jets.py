@@ -1,17 +1,18 @@
 """Second-order truncated Taylor arithmetic (vector forward mode).
 
 A :class:`Jet2` carries the value, gradient and symmetric Hessian of a
-scalar function of ``n`` variables, at one point or at every point of a
-batch.  Propagating jets through arithmetic gives the exact value,
-gradient and Hessian of the composed function, up to rounding.  This is
-the single derivative engine of the package: chart Jacobians/Hessians,
-worldline velocities and test-form derivatives all come from here.
+scalar function of ``n`` variables at every point of a batch.
+Propagating jets through arithmetic gives the exact value, gradient and
+Hessian of the composed function, up to rounding.  This is the single
+derivative engine of the package: chart Jacobians/Hessians, worldline
+velocities and test-form derivatives all come from here.
 Finite differences appear only in tests, as an independent oracle.
 
-One array layout serves one point and a batch of points of shape S
-(S = () for one point):
+One array layout serves any batch shape S, with one code path for all
+of them; evaluators pass N points and get jets over S = (N,), a batch
+of one point included:
 
-* ``value`` has shape S (a float for one point);
+* ``value`` has shape S (a float or a 0-d array when S = ());
 * ``grad`` is an array ``(*S, n)``;
 * ``hess`` is the packed upper triangle ``(*S, n(n+1)/2)``: entry (a, b),
   a <= b, in the order of ``np.triu_indices(n)``.
@@ -24,6 +25,10 @@ shapes ``(n,)`` and ``(n(n+1)/2,)``, which broadcasting spreads over the
 batch.  Branches of the elementary functions (domain checks, the support
 of ``bump`` and of the ``sstep`` family) are applied elementwise; a
 domain error anywhere in a batch raises.
+
+Outside this module, jets are read back as arrays through
+:func:`stacked` and point arrays enter through :func:`columns`, so the
+array layout is known here alone.
 """
 
 from __future__ import annotations
@@ -35,14 +40,10 @@ import numpy as np
 from .errors import EvaluationError
 
 
-def _is_batch(x):
-    return isinstance(x, np.ndarray)
-
-
 def _col(v):
-    """A value (float, or array of shape S) broadcastable against the
-    last axis of gradients and Hessians."""
-    return v[..., None] if _is_batch(v) else v
+    """A value of shape S broadcastable against the last axis of
+    gradients and Hessians."""
+    return np.asarray(v)[..., None]
 
 
 def _first_bad(v, ok):
@@ -89,8 +90,8 @@ def full_hessian(hess):
 
 
 class Jet2:
-    """Value, gradient and packed symmetric Hessian of a scalar at a
-    point, or at each point of a batch (see the module docstring).
+    """Value, gradient and packed symmetric Hessian of a scalar at each
+    point of a batch (see the module docstring).
 
     Jets are not modified after construction; all operations return new
     jets.
@@ -99,7 +100,7 @@ class Jet2:
     __slots__ = ("value", "grad", "hess")
 
     def __init__(self, value, grad, hess):
-        self.value = value if _is_batch(value) else float(value)
+        self.value = value
         self.grad = grad
         self.hess = hess
 
@@ -107,16 +108,16 @@ class Jet2:
 
     @staticmethod
     def constant(x, n):
-        """The jet of the constant x (a float, or an array over a batch)
-        in ``n`` variables."""
+        """The jet of the constant x (a float, or an array over the
+        batch) in ``n`` variables."""
         lay = _layout(n)
         return Jet2(x, lay.zero_grad, lay.zero_hess)
 
     @staticmethod
     def seed_point(x):
         """Jets of the coordinate functions at the point x: one jet per
-        coordinate, in ``n = len(x)`` variables (each x[a] a float, or an
-        array of coordinates over a batch)."""
+        coordinate, in ``n = len(x)`` variables (each x[a] the array of
+        that coordinate over the batch)."""
         lay = _layout(len(x))
         return tuple(Jet2(xa, lay.seeds[a], lay.zero_hess)
                      for a, xa in enumerate(x))
@@ -170,9 +171,8 @@ class Jet2:
 
     def __mul__(self, other):
         if not isinstance(other, Jet2):
-            c = other if _is_batch(other) else float(other)
-            cc = _col(c)
-            return Jet2(self.value * c, self.grad * cc, self.hess * cc)
+            c = _col(other)
+            return Jet2(self.value * other, self.grad * c, self.hess * c)
         # Entry by entry: fv*gh + gv*fh + 2 f_a g_a on the diagonal,
         # fv*gh + gv*fh + f_a g_b + f_b g_a off it, in this order.
         f, g = self.grad, other.grad
@@ -280,7 +280,7 @@ def power(v, p):
 
 # -- elementary functions ----------------------------------------------
 #
-# Each primitive maps an argument (float or array) to (f, f', f''); the
+# Each primitive maps an argument array to (f, f', f''); the
 # jet version applies the chain rule, Expr.eval_value keeps f.
 
 
@@ -367,25 +367,20 @@ PRIMITIVES = {
 
 
 def apply_value(name, v):
-    """Value of primitive ``name`` at v (a float, or an array)."""
-    f = PRIMITIVES[name](v)[0]
-    return f if _is_batch(v) else float(f)
+    """Value of primitive ``name`` at v, elementwise."""
+    return PRIMITIVES[name](v)[0]
 
 
 def apply_jet(name, u):
     """Jet of primitive ``name`` applied to the jet u."""
-    f0, f1, f2 = PRIMITIVES[name](u.value)
-    if not _is_batch(u.value):
-        f0, f1, f2 = float(f0), float(f1), float(f2)
-    return _chain(u, f0, f1, f2)
+    return _chain(u, *PRIMITIVES[name](u.value))
 
 
 def atan2_value(y, x):
     """atan2(y, x), raising where both arguments are zero."""
     if np.any((x == 0.0) & (y == 0.0)):
         raise EvaluationError("atan2", "both arguments are zero")
-    f = np.arctan2(y, x)
-    return f if np.ndim(f) else float(f)
+    return np.arctan2(y, x)
 
 
 def jatan2(y, x):
@@ -414,6 +409,29 @@ def entries_array(entries, shape, tail=()):
     for i, e in enumerate(entries):
         out[(Ellipsis, i) + rest] = e
     return out
+
+
+def stacked(jets, shape, order):
+    """k jets over a batch of shape S as one array: their values
+    (order 0, shape ``(*S, k)``), gradients (order 1, ``(*S, k, n)``) or
+    full symmetric Hessians (order 2, ``(*S, k, n, n)``)."""
+    if order == 0:
+        return entries_array([j.value for j in jets], shape)
+    n = jets[0].grad.shape[-1]
+    if order == 1:
+        return entries_array([j.grad for j in jets], shape, (n,))
+    m = len(_layout(n).rows)
+    return full_hessian(entries_array([j.hess for j in jets], shape, (m,)))
+
+
+def columns(points, n=4):
+    """The n coordinate arrays of an (N, n) array of points, as
+    :meth:`Jet2.seed_point` and ``Expr.eval_value`` take them."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != n:
+        raise ValueError(
+            f"expected an (N, {n}) array of points, got shape {pts.shape}")
+    return tuple(pts.T)
 
 
 def compose(outer, inner):

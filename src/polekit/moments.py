@@ -136,32 +136,25 @@ class _Components:
     def zero(cls):
         return cls.from_dict({})
 
-    def _read(self, k, t):
-        """Array ``k`` (0: values, 1: derivatives) at one tau or an
-        array of taus."""
+    def _read(self, k, taus):
+        """Array ``k`` (0: values, 1: derivatives) at a 1-D array of
+        taus."""
         fn = self._arrays[k]
         if fn is None:
             raise DerivativeUnavailable(
                 "no exact derivative rule for these components"
             )
-        if np.ndim(t):
-            return fn(np.asarray(t, dtype=float))
-        return fn(np.array([t], dtype=float))[0]
+        return fn(taus)
 
     def __getitem__(self, idx):
-        """Entry ``idx`` as a function of one tau (giving a float) or of
-        an array of taus, read from :meth:`values_at`."""
+        """Entry ``idx`` as a function of a 1-D array of taus, read from
+        :meth:`values_at`."""
         idx = (Ellipsis,) + tuple(int(i) for i in idx)
-
-        def entry(t):
-            v = self.values_at(t)[idx]
-            return v if np.ndim(t) else float(v)
-
-        return entry
+        return lambda taus: self.values_at(taus)[idx]
 
     def values_at(self, tau):
-        """Component values: an array of shape (4, ...) for one tau,
-        (N, 4, ...) for an array of N taus."""
+        """Component values at a 1-D array of N taus, shape
+        (N, 4, ...)."""
         return self._read(0, tau)
 
     def derivs_at(self, tau):
@@ -372,7 +365,7 @@ def make_static_dipole(p_ed, p_md):
 
 def static_dipole_vectors(dip, tau=0.0):
     """Inverse of :func:`make_static_dipole` at one tau."""
-    g = dip.values_at(tau)
+    g = dip.values_at(np.array([tau]))[0]
     p_ed = np.array([g[0, mu] for mu in _SPATIAL])
     p_md = np.array(
         [
@@ -560,13 +553,11 @@ class AdaptedCoefficients:
         return cls((values, derivs, derivs2), weights, interval)
 
     def arrays(self, taus, *wanted):
-        """Arrays of coefficient families at one tau or an array of N
-        taus, one per ``wanted`` item: a family name (its values) or a
-        (name, k) pair (its k-th tau derivative).  Shapes are (N, ...)
-        for an array of taus and (...) for one tau.  Each source field
-        is read at most once per call.
+        """Arrays of coefficient families at a 1-D array of N taus, one
+        per ``wanted`` item: a family name (its values) or a (name, k)
+        pair (its k-th tau derivative), each of shape (N, ...).  Each
+        source field is read at most once per call.
         """
-        t = np.atleast_1d(np.asarray(taus, dtype=float))
         xs = {}
 
         def source(k):
@@ -577,19 +568,18 @@ class AdaptedCoefficients:
                         f"no exact tau derivative of order {k} for the "
                         "source of these coefficients"
                     )
-                xs[k] = fn(t)
+                xs[k] = fn(taus)
             return xs[k]
 
         out = []
         for item in wanted:
             name, order = (item, 0) if isinstance(item, str) else item
             rows, shape = _FAMILIES[name]
-            acc = np.zeros((len(t), rows.stop - rows.start))
+            acc = np.zeros((len(taus), rows.stop - rows.start))
             for j, w in enumerate(self.weights[:, rows]):
                 if w.any():
                     acc = acc + source(j + order) @ w.T
-            acc = acc.reshape((len(t),) + shape)
-            out.append(acc if np.ndim(taus) else acc[0])
+            out.append(acc.reshape((len(taus),) + shape))
         return out
 
     def density(self, taus, values, grads, hess):
@@ -796,5 +786,5 @@ def gamma_from_zeta(z, constants=None, tol=1e-10):
         lambda taus: c_st + cum_anti.value(taus),
     ])
     derivs = field(1, [cum_v00.derivative, cum_anti.derivative])
-    charge = float(z.arrays(t0, "charge")[0])
+    charge = float(z.arrays(np.array([t0]), "charge")[0][0])
     return Monopole(charge), QuadrupoleComponents(values, derivs)

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import expr as ex
 from .errors import DomainError, QuadratureError
-from .jets import Jet2, apply_jet, apply_value, compose, entries_array, \
-    full_hessian
+from .jets import Jet2, apply_jet, apply_value, columns, compose, \
+    entries_array, stacked
 from .moments import DipoleComponents, Monopole, QuadrupoleComponents
 from .quadrature import integrate
 
@@ -39,13 +39,12 @@ class Box:
     half: tuple
 
     def contains(self, x):
-        """Whether x is strictly inside the box (for an (N, 4) array of
-        points: a boolean array)."""
-        inside = np.all(
+        """(N,) booleans: whether each row of an (N, 4) array of points
+        is strictly inside the box."""
+        return np.all(
             np.abs(np.asarray(x, dtype=float) - self.center) < self.half,
             axis=-1,
         )
-        return inside if np.ndim(x) == 2 else bool(inside)
 
     def grid(self, n=3, factor=1.0):
         """The n^4 points of a regular grid over the box scaled by
@@ -66,35 +65,10 @@ class PairingReport:
 
 
 # Test forms evaluate over batches: ``jets_at`` / ``values_at`` /
-# ``in_support`` take one point (a 4-sequence) or an (N, 4) array of
-# points.  For a batch they return four batch jets, an (N, 4) array and
-# an (N,) boolean array; for one point, four jets with float entries, a
-# 4-tuple of floats and a bool.  Work is done only at points inside the
-# support, and the result is exactly zero elsewhere.
-
-
-def _per_point(batch, x, unpack):
-    """Run a batch method on an (N, 4) array, or on one point."""
-    pts = np.asarray(x, dtype=float)
-    if pts.ndim == 2:
-        return batch(pts)
-    return unpack(batch(pts[None, :]))
-
-
-def _first_jets(jets):
-    return tuple(Jet2(j.value[0], j.grad[0], j.hess[0]) for j in jets)
-
-
-def _first_values(vals):
-    return tuple(float(v) for v in vals[0])
-
-
-def _first_flag(flags):
-    return bool(flags[0])
-
-
-def _coords(pts):
-    return tuple(pts.T)
+# ``in_support`` take an (N, 4) array of points (N = 1 for one point)
+# and return four jets over the batch, an (N, 4) array and an (N,)
+# boolean array.  Work is done only at points inside the support, and
+# the result is exactly zero elsewhere.
 
 
 def _zero_jets(n):
@@ -138,14 +112,12 @@ class _BatchForm:
         return self.in_support(pts)
 
     def jets_at(self, x):
-        return _per_point(
-            lambda pts: _jets_on(pts, self._live(pts), self._jets_inside),
-            x, _first_jets)
+        pts = np.asarray(x, dtype=float)
+        return _jets_on(pts, self._live(pts), self._jets_inside)
 
     def values_at(self, x):
-        return _per_point(
-            lambda pts: _values_on(pts, self._live(pts), self._values_inside),
-            x, _first_values)
+        pts = np.asarray(x, dtype=float)
+        return _values_on(pts, self._live(pts), self._values_inside)
 
 
 class ProductTestForm(_BatchForm):
@@ -173,7 +145,7 @@ class ProductTestForm(_BatchForm):
 
     def _jets_inside(self, pts):
         w = self._window_jet(pts)
-        seeds = Jet2.seed_point(_coords(pts))
+        seeds = Jet2.seed_point(columns(pts))
         return tuple(
             Jet2.constant(0.0, 4) if isinstance(p, ex.Const) and p.v == 0.0
             else p.eval_jet(seeds) * w
@@ -185,7 +157,7 @@ class ProductTestForm(_BatchForm):
         for b in range(4):
             w = w * apply_value(
                 "bump", (pts[:, b] - self.box.center[b]) / self.box.half[b])
-        env = _coords(pts)
+        env = columns(pts)
         return entries_array([p.eval_value(env) * w for p in self.polys],
                              (len(pts),))
 
@@ -201,14 +173,14 @@ class ExprCovector(_BatchForm):
     def in_support(self, x):
         if self.box is not None:
             return self.box.contains(x)
-        return np.ones(len(x), dtype=bool) if np.ndim(x) == 2 else True
+        return np.ones(len(x), dtype=bool)
 
     def _jets_inside(self, pts):
-        seeds = Jet2.seed_point(_coords(pts))
+        seeds = Jet2.seed_point(columns(pts))
         return tuple(c.eval_jet(seeds) for c in self.comps)
 
     def _values_inside(self, pts):
-        env = _coords(pts)
+        env = columns(pts)
         return entries_array([c.eval_value(env) for c in self.comps],
                              (len(pts),))
 
@@ -229,11 +201,11 @@ class ScaledCovector(_BatchForm):
         return self.base.in_support(x)
 
     def _jets_inside(self, pts):
-        s = self.scalar.eval_jet(Jet2.seed_point(_coords(pts))) ** self.power
+        s = self.scalar.eval_jet(Jet2.seed_point(columns(pts))) ** self.power
         return tuple(j * s for j in self.base.jets_at(pts))
 
     def _values_inside(self, pts):
-        s = self.scalar.eval_value(_coords(pts)) ** self.power
+        s = self.scalar.eval_value(columns(pts)) ** self.power
         return self.base.values_at(pts) * np.reshape(s, (-1, 1))
 
 
@@ -254,9 +226,7 @@ class PulledBackForm(_BatchForm):
         self._jac = chart.jacobian_exprs()
 
     def in_support(self, x):
-        return _per_point(self._support, x, _first_flag)
-
-    def _support(self, pts):
+        pts = np.asarray(x, dtype=float)
         ok = self.chart.in_domain(pts)
         out = np.zeros(len(pts), dtype=bool)
         if np.any(ok):
@@ -271,9 +241,9 @@ class PulledBackForm(_BatchForm):
     def _jets_inside(self, pts):
         Y = self.chart.jets_at(pts)
         outer = self.hatted.jets_at(
-            entries_array([j.value for j in Y], (len(pts),)))
+            stacked(Y, (len(pts),), 0))
         composed = tuple(compose(outer[b], Y) for b in range(4))
-        seeds = Jet2.seed_point(_coords(pts))
+        seeds = Jet2.seed_point(columns(pts))
         out = []
         for a in range(4):
             acc = Jet2.constant(0.0, 4)
@@ -289,7 +259,7 @@ class PulledBackForm(_BatchForm):
 
     def _values_inside(self, pts):
         hv = self.hatted.values_at(self.chart.value_at(pts))
-        env = _coords(pts)
+        env = columns(pts)
         out = np.zeros((len(pts), 4))
         for a in range(4):
             for b in range(4):
@@ -381,11 +351,8 @@ def _run_pairing(worldline, form, integrand, tol_abs, tol_rel, min_panels):
     window = _support_window(worldline, form)
     if window is None:
         return PairingReport(0.0, 0.0, 0)
-    res = integrate(
-        lambda taus: np.broadcast_to(integrand(taus), taus.shape),
-        window[0], window[1],
-        tol_abs=tol_abs, tol_rel=tol_rel, min_panels=min_panels,
-    )
+    res = integrate(integrand, window[0], window[1], tol_abs=tol_abs,
+                    tol_rel=tol_rel, min_panels=min_panels)
     return PairingReport(float(res.value), float(res.error), int(res.nodes),
                          floor_panels=int(res.floor_panels))
 
@@ -394,17 +361,6 @@ def _form_jets(worldline, form, taus):
     """The form's four jets at the worldline's points over ``taus``."""
     points, _ = worldline.eval(taus)
     return form.jets_at(points)
-
-
-def _grads(jets, taus):
-    """Gradients of the four form components, shape (N, 4, 4)."""
-    return entries_array([j.grad for j in jets], taus.shape, (4,))
-
-
-def _hessians(jets, taus):
-    """Full Hessians of the four form components, shape (N, 4, 4, 4)."""
-    return full_hessian(entries_array([j.hess for j in jets], taus.shape,
-                                      (10,)))
 
 
 def pair_monopole(m, worldline, form, tol_abs=1e-10, tol_rel=1e-10,
@@ -433,7 +389,7 @@ def pair_dipole(gamma2, worldline, form, tol_abs=1e-10, tol_rel=1e-10,
         return PairingReport(0.0, 0.0, 0)
 
     def integrand(taus):
-        grads = _grads(_form_jets(worldline, form, taus), taus)
+        grads = stacked(_form_jets(worldline, form, taus), taus.shape, 1)
         return -np.einsum("nab,nab->n", gamma2.values_at(taus), grads)
 
     return _run_pairing(worldline, form, integrand, tol_abs, tol_rel,
@@ -447,7 +403,7 @@ def pair_quadrupole(gamma3, worldline, form, tol_abs=1e-10, tol_rel=1e-10,
         return PairingReport(0.0, 0.0, 0)
 
     def integrand(taus):
-        hess = _hessians(_form_jets(worldline, form, taus), taus)
+        hess = stacked(_form_jets(worldline, form, taus), taus.shape, 2)
         return 0.5 * np.einsum("nabc,nabc->n", gamma3.values_at(taus), hess)
 
     return _run_pairing(worldline, form, integrand, tol_abs, tol_rel,
@@ -512,9 +468,8 @@ def pair_adapted_coefficients(z, worldline, form, tol_abs=1e-10,
 
     def integrand(taus):
         jets = _form_jets(worldline, form, taus)
-        values = entries_array([j.value for j in jets], taus.shape)
-        return z.density(taus, values, _grads(jets, taus),
-                         _hessians(jets, taus))
+        return z.density(taus, *(stacked(jets, taus.shape, k)
+                                 for k in range(3)))
 
     return _run_pairing(worldline, form, integrand, tol_abs, tol_rel,
                         min_panels)

@@ -9,7 +9,10 @@ and the two halves are then stored, so cumulative values stay exactly
 consistent with the accepted quadrature.
 
 Integrands are evaluated over batches of nodes: ``f`` receives a 1-D
-array of taus and returns the array of its values.  All panels pending
+array of N taus and returns the array of its values, of shape (N,) (or
+(N, dim) for :class:`CumulativeIntegral`); any other shape raises.
+Values are read as a C-ordered array, so results do not depend on the
+memory layout of the array ``f`` returns.  All panels pending
 at one refinement level are evaluated in one call (up to ``_MAX_BATCH``
 nodes), and a split passes the values of its two halves on to the
 children, whose one-panel rule they are, so every node is evaluated
@@ -62,28 +65,17 @@ class QuadResult:
 
 
 def _batched(f, tail=()):
-    """``f`` as a function of a 1-D array of taus returning an array of
-    shape ``(N,) + tail``.
-
-    An integrand that takes one float at a time (it raises TypeError or
-    ValueError on an array, or returns the wrong shape) is applied node
-    by node instead; the first call decides which.
-    """
-    mode = []
+    """``f`` as a function of a 1-D array of taus returning a C-ordered
+    float array of shape ``(N,) + tail``; raises ValueError when ``f``
+    returns another shape."""
 
     def call(taus):
-        if not mode:
-            try:
-                vals = np.asarray(f(taus), dtype=float)
-            except (TypeError, ValueError):
-                vals = None
-            mode.append(vals is not None and vals.shape == taus.shape + tail)
-            if mode[0]:
-                return vals
-        if mode[0]:
-            return np.asarray(f(taus), dtype=float)
-        return np.array([f(t) for t in taus], dtype=float).reshape(
-            taus.shape + tail)
+        vals = np.asarray(f(taus), dtype=float)
+        if vals.shape != taus.shape + tail:
+            raise ValueError(
+                f"integrand returned shape {vals.shape} for {len(taus)} "
+                f"taus; expected {taus.shape + tail}")
+        return np.ascontiguousarray(vals)
 
     return call
 
@@ -178,8 +170,7 @@ def integrate(f, a, b, tol_abs=1e-10, tol_rel=1e-10, min_panels=4):
 
     ``f`` maps a 1-D array of taus to the array of its values; all
     nodes of one refinement level arrive in one call, and no node is
-    requested twice.  A function of one float is also accepted and is
-    then called node by node.  ``nodes`` of the result counts the
+    requested twice.  ``nodes`` of the result counts the
     integrand evaluations made (the number of taus passed to ``f``),
     ``floor_panels`` the accepted panels narrower than the width floor
     (1e-14 of the interval), where the refinement stopped whether or
@@ -203,9 +194,8 @@ def integrate(f, a, b, tol_abs=1e-10, tol_rel=1e-10, min_panels=4):
 class CumulativeIntegral:
     """F(t) = F(a) + integral_a^t f, for vector-valued smooth f.
 
-    ``f`` maps a 1-D array of N taus to an (N, ``dim``) array (a
-    function of one float returning a length-``dim`` array is called
-    node by node).  Segments are refined as in :func:`integrate`
+    ``f`` maps a 1-D array of N taus to an (N, ``dim``) array.
+    Segments are refined as in :func:`integrate`
     (``nodes`` and ``floor_panels`` count as there); evaluation anywhere
     uses the per-segment Legendre antiderivative.
     """
@@ -241,10 +231,8 @@ class CumulativeIntegral:
         self._f0 = np.array(f0)
         self.total = running
 
-    def value(self, t):
-        """F(t) - F(a) as a numpy array: shape (dim,) for one t, (N, dim)
-        for an array of N taus."""
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
+    def value(self, ts):
+        """F(t) - F(a) at a 1-D array of N taus, shape (N, dim)."""
         i = np.searchsorted(self._starts, ts, side="right") - 1
         i = np.clip(i, 0, len(self._starts) - 1)
         t0, t1 = self._t0[i], self._t1[i]
@@ -261,9 +249,8 @@ class CumulativeIntegral:
         out = self._f0[i] + (0.5 * (t1 - t0))[:, None] * acc
         out[ts <= self.a] = 0.0
         out[ts >= self.b] = self.total
-        return out if np.ndim(t) else out[0]
+        return out
 
-    def derivative(self, t):
-        """The integrand itself at t (one float or an array of taus)."""
-        vals = self.f(np.atleast_1d(np.asarray(t, dtype=float)))
-        return vals if np.ndim(t) else vals[0]
+    def derivative(self, ts):
+        """The integrand itself at a 1-D array of taus."""
+        return self.f(ts)

@@ -126,10 +126,10 @@ def random_test_form_along(rng, worldline, margin=0.2,
     t0, t1 = worldline.interval
     length = t1 - t0
     tc = rng.uniform(t0 + margin * length, t1 - margin * length)
-    point = worldline.point_at(float(tc))
+    point = worldline.point_at(np.array([tc]))
     if chart is not None:
         point = chart.value_at(point)
     tw = float(rng.uniform(rel_width[0], rel_width[1]) * length)
     sw = rng.uniform(rel_width[0], rel_width[1], 3) * space_scale
     widths = (tw, float(sw[0]), float(sw[1]), float(sw[2]))
-    return random_test_form(rng, point, widths)
+    return random_test_form(rng, point[0], widths)

@@ -55,8 +55,8 @@ def _check_antisym(M, what):
 class PTerm:
     """The antisymmetric integral term of a quadrupole transport.
 
-    ``matrix_at`` and ``deriv_matrix_at`` take one tau (a 4x4 result) or
-    an array of N taus ((N, 4, 4))."""
+    ``matrix_at`` and ``deriv_matrix_at`` take a 1-D array of N taus and
+    return (N, 4, 4) arrays."""
 
     def __init__(self, cumulative, kappa0):
         self._cum = cumulative
@@ -107,11 +107,7 @@ def _rep_factors(rep):
             lambda th: np.ones_like(th),
             lambda th: np.zeros_like(th),
         )
-
-    def batch(fn):
-        return lambda th: np.broadcast_to(fn(th), th.shape)
-
-    return rep.tau_of, batch(rep.speed), batch(rep.speed_deriv)
+    return rep.tau_of, rep.speed, rep.speed_deriv
 
 
 def _reparametrized(F, dF, rep, rank):

@@ -2,8 +2,9 @@
 
 Worldlines are expression trees in one variable (``tau``, stored as
 variable 0), not sample arrays: the transport law needs the exact
-velocity at arbitrary quadrature nodes.  Evaluation takes one tau or an
-array of taus (all quadrature nodes of a refinement level at once).
+velocity at arbitrary quadrature nodes.  Evaluation takes a 1-D array
+of N taus (all quadrature nodes of a refinement level at once, or N = 1
+for one tau) and returns arrays with a leading axis of length N.
 Regularity (a nowhere-vanishing velocity) is checked at sample nodes
 only, matching how the curve is consumed.
 """
@@ -16,12 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .expr import Const, Expr, Var, tau_derivative
-from .jets import Jet2, entries_array
-
-
-def _as_tau(t):
-    """One tau as a float, several as a float array."""
-    return np.asarray(t, dtype=float) if np.ndim(t) else float(t)
+from .jets import Jet2, entries_array, stacked
 
 
 def _as_tau_expr(obj):
@@ -59,43 +55,33 @@ class Worldline:
         t0, t1 = self.interval
         ok = (t0 <= tau) & (tau <= t1)
         if not np.all(ok):
-            bad = np.asarray(tau)[~np.asarray(ok)].flat[0]
+            bad = tau[~ok][0]
             raise DomainError(
                 f"parameter {bad} outside the interval [{t0}, {t1}]"
             )
 
     def _jets(self, tau):
-        """One-variable jets of the four components in tau (a float, or
-        an array of taus evaluated as one batch)."""
+        """One-variable jets of the four components over the taus."""
         self._check_tau(tau)
-        seeds = Jet2.seed_point((_as_tau(tau),))
+        seeds = Jet2.seed_point((tau,))
         return [c.eval_jet(seeds) for c in self.components]
 
-    @staticmethod
-    def _stack(entries, tau):
-        """Four per-component results as a 4-tuple of floats for one tau,
-        an (N, 4) array for an array of N taus."""
-        if not np.ndim(tau):
-            return tuple(float(e) for e in entries)
-        return entries_array(entries, np.shape(tau))
-
     def eval(self, tau):
-        """(point, velocity) from one jet pass: 4-tuples for one tau,
-        (N, 4) arrays for an array of N taus."""
+        """(point, velocity) as (N, 4) arrays from one jet pass."""
         jlist = self._jets(tau)
-        return (self._stack([j.value for j in jlist], tau),
-                self._stack([j.grad[..., 0] for j in jlist], tau))
+        return (stacked(jlist, tau.shape, 0),
+                stacked(jlist, tau.shape, 1)[..., 0])
 
     def point_at(self, tau):
         self._check_tau(tau)
-        env = (_as_tau(tau),)
-        return self._stack([c.eval_value(env) for c in self.components], tau)
+        return entries_array([c.eval_value((tau,)) for c in self.components],
+                             tau.shape)
 
     def velocity_at(self, tau):
         return self.eval(tau)[1]
 
     def acceleration_at(self, tau):
-        return self._stack([j.hess[..., 0] for j in self._jets(tau)], tau)
+        return stacked(self._jets(tau), tau.shape, 2)[..., 0, 0]
 
     def sample_taus(self, n):
         t0, t1 = self.interval
@@ -148,19 +134,20 @@ class Reparametrization:
         t0, t1 = self.interval_hat
         if not t0 < t1:
             raise DomainError(f"empty parameter interval [{t0}, {t1}]")
-        for th in np.linspace(t0, t1, 33):
-            if self.speed(float(th)) <= 0.0:
-                raise DomainError(
-                    f"reparametrization is not orientation-preserving at "
-                    f"tau_hat = {th}"
-                )
+        ths = np.linspace(t0, t1, 33)
+        bad = self.speed(ths) <= 0.0
+        if np.any(bad):
+            raise DomainError(
+                f"reparametrization is not orientation-preserving at "
+                f"tau_hat = {ths[np.argmax(bad)]}"
+            )
 
     def tau_of(self, tau_hat):
-        return tau_derivative(self.map, _as_tau(tau_hat), 0)
+        return tau_derivative(self.map, tau_hat, 0)
 
     def speed(self, tau_hat):
         """d tau / d tau_hat."""
-        return tau_derivative(self.map, _as_tau(tau_hat), 1)
+        return tau_derivative(self.map, tau_hat, 1)
 
     def speed_deriv(self, tau_hat):
-        return tau_derivative(self.map, _as_tau(tau_hat), 2)
+        return tau_derivative(self.map, tau_hat, 2)

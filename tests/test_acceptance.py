@@ -79,14 +79,14 @@ def test_criterion_1_worked_example():
     start = time.monotonic()
     tr = worked_example_transport()
     worst = 0.0
-    for t in np.linspace(0.25, 9.75, 20):
-        worst = max(worst, abs(tr.P.matrix_at(t)[1, 2] - t))
-        worst = max(worst, abs(tr.gamma3_hat[1, 2, 0](t) - t))
-        worst = max(worst, abs(tr.gamma3_hat[1, 0, 2](t) - t))
-        worst = max(worst, abs(tr.gamma2_hat[1, 2](t) - 1.0))
+    for t in np.linspace(0.25, 9.75, 20)[:, None]:
+        worst = max(worst, abs(tr.P.matrix_at(t)[0, 1, 2] - t[0]))
+        worst = max(worst, abs(tr.gamma3_hat[1, 2, 0](t)[0] - t[0]))
+        worst = max(worst, abs(tr.gamma3_hat[1, 0, 2](t)[0] - t[0]))
+        worst = max(worst, abs(tr.gamma2_hat[1, 2](t)[0] - 1.0))
         # the transformation law stores the growing value at the
         # {1,2,0} index set; the (0,1,2)-slot component stays zero
-        worst = max(worst, abs(tr.gamma3_hat[0, 1, 2](t)))
+        worst = max(worst, abs(tr.gamma3_hat[0, 1, 2](t)[0]))
     elapsed = time.monotonic() - start
     ok = worst <= 1e-9 and elapsed < 1.0
     _report(
@@ -157,14 +157,14 @@ def test_criterion_3_linear_tensoriality():
         pair = random_linear_pair(rng)
         q = random_quadrupole(rng)
         tr = transform_quadrupole(q, pair.forward, C)
-        A = pair.forward.jacobian_at((0.0, 0.0, 0.0, 0.0))
-        for t in np.linspace(0.0, 2.0, 5):
+        A = pair.forward.jacobian_at(np.zeros((1, 4)))[0]
+        for t in np.linspace(0.0, 2.0, 5)[:, None]:
             worst_p = max(worst_p, float(np.max(np.abs(tr.P.matrix_at(t)))))
-        for t in (0.3, 1.1, 1.9):
+        for t in np.array([[0.3], [1.1], [1.9]]):
             expected = np.einsum("da,eb,fc,abc->def", A, A, A,
-                                 q.values_at(t))
+                                 q.values_at(t)[0])
             got = np.array([
-                [[tr.gamma3_hat[dd, ee, ff](t) for ff in range(4)]
+                [[tr.gamma3_hat[dd, ee, ff](t)[0] for ff in range(4)]
                  for ee in range(4)]
                 for dd in range(4)
             ])
@@ -362,7 +362,8 @@ def test_criterion_10_falloffs():
                        [0.0, 0.0, -0.5]]), -3.0),
         (StaticSource(
             "magnetic_quadrupole",
-            make_toroidal_quadrupole((0.0, 0.0, 1.0)).values_at(0.0)[1:, 1:, 1:],
+            make_toroidal_quadrupole((0.0, 0.0, 1.0)).values_at(
+                np.zeros(1))[0, 1:, 1:, 1:],
         ), -3.0),
     ]
     worst = 0.0
@@ -392,7 +393,7 @@ def test_criterion_11_coefficient_dictionary():
     m = Monopole(-0.7)
     z = zeta_from_gamma(m, q, C)
     t0 = C.interval[0]
-    g0 = q.values_at(t0)
+    g0 = q.values_at(np.array([t0]))[0]
     constants = {
         "v00": [g0[mu, 0, 0] for mu in (1, 2, 3)],
         "spatial_time": [
@@ -403,7 +404,7 @@ def test_criterion_11_coefficient_dictionary():
     m2, q2 = gamma_from_zeta(z, constants=constants)
     worst = max(
         float(np.max(np.abs(q.values_at(t) - q2.values_at(t))))
-        for t in np.linspace(0.1, 3.9, 11)
+        for t in np.linspace(0.1, 3.9, 11)[:, None]
     )
     round_trip_ok = worst <= 1e-10 and abs(m2.q - m.q) <= 1e-12
 

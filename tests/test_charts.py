@@ -21,16 +21,16 @@ from polekit.errors import DomainError, RegistryError, SingularJacobianWarning
 
 def test_identity_chart():
     pair = get("identity")
-    x = (0.4, -1.0, 2.0, 0.3)
-    assert np.allclose(pair.forward.jacobian_at(x), np.eye(4))
+    x = np.array([[0.4, -1.0, 2.0, 0.3]])
+    assert np.allclose(pair.forward.jacobian_at(x)[0], np.eye(4))
     assert np.max(np.abs(pair.forward.hessian_at(x))) == 0.0
 
 
 def test_cylindrical_jacobian_at_axis_point():
     # at (t, r, theta, z) = (0, 1, 0, 0): the Jacobian is the identity
     ch = cylindrical_to_cartesian_chart()
-    x = (0.0, 1.0, 0.0, 0.0)
-    A = ch.jacobian_at(x)
+    x = np.array([[0.0, 1.0, 0.0, 0.0]])
+    A = ch.jacobian_at(x)[0]
     assert A[1, 1] == pytest.approx(1.0)   # d x / d r = cos(theta)
     assert A[2, 1] == pytest.approx(0.0)   # d y / d r = sin(theta)
     assert A[1, 2] == pytest.approx(0.0)   # d x / d theta = -r sin(theta)
@@ -40,7 +40,7 @@ def test_cylindrical_jacobian_at_axis_point():
 def test_cylindrical_jacobian_general_angle():
     ch = cylindrical_to_cartesian_chart()
     r, th = 1.7, 0.62
-    A = ch.jacobian_at((0.0, r, th, 0.0))
+    A = ch.jacobian_at(np.array([[0.0, r, th, 0.0]]))[0]
     assert A[1, 1] == pytest.approx(math.cos(th), rel=1e-14)
     assert A[2, 1] == pytest.approx(math.sin(th), rel=1e-14)
     assert A[1, 2] == pytest.approx(-r * math.sin(th), rel=1e-14)
@@ -50,7 +50,7 @@ def test_cylindrical_jacobian_general_angle():
 def test_cylindrical_hessian_entries():
     ch = cylindrical_to_cartesian_chart()
     r, th = 1.0, 0.0
-    H = ch.hessian_at((0.0, r, th, 0.0))
+    H = ch.hessian_at(np.array([[0.0, r, th, 0.0]]))[0]
     assert H[1][1][2] == pytest.approx(-math.sin(th))   # = 0
     assert H[1][2][1] == pytest.approx(-math.sin(th))
     assert H[2][1][2] == pytest.approx(math.cos(th))    # = 1
@@ -65,8 +65,8 @@ def test_linear_chart_constant_jacobian(rng):
     M = np.eye(4) + 0.3 * rng.uniform(-1, 1, (4, 4))
     ch = linear_chart(M)
     for _ in range(5):
-        x = tuple(rng.uniform(-2, 2, 4))
-        assert np.allclose(ch.jacobian_at(x), M, atol=1e-14)
+        x = rng.uniform(-2, 2, (1, 4))
+        assert np.allclose(ch.jacobian_at(x)[0], M, atol=1e-14)
         assert np.max(np.abs(ch.hessian_at(x))) == 0.0
 
 
@@ -77,7 +77,7 @@ def test_quadratic_chart_hessian():
         coeffs[a, 1 + a] = 1.0
     coeffs[1, 5 + 7] = 1.0  # quadratic pair index (2,2) is slot 7
     ch = polynomial_chart(coeffs.reshape(-1))
-    H = ch.hessian_at((0.1, 0.2, 0.3, 0.4))
+    H = ch.hessian_at(np.array([[0.1, 0.2, 0.3, 0.4]]))[0]
     assert H[1][2][2] == pytest.approx(2.0)
     H[1][2][2] = 0.0
     assert np.max(np.abs(H)) == 0.0
@@ -85,13 +85,13 @@ def test_quadratic_chart_hessian():
 
 def test_boost_zero_velocity_is_identity():
     ch = lorentz_boost_chart(0.0)
-    assert np.allclose(ch.jacobian_at((0, 0, 0, 0)), np.eye(4))
+    assert np.allclose(ch.jacobian_at(np.zeros((1, 4)))[0], np.eye(4))
 
 
 def test_boost_matrix():
     v = 0.6
     g = 1 / math.sqrt(1 - v * v)
-    A = lorentz_boost_chart(v).jacobian_at((0.2, 0.1, 0.0, 0.0))
+    A = lorentz_boost_chart(v).jacobian_at(np.array([[0.2, 0.1, 0.0, 0.0]]))[0]
     expected = np.eye(4)
     expected[0, 0] = expected[1, 1] = g
     expected[0, 1] = expected[1, 0] = -g * v
@@ -116,11 +116,11 @@ def test_chain_rule_for_composed_charts(rng):
     outer = linear_chart(M)
     both = compose_charts(outer, inner)
     for _ in range(10):
-        x = (rng.uniform(-1, 1), rng.uniform(0.5, 2), rng.uniform(-1, 1),
-             rng.uniform(-1, 1))
-        A_inner = inner.jacobian_at(x)
-        A_outer = outer.jacobian_at(inner.value_at(x))
-        A_both = both.jacobian_at(x)
+        x = np.array([[rng.uniform(-1, 1), rng.uniform(0.5, 2),
+                       rng.uniform(-1, 1), rng.uniform(-1, 1)]])
+        A_inner = inner.jacobian_at(x)[0]
+        A_outer = outer.jacobian_at(inner.value_at(x))[0]
+        A_both = both.jacobian_at(x)[0]
         resid = np.max(np.abs(A_both - A_outer @ A_inner))
         assert resid <= 1e-10 * max(1.0, np.max(np.abs(A_both)))
 
@@ -138,7 +138,7 @@ def test_pairs_round_trip_and_inverse_jacobians(name, params, rng):
         x = (rng.uniform(-1, 1), rng.uniform(0.4, 2.0),
              rng.uniform(-1.2, 1.2), rng.uniform(-1, 1))
         try:
-            pair.forward.value_at(x)
+            pair.forward.value_at(np.array([x]))
         except DomainError:
             continue
         pts.append(x)
@@ -156,7 +156,7 @@ def test_random_linear_pair_verifies(rng):
 def test_spherical_chart_values():
     ch = spherical_to_cartesian_chart()
     t, r, th, ph = 0.3, 2.0, 1.1, 0.7
-    v = ch.value_at((t, r, th, ph))
+    v = ch.value_at(np.array([[t, r, th, ph]]))[0]
     assert v[1] == pytest.approx(r * math.sin(th) * math.cos(ph))
     assert v[2] == pytest.approx(r * math.sin(th) * math.sin(ph))
     assert v[3] == pytest.approx(r * math.cos(th))
@@ -165,7 +165,15 @@ def test_spherical_chart_values():
 def test_domain_hint_enforced():
     ch = cylindrical_to_cartesian_chart()
     with pytest.raises(DomainError):
-        ch.value_at((0.0, -1.0, 0.0, 0.0))
+        ch.value_at(np.array([[0.0, -1.0, 0.0, 0.0]]))
+
+
+def test_one_point_needs_a_batch_of_one():
+    ch = cylindrical_to_cartesian_chart()
+    with pytest.raises(ValueError, match=r"\(N, 4\) array"):
+        ch.value_at((0.0, 1.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match=r"shape \(1, 3\)"):
+        ch.jacobian_at(np.ones((1, 3)))
 
 
 def test_singular_jacobian_warns():
@@ -174,12 +182,14 @@ def test_singular_jacobian_warns():
     ch = Chart(comps, "pinch")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        ch.jacobian_at((0.0, 0.0, 0.0, 0.0))
+        ch.jacobian_at(np.zeros((1, 4)))
+        ch.jacobian_at(np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]))
+    assert len(caught) == 2
     assert any(issubclass(w.category, SingularJacobianWarning) for w in caught)
 
 
 def test_hessian_symmetric_by_storage(rng):
     ch = cylindrical_to_cartesian_chart()
-    x = (0.0, 1.3, 0.4, -0.2)
-    H = ch.hessian_at(x)
+    x = np.array([[0.0, 1.3, 0.4, -0.2]])
+    H = ch.hessian_at(x)[0]
     assert np.array_equal(H, H.transpose(0, 2, 1))

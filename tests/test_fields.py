@@ -11,19 +11,20 @@ from polekit.moments import make_toroidal_quadrupole
 
 def test_monopole_value():
     s = StaticSource("monopole", 4 * math.pi)  # q = 4 pi eps0 with eps0 = 1
-    phi, A = s.potential_at((2.0, 0.0, 0.0))
-    assert phi == pytest.approx(0.5, rel=1e-14)
-    assert np.max(np.abs(A)) == 0.0
+    phi, A = s.potential_at(np.array([[2.0, 0.0, 0.0]]))
+    assert phi[0] == pytest.approx(0.5, rel=1e-14)
+    assert np.max(np.abs(A[0])) == 0.0
 
 
 def test_electric_dipole_plane_and_pattern():
     s = StaticSource("electric_dipole", (0.0, 0.0, 1.0))
     # vanishes on the z = 0 plane by symmetry
-    assert s.potential_at((1.3, -0.4, 0.0))[0] == pytest.approx(0.0, abs=1e-15)
+    assert s.potential_at(np.array([[1.3, -0.4, 0.0]]))[0][0] == \
+        pytest.approx(0.0, abs=1e-15)
     # z / r^3 pattern (with the sign of the defining derivative)
     z, r = 2.0, 2.0
-    phi, _ = s.potential_at((0.0, 0.0, z))
-    assert phi == pytest.approx(-z / (4 * math.pi * r ** 3), rel=1e-12)
+    phi, _ = s.potential_at(np.array([[0.0, 0.0, z]]))
+    assert phi[0] == pytest.approx(-z / (4 * math.pi * r ** 3), rel=1e-12)
 
 
 def test_electric_quadrupole_closed_form(rng):
@@ -34,15 +35,15 @@ def test_electric_quadrupole_closed_form(rng):
         r = np.linalg.norm(x)
         if r < 0.5:
             continue
-        phi, _ = s.potential_at(x)
+        phi, _ = s.potential_at(x[None])
         expected = (3 * x[2] ** 2 - r ** 2) / (4 * math.pi * r ** 5)
-        assert phi == pytest.approx(expected, rel=1e-11)
+        assert phi[0] == pytest.approx(expected, rel=1e-11)
 
 
 def test_evaluation_at_origin_rejected():
     s = StaticSource("monopole", 1.0)
     with pytest.raises(DomainError):
-        s.potential_at((0.0, 0.0, 0.0))
+        s.potential_at(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
 
 
 def test_invalid_moments_rejected():
@@ -69,7 +70,7 @@ def test_falloff_exponents(kind, moments, expected):
 
 def test_magnetic_quadrupole_falloff():
     tor = make_toroidal_quadrupole((0.0, 0.0, 1.0))
-    spatial = tor.values_at(0.0)[1:, 1:, 1:]
+    spatial = tor.values_at(np.zeros(1))[0, 1:, 1:, 1:]
     s = StaticSource("magnetic_quadrupole", spatial)
     e = falloff_exponent(s, (0.3, 0.5, 1.0))
     assert e == pytest.approx(-3.0, abs=0.01)
@@ -114,22 +115,19 @@ def test_jet_path_matches_closed_forms(rng):
                      [[0.4, 0.0, 0.2], [0.0, -0.4, 0.0], [0.2, 0.0, 0.0]]),
     ):
         phi_expr, _ = s.potential_exprs()
-        for _ in range(10):
-            x = rng.uniform(-2, 2, 3)
-            if np.linalg.norm(x) < 0.5:
-                continue
-            assert s.potential_at(x)[0] == pytest.approx(
-                phi_expr.eval_value((0.0, *x)), rel=1e-11
-            )
+        x = rng.uniform(-2, 2, (10, 3))
+        x = x[np.linalg.norm(x, axis=1) >= 0.5]
+        assert s.potential_at(x)[0] == pytest.approx(
+            phi_expr.eval_value((0.0, *x.T)), rel=1e-11
+        )
     s = StaticSource("magnetic_dipole", (0.1, -0.8, 0.4))
     _, A_exprs = s.potential_exprs()
-    for _ in range(5):
-        x = rng.uniform(-2, 2, 3)
-        if np.linalg.norm(x) < 0.5:
-            continue
-        A = s.potential_at(x)[1]
-        closed = [c.eval_value((0.0, *x)) for c in A_exprs]
-        assert np.allclose(A, closed, rtol=1e-11, atol=1e-13)
+    x = rng.uniform(-2, 2, (5, 3))
+    x = x[np.linalg.norm(x, axis=1) >= 0.5]
+    A = s.potential_at(x)[1]
+    closed = np.stack([c.eval_value((0.0, *x.T)) for c in A_exprs], axis=1)
+    assert A.shape == closed.shape == (len(x), 3)
+    assert np.allclose(A, closed, rtol=1e-11, atol=1e-13)
 
 
 def test_transported_dipole_part_falls_like_inverse_square(rng):

@@ -46,7 +46,7 @@ def test_peak_value_is_fourth_power_of_bump():
         (ex.const(1.0), ex.const(0.0), ex.const(0.0), ex.const(0.0)),
         center=(1.0, 2.0, 3.0, 4.0), half_widths=(0.5, 0.5, 0.5, 0.5),
     )
-    vals = form.values_at((1.0, 2.0, 3.0, 4.0))
+    vals = form.values_at(np.array([[1.0, 2.0, 3.0, 4.0]]))[0]
     assert vals[0] == pytest.approx(math.exp(-4.0), rel=1e-14)
     assert vals[1] == vals[2] == vals[3] == 0.0
 
@@ -56,13 +56,13 @@ def test_exactly_zero_outside_box():
         (ex.parse("x1 + 1"), ex.const(2.0), ex.const(0.0), ex.const(0.0)),
         center=(0.0, 0.0, 0.0, 0.0), half_widths=(1.0, 1.0, 1.0, 1.0),
     )
-    x = (0.0, 1.5, 0.0, 0.0)
-    assert form.values_at(x) == (0.0, 0.0, 0.0, 0.0)
+    x = np.array([[0.0, 1.5, 0.0, 0.0]])
+    assert tuple(form.values_at(x)[0]) == (0.0, 0.0, 0.0, 0.0)
     jets = form.jets_at(x)
     for j in jets:
-        assert j.value == 0.0
-        assert all(g == 0.0 for g in j.grad)
-        assert all(h == 0.0 for h in j.hess)
+        assert j.value[0] == 0.0
+        assert all(g == 0.0 for g in j.grad[0])
+        assert all(h == 0.0 for h in j.hess[0])
 
 
 def test_zero_width_rejected():
@@ -79,15 +79,15 @@ def test_form_jets_match_finite_differences(rng):
             form.box.center[i] + 0.85 * form.box.half[i] * rng.uniform(-1, 1)
             for i in range(4)
         )
-        jets = form.jets_at(x)
+        jets = form.jets_at(np.array([x]))
         for a in range(4):
             def f(p, _a=a):
-                return form.values_at(tuple(p))[_a]
+                return form.values_at(np.array([p]))[0][_a]
 
             g = fd_gradient_plain(f, x, h=1e-5)
             for i in range(4):
-                assert abs(jets[a].grad[i] - g[i]) <= 1e-6 * max(
-                    1.0, abs(jets[a].grad[i])
+                assert abs(jets[a].grad[0][i] - g[i]) <= 1e-6 * max(
+                    1.0, abs(jets[a].grad[0][i])
                 )
         checked += 4
 
@@ -200,10 +200,10 @@ def test_pullback_identity(rng, adapted_worldline):
     form = random_test_form_along(rng, adapted_worldline)
     pulled = pull_back_test_form(form, pair)
     for _ in range(10):
-        x = tuple(
+        x = np.array([[
             form.box.center[i] + form.box.half[i] * rng.uniform(-0.9, 0.9)
             for i in range(4)
-        )
+        ]])
         assert np.allclose(pulled.values_at(x), form.values_at(x),
                            atol=1e-14)
 
@@ -212,16 +212,16 @@ def test_pullback_linear_mixes_with_transpose(rng):
     from polekit.sampling import random_linear_pair
 
     pair = random_linear_pair(rng)
-    M = pair.forward.jacobian_at((0.0, 0.0, 0.0, 0.0))
-    center_hat = pair.forward.value_at((0.0, 0.0, 0.0, 0.0))
+    M = pair.forward.jacobian_at(np.zeros((1, 4)))[0]
+    center_hat = pair.forward.value_at(np.zeros((1, 4)))[0]
     form = random_test_form(rng, center_hat, (1.0, 1.0, 1.0, 1.0))
     pulled = pull_back_test_form(form, pair)
     for _ in range(10):
-        x = tuple(rng.uniform(-0.2, 0.2, 4))
+        x = rng.uniform(-0.2, 0.2, (1, 4))
         y = pair.forward.value_at(x)
-        hatted = np.array(form.values_at(y))
+        hatted = np.array(form.values_at(y)[0])
         expected = M.T @ hatted
-        assert np.allclose(pulled.values_at(x), expected, atol=1e-12)
+        assert np.allclose(pulled.values_at(x)[0], expected, atol=1e-12)
 
 
 def test_pullback_support_escape_raises():

@@ -16,9 +16,9 @@ def test_polynomial_exact():
 
 
 def test_oscillatory_against_scipy():
-    f = lambda t: math.sin(7 * t) * math.exp(-0.3 * t)
-    res = integrate(f, 0.0, 5.0)
-    ref, _ = quad(f, 0.0, 5.0, epsabs=1e-13, epsrel=1e-13)
+    res = integrate(lambda t: np.sin(7 * t) * np.exp(-0.3 * t), 0.0, 5.0)
+    ref, _ = quad(lambda t: math.sin(7 * t) * math.exp(-0.3 * t), 0.0, 5.0,
+                  epsabs=1e-13, epsrel=1e-13)
     assert res.value == pytest.approx(ref, abs=1e-10)
 
 
@@ -27,9 +27,13 @@ def test_bump_window_against_scipy():
         w = 1 - u * u
         return math.exp(-1 / w) if w > 0 else 0.0
 
-    f = lambda t: bump((t - 2.0) / 0.7)
-    res = integrate(f, 0.0, 4.0)
-    ref, _ = quad(f, 2.0 - 0.7, 2.0 + 0.7, epsabs=1e-13, epsrel=1e-13)
+    def bumps(u):
+        w = 1 - u * u
+        return np.where(w > 0, np.exp(-1 / np.where(w > 0, w, 1.0)), 0.0)
+
+    res = integrate(lambda t: bumps((t - 2.0) / 0.7), 0.0, 4.0)
+    ref, _ = quad(lambda t: bump((t - 2.0) / 0.7), 2.0 - 0.7, 2.0 + 0.7,
+                  epsabs=1e-13, epsrel=1e-13)
     assert res.value == pytest.approx(ref, abs=1e-10)
 
 
@@ -40,37 +44,38 @@ def test_empty_interval():
 
 def test_cumulative_matches_antiderivative():
     cum = CumulativeIntegral(
-        lambda t: np.array([math.cos(t), 2 * t]), 0.0, 3.0, 2
+        lambda t: np.stack([np.cos(t), 2 * t], axis=1), 0.0, 3.0, 2
     )
     for t in np.linspace(0.0, 3.0, 17):
-        v = cum.value(float(t))
+        v = cum.value(np.array([t]))[0]
         assert v[0] == pytest.approx(math.sin(t), abs=1e-12)
         assert v[1] == pytest.approx(t * t, abs=1e-12)
     # derivative is the integrand itself, not a difference quotient
-    assert cum.derivative(1.3)[0] == math.cos(1.3)
+    assert cum.derivative(np.array([1.3]))[0][0] == math.cos(1.3)
 
 
 def test_cumulative_interior_consistency():
     # value at arbitrary interior points must agree with independent
     # quadrature of the same integrand
     f = lambda t: math.exp(-0.5 * t) * math.sin(3 * t)
-    cum = CumulativeIntegral(lambda t: np.array([f(t)]), 0.0, 2.0, 1)
+    cum = CumulativeIntegral(
+        lambda t: (np.exp(-0.5 * t) * np.sin(3 * t))[:, None], 0.0, 2.0, 1)
     for t in (0.137, 0.51, 1.03, 1.99):
         ref, _ = quad(f, 0.0, t, epsabs=1e-13, epsrel=1e-13)
-        assert cum.value(t)[0] == pytest.approx(ref, abs=1e-11)
+        assert cum.value(np.array([t]))[0][0] == pytest.approx(ref, abs=1e-11)
 
 
 def test_cumulative_clamps_outside():
-    cum = CumulativeIntegral(lambda t: np.array([1.0]), 0.0, 1.0, 1)
-    assert cum.value(-5.0)[0] == 0.0
-    assert cum.value(7.0)[0] == pytest.approx(1.0, abs=1e-13)
+    cum = CumulativeIntegral(lambda t: np.ones((len(t), 1)), 0.0, 1.0, 1)
+    assert cum.value(np.array([-5.0]))[0][0] == 0.0
+    assert cum.value(np.array([7.0]))[0][0] == pytest.approx(1.0, abs=1e-13)
 
 
 def test_nonconvergent_integrand_raises():
     # a discontinuity that adaptive splitting cannot smooth out at the
     # requested tolerance within the panel budget
     def nasty(t):
-        return 1.0 if math.sin(1 / (abs(t) + 1e-9)) > 0 else -1.0
+        return np.where(np.sin(1 / (np.abs(t) + 1e-9)) > 0, 1.0, -1.0)
 
     with pytest.raises(QuadratureError) as err:
         integrate(nasty, -1.0, 1.0, tol_abs=1e-14, tol_rel=1e-14)
@@ -109,3 +114,36 @@ def test_floor_panels_counted():
     assert integrate(np.sin, 0.0, 1.0).floor_panels == 0
     assert CumulativeIntegral(lambda t: np.sin(t)[:, None], 0.0, 1.0,
                               1).floor_panels == 0
+
+
+def _three_columns(t):
+    return np.stack([np.sin(t), np.cos(3 * t), np.exp(-t)], axis=1)
+
+
+def test_cumulative_independent_of_integrand_memory_layout():
+    """The same values returned in Fortran order give the same running
+    integrals bit for bit."""
+    ts = np.linspace(0.0, 4.0, 50)
+    c_order = CumulativeIntegral(_three_columns, 0.0, 4.0, 3)
+    f_order = CumulativeIntegral(
+        lambda t: np.asfortranarray(_three_columns(t)), 0.0, 4.0, 3)
+    assert np.array_equal(c_order.value(ts), f_order.value(ts))
+    assert np.array_equal(c_order.derivative(ts), f_order.derivative(ts))
+
+
+def test_integrand_of_wrong_shape_raises():
+    with pytest.raises(ValueError, match=r"shape \(\) .*expected \(48,\)"):
+        integrate(lambda t: 1.0, 0.0, 1.0, min_panels=1)
+    with pytest.raises(ValueError,
+                       match=r"shape \(48, 2\) .*expected \(48, 3\)"):
+        CumulativeIntegral(lambda t: np.ones((len(t), 2)), 0.0, 1.0, 3,
+                           min_panels=1)
+
+
+def test_error_inside_batch_integrand_propagates():
+    """An integrand that fails on a batch of taus is not retried node by
+    node: its error reaches the caller."""
+    with pytest.raises(TypeError):
+        integrate(math.sin, 0.0, 1.0)
+    with pytest.raises(TypeError):
+        CumulativeIntegral(lambda t: np.array([math.cos(t)]), 0.0, 1.0, 1)

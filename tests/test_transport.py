@@ -55,7 +55,7 @@ def test_dipole_identity_chart(rng):
     d = random_dipole(rng)
     C = Worldline.static_at((0.5, 0.2, 0.0), (0.0, 3.0))
     dhat = transform_dipole(d, get("identity").forward, C)
-    for t in np.linspace(0.1, 2.9, 7):
+    for t in np.linspace(0.1, 2.9, 7)[:, None]:
         assert np.allclose(dhat.values_at(t), d.values_at(t), atol=1e-13)
 
 
@@ -68,7 +68,7 @@ def test_dipole_rotation_moves_index():
     d = make_static_dipole((1.0, 0.0, 0.0), (0.0, 0.0, 0.0))
     C = Worldline.static_at((0.0, 0.0, 0.0), (0.0, 1.0))
     dhat = transform_dipole(d, linear_chart(R), C)
-    g = dhat.values_at(0.5)
+    g = dhat.values_at(np.array([0.5]))[0]
     assert g[0, 2] == pytest.approx(1.0, abs=1e-14)
     assert g[2, 0] == pytest.approx(-1.0, abs=1e-14)
     assert abs(g[0, 1]) < 1e-14
@@ -81,12 +81,12 @@ def test_boosted_electric_dipole_gains_magnetic_part():
     d = make_static_dipole((0.0, p, 0.0), (0.0, 0.0, 0.0))
     C = Worldline.static_at((0.0, 0.0, 0.0), (0.0, 1.0))
     dhat = transform_dipole(d, lorentz_boost_chart(v), C)
-    got = dhat.values_at(0.3)
+    got = dhat.values_at(np.array([0.3]))[0]
     # hand-applied boost: gamma_hat = L gamma L^T
     L = np.eye(4)
     L[0, 0] = L[1, 1] = g
     L[0, 1] = L[1, 0] = -g * v
-    expected = L @ d.values_at(0.3) @ L.T
+    expected = L @ d.values_at(np.array([0.3]))[0] @ L.T
     assert np.allclose(got, expected, atol=1e-13)
     assert abs(got[1, 2]) > 0.1  # magnetic entry appeared
 
@@ -108,7 +108,7 @@ def test_worked_example_integrand_is_kappa():
     quad, C, chart = worked_example(kappa)
     tr = transform_quadrupole(quad, chart, C)
     for t in np.linspace(0.0, 10.0, 21):
-        M = tr.P.deriv_matrix_at(float(t))
+        M = tr.P.deriv_matrix_at(np.array([t]))[0]
         assert M[1, 2] == pytest.approx(kappa, abs=1e-13)
         assert M[2, 1] == pytest.approx(-kappa, abs=1e-13)
         M[1, 2] = M[2, 1] = 0.0
@@ -127,7 +127,7 @@ def test_worked_example_integrand_position_independent():
     for r0, th0 in ((1.0, 0.0), (2.5, 0.9), (0.7, -1.2)):
         C = Worldline.static_at((r0, th0, 0.3), (0.0, 2.0))
         tr = transform_quadrupole(quad, chart, C)
-        assert tr.P.deriv_matrix_at(1.0)[1, 2] == pytest.approx(
+        assert tr.P.deriv_matrix_at(np.ones(1))[0, 1, 2] == pytest.approx(
             kappa, abs=1e-12
         )
 
@@ -138,13 +138,14 @@ def test_worked_example_components_and_dipole_part():
     tr = transform_quadrupole(quad, chart, C, split_dipole=True)
     for t in np.linspace(0.5, 9.5, 20):
         val = kappa * t + kappa0
-        assert tr.P.matrix_at(t)[1, 2] == pytest.approx(val, abs=1e-9)
-        assert tr.gamma3_hat[1, 2, 0](t) == pytest.approx(val, abs=1e-9)
-        assert tr.gamma3_hat[1, 0, 2](t) == pytest.approx(val, abs=1e-9)
-        assert tr.gamma3_hat[2, 1, 0](t) == pytest.approx(-val, abs=1e-9)
+        t = np.array([t])
+        assert tr.P.matrix_at(t)[0, 1, 2] == pytest.approx(val, abs=1e-9)
+        assert tr.gamma3_hat[1, 2, 0](t)[0] == pytest.approx(val, abs=1e-9)
+        assert tr.gamma3_hat[1, 0, 2](t)[0] == pytest.approx(val, abs=1e-9)
+        assert tr.gamma3_hat[2, 1, 0](t)[0] == pytest.approx(-val, abs=1e-9)
         # the transformation law leaves the (0,1,2)-slot component zero
-        assert tr.gamma3_hat[0, 1, 2](t) == pytest.approx(0.0, abs=1e-12)
-        assert tr.gamma2_hat[1, 2](t) == pytest.approx(kappa, abs=1e-9)
+        assert tr.gamma3_hat[0, 1, 2](t)[0] == pytest.approx(0.0, abs=1e-12)
+        assert tr.gamma2_hat[1, 2](t)[0] == pytest.approx(kappa, abs=1e-9)
 
 
 def test_worked_example_kappa0_offset():
@@ -155,10 +156,11 @@ def test_worked_example_kappa0_offset():
     quad, C, chart = worked_example(kappa)
     tr = transform_quadrupole(quad, chart, C, kappa0=kappa0)
     t = 4.0
-    assert tr.P.matrix_at(t)[1, 2] == pytest.approx(kappa * t + 0.7, abs=1e-9)
+    assert tr.P.matrix_at(np.array([t]))[0, 1, 2] == pytest.approx(
+        kappa * t + 0.7, abs=1e-9)
     # the dipole part is unchanged by the constant
     d = dipole_part(tr)
-    assert d[1, 2](t) == pytest.approx(kappa, abs=1e-9)
+    assert d[1, 2](np.array([t]))[0] == pytest.approx(kappa, abs=1e-9)
 
 
 def test_kappa0_must_be_antisymmetric():
@@ -178,15 +180,15 @@ def test_linear_chart_kills_integral_term(rng):
         q = random_quadrupole(rng)
         C = Worldline.static_at((0.3, -0.2, 0.5), (0.0, 2.0))
         tr = transform_quadrupole(q, pair.forward, C)
-        for t in (0.0, 0.7, 1.4, 2.0):
+        for t in np.array([[0.0], [0.7], [1.4], [2.0]]):
             assert np.max(np.abs(tr.P.matrix_at(t))) <= 1e-12
         # independent contraction oracle
-        A = pair.forward.jacobian_at((0.0, 0.0, 0.0, 0.0))
-        for t in (0.3, 1.1, 1.9):
+        A = pair.forward.jacobian_at(np.zeros((1, 4)))[0]
+        for t in np.array([[0.3], [1.1], [1.9]]):
             expected = np.einsum("da,eb,fc,abc->def", A, A, A,
-                                 q.values_at(t))
+                                 q.values_at(t)[0])
             got = np.array([
-                [[tr.gamma3_hat[d, e, f](t) for f in range(4)]
+                [[tr.gamma3_hat[d, e, f](t)[0] for f in range(4)]
                  for e in range(4)]
                 for d in range(4)
             ])
@@ -199,7 +201,7 @@ def test_linear_chart_dipole_part_vanishes(rng):
     q = random_quadrupole(rng)
     C = Worldline.static_at((0.0, 0.0, 0.0), (0.0, 2.0))
     tr = transform_quadrupole(q, pair.forward, C, split_dipole=True)
-    for t in (0.2, 1.0, 1.8):
+    for t in np.array([[0.2], [1.0], [1.8]]):
         assert np.max(np.abs(tr.gamma2_hat.values_at(t))) <= 1e-12
 
 
@@ -225,7 +227,7 @@ def test_integrand_antisymmetry(rng, wobble_worldline):
     tr = transform_quadrupole(q, cylindrical_to_cartesian_chart(),
                               wobble_worldline)
     for t in np.linspace(0.0, 6.0, 13):
-        M = tr.P.deriv_matrix_at(float(t))
+        M = tr.P.deriv_matrix_at(np.array([t]))[0]
         assert np.max(np.abs(M + M.T)) <= 1e-12
 
 

@@ -20,9 +20,9 @@ from polekit.worldlines import Reparametrization, Worldline
 
 def test_static_worldline_eval():
     C = Worldline.static_at((0.0, 0.0, 0.0), (0.0, 10.0))
-    point, vel = C.eval(5.0)
-    assert point == (5.0, 0.0, 0.0, 0.0)
-    assert vel == (1.0, 0.0, 0.0, 0.0)
+    point, vel = C.eval(np.array([5.0]))
+    assert tuple(point[0]) == (5.0, 0.0, 0.0, 0.0)
+    assert tuple(vel[0]) == (1.0, 0.0, 0.0, 0.0)
 
 
 def test_helix_eval():
@@ -31,9 +31,9 @@ def test_helix_eval():
          ex.Const(0.0)),
         (-2.0, 2.0),
     )
-    point, vel = C.eval(0.0)
-    assert point == pytest.approx((0.0, 1.0, 0.0, 0.0))
-    assert vel == pytest.approx((1.0, 0.0, 1.0, 0.0))
+    point, vel = C.eval(np.zeros(1))
+    assert point[0] == pytest.approx((0.0, 1.0, 0.0, 0.0))
+    assert vel[0] == pytest.approx((1.0, 0.0, 1.0, 0.0))
 
 
 def test_linear_motion_eval():
@@ -42,26 +42,26 @@ def test_linear_motion_eval():
          ex.Const(0.0)),
         (0.0, 5.0),
     )
-    point, vel = C.eval(2.0)
-    assert point == pytest.approx((2.0, 1.0, 0.0, 0.0))
-    assert vel == pytest.approx((1.0, 0.5, 0.0, 0.0))
+    point, vel = C.eval(np.array([2.0]))
+    assert point[0] == pytest.approx((2.0, 1.0, 0.0, 0.0))
+    assert vel[0] == pytest.approx((1.0, 0.5, 0.0, 0.0))
 
 
 def test_outside_interval_raises():
     C = Worldline.static_at((0.0, 0.0, 0.0), (0.0, 1.0))
     with pytest.raises(DomainError):
-        C.eval(2.0)
+        C.eval(np.array([0.5, 2.0]))
 
 
 def test_push_through_cylindrical_axis_point():
     ch = get("cylindrical_to_cartesian").forward
     C = Worldline.static_at((1.0, 0.0, 0.0), (0.0, 4.0))
     image = C.push_through_chart(ch)
-    p, v = image.eval(2.0)
-    assert p == pytest.approx((2.0, 1.0, 0.0, 0.0))
+    p, v = image.eval(np.array([2.0]))
+    assert p[0] == pytest.approx((2.0, 1.0, 0.0, 0.0))
     C2 = Worldline.static_at((1.0, math.pi / 2, 0.0), (0.0, 4.0))
-    p2, _ = C2.push_through_chart(ch).eval(2.0)
-    assert p2 == pytest.approx((2.0, 0.0, 1.0, 0.0), abs=1e-15)
+    p2, _ = C2.push_through_chart(ch).eval(np.array([2.0]))
+    assert p2[0] == pytest.approx((2.0, 0.0, 1.0, 0.0), abs=1e-15)
 
 
 def test_push_through_boost_matches_matrix():
@@ -71,23 +71,23 @@ def test_push_through_boost_matches_matrix():
     C = Worldline.static_at((0.7, 0.0, 0.0), (0.0, 3.0))
     image = C.push_through_chart(ch)
     tau = 1.3
-    p, vel = image.eval(tau)
+    p, vel = image.eval(np.array([tau]))
     # matrix applied by hand to (tau, 0.7, 0, 0)
-    assert p[0] == pytest.approx(g * tau - g * v * 0.7, rel=1e-14)
-    assert p[1] == pytest.approx(g * 0.7 - g * v * tau, rel=1e-14)
-    assert vel == pytest.approx((g, -g * v, 0.0, 0.0), rel=1e-14)
+    assert p[0, 0] == pytest.approx(g * tau - g * v * 0.7, rel=1e-14)
+    assert p[0, 1] == pytest.approx(g * 0.7 - g * v * tau, rel=1e-14)
+    assert vel[0] == pytest.approx((g, -g * v, 0.0, 0.0), rel=1e-14)
 
 
 def test_pushed_velocity_is_jacobian_times_velocity(wobble_worldline):
     ch = get("cylindrical_to_cartesian").forward
     C = wobble_worldline
     image = C.push_through_chart(ch)
-    for tau in np.linspace(0.1, 5.9, 9):
-        p, v = C.eval(float(tau))
-        A = ch.jacobian_at(p)
-        ph, vh = image.eval(float(tau))
+    for tau in np.linspace(0.1, 5.9, 9)[:, None]:
+        p, v = C.eval(tau)
+        A = ch.jacobian_at(p)[0]
+        ph, vh = image.eval(tau)
         assert np.allclose(ph, ch.value_at(p), atol=1e-12)
-        assert np.allclose(vh, A @ np.array(v), atol=1e-12)
+        assert np.allclose(vh[0], A @ np.array(v[0]), atol=1e-12)
 
 
 def test_regularity_check():
@@ -140,9 +140,10 @@ def test_velocity_taufn_derivative():
         (ex.Var(0), ex.Fun("sin", ex.Var(0)), ex.Const(0.0), ex.Const(0.0)),
         (0.0, 3.0),
     )
-    assert C.eval(1.0)[1][1] == pytest.approx(math.cos(1.0), rel=1e-14)
-    assert C.acceleration_at(1.0)[1] == pytest.approx(-math.sin(1.0),
-                                                      rel=1e-13)
+    assert C.eval(np.ones(1))[1][0, 1] == pytest.approx(math.cos(1.0),
+                                                        rel=1e-14)
+    assert C.acceleration_at(np.ones(1))[0, 1] == pytest.approx(
+        -math.sin(1.0), rel=1e-13)
 
 
 # -- one-variable seeding --------------------------------------------------
@@ -170,7 +171,7 @@ def test_one_variable_tau_derivatives_equal_four_variable_seeding(rng):
             for t in (float(taus[0]), float(taus[17])):
                 single = _four_variable(e, t)
                 for k in range(3):
-                    assert tau_derivative(e, t, k) == single[k]
+                    assert tau_derivative(e, np.array([t]), k)[0] == single[k]
 
 
 def test_one_variable_worldline_equals_four_variable_seeding(
@@ -185,5 +186,8 @@ def test_one_variable_worldline_equals_four_variable_seeding(
             assert np.array_equal(new, np.broadcast_to(ref, taus.shape))
     t = float(taus[9])
     old = [_four_variable(c, t) for c in C.components]
-    assert C.eval(t) == (tuple(o[0] for o in old), tuple(o[1] for o in old))
-    assert C.acceleration_at(t) == tuple(o[2] for o in old)
+    point, vel = C.eval(np.array([t]))
+    assert (tuple(point[0]), tuple(vel[0])) == (tuple(o[0] for o in old),
+                                                tuple(o[1] for o in old))
+    assert tuple(C.acceleration_at(np.array([t]))[0]) == tuple(
+        o[2] for o in old)
