@@ -268,7 +268,7 @@ def make_charge_probe(worldline, window=None, lam0=0.0, lam1=1.0,
     center = spatial.mean(axis=0)
     spread = np.max(np.abs(spatial - center), axis=0)
     if tube_halfwidths is None:
-        tube_halfwidths = tuple(2.0 * s + 0.5 for s in spread)
+        tube_halfwidths = tuple(float(2.0 * s + 0.5) for s in spread)
     else:
         tube_halfwidths = tuple(float(w) for w in tube_halfwidths)
         for s, w in zip(spread, tube_halfwidths):

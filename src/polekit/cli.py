@@ -20,7 +20,7 @@ import numpy as np
 from . import classify as cls
 from . import transport as tp
 from .errors import PolekitError, SceneError
-from .fields import StaticSource, falloff_exponent, potential_magnitude
+from .fields import StaticSource, loglog_slope, ray_magnitudes
 from .moments import sample_taus
 from .pairing import SourceBundle, pair_bundle, pull_back_test_form
 from .scene import parse_scene
@@ -261,20 +261,17 @@ def _run_potentials(scene, job, out_dir):
     data = {"kind": spec["kind"], "exponents": []}
     files = []
     for i, direction in enumerate(directions):
-        exponent = falloff_exponent(source, direction, r_lo, r_hi, n)
+        rs, values = ray_magnitudes(source, direction, r_lo, r_hi, n)
+        exponent = loglog_slope(rs, values)
         data["exponents"].append(exponent)
         lines.append(
             f"  direction {tuple(direction)}: falloff exponent "
             f"{exponent:+.4f}"
         )
-        rs = np.geomspace(r_lo, r_hi, n)
-        d = np.asarray(direction, dtype=float)
-        d = d / np.linalg.norm(d)
         csv_name = f"{job['name']}_ray{i}.csv"
         csv_path = Path(out_dir) / csv_name
         with open(csv_path, "w", newline="\n") as fh:
             fh.write("r,value\n")
-            values = potential_magnitude(source, rs[:, None] * d)
             for r, value in zip(rs, values):
                 fh.write(f"{float(r)!r},{float(value)!r}\n")
         files.append(csv_name)

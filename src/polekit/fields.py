@@ -184,8 +184,9 @@ def potential_magnitude(source, x3):
     return np.hypot(np.abs(phi), np.linalg.norm(A, axis=-1))
 
 
-def falloff_exponent(source, direction, r_lo=10.0, r_hi=1000.0, n=50):
-    """Least-squares slope of log |potential| against log r along a ray.
+def ray_magnitudes(source, direction, r_lo=10.0, r_hi=1000.0, n=50):
+    """Radii ``rs`` geometrically spaced on [r_lo, r_hi] and the
+    potential magnitudes ``mags`` at ``rs`` along a ray.
 
     Raises :class:`DomainError` when the potential vanishes along the
     ray (pick another direction).
@@ -202,5 +203,18 @@ def falloff_exponent(source, direction, r_lo=10.0, r_hi=1000.0, n=50):
             f"potential vanishes along direction {tuple(direction)!r}; "
             "pick another direction"
         )
-    slope = np.polyfit(np.log(rs), np.log(mags), 1)[0]
-    return float(slope)
+    return rs, mags
+
+
+def loglog_slope(rs, mags):
+    """Least-squares slope of log mags against log rs."""
+    return float(np.polyfit(np.log(rs), np.log(mags), 1)[0])
+
+
+def falloff_exponent(source, direction, r_lo=10.0, r_hi=1000.0, n=50):
+    """Least-squares slope of log |potential| against log r along a ray.
+
+    Raises :class:`DomainError` when the potential vanishes along the
+    ray (pick another direction).
+    """
+    return loglog_slope(*ray_magnitudes(source, direction, r_lo, r_hi, n))

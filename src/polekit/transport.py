@@ -16,6 +16,11 @@ with vhat the hatted-coordinate velocity of the worldline (d/dtau of
 the image curve).  The integration constant kappa0 shifts component
 arrays but never any pairing; the lower limit is anchored at the
 interval start so runs are reproducible.
+
+The tensorial image A^d_a A^e_b A^f_c gamma[abc] is evaluated as three
+two-operand contractions in a fixed order: over c with A^f_c first,
+then over b with A^e_b, then over a with A^d_a.  Its tau derivative
+applies the product rule at each of the three stages.
 """
 
 from __future__ import annotations
@@ -96,6 +101,32 @@ def _frames(chart, worldline, taus):
             f"at tau = {taus[np.argmax(singular)]}"
         )
     return vel, A, H
+
+
+def _tensorial(A, g, dA=None, dg=None):
+    """The tensorial image A^d_a A^e_b A^f_c g[abc] of N component
+    arrays, or, given the tau derivatives dA and dg, the derivative of
+    that image.  The derivative applies the product rule at each of the
+    three contractions, so its four terms share the partial products."""
+    n = len(g)
+
+    def over_c(M, h):  # h[abc] M^f_c -> [n, a, b, f]
+        return (h.reshape(n, 16, 4)
+                @ np.swapaxes(M, -1, -2)).reshape(n, 4, 4, 4)
+
+    def over_b(M, t):  # M^e_b t[abf] -> [n, a, e, f]
+        return M[:, None] @ t
+
+    def over_a(M, t):  # M^d_a t[aef] -> [n, d, e, f]
+        return (M @ t.reshape(n, 4, 16)).reshape(n, 4, 4, 4)
+
+    c = over_c(A, g)
+    b = over_b(A, c)
+    if dA is None:
+        return over_a(A, b)
+    dc = over_c(dA, g) + over_c(A, dg)
+    db = over_b(dA, c) + over_b(A, dc)
+    return over_a(dA, b) + over_a(A, db)
 
 
 def _rep_factors(rep):
@@ -181,29 +212,20 @@ def transform_quadrupole(gamma3, chart, worldline, rep=None, kappa0=None,
 
     def F(taus):
         vel, A, _ = _frames(chart, worldline, taus)
-        tens = np.einsum("nda,neb,nfc,nabc->ndef", A, A, A,
-                         gamma3.values_at(taus))
         Pm = P.matrix_at(taus)
         vhat = np.einsum("nab,nb->na", A, vel)
         return (
-            tens
-            + np.einsum("nde,nf->ndef", Pm, vhat)
-            + np.einsum("ndf,ne->ndef", Pm, vhat)
+            _tensorial(A, gamma3.values_at(taus))
+            + Pm[:, :, :, None] * vhat[:, None, None, :]
+            + Pm[:, :, None, :] * vhat[:, None, :, None]
         )
 
     def dF(taus):
         vel, A, H = _frames(chart, worldline, taus)
         acc = worldline.acceleration_at(taus)
         dA = np.einsum("ndab,nb->nda", H, vel)
-        g = gamma3.values_at(taus)
-        dg = gamma3.derivs_at(taus)
-        triple = "nda,neb,nfc,nabc->ndef"
-        dtens = (
-            np.einsum(triple, dA, A, A, g)
-            + np.einsum(triple, A, dA, A, g)
-            + np.einsum(triple, A, A, dA, g)
-            + np.einsum(triple, A, A, A, dg)
-        )
+        dtens = _tensorial(A, gamma3.values_at(taus),
+                           dA, gamma3.derivs_at(taus))
         Pm = P.matrix_at(taus)
         dPm = P.deriv_matrix_at(taus)
         vhat = np.einsum("nab,nb->na", A, vel)
@@ -211,10 +233,10 @@ def transform_quadrupole(gamma3, chart, worldline, rep=None, kappa0=None,
                  + np.einsum("nab,nb->na", A, acc))
         return (
             dtens
-            + np.einsum("nde,nf->ndef", dPm, vhat)
-            + np.einsum("nde,nf->ndef", Pm, dvhat)
-            + np.einsum("ndf,ne->ndef", dPm, vhat)
-            + np.einsum("ndf,ne->ndef", Pm, dvhat)
+            + dPm[:, :, :, None] * vhat[:, None, None, :]
+            + Pm[:, :, :, None] * dvhat[:, None, None, :]
+            + dPm[:, :, None, :] * vhat[:, None, :, None]
+            + Pm[:, :, None, :] * dvhat[:, None, :, None]
         )
 
     values, derivs = _reparametrized(F, dF, rep, 3)

@@ -79,6 +79,12 @@ def test_charge_probe_window_validation(C):
         make_charge_probe(C, lam0=1.0, lam1=1.0)
 
 
+def test_default_probe_description_has_plain_numbers(C):
+    text = make_charge_probe(C).description
+    assert "half-widths (0.5, 0.5, 0.5)" in text
+    assert "np." not in text
+
+
 def test_charge_probe_on_moving_worldline(rng):
     # tube widening follows the worldline's spatial spread
     C = Worldline.from_exprs(

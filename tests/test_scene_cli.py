@@ -219,6 +219,29 @@ def test_potentials_job_writes_csv(tmp_path):
     assert all(abs(e + 1.0) < 0.01 for e in exps)
 
 
+def test_potentials_job_evaluates_each_ray_once(tmp_path, monkeypatch):
+    from polekit.fields import StaticSource
+
+    calls = []
+    original = StaticSource.potential_at
+
+    def counted(self, x3):
+        calls.append(len(x3))
+        return original(self, x3)
+
+    monkeypatch.setattr(StaticSource, "potential_at", counted)
+    doc = json.loads(MINIMAL)
+    doc["jobs"] = [{
+        "command": "potentials", "name": "dip",
+        "source": {"kind": "electric_dipole", "moments": [0.1, 0.2, 1.0]},
+        "directions": [[0.0, 0.0, 1.0], [1.0, 1.0, 1.0], [0.3, -0.5, 1.0]],
+        "samples": 12,
+    }]
+    results, code = run(parse_scene(json.dumps(doc)), out_dir=tmp_path)
+    assert code == 0
+    assert calls == [12, 12, 12]
+
+
 def test_classify_job_with_tau_dependent_components(tmp_path):
     """Classification of tau-dependent components writes a JSON report
     (its numbers and verdicts are plain Python values)."""

@@ -11,6 +11,7 @@ from polekit.charts import (
     get,
     linear_chart,
     lorentz_boost_chart,
+    polynomial_chart,
 )
 from polekit.errors import DomainError
 from polekit.moments import (
@@ -35,7 +36,7 @@ from polekit.sampling import (
     rng_from_seed,
 )
 from polekit.transport import dipole_part, transform_dipole, transform_quadrupole
-from polekit.worldlines import Worldline
+from polekit.worldlines import Reparametrization, Worldline
 
 
 def worked_example(kappa=1.0, interval=(0.0, 10.0)):
@@ -243,6 +244,66 @@ def test_singular_chart_raises():
     C = Worldline.static_at((0.0, 0.0, 0.0), (0.0, 1.0))  # x1 = 0: singular
     with pytest.raises(DomainError):
         transform_quadrupole(q, pinch, C)
+
+
+def _near_identity_polynomial_chart():
+    c = np.zeros((4, 15))
+    c[:, 1:5] = np.eye(4)
+    c[:, 5:] = 0.05 * rng_from_seed(41).uniform(-1, 1, (4, 10))
+    return polynomial_chart(c.reshape(-1))
+
+
+_CHARTS = {
+    "cylindrical": cylindrical_to_cartesian_chart,
+    "boost": lambda: lorentz_boost_chart(0.6),
+    "polynomial": _near_identity_polynomial_chart,
+}
+
+
+@pytest.mark.parametrize("reparametrized", (False, True),
+                         ids=("tau", "tau_hat"))
+@pytest.mark.parametrize("chart_name", sorted(_CHARTS))
+def test_transported_values_and_derivatives(rng, wobble_worldline,
+                                            chart_name, reparametrized):
+    """gamma3_hat against the module docstring's law, written out with
+    one four-operand contraction, and its derivative against a
+    Richardson-extrapolated central difference of its values."""
+    C = wobble_worldline
+    chart = _CHARTS[chart_name]()
+    q = random_quadrupole(rng, directions=8)
+    kappa0 = np.zeros((4, 4))
+    kappa0[np.triu_indices(4, 1)] = (0.4, -1.1, 0.3, 0.9, -0.2, 0.7)
+    kappa0 -= kappa0.T
+    rep = None
+    if reparametrized:
+        # tau = tau_hat / 2 + tau_hat^2 / 4 maps [0, 4] onto [0, 6]
+        rep = Reparametrization(
+            ex.parse("0.5*tau + 0.25*tau*tau", ex.TAU_VARS), (0.0, 4.0))
+    tr = transform_quadrupole(q, chart, C, rep=rep, kappa0=kappa0)
+    t0, t1 = tr.interval_hat
+    ths = np.linspace(t0, t1, 9)[1:-1]
+
+    taus = rep.tau_of(ths) if rep is not None else ths
+    speed = rep.speed(ths) if rep is not None else np.ones_like(ths)
+    A = chart.jacobian_at(C.point_at(taus))
+    vhat = np.einsum("nab,nb->na", A, C.velocity_at(taus))
+    Pm = tr.P.matrix_at(taus)
+    expected = speed[:, None, None, None] * (
+        np.einsum("nda,neb,nfc,nabc->ndef", A, A, A, q.values_at(taus))
+        + np.einsum("nde,nf->ndef", Pm, vhat)
+        + np.einsum("ndf,ne->ndef", Pm, vhat))
+    got = tr.gamma3_hat.values_at(ths)
+    assert np.max(np.abs(got - expected)) <= (
+        1e-13 * np.max(np.abs(expected)))
+
+    def central(h):
+        return (tr.gamma3_hat.values_at(ths + h)
+                - tr.gamma3_hat.values_at(ths - h)) / (2 * h)
+
+    h = 1e-2
+    fd = (4.0 * central(h / 2) - central(h)) / 3.0
+    derivs = tr.gamma3_hat.derivs_at(ths)
+    assert np.max(np.abs(derivs - fd)) <= 1e-7 * max(1.0, np.max(np.abs(fd)))
 
 
 # -- pairing-level properties -------------------------------------------------
