@@ -17,7 +17,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import DomainError
-from .jets import Jet2, columns
+from .jets import Jet2, columns, stacked
 
 EPS0_SI = 8.8541878128e-12
 
@@ -36,7 +36,7 @@ def _spatial_hessian(j):
     """The spatial block of a batch jet's Hessian as a contiguous
     (N, 3, 3) array (einsum's summation order depends on the memory
     layout)."""
-    return np.ascontiguousarray(j.hessian_rows()[:, 1:, 1:])
+    return np.ascontiguousarray(stacked([j], j.value.shape, 2)[:, 0, 1:, 1:])
 
 
 def _coulomb_expr(q, eps0):
@@ -108,11 +108,11 @@ class StaticSource:
         n = len(j.value)
         if self.kind == "monopole":
             return float(self.moments) * j.value, np.zeros((n, 3))
+        grad = stacked([j], (n,), 1)[:, 0, 1:]
         if self.kind == "electric_dipole":
-            return (np.einsum("m,nm->n", self.moments, j.grad[:, 1:]),
-                    np.zeros((n, 3)))
+            return np.einsum("m,nm->n", self.moments, grad), np.zeros((n, 3))
         if self.kind == "magnetic_dipole":
-            return np.zeros(n), np.cross(self.moments, j.grad[:, 1:])
+            return np.zeros(n), np.cross(self.moments, grad)
         hess = _spatial_hessian(j)
         if self.kind == "electric_quadrupole":
             return np.einsum("mn,kmn->k", self.moments, hess), np.zeros((n, 3))

@@ -10,21 +10,37 @@ Finite differences appear only in tests, as an independent oracle.
 
 One array layout serves any batch shape S, with one code path for all
 of them; evaluators pass N points and get jets over S = (N,), a batch
-of one point included:
+of one point included.  Storage is entry-major, so that products and
+chain rules run over whole contiguous rows:
 
 * ``value`` has shape S (a float or a 0-d array when S = ());
-* ``grad`` is an array ``(*S, n)``;
-* ``hess`` is the packed upper triangle ``(*S, n(n+1)/2)``: entry (a, b),
-  a <= b, in the order of ``np.triu_indices(n)``.
+* the gradient is held as ``(n, *S)``, one row per coordinate;
+* the packed upper-triangle Hessian as ``(n(n+1)/2, *S)``: entry
+  (a, b), a <= b, in the order of ``np.triu_indices(n)``.
+
+The constructor and the ``grad`` / ``hess`` properties use the
+point-major layout ``(*S, n)`` and ``(*S, n(n+1)/2)``, as views, so a
+jet of one point of a float environment (S = ()) reads as a gradient
+``(n,)`` and a Hessian ``(n(n+1)/2,)``.
 
 ``n`` is the number of coordinates given to :meth:`Jet2.seed_point`:
 four for points of spacetime, one for functions of the curve parameter.
-The gradient and Hessian of a jet that is the same at every point of a
-batch (constants, seeds, linear combinations of seeds) may keep the
-shapes ``(n,)`` and ``(n(n+1)/2,)``, which broadcasting spreads over the
-batch.  Branches of the elementary functions (domain checks, the support
-of ``bump`` and of the ``sstep`` family) are applied elementwise; a
-domain error anywhere in a batch raises.
+Seeds keep one gradient row and one zero Hessian row, shaped
+``(n, 1, ..., 1)`` with one 1 per axis of S, that broadcast over the
+batch.  A constant (:meth:`Jet2.constant`) has the shared zero rows
+``(n,)`` and ``(n(n+1)/2,)``; those rows mark it as a constant, and the
+arithmetic only does the work whose result is read:
+
+* ``*``, ``+`` and ``-`` with a constant operand scale or shift the
+  other operand as a float does, and give a constant when both are;
+* a function of constants is a constant, with no derivative work;
+* :func:`apply_value` evaluates a primitive's value alone.
+
+These give the results of the general formulas (which would add and
+multiply exact zeros), apart from the sign of a zero.  Branches of the
+elementary functions (domain checks, the support of ``bump`` and of the
+``sstep`` family) are applied elementwise; a domain error anywhere in a
+batch raises.
 
 Outside this module, jets are read back as arrays through
 :func:`stacked` and point arrays enter through :func:`columns`, so the
@@ -40,16 +56,26 @@ import numpy as np
 from .errors import EvaluationError
 
 
-def _col(v):
-    """A value of shape S broadcastable against the last axis of
-    gradients and Hessians."""
-    return np.asarray(v)[..., None]
-
-
 def _first_bad(v, ok):
     """The first argument value where the elementwise check ``ok``
     fails, for error messages."""
     return float(np.asarray(v)[~np.asarray(ok)].flat[0])
+
+
+def _point_major(rows):
+    """Entry-major rows ``(e, *S)`` as a ``(*S, e)`` view."""
+    return rows.transpose((*range(1, rows.ndim), 0))
+
+
+def _entry_major(a):
+    """A point-major array ``(*S, e)`` as an ``(e, *S)`` view."""
+    return a.transpose((a.ndim - 1, *range(a.ndim - 1)))
+
+
+def _shared(row, k):
+    """A row ``(e,)`` shaped ``(e, 1, ..., 1)`` to broadcast over a
+    batch of ``k`` axes."""
+    return row.reshape(row.shape + (1,) * k)
 
 
 class _Layout:
@@ -81,6 +107,18 @@ def _layout(n):
     return _Layout(n)
 
 
+def _is_constant(j):
+    """Whether j has the shared zero rows of :meth:`Jet2.constant`."""
+    return j._g is _layout(len(j._g)).zero_grad
+
+
+def _jet(value, g, h):
+    """A jet from entry-major rows (no copy, no check)."""
+    j = Jet2.__new__(Jet2)
+    j.value, j._g, j._h = value, g, h
+    return j
+
+
 def full_hessian(hess):
     """Packed Hessians ``(..., n(n+1)/2)`` as full symmetric arrays
     ``(..., n, n)``."""
@@ -93,16 +131,18 @@ class Jet2:
     """Value, gradient and packed symmetric Hessian of a scalar at each
     point of a batch (see the module docstring).
 
-    Jets are not modified after construction; all operations return new
-    jets.
+    ``Jet2(value, grad, hess)`` takes the point-major layout: ``grad``
+    ``(*S, n)`` and ``hess`` ``(*S, n(n+1)/2)``, or ``(n,)`` and
+    ``(n(n+1)/2,)`` when S = ().  Jets are not modified after
+    construction; all operations return new jets.
     """
 
-    __slots__ = ("value", "grad", "hess")
+    __slots__ = ("value", "_g", "_h")
 
     def __init__(self, value, grad, hess):
         self.value = value
-        self.grad = grad
-        self.hess = hess
+        self._g = _entry_major(np.asarray(grad))
+        self._h = _entry_major(np.asarray(hess))
 
     # -- constructors -------------------------------------------------
 
@@ -111,7 +151,7 @@ class Jet2:
         """The jet of the constant x (a float, or an array over the
         batch) in ``n`` variables."""
         lay = _layout(n)
-        return Jet2(x, lay.zero_grad, lay.zero_hess)
+        return _jet(x, lay.zero_grad, lay.zero_hess)
 
     @staticmethod
     def seed_point(x):
@@ -119,14 +159,43 @@ class Jet2:
         coordinate, in ``n = len(x)`` variables (each x[a] the array of
         that coordinate over the batch)."""
         lay = _layout(len(x))
-        return tuple(Jet2(xa, lay.seeds[a], lay.zero_hess)
+        k = max(np.ndim(xa) for xa in x)
+        zero = _shared(lay.zero_hess, k)
+        return tuple(_jet(xa, _shared(lay.seeds[a], k), zero)
                      for a, xa in enumerate(x))
+
+    @staticmethod
+    def affine(value, grad):
+        """Jet of an affine function: ``value`` over the batch, the
+        gradient ``grad`` (n,) the same at every point, zero Hessian."""
+        grad = np.asarray(grad, dtype=float)
+        k = np.ndim(value)
+        return _jet(value, _shared(grad, k),
+                    _shared(_layout(len(grad)).zero_hess, k))
+
+    @staticmethod
+    def zeros(size, n):
+        """The zero function over a batch of ``size`` points in ``n``
+        variables, its gradient and Hessian held in full."""
+        m = len(_layout(n).rows)
+        return _jet(np.zeros(size), np.zeros((n, size)),
+                    np.zeros((m, size)))
 
     # -- views ---------------------------------------------------------
 
+    @property
+    def grad(self):
+        """The gradient, ``(*S, n)`` (a view)."""
+        return _point_major(self._g)
+
+    @property
+    def hess(self):
+        """The packed Hessian, ``(*S, n(n+1)/2)`` (a view)."""
+        return _point_major(self._h)
+
     def hess_entry(self, a, b):
         """Hessian entry (a, b), over the batch."""
-        return self.hess[..., _layout(self.grad.shape[-1]).full[a, b]]
+        return self._h[_layout(len(self._g)).full[a, b]]
 
     def hessian_rows(self):
         """The full symmetric Hessian, shape ``(*S, n, n)``."""
@@ -134,15 +203,17 @@ class Jet2:
 
     def scatter(self, mask):
         """A jet over the points of a batch where ``mask`` holds, spread
-        over the whole batch with the zero jet elsewhere."""
+        over the whole batch with the zero jet elsewhere (held in
+        full)."""
 
-        def put(e, tail):
-            out = np.zeros(np.shape(mask) + tail)
-            out[mask] = e
+        def put(rows):
+            out = np.zeros((len(rows),) + np.shape(mask))
+            out[:, mask] = rows.reshape(len(rows), -1)
             return out
 
-        return Jet2(put(self.value, ()), put(self.grad, self.grad.shape[-1:]),
-                    put(self.hess, self.hess.shape[-1:]))
+        value = np.zeros(np.shape(mask))
+        value[mask] = self.value
+        return _jet(value, put(self._g), put(self._h))
 
     def __repr__(self):
         return f"Jet2({self.value!r}, grad={self.grad!r}, hess={self.hess!r})"
@@ -150,39 +221,58 @@ class Jet2:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, Jet2):
-            return Jet2(self.value + other, self.grad, self.hess)
-        return Jet2(self.value + other.value, self.grad + other.grad,
-                    self.hess + other.hess)
+        if isinstance(other, Jet2):
+            if _is_constant(other):
+                other = other.value
+            elif _is_constant(self):
+                return other + self.value
+            else:
+                return _jet(self.value + other.value, self._g + other._g,
+                            self._h + other._h)
+        return _jet(self.value + other, self._g, self._h)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, Jet2):
-            return Jet2(self.value - other, self.grad, self.hess)
-        return Jet2(self.value - other.value, self.grad - other.grad,
-                    self.hess - other.hess)
+        if isinstance(other, Jet2):
+            if _is_constant(other):
+                other = other.value
+            elif _is_constant(self):
+                return -other + self.value
+            else:
+                return _jet(self.value - other.value, self._g - other._g,
+                            self._h - other._h)
+        return _jet(self.value - other, self._g, self._h)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return Jet2(-self.value, -self.grad, -self.hess)
+        if _is_constant(self):
+            return Jet2.constant(-self.value, len(self._g))
+        return _jet(-self.value, -self._g, -self._h)
 
     def __mul__(self, other):
-        if not isinstance(other, Jet2):
-            c = _col(other)
-            return Jet2(self.value * other, self.grad * c, self.hess * c)
-        # Entry by entry: fv*gh + gv*fh + 2 f_a g_a on the diagonal,
-        # fv*gh + gv*fh + f_a g_b + f_b g_a off it, in this order.
-        f, g = self.grad, other.grad
-        fv, gv = _col(self.value), _col(other.value)
-        lay = _layout(f.shape[-1])
-        cross = (lay.cross_w * f[..., lay.cross_f]) * g[..., lay.cross_g]
-        m = len(lay.rows)
-        hess = (fv * other.hess + gv * self.hess
-                + cross[..., :m] + cross[..., m:])
-        return Jet2(self.value * other.value, fv * g + gv * f, hess)
+        if isinstance(other, Jet2):
+            if _is_constant(other):
+                other = other.value
+            elif _is_constant(self):
+                return other * self.value
+            else:
+                # Entry by entry: fv*gh + gv*fh + 2 f_a g_a on the
+                # diagonal, fv*gh + gv*fh + f_a g_b + f_b g_a off it, in
+                # this order.
+                f, g = self._g, other._g
+                fv, gv = self.value, other.value
+                lay = _layout(len(f))
+                w = _shared(lay.cross_w, f.ndim - 1)
+                cross = (w * f[lay.cross_f]) * g[lay.cross_g]
+                m = len(lay.rows)
+                hess = fv * other._h + gv * self._h + cross[:m] + cross[m:]
+                return _jet(fv * gv, fv * g + gv * f, hess)
+        if _is_constant(self):
+            return Jet2.constant(self.value * other, len(self._g))
+        return _jet(self.value * other, self._g * other, self._h * other)
 
     __rmul__ = __mul__
 
@@ -212,7 +302,7 @@ class Jet2:
     def _int_pow(self, n):
         # Repeated multiplication keeps polynomial jets exact to rounding.
         if n == 0:
-            return Jet2.constant(1.0, self.grad.shape[-1])
+            return Jet2.constant(1.0, len(self._g))
         if n < 0:
             return self._int_pow(-n)._reciprocal()
         result = None
@@ -228,23 +318,26 @@ class Jet2:
 
 def _chain(u, f0, f1, f2):
     """Jet of f(u) given f, f', f'' at u.value (unary chain rule)."""
-    g = u.grad
-    lay = _layout(g.shape[-1])
-    c1, c2 = _col(f1), _col(f2)
-    return Jet2(f0, c1 * g,
-                c1 * u.hess + (c2 * g[..., lay.rows]) * g[..., lay.cols])
+    g = u._g
+    if _is_constant(u):
+        return Jet2.constant(f0, len(g))
+    lay = _layout(len(g))
+    return _jet(f0, f1 * g, f1 * u._h + (f2 * g[lay.rows]) * g[lay.cols])
 
 
 def _chain2(u, v, f0, fu, fv, fuu, fuv, fvv):
     """Jet of f(u, v) (binary chain rule)."""
-    ug, vg = u.grad, v.grad
-    lay = _layout(ug.shape[-1])
-    ua, ub = ug[..., lay.rows], ug[..., lay.cols]
-    va, vb = vg[..., lay.rows], vg[..., lay.cols]
-    fu, fv, fuu, fuv, fvv = map(_col, (fu, fv, fuu, fuv, fvv))
+    if _is_constant(v):
+        return _chain(u, f0, fu, fuu)
+    if _is_constant(u):
+        return _chain(v, f0, fv, fvv)
+    ug, vg = u._g, v._g
+    lay = _layout(len(ug))
+    ua, ub = ug[lay.rows], ug[lay.cols]
+    va, vb = vg[lay.rows], vg[lay.cols]
     hess = (fuu * ua * ub + fuv * (ua * vb + ub * va) + fvv * va * vb
-            + fu * u.hess + fv * v.hess)
-    return Jet2(f0, fu * ug + fv * vg, hess)
+            + fu * u._h + fv * v._h)
+    return _jet(f0, fu * ug + fv * vg, hess)
 
 
 # -- value-level checks shared by jets and Expr.eval_value -------------
@@ -280,8 +373,8 @@ def power(v, p):
 
 # -- elementary functions ----------------------------------------------
 #
-# Each primitive maps an argument array to (f, f', f''); the
-# jet version applies the chain rule, Expr.eval_value keeps f.
+# Each primitive has two forms: its value f at an argument array, and
+# (f, f', f'') there for the chain rule.  Both compute f the same way.
 
 
 def _sin3(v):
@@ -294,34 +387,50 @@ def _cos3(v):
     return c, -s, -c
 
 
-def _exp3(v):
+def _exp(v):
     with np.errstate(over="ignore"):
         e = np.exp(v)
     ok = np.isfinite(e)
     if not np.all(ok):
         raise EvaluationError("exp", f"overflow at argument {_first_bad(v, ok)!r}")
+    return e
+
+
+def _exp3(v):
+    e = _exp(v)
     return e, e, e
 
 
-def _sqrt3(v):
+def _sqrt(v):
     ok = v > 0.0
     if not np.all(ok):
         raise EvaluationError(
             "sqrt", f"argument {_first_bad(v, ok)!r} is not positive"
         )
-    r = np.sqrt(v)
+    return np.sqrt(v)
+
+
+def _sqrt3(v):
+    r = _sqrt(v)
     return r, 0.5 / r, -0.25 / (r * v)
 
 
-def _bump3(v):
-    """exp(-1/(1-v^2)) on |v|<1, exactly 0 (with its derivatives)
-    elsewhere and wherever the exponential underflows."""
+def _bump_live(v):
+    """exp(-1/(1-v^2)) on |v|<1, exactly 0 elsewhere and wherever the
+    exponential underflows; with 1 - v^2 and the mask of live
+    elements."""
     w = 1.0 - v * v
     g = -1.0 / np.where(w > 0.0, w, 1.0)
     live = (w > 0.0) & (g >= -700.0)
+    return np.where(live, np.exp(np.where(live, g, 0.0)), 0.0), w, live
+
+
+def _bump3(v):
+    """The bump and its first two derivatives, all exactly 0 where the
+    bump is."""
+    b, w, live = _bump_live(v)
     # Dead elements get a harmless stand-in so that no inf * 0 appears.
     ws = np.where(live, w, 1.0)
-    b = np.where(live, np.exp(np.where(live, g, 0.0)), 0.0)
     iw2 = 1.0 / (ws * ws)
     g1 = -2.0 * v * iw2
     g2 = -2.0 * iw2 - 8.0 * v * v * iw2 / ws
@@ -331,49 +440,50 @@ def _bump3(v):
 # C^3 polynomial step: 0 for u<=0, 1 for u>=1, 35u^4-84u^5+70u^6-20u^7
 # between.  Three continuous derivatives, which is what a once-
 # differentiated probe needs when it is then jet-evaluated to second
-# order.
+# order.  _SSTEP[k] is its k-th derivative between 0 and 1.
+
+_SSTEP = (
+    lambda v: v ** 4 * (35.0 + v * (-84.0 + v * (70.0 - 20.0 * v))),
+    lambda v: 140.0 * v ** 3 * (1.0 - v) ** 3,
+    lambda v: 420.0 * v ** 2 * (1.0 - v) ** 2 * (1.0 - 2.0 * v),
+    lambda v: 840.0 * v * (1.0 - v) * (1.0 - 5.0 * v * (1.0 - v)),
+    lambda v: 840.0 - 10080.0 * v + 25200.0 * v * v - 16800.0 * v ** 3,
+)
 
 
-def _sstep_poly(v):
-    s0 = v ** 4 * (35.0 + v * (-84.0 + v * (70.0 - 20.0 * v)))
-    s1 = 140.0 * v ** 3 * (1.0 - v) ** 3
-    s2 = 420.0 * v ** 2 * (1.0 - v) ** 2 * (1.0 - 2.0 * v)
-    s3 = 840.0 * v * (1.0 - v) * (1.0 - 5.0 * v * (1.0 - v))
-    s4 = 840.0 - 10080.0 * v + 25200.0 * v * v - 16800.0 * v ** 3
-    return s0, s1, s2, s3, s4
-
-
-def _sstep_derivs(v, k):
-    """(s^(k), s^(k+1), s^(k+2)) of the step, elementwise."""
+def _sstep(v, k):
+    """s^(k) of the step, elementwise."""
     inside = (v > 0.0) & (v < 1.0)
-    s = _sstep_poly(np.where(inside, v, 0.5))
-    out = [np.where(inside, s[k + i], 0.0) for i in range(3)]
-    if k == 0:
-        out[0] = np.where(inside, s[0], np.where(v >= 1.0, 1.0, 0.0))
-    return tuple(out)
+    s = _SSTEP[k](np.where(inside, v, 0.5))
+    return np.where(inside, s, np.where(v >= 1.0, 1.0, 0.0) if k == 0 else 0.0)
 
 
-#: name -> primitive returning (f, f', f'') at the argument.
+def _sstep3(v, k):
+    """(s^(k), s^(k+1), s^(k+2)) of the step, elementwise."""
+    return tuple(_sstep(v, k + i) for i in range(3))
+
+
+#: name -> (value f, (f, f', f'')) of the primitive at the argument.
 PRIMITIVES = {
-    "sin": _sin3,
-    "cos": _cos3,
-    "exp": _exp3,
-    "sqrt": _sqrt3,
-    "bump": _bump3,
-    "sstep": lambda v: _sstep_derivs(v, 0),
-    "sstep_d1": lambda v: _sstep_derivs(v, 1),
-    "sstep_d2": lambda v: _sstep_derivs(v, 2),
+    "sin": (np.sin, _sin3),
+    "cos": (np.cos, _cos3),
+    "exp": (_exp, _exp3),
+    "sqrt": (_sqrt, _sqrt3),
+    "bump": (lambda v: _bump_live(v)[0], _bump3),
+    "sstep": (lambda v: _sstep(v, 0), lambda v: _sstep3(v, 0)),
+    "sstep_d1": (lambda v: _sstep(v, 1), lambda v: _sstep3(v, 1)),
+    "sstep_d2": (lambda v: _sstep(v, 2), lambda v: _sstep3(v, 2)),
 }
 
 
 def apply_value(name, v):
     """Value of primitive ``name`` at v, elementwise."""
-    return PRIMITIVES[name](v)[0]
+    return PRIMITIVES[name][0](v)
 
 
 def apply_jet(name, u):
     """Jet of primitive ``name`` applied to the jet u."""
-    return _chain(u, *PRIMITIVES[name](u.value))
+    return _chain(u, *PRIMITIVES[name][1](u.value))
 
 
 def atan2_value(y, x):
@@ -414,10 +524,18 @@ def entries_array(entries, shape, tail=()):
 def stacked(jets, shape, order):
     """k jets over a batch of shape S as one array: their values
     (order 0, shape ``(*S, k)``), gradients (order 1, ``(*S, k, n)``) or
-    full symmetric Hessians (order 2, ``(*S, k, n, n)``)."""
+    full symmetric Hessians (order 2, ``(*S, k, n, n)``).
+
+    Orders 0 and 1 are C-contiguous.  Order 2 is the packed ``(*S, k,
+    n(n+1)/2)`` array indexed by the full-matrix index map, and keeps
+    the layout numpy gives that fancy-index result: the two Hessian
+    axes outermost in memory, so it is not contiguous.  Sums that read
+    it (einsum, matmul) take their summation order from that layout, so
+    changing it moves the last bits of their results.
+    """
     if order == 0:
         return entries_array([j.value for j in jets], shape)
-    n = jets[0].grad.shape[-1]
+    n = len(jets[0]._g)
     if order == 1:
         return entries_array([j.grad for j in jets], shape, (n,))
     m = len(_layout(n).rows)
@@ -437,11 +555,15 @@ def columns(points, n=4):
 def compose(outer, inner):
     """Jet of F(Y(x)) from the jet of F at Y (w.r.t. the Y variables)
     and the jets of the components of Y (w.r.t. x)."""
-    lay = _layout(inner[0].grad.shape[-1])
+    n = len(inner[0]._g)
+    lay = _layout(n)
     shape = np.broadcast_shapes(*(np.shape(j.value) for j in (outer, *inner)))
-    J = entries_array([j.grad for j in inner], shape, lay.zero_grad.shape)
-    K = entries_array([j.hess for j in inner], shape, lay.zero_hess.shape)
-    G, H = outer.grad, full_hessian(outer.hess)   # (..., b), (..., b, d)
+    J = entries_array([j.grad for j in inner], shape, (n,))
+    K = entries_array([j.hess for j in inner], shape, (len(lay.rows),))
+    # The outer rows point-major and C-contiguous: the einsum sums below
+    # take their order from the layout of their operands.
+    G = np.ascontiguousarray(outer.grad)                 # (..., b)
+    H = full_hessian(np.ascontiguousarray(outer.hess))   # (..., b, d)
     grad = np.einsum("...b,...ba->...a", G, J)
     JHJ = np.einsum("...ba,...bc->...ac", J, np.einsum("...bd,...dc->...bc", H, J))
     hess = JHJ[..., lay.rows, lay.cols] + np.einsum("...b,...bk->...k", G, K)

@@ -72,8 +72,7 @@ class PairingReport:
 
 
 def _zero_jets(n):
-    zero = Jet2(np.zeros(n), np.zeros((n, 4)), np.zeros((n, 10)))
-    return (zero,) * 4
+    return (Jet2.zeros(n, 4),) * 4
 
 
 def _jets_on(pts, inside, jets_inside):
@@ -139,7 +138,7 @@ class ProductTestForm(_BatchForm):
             u = (pts[:, b] - self.box.center[b]) / hw
             grad = np.zeros(4)
             grad[b] = 1.0 / hw
-            bj = apply_jet("bump", Jet2(u, grad, np.zeros(10)))
+            bj = apply_jet("bump", Jet2.affine(u, grad))
             w = bj if w is None else w * bj
         return w
 

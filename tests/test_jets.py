@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from oracles import fd_gradient, fd_hessian, random_safe_expression
 from polekit import expr as ex
 from polekit.errors import EvaluationError
-from polekit.jets import Jet2, compose
+from polekit.jets import PRIMITIVES, Jet2, apply_jet, apply_value, compose
 
 
 def jet_of(e, x):
@@ -298,3 +298,106 @@ def test_packed_product_rounds_like_unrolled_formulas(rng):
                 assert np.asarray(j.value)[k] == value
                 assert np.array_equal(j.grad[k], grad)
                 assert np.array_equal(j.hess[k], hess)
+
+
+def _bits(a, shape):
+    """The bits of a float array broadcast to ``shape``, with -0 read
+    as +0."""
+    a = np.broadcast_to(np.asarray(a, dtype=float) + 0.0, shape)
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _assert_same_jet(j, k):
+    n, m = np.shape(k.grad)[-1], np.shape(k.hess)[-1]
+    shape = np.broadcast_shapes(*(np.shape(x.value) for x in (j, k)),
+                                *(np.shape(x.grad)[:-1] for x in (j, k)))
+    assert np.array_equal(_bits(j.value, shape), _bits(k.value, shape))
+    assert np.array_equal(_bits(j.grad, shape + (n,)),
+                          _bits(k.grad, shape + (n,)))
+    assert np.array_equal(_bits(j.hess, shape + (m,)),
+                          _bits(k.hess, shape + (m,)))
+
+
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("shape", [(), (7,)])
+def test_constant_operands_match_the_general_formulas(rng, n, shape):
+    """Sums, differences, products and quotients with a constant take
+    the float path, and give the bits of the general formulas applied
+    to the constant held as full arrays (up to the sign of a zero), for
+    constant, seed and general partners."""
+    m = n * (n + 1) // 2
+
+    def full(c):
+        return Jet2(c, np.zeros(shape + (n,)), np.zeros(shape + (m,)))
+
+    def value():
+        v = rng.uniform(0.5, 2.0, shape) * rng.choice([-1.0, 1.0], shape)
+        return float(v) if shape == () else v
+
+    consts = [(Jet2.constant(c, n), full(c)) for c in (value(), value())]
+    consts.append((Jet2.constant(-1.75, n), full(-1.75)))
+    seeds = Jet2.seed_point(tuple(value() for _ in range(n)))
+    general = Jet2(value(), rng.normal(size=shape + (n,)),
+                   rng.normal(size=shape + (m,)))
+    partners = [(s, s) for s in seeds] + [(general, general)] + consts
+    ops = (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+           lambda a, b: a / b)
+    for c, c_full in consts:
+        for x, x_full in partners:
+            for op in ops:
+                _assert_same_jet(op(c, x), op(c_full, x_full))
+                _assert_same_jet(op(x, c), op(x_full, c_full))
+    # Constants stay constants through chains of operations, and a
+    # constant result broadcasts over the batch of its partner.
+    (c1, f1), (c2, f2), (c3, f3) = consts
+    chained = (-(c1 * c2) + c3 / c1 - 2.0) ** 2
+    chained_full = (-(f1 * f2) + f3 / f1 - 2.0) ** 2
+    _assert_same_jet(chained, chained_full)
+    _assert_same_jet(chained * seeds[0] + general,
+                     chained_full * seeds[0] + general)
+
+
+_PRIMITIVE_POINTS = np.array([
+    -3.0, -1.5, -1.0 - 1e-15, -1.0, -0.9993, -0.5, -1e-300, 0.0, 1e-300,
+    1e-3, 0.25, 0.5, 0.75, 0.9992, 0.9993, 1.0 - 1e-16, 1.0, 1.0 + 1e-15,
+    1.5, 3.0,
+])
+
+
+@pytest.mark.parametrize("name", sorted(PRIMITIVES))
+def test_value_only_primitives_match_jet_values(name):
+    """apply_value gives the bits of the jet's value, over a batch and
+    at each point alone, inside, outside and on the edges of the
+    supports of bump and the sstep family (|v| = 1, where the bump
+    underflows, v = 0 and v = 1)."""
+    v = _PRIMITIVE_POINTS
+    if name == "sqrt":
+        v = v[v >= 1e-3]
+    for x in (v, *v):
+        value = apply_value(name, x)
+        jet = apply_jet(name, Jet2.seed_point((x,))[0])
+        assert np.shape(value) == np.shape(jet.value)
+        assert np.array_equal(np.asarray(value).view(np.int64),
+                              np.asarray(jet.value).view(np.int64))
+
+
+def test_value_only_primitives_raise_like_jets():
+    for name, x in (("sqrt", np.array([1.0, 0.0])), ("exp", np.array([1e3]))):
+        with pytest.raises(EvaluationError):
+            apply_value(name, x)
+        with pytest.raises(EvaluationError):
+            apply_jet(name, Jet2.seed_point((x,))[0])
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_one_point_jets_keep_point_shapes(n):
+    """Jets of a float environment (one point, S = ()) read back as a
+    gradient (n,) and a packed Hessian (n(n+1)/2,)."""
+    m = n * (n + 1) // 2
+    seeds = Jet2.seed_point(tuple(0.3 + 0.1 * a for a in range(n)))
+    u, v = seeds[0], seeds[-1]
+    c = Jet2.constant(2.0, n)
+    for j in (u, c, u * v, u + c, c - v, u * c, u / v, c / u, u ** 3,
+              apply_jet("sin", u), apply_jet("exp", u * v), -u, 1.0 - v):
+        assert np.shape(j.grad) == (n,)
+        assert np.shape(j.hess) == (m,)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -258,3 +261,25 @@ def test_classify_job_with_tau_dependent_components(tmp_path):
     assert code == 0
     payload = json.loads((tmp_path / "report.json").read_text())
     assert payload["jobs"][0]["passed"]
+
+
+def test_module_entry_point_matches_run(tmp_path):
+    """``python -m polekit run`` on the worked example writes the same
+    report.json as ``cli.run`` does in this process."""
+    import os
+    import subprocess
+    import sys
+
+    src = Path(__file__).parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    scene_file = SCENES / "worked_example.scene"
+    proc = subprocess.run(
+        [sys.executable, "-m", "polekit", "run", str(scene_file),
+         "--out-dir", str(tmp_path / "module")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    run(parse_scene(scene_file.read_text()), out_dir=tmp_path / "direct")
+    assert ((tmp_path / "module" / "report.json").read_bytes()
+            == (tmp_path / "direct" / "report.json").read_bytes())
