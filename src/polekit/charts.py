@@ -65,7 +65,7 @@ class Chart:
         """Hatted coordinates of the rows of x, an (N, 4) array."""
         env = columns(x)
         self._check_domain(x)
-        return entries_array([comp.eval_value(env) for comp in self.forward],
+        return entries_array([comp.eval(env) for comp in self.forward],
                              (len(x),))
 
     def jets_at(self, x):
@@ -73,7 +73,7 @@ class Chart:
         env = columns(x)
         self._check_domain(x)
         seeds = Jet2.seed_point(env)
-        return tuple(comp.eval_jet(seeds) for comp in self.forward)
+        return tuple(comp.eval(seeds) for comp in self.forward)
 
     def jacobian_at(self, x):
         """A^a_b = d(hatted x^a)/d x^b as an (N, 4, 4) array; warns when

@@ -23,7 +23,7 @@ from .errors import PolekitError, SceneError
 from .fields import StaticSource, loglog_slope, ray_magnitudes
 from .moments import sample_taus
 from .pairing import SourceBundle, pair_bundle, pull_back_test_form
-from .scene import parse_scene
+from .scene import parse_kappa0, parse_scene
 from .sampling import rng_from_seed, random_test_form_along
 
 _UPPER_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -337,21 +337,6 @@ def run(scene, command="all", out_dir="."):
     return results, exit_code
 
 
-def _parse_kappa0_flag(text):
-    out = {}
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if "=" not in item:
-            raise SceneError(
-                [f"--kappa0 entry {item!r} must look like 12=0.5"]
-            )
-        key, val = item.split("=", 1)
-        out[key.strip()] = float(val)
-    return out
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="polekit",
@@ -405,16 +390,15 @@ def main(argv=None):
             job["samples"] = args.samples
             job["forms"] = args.samples
     if args.kappa0 is not None:
-        try:
-            entries = _parse_kappa0_flag(args.kappa0)
-        except SceneError as err:
-            print(f"usage error: {err}", file=sys.stderr)
+        problems = []
+        items = [item.partition("=") for item in args.kappa0.split(",")
+                 if item.strip()]
+        M = parse_kappa0({key.strip(): val for key, _, val in items},
+                         "--kappa0", problems)
+        if problems:
+            for p in problems:
+                print(f"usage error: {p}", file=sys.stderr)
             return 2
-        M = np.zeros((4, 4))
-        for key, val in entries.items():
-            d, e = int(key[0]), int(key[1])
-            M[d, e] = val
-            M[e, d] = -val
         for job in scene.jobs:
             if job["command"] == "transform":
                 job["kappa0"] = M

@@ -2,11 +2,12 @@
 
 Charts, worldlines and multipole component functions are all stored as
 small expression trees in the variables ``x0..x3`` (or ``tau``, which is
-variable 0 for functions of the curve parameter).  One evaluation path
-(:func:`Expr.eval_jet`) yields value, gradient and Hessian consistently;
-:func:`Expr.eval_value` is a cheaper value-only path built on the same
-primitives and domain checks (:mod:`polekit.jets`).  Both evaluate one
-point (floats in ``env``) or a batch of points (arrays in ``env``).
+variable 0 for functions of the curve parameter).  One evaluator,
+:meth:`Expr.eval`, serves both uses: on the seed jets of
+:meth:`Jet2.seed_point` it yields value, gradient and Hessian, on plain
+coordinates the value alone, with the same primitives and domain checks
+(:mod:`polekit.jets`).  Either evaluates one point (floats in ``env``)
+or a batch of points (arrays in ``env``).
 Functions of the curve parameter (worldlines, component entries) are
 trees in variable 0; :func:`tau_derivative` gives their exact value,
 first or second tau derivative over a 1-D array of taus from
@@ -70,15 +71,11 @@ class Expr:
     def __pow__(self, p):
         return Pow(self, float(p))
 
-    def eval_jet(self, env):
-        """Evaluate with ``env`` the tuple of seed jets of
-        :meth:`Jet2.seed_point` (one point, or batch jets)."""
-        raise NotImplementedError
-
-    def eval_value(self, env):
-        """Evaluate with ``env`` a tuple of coordinates: floats, or
-        arrays over a batch (a constant subtree may return a plain
-        float)."""
+    def eval(self, env):
+        """Evaluate at ``env``: the tuple of seed jets of
+        :meth:`Jet2.seed_point` gives a :class:`Jet2`, a tuple of
+        coordinates (floats, or arrays over a batch) gives a value (a
+        constant subtree gives a plain float)."""
         raise NotImplementedError
 
     def diff(self, var):
@@ -111,10 +108,9 @@ def _coerce(x):
 class Const(Expr):
     v: float
 
-    def eval_jet(self, env):
-        return Jet2.constant(self.v, len(env))
-
-    def eval_value(self, env):
+    def eval(self, env):
+        if isinstance(env[0], Jet2):
+            return Jet2.constant(self.v, len(env))
         return self.v
 
     def diff(self, var):
@@ -131,10 +127,7 @@ class Const(Expr):
 class Var(Expr):
     index: int
 
-    def eval_jet(self, env):
-        return env[self.index]
-
-    def eval_value(self, env):
+    def eval(self, env):
         return env[self.index]
 
     def diff(self, var):
@@ -152,11 +145,8 @@ class Add(Expr):
     a: Expr
     b: Expr
 
-    def eval_jet(self, env):
-        return self.a.eval_jet(env) + self.b.eval_jet(env)
-
-    def eval_value(self, env):
-        return self.a.eval_value(env) + self.b.eval_value(env)
+    def eval(self, env):
+        return self.a.eval(env) + self.b.eval(env)
 
     def diff(self, var):
         return add(self.a.diff(var), self.b.diff(var))
@@ -174,11 +164,8 @@ class Sub(Expr):
     a: Expr
     b: Expr
 
-    def eval_jet(self, env):
-        return self.a.eval_jet(env) - self.b.eval_jet(env)
-
-    def eval_value(self, env):
-        return self.a.eval_value(env) - self.b.eval_value(env)
+    def eval(self, env):
+        return self.a.eval(env) - self.b.eval(env)
 
     def diff(self, var):
         return sub(self.a.diff(var), self.b.diff(var))
@@ -196,11 +183,8 @@ class Mul(Expr):
     a: Expr
     b: Expr
 
-    def eval_jet(self, env):
-        return self.a.eval_jet(env) * self.b.eval_jet(env)
-
-    def eval_value(self, env):
-        return self.a.eval_value(env) * self.b.eval_value(env)
+    def eval(self, env):
+        return self.a.eval(env) * self.b.eval(env)
 
     def diff(self, var):
         return add(
@@ -220,11 +204,8 @@ class Div(Expr):
     a: Expr
     b: Expr
 
-    def eval_jet(self, env):
-        return self.a.eval_jet(env) / self.b.eval_jet(env)
-
-    def eval_value(self, env):
-        return jets.divide(self.a.eval_value(env), self.b.eval_value(env))
+    def eval(self, env):
+        return jets.divide(self.a.eval(env), self.b.eval(env))
 
     def diff(self, var):
         num = sub(
@@ -244,11 +225,8 @@ class Div(Expr):
 class Neg(Expr):
     a: Expr
 
-    def eval_jet(self, env):
-        return -self.a.eval_jet(env)
-
-    def eval_value(self, env):
-        return -self.a.eval_value(env)
+    def eval(self, env):
+        return -self.a.eval(env)
 
     def diff(self, var):
         return neg(self.a.diff(var))
@@ -265,11 +243,8 @@ class Pow(Expr):
     base: Expr
     exponent: float
 
-    def eval_jet(self, env):
-        return self.base.eval_jet(env) ** self.exponent
-
-    def eval_value(self, env):
-        return jets.power(self.base.eval_value(env), self.exponent)
+    def eval(self, env):
+        return jets.power(self.base.eval(env), self.exponent)
 
     def diff(self, var):
         du = self.base.diff(var)
@@ -290,11 +265,8 @@ class Fun(Expr):
     name: str
     arg: Expr
 
-    def eval_jet(self, env):
-        return jets.apply_jet(self.name, self.arg.eval_jet(env))
-
-    def eval_value(self, env):
-        return jets.apply_value(self.name, self.arg.eval_value(env))
+    def eval(self, env):
+        return jets.apply(self.name, self.arg.eval(env))
 
     def diff(self, var):
         du = self.arg.diff(var)
@@ -330,11 +302,8 @@ class Atan2(Expr):
     y: Expr
     x: Expr
 
-    def eval_jet(self, env):
-        return jets.jatan2(self.y.eval_jet(env), self.x.eval_jet(env))
-
-    def eval_value(self, env):
-        return jets.atan2_value(self.y.eval_value(env), self.x.eval_value(env))
+    def eval(self, env):
+        return jets.atan2(self.y.eval(env), self.x.eval(env))
 
     def diff(self, var):
         dy = self.y.diff(var)
@@ -416,9 +385,9 @@ def tau_derivative(e, t, order=0):
     ``e`` (a function of variable 0 only) over a 1-D array of taus, as
     an array of the same shape; from one-variable jets."""
     if order == 0:
-        rows = entries_array([e.eval_value((t,))], t.shape)
+        rows = entries_array([e.eval((t,))], t.shape)
     else:
-        rows = stacked([e.eval_jet(Jet2.seed_point((t,)))], t.shape, order)
+        rows = stacked([e.eval(Jet2.seed_point((t,)))], t.shape, order)
     return rows.reshape(t.shape)
 
 

@@ -33,14 +33,21 @@ arithmetic only does the work whose result is read:
 
 * ``*``, ``+`` and ``-`` with a constant operand scale or shift the
   other operand as a float does, and give a constant when both are;
-* a function of constants is a constant, with no derivative work;
-* :func:`apply_value` evaluates a primitive's value alone.
+* a function of constants is a constant, with no derivative work.
 
 These give the results of the general formulas (which would add and
 multiply exact zeros), apart from the sign of a zero.  Branches of the
 elementary functions (domain checks, the support of ``bump`` and of the
 ``sstep`` family) are applied elementwise; a domain error anywhere in a
 batch raises.
+
+Expression trees (:mod:`polekit.expr`) have one evaluator, which runs on
+seed jets and on coordinate values alike: ``+``, ``-`` and ``*`` are
+the operators, and division, powers, the primitives and ``atan2`` go
+through :func:`divide`, :func:`power`, :func:`apply` and :func:`atan2`.
+Each takes the jet rule for a :class:`Jet2` and otherwise computes the
+value alone (one polynomial for ``sstep``), with the same domain
+checks.
 
 Outside this module, jets are read back as arrays through
 :func:`stacked` and point arrays enter through :func:`columns`, so the
@@ -340,19 +347,34 @@ def _chain2(u, v, f0, fu, fv, fuu, fuv, fvv):
     return _jet(f0, fu * ug + fv * vg, hess)
 
 
-# -- value-level checks shared by jets and Expr.eval_value -------------
+# -- the entry points of Expr.eval: jets or values ----------------------
+#
+# The domain checks use the array methods; a constant subtree evaluates
+# on Python floats, whose comparisons give a plain bool.
+
+
+def _any(mask):
+    """Whether any element of a boolean array (or a bool) holds."""
+    return mask if mask.__class__ is bool else mask.any()
+
+
+def _all(mask):
+    """Whether every element of a boolean array (or a bool) holds."""
+    return mask if mask.__class__ is bool else mask.all()
 
 
 def divide(u, v):
-    """u / v, raising when any element of v is zero."""
-    if np.any(v == 0.0):
+    """u / v; for values, raising when any element of v is zero."""
+    if isinstance(u, Jet2) or isinstance(v, Jet2):
+        return u / v
+    if _any(v == 0.0):
         raise EvaluationError("div", "division by a zero value")
     return u / v
 
 
 def _check_positive_base(v):
     ok = v > 0.0
-    if not np.all(ok):
+    if not _all(ok):
         raise EvaluationError(
             "pow",
             f"non-integer power of non-positive value {_first_bad(v, ok)!r}",
@@ -363,8 +385,10 @@ def power(v, p):
     """v ** p for a constant exponent, with the jet engine's domain
     rules: integer powers of any base except a zero base with a
     negative power, non-integer powers of positive bases only."""
+    if isinstance(v, Jet2):
+        return v ** p
     if float(p).is_integer():
-        if p < 0 and np.any(v == 0.0):
+        if p < 0 and _any(v == 0.0):
             raise EvaluationError("pow", "zero base with negative power")
         return v ** int(p)
     _check_positive_base(v)
@@ -391,7 +415,7 @@ def _exp(v):
     with np.errstate(over="ignore"):
         e = np.exp(v)
     ok = np.isfinite(e)
-    if not np.all(ok):
+    if not _all(ok):
         raise EvaluationError("exp", f"overflow at argument {_first_bad(v, ok)!r}")
     return e
 
@@ -403,7 +427,7 @@ def _exp3(v):
 
 def _sqrt(v):
     ok = v > 0.0
-    if not np.all(ok):
+    if not _all(ok):
         raise EvaluationError(
             "sqrt", f"argument {_first_bad(v, ok)!r} is not positive"
         )
@@ -476,27 +500,23 @@ PRIMITIVES = {
 }
 
 
-def apply_value(name, v):
-    """Value of primitive ``name`` at v, elementwise."""
-    return PRIMITIVES[name][0](v)
+def apply(name, u):
+    """Primitive ``name`` at u: the jet of f(u) for a jet u, else the
+    value of f alone, elementwise."""
+    if isinstance(u, Jet2):
+        return _chain(u, *PRIMITIVES[name][1](u.value))
+    return PRIMITIVES[name][0](u)
 
 
-def apply_jet(name, u):
-    """Jet of primitive ``name`` applied to the jet u."""
-    return _chain(u, *PRIMITIVES[name][1](u.value))
-
-
-def atan2_value(y, x):
-    """atan2(y, x), raising where both arguments are zero."""
-    if np.any((x == 0.0) & (y == 0.0)):
-        raise EvaluationError("atan2", "both arguments are zero")
-    return np.arctan2(y, x)
-
-
-def jatan2(y, x):
-    """Jet of atan2(y, x); smooth away from the origin."""
+def atan2(y, x):
+    """atan2(y, x): for jets, smooth away from the origin; for values,
+    raising where both arguments are zero."""
+    if not (isinstance(y, Jet2) or isinstance(x, Jet2)):
+        if _any((x == 0.0) & (y == 0.0)):
+            raise EvaluationError("atan2", "both arguments are zero")
+        return np.arctan2(y, x)
     xv, yv = x.value, y.value
-    f0 = atan2_value(yv, xv)
+    f0 = atan2(yv, xv)
     r2 = xv * xv + yv * yv
     fy = xv / r2
     fx = -yv / r2
@@ -544,7 +564,7 @@ def stacked(jets, shape, order):
 
 def columns(points, n=4):
     """The n coordinate arrays of an (N, n) array of points, as
-    :meth:`Jet2.seed_point` and ``Expr.eval_value`` take them."""
+    :meth:`Jet2.seed_point` and ``Expr.eval`` take them."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != n:
         raise ValueError(

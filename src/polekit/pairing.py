@@ -27,8 +27,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import DomainError, QuadratureError
-from .jets import Jet2, apply_jet, apply_value, columns, compose, \
-    entries_array, stacked
+from .jets import Jet2, apply, columns, compose, entries_array, stacked
 from .moments import DipoleComponents, Monopole, QuadrupoleComponents
 from .quadrature import integrate
 
@@ -138,7 +137,7 @@ class ProductTestForm(_BatchForm):
             u = (pts[:, b] - self.box.center[b]) / hw
             grad = np.zeros(4)
             grad[b] = 1.0 / hw
-            bj = apply_jet("bump", Jet2.affine(u, grad))
+            bj = apply("bump", Jet2.affine(u, grad))
             w = bj if w is None else w * bj
         return w
 
@@ -147,17 +146,17 @@ class ProductTestForm(_BatchForm):
         seeds = Jet2.seed_point(columns(pts))
         return tuple(
             Jet2.constant(0.0, 4) if isinstance(p, ex.Const) and p.v == 0.0
-            else p.eval_jet(seeds) * w
+            else p.eval(seeds) * w
             for p in self.polys
         )
 
     def _values_inside(self, pts):
         w = 1.0
         for b in range(4):
-            w = w * apply_value(
+            w = w * apply(
                 "bump", (pts[:, b] - self.box.center[b]) / self.box.half[b])
         env = columns(pts)
-        return entries_array([p.eval_value(env) * w for p in self.polys],
+        return entries_array([p.eval(env) * w for p in self.polys],
                              (len(pts),))
 
 
@@ -176,11 +175,11 @@ class ExprCovector(_BatchForm):
 
     def _jets_inside(self, pts):
         seeds = Jet2.seed_point(columns(pts))
-        return tuple(c.eval_jet(seeds) for c in self.comps)
+        return tuple(c.eval(seeds) for c in self.comps)
 
     def _values_inside(self, pts):
         env = columns(pts)
-        return entries_array([c.eval_value(env) for c in self.comps],
+        return entries_array([c.eval(env) for c in self.comps],
                              (len(pts),))
 
 
@@ -200,11 +199,11 @@ class ScaledCovector(_BatchForm):
         return self.base.in_support(x)
 
     def _jets_inside(self, pts):
-        s = self.scalar.eval_jet(Jet2.seed_point(columns(pts))) ** self.power
+        s = self.scalar.eval(Jet2.seed_point(columns(pts))) ** self.power
         return tuple(j * s for j in self.base.jets_at(pts))
 
     def _values_inside(self, pts):
-        s = self.scalar.eval_value(columns(pts)) ** self.power
+        s = self.scalar.eval(columns(pts)) ** self.power
         return self.base.values_at(pts) * np.reshape(s, (-1, 1))
 
 
@@ -252,7 +251,7 @@ class PulledBackForm(_BatchForm):
                     if d.v != 0.0:
                         acc = acc + composed[b] * d.v
                 else:
-                    acc = acc + d.eval_jet(seeds) * composed[b]
+                    acc = acc + d.eval(seeds) * composed[b]
             out.append(acc)
         return tuple(out)
 
@@ -267,7 +266,7 @@ class PulledBackForm(_BatchForm):
                     if d.v != 0.0:
                         out[:, a] += d.v * hv[:, b]
                 else:
-                    out[:, a] += d.eval_value(env) * hv[:, b]
+                    out[:, a] += d.eval(env) * hv[:, b]
         return out
 
 

@@ -13,6 +13,7 @@ reported otherwise.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,6 +86,26 @@ def _parse_components(mapping, arity, path, problems):
     return entries
 
 
+def _parse_four(spec, key, variables, path, problems):
+    """The four expressions of ``spec[key]`` in ``variables``, or None
+    (with the problems recorded) unless it is a list of four parsable
+    strings."""
+    texts = spec.get(key) if isinstance(spec, dict) else None
+    if not (isinstance(texts, list) and len(texts) == 4):
+        problems.append(f"{path}: {key} must be 4 expressions")
+        return None
+    parsed = []
+    for i, text in enumerate(texts):
+        if not isinstance(text, str):
+            problems.append(f"{path}.{key}[{i}]: expression must be a string")
+            continue
+        try:
+            parsed.append(ex.parse(text, variables))
+        except SceneError as err:
+            problems.append(f"{path}.{key}[{i}]: {err.problems[0]}")
+    return tuple(parsed) if len(parsed) == 4 else None
+
+
 def _parse_chart(name, spec, problems):
     path = f"charts.{name}"
     if not isinstance(spec, dict):
@@ -97,33 +118,18 @@ def _parse_chart(name, spec, problems):
             problems.append(f"{path}: {err}")
             return None
     if "components" in spec:
-        comps = spec["components"]
-        if not (isinstance(comps, list) and len(comps) == 4):
-            problems.append(f"{path}: components must be 4 expressions")
+        parsed = _parse_four(spec, "components", ex.CHART_VARS, path,
+                             problems)
+        if parsed is None:
             return None
-        parsed = []
-        for i, text in enumerate(comps):
-            try:
-                parsed.append(ex.parse(text, ex.CHART_VARS))
-            except SceneError as err:
-                problems.append(f"{path}.components[{i}]: {err.problems[0]}")
-        if len(parsed) != 4:
+        fw = chartmod.Chart(parsed, spec.get("label", name))
+        if spec.get("inverse") is None:
+            return fw
+        inverse = _parse_four(spec, "inverse", ex.CHART_VARS, path, problems)
+        if inverse is None:
             return None
-        fw = chartmod.Chart(tuple(parsed), spec.get("label", name))
-        inv = spec.get("inverse")
-        if inv is not None:
-            iparsed = []
-            for i, text in enumerate(inv):
-                try:
-                    iparsed.append(ex.parse(text, ex.CHART_VARS))
-                except SceneError as err:
-                    problems.append(f"{path}.inverse[{i}]: {err.problems[0]}")
-            if len(iparsed) == 4:
-                return chartmod.ChartPair(
-                    fw, chartmod.Chart(tuple(iparsed), f"{name} inverse")
-                )
-            return None
-        return fw
+        return chartmod.ChartPair(
+            fw, chartmod.Chart(inverse, f"{name} inverse"))
     problems.append(f"{path}: need either 'registry' or 'components'")
     return None
 
@@ -157,7 +163,10 @@ def _parse_multipole(name, spec, problems):
     return out
 
 
-def _parse_kappa0(spec, path, problems):
+def parse_kappa0(spec, path, problems):
+    """The antisymmetric 4x4 matrix of ``spec``, an object of two-digit
+    index: number (the upper or lower entry), or zeros for None;
+    malformed entries are recorded as problems and left out."""
     M = np.zeros((4, 4))
     if spec is None:
         return M
@@ -172,8 +181,17 @@ def _parse_kappa0(spec, path, problems):
         if d == e:
             problems.append(f"{path}: kappa0 diagonal {key!r} must be zero")
             continue
-        M[d, e] = float(val)
-        M[e, d] = -float(val)
+        try:
+            v = float(val)
+        except (TypeError, ValueError):
+            v = math.nan
+        if not math.isfinite(v):
+            problems.append(
+                f"{path}: kappa0 value {val!r} at {key!r} must be a finite "
+                f"number")
+            continue
+        M[d, e] = v
+        M[e, d] = -v
     return M
 
 
@@ -204,7 +222,7 @@ def _validate_job(i, job, scene_charts, scene_worldlines, scene_multipoles,
         if c not in scene_charts:
             problems.append(f"{path}: unknown chart {c!r}")
     if cmd == "transform":
-        out["kappa0"] = _parse_kappa0(job.get("kappa0"), path, problems)
+        out["kappa0"] = parse_kappa0(job.get("kappa0"), path, problems)
     if cmd == "potentials":
         if "source" not in job:
             problems.append(f"{path}: potentials job needs a 'source'")
@@ -231,25 +249,16 @@ def parse_scene(text):
     worldlines = {}
     for name, spec in (raw.get("worldlines") or {}).items():
         path = f"worldlines.{name}"
-        comps = spec.get("components") if isinstance(spec, dict) else None
-        interval = spec.get("interval") if isinstance(spec, dict) else None
-        if not (isinstance(comps, list) and len(comps) == 4):
-            problems.append(f"{path}: components must be 4 expressions")
+        parsed = _parse_four(spec, "components", ex.TAU_VARS, path, problems)
+        if parsed is None:
             continue
-        parsed = []
-        for i, t in enumerate(comps):
-            try:
-                parsed.append(ex.parse(t, ex.TAU_VARS))
-            except SceneError as err:
-                problems.append(f"{path}.components[{i}]: {err.problems[0]}")
-        if len(parsed) != 4:
-            continue
+        interval = spec.get("interval")
         if not (isinstance(interval, list) and len(interval) == 2
                 and interval[0] < interval[1]):
             problems.append(f"{path}: interval must be [t0, t1] with t0 < t1")
             continue
         worldlines[name] = Worldline(
-            tuple(parsed), (float(interval[0]), float(interval[1]))
+            parsed, (float(interval[0]), float(interval[1]))
         )
     multipoles = {}
     for name, spec in (raw.get("multipoles") or {}).items():

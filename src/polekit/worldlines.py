@@ -64,7 +64,7 @@ class Worldline:
         """One-variable jets of the four components over the taus."""
         self._check_tau(tau)
         seeds = Jet2.seed_point((tau,))
-        return [c.eval_jet(seeds) for c in self.components]
+        return [c.eval(seeds) for c in self.components]
 
     def eval(self, tau):
         """(point, velocity) as (N, 4) arrays from one jet pass."""
@@ -74,7 +74,7 @@ class Worldline:
 
     def point_at(self, tau):
         self._check_tau(tau)
-        return entries_array([c.eval_value((tau,)) for c in self.components],
+        return entries_array([c.eval((tau,)) for c in self.components],
                              tau.shape)
 
     def velocity_at(self, tau):

@@ -465,7 +465,7 @@ def test_criterion_12_jet_engine():
         e = random_safe_expression(rng)
         x = tuple(rng.uniform(-1.5, 1.5, 4))
         try:
-            j = e.eval_jet(Jet2.seed_point(x))
+            j = e.eval(Jet2.seed_point(x))
         except EvaluationError:
             continue
         mags = [abs(j.value), *map(abs, j.grad), *map(abs, j.hess)]
@@ -473,7 +473,7 @@ def test_criterion_12_jet_engine():
             continue
 
         def f(p, _e=e):
-            return _e.eval_value(tuple(p))
+            return _e.eval(tuple(p))
 
         g = fd_gradient(f, x)
         H = fd_hessian(f, x)
@@ -503,7 +503,7 @@ def test_criterion_12_jet_engine():
                 e = ex.add(e, ex.mul(ex.const(coeff),
                                      ex.Mul(ex.Var(a), ex.Var(b))))
         x = rng.uniform(-2, 2, 4)
-        j = e.eval_jet(Jet2.seed_point(tuple(x)))
+        j = e.eval(Jet2.seed_point(tuple(x)))
         value = c0 + lin @ x + x @ quadm @ x
         grad = lin + 2 * quadm @ x
         hess = 2 * quadm

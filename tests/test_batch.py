@@ -72,16 +72,16 @@ def test_random_expressions_batch_equals_pointwise(rng):
         e = random_safe_expression(rng)
         pts = rng.uniform(-1.5, 1.5, (16, 4))
         try:
-            single = [e.eval_jet(Jet2.seed_point(tuple(p))) for p in pts]
+            single = [e.eval(Jet2.seed_point(tuple(p))) for p in pts]
         except EvaluationError:
             continue
-        batch = e.eval_jet(Jet2.seed_point(tuple(pts.T)))
+        batch = e.eval(Jet2.seed_point(tuple(pts.T)))
         _close(_jet_rows(batch, len(pts)), [_jet_row(j) for j in single])
-        one = e.eval_jet(Jet2.seed_point(tuple(pts[:1].T)))
+        one = e.eval(Jet2.seed_point(tuple(pts[:1].T)))
         _close(_jet_rows(batch, len(pts))[0], _jet_rows(one, 1)[0])
-        values = e.eval_value(tuple(pts.T))
+        values = e.eval(tuple(pts.T))
         _close(np.broadcast_to(values, (len(pts),)),
-               [e.eval_value(tuple(p)) for p in pts])
+               [e.eval(tuple(p)) for p in pts])
         checked += 1
 
 

@@ -100,7 +100,7 @@ def test_scalar_potentials_are_harmonic(rng):
             x = rng.uniform(-4, 4, 3)
             if np.linalg.norm(x) < 0.7:
                 continue
-            j = phi_expr.eval_jet(Jet2.seed_point((0.0, *x)))
+            j = phi_expr.eval(Jet2.seed_point((0.0, *x)))
             lap = (j.hess_entry(1, 1) + j.hess_entry(2, 2)
                    + j.hess_entry(3, 3))
             local = max(abs(j.value), 1e-12)
@@ -118,14 +118,14 @@ def test_jet_path_matches_closed_forms(rng):
         x = rng.uniform(-2, 2, (10, 3))
         x = x[np.linalg.norm(x, axis=1) >= 0.5]
         assert s.potential_at(x)[0] == pytest.approx(
-            phi_expr.eval_value((0.0, *x.T)), rel=1e-11
+            phi_expr.eval((0.0, *x.T)), rel=1e-11
         )
     s = StaticSource("magnetic_dipole", (0.1, -0.8, 0.4))
     _, A_exprs = s.potential_exprs()
     x = rng.uniform(-2, 2, (5, 3))
     x = x[np.linalg.norm(x, axis=1) >= 0.5]
     A = s.potential_at(x)[1]
-    closed = np.stack([c.eval_value((0.0, *x.T)) for c in A_exprs], axis=1)
+    closed = np.stack([c.eval((0.0, *x.T)) for c in A_exprs], axis=1)
     assert A.shape == closed.shape == (len(x), 3)
     assert np.allclose(A, closed, rtol=1e-11, atol=1e-13)
 

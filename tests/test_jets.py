@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from oracles import fd_gradient, fd_hessian, random_safe_expression
 from polekit import expr as ex
 from polekit.errors import EvaluationError
-from polekit.jets import PRIMITIVES, Jet2, apply_jet, apply_value, compose
+from polekit.jets import PRIMITIVES, Jet2, apply, compose
 
 
 def jet_of(e, x):
-    return e.eval_jet(Jet2.seed_point(x))
+    return e.eval(Jet2.seed_point(x))
 
 
 def test_seed_semantics():
@@ -129,7 +129,7 @@ def test_sstep_values_and_derivative_chain():
     d = e.diff(1)
     for v in (0.12, 0.5, 0.93, -0.5, 1.5):
         x = (0.0, v, 0.0, 0.0)
-        assert d.eval_value(x) == pytest.approx(
+        assert d.eval(x) == pytest.approx(
             jet_of(e, x).grad[1], rel=1e-12, abs=1e-12
         )
 
@@ -178,7 +178,7 @@ def test_thousand_random_expressions_match_fd(rng):
         e = random_safe_expression(rng)
         x = tuple(rng.uniform(-1.5, 1.5, 4))
         try:
-            j = e.eval_jet(Jet2.seed_point(x))
+            j = e.eval(Jet2.seed_point(x))
         except EvaluationError:
             continue
         mags = [abs(j.value), *map(abs, j.grad), *map(abs, j.hess)]
@@ -186,7 +186,7 @@ def test_thousand_random_expressions_match_fd(rng):
             continue
 
         def f(p, _e=e):
-            return _e.eval_value(tuple(p))
+            return _e.eval(tuple(p))
 
         g = fd_gradient(f, x)
         H = fd_hessian(f, x)
@@ -215,7 +215,7 @@ def test_exact_on_degree_two_polynomials(rng):
                     ex.mul(ex.const(coeff), ex.Mul(ex.Var(a), ex.Var(b))),
                 )
         x = rng.uniform(-2, 2, 4)
-        j = e.eval_jet(Jet2.seed_point(tuple(x)))
+        j = e.eval(Jet2.seed_point(tuple(x)))
         value = c0 + lin @ x + x @ quad @ x
         grad = lin + 2 * quad @ x
         hess = 2 * quad
@@ -234,8 +234,8 @@ def test_mul_commutes_and_hessian_symmetric(coeffs, point):
     a = ex.linear_combination(coeffs, 0.5)
     b = ex.Fun("sin", ex.Var(1))
     x = tuple(point)
-    j1 = ex.Mul(a, b).eval_jet(Jet2.seed_point(x))
-    j2 = ex.Mul(b, a).eval_jet(Jet2.seed_point(x))
+    j1 = ex.Mul(a, b).eval(Jet2.seed_point(x))
+    j2 = ex.Mul(b, a).eval(Jet2.seed_point(x))
     assert j1.value == j2.value
     assert np.array_equal(j1.grad, j2.grad)
     assert np.array_equal(j1.hess, j2.hess)
@@ -252,11 +252,11 @@ def test_compose_matches_substitution(rng):
     outer = random_safe_expression(rng)
     x = tuple(rng.uniform(-1, 1, 4))
     seeds = Jet2.seed_point(x)
-    Y = tuple(e.eval_jet(seeds) for e in inner)
+    Y = tuple(e.eval(seeds) for e in inner)
     yvals = tuple(j.value for j in Y)
-    outer_jet = outer.eval_jet(Jet2.seed_point(yvals))
+    outer_jet = outer.eval(Jet2.seed_point(yvals))
     composed = compose(outer_jet, Y)
-    direct = outer.subs({i: inner[i] for i in range(4)}).eval_jet(seeds)
+    direct = outer.subs({i: inner[i] for i in range(4)}).eval(seeds)
     assert composed.value == pytest.approx(direct.value, rel=1e-12, abs=1e-12)
     assert np.allclose(composed.grad, direct.grad, rtol=1e-10, atol=1e-10)
     assert np.allclose(composed.hess, direct.hess, rtol=1e-9, atol=1e-9)
@@ -366,16 +366,16 @@ _PRIMITIVE_POINTS = np.array([
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVES))
 def test_value_only_primitives_match_jet_values(name):
-    """apply_value gives the bits of the jet's value, over a batch and
-    at each point alone, inside, outside and on the edges of the
+    """apply on values gives the bits of the jet's value, over a batch
+    and at each point alone, inside, outside and on the edges of the
     supports of bump and the sstep family (|v| = 1, where the bump
     underflows, v = 0 and v = 1)."""
     v = _PRIMITIVE_POINTS
     if name == "sqrt":
         v = v[v >= 1e-3]
     for x in (v, *v):
-        value = apply_value(name, x)
-        jet = apply_jet(name, Jet2.seed_point((x,))[0])
+        value = apply(name, x)
+        jet = apply(name, Jet2.seed_point((x,))[0])
         assert np.shape(value) == np.shape(jet.value)
         assert np.array_equal(np.asarray(value).view(np.int64),
                               np.asarray(jet.value).view(np.int64))
@@ -384,9 +384,9 @@ def test_value_only_primitives_match_jet_values(name):
 def test_value_only_primitives_raise_like_jets():
     for name, x in (("sqrt", np.array([1.0, 0.0])), ("exp", np.array([1e3]))):
         with pytest.raises(EvaluationError):
-            apply_value(name, x)
+            apply(name, x)
         with pytest.raises(EvaluationError):
-            apply_jet(name, Jet2.seed_point((x,))[0])
+            apply(name, Jet2.seed_point((x,))[0])
 
 
 @pytest.mark.parametrize("n", [1, 4])
@@ -398,6 +398,6 @@ def test_one_point_jets_keep_point_shapes(n):
     u, v = seeds[0], seeds[-1]
     c = Jet2.constant(2.0, n)
     for j in (u, c, u * v, u + c, c - v, u * c, u / v, c / u, u ** 3,
-              apply_jet("sin", u), apply_jet("exp", u * v), -u, 1.0 - v):
+              apply("sin", u), apply("exp", u * v), -u, 1.0 - v):
         assert np.shape(j.grad) == (n,)
         assert np.shape(j.hess) == (m,)

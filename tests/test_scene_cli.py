@@ -166,6 +166,62 @@ def test_kappa0_flag_offsets_intercept(tmp_path):
     assert fit["slope"] == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("flag, problem", [
+    ("1=2", "key '1' must be two digits"),
+    ("ab=1", "key 'ab' must be two digits"),
+    ("12=x", "value 'x' at '12' must be a finite number"),
+    ("11=1", "diagonal '11' must be zero"),
+    ("12", "value '' at '12' must be a finite number"),
+])
+def test_kappa0_flag_malformed_is_usage_error(tmp_path, capsys, flag,
+                                              problem):
+    code = main([
+        "run", str(SCENES / "worked_example.scene"), "--command",
+        "transform", "--out-dir", str(tmp_path), "--kappa0", flag,
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"usage error: --kappa0: kappa0 {problem}" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_scene_kappa0_non_numeric_reported():
+    doc = json.loads((SCENES / "worked_example.scene").read_text())
+    transform = next(j for j in doc["jobs"] if j["command"] == "transform")
+    transform["kappa0"] = {"12": "x"}
+    with pytest.raises(SceneError) as err:
+        parse_scene(json.dumps(doc))
+    assert any("kappa0 value 'x' at '12' must be a finite number" in p
+               for p in err.value.problems)
+
+
+@pytest.mark.parametrize("inverse", [["x0", "x1", "x2"], "x0"])
+def test_chart_inverse_must_be_four_expressions(inverse):
+    bad = json.loads(MINIMAL)
+    bad["charts"]["c"] = {"components": ["x0", "x1", "x2", "x3"],
+                          "inverse": inverse}
+    with pytest.raises(SceneError) as err:
+        parse_scene(json.dumps(bad))
+    assert err.value.problems == ["charts.c: inverse must be 4 expressions"]
+
+
+def test_expression_lists_report_each_entry():
+    """Chart components and inverses and worldline components are
+    checked alike: each entry must be a parsable string."""
+    bad = json.loads(MINIMAL)
+    bad["charts"]["c"] = {"components": ["x0", "x1 +", "x2", "x3"]}
+    bad["charts"]["d"] = {"components": ["x0", "x1", "x2", "x3"],
+                          "inverse": ["x0", "x1", 2, "x3"]}
+    bad["worldlines"]["rest"]["components"][3] = "tau )"
+    with pytest.raises(SceneError) as err:
+        parse_scene(json.dumps(bad))
+    problems = err.value.problems
+    assert problems[0].startswith("charts.c.components[1]: column")
+    assert problems[1] == "charts.d.inverse[2]: expression must be a string"
+    assert problems[2].startswith("worldlines.rest.components[3]: column")
+    assert problems[3:] == ["jobs[0]: unknown worldline 'rest'"]
+
+
 def test_reports_byte_identical(tmp_path):
     text = (SCENES / "worked_example.scene").read_text()
     scene1 = parse_scene(text)

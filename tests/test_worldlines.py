@@ -153,8 +153,8 @@ def _four_variable(e, taus):
     """Value, d/dtau and d2/dtau2 of e from jets seeded in four
     variables at (tau, 0, 0, 0)."""
     env = (taus, 0.0, 0.0, 0.0)
-    jet = e.eval_jet(Jet2.seed_point(env))
-    return e.eval_value(env), jet.grad[..., 0], jet.hess[..., 0]
+    jet = e.eval(Jet2.seed_point(env))
+    return e.eval(env), jet.grad[..., 0], jet.hess[..., 0]
 
 
 def test_one_variable_tau_derivatives_equal_four_variable_seeding(rng):
