@@ -8,6 +8,10 @@ variable 0 for functions of the curve parameter).  One evaluator,
 coordinates the value alone, with the same primitives and domain checks
 (:mod:`polekit.jets`).  Either evaluates one point (floats in ``env``)
 or a batch of points (arrays in ``env``).
+:meth:`Expr.diff` shares subtrees by reference (``d(fg) = df g + f dg``
+reuses ``f`` and ``g``), so its trees are DAGs; :func:`eval_all`
+evaluates several trees over one memo, which evaluates each shared
+subtree once per call.
 Functions of the curve parameter (worldlines, component entries) are
 trees in variable 0; :func:`tau_derivative` gives their exact value,
 first or second tau derivative over a 1-D array of taus from
@@ -71,12 +75,27 @@ class Expr:
     def __pow__(self, p):
         return Pow(self, float(p))
 
-    def eval(self, env):
+    def eval(self, env, memo=None):
         """Evaluate at ``env``: the tuple of seed jets of
         :meth:`Jet2.seed_point` gives a :class:`Jet2`, a tuple of
         coordinates (floats, or arrays over a batch) gives a value (a
-        constant subtree gives a plain float)."""
+        constant subtree gives a plain float).
+
+        Without ``memo`` the tree is walked node by node.  With one (a
+        dict owned by one call, see :func:`eval_all`) every distinct
+        composite subtree is evaluated once: the tree is walked as the
+        DAG that :meth:`diff` builds by sharing subtrees.  Entries are
+        keyed by node id, which cannot collide because every node stays
+        alive for the call."""
         raise NotImplementedError
+
+    def _once(self, env, memo):
+        """This subtree's value, looked up in or added to ``memo``."""
+        key = id(self)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = self.eval(env, memo)
+        return value
 
     def diff(self, var):
         raise NotImplementedError
@@ -108,10 +127,12 @@ def _coerce(x):
 class Const(Expr):
     v: float
 
-    def eval(self, env):
+    def eval(self, env, memo=None):
         if isinstance(env[0], Jet2):
             return Jet2.constant(self.v, len(env))
         return self.v
+
+    _once = eval  # leaves skip the memo
 
     def diff(self, var):
         return Const(0.0)
@@ -127,8 +148,10 @@ class Const(Expr):
 class Var(Expr):
     index: int
 
-    def eval(self, env):
+    def eval(self, env, memo=None):
         return env[self.index]
+
+    _once = eval
 
     def diff(self, var):
         return Const(1.0 if var == self.index else 0.0)
@@ -145,8 +168,10 @@ class Add(Expr):
     a: Expr
     b: Expr
 
-    def eval(self, env):
-        return self.a.eval(env) + self.b.eval(env)
+    def eval(self, env, memo=None):
+        if memo is None:
+            return self.a.eval(env) + self.b.eval(env)
+        return self.a._once(env, memo) + self.b._once(env, memo)
 
     def diff(self, var):
         return add(self.a.diff(var), self.b.diff(var))
@@ -164,8 +189,10 @@ class Sub(Expr):
     a: Expr
     b: Expr
 
-    def eval(self, env):
-        return self.a.eval(env) - self.b.eval(env)
+    def eval(self, env, memo=None):
+        if memo is None:
+            return self.a.eval(env) - self.b.eval(env)
+        return self.a._once(env, memo) - self.b._once(env, memo)
 
     def diff(self, var):
         return sub(self.a.diff(var), self.b.diff(var))
@@ -183,8 +210,10 @@ class Mul(Expr):
     a: Expr
     b: Expr
 
-    def eval(self, env):
-        return self.a.eval(env) * self.b.eval(env)
+    def eval(self, env, memo=None):
+        if memo is None:
+            return self.a.eval(env) * self.b.eval(env)
+        return self.a._once(env, memo) * self.b._once(env, memo)
 
     def diff(self, var):
         return add(
@@ -204,8 +233,11 @@ class Div(Expr):
     a: Expr
     b: Expr
 
-    def eval(self, env):
-        return jets.divide(self.a.eval(env), self.b.eval(env))
+    def eval(self, env, memo=None):
+        if memo is None:
+            return jets.divide(self.a.eval(env), self.b.eval(env))
+        return jets.divide(self.a._once(env, memo),
+                           self.b._once(env, memo))
 
     def diff(self, var):
         num = sub(
@@ -225,8 +257,10 @@ class Div(Expr):
 class Neg(Expr):
     a: Expr
 
-    def eval(self, env):
-        return -self.a.eval(env)
+    def eval(self, env, memo=None):
+        if memo is None:
+            return -self.a.eval(env)
+        return -self.a._once(env, memo)
 
     def diff(self, var):
         return neg(self.a.diff(var))
@@ -243,8 +277,10 @@ class Pow(Expr):
     base: Expr
     exponent: float
 
-    def eval(self, env):
-        return jets.power(self.base.eval(env), self.exponent)
+    def eval(self, env, memo=None):
+        if memo is None:
+            return jets.power(self.base.eval(env), self.exponent)
+        return jets.power(self.base._once(env, memo), self.exponent)
 
     def diff(self, var):
         du = self.base.diff(var)
@@ -265,8 +301,10 @@ class Fun(Expr):
     name: str
     arg: Expr
 
-    def eval(self, env):
-        return jets.apply(self.name, self.arg.eval(env))
+    def eval(self, env, memo=None):
+        if memo is None:
+            return jets.apply(self.name, self.arg.eval(env))
+        return jets.apply(self.name, self.arg._once(env, memo))
 
     def diff(self, var):
         du = self.arg.diff(var)
@@ -302,8 +340,10 @@ class Atan2(Expr):
     y: Expr
     x: Expr
 
-    def eval(self, env):
-        return jets.atan2(self.y.eval(env), self.x.eval(env))
+    def eval(self, env, memo=None):
+        if memo is None:
+            return jets.atan2(self.y.eval(env), self.x.eval(env))
+        return jets.atan2(self.y._once(env, memo), self.x._once(env, memo))
 
     def diff(self, var):
         dy = self.y.diff(var)
@@ -373,6 +413,14 @@ def neg(a):
     if isinstance(a, Neg):
         return a.a
     return Neg(a)
+
+
+def eval_all(trees, env):
+    """Evaluate several trees at one ``env`` with one memo, so that the
+    subtrees they share are evaluated once; a tuple of results, each
+    bit-identical to ``tree.eval(env)``."""
+    memo = {}
+    return tuple(t._once(env, memo) for t in trees)
 
 
 def gradient_exprs(e):

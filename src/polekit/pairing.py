@@ -174,12 +174,10 @@ class ExprCovector(_BatchForm):
         return np.ones(len(x), dtype=bool)
 
     def _jets_inside(self, pts):
-        seeds = Jet2.seed_point(columns(pts))
-        return tuple(c.eval(seeds) for c in self.comps)
+        return ex.eval_all(self.comps, Jet2.seed_point(columns(pts)))
 
     def _values_inside(self, pts):
-        env = columns(pts)
-        return entries_array([c.eval(env) for c in self.comps],
+        return entries_array(ex.eval_all(self.comps, columns(pts)),
                              (len(pts),))
 
 

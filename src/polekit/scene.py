@@ -69,6 +69,9 @@ class Scene:
 
 def _parse_components(mapping, arity, path, problems):
     entries = {}
+    if not isinstance(mapping, dict):
+        problems.append(f"{path}: must be an object of index: expression")
+        return entries
     for key, text in mapping.items():
         if len(key) != arity or not all(ch in "0123" for ch in key):
             problems.append(
@@ -229,6 +232,21 @@ def _validate_job(i, job, scene_charts, scene_worldlines, scene_multipoles,
     return out
 
 
+def _parse_interval(interval):
+    """The pair of floats (t0, t1) of ``interval``, or None unless it is
+    a list of two finite numbers with t0 < t1."""
+    if not (isinstance(interval, list) and len(interval) == 2
+            and all(type(t) in (int, float) for t in interval)):
+        return None
+    try:
+        t0, t1 = float(interval[0]), float(interval[1])
+    except OverflowError:  # an integer beyond the float range
+        return None
+    if math.isfinite(t0) and math.isfinite(t1) and t0 < t1:
+        return t0, t1
+    return None
+
+
 def parse_scene(text):
     """Parse and validate scene text; raises SceneError listing every
     problem found (JSON position or scene path plus expression column)."""
@@ -252,14 +270,12 @@ def parse_scene(text):
         parsed = _parse_four(spec, "components", ex.TAU_VARS, path, problems)
         if parsed is None:
             continue
-        interval = spec.get("interval")
-        if not (isinstance(interval, list) and len(interval) == 2
-                and interval[0] < interval[1]):
-            problems.append(f"{path}: interval must be [t0, t1] with t0 < t1")
+        interval = _parse_interval(spec.get("interval"))
+        if interval is None:
+            problems.append(
+                f"{path}: interval must be [t0, t1] with finite t0 < t1")
             continue
-        worldlines[name] = Worldline(
-            parsed, (float(interval[0]), float(interval[1]))
-        )
+        worldlines[name] = Worldline(parsed, interval)
     multipoles = {}
     for name, spec in (raw.get("multipoles") or {}).items():
         parsed = _parse_multipole(name, spec, problems)

@@ -5,6 +5,8 @@ import pytest
 
 from oracles import fd_gradient_plain, random_safe_expression
 from polekit import expr as ex
+from polekit import jets
+from polekit.classify import compact_window_expr, random_poly_expr
 from polekit.errors import EvaluationError, SceneError
 from polekit.jets import Jet2
 
@@ -209,3 +211,81 @@ def test_domain_errors_raise_in_every_env(text):
     for env in (point, batch, Jet2.seed_point(point), Jet2.seed_point(batch)):
         with pytest.raises(EvaluationError):
             e.eval(env)
+
+
+# -- DAG evaluation: shared subtrees evaluated once per call ----------------
+
+
+def _probe_trees(seed):
+    """The four gradient trees of a closedness-style probe
+    (polynomial * compact window) and of a Div/Atan2 scalar, built as
+    ``polekit.classify`` builds them."""
+    rng = np.random.default_rng(seed)
+    window = compact_window_expr((0.1, 0.0, 0.0, 0.0), (0.6, 0.5, 0.5, 0.5))
+    closed = ex.Mul(random_poly_expr(rng, degree=2), window)
+    quotient = ex.parse("atan2(x1, 2 + x2) / (3 + x0*x3) + x1*x2")
+    return [ex.gradient_exprs(closed), ex.gradient_exprs(quotient)]
+
+
+def _envs(seed):
+    rng = np.random.default_rng(seed)
+    point = tuple(rng.uniform(-0.3, 0.3, (4, 1)))
+    batch = tuple(rng.uniform(-0.3, 0.3, (4, 7)))
+    return [point, batch, Jet2.seed_point(point), Jet2.seed_point(batch)]
+
+
+def _bits(r):
+    if isinstance(r, Jet2):
+        return [_bits(r.value), _bits(r.grad), _bits(r.hess)]
+    r = np.asarray(r)
+    return r.shape, r.tobytes()
+
+
+def _distinct(trees, kind):
+    return {id(n): n for t in trees for n in _subtrees(t)
+            if isinstance(n, kind)}
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_eval_all_matches_per_tree_eval_bit_for_bit(seed):
+    for trees in _probe_trees(seed):
+        for env in _envs(seed):
+            shared = ex.eval_all(trees, env)
+            assert len(shared) == 4
+            for tree, result in zip(trees, shared):
+                assert _bits(result) == _bits(tree.eval(env)), tree
+
+
+def test_eval_all_applies_each_distinct_function_node_once(monkeypatch):
+    calls = []
+    apply = jets.apply
+
+    def counting(name, u):
+        calls.append(name)
+        return apply(name, u)
+
+    monkeypatch.setattr(jets, "apply", counting)
+    trees = _probe_trees(5)[0]
+    funs = _distinct(trees, ex.Fun)
+    walked = sum(isinstance(n, ex.Fun) for t in trees for n in _subtrees(t))
+    assert 0 < len(funs) < walked  # the window's sstep nodes are shared
+    for env in _envs(5):
+        calls.clear()
+        for t in trees:
+            t.eval(env)
+        assert len(calls) == walked
+        calls.clear()
+        ex.eval_all(trees, env)
+        assert len(calls) == len(funs)
+
+
+def test_domain_error_in_a_shared_subtree_raises_in_every_env():
+    """Div.diff squares its denominator by sharing it; a zero there
+    raises through eval_all as through eval."""
+    e = ex.parse("x1*x2 / (x0 - 2)")
+    trees = ex.gradient_exprs(e)
+    assert sum(n is e.b for t in trees for n in _subtrees(t)) > 1
+    point = (2.0, 0.5, 0.5, 0.0)
+    for env in (point, Jet2.seed_point(point)):
+        with pytest.raises(EvaluationError):
+            ex.eval_all(trees, env)

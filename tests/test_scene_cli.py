@@ -339,3 +339,56 @@ def test_module_entry_point_matches_run(tmp_path):
     run(parse_scene(scene_file.read_text()), out_dir=tmp_path / "direct")
     assert ((tmp_path / "module" / "report.json").read_bytes()
             == (tmp_path / "direct" / "report.json").read_bytes())
+
+
+@pytest.mark.parametrize("interval", [
+    ["a", 2.0], [0, float("inf")], [0.0, float("nan")], [True, 2.0],
+    [0, 10**400], [2.0, 1.0], [0.0], "0, 2",
+], ids=["text", "infinite", "nan", "bool", "huge", "reversed", "short",
+        "string"])
+def test_malformed_worldline_interval_reported(tmp_path, interval):
+    """A non-numeric, infinite or reversed interval is a scene problem
+    (exit 2), not a TypeError or an OverflowError from sampling."""
+    bad = json.loads(MINIMAL)
+    bad["worldlines"]["rest"]["interval"] = interval
+    text = json.dumps(bad)
+    with pytest.raises(SceneError) as err:
+        parse_scene(text)
+    assert err.value.problems[0] == (
+        "worldlines.rest: interval must be [t0, t1] with finite t0 < t1")
+    f = tmp_path / "bad.scene"
+    f.write_text(text)
+    assert main(["run", str(f), "--out-dir", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("kind", ["dipole", "quadrupole"])
+def test_component_block_must_be_an_object(tmp_path, kind):
+    """A list given as a dipole or quadrupole block is a scene problem
+    (exit 2), not an AttributeError."""
+    bad = json.loads(MINIMAL)
+    bad["multipoles"]["charge"][kind] = ["01"]
+    text = json.dumps(bad)
+    with pytest.raises(SceneError) as err:
+        parse_scene(text)
+    assert err.value.problems == [
+        f"multipoles.charge.{kind}: must be an object of index: expression"]
+    f = tmp_path / "bad.scene"
+    f.write_text(text)
+    assert main(["run", str(f), "--out-dir", str(tmp_path / "o")]) == 2
+
+
+def test_classify_example_scene_passes_every_job(tmp_path):
+    """The committed classification scene: a tau-dependent electric
+    quadrupole and a charged electric dipole on (tau, 0, 0, 0), their
+    orders and electric orders, and the dipole's charge."""
+    scene = parse_scene((SCENES / "classify_example.scene").read_text())
+    results, code = run(scene, out_dir=tmp_path)
+    assert code == 0
+    payload = json.loads((tmp_path / "report.json").read_text())
+    jobs = payload["jobs"]
+    assert [j["name"] for j in jobs] == [
+        "classify-quadrupole", "classify-charged-dipole",
+        "charge-charged-dipole"]
+    assert all(j["passed"] for j in jobs)
+    assert jobs[1]["data"]["electric_order_1"]
+    assert jobs[2]["data"]["drift"] <= 1e-8
