@@ -84,13 +84,17 @@ class Expr:
         Without ``memo`` the tree is walked node by node.  With one (a
         dict owned by one call, see :func:`eval_all`) every distinct
         composite subtree is evaluated once: the tree is walked as the
-        DAG that :meth:`diff` builds by sharing subtrees.  Entries are
+        DAG that :meth:`diff` builds by sharing subtrees.  Composite
+        nodes reach their children through :meth:`_once` either way.  Entries are
         keyed by node id, which cannot collide because every node stays
         alive for the call."""
         raise NotImplementedError
 
     def _once(self, env, memo):
-        """This subtree's value, looked up in or added to ``memo``."""
+        """This subtree's value, looked up in or added to ``memo`` (without
+        one, evaluated directly)."""
+        if memo is None:
+            return self.eval(env)
         key = id(self)
         value = memo.get(key)
         if value is None:
@@ -169,8 +173,6 @@ class Add(Expr):
     b: Expr
 
     def eval(self, env, memo=None):
-        if memo is None:
-            return self.a.eval(env) + self.b.eval(env)
         return self.a._once(env, memo) + self.b._once(env, memo)
 
     def diff(self, var):
@@ -190,8 +192,6 @@ class Sub(Expr):
     b: Expr
 
     def eval(self, env, memo=None):
-        if memo is None:
-            return self.a.eval(env) - self.b.eval(env)
         return self.a._once(env, memo) - self.b._once(env, memo)
 
     def diff(self, var):
@@ -211,8 +211,6 @@ class Mul(Expr):
     b: Expr
 
     def eval(self, env, memo=None):
-        if memo is None:
-            return self.a.eval(env) * self.b.eval(env)
         return self.a._once(env, memo) * self.b._once(env, memo)
 
     def diff(self, var):
@@ -234,10 +232,7 @@ class Div(Expr):
     b: Expr
 
     def eval(self, env, memo=None):
-        if memo is None:
-            return jets.divide(self.a.eval(env), self.b.eval(env))
-        return jets.divide(self.a._once(env, memo),
-                           self.b._once(env, memo))
+        return jets.divide(self.a._once(env, memo), self.b._once(env, memo))
 
     def diff(self, var):
         num = sub(
@@ -258,8 +253,6 @@ class Neg(Expr):
     a: Expr
 
     def eval(self, env, memo=None):
-        if memo is None:
-            return -self.a.eval(env)
         return -self.a._once(env, memo)
 
     def diff(self, var):
@@ -278,8 +271,6 @@ class Pow(Expr):
     exponent: float
 
     def eval(self, env, memo=None):
-        if memo is None:
-            return jets.power(self.base.eval(env), self.exponent)
         return jets.power(self.base._once(env, memo), self.exponent)
 
     def diff(self, var):
@@ -302,8 +293,6 @@ class Fun(Expr):
     arg: Expr
 
     def eval(self, env, memo=None):
-        if memo is None:
-            return jets.apply(self.name, self.arg.eval(env))
         return jets.apply(self.name, self.arg._once(env, memo))
 
     def diff(self, var):
@@ -341,8 +330,6 @@ class Atan2(Expr):
     x: Expr
 
     def eval(self, env, memo=None):
-        if memo is None:
-            return jets.atan2(self.y.eval(env), self.x.eval(env))
         return jets.atan2(self.y._once(env, memo), self.x._once(env, memo))
 
     def diff(self, var):
