@@ -22,7 +22,7 @@ from . import transport as tp
 from .errors import PolekitError, SceneError
 from .fields import StaticSource, loglog_slope, ray_magnitudes
 from .moments import sample_taus
-from .pairing import SourceBundle, pair_bundle, pull_back_test_form
+from .pairing import SourceBundle, pair_bundle_family, pull_back_test_form
 from .scene import parse_kappa0, parse_scene
 from .sampling import rng_from_seed, random_test_form_along
 
@@ -141,12 +141,14 @@ def _run_verify(scene, job, out_dir):
         else tp.transform_quadrupole(bundle.quadrupole, pair.forward,
                                      C).gamma3_hat,
     )
+    # Pairing draws nothing from rng, so drawing every form first gives
+    # the forms of drawing each before its pairings.
+    forms = random_test_form_along(rng, hatC, count=n)
     rows = []
     passed = True
-    for i in range(n):
-        form_hat = random_test_form_along(rng, hatC)
-        src = pair_bundle(bundle, pull_back_test_form(form_hat, pair))
-        hatted = pair_bundle(hat, form_hat)
+    for src, hatted in zip(
+            pair_bundle_family(bundle, pull_back_test_form(forms, pair)),
+            pair_bundle_family(hat, forms)):
         resid = abs(src.value - hatted.value) / max(1.0, abs(src.value))
         rows.append((src, hatted, resid))
         passed = passed and resid <= tol

@@ -174,10 +174,11 @@ class Jet2:
     @staticmethod
     def affine(value, grad):
         """Jet of an affine function: ``value`` over the batch, the
-        gradient ``grad`` (n,) the same at every point, zero Hessian."""
+        gradient ``grad``, (n,) the same at every point or entry-major
+        rows (n, *S), and zero Hessian."""
         grad = np.asarray(grad, dtype=float)
         k = np.ndim(value)
-        return _jet(value, _shared(grad, k),
+        return _jet(value, _shared(grad, k + 1 - grad.ndim),
                     _shared(_layout(len(grad)).zero_hess, k))
 
     @staticmethod

@@ -29,7 +29,7 @@ from . import expr as ex
 from .errors import DomainError, QuadratureError
 from .jets import Jet2, apply, columns, compose, entries_array, stacked
 from .moments import DipoleComponents, Monopole, QuadrupoleComponents
-from .quadrature import integrate
+from .quadrature import integrate, integrate_many
 
 
 @dataclass(frozen=True)
@@ -64,39 +64,56 @@ class PairingReport:
 
 
 # Test forms evaluate over batches: ``jets_at`` / ``values_at`` /
-# ``in_support`` take an (N, 4) array of points (N = 1 for one point)
-# and return four jets over the batch, an (N, 4) array and an (N,)
-# boolean array.  Work is done only at points inside the support, and
-# the result is exactly zero elsewhere.
+# ``in_support`` take an (N, 4) array of points (N = 1 for one point),
+# and optionally the (N,) member index of each row, and return four jets
+# over the batch, an (N, 4) array and an (N,) boolean array.  A single
+# form is the one-member case and ignores the index; a family
+# (:class:`AffineFormFamily`, or its pull-back) evaluates row i as its
+# member owner[i], and without an index as member 0.  Work is done only
+# at points inside the support, and the result is exactly zero
+# elsewhere.
 
 
 def _zero_jets(n):
     return (Jet2.zeros(n, 4),) * 4
 
 
-def _jets_on(pts, inside, jets_inside):
-    """Jets at the rows of ``pts``: ``jets_inside`` of the rows where
-    ``inside`` holds, the zero jet elsewhere."""
-    if not np.any(inside):
-        return _zero_jets(len(pts))
-    return tuple(j.scatter(inside) for j in jets_inside(pts[inside]))
+def _owner(owner, n):
+    """The member index of each of n rows: member 0 when not given."""
+    return np.zeros(n, dtype=np.intp) if owner is None else owner
 
 
-def _values_on(pts, inside, values_inside):
-    """(N, 4) values: ``values_inside`` of the rows where ``inside``
-    holds, zero elsewhere."""
-    out = np.zeros((len(pts), 4))
-    if np.any(inside):
-        out[inside] = values_inside(pts[inside])
-    return out
+def _window_jet(pts, center, half):
+    """Jet of prod_b bump((x^b - center^b) / half^b) at the rows of
+    ``pts``; ``center`` and ``half`` are (4,) or one row per point."""
+    w = None
+    for b in range(4):
+        hw = half[..., b]
+        u = (pts[:, b] - center[..., b]) / hw
+        grad = np.zeros((4,) + np.shape(hw))
+        grad[b] = 1.0 / hw
+        bj = apply("bump", Jet2.affine(u, grad))
+        w = bj if w is None else w * bj
+    return w
+
+
+def _window_values(pts, center, half):
+    """The values of :func:`_window_jet`."""
+    w = 1.0
+    for b in range(4):
+        w = w * apply("bump", (pts[:, b] - center[..., b]) / half[..., b])
+    return w
 
 
 class _BatchForm:
     """The batch front end shared by the test forms.
 
     A form gives ``in_support`` and its work on the live rows of an
-    (N, 4) array of points, ``_jets_inside`` and ``_values_inside``;
-    ``_live`` picks those rows (by default the support).
+    (N, 4) array of points, ``_jets_inside`` and ``_values_inside``
+    (which take the points and their member indices); ``_live`` picks
+    those rows (by default the support).  ``boxes`` holds the support
+    box of each member (None when a form has none); ``box`` is the
+    first.
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -106,16 +123,30 @@ class _BatchForm:
         cls.jets_at = cls.jets_at
         cls.values_at = cls.values_at
 
-    def _live(self, pts):
-        return self.in_support(pts)
+    @property
+    def box(self):
+        return self.boxes[0]
 
-    def jets_at(self, x):
-        pts = np.asarray(x, dtype=float)
-        return _jets_on(pts, self._live(pts), self._jets_inside)
+    def _live(self, pts, owner):
+        return self.in_support(pts, owner)
 
-    def values_at(self, x):
+    def jets_at(self, x, owner=None):
         pts = np.asarray(x, dtype=float)
-        return _values_on(pts, self._live(pts), self._values_inside)
+        owner = _owner(owner, len(pts))
+        live = self._live(pts, owner)
+        if not np.any(live):
+            return _zero_jets(len(pts))
+        return tuple(j.scatter(live)
+                     for j in self._jets_inside(pts[live], owner[live]))
+
+    def values_at(self, x, owner=None):
+        pts = np.asarray(x, dtype=float)
+        owner = _owner(owner, len(pts))
+        live = self._live(pts, owner)
+        out = np.zeros((len(pts), 4))
+        if np.any(live):
+            out[live] = self._values_inside(pts[live], owner[live])
+        return out
 
 
 class ProductTestForm(_BatchForm):
@@ -125,24 +156,14 @@ class ProductTestForm(_BatchForm):
         if any(h <= 0 for h in box.half):
             raise DomainError("test form needs positive half-widths")
         self.polys = tuple(polys)
-        self.box = box
+        self.boxes = (box,)
+        self._window = (np.array(box.center), np.array(box.half))
 
-    def in_support(self, x):
+    def in_support(self, x, owner=None):
         return self.box.contains(x)
 
-    def _window_jet(self, pts):
-        w = None
-        for b in range(4):
-            hw = self.box.half[b]
-            u = (pts[:, b] - self.box.center[b]) / hw
-            grad = np.zeros(4)
-            grad[b] = 1.0 / hw
-            bj = apply("bump", Jet2.affine(u, grad))
-            w = bj if w is None else w * bj
-        return w
-
-    def _jets_inside(self, pts):
-        w = self._window_jet(pts)
+    def _jets_inside(self, pts, owner):
+        w = _window_jet(pts, *self._window)
         seeds = Jet2.seed_point(columns(pts))
         return tuple(
             Jet2.constant(0.0, 4) if isinstance(p, ex.Const) and p.v == 0.0
@@ -150,14 +171,68 @@ class ProductTestForm(_BatchForm):
             for p in self.polys
         )
 
-    def _values_inside(self, pts):
-        w = 1.0
-        for b in range(4):
-            w = w * apply(
-                "bump", (pts[:, b] - self.box.center[b]) / self.box.half[b])
+    def _values_inside(self, pts, owner):
+        w = _window_values(pts, *self._window)
         env = columns(pts)
         return entries_array([p.eval(env) * w for p in self.polys],
                              (len(pts),))
+
+
+class AffineFormFamily(_BatchForm):
+    """K test forms phi_a = (k_a + sum_b c_ab (x^b - m^b)) * prod_b
+    bump((x^b - m^b) / w^b), held as arrays: ``consts`` (K, 4),
+    ``coefs`` (K, 4, 4), ``centers`` m and ``halves`` w (K, 4).
+
+    A row evaluated as member k follows the operation order of the
+    :class:`ProductTestForm` over the expression trees ``k_a + c_a0 (x^0
+    - m^0) + ... + c_a3 (x^3 - m^3)`` (added left to right), so it equals
+    that form's row bit for bit, up to the sign of zeros.
+    """
+
+    def __init__(self, consts, coefs, centers, halves):
+        self.consts = np.reshape(np.asarray(consts, dtype=float), (-1, 4))
+        self.coefs = np.reshape(np.asarray(coefs, dtype=float), (-1, 4, 4))
+        self.centers = np.reshape(np.asarray(centers, dtype=float), (-1, 4))
+        self.halves = np.reshape(np.asarray(halves, dtype=float), (-1, 4))
+        if np.any(self.halves <= 0):
+            raise DomainError("test form needs positive half-widths")
+        self.boxes = tuple(
+            Box(tuple(float(c) for c in m), tuple(float(h) for h in w))
+            for m, w in zip(self.centers, self.halves))
+
+    def member(self, k):
+        """Member k as a family of one."""
+        return AffineFormFamily(self.consts[k], self.coefs[k],
+                                self.centers[k], self.halves[k])
+
+    def in_support(self, x, owner=None):
+        pts = np.asarray(x, dtype=float)
+        owner = _owner(owner, len(pts))
+        return np.all(
+            np.abs(pts - self.centers[owner]) < self.halves[owner], axis=-1)
+
+    def _polys(self, env, owner):
+        """The four polynomials at ``env`` (seed jets or coordinates).
+        The tree's first sum, k + term, is formed as ``term + k``: that
+        is how a jet adds a constant, and for values it is the same."""
+        k, c, m = self.consts[owner], self.coefs[owner], self.centers[owner]
+        out = []
+        for a in range(4):
+            e = (env[0] - m[:, 0]) * c[:, a, 0] + k[:, a]
+            for b in range(1, 4):
+                e = e + (env[b] - m[:, b]) * c[:, a, b]
+            out.append(e)
+        return out
+
+    def _jets_inside(self, pts, owner):
+        w = _window_jet(pts, self.centers[owner], self.halves[owner])
+        return tuple(p * w for p in self._polys(
+            Jet2.seed_point(columns(pts)), owner))
+
+    def _values_inside(self, pts, owner):
+        w = _window_values(pts, self.centers[owner], self.halves[owner])
+        return entries_array(
+            [p * w for p in self._polys(columns(pts), owner)], (len(pts),))
 
 
 class ExprCovector(_BatchForm):
@@ -166,17 +241,17 @@ class ExprCovector(_BatchForm):
 
     def __init__(self, comps, box=None):
         self.comps = tuple(comps)
-        self.box = box
+        self.boxes = (box,)
 
-    def in_support(self, x):
+    def in_support(self, x, owner=None):
         if self.box is not None:
             return self.box.contains(x)
         return np.ones(len(x), dtype=bool)
 
-    def _jets_inside(self, pts):
+    def _jets_inside(self, pts, owner):
         return ex.eval_all(self.comps, Jet2.seed_point(columns(pts)))
 
-    def _values_inside(self, pts):
+    def _values_inside(self, pts, owner):
         return entries_array(ex.eval_all(self.comps, columns(pts)),
                              (len(pts),))
 
@@ -190,54 +265,57 @@ class ScaledCovector(_BatchForm):
         self.base = base
 
     @property
-    def box(self):
-        return getattr(self.base, "box", None)
+    def boxes(self):
+        return self.base.boxes
 
-    def in_support(self, x):
-        return self.base.in_support(x)
+    def in_support(self, x, owner=None):
+        return self.base.in_support(x, owner)
 
-    def _jets_inside(self, pts):
+    def _jets_inside(self, pts, owner):
         s = self.scalar.eval(Jet2.seed_point(columns(pts))) ** self.power
-        return tuple(j * s for j in self.base.jets_at(pts))
+        return tuple(j * s for j in self.base.jets_at(pts, owner))
 
-    def _values_inside(self, pts):
+    def _values_inside(self, pts, owner):
         s = self.scalar.eval(columns(pts)) ** self.power
-        return self.base.values_at(pts) * np.reshape(s, (-1, 1))
+        return self.base.values_at(pts, owner) * np.reshape(s, (-1, 1))
 
 
 class PulledBackForm(_BatchForm):
-    """A hatted-chart test form seen from the source chart.
+    """A hatted-chart test form (or family) seen from the source chart.
 
     phi_a(x) = (d hatted^b / d x^a)(x) * hatted_phi_b(hatted(x)); the
     Jacobian factors are symbolic derivatives of the chart components so
-    that second jet derivatives of the pullback stay exact.  Points
-    outside the chart's domain raise :class:`DomainError` (except in
+    that second jet derivatives of the pullback stay exact.  They and the
+    chart jets do not depend on the member, so one pull-back serves a
+    whole family, with a source-side box per member.  Points outside
+    the chart's domain raise :class:`DomainError` (except in
     ``in_support``, where they are outside the support).
     """
 
-    def __init__(self, chart, hatted, box):
+    def __init__(self, chart, hatted, boxes):
         self.chart = chart
         self.hatted = hatted
-        self.box = box
+        self.boxes = tuple(boxes)
         self._jac = chart.jacobian_exprs()
 
-    def in_support(self, x):
+    def in_support(self, x, owner=None):
         pts = np.asarray(x, dtype=float)
+        owner = _owner(owner, len(pts))
         ok = self.chart.in_domain(pts)
         out = np.zeros(len(pts), dtype=bool)
         if np.any(ok):
-            out[ok] = self.hatted.in_support(self.chart.value_at(pts[ok]))
+            out[ok] = self.hatted.in_support(self.chart.value_at(pts[ok]),
+                                             owner[ok])
         return out
 
-    def _live(self, pts):
+    def _live(self, pts, owner):
         """Rows whose image lies in the hatted support; a row outside the
         chart domain raises."""
-        return self.hatted.in_support(self.chart.value_at(pts))
+        return self.hatted.in_support(self.chart.value_at(pts), owner)
 
-    def _jets_inside(self, pts):
+    def _jets_inside(self, pts, owner):
         Y = self.chart.jets_at(pts)
-        outer = self.hatted.jets_at(
-            stacked(Y, (len(pts),), 0))
+        outer = self.hatted.jets_at(stacked(Y, (len(pts),), 0), owner)
         composed = tuple(compose(outer[b], Y) for b in range(4))
         seeds = Jet2.seed_point(columns(pts))
         out = []
@@ -253,8 +331,8 @@ class PulledBackForm(_BatchForm):
             out.append(acc)
         return tuple(out)
 
-    def _values_inside(self, pts):
-        hv = self.hatted.values_at(self.chart.value_at(pts))
+    def _values_inside(self, pts, owner):
+        hv = self.hatted.values_at(self.chart.value_at(pts), owner)
         env = columns(pts)
         out = np.zeros((len(pts), 4))
         for a in range(4):
@@ -278,26 +356,28 @@ def make_test_form(polys, center, half_widths):
 
 
 def pull_back_test_form(hatted, pair, pad=0.1, samples_per_axis=3):
-    """Transport a hatted-chart test form to the source chart of
-    ``pair``.
+    """Transport a hatted-chart test form (or family) to the source chart
+    of ``pair``.
 
-    The support is carried conservatively: boundary samples of the
-    hatted box are mapped through the inverse chart and their bounding
-    box, padded, becomes the source-side box.  Raises
+    The support is carried conservatively, member by member: boundary
+    samples of the hatted box are mapped through the inverse chart and
+    their bounding box, padded, becomes the source-side box.  Raises
     :class:`DomainError` when the support escapes the chart domain.
     """
-    try:
-        mapped = pair.inverse.value_at(hatted.box.grid(samples_per_axis))
-    except DomainError as err:
-        raise DomainError(
-            f"test-form support escapes the chart domain: {err}"
-        )
-    lo = mapped.min(axis=0)
-    hi = mapped.max(axis=0)
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo) * (1.0 + pad) + 1e-12
-    box = Box(tuple(center), tuple(half))
-    return PulledBackForm(pair.forward, hatted, box)
+    boxes = []
+    for hatted_box in hatted.boxes:
+        try:
+            mapped = pair.inverse.value_at(hatted_box.grid(samples_per_axis))
+        except DomainError as err:
+            raise DomainError(
+                f"test-form support escapes the chart domain: {err}"
+            )
+        lo = mapped.min(axis=0)
+        hi = mapped.max(axis=0)
+        center = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo) * (1.0 + pad) + 1e-12
+        boxes.append(Box(tuple(center), tuple(half)))
+    return PulledBackForm(pair.forward, hatted, boxes)
 
 
 # -- quadrature over the worldline parameter -------------------------------
@@ -307,9 +387,10 @@ def pull_back_test_form(hatted, pair, pad=0.1, samples_per_axis=3):
 _MAX_SCAN = 100_000
 
 
-def _support_window(worldline, form, scan=129):
-    """The parameter window where the worldline meets the form's
-    support, padded by two scan steps; None when it misses the support.
+def _support_window(worldline, form, k=0):
+    """The parameter window where the worldline meets the support of
+    member ``k`` of the form, padded by two scan steps; None when it
+    misses the support.
 
     When none of the ``scan`` samples is inside, the scan is repeated
     with spacing at most the smallest box half-width over the largest
@@ -317,12 +398,18 @@ def _support_window(worldline, form, scan=129):
     half-width between samples.  Raises :class:`QuadratureError` when
     that would take more than ``_MAX_SCAN`` samples.
     """
+
+    def inside(taus):
+        owner = np.full(len(taus), k)
+        return taus[form.in_support(worldline.point_at(taus), owner)]
+
     t0, t1 = worldline.interval
+    scan = 129
     taus = np.linspace(t0, t1, scan)
-    inside = taus[form.in_support(worldline.point_at(taus))]
-    if not len(inside):
+    hits = inside(taus)
+    if not len(hits):
         speed = float(np.max(np.abs(worldline.velocity_at(taus))))
-        fine = int(np.ceil((t1 - t0) * speed / min(form.box.half))) + 1
+        fine = int(np.ceil((t1 - t0) * speed / min(form.boxes[k].half))) + 1
         if fine <= scan:
             return None
         if fine > _MAX_SCAN:
@@ -332,78 +419,107 @@ def _support_window(worldline, form, scan=129):
                 worst_interval=(t0, t1),
             )
         scan = fine
-        taus = np.linspace(t0, t1, scan)
-        inside = taus[form.in_support(worldline.point_at(taus))]
-        if not len(inside):
+        hits = inside(np.linspace(t0, t1, scan))
+        if not len(hits):
             return None
     step = (t1 - t0) / (scan - 1)
-    return (max(t0, float(inside[0]) - 2 * step),
-            min(t1, float(inside[-1]) + 2 * step))
+    return (max(t0, float(hits[0]) - 2 * step),
+            min(t1, float(hits[-1]) + 2 * step))
 
 
-def _run_pairing(worldline, form, integrand, tol_abs, tol_rel, min_panels):
-    """Integrate ``integrand`` (a function of an array of taus) over the
-    part of the worldline that meets the form's support."""
-    window = _support_window(worldline, form)
-    if window is None:
-        return PairingReport(0.0, 0.0, 0)
-    res = integrate(integrand, window[0], window[1], tol_abs=tol_abs,
-                    tol_rel=tol_rel, min_panels=min_panels)
+def _report(res):
     return PairingReport(float(res.value), float(res.error), int(res.nodes),
                          floor_panels=int(res.floor_panels))
 
 
-def _form_jets(worldline, form, taus):
+def _run_pairing(worldline, form, integrand, tol_abs, tol_rel, min_panels):
+    """Integrate ``integrand`` (a function of an array of taus and their
+    member indices; None for a part that pairs to zero) over the part of
+    the worldline that meets the form's support."""
+    window = None if integrand is None else _support_window(worldline, form)
+    if window is None:
+        return PairingReport(0.0, 0.0, 0)
+    return _report(integrate(lambda taus: integrand(taus, None), window[0],
+                             window[1], tol_abs=tol_abs, tol_rel=tol_rel,
+                             min_panels=min_panels))
+
+
+def _form_jets(worldline, form, taus, owner):
     """The form's four jets at the worldline's points over ``taus``."""
     points, _ = worldline.eval(taus)
-    return form.jets_at(points)
+    return form.jets_at(points, owner)
 
 
-def pair_monopole(m, worldline, form, tol_abs=1e-10, tol_rel=1e-10,
-                  min_panels=5):
-    """q * integral of v^a phi_a along the worldline."""
+# One integrand builder per pairing kind: a function of (taus, owner),
+# or None when the part pairs to zero with every form.
+
+
+def _monopole_integrand(m, worldline, form):
     q = m.q
     if q == 0.0:
-        return PairingReport(0.0, 0.0, 0)
+        return None
 
-    def integrand(taus):
+    def integrand(taus, owner):
         points, vel = worldline.eval(taus)
-        vals = form.values_at(points)
+        vals = form.values_at(points, owner)
         return q * (
             vel[:, 0] * vals[:, 0] + vel[:, 1] * vals[:, 1]
             + vel[:, 2] * vals[:, 2] + vel[:, 3] * vals[:, 3]
         )
 
-    return _run_pairing(worldline, form, integrand, tol_abs, tol_rel,
-                        min_panels)
+    return integrand
+
+
+def _dipole_integrand(gamma2, worldline, form):
+    if not gamma2.mask.any():
+        return None
+
+    def integrand(taus, owner):
+        grads = stacked(_form_jets(worldline, form, taus, owner), taus.shape,
+                        1)
+        return -np.einsum("nab,nab->n", gamma2.values_at(taus), grads)
+
+    return integrand
+
+
+def _quadrupole_integrand(gamma3, worldline, form):
+    if not gamma3.mask.any():
+        return None
+
+    def integrand(taus, owner):
+        hess = stacked(_form_jets(worldline, form, taus, owner), taus.shape,
+                       2)
+        return 0.5 * np.einsum("nabc,nabc->n", gamma3.values_at(taus), hess)
+
+    return integrand
+
+
+_INTEGRANDS = {"monopole": _monopole_integrand, "dipole": _dipole_integrand,
+               "quadrupole": _quadrupole_integrand}
+
+
+def pair_monopole(m, worldline, form, tol_abs=1e-10, tol_rel=1e-10,
+                  min_panels=5):
+    """q * integral of v^a phi_a along the worldline."""
+    return _run_pairing(worldline, form,
+                        _monopole_integrand(m, worldline, form), tol_abs,
+                        tol_rel, min_panels)
 
 
 def pair_dipole(gamma2, worldline, form, tol_abs=1e-10, tol_rel=1e-10,
                 min_panels=5):
     """-integral of gamma[ab] d_b phi_a along the worldline."""
-    if not gamma2.mask.any():
-        return PairingReport(0.0, 0.0, 0)
-
-    def integrand(taus):
-        grads = stacked(_form_jets(worldline, form, taus), taus.shape, 1)
-        return -np.einsum("nab,nab->n", gamma2.values_at(taus), grads)
-
-    return _run_pairing(worldline, form, integrand, tol_abs, tol_rel,
-                        min_panels)
+    return _run_pairing(worldline, form,
+                        _dipole_integrand(gamma2, worldline, form), tol_abs,
+                        tol_rel, min_panels)
 
 
 def pair_quadrupole(gamma3, worldline, form, tol_abs=1e-10, tol_rel=1e-10,
                     min_panels=5):
     """(1/2) integral of gamma[abc] d_b d_c phi_a along the worldline."""
-    if not gamma3.mask.any():
-        return PairingReport(0.0, 0.0, 0)
-
-    def integrand(taus):
-        hess = stacked(_form_jets(worldline, form, taus), taus.shape, 2)
-        return 0.5 * np.einsum("nabc,nabc->n", gamma3.values_at(taus), hess)
-
-    return _run_pairing(worldline, form, integrand, tol_abs, tol_rel,
-                        min_panels)
+    return _run_pairing(worldline, form,
+                        _quadrupole_integrand(gamma3, worldline, form),
+                        tol_abs, tol_rel, min_panels)
 
 
 @dataclass
@@ -437,21 +553,55 @@ class SourceBundle:
         return s
 
 
-def pair_bundle(bundle, form, tol_abs=1e-10, tol_rel=1e-10, min_panels=5):
-    pairings = {"monopole": pair_monopole, "dipole": pair_dipole,
-                "quadrupole": pair_quadrupole}
+def _bundle_report(reports):
+    """The pairing of a bundle from the pairings of its parts."""
     value = 0.0
     err = 0.0
     nodes = 0
     floor_panels = 0
-    for kind, part in bundle.parts():
-        r = pairings[kind](part, bundle.worldline, form, tol_abs, tol_rel,
-                           min_panels)
+    for r in reports:
         value += r.value
         err += r.quadrature_error_estimate
         nodes += r.nodes_used
         floor_panels += r.floor_panels
     return PairingReport(value, err, nodes, floor_panels=floor_panels)
+
+
+def pair_bundle(bundle, form, tol_abs=1e-10, tol_rel=1e-10, min_panels=5):
+    pairings = {"monopole": pair_monopole, "dipole": pair_dipole,
+                "quadrupole": pair_quadrupole}
+    return _bundle_report([
+        pairings[kind](part, bundle.worldline, form, tol_abs, tol_rel,
+                       min_panels)
+        for kind, part in bundle.parts()])
+
+
+def pair_bundle_family(bundle, family, tol_abs=1e-10, tol_rel=1e-10,
+                       min_panels=5):
+    """:func:`pair_bundle` for every member of a form family
+    (:class:`AffineFormFamily` or its pull-back) in lockstep: a list of
+    reports, the k-th equal to ``pair_bundle`` of member k.
+
+    Each part's pairings of all members are one :func:`integrate_many`:
+    every member keeps its own window and panel tree, and each
+    refinement level of all members is one integrand call.
+    """
+    worldline = bundle.worldline
+    count = len(family.boxes)
+    windows = None
+    parts = []
+    for kind, part in bundle.parts():
+        integrand = _INTEGRANDS[kind](part, worldline, family)
+        if integrand is None:
+            parts.append([PairingReport(0.0, 0.0, 0)] * count)
+            continue
+        if windows is None:
+            windows = [_support_window(worldline, family, k)
+                       for k in range(count)]
+        parts.append([_report(r) for r in integrate_many(
+            integrand, windows, tol_abs, tol_rel, min_panels)])
+    return [_bundle_report([reports[k] for reports in parts])
+            for k in range(count)]
 
 
 def pair_adapted_coefficients(z, worldline, form, tol_abs=1e-10,
@@ -462,8 +612,8 @@ def pair_adapted_coefficients(z, worldline, form, tol_abs=1e-10,
     if not worldline.is_adapted():
         raise DomainError("adapted-basis pairing needs an adapted worldline")
 
-    def integrand(taus):
-        jets = _form_jets(worldline, form, taus)
+    def integrand(taus, owner):
+        jets = _form_jets(worldline, form, taus, owner)
         return z.density(taus, *(stacked(jets, taus.shape, k)
                                  for k in range(3)))
 

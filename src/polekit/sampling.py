@@ -12,7 +12,7 @@ from . import expr as ex
 from .charts import ChartPair, linear_chart
 from .jets import entries_array
 from .moments import DipoleComponents, QuadrupoleComponents, quadrupole_basis
-from .pairing import Box, ProductTestForm
+from .pairing import AffineFormFamily
 from .expr import tau_derivative
 
 
@@ -92,44 +92,48 @@ def random_linear_pair(rng, spread=0.35):
     return ChartPair(fw, bw)
 
 
-def random_test_form(rng, center, half_widths, amplitude=1.0):
-    """Product test form with random affine component polynomials."""
-    polys = []
-    for _ in range(4):
-        e = ex.const(amplitude * rng.uniform(0.4, 1.6) * rng.choice([-1, 1]))
+def _random_affine(rng, half_widths, amplitude):
+    """The constants (4,) and coefficients (4, 4) of four random affine
+    component polynomials."""
+    consts = np.empty(4)
+    coefs = np.empty((4, 4))
+    for a in range(4):
+        consts[a] = amplitude * rng.uniform(0.4, 1.6) * rng.choice([-1, 1])
         for b in range(4):
-            c = amplitude * rng.uniform(-1, 1) / max(half_widths[b], 1e-9)
-            e = ex.add(
-                e,
-                ex.mul(
-                    ex.const(c), ex.sub(ex.Var(b), ex.const(center[b]))
-                ),
-            )
-        polys.append(e)
-    return ProductTestForm(
-        tuple(polys),
-        Box(tuple(float(c) for c in center),
-            tuple(float(h) for h in half_widths)),
-    )
+            coefs[a, b] = (amplitude * rng.uniform(-1, 1)
+                           / max(half_widths[b], 1e-9))
+    return consts, coefs
+
+
+def random_test_form(rng, center, half_widths, amplitude=1.0):
+    """Product test form with random affine component polynomials, as a
+    family of one."""
+    consts, coefs = _random_affine(rng, half_widths, amplitude)
+    return AffineFormFamily(consts, coefs, center, half_widths)
 
 
 def random_test_form_along(rng, worldline, margin=0.2,
                            rel_width=(0.08, 0.2), chart=None,
-                           space_scale=1.0):
-    """A test form whose box sits on the worldline image, away from the
-    parameter interval ends (pairing identities integrate by parts in
-    tau, so probes must vanish at the interval boundary).
+                           space_scale=1.0, count=1):
+    """``count`` test forms, drawn one after the other, as one
+    :class:`AffineFormFamily`; each box sits on the worldline image, away
+    from the parameter interval ends (pairing identities integrate by
+    parts in tau, so probes must vanish at the interval boundary).
 
     The time half-width scales with the parameter interval; spatial
     half-widths scale with ``space_scale`` so boxes stay small compared
     to chart features (axis distance, branch cuts)."""
     t0, t1 = worldline.interval
     length = t1 - t0
-    tc = rng.uniform(t0 + margin * length, t1 - margin * length)
-    point = worldline.point_at(np.array([tc]))
-    if chart is not None:
-        point = chart.value_at(point)
-    tw = float(rng.uniform(rel_width[0], rel_width[1]) * length)
-    sw = rng.uniform(rel_width[0], rel_width[1], 3) * space_scale
-    widths = (tw, float(sw[0]), float(sw[1]), float(sw[2]))
-    return random_test_form(rng, point[0], widths)
+    draws = []
+    for _ in range(count):
+        tc = rng.uniform(t0 + margin * length, t1 - margin * length)
+        point = worldline.point_at(np.array([tc]))
+        if chart is not None:
+            point = chart.value_at(point)
+        tw = float(rng.uniform(rel_width[0], rel_width[1]) * length)
+        sw = rng.uniform(rel_width[0], rel_width[1], 3) * space_scale
+        widths = (tw, float(sw[0]), float(sw[1]), float(sw[2]))
+        draws.append((*_random_affine(rng, widths, 1.0), point[0], widths))
+    return AffineFormFamily(*(np.array([d[i] for d in draws])
+                              for i in range(4)))

@@ -149,9 +149,13 @@ def _parse_multipole(name, spec, problems):
             problems.append(f"{path}: unknown field {key!r}")
     if "charge" in spec:
         try:
-            out["monopole"] = Monopole(float(spec["charge"]))
-        except (TypeError, ValueError):
-            problems.append(f"{path}.charge: must be a number")
+            q = float(spec["charge"])
+        except (TypeError, ValueError, OverflowError):
+            q = math.nan
+        if math.isfinite(q):
+            out["monopole"] = Monopole(q)
+        else:
+            problems.append(f"{path}.charge: must be a finite number")
     if "dipole" in spec:
         entries = _parse_components(spec["dipole"], 2, f"{path}.dipole",
                                     problems)

@@ -11,7 +11,9 @@ from polekit import pairing
 from polekit.charts import get
 from polekit.errors import DomainError, QuadratureError
 from polekit.moments import Monopole, make_static_dipole
+from polekit.jets import stacked
 from polekit.pairing import (
+    AffineFormFamily,
     Box,
     ExprCovector,
     SourceBundle,
@@ -295,6 +297,110 @@ def test_floor_panels_reported_and_summed(rng, adapted_worldline,
     monkeypatch.setattr(pairing, "integrate", floored)
     assert pair_monopole(m, adapted_worldline, form).floor_panels == 3
     assert pair_bundle(bundle, form).floor_panels == 6
+
+
+# -- form families (verify probes in lockstep) --------------------------------
+
+
+def _tree_member(family, k):
+    """Member k of a family as the expression-tree form it stands for:
+    k_a + c_a0 (x^0 - m^0) + ... + c_a3 (x^3 - m^3), built left to right
+    with the folding constructors, times the product bump window."""
+    box = family.boxes[k]
+    polys = []
+    for a in range(4):
+        e = ex.const(family.consts[k, a])
+        for b in range(4):
+            e = ex.add(e, ex.mul(ex.const(family.coefs[k, a, b]),
+                                 ex.sub(ex.Var(b), ex.const(box.center[b]))))
+        polys.append(e)
+    return pairing.ProductTestForm(tuple(polys), box)
+
+
+def _points_by_member(rng, boxes, per_member, spread):
+    """Points about each member's box (some outside it), shuffled, and
+    the member index of each."""
+    pts = np.concatenate([
+        np.array(box.center) + spread * np.array(box.half)
+        * rng.uniform(-1.0, 1.0, (per_member, 4))
+        for box in boxes])
+    owner = np.repeat(np.arange(len(boxes)), per_member)
+    order = rng.permutation(len(pts))
+    return pts[order], owner[order]
+
+
+def _assert_rows_equal_members(family, members, pts, owner):
+    """Row i of the family's jets, values and support is member
+    owner[i]'s, bit for bit (array_equal reads -0.0 as +0.0)."""
+    jets = [stacked(family.jets_at(pts, owner), (len(pts),), order)
+            for order in range(3)]
+    values = family.values_at(pts, owner)
+    support = family.in_support(pts, owner)
+    for k, member in enumerate(members):
+        rows = owner == k
+        assert np.any(support[rows])
+        want = member.jets_at(pts[rows])
+        for order in range(3):
+            assert np.array_equal(
+                jets[order][rows],
+                stacked(want, (int(rows.sum()),), order))
+        assert np.array_equal(values[rows], member.values_at(pts[rows]))
+        assert np.array_equal(support[rows], member.in_support(pts[rows]))
+
+
+def test_form_family_rows_equal_member_forms(rng, wobble_worldline):
+    family = random_test_form_along(rng, wobble_worldline, count=5)
+    assert isinstance(family, AffineFormFamily)
+    members = [_tree_member(family, k) for k in range(5)]
+    pts, owner = _points_by_member(rng, family.boxes, 40, 1.3)
+    _assert_rows_equal_members(family, members, pts, owner)
+    # Member k on its own, and member 0 without member indices.
+    _assert_rows_equal_members(family.member(3), [members[3]], pts,
+                               np.zeros(len(pts), dtype=int))
+    assert np.array_equal(family.values_at(pts), members[0].values_at(pts))
+
+
+@pytest.mark.parametrize("name, params", [
+    ("cylindrical_to_cartesian", None), ("lorentz_boost", [0.6])])
+def test_pulled_back_family_rows_equal_pulled_back_members(
+        rng, wobble_worldline, name, params):
+    pair = get(name, params)
+    hatC = wobble_worldline.push_through_chart(pair.forward)
+    family = random_test_form_along(rng, hatC, margin=0.25, count=4)
+    pulled = pull_back_test_form(family, pair)
+    members = [pull_back_test_form(_tree_member(family, k), pair)
+               for k in range(4)]
+    assert [m.box for m in members] == list(pulled.boxes)
+    pts, owner = _points_by_member(rng, pulled.boxes, 60, 1.0)
+    keep = pair.forward.in_domain(pts)
+    _assert_rows_equal_members(pulled, members, pts[keep], owner[keep])
+
+
+def test_family_pairing_equals_serial_bundle_pairing(rng, wobble_worldline):
+    """Pairing a charge + dipole + quadrupole bundle with every member
+    of a family in lockstep gives each member's serial pair_bundle
+    report exactly, on both sides of a chart change."""
+    from polekit.transport import transform_dipole, transform_quadrupole
+
+    pair = get("lorentz_boost", [0.6])
+    C = wobble_worldline
+    hatC = C.push_through_chart(pair.forward)
+    bundle = SourceBundle(C, Monopole(1.3), random_dipole(rng),
+                          random_quadrupole(rng))
+    hat = SourceBundle(
+        hatC, bundle.monopole,
+        transform_dipole(bundle.dipole, pair.forward, C),
+        transform_quadrupole(bundle.quadrupole, pair.forward, C).gamma3_hat)
+    family = random_test_form_along(rng, hatC, margin=0.25, count=4)
+    source = pairing.pair_bundle_family(bundle,
+                                        pull_back_test_form(family, pair))
+    hatted = pairing.pair_bundle_family(hat, family)
+    for k in range(4):
+        member = family.member(k)
+        assert source[k] == pair_bundle(bundle,
+                                        pull_back_test_form(member, pair))
+        assert hatted[k] == pair_bundle(hat, member)
+        assert source[k].nodes_used > 0
 
 
 def test_concurrent_pairing_is_deterministic(rng, wobble_worldline):

@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from polekit.errors import QuadratureError
-from polekit.quadrature import CumulativeIntegral, integrate
+from polekit import quadrature
+from polekit.quadrature import CumulativeIntegral, integrate, integrate_many
 
 
 def test_polynomial_exact():
@@ -147,3 +148,98 @@ def test_error_inside_batch_integrand_propagates():
         integrate(math.sin, 0.0, 1.0)
     with pytest.raises(TypeError):
         CumulativeIntegral(lambda t: np.array([math.cos(t)]), 0.0, 1.0, 1)
+
+
+def _narrow_bump(t, center=0.3, width=0.01):
+    u = (t - center) / width
+    w = 1.0 - u * u
+    return np.where(w > 0.0, np.exp(-1.0 / np.where(w > 0.0, w, 1.0)), 0.0)
+
+
+# One integrand per window; the window a tau belongs to picks it.
+_LOCKSTEP_CASES = [
+    ((0.0, 1.0), _narrow_bump),
+    (None, np.cos),
+    ((-1.0, 2.0), lambda t: 3 * t * t - t + 1),
+    ((2.0, 2.0), np.sin),
+    ((0.0, 5.0), lambda t: np.sin(7 * t) * np.exp(-0.3 * t)),
+    ((1.0, 0.5), np.exp),
+    ((0.0, 1.0), lambda t: (t > 1 / 3).astype(float)),
+]
+
+
+def test_integrate_many_equals_integrate_per_window():
+    """Each window of a lockstep run gives the value, error, node count
+    and floor panels of integrate on that window alone, bit for bit:
+    its panel tree and summation order do not depend on the others.  A
+    None or empty window integrates to zero with no nodes."""
+    windows = [w for w, _ in _LOCKSTEP_CASES]
+    fs = [f for _, f in _LOCKSTEP_CASES]
+    calls = []
+
+    def f(taus, owner):
+        calls.append(set(owner.tolist()))
+        out = np.empty(len(taus))
+        for k in set(owner.tolist()):
+            out[owner == k] = fs[k](taus[owner == k])
+        return out
+
+    results = integrate_many(f, windows)
+    for (window, fk), res in zip(_LOCKSTEP_CASES, results):
+        alone = (integrate(fk, *window) if window is not None
+                 else quadrature.QuadResult(0.0, 0.0, 0))
+        assert res == alone
+    assert results[0].nodes > 4 * 48  # the narrow bump splits many times
+    assert results[6].floor_panels >= 1
+    assert results[1].nodes == results[3].nodes == results[5].nodes == 0
+    assert max(len(owners) for owners in calls) > 1
+
+
+def test_integrate_many_one_call_per_level(monkeypatch):
+    """With room in the batch, each refinement level of all windows is
+    one call: as many calls as the deepest window needs levels."""
+    monkeypatch.setattr(quadrature, "_MAX_BATCH", 1 << 20)
+    levels = []
+    for window, fk in _LOCKSTEP_CASES:
+        count = []
+        if window is not None:
+            integrate(lambda t: count.append(1) or fk(t), *window)
+        levels.append(len(count))
+    calls = []
+
+    def f(taus, owner):
+        calls.append(len(taus))
+        out = np.empty(len(taus))
+        for k in set(owner.tolist()):
+            out[owner == k] = _LOCKSTEP_CASES[k][1](taus[owner == k])
+        return out
+
+    integrate_many(f, [w for w, _ in _LOCKSTEP_CASES])
+    assert len(calls) == max(levels)
+
+
+def test_integrate_many_error_reaches_caller():
+    """An integrand that raises for one window stops the run with its
+    error; so does a window that cannot converge, with the message
+    integrate gives for it alone."""
+
+    def f(taus, owner):
+        if np.any(owner == 1):
+            raise ZeroDivisionError("window 1")
+        return np.sin(taus)
+
+    with pytest.raises(ZeroDivisionError, match="window 1"):
+        integrate_many(f, [(0.0, 1.0), (0.0, 2.0)])
+
+    def nasty(t):
+        return np.where(np.sin(1 / (np.abs(t) + 1e-9)) > 0, 1.0, -1.0)
+
+    with pytest.raises(QuadratureError) as alone:
+        integrate(nasty, -1.0, 1.0, tol_abs=1e-14, tol_rel=1e-14)
+    with pytest.raises(QuadratureError) as many:
+        integrate_many(
+            lambda t, owner: np.where(owner == 1, nasty(t), np.cos(t)),
+            [(0.0, 1.0), (-1.0, 1.0), (0.0, 3.0)], tol_abs=1e-14,
+            tol_rel=1e-14)
+    assert str(many.value) == str(alone.value)
+    assert many.value.worst_interval == alone.value.worst_interval

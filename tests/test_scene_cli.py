@@ -392,3 +392,106 @@ def test_classify_example_scene_passes_every_job(tmp_path):
     assert all(j["passed"] for j in jobs)
     assert jobs[1]["data"]["electric_order_1"]
     assert jobs[2]["data"]["drift"] <= 1e-8
+
+
+@pytest.mark.parametrize("charge", [float("inf"), float("-inf"),
+                                    float("nan"), 10**400, "x"],
+                         ids=["inf", "-inf", "nan", "huge", "text"])
+def test_non_finite_charge_reported(tmp_path, charge):
+    """A charge that is not a finite number is a scene problem (exit 2),
+    not a quadrature that gives up after its split budget."""
+    bad = json.loads(MINIMAL)
+    bad["multipoles"]["charge"]["charge"] = charge
+    text = json.dumps(bad)
+    with pytest.raises(SceneError) as err:
+        parse_scene(text)
+    assert err.value.problems[0] == (
+        "multipoles.charge.charge: must be a finite number")
+    f = tmp_path / "bad.scene"
+    f.write_text(text)
+    assert main(["run", str(f), "--out-dir", str(tmp_path / "o")]) == 2
+
+
+def _serial_verify(scene, job):
+    """A verify job's pairings as a serial loop: each form is drawn, then
+    paired on both sides by pair_bundle before the next is drawn."""
+    from polekit import transport as tp
+    from polekit.pairing import SourceBundle, pair_bundle, pull_back_test_form
+    from polekit.sampling import random_test_form_along, rng_from_seed
+
+    pair = scene.chart_pair(job["chart"])
+    bundle = scene.bundle(job["multipole"], job["worldline"])
+    C = bundle.worldline
+    hatC = C.push_through_chart(pair.forward)
+    hat = SourceBundle(
+        hatC, bundle.monopole,
+        tp.transform_dipole(bundle.dipole, pair.forward, C),
+        tp.transform_quadrupole(bundle.quadrupole, pair.forward,
+                                C).gamma3_hat)
+    rng = rng_from_seed(job["seed"])
+    rows = []
+    for _ in range(job["forms"]):
+        form = random_test_form_along(rng, hatC)
+        rows.append((pair_bundle(bundle, pull_back_test_form(form, pair)),
+                     pair_bundle(hat, form)))
+    return rows
+
+
+def test_invariance_example_scene_passes_every_job(tmp_path):
+    """The committed invariance scene: a charge + dipole + quadrupole
+    bundle on a curved worldline, verified through a boost and the
+    cylindrical chart.  Each job's probes, paired in lockstep, report
+    what a serial pair_bundle loop over the same forms gives."""
+    scene = parse_scene((SCENES / "invariance_example.scene").read_text())
+    results, code = run(scene, out_dir=tmp_path)
+    assert code == 0
+    jobs = json.loads((tmp_path / "report.json").read_text())["jobs"]
+    assert [j["name"] for j in jobs] == ["verify-boost", "verify-cylindrical"]
+    for job, spec in zip(jobs, scene.jobs):
+        assert job["passed"]
+        data = job["data"]
+        rows = _serial_verify(scene, spec)
+        assert len(rows) == 4
+        assert data["residuals"] == [
+            abs(s.value - h.value) / max(1.0, abs(s.value)) for s, h in rows]
+        for i, side in enumerate(("source", "hatted")):
+            assert data["nodes_used"][side] == [r[i].nodes_used for r in rows]
+            assert data["floor_panels"][side] == [
+                r[i].floor_panels for r in rows]
+            assert data["quadrature_error_estimates"][side] == [
+                r[i].quadrature_error_estimate for r in rows]
+
+
+def test_verify_job_with_one_nonconvergent_probe_fails_as_serial(
+        tmp_path, monkeypatch):
+    """When one probe of a verify job cannot converge (its form reads
+    NaN), the job fails with the error its serial pairing raises."""
+    from polekit.errors import QuadratureError
+    from polekit.pairing import (AffineFormFamily, pair_bundle,
+                                 pull_back_test_form)
+    from polekit.sampling import random_test_form_along, rng_from_seed
+
+    doc = json.loads(MINIMAL)
+    doc["jobs"] = [{"command": "verify", "name": "poisoned",
+                    "multipole": "charge", "chart": "id",
+                    "worldline": "rest", "forms": 3, "seed": 4}]
+    scene = parse_scene(json.dumps(doc))
+    pair = scene.chart_pair("id")
+    hatC = scene.worldlines["rest"].push_through_chart(pair.forward)
+    forms = random_test_form_along(rng_from_seed(4), hatC, count=3)
+    family_values = AffineFormFamily._values_inside
+
+    def poisoned(self, pts, owner):
+        out = family_values(self, pts, owner)
+        out[self.consts[owner, 0] == forms.consts[1, 0]] = np.nan
+        return out
+
+    monkeypatch.setattr(AffineFormFamily, "_values_inside", poisoned)
+    results, code = run(scene, out_dir=tmp_path)
+    assert code == 1
+    error = results[0].data["error"]
+    assert "no convergence after 2001 splits" in error
+    with pytest.raises(QuadratureError) as serial:
+        pair_bundle(scene.bundle("charge", "rest"),
+                    pull_back_test_form(forms.member(1), pair))
+    assert error == str(serial.value)
