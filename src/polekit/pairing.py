@@ -7,9 +7,11 @@ The pairing numbers are the chart-invariant content of a source:
     dipole:    -integral  gamma[ab] d_b phi_a
     quadrupole: (1/2) integral  gamma[abc] d_b d_c phi_a
 
-all evaluated along the worldline.  Everything else in this module
-(charge extraction, order and closedness probes) is built by feeding
-specially shaped covector fields into these three integrals.
+all evaluated along the worldline.  A source bundle pairs as at most
+two integrals: the charge over the form's values, and the dipole and
+quadrupole together over one read of the form's jets.  Everything else
+in this module (charge extraction, order and closedness probes) is
+built by feeding specially shaped covector fields into these integrals.
 
 Test forms are polynomials times a product of smooth bumps, so they
 vanish identically (with all derivatives) outside their box.  Probes
@@ -29,7 +31,7 @@ from . import expr as ex
 from .errors import DomainError, QuadratureError
 from .jets import Jet2, apply, columns, compose, entries_array, stacked
 from .moments import DipoleComponents, Monopole, QuadrupoleComponents
-from .quadrature import integrate, integrate_many
+from .quadrature import integrate_many
 
 
 @dataclass(frozen=True)
@@ -427,21 +429,32 @@ def _support_window(worldline, form, k=0):
             min(t1, float(hits[-1]) + 2 * step))
 
 
-def _report(res):
-    return PairingReport(float(res.value), float(res.error), int(res.nodes),
-                         floor_panels=int(res.floor_panels))
+def _pairings(worldline, form, integrands, tol_abs, tol_rel, min_panels):
+    """The pairings of every member of ``form`` (a family, or a single
+    form as a family of one) with the sum of ``integrands``: one report
+    per member.
 
-
-def _run_pairing(worldline, form, integrand, tol_abs, tol_rel, min_panels):
-    """Integrate ``integrand`` (a function of an array of taus and their
-    member indices; None for a part that pairs to zero) over the part of
-    the worldline that meets the form's support."""
-    window = None if integrand is None else _support_window(worldline, form)
-    if window is None:
-        return PairingReport(0.0, 0.0, 0)
-    return _report(integrate(lambda taus: integrand(taus, None), window[0],
-                             window[1], tol_abs=tol_abs, tol_rel=tol_rel,
-                             min_panels=min_panels))
+    An integrand is a function of an array of taus and their member
+    indices, or None for one that pairs to zero.  The support windows
+    are scanned once, and each integral is one :func:`integrate_many`
+    over them: every member keeps its own window and panel tree, and
+    each refinement level of all members is one integrand call.
+    """
+    reports = [PairingReport(0.0, 0.0, 0) for _ in form.boxes]
+    windows = None
+    for integrand in integrands:
+        if integrand is None:
+            continue
+        if windows is None:
+            windows = [_support_window(worldline, form, k)
+                       for k in range(len(reports))]
+        for report, res in zip(reports, integrate_many(
+                integrand, windows, tol_abs, tol_rel, min_panels)):
+            report.value += float(res.value)
+            report.quadrature_error_estimate += float(res.error)
+            report.nodes_used += int(res.nodes)
+            report.floor_panels += int(res.floor_panels)
+    return reports
 
 
 def _form_jets(worldline, form, taus, owner):
@@ -450,12 +463,10 @@ def _form_jets(worldline, form, taus, owner):
     return form.jets_at(points, owner)
 
 
-# One integrand builder per pairing kind: a function of (taus, owner),
-# or None when the part pairs to zero with every form.
-
-
-def _monopole_integrand(m, worldline, form):
-    q = m.q
+def _charge_integrand(m, worldline, form):
+    """q v^a phi_a over the form's values; None when there is no
+    charge."""
+    q = 0.0 if m is None else m.q
     if q == 0.0:
         return None
 
@@ -470,56 +481,28 @@ def _monopole_integrand(m, worldline, form):
     return integrand
 
 
-def _dipole_integrand(gamma2, worldline, form):
-    if not gamma2.mask.any():
+def _gamma_integrand(gamma2, gamma3, worldline, form):
+    """-gamma[ab] d_b phi_a + (1/2) gamma[abc] d_b d_c phi_a over one
+    read of the form's jets, either term absent when its components are
+    None or zero; None when both are."""
+    dipole = gamma2 is not None and gamma2.mask.any()
+    quadrupole = gamma3 is not None and gamma3.mask.any()
+    if not (dipole or quadrupole):
         return None
 
     def integrand(taus, owner):
-        grads = stacked(_form_jets(worldline, form, taus, owner), taus.shape,
-                        1)
-        return -np.einsum("nab,nab->n", gamma2.values_at(taus), grads)
+        jets = _form_jets(worldline, form, taus, owner)
+        terms = []
+        if dipole:
+            terms.append(-np.einsum("nab,nab->n", gamma2.values_at(taus),
+                                    stacked(jets, taus.shape, 1)))
+        if quadrupole:
+            terms.append(0.5 * np.einsum("nabc,nabc->n",
+                                         gamma3.values_at(taus),
+                                         stacked(jets, taus.shape, 2)))
+        return sum(terms[1:], terms[0])
 
     return integrand
-
-
-def _quadrupole_integrand(gamma3, worldline, form):
-    if not gamma3.mask.any():
-        return None
-
-    def integrand(taus, owner):
-        hess = stacked(_form_jets(worldline, form, taus, owner), taus.shape,
-                       2)
-        return 0.5 * np.einsum("nabc,nabc->n", gamma3.values_at(taus), hess)
-
-    return integrand
-
-
-_INTEGRANDS = {"monopole": _monopole_integrand, "dipole": _dipole_integrand,
-               "quadrupole": _quadrupole_integrand}
-
-
-def pair_monopole(m, worldline, form, tol_abs=1e-10, tol_rel=1e-10,
-                  min_panels=5):
-    """q * integral of v^a phi_a along the worldline."""
-    return _run_pairing(worldline, form,
-                        _monopole_integrand(m, worldline, form), tol_abs,
-                        tol_rel, min_panels)
-
-
-def pair_dipole(gamma2, worldline, form, tol_abs=1e-10, tol_rel=1e-10,
-                min_panels=5):
-    """-integral of gamma[ab] d_b phi_a along the worldline."""
-    return _run_pairing(worldline, form,
-                        _dipole_integrand(gamma2, worldline, form), tol_abs,
-                        tol_rel, min_panels)
-
-
-def pair_quadrupole(gamma3, worldline, form, tol_abs=1e-10, tol_rel=1e-10,
-                    min_panels=5):
-    """(1/2) integral of gamma[abc] d_b d_c phi_a along the worldline."""
-    return _run_pairing(worldline, form,
-                        _quadrupole_integrand(gamma3, worldline, form),
-                        tol_abs, tol_rel, min_panels)
 
 
 @dataclass
@@ -530,16 +513,6 @@ class SourceBundle:
     monopole: Monopole | None = None
     dipole: DipoleComponents | None = None
     quadrupole: QuadrupoleComponents | None = None
-
-    def parts(self):
-        out = []
-        if self.monopole is not None:
-            out.append(("monopole", self.monopole))
-        if self.dipole is not None:
-            out.append(("dipole", self.dipole))
-        if self.quadrupole is not None:
-            out.append(("quadrupole", self.quadrupole))
-        return out
 
     def scale(self, n=17):
         taus = np.linspace(*self.worldline.interval, n)
@@ -553,55 +526,46 @@ class SourceBundle:
         return s
 
 
-def _bundle_report(reports):
-    """The pairing of a bundle from the pairings of its parts."""
-    value = 0.0
-    err = 0.0
-    nodes = 0
-    floor_panels = 0
-    for r in reports:
-        value += r.value
-        err += r.quadrature_error_estimate
-        nodes += r.nodes_used
-        floor_panels += r.floor_panels
-    return PairingReport(value, err, nodes, floor_panels=floor_panels)
+def pair_bundle_family(bundle, family, tol_abs=1e-10, tol_rel=1e-10,
+                       min_panels=5):
+    """The pairing of ``bundle`` with every member of a form family
+    (:class:`AffineFormFamily` or its pull-back; a single form is a
+    family of one) in lockstep: a list of reports, one per member.
+    A bundle is at most two integrals: the charge, and the dipole plus
+    quadrupole."""
+    worldline = bundle.worldline
+    return _pairings(
+        worldline, family,
+        [_charge_integrand(bundle.monopole, worldline, family),
+         _gamma_integrand(bundle.dipole, bundle.quadrupole, worldline,
+                          family)],
+        tol_abs, tol_rel, min_panels)
 
 
 def pair_bundle(bundle, form, tol_abs=1e-10, tol_rel=1e-10, min_panels=5):
-    pairings = {"monopole": pair_monopole, "dipole": pair_dipole,
-                "quadrupole": pair_quadrupole}
-    return _bundle_report([
-        pairings[kind](part, bundle.worldline, form, tol_abs, tol_rel,
-                       min_panels)
-        for kind, part in bundle.parts()])
+    """The pairing of ``bundle`` with one form."""
+    return pair_bundle_family(bundle, form, tol_abs, tol_rel, min_panels)[0]
 
 
-def pair_bundle_family(bundle, family, tol_abs=1e-10, tol_rel=1e-10,
-                       min_panels=5):
-    """:func:`pair_bundle` for every member of a form family
-    (:class:`AffineFormFamily` or its pull-back) in lockstep: a list of
-    reports, the k-th equal to ``pair_bundle`` of member k.
+def pair_monopole(m, worldline, form, tol_abs=1e-10, tol_rel=1e-10,
+                  min_panels=5):
+    """q * integral of v^a phi_a along the worldline."""
+    return pair_bundle(SourceBundle(worldline, monopole=m), form, tol_abs,
+                       tol_rel, min_panels)
 
-    Each part's pairings of all members are one :func:`integrate_many`:
-    every member keeps its own window and panel tree, and each
-    refinement level of all members is one integrand call.
-    """
-    worldline = bundle.worldline
-    count = len(family.boxes)
-    windows = None
-    parts = []
-    for kind, part in bundle.parts():
-        integrand = _INTEGRANDS[kind](part, worldline, family)
-        if integrand is None:
-            parts.append([PairingReport(0.0, 0.0, 0)] * count)
-            continue
-        if windows is None:
-            windows = [_support_window(worldline, family, k)
-                       for k in range(count)]
-        parts.append([_report(r) for r in integrate_many(
-            integrand, windows, tol_abs, tol_rel, min_panels)])
-    return [_bundle_report([reports[k] for reports in parts])
-            for k in range(count)]
+
+def pair_dipole(gamma2, worldline, form, tol_abs=1e-10, tol_rel=1e-10,
+                min_panels=5):
+    """-integral of gamma[ab] d_b phi_a along the worldline."""
+    return pair_bundle(SourceBundle(worldline, dipole=gamma2), form, tol_abs,
+                       tol_rel, min_panels)
+
+
+def pair_quadrupole(gamma3, worldline, form, tol_abs=1e-10, tol_rel=1e-10,
+                    min_panels=5):
+    """(1/2) integral of gamma[abc] d_b d_c phi_a along the worldline."""
+    return pair_bundle(SourceBundle(worldline, quadrupole=gamma3), form,
+                       tol_abs, tol_rel, min_panels)
 
 
 def pair_adapted_coefficients(z, worldline, form, tol_abs=1e-10,
@@ -617,5 +581,5 @@ def pair_adapted_coefficients(z, worldline, form, tol_abs=1e-10,
         return z.density(taus, *(stacked(jets, taus.shape, k)
                                  for k in range(3)))
 
-    return _run_pairing(worldline, form, integrand, tol_abs, tol_rel,
-                        min_panels)
+    return _pairings(worldline, form, [integrand], tol_abs, tol_rel,
+                     min_panels)[0]

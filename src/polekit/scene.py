@@ -164,7 +164,7 @@ def _parse_multipole(name, spec, problems):
         entries = _parse_components(spec["quadrupole"], 3,
                                     f"{path}.quadrupole", problems)
         out["quadrupole"] = QuadrupoleComponents.from_dict(entries)
-    if not out:
+    if not known & spec.keys():
         problems.append(f"{path}: declare at least one of {sorted(known)}")
         return None
     return out

@@ -28,6 +28,8 @@ from polekit.pairing import (
     Box,
     ExprCovector,
     ScaledCovector,
+    SourceBundle,
+    pair_bundle,
     pair_dipole,
     pair_monopole,
     pair_quadrupole,
@@ -146,13 +148,13 @@ def test_pairing_integrand_batch_equals_pointwise(rng, wobble_worldline,
     """The integrands handed to the quadrature evaluate one panel of 16
     nodes as a batch exactly as they do node by node."""
     captured = []
-    real = pairing.integrate
+    real = pairing.integrate_many
 
-    def spy(f, a, b, **kwargs):
-        captured.append((f, a, b))
-        return real(f, a, b, **kwargs)
+    def spy(f, windows, *args, **kwargs):
+        captured.append((f, windows))
+        return real(f, windows, *args, **kwargs)
 
-    monkeypatch.setattr(pairing, "integrate", spy)
+    monkeypatch.setattr(pairing, "integrate_many", spy)
     pair = get("cylindrical_to_cartesian")
     C = wobble_worldline
     hatC = C.push_through_chart(pair.forward)
@@ -168,11 +170,15 @@ def test_pairing_integrand_batch_equals_pointwise(rng, wobble_worldline,
     pair_dipole(dhat, hatC, form)
     pair_quadrupole(q, C, pulled)
     pair_quadrupole(qhat.gamma3_hat, hatC, form)
-    assert len(captured) == 6
-    for f, a, b in captured:
+    pair_bundle(SourceBundle(C, dipole=d, quadrupole=q), pulled)
+    pair_bundle(SourceBundle(hatC, dipole=dhat,
+                             quadrupole=qhat.gamma3_hat), form)
+    assert len(captured) == 8
+    for f, [(a, b)] in captured:
         taus = 0.5 * (a + b) + 0.5 * (b - a) * _NODES
-        batch = f(taus)
-        single = [f(np.array([t]))[0] for t in taus]
+        batch = f(taus, np.zeros(len(taus), dtype=np.intp))
+        single = [f(np.array([t]), np.zeros(1, dtype=np.intp))[0]
+                  for t in taus]
         _close(batch, single)
         assert np.any(batch != 0.0)
 

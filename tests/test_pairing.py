@@ -280,21 +280,49 @@ def test_bundle_pairing_sums_parts(rng, adapted_worldline):
     assert total.value == pytest.approx(parts, rel=1e-12)
 
 
+def test_dipole_quadrupole_bundle_is_one_integral(rng, wobble_worldline):
+    """A dipole + quadrupole bundle pairs as one integral over one read
+    of the form's jets: on a curved worldline, through the cylindrical
+    chart, it gives the sum of the two pairings with fewer nodes, and a
+    form whose support the curve misses pairs to zero with no nodes."""
+    pair = get("cylindrical_to_cartesian")
+    C = wobble_worldline
+    hatC = C.push_through_chart(pair.forward)
+    d = random_dipole(rng)
+    q = random_quadrupole(rng)
+    bundle = SourceBundle(C, dipole=d, quadrupole=q)
+    for _ in range(3):
+        form = pull_back_test_form(
+            random_test_form_along(rng, hatC, margin=0.25), pair)
+        both = pair_bundle(bundle, form)
+        dipole = pair_dipole(d, C, form)
+        quadrupole = pair_quadrupole(q, C, form)
+        assert abs(both.value - (dipole.value + quadrupole.value)) <= 2e-10
+        assert 0 < both.nodes_used < dipole.nodes_used + quadrupole.nodes_used
+    far = pull_back_test_form(make_test_form(
+        (ex.const(1.0),) * 4, center=(3.0, 5.0, 5.0, 5.0),
+        half_widths=(0.5,) * 4), pair)
+    missed = pair_bundle(bundle, far)
+    assert missed.value == 0.0
+    assert missed.nodes_used == 0
+
+
 def test_floor_panels_reported_and_summed(rng, adapted_worldline,
                                           monkeypatch):
     """A pairing reports the floor panels of its quadrature, and a
-    bundle pairing sums them over its parts."""
-    real = pairing.integrate
+    bundle pairing sums them over its integrals."""
+    real = pairing.integrate_many
 
     def floored(*args, **kwargs):
-        return dataclasses.replace(real(*args, **kwargs), floor_panels=3)
+        return [dataclasses.replace(r, floor_panels=3)
+                for r in real(*args, **kwargs)]
 
     m = Monopole(0.7)
     d = random_dipole(rng)
     form = random_test_form_along(rng, adapted_worldline)
     bundle = SourceBundle(adapted_worldline, monopole=m, dipole=d)
     assert pair_bundle(bundle, form).floor_panels == 0
-    monkeypatch.setattr(pairing, "integrate", floored)
+    monkeypatch.setattr(pairing, "integrate_many", floored)
     assert pair_monopole(m, adapted_worldline, form).floor_panels == 3
     assert pair_bundle(bundle, form).floor_panels == 6
 

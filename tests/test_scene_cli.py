@@ -405,8 +405,8 @@ def test_non_finite_charge_reported(tmp_path, charge):
     text = json.dumps(bad)
     with pytest.raises(SceneError) as err:
         parse_scene(text)
-    assert err.value.problems[0] == (
-        "multipoles.charge.charge: must be a finite number")
+    assert err.value.problems == [
+        "multipoles.charge.charge: must be a finite number"]
     f = tmp_path / "bad.scene"
     f.write_text(text)
     assert main(["run", str(f), "--out-dir", str(tmp_path / "o")]) == 2
