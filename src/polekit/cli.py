@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -381,6 +382,17 @@ def main(argv=None):
               f"{len(scene.jobs)} jobs")
         return 0
 
+    usage = []
+    if args.samples is not None and args.samples < 1:
+        usage.append(f"--samples {args.samples} must be a positive integer")
+    if args.tol is not None and not 0.0 < args.tol < math.inf:
+        usage.append(f"--tol {args.tol!r} must be a positive finite number")
+    if args.seed is not None and args.seed < 0:
+        usage.append(f"--seed {args.seed} must be a non-negative integer")
+    for p in usage:
+        print(f"usage error: {p}", file=sys.stderr)
+    if usage:
+        return 2
     if args.seed is not None:
         for job in scene.jobs:
             job["seed"] = args.seed

@@ -51,7 +51,9 @@ checks.
 
 Outside this module, jets are read back as arrays through
 :func:`stacked` and point arrays enter through :func:`columns`, so the
-array layout is known here alone.
+array layout is known here alone.  :func:`compose` pulls many outer
+jets through one set of inner jets, summing whole entry-major rows over
+each contracted index in index order.
 """
 
 from __future__ import annotations
@@ -573,19 +575,39 @@ def columns(points, n=4):
     return tuple(pts.T)
 
 
-def compose(outer, inner):
-    """Jet of F(Y(x)) from the jet of F at Y (w.r.t. the Y variables)
-    and the jets of the components of Y (w.r.t. x)."""
-    n = len(inner[0]._g)
+def _index_sum(term, n):
+    """term(0) + term(1) + ... + term(n - 1), added in that order."""
+    total = term(0)
+    for i in range(1, n):
+        total += term(i)
+    return total
+
+
+def _stack_rows(rows, shape):
+    """Entry-major rows of k jets, broadcast over the batch shape S as
+    their point-major views would be, as one ``(k, e, *S)`` array."""
+    out = np.empty((len(rows), len(rows[0])) + shape)
+    for o, r in zip(out, rows):
+        _point_major(o)[...] = _point_major(r)
+    return out
+
+
+def compose(outers, inner):
+    """Jets of F(Y(x)), one per outer jet F (given w.r.t. the Y
+    variables at Y), from the jets of the components of Y (w.r.t. x).
+    The inner rows are stacked once; each contraction is a sum of whole
+    entry-major rows over the contracted index, in index order:
+    grad_a = sum_b F_b J^b_a, hess_ac = sum_b J^b_a (sum_d F_bd J^d_c)
+    + sum_b F_b K^b_ac."""
+    p, n = len(inner), len(inner[0]._g)
     lay = _layout(n)
-    shape = np.broadcast_shapes(*(np.shape(j.value) for j in (outer, *inner)))
-    J = entries_array([j.grad for j in inner], shape, (n,))
-    K = entries_array([j.hess for j in inner], shape, (len(lay.rows),))
-    # The outer rows point-major and C-contiguous: the einsum sums below
-    # take their order from the layout of their operands.
-    G = np.ascontiguousarray(outer.grad)                 # (..., b)
-    H = full_hessian(np.ascontiguousarray(outer.hess))   # (..., b, d)
-    grad = np.einsum("...b,...ba->...a", G, J)
-    JHJ = np.einsum("...ba,...bc->...ac", J, np.einsum("...bd,...dc->...bc", H, J))
-    hess = JHJ[..., lay.rows, lay.cols] + np.einsum("...b,...bk->...k", G, K)
-    return Jet2(outer.value, grad, hess)
+    shape = np.broadcast_shapes(*(np.shape(j.value) for j in (*outers, *inner)))
+    J = _stack_rows([y._g for y in inner], shape)             # (b, a, *S)
+    K = _stack_rows([y._h for y in inner], shape)             # (b, ac, *S)
+    G = _stack_rows([f._g for f in outers], shape)            # (F, b, *S)
+    H = _stack_rows([f._h for f in outers], shape)[:, _layout(p).full]
+    grad = _index_sum(lambda b: G[:, b, None] * J[b], p)
+    HJ = _index_sum(lambda d: H[:, :, d, None] * J[d], p)     # (F, b, c, *S)
+    hess = (_index_sum(lambda b: J[b, lay.rows] * HJ[:, b, lay.cols], p)
+            + _index_sum(lambda b: G[:, b, None] * K[b], p))
+    return tuple(_jet(f.value, g, h) for f, g, h in zip(outers, grad, hess))

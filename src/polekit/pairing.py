@@ -29,7 +29,8 @@ import numpy as np
 
 from . import expr as ex
 from .errors import DomainError, QuadratureError
-from .jets import Jet2, apply, columns, compose, entries_array, stacked
+from .jets import (PRIMITIVES, Jet2, apply, columns, compose, entries_array,
+                   stacked)
 from .moments import DipoleComponents, Monopole, QuadrupoleComponents
 from .quadrature import integrate_many
 
@@ -73,7 +74,10 @@ class PairingReport:
 # (:class:`AffineFormFamily`, or its pull-back) evaluates row i as its
 # member owner[i], and without an index as member 0.  Work is done only
 # at points inside the support, and the result is exactly zero
-# elsewhere.
+# elsewhere.  The bump window's jet and a family's polynomial jets are
+# formed from their structure, with the bits of the general jet products
+# up to the sign of zeros (pinned by the ``*_bit_for_bit`` tests of
+# tests/test_pairing.py).
 
 
 def _zero_jets(n):
@@ -85,26 +89,36 @@ def _owner(owner, n):
     return np.zeros(n, dtype=np.intp) if owner is None else owner
 
 
+# _window_jet forms its packed Hessian by column, entry (a, b) at row
+# b(b+1)/2 + a, so that the entries of the first k factors lead.
+_TRIU_OF_COLUMNS = np.array([0, 1, 3, 6, 2, 4, 7, 5, 8, 9])
+
+
 def _window_jet(pts, center, half):
     """Jet of prod_b bump((x^b - center^b) / half^b) at the rows of
-    ``pts``; ``center`` and ``half`` are (4,) or one row per point."""
-    w = None
-    for b in range(4):
-        hw = half[..., b]
-        u = (pts[:, b] - center[..., b]) / hw
-        grad = np.zeros((4,) + np.shape(hw))
-        grad[b] = 1.0 / hw
-        bj = apply("bump", Jet2.affine(u, grad))
-        w = bj if w is None else w * bj
-    return w
+    ``pts``; ``center`` and ``half`` are (4,) or one row per point.
+    Factor b depends on x^b alone, so only the entries that can be
+    nonzero are formed, each multiplied in the order of the general
+    product ((b0 b1) b2) b3, whose bits it has."""
+    ihw = 1.0 / np.atleast_2d(half).T
+    v, grad, h = PRIMITIVES["bump"][1](((pts - center) / half).T)
+    grad, h = grad * ihw, (h * ihw) * ihw
+    value, hess = v[0], np.empty((10,) + v[0].shape)
+    hess[0] = h[0]
+    for k in range(1, 4):
+        t = k * (k + 1) // 2
+        hess[t:t + k] = grad[:k] * grad[k]
+        hess[t + k] = value * h[k]
+        hess[:t] *= v[k]
+        grad[:k] *= v[k]
+        grad[k] *= value
+        value = value * v[k]
+    return Jet2(value, grad.T, hess[_TRIU_OF_COLUMNS].T)
 
 
 def _window_values(pts, center, half):
     """The values of :func:`_window_jet`."""
-    w = 1.0
-    for b in range(4):
-        w = w * apply("bump", (pts[:, b] - center[..., b]) / half[..., b])
-    return w
+    return apply("bump", ((pts - center) / half).T).prod(axis=0)
 
 
 class _BatchForm:
@@ -214,9 +228,8 @@ class AffineFormFamily(_BatchForm):
             np.abs(pts - self.centers[owner]) < self.halves[owner], axis=-1)
 
     def _polys(self, env, owner):
-        """The four polynomials at ``env`` (seed jets or coordinates).
-        The tree's first sum, k + term, is formed as ``term + k``: that
-        is how a jet adds a constant, and for values it is the same."""
+        """The values of the four polynomials at the coordinates
+        ``env``."""
         k, c, m = self.consts[owner], self.coefs[owner], self.centers[owner]
         out = []
         for a in range(4):
@@ -228,8 +241,9 @@ class AffineFormFamily(_BatchForm):
 
     def _jets_inside(self, pts, owner):
         w = _window_jet(pts, self.centers[owner], self.halves[owner])
-        return tuple(p * w for p in self._polys(
-            Jet2.seed_point(columns(pts)), owner))
+        c = self.coefs[owner].T
+        return tuple(Jet2.affine(p, c[:, a]) * w for a, p in
+                     enumerate(self._polys(columns(pts), owner)))
 
     def _values_inside(self, pts, owner):
         w = _window_values(pts, self.centers[owner], self.halves[owner])
@@ -318,7 +332,7 @@ class PulledBackForm(_BatchForm):
     def _jets_inside(self, pts, owner):
         Y = self.chart.jets_at(pts)
         outer = self.hatted.jets_at(stacked(Y, (len(pts),), 0), owner)
-        composed = tuple(compose(outer[b], Y) for b in range(4))
+        composed = compose(outer, Y)
         seeds = Jet2.seed_point(columns(pts))
         out = []
         for a in range(4):
@@ -326,7 +340,9 @@ class PulledBackForm(_BatchForm):
             for b in range(4):
                 d = self._jac[b][a]
                 if isinstance(d, ex.Const):
-                    if d.v != 0.0:
+                    if d.v == 1.0:
+                        acc = acc + composed[b]
+                    elif d.v != 0.0:
                         acc = acc + composed[b] * d.v
                 else:
                     acc = acc + d.eval(seeds) * composed[b]

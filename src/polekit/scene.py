@@ -202,6 +202,35 @@ def parse_kappa0(spec, path, problems):
     return M
 
 
+def _positive_int(v):
+    return type(v) is int and v >= 1
+
+
+def _non_negative_int(v):
+    return type(v) is int and v >= 0
+
+
+def _positive_finite(v):
+    """Whether v is a JSON number (not a bool) in (0, inf) as a float."""
+    try:
+        return type(v) in (int, float) and 0.0 < float(v) < math.inf
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+# Numeric job fields: the commands that read each, the check and what it
+# asks for.
+_JOB_NUMBERS = (
+    ("forms", ("verify",), _positive_int, "a positive integer"),
+    ("samples", ("transform", "potentials"), _positive_int,
+     "a positive integer"),
+    ("choices", ("charge",), _positive_int, "a positive integer"),
+    ("tolerance", ("transform", "verify", "charge"), _positive_finite,
+     "a positive finite number"),
+    ("seed", _COMMANDS, _non_negative_int, "a non-negative integer"),
+)
+
+
 def _validate_job(i, job, scene_charts, scene_worldlines, scene_multipoles,
                   problems):
     path = f"jobs[{i}]"
@@ -228,6 +257,9 @@ def _validate_job(i, job, scene_charts, scene_worldlines, scene_multipoles,
         c = job.get("chart")
         if c not in scene_charts:
             problems.append(f"{path}: unknown chart {c!r}")
+    for key, commands, ok, want in _JOB_NUMBERS:
+        if cmd in commands and key in job and not ok(job[key]):
+            problems.append(f"{path}: {key} {job[key]!r} must be {want}")
     if cmd == "transform":
         out["kappa0"] = parse_kappa0(job.get("kappa0"), path, problems)
     if cmd == "potentials":

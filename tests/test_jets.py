@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fd_gradient, fd_hessian, random_safe_expression
+from oracles import (compose_by_einsum, fd_gradient, fd_hessian,
+                     random_safe_expression, same_bits)
 from polekit import expr as ex
 from polekit.errors import EvaluationError
 from polekit.jets import PRIMITIVES, Jet2, apply, compose
@@ -255,11 +256,42 @@ def test_compose_matches_substitution(rng):
     Y = tuple(e.eval(seeds) for e in inner)
     yvals = tuple(j.value for j in Y)
     outer_jet = outer.eval(Jet2.seed_point(yvals))
-    composed = compose(outer_jet, Y)
+    composed = compose((outer_jet,), Y)[0]
     direct = outer.subs({i: inner[i] for i in range(4)}).eval(seeds)
     assert composed.value == pytest.approx(direct.value, rel=1e-12, abs=1e-12)
     assert np.allclose(composed.grad, direct.grad, rtol=1e-10, atol=1e-10)
     assert np.allclose(composed.hess, direct.hess, rtol=1e-9, atol=1e-9)
+    # Several outer trees through the same inner jets in one call.
+    outers = [random_safe_expression(rng) for _ in range(3)]
+    for tree, composed in zip(outers, compose(
+            [t.eval(Jet2.seed_point(yvals)) for t in outers], Y)):
+        direct = tree.subs({i: inner[i] for i in range(4)}).eval(seeds)
+        assert composed.value == pytest.approx(direct.value, rel=1e-12,
+                                               abs=1e-12)
+        assert np.allclose(composed.grad, direct.grad, rtol=1e-10,
+                           atol=1e-10)
+        assert np.allclose(composed.hess, direct.hess, rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (512,)])
+def test_compose_matches_einsum_reference_bit_for_bit(rng, shape):
+    """Composing many outer jets in one call gives each the bits of the
+    per-outer einsum composition, for inner jets that are general,
+    constant, seeds (rows shared over the batch) or affine."""
+
+    def general():
+        return Jet2(rng.normal(size=shape), rng.normal(size=shape + (4,)),
+                    rng.normal(size=shape + (10,)))
+
+    x = tuple(rng.uniform(-1, 1, size=shape) for _ in range(4))
+    seeds = Jet2.seed_point(x)
+    for _ in range(8):
+        inner = (general(), seeds[1], Jet2.constant(rng.normal(), 4),
+                 Jet2.affine(x[3] * 2.0, rng.normal(size=4)))
+        inner = tuple(inner[i] for i in rng.permutation(4))
+        outers = [general() for _ in range(3)] + [Jet2.constant(1.5, 4)]
+        for outer, composed in zip(outers, compose(outers, inner)):
+            assert same_bits(composed, compose_by_einsum(outer, inner))
 
 
 def _unrolled_product(f, g):

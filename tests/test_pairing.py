@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import fd_gradient_plain
+from oracles import (family_jets_by_products, fd_gradient_plain,
+                     same_bits, window_by_products)
 from polekit import expr as ex
 from polekit import pairing
 from polekit.charts import get
@@ -92,6 +93,52 @@ def test_form_jets_match_finite_differences(rng):
                     1.0, abs(jets[a].grad[0][i])
                 )
         checked += 4
+
+
+def _points_near(rng, center, half, n):
+    """n points around a box, some outside it, the first on the edge of
+    the support in x^1, where the bump underflows to 0."""
+    pts = center + half * rng.uniform(-1.05, 1.05, size=(n, 4))
+    pts[0, 1] = center[1] + 0.99999 * half[1]
+    return pts
+
+
+@pytest.mark.parametrize("n", [1, 7, 512])
+def test_window_jet_matches_general_product_bit_for_bit(rng, n):
+    """The separable window jet, and its values, have the bits of the
+    general product of one-coordinate bump jets, for a shared box and a
+    box per row."""
+    for _ in range(10):
+        center = rng.normal(size=4)
+        half = rng.uniform(0.3, 2.0, 4)
+        pts = _points_near(rng, center, half, n)
+        centers = center + 0.1 * rng.normal(size=(n, 4))
+        halves = half * rng.uniform(0.5, 1.5, size=(n, 4))
+        assert pairing._window_jet(pts, center, half).value[0] == 0.0
+        for c, h in ((center, half), (centers, halves)):
+            ref = window_by_products(pts, c, h)
+            assert same_bits(pairing._window_jet(pts, c, h), ref)
+            assert np.array_equal(pairing._window_values(pts, c, h),
+                                  ref.value)
+
+
+@pytest.mark.parametrize("n", [1, 7, 512])
+def test_family_jets_match_general_arithmetic_bit_for_bit(rng, n):
+    """A family's closed-form jets (affine polynomial times window) have
+    the bits of its polynomials over seed jets times the general window
+    product."""
+    for _ in range(10):
+        center = rng.normal(size=4)
+        half = rng.uniform(0.3, 2.0, 4)
+        family = AffineFormFamily(
+            rng.normal(size=(3, 4)), rng.normal(size=(3, 4, 4)),
+            center + 0.05 * rng.normal(size=(3, 4)),
+            half * rng.uniform(0.9, 1.1, size=(3, 4)))
+        pts = _points_near(rng, center, half, n)
+        owner = rng.integers(0, 3, size=n)
+        for j, ref in zip(family._jets_inside(pts, owner),
+                          family_jets_by_products(family, pts, owner)):
+            assert same_bits(j, ref)
 
 
 # -- monopole pairing ---------------------------------------------------------

@@ -195,6 +195,85 @@ def test_scene_kappa0_non_numeric_reported():
                for p in err.value.problems)
 
 
+def _worked_example_job(command):
+    doc = json.loads((SCENES / "worked_example.scene").read_text())
+    return doc, next(j for j in doc["jobs"] if j["command"] == command)
+
+
+@pytest.mark.parametrize("command, key, value, want", [
+    ("verify", "forms", 0, "a positive integer"),
+    ("verify", "forms", -3, "a positive integer"),
+    ("verify", "forms", 2.5, "a positive integer"),
+    ("verify", "forms", "x", "a positive integer"),
+    ("verify", "forms", True, "a positive integer"),
+    ("transform", "samples", 0, "a positive integer"),
+    ("transform", "samples", False, "a positive integer"),
+    ("verify", "tolerance", 0, "a positive finite number"),
+    ("verify", "tolerance", -1e-6, "a positive finite number"),
+    ("transform", "tolerance", float("inf"), "a positive finite number"),
+    ("transform", "tolerance", float("nan"), "a positive finite number"),
+    ("verify", "tolerance", "1e-6", "a positive finite number"),
+    ("verify", "tolerance", True, "a positive finite number"),
+    ("verify", "tolerance", 10 ** 400, "a positive finite number"),
+    ("verify", "seed", -1, "a non-negative integer"),
+    ("transform", "seed", 7.0, "a non-negative integer"),
+    ("verify", "seed", True, "a non-negative integer"),
+])
+def test_job_counts_tolerances_and_seeds_checked(tmp_path, capsys, command,
+                                                  key, value, want):
+    """A count, tolerance or seed a job cannot use is a scene problem
+    (exit 2), not a pass over no probes or a traceback."""
+    doc, job = _worked_example_job(command)
+    job[key] = value
+    with pytest.raises(SceneError) as err:
+        parse_scene(json.dumps(doc))
+    i = doc["jobs"].index(job)
+    assert f"jobs[{i}]: {key} {value!r} must be {want}" in err.value.problems
+    path = tmp_path / "bad.scene"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert "scene error: " in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_charge_and_potentials_counts_checked():
+    charge = json.loads(MINIMAL)
+    charge["jobs"][0]["choices"] = 0
+    potentials = json.loads(MINIMAL)
+    potentials["jobs"] = [{"command": "potentials", "samples": -5,
+                           "source": {"kind": "monopole", "moments": 2.0}}]
+    for doc, problem in ((charge, "jobs[0]: choices 0 must be a positive "
+                          "integer"),
+                         (potentials, "jobs[0]: samples -5 must be a "
+                          "positive integer")):
+        with pytest.raises(SceneError) as err:
+            parse_scene(json.dumps(doc))
+        assert err.value.problems == [problem]
+
+
+def test_valid_job_numbers_accepted():
+    doc, job = _worked_example_job("verify")
+    job.update(forms=1, tolerance=1, seed=0)
+    parse_scene(json.dumps(doc))
+
+
+@pytest.mark.parametrize("flags, problem", [
+    (["--samples", "0"], "--samples 0 must be a positive integer"),
+    (["--tol", "0"], "--tol 0.0 must be a positive finite number"),
+    (["--tol=-1e-6"], "--tol -1e-06 must be a positive finite number"),
+    (["--tol", "nan"], "--tol nan must be a positive finite number"),
+    (["--tol", "inf"], "--tol inf must be a positive finite number"),
+    (["--seed", "-1"], "--seed -1 must be a non-negative integer"),
+])
+def test_count_tolerance_and_seed_flags_checked(tmp_path, capsys, flags,
+                                                problem):
+    code = main(["run", str(SCENES / "worked_example.scene"),
+                 "--out-dir", str(tmp_path), *flags])
+    assert code == 2
+    assert f"usage error: {problem}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("inverse", [["x0", "x1", "x2"], "x0"])
 def test_chart_inverse_must_be_four_expressions(inverse):
     bad = json.loads(MINIMAL)
