@@ -214,12 +214,12 @@ def _run_classify(scene, job, out_dir):
         passed = passed and ok
         data["charge"] = charges[0]
     for k in orders:
-        rep = cls.test_order(bundle, int(k), seed=seed)
+        rep = cls.test_order(bundle, k, seed=seed)
         lines.append("  " + rep.summary())
         data[f"order_{k}"] = rep.passed
         passed = passed and rep.passed
     for ell in eorders:
-        rep = cls.test_electric_order(bundle, int(ell), seed=seed)
+        rep = cls.test_electric_order(bundle, ell, seed=seed)
         lines.append("  " + rep.summary())
         data[f"electric_order_{ell}"] = rep.passed
         passed = passed and rep.passed

@@ -13,19 +13,28 @@ reuses ``f`` and ``g``), so its trees are DAGs; :func:`eval_all`
 evaluates several trees over one memo, which evaluates each shared
 subtree once per call.
 Functions of the curve parameter (worldlines, component entries) are
-trees in variable 0; :func:`tau_derivative` gives their exact value,
-first or second tau derivative over a 1-D array of taus from
-one-variable jets, and they are combined as trees (``add``, ``mul``,
-``Expr.diff``).  Trees support structural equality, substitution (for
-chart composition) and symbolic differentiation, which is what
-pullbacks of covector fields need: the Jacobian of a chart must itself
-be jet-evaluable.
+trees in variable 0; :func:`tau_rows` reads k of them over a 1-D array
+of taus as (N, k) rows of their exact values, first or second tau
+derivatives (from one-variable jets), tree by tree, and
+:func:`tau_derivative` is its one-tree case.  They are combined as trees
+(``add``, ``mul``, ``Expr.diff``).  Trees support structural equality,
+substitution (for chart composition) and symbolic differentiation, which
+is what pullbacks of covector fields need: the Jacobian of a chart must
+itself be jet-evaluable.
+
+Each walk is written once: :meth:`Expr.subs` and :meth:`Expr.variables`
+on the base class over a node's child fields, the printer and the parser
+from one table of binary operators, and constant exponents through the
+evaluator.
 
 The grammar accepted by :func:`parse` (and emitted by ``to_str``):
 
     reals, pi, variables, ``+ - * / ^``, parentheses, and the functions
     sin, cos, exp, sqrt, bump, sstep, atan2(y, x).
 
+An exponent may be any subexpression without variables; it is computed
+by :meth:`Expr.eval` when parsed, and one that fails to evaluate is a
+:class:`SceneError`.
 ``bump(u)`` is exp(-1/(1-u^2)) for |u|<1 and exactly 0 outside; it has
 no symbolic derivative here (differentiate the probe, not the window).
 ``sstep(u)`` is a C^3 polynomial step: 0 for u<=0, 1 for u>=1.
@@ -34,7 +43,7 @@ no symbolic derivative here (differentiate the probe, not the window).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import jets
 from .errors import EvaluationError, SceneError
@@ -104,17 +113,20 @@ class Expr:
     def diff(self, var):
         raise NotImplementedError
 
+    def _fields(self):
+        """The node's field values in declaration order: child trees,
+        and a Pow's exponent or a Fun's name as they are."""
+        return [getattr(self, f.name) for f in fields(self)]
+
     def subs(self, mapping):
         """Replace Var(i) by mapping[i] (an Expr) where present."""
-        raise NotImplementedError
+        return type(self)(*(v.subs(mapping) if isinstance(v, Expr) else v
+                            for v in self._fields()))
 
     def variables(self):
-        out = set()
-        self._collect_vars(out)
-        return out
-
-    def _collect_vars(self, out):
-        raise NotImplementedError
+        """The set of variable indices the tree reads."""
+        return set().union(*(v.variables() for v in self._fields()
+                             if isinstance(v, Expr)))
 
     def to_str(self):
         return _emit(self, 0)
@@ -141,12 +153,6 @@ class Const(Expr):
     def diff(self, var):
         return Const(0.0)
 
-    def subs(self, mapping):
-        return self
-
-    def _collect_vars(self, out):
-        pass
-
 
 @dataclass(frozen=True, slots=True)
 class Var(Expr):
@@ -163,8 +169,8 @@ class Var(Expr):
     def subs(self, mapping):
         return mapping.get(self.index, self)
 
-    def _collect_vars(self, out):
-        out.add(self.index)
+    def variables(self):
+        return {self.index}
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,13 +184,6 @@ class Add(Expr):
     def diff(self, var):
         return add(self.a.diff(var), self.b.diff(var))
 
-    def subs(self, mapping):
-        return Add(self.a.subs(mapping), self.b.subs(mapping))
-
-    def _collect_vars(self, out):
-        self.a._collect_vars(out)
-        self.b._collect_vars(out)
-
 
 @dataclass(frozen=True, slots=True)
 class Sub(Expr):
@@ -196,13 +195,6 @@ class Sub(Expr):
 
     def diff(self, var):
         return sub(self.a.diff(var), self.b.diff(var))
-
-    def subs(self, mapping):
-        return Sub(self.a.subs(mapping), self.b.subs(mapping))
-
-    def _collect_vars(self, out):
-        self.a._collect_vars(out)
-        self.b._collect_vars(out)
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,13 +209,6 @@ class Mul(Expr):
         return add(
             mul(self.a.diff(var), self.b), mul(self.a, self.b.diff(var))
         )
-
-    def subs(self, mapping):
-        return Mul(self.a.subs(mapping), self.b.subs(mapping))
-
-    def _collect_vars(self, out):
-        self.a._collect_vars(out)
-        self.b._collect_vars(out)
 
 
 @dataclass(frozen=True, slots=True)
@@ -240,13 +225,6 @@ class Div(Expr):
         )
         return div(num, mul(self.b, self.b))
 
-    def subs(self, mapping):
-        return Div(self.a.subs(mapping), self.b.subs(mapping))
-
-    def _collect_vars(self, out):
-        self.a._collect_vars(out)
-        self.b._collect_vars(out)
-
 
 @dataclass(frozen=True, slots=True)
 class Neg(Expr):
@@ -257,12 +235,6 @@ class Neg(Expr):
 
     def diff(self, var):
         return neg(self.a.diff(var))
-
-    def subs(self, mapping):
-        return Neg(self.a.subs(mapping))
-
-    def _collect_vars(self, out):
-        self.a._collect_vars(out)
 
 
 @dataclass(frozen=True, slots=True)
@@ -280,11 +252,17 @@ class Pow(Expr):
             du,
         )
 
-    def subs(self, mapping):
-        return Pow(self.base.subs(mapping), self.exponent)
 
-    def _collect_vars(self, out):
-        self.base._collect_vars(out)
+#: name -> the outer derivative f'(u) as a tree in u, for the primitives
+#: that have a symbolic derivative.
+_OUTER_DERIVATIVES = {
+    "sin": lambda u: Fun("cos", u),
+    "cos": lambda u: neg(Fun("sin", u)),
+    "exp": lambda u: Fun("exp", u),
+    "sqrt": lambda u: mul(Const(0.5), Pow(u, -0.5)),
+    "sstep": lambda u: Fun("sstep_d1", u),
+    "sstep_d1": lambda u: Fun("sstep_d2", u),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -297,31 +275,12 @@ class Fun(Expr):
 
     def diff(self, var):
         du = self.arg.diff(var)
-        u = self.arg
-        name = self.name
-        if name == "sin":
-            outer = Fun("cos", u)
-        elif name == "cos":
-            outer = neg(Fun("sin", u))
-        elif name == "exp":
-            outer = Fun("exp", u)
-        elif name == "sqrt":
-            outer = mul(Const(0.5), Pow(u, -0.5))
-        elif name == "sstep":
-            outer = Fun("sstep_d1", u)
-        elif name == "sstep_d1":
-            outer = Fun("sstep_d2", u)
-        else:
+        outer = _OUTER_DERIVATIVES.get(self.name)
+        if outer is None:
             raise EvaluationError(
-                name, "no symbolic derivative for this primitive"
+                self.name, "no symbolic derivative for this primitive"
             )
-        return mul(outer, du)
-
-    def subs(self, mapping):
-        return Fun(self.name, self.arg.subs(mapping))
-
-    def _collect_vars(self, out):
-        self.arg._collect_vars(out)
+        return mul(outer(self.arg), du)
 
 
 @dataclass(frozen=True, slots=True)
@@ -338,13 +297,6 @@ class Atan2(Expr):
         num = sub(mul(self.x, dy), mul(self.y, dx))
         den = add(mul(self.x, self.x), mul(self.y, self.y))
         return div(num, den)
-
-    def subs(self, mapping):
-        return Atan2(self.y.subs(mapping), self.x.subs(mapping))
-
-    def _collect_vars(self, out):
-        self.y._collect_vars(out)
-        self.x._collect_vars(out)
 
 
 # -- folding constructors (used by diff; the parser keeps trees verbatim)
@@ -415,15 +367,24 @@ def gradient_exprs(e):
     return tuple(e.diff(a) for a in range(4))
 
 
+def tau_rows(trees, taus, order=0):
+    """The ``order``-th (0, 1 or 2) tau derivatives of k trees (functions
+    of variable 0 only) over a 1-D array of N taus, as (N, k) rows: from
+    the taus themselves for order 0, else from one-variable seed jets.
+    Each tree is walked on its own (no memo: a memo would keep every
+    intermediate array of every tree alive until the last is read)."""
+    if order == 0:
+        return entries_array([e.eval((taus,)) for e in trees], taus.shape)
+    seeds = Jet2.seed_point((taus,))
+    rows = stacked([e.eval(seeds) for e in trees], taus.shape, order)
+    return rows.reshape(taus.shape + (len(trees),))
+
+
 def tau_derivative(e, t, order=0):
     """The ``order``-th (0, 1 or 2) tau derivative of the expression
     ``e`` (a function of variable 0 only) over a 1-D array of taus, as
-    an array of the same shape; from one-variable jets."""
-    if order == 0:
-        rows = entries_array([e.eval((t,))], t.shape)
-    else:
-        rows = stacked([e.eval(Jet2.seed_point((t,)))], t.shape, order)
-    return rows.reshape(t.shape)
+    an array of the same shape: :func:`tau_rows` of one tree."""
+    return tau_rows([e], t, order).reshape(t.shape)
 
 
 # -- helpers used throughout ---------------------------------------------
@@ -440,10 +401,6 @@ def var(i):
     return Var(i)
 
 
-def tau():
-    return Var(0)
-
-
 def linear_combination(coeffs, offset=0.0):
     """offset + sum_a coeffs[a] * x^a as a folded tree."""
     e = Const(float(offset))
@@ -456,33 +413,29 @@ def linear_combination(coeffs, offset=0.0):
 
 _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
+#: Binary node -> (its text, its precedence), for the printer and the
+#: parser; every binary operator is left-associative.
+_BINARY = {Add: (" + ", _PREC_ADD), Sub: (" - ", _PREC_ADD),
+           Mul: ("*", _PREC_MUL), Div: ("/", _PREC_MUL)}
+_BINARY_BY_SYMBOL = {text.strip(): node for node, (text, _) in _BINARY.items()}
+
 
 def _fmt_number(v):
     if v == math.pi:
         return "pi"
-    r = repr(float(v))
-    return r
+    return repr(float(v))
 
 
 def _emit(e, parent_prec):
-    if isinstance(e, Const):
+    if type(e) in _BINARY:
+        text, prec = _BINARY[type(e)]
+        s = f"{_emit(e.a, prec)}{text}{_emit(e.b, prec + 1)}"
+    elif isinstance(e, Const):
         s = _fmt_number(e.v)
         prec = _PREC_ATOM if e.v >= 0 else _PREC_UNARY
     elif isinstance(e, Var):
         s = _VAR_NAMES_DEFAULT[e.index]
         prec = _PREC_ATOM
-    elif isinstance(e, Add):
-        s = f"{_emit(e.a, _PREC_ADD)} + {_emit(e.b, _PREC_ADD + 1)}"
-        prec = _PREC_ADD
-    elif isinstance(e, Sub):
-        s = f"{_emit(e.a, _PREC_ADD)} - {_emit(e.b, _PREC_ADD + 1)}"
-        prec = _PREC_ADD
-    elif isinstance(e, Mul):
-        s = f"{_emit(e.a, _PREC_MUL)}*{_emit(e.b, _PREC_MUL + 1)}"
-        prec = _PREC_MUL
-    elif isinstance(e, Div):
-        s = f"{_emit(e.a, _PREC_MUL)}/{_emit(e.b, _PREC_MUL + 1)}"
-        prec = _PREC_MUL
     elif isinstance(e, Neg):
         s = f"-{_emit(e.a, _PREC_UNARY)}"
         prec = _PREC_UNARY
@@ -507,8 +460,7 @@ _VAR_NAMES_DEFAULT = ("x0", "x1", "x2", "x3")
 
 # -- parser ----------------------------------------------------------------
 
-_FUNCTIONS = ("sin", "cos", "exp", "sqrt", "bump", "sstep", "sstep_d1",
-              "sstep_d2")
+_FUNCTIONS = tuple(jets.PRIMITIVES)
 
 
 class _Tokens:
@@ -587,28 +539,19 @@ def parse(text, variables=None):
     return e
 
 
-def _parse_sum(toks, variables):
-    e = _parse_term(toks, variables)
+def _parse_sum(toks, variables, prec=_PREC_ADD):
+    """Operands joined left to right by the binary operators of
+    precedence ``prec``, each operand parsed at the next level up."""
+    if prec > _PREC_MUL:
+        return _parse_unary(toks, variables)
+    e = _parse_sum(toks, variables, prec + 1)
     while True:
         kind, val, _ = toks.peek()
-        if kind == "op" and val in "+-":
-            toks.next()
-            rhs = _parse_term(toks, variables)
-            e = Add(e, rhs) if val == "+" else Sub(e, rhs)
-        else:
+        node = _BINARY_BY_SYMBOL.get(val) if kind == "op" else None
+        if node is None or _BINARY[node][1] != prec:
             return e
-
-
-def _parse_term(toks, variables):
-    e = _parse_unary(toks, variables)
-    while True:
-        kind, val, _ = toks.peek()
-        if kind == "op" and val in "*/":
-            toks.next()
-            rhs = _parse_unary(toks, variables)
-            e = Mul(e, rhs) if val == "*" else Div(e, rhs)
-        else:
-            return e
+        toks.next()
+        e = node(e, _parse_sum(toks, variables, prec + 1))
 
 
 def _parse_unary(toks, variables):
@@ -625,40 +568,19 @@ def _parse_unary(toks, variables):
 def _parse_power(toks, variables):
     base = _parse_atom(toks, variables)
     kind, val, pos = toks.peek()
-    if kind == "op" and val == "^":
-        toks.next()
-        exponent = _parse_unary(toks, variables)
-        folded = _try_const(exponent)
-        if folded is None:
-            raise SceneError(
-                [f"column {pos + 1}: exponent must be a constant"]
-            )
-        return Pow(base, folded)
-    return base
-
-
-def _try_const(e):
-    if isinstance(e, Const):
-        return e.v
-    if isinstance(e, Neg):
-        inner = _try_const(e.a)
-        return None if inner is None else -inner
-    if isinstance(e, Pow):
-        base = _try_const(e.base)
-        return None if base is None else base ** e.exponent
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        a = _try_const(e.a)
-        b = _try_const(e.b)
-        if a is None or b is None:
-            return None
-        if isinstance(e, Add):
-            return a + b
-        if isinstance(e, Sub):
-            return a - b
-        if isinstance(e, Mul):
-            return a * b
-        return a / b
-    return None
+    if kind != "op" or val != "^":
+        return base
+    toks.next()
+    exponent = _parse_unary(toks, variables)
+    if exponent.variables():
+        raise SceneError([f"column {pos + 1}: exponent must be a constant"])
+    try:
+        return Pow(base, float(exponent.eval((0.0,) * 4)))
+    except (EvaluationError, OverflowError) as err:
+        raise SceneError(
+            [f"column {pos + 1}: exponent {exponent.to_str()} cannot be "
+             f"evaluated: {err}"]
+        )
 
 
 def _parse_atom(toks, variables):

@@ -34,7 +34,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DerivativeUnavailable, DomainError, SymmetryError
-from .expr import Const, Expr, tau_derivative
+from .expr import Const, Expr, tau_rows
 from .quadrature import CumulativeIntegral
 
 _SPATIAL = (1, 2, 3)
@@ -65,16 +65,19 @@ def _expr_fields(entries, rank):
             raise TypeError(f"expected Expr or number, got {type(e)!r}")
         if not (isinstance(e, Const) and e.v == 0.0):
             exprs[tuple(idx)] = e
-    mask = np.zeros((4,) * rank, dtype=bool)
+    shape = (4,) * rank
+    mask = np.zeros(shape, dtype=bool)
     for idx in exprs:
         mask[idx] = True
+    flat = [np.ravel_multi_index(idx, shape) for idx in exprs]
+    trees = list(exprs.values())
 
     def field(order):
         def f(taus):
-            out = np.zeros(taus.shape + (4,) * rank)
-            for idx, e in exprs.items():
-                out[(Ellipsis, *idx)] = tau_derivative(e, taus, order)
-            return out
+            out = np.zeros(taus.shape + (4 ** rank,))
+            if trees:
+                out[..., flat] = tau_rows(trees, taus, order)
+            return out.reshape(taus.shape + shape)
 
         return f
 
@@ -632,10 +635,6 @@ class AdaptedCoefficients:
             "triple": _worst([s(1, 2, 3) + s(1, 3, 2) + s(2, 3, 1)]),
         }
         return residuals, _worst(values)
-
-    def closedness_residuals(self, n=33):
-        """Max residual of each conservation condition over sampled tau."""
-        return self._checks(n)[0]
 
     def is_closed(self, tol=1e-9, n=33):
         res, scale = self._checks(n)

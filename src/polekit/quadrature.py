@@ -247,8 +247,7 @@ class CumulativeIntegral:
         halves.sort(key=lambda seg: seg[0])
         # Per segment: start, end, Legendre coefficients (_N x dim) of
         # the integrand and the running integral at the start.
-        self._starts = np.array([seg[0] for seg in halves])
-        self._t0 = self._starts
+        self._t0 = np.array([seg[0] for seg in halves])
         self._t1 = np.array([seg[1] for seg in halves])
         self._coeffs = np.array([_PROJ @ seg[2] for seg in halves])
         f0 = []
@@ -261,8 +260,8 @@ class CumulativeIntegral:
 
     def value(self, ts):
         """F(t) - F(a) at a 1-D array of N taus, shape (N, dim)."""
-        i = np.searchsorted(self._starts, ts, side="right") - 1
-        i = np.clip(i, 0, len(self._starts) - 1)
+        i = np.searchsorted(self._t0, ts, side="right") - 1
+        i = np.clip(i, 0, len(self._t0) - 1)
         t0, t1 = self._t0[i], self._t1[i]
         coeffs = self._coeffs[i]
         x = 2.0 * (ts - t0) / (t1 - t0) - 1.0

@@ -10,10 +10,9 @@ import numpy as np
 
 from . import expr as ex
 from .charts import ChartPair, linear_chart
-from .jets import entries_array
 from .moments import DipoleComponents, QuadrupoleComponents, quadrupole_basis
 from .pairing import AffineFormFamily
-from .expr import tau_derivative
+from .expr import tau_rows
 
 
 def rng_from_seed(seed):
@@ -59,9 +58,8 @@ def random_quadrupole(rng, degree=2, scale=1.0, directions=5):
 
     def combo(order):
         def field(taus):
-            w = entries_array([tau_derivative(e, taus, order) for e in coeffs],
-                              taus.shape)
-            return np.einsum("ni,iabc->nabc", w, tensors)
+            return np.einsum("ni,iabc->nabc", tau_rows(coeffs, taus, order),
+                             tensors)
 
         return field
 

@@ -210,6 +210,11 @@ def _non_negative_int(v):
     return type(v) is int and v >= 0
 
 
+def _list_of(ok):
+    """A check that v is a list whose every item passes ``ok``."""
+    return lambda v: isinstance(v, list) and all(ok(k) for k in v)
+
+
 def _positive_finite(v):
     """Whether v is a JSON number (not a bool) in (0, inf) as a float."""
     try:
@@ -228,6 +233,10 @@ _JOB_NUMBERS = (
     ("tolerance", ("transform", "verify", "charge"), _positive_finite,
      "a positive finite number"),
     ("seed", _COMMANDS, _non_negative_int, "a non-negative integer"),
+    ("orders", ("classify",), _list_of(_non_negative_int),
+     "a list of non-negative integers"),
+    ("electric_orders", ("classify",), _list_of(_positive_int),
+     "a list of positive integers"),
 )
 
 

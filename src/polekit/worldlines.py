@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .expr import Const, Expr, Var, tau_derivative
-from .jets import Jet2, entries_array, stacked
+from .expr import Const, Expr, Var, tau_derivative, tau_rows
+from .jets import Jet2, stacked
 
 
 def _as_tau_expr(obj):
@@ -60,28 +60,24 @@ class Worldline:
                 f"parameter {bad} outside the interval [{t0}, {t1}]"
             )
 
-    def _jets(self, tau):
-        """One-variable jets of the four components over the taus."""
-        self._check_tau(tau)
-        seeds = Jet2.seed_point((tau,))
-        return [c.eval(seeds) for c in self.components]
-
     def eval(self, tau):
         """(point, velocity) as (N, 4) arrays from one jet pass."""
-        jlist = self._jets(tau)
+        self._check_tau(tau)
+        seeds = Jet2.seed_point((tau,))
+        jlist = [c.eval(seeds) for c in self.components]
         return (stacked(jlist, tau.shape, 0),
                 stacked(jlist, tau.shape, 1)[..., 0])
 
     def point_at(self, tau):
         self._check_tau(tau)
-        return entries_array([c.eval((tau,)) for c in self.components],
-                             tau.shape)
+        return tau_rows(self.components, tau, 0)
 
     def velocity_at(self, tau):
         return self.eval(tau)[1]
 
     def acceleration_at(self, tau):
-        return stacked(self._jets(tau), tau.shape, 2)[..., 0, 0]
+        self._check_tau(tau)
+        return tau_rows(self.components, tau, 2)
 
     def sample_taus(self, n):
         t0, t1 = self.interval

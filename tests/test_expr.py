@@ -44,6 +44,7 @@ def test_tau_variables():
         ("x1 +", "unexpected"),
         ("foo(x1)", "unknown name"),
         ("x1 ^ x2", "constant"),
+        ("x0^x1", "column 3: exponent must be a constant"),
         ("(x1", "expected"),
         ("x1 @ 2", "unexpected character"),
     ],
@@ -289,3 +290,82 @@ def test_domain_error_in_a_shared_subtree_raises_in_every_env():
     for env in (point, Jet2.seed_point(point)):
         with pytest.raises(EvaluationError):
             ex.eval_all(trees, env)
+
+
+# -- the generic walks: subs, variables, constant exponents, tau_rows --------
+
+
+def _all_kinds(x1, x3):
+    """One tree holding all ten node kinds, with the subtrees ``x1`` and
+    ``x3`` in the places of variables 1 and 3."""
+    return ex.Add(
+        ex.Sub(
+            ex.Mul(ex.Atan2(x1, ex.Add(ex.Div(ex.Const(2.0), ex.Const(3.0)),
+                                       ex.Var(0))),
+                   ex.Fun("sin", ex.Var(2))),
+            ex.Div(ex.Pow(ex.Add(x1, ex.Const(8.0)), 2.0),
+                   ex.Fun("sqrt", ex.Const(4.0)))),
+        ex.Neg(ex.Pow(x3, 1.5)))
+
+
+def test_subs_and_variables_walk_every_node_kind():
+    tree = _all_kinds(ex.Var(1), ex.Var(3))
+    assert {type(n) for n in _subtrees(tree)} == {
+        ex.Const, ex.Var, ex.Add, ex.Sub, ex.Mul, ex.Div, ex.Neg, ex.Pow,
+        ex.Fun, ex.Atan2}
+    assert tree.variables() == {0, 1, 2, 3}
+    x1 = ex.Mul(ex.Const(2.0), ex.Var(0))
+    x3 = ex.Fun("exp", ex.Var(2))
+    composed = tree.subs({1: x1, 3: x3, 7: ex.Var(1)})
+    assert composed == _all_kinds(x1, x3)
+    assert composed.variables() == {0, 2}
+    assert tree.subs({}) == tree
+    assert ex.Div(ex.Const(2.0), ex.Const(3.0)).variables() == set()
+    assert ex.parse("x3^2 - sin(x1)").variables() == {1, 3}
+
+
+@pytest.mark.parametrize("text", [
+    "x0^(1/0)", "x0^(0^-1)", "x0^(10^400)", "x0^((-8)^0.5)"])
+def test_exponent_that_fails_to_evaluate_is_a_scene_error(text):
+    with pytest.raises(SceneError) as err:
+        ex.parse(text)
+    problem, = err.value.problems
+    assert problem.startswith("column 3: exponent ")
+    assert "cannot be evaluated" in problem
+
+
+@pytest.mark.parametrize("text, exponent", [
+    ("x0^(2^0.5)", 2.0 ** 0.5),
+    ("x0^-2", -2.0),
+    ("x0^(3/2)", 3.0 / 2.0),
+    ("x0^sin(1)", float(np.sin(1.0))),
+])
+def test_constant_exponents_are_computed_by_the_evaluator(text, exponent):
+    e = ex.parse(text)
+    assert e == ex.Pow(ex.Var(0), e.exponent)
+    assert type(e.exponent) is float
+    assert e.exponent.hex() == exponent.hex()
+
+
+def _tau_trees():
+    shared = ex.parse("sin(tau)*tau + 1", ex.TAU_VARS)
+    return [
+        ex.Const(1.5),
+        ex.Const(0.0),
+        ex.parse("3/10", ex.TAU_VARS),
+        ex.Add(shared, ex.Var(0)),
+        ex.Mul(shared, ex.Pow(ex.Var(0), 2.0)),
+        ex.parse("sqrt(tau + 2)/(1 + tau^2) - exp(-tau)", ex.TAU_VARS),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 7, 512])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_tau_rows_equal_per_tree_tau_derivative(n, order):
+    trees = _tau_trees()
+    assert trees[3].a is trees[4].a
+    taus = np.linspace(0.1, 2.0, n)
+    rows = ex.tau_rows(trees, taus, order)
+    assert rows.shape == (n, len(trees))
+    for i, tree in enumerate(trees):
+        assert np.array_equal(rows[:, i], ex.tau_derivative(tree, taus, order))

@@ -574,3 +574,57 @@ def test_verify_job_with_one_nonconvergent_probe_fails_as_serial(
         pair_bundle(scene.bundle("charge", "rest"),
                     pull_back_test_form(forms.member(1), pair))
     assert error == str(serial.value)
+
+
+def _exponent_scene(tmp_path):
+    doc = json.loads((SCENES / "worked_example.scene").read_text())
+    doc["multipoles"]["resting_quadrupole"]["quadrupole"]["211"] = \
+        "2*tau^(1/0)"
+    path = tmp_path / "exponent.scene"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_exponent_that_fails_to_evaluate_exits_2(tmp_path, capsys):
+    """A constant exponent is computed when parsed; one that fails is a
+    scene problem naming the entry and column, not a traceback."""
+    path = _exponent_scene(tmp_path)
+    want = ("multipoles.resting_quadrupole.quadrupole.211: column 6: "
+            "exponent 1.0/0.0 cannot be evaluated")
+    assert main(["validate", str(path)]) == 2
+    assert want in capsys.readouterr().err
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+    assert want in capsys.readouterr().err
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+@pytest.mark.parametrize("key, value, want", [
+    ("orders", ["x"], "a list of non-negative integers"),
+    ("orders", 2, "a list of non-negative integers"),
+    ("orders", [-1], "a list of non-negative integers"),
+    ("orders", [2.0], "a list of non-negative integers"),
+    ("orders", [True], "a list of non-negative integers"),
+    ("electric_orders", [0], "a list of positive integers"),
+    ("electric_orders", [1, "2"], "a list of positive integers"),
+    ("electric_orders", [False], "a list of positive integers"),
+])
+def test_classify_orders_checked(tmp_path, capsys, key, value, want):
+    """Classify orders that the probes cannot use are scene problems
+    (exit 2), not a traceback or a job that FAILs at run time."""
+    doc = json.loads((SCENES / "classify_example.scene").read_text())
+    doc["jobs"][0][key] = value
+    with pytest.raises(SceneError) as err:
+        parse_scene(json.dumps(doc))
+    assert err.value.problems == [f"jobs[0]: {key} {value!r} must be {want}"]
+    path = tmp_path / "bad.scene"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert "scene error: " in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_valid_classify_orders_accepted():
+    doc = json.loads((SCENES / "classify_example.scene").read_text())
+    doc["jobs"][0].update(orders=[0, 1, 2], electric_orders=[])
+    parse_scene(json.dumps(doc))
