@@ -108,7 +108,7 @@ class Chart:
         )
 
 
-def compose_charts(outer, inner, label=None):
+def compose_charts(outer, inner):
     """The chart x -> outer(inner(x)) by expression substitution."""
     mapping = {i: inner.forward[i] for i in range(4)}
     comps = tuple(c.subs(mapping) for c in outer.forward)
@@ -127,11 +127,7 @@ def compose_charts(outer, inner, label=None):
             if h is not None
         ]
         hint = DomainHint(pred, " and ".join(parts))
-    return Chart(
-        comps,
-        label or f"{outer.label} o {inner.label}",
-        hint,
-    )
+    return Chart(comps, f"{outer.label} o {inner.label}", hint)
 
 
 @dataclass(frozen=True)
@@ -182,7 +178,7 @@ def linear_chart(matrix, label="linear"):
     return Chart(comps, label)
 
 
-def lorentz_boost_chart(v, inverse=False, label=None):
+def lorentz_boost_chart(v, inverse=False):
     v = float(v)
     if abs(v) >= 1.0:
         raise RegistryError(f"boost speed |v| = {abs(v)} must be < 1")
@@ -192,7 +188,7 @@ def lorentz_boost_chart(v, inverse=False, label=None):
     M = np.eye(4)
     M[0, 0] = M[1, 1] = g
     M[0, 1] = M[1, 0] = -g * v
-    return linear_chart(M, label or f"lorentz_boost(v={v})")
+    return linear_chart(M, f"lorentz_boost(v={v})")
 
 
 def cylindrical_to_cartesian_chart():
@@ -242,7 +238,7 @@ _QUAD_PAIRS = tuple(
 )  # 10 ordered pairs matching the coefficient layout
 
 
-def polynomial_chart(coeffs, label="polynomial"):
+def polynomial_chart(coeffs):
     """Chart with polynomial components of total degree <= 2.
 
     ``coeffs`` is a flat list of 4 x 15 reals; per component: constant,
@@ -268,7 +264,7 @@ def polynomial_chart(coeffs, label="polynomial"):
                 ),
             )
         comps.append(e)
-    return Chart(tuple(comps), label)
+    return Chart(tuple(comps), "polynomial")
 
 
 _PAIRED = ("identity", "linear", "lorentz_boost", "cylindrical_to_cartesian",

@@ -43,7 +43,7 @@ def compact_window_expr(center, widths):
     return out
 
 
-def plateau_expr(center, widths, outer_radius=1.5):
+def plateau_expr(center, widths, outer_radius):
     """Spatial plateau: exactly 1 on the unit tube |u| <= 1, exactly 0
     beyond ``outer_radius``, smooth in between; constant in time."""
     r2 = outer_radius * outer_radius
@@ -72,18 +72,19 @@ def ramp_expr(t_on, t_off, lam0, lam1):
     )
 
 
-def random_poly_expr(rng, variables=4, degree=1, scale=1.0, offset=1.0):
-    """offset + random linear (+ optional bilinear) polynomial."""
+def random_poly_expr(rng, degree=1, offset=1.0):
+    """offset + random linear (+ optional bilinear) polynomial in
+    x0..x3."""
     e = ex.const(offset)
-    for b in range(variables):
-        e = ex.add(e, ex.mul(ex.const(scale * rng.uniform(-1, 1)), ex.Var(b)))
+    for b in range(4):
+        e = ex.add(e, ex.mul(ex.const(rng.uniform(-1, 1)), ex.Var(b)))
     if degree >= 2:
-        b1 = int(rng.integers(0, variables))
-        b2 = int(rng.integers(0, variables))
+        b1 = int(rng.integers(0, 4))
+        b2 = int(rng.integers(0, 4))
         e = ex.add(
             e,
             ex.mul(
-                ex.const(scale * rng.uniform(-1, 1)),
+                ex.const(rng.uniform(-1, 1)),
                 ex.Mul(ex.Var(b1), ex.Var(b2)),
             ),
         )
@@ -125,10 +126,10 @@ class ClassificationReport:
         )
 
 
-def _probe_norm(form, box, n=3):
+def _probe_norm(form, box):
     """Sup of |phi_a| over an interior grid: the test-form norm used in
     the pass/fail scale."""
-    return float(np.max(np.abs(form.values_at(box.grid(n, 0.6)))))
+    return float(np.max(np.abs(form.values_at(box.grid(0.6)))))
 
 
 def _require_adapted(bundle):
@@ -139,14 +140,14 @@ def _require_adapted(bundle):
         )
 
 
-def _probe_box(worldline, rng, margin=0.2, min_width=0.15, max_width=0.3):
+def _probe_box(worldline, rng):
     # Spatial centers sit on the curve but offset from it, so the
     # probe's window is generic (not flat) where the curve crosses.
     t0, t1 = worldline.interval
     length = t1 - t0
-    tc = rng.uniform(t0 + margin * length, t1 - margin * length)
+    tc = rng.uniform(t0 + 0.2 * length, t1 - 0.2 * length)
     base = worldline.point_at(np.array([tc]))[0]
-    widths = rng.uniform(min_width, max_width, 4) * min(1.0, length)
+    widths = rng.uniform(0.15, 0.3, 4) * min(1.0, length)
     offsets = rng.uniform(-0.45, 0.45, 3) * widths[1:]
     center = (float(tc),) + tuple(
         float(base[mu] + offsets[mu - 1]) for mu in (1, 2, 3)
@@ -160,8 +161,7 @@ def _random_base_form(rng, box):
     return ProductTestForm(tuple(polys), box)
 
 
-def _probe_test(bundle, build, test, order, samples, seed, pass_tol,
-                fail_tol):
+def _probe_test(bundle, build, test, order, samples, seed):
     """Pair ``bundle`` with ``samples`` probes and compare the worst
     |pairing| with the thresholds.  ``build(rng, box, window)`` returns
     one probe inside a random box around the worldline, given the
@@ -176,17 +176,16 @@ def _probe_test(bundle, build, test, order, samples, seed, pass_tol,
         worst = max(worst, abs(report.value))
         scale_ref = max(scale_ref, _probe_norm(probe, box))
     scale = max(1e-12, bundle.scale() * scale_ref)
-    threshold = pass_tol * scale
+    threshold = _PASS_TOL * scale
     return ClassificationReport(
         test=test, order=order, passed=worst <= threshold,
         max_residual=worst, threshold=threshold,
-        fail_threshold=fail_tol * scale, scale=scale,
+        fail_threshold=_FAIL_TOL * scale, scale=scale,
         seed=seed, samples=samples,
     )
 
 
-def test_order(bundle, k, samples=8, seed=0, pass_tol=_PASS_TOL,
-               fail_tol=_FAIL_TOL):
+def test_order(bundle, k, samples=8, seed=0):
     """Probe J[lambda^{k+1} phi] = 0 over sampled vanishing scalars."""
     _require_adapted(bundle)
 
@@ -194,12 +193,10 @@ def test_order(bundle, k, samples=8, seed=0, pass_tol=_PASS_TOL,
         lam = vanishing_scalar_expr(rng, window)
         return ScaledCovector(lam, k + 1, _random_base_form(rng, box))
 
-    return _probe_test(bundle, build, "order", k, samples, seed, pass_tol,
-                       fail_tol)
+    return _probe_test(bundle, build, "order", k, samples, seed)
 
 
-def test_electric_order(bundle, ell, samples=8, seed=0, pass_tol=_PASS_TOL,
-                        fail_tol=_FAIL_TOL):
+def test_electric_order(bundle, ell, samples=8, seed=0):
     """Probe J[lambda^ell d mu] = 0 with both scalars vanishing on the
     worldline (mu polynomial, so its gradient is exact)."""
     _require_adapted(bundle)
@@ -217,20 +214,17 @@ def test_electric_order(bundle, ell, samples=8, seed=0, pass_tol=_PASS_TOL,
         return ScaledCovector(lam, ell, ExprCovector(ex.gradient_exprs(mu),
                                                      box))
 
-    return _probe_test(bundle, build, "electric order", ell, samples, seed,
-                       pass_tol, fail_tol)
+    return _probe_test(bundle, build, "electric order", ell, samples, seed)
 
 
-def test_closed(bundle, samples=20, seed=0, pass_tol=_PASS_TOL,
-                fail_tol=_FAIL_TOL):
+def test_closed(bundle, samples=20, seed=0):
     """Probe J[d lambda] = 0 over sampled compact scalars."""
 
     def build(rng, box, window):
         lam = ex.Mul(random_poly_expr(rng, degree=2), window)
         return ExprCovector(ex.gradient_exprs(lam), box)
 
-    return _probe_test(bundle, build, "closed", None, samples, seed,
-                       pass_tol, fail_tol)
+    return _probe_test(bundle, build, "closed", None, samples, seed)
 
 
 # -- charge extraction -------------------------------------------------------
@@ -247,8 +241,7 @@ class ChargeProbe:
 
 
 def make_charge_probe(worldline, window=None, lam0=0.0, lam1=1.0,
-                      tube_halfwidths=None, outer_radius=1.5,
-                      time_margin=0.15):
+                      outer_radius=1.5):
     """Build the standard charge probe around a worldline.
 
     The scalar ramps from lam0 to lam1 inside a time window interior to
@@ -258,7 +251,7 @@ def make_charge_probe(worldline, window=None, lam0=0.0, lam1=1.0,
     t0, t1 = worldline.interval
     length = t1 - t0
     if window is None:
-        window = (t0 + time_margin * length, t1 - time_margin * length)
+        window = (t0 + 0.15 * length, t1 - 0.15 * length)
     t_on, t_off = window
     if not (t0 <= t_on < t_off <= t1):
         raise DomainError(f"ramp window {window!r} not inside [{t0}, {t1}]")
@@ -267,15 +260,7 @@ def make_charge_probe(worldline, window=None, lam0=0.0, lam1=1.0,
     spatial = worldline.point_at(np.linspace(t_on, t_off, 33))[:, 1:]
     center = spatial.mean(axis=0)
     spread = np.max(np.abs(spatial - center), axis=0)
-    if tube_halfwidths is None:
-        tube_halfwidths = tuple(float(2.0 * s + 0.5) for s in spread)
-    else:
-        tube_halfwidths = tuple(float(w) for w in tube_halfwidths)
-        for s, w in zip(spread, tube_halfwidths):
-            if s > 0.95 * w:
-                raise DomainError(
-                    "worldline leaves the plateau tube inside the window"
-                )
+    tube_halfwidths = tuple(float(2.0 * s + 0.5) for s in spread)
     lam = ramp_expr(t_on, t_off, lam0, lam1)
     psi = plateau_expr(center, tube_halfwidths, outer_radius)
     comps = tuple(
@@ -299,13 +284,13 @@ def make_charge_probe(worldline, window=None, lam0=0.0, lam1=1.0,
     )
 
 
-def extract_charge(bundle, probe=None, **probe_kwargs):
+def extract_charge(bundle, probe=None):
     """The invariant charge of a bundle: J[psi d lambda]/(lam1 - lam0).
 
     Monopole-free bundles return (numerically) zero.
     """
     if probe is None:
-        probe = make_charge_probe(bundle.worldline, **probe_kwargs)
+        probe = make_charge_probe(bundle.worldline)
     report = pair_bundle(bundle, probe.covector)
     return report.value / (probe.lam1 - probe.lam0)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,13 +20,11 @@ import numpy as np
 from . import classify as cls
 from . import transport as tp
 from .errors import PolekitError, SceneError
-from .fields import StaticSource, loglog_slope, ray_magnitudes
+from .fields import loglog_slope, ray_magnitudes
 from .moments import sample_taus
 from .pairing import SourceBundle, pair_bundle_family, pull_back_test_form
-from .scene import parse_kappa0, parse_scene
+from .scene import JOB_FIELDS, parse_kappa0, parse_scene
 from .sampling import rng_from_seed, random_test_form_along
-
-_UPPER_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 @dataclass
@@ -53,8 +50,8 @@ def _run_transform(scene, job, out_dir):
     chart = scene.chart_forward(job["chart"])
     C = scene.worldlines[job["worldline"]]
     spec = scene.multipoles[job["multipole"]]
-    n = int(job.get("samples", 20))
-    tol = float(job.get("tolerance", 1e-9))
+    n = job["samples"]
+    tol = float(job["tolerance"])
     lines = []
     data = {"chart": job["chart"], "worldline": job["worldline"],
             "multipole": job["multipole"]}
@@ -68,7 +65,7 @@ def _run_transform(scene, job, out_dir):
         ts = np.linspace(t0, t1, n)
         p_fits = {}
         P_samples = tr.P.matrix_at(ts)
-        for d, e in _UPPER_PAIRS:
+        for d, e in tp._PPAIRS:
             vals = [float(v) for v in P_samples[:, d, e]]
             if max(abs(v) for v in vals) > tol:
                 slope, intercept = _fit_line(ts, vals)
@@ -81,7 +78,7 @@ def _run_transform(scene, job, out_dir):
             lines.append("  integral term P: zero at all samples")
         dip = {}
         g2 = tr.gamma2_hat.values_at(np.array([0.5 * (t0 + t1)]))[0]
-        for d, e in _UPPER_PAIRS:
+        for d, e in tp._PPAIRS:
             v = float(g2[d, e])
             if abs(v) > tol:
                 dip[f"{d}{e}"] = v
@@ -90,7 +87,7 @@ def _run_transform(scene, job, out_dir):
                 )
         if not dip:
             lines.append("  emergent dipole: zero at mid-parameter")
-        check_taus = sample_taus((t0, t1), n=50, seed=int(job.get("seed", 0)))
+        check_taus = sample_taus((t0, t1), seed=job["seed"])
         pair_r, cyc_r = tr.gamma3_hat.symmetry_residuals(check_taus)
         scale = max(1.0, tr.gamma3_hat.scale(check_taus))
         sym_ok = pair_r <= 1e-10 * scale and cyc_r <= 1e-10 * scale
@@ -116,7 +113,7 @@ def _run_transform(scene, job, out_dir):
         g2 = dhat.values_at(np.array([0.5 * (t0 + t1)]))[0]
         vals = {
             f"{a}{b}": float(g2[a, b])
-            for a, b in _UPPER_PAIRS
+            for a, b in tp._PPAIRS
             if abs(g2[a, b]) > tol
         }
         data["dipole_transported_mid"] = vals
@@ -127,9 +124,9 @@ def _run_transform(scene, job, out_dir):
 def _run_verify(scene, job, out_dir):
     pair = scene.chart_pair(job["chart"])
     bundle = scene.bundle(job["multipole"], job["worldline"])
-    n = int(job.get("forms", 20))
-    tol = float(job.get("tolerance", 1e-6))
-    seed = int(job.get("seed", 0))
+    n = job["forms"]
+    tol = float(job["tolerance"])
+    seed = job["seed"]
     rng = rng_from_seed(seed)
     C = bundle.worldline
     hatC = C.push_through_chart(pair.forward)
@@ -180,9 +177,10 @@ def _run_verify(scene, job, out_dir):
 
 def _run_classify(scene, job, out_dir):
     bundle = scene.bundle(job["multipole"], job["worldline"])
-    seed = int(job.get("seed", 0))
-    orders = job.get("orders", [2] if bundle.quadrupole is not None else [1])
-    eorders = job.get("electric_orders", [])
+    seed = job["seed"]
+    orders = job["orders"]
+    if orders is None:
+        orders = [2] if bundle.quadrupole is not None else [1]
     lines = []
     data = {"seed": seed}
     passed = True
@@ -218,7 +216,7 @@ def _run_classify(scene, job, out_dir):
         lines.append("  " + rep.summary())
         data[f"order_{k}"] = rep.passed
         passed = passed and rep.passed
-    for ell in eorders:
+    for ell in job["electric_orders"]:
         rep = cls.test_electric_order(bundle, ell, seed=seed)
         lines.append("  " + rep.summary())
         data[f"electric_order_{ell}"] = rep.passed
@@ -228,14 +226,13 @@ def _run_classify(scene, job, out_dir):
 
 def _run_charge(scene, job, out_dir):
     bundle = scene.bundle(job["multipole"], job["worldline"])
-    seed = int(job.get("seed", 0))
-    tol = float(job.get("tolerance", 1e-8))
-    choices = int(job.get("choices", 5))
-    probes = cls.charge_probe_variations(bundle.worldline, n=choices,
+    seed = job["seed"]
+    tol = float(job["tolerance"])
+    probes = cls.charge_probe_variations(bundle.worldline, n=job["choices"],
                                          seed=seed)
     values = [cls.extract_charge(bundle, p) for p in probes]
     drift = max(values) - min(values)
-    expect = job.get("expect")
+    expect = job["expect"]
     if expect is None and bundle.monopole is not None:
         expect = bundle.monopole.q
     lines = []
@@ -252,19 +249,13 @@ def _run_charge(scene, job, out_dir):
 
 
 def _run_potentials(scene, job, out_dir):
-    spec = job["source"]
-    source = StaticSource(
-        spec["kind"], spec["moments"], eps0=float(spec.get("eps0", 1.0))
-    )
-    directions = job.get("directions", [[0.0, 0.0, 1.0]])
-    r_lo = float(job.get("r_lo", 10.0))
-    r_hi = float(job.get("r_hi", 1000.0))
-    n = int(job.get("samples", 50))
+    source = job["source"]
     lines = []
-    data = {"kind": spec["kind"], "exponents": []}
+    data = {"kind": source.kind, "exponents": []}
     files = []
-    for i, direction in enumerate(directions):
-        rs, values = ray_magnitudes(source, direction, r_lo, r_hi, n)
+    for i, direction in enumerate(job["directions"]):
+        rs, values = ray_magnitudes(source, direction, float(job["r_lo"]),
+                                    float(job["r_hi"]), job["samples"])
         exponent = loglog_slope(rs, values)
         data["exponents"].append(exponent)
         lines.append(
@@ -349,8 +340,7 @@ def main(argv=None):
     runp = sub.add_parser("run", help="run a scene's jobs")
     runp.add_argument("scene", help="scene JSON file")
     runp.add_argument("--command", default="all",
-                      choices=("all", "transform", "verify", "classify",
-                               "charge", "potentials"))
+                      choices=("all",) + tuple(_RUNNERS))
     runp.add_argument("--out-dir", default="polekit-out")
     runp.add_argument("--seed", type=int, default=None,
                       help="override every job seed")
@@ -382,27 +372,23 @@ def main(argv=None):
               f"{len(scene.jobs)} jobs")
         return 0
 
+    # Each flag sets its job fields in every job, checked as they are.
+    overrides = (("--samples", args.samples, ("samples", "forms")),
+                 ("--tol", args.tol, ("tolerance",)),
+                 ("--seed", args.seed, ("seed",)))
     usage = []
-    if args.samples is not None and args.samples < 1:
-        usage.append(f"--samples {args.samples} must be a positive integer")
-    if args.tol is not None and not 0.0 < args.tol < math.inf:
-        usage.append(f"--tol {args.tol!r} must be a positive finite number")
-    if args.seed is not None and args.seed < 0:
-        usage.append(f"--seed {args.seed} must be a non-negative integer")
+    for flag, value, keys in overrides:
+        _, ok, want = JOB_FIELDS[keys[0]]
+        if value is not None and not ok(value):
+            usage.append(f"{flag} {value!r} must be {want}")
     for p in usage:
         print(f"usage error: {p}", file=sys.stderr)
     if usage:
         return 2
-    if args.seed is not None:
-        for job in scene.jobs:
-            job["seed"] = args.seed
-    if args.tol is not None:
-        for job in scene.jobs:
-            job["tolerance"] = args.tol
-    if args.samples is not None:
-        for job in scene.jobs:
-            job["samples"] = args.samples
-            job["forms"] = args.samples
+    for _, value, keys in overrides:
+        if value is not None:
+            for job in scene.jobs:
+                job.update(dict.fromkeys(keys, value))
     if args.kappa0 is not None:
         problems = []
         items = [item.partition("=") for item in args.kappa0.split(",")

@@ -33,8 +33,8 @@ The grammar accepted by :func:`parse` (and emitted by ``to_str``):
     sin, cos, exp, sqrt, bump, sstep, atan2(y, x).
 
 An exponent may be any subexpression without variables; it is computed
-by :meth:`Expr.eval` when parsed, and one that fails to evaluate is a
-:class:`SceneError`.
+by :meth:`Expr.eval` when parsed, and one that fails to evaluate or is
+not finite is a :class:`SceneError`.
 ``bump(u)`` is exp(-1/(1-u^2)) for |u|<1 and exactly 0 outside; it has
 no symbolic derivative here (differentiate the probe, not the window).
 ``sstep(u)`` is a C^3 polynomial step: 0 for u<=0, 1 for u>=1.
@@ -44,6 +44,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+
+import numpy as np
 
 from . import jets
 from .errors import EvaluationError, SceneError
@@ -575,12 +577,17 @@ def _parse_power(toks, variables):
     if exponent.variables():
         raise SceneError([f"column {pos + 1}: exponent must be a constant"])
     try:
-        return Pow(base, float(exponent.eval((0.0,) * 4)))
+        with np.errstate(all="ignore"):  # a non-finite value is reported
+            value = float(exponent.eval((0.0,) * 4))
+        if math.isfinite(value):
+            return Pow(base, value)
+        reason = f"{value} is not finite"
     except (EvaluationError, OverflowError) as err:
-        raise SceneError(
-            [f"column {pos + 1}: exponent {exponent.to_str()} cannot be "
-             f"evaluated: {err}"]
-        )
+        reason = err
+    raise SceneError(
+        [f"column {pos + 1}: exponent {exponent.to_str()} cannot be "
+         f"evaluated: {reason}"]
+    )
 
 
 def _parse_atom(toks, variables):

@@ -18,16 +18,19 @@ import numpy as np
 from . import expr as ex
 from .errors import DomainError
 from .jets import Jet2, columns, stacked
+from .moments import _EPS
 
 EPS0_SI = 8.8541878128e-12
 
-KINDS = (
-    "monopole",
-    "electric_dipole",
-    "magnetic_dipole",
-    "electric_quadrupole",
-    "magnetic_quadrupole",
-)
+# The shape of the moments of each source kind.
+_MOMENT_SHAPES = {
+    "monopole": (),
+    "electric_dipole": (3,),
+    "magnetic_dipole": (3,),
+    "electric_quadrupole": (3, 3),
+    "magnetic_quadrupole": (3, 3, 3),
+}
+KINDS = tuple(_MOMENT_SHAPES)
 
 _SPATIAL = (1, 2, 3)
 
@@ -56,7 +59,8 @@ class StaticSource:
     ``moments``: charge for ``monopole``; 3-vector for the dipoles;
     symmetric 3x3 (the time-slot quadrupole components) for
     ``electric_quadrupole``; spatial 3x3x3 components for
-    ``magnetic_quadrupole``.
+    ``magnetic_quadrupole``.  Other moments and an ``eps0`` that is
+    not positive and finite raise :class:`DomainError`.
     """
 
     kind: str
@@ -68,20 +72,31 @@ class StaticSource:
             raise DomainError(
                 f"unknown source kind {self.kind!r}; known: {', '.join(KINDS)}"
             )
-        m = np.asarray(self.moments, dtype=float)
-        if self.kind == "monopole":
-            m = m.reshape(())
-        elif self.kind in ("electric_dipole", "magnetic_dipole"):
-            m = m.reshape(3)
-        elif self.kind == "electric_quadrupole":
-            m = m.reshape(3, 3)
+        shape = _MOMENT_SHAPES[self.kind]
+        try:
+            m = np.asarray(self.moments, dtype=float).reshape(shape)
+        except (TypeError, ValueError, OverflowError):
+            m = np.nan
+        if not np.all(np.isfinite(m)):
+            dims = "x".join(map(str, shape)) or "one"
+            raise DomainError(
+                f"{self.kind} moments must be {dims} finite "
+                f"number{'s' if shape else ''}")
+        try:
+            eps0 = float(self.eps0)
+        except (TypeError, ValueError, OverflowError):
+            eps0 = np.nan
+        if not 0.0 < eps0 < np.inf:
+            raise DomainError(
+                f"eps0 {self.eps0!r} must be a positive finite number")
+        self.eps0 = eps0
+        if self.kind == "electric_quadrupole":
             if np.max(np.abs(m - m.T)) > 1e-12:
                 raise DomainError(
                     "electric quadrupole moments must be symmetric "
                     "(time-slot components gamma[0][mu][nu])"
                 )
-        else:
-            m = m.reshape(3, 3, 3)
+        elif self.kind == "magnetic_quadrupole":
             pair = np.max(np.abs(m - m.transpose(0, 2, 1)))
             cyc = np.max(
                 np.abs(m + m.transpose(1, 2, 0) + m.transpose(2, 0, 1))
@@ -138,7 +153,7 @@ class StaticSource:
                 e = ex.const(0.0)
                 for n in range(3):
                     for s in range(3):
-                        sign = _eps3(m, n, s)
+                        sign = _EPS[m + 1, n + 1, s + 1]
                         if sign:
                             e = ex.add(
                                 e,
@@ -173,24 +188,23 @@ class StaticSource:
         return None, tuple(comps)
 
 
-def _eps3(i, j, k):
-    return {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
-            (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}.get((i, j, k), 0)
-
-
 def potential_magnitude(source, x3):
     """|(phi, A)| at the rows of an (N, 3) array of spatial points."""
     phi, A = source.potential_at(x3)
     return np.hypot(np.abs(phi), np.linalg.norm(A, axis=-1))
 
 
-def ray_magnitudes(source, direction, r_lo=10.0, r_hi=1000.0, n=50):
+def ray_magnitudes(source, direction, r_lo, r_hi, n):
     """Radii ``rs`` geometrically spaced on [r_lo, r_hi] and the
     potential magnitudes ``mags`` at ``rs`` along a ray.
 
-    Raises :class:`DomainError` when the potential vanishes along the
-    ray (pick another direction).
+    Raises :class:`DomainError` below two distinct radii (no slope can
+    be fitted) and when the potential vanishes along the ray (pick
+    another direction).
     """
+    if n < 2 or r_lo == r_hi:
+        raise DomainError(f"a ray needs 2 distinct radii, got {n} on "
+                          f"[{r_lo}, {r_hi}]")
     d = np.asarray(direction, dtype=float)
     norm = np.linalg.norm(d)
     if norm == 0.0:
@@ -211,10 +225,11 @@ def loglog_slope(rs, mags):
     return float(np.polyfit(np.log(rs), np.log(mags), 1)[0])
 
 
-def falloff_exponent(source, direction, r_lo=10.0, r_hi=1000.0, n=50):
-    """Least-squares slope of log |potential| against log r along a ray.
+def falloff_exponent(source, direction):
+    """Least-squares slope of log |potential| against log r along a ray
+    over 50 radii on [10, 1000].
 
     Raises :class:`DomainError` when the potential vanishes along the
     ray (pick another direction).
     """
-    return loglog_slope(*ray_magnitudes(source, direction, r_lo, r_hi, n))
+    return loglog_slope(*ray_magnitudes(source, direction, 10.0, 1000.0, 50))

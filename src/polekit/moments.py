@@ -186,11 +186,12 @@ class DipoleComponents(_Components):
         if len(bad):
             i = bad[0]
             r = per_tau[i]
-            idx = np.unravel_index(np.argmax(resid[i]), (4, 4))
+            idx = tuple(int(j) for j in np.unravel_index(
+                np.argmax(resid[i]), (4, 4)))
             raise SymmetryError(
                 f"dipole components not antisymmetric at tau={taus[i]}: "
                 f"|gamma{idx} + gamma{idx[::-1]}| = {r:.3e}",
-                index=tuple(int(i) for i in idx),
+                index=idx,
                 tau=float(taus[i]),
             )
         return float(per_tau.max(initial=0.0))
@@ -226,22 +227,16 @@ class QuadrupoleComponents(_Components):
         ref = max(1.0, self.scale(taus))
         pair, cyc = self._residuals(taus)
         for i, t in enumerate(taus):
-            if np.max(pair[i]) > tol * ref:
-                idx = np.unravel_index(np.argmax(pair[i]), (4, 4, 4))
-                raise SymmetryError(
-                    f"gamma{tuple(idx)} != gamma with last slots swapped "
-                    f"at tau={t} (residual {np.max(pair[i]):.3e})",
-                    index=tuple(int(i) for i in idx),
-                    tau=float(t),
-                )
-            if np.max(cyc[i]) > tol * ref:
-                idx = np.unravel_index(np.argmax(cyc[i]), (4, 4, 4))
-                raise SymmetryError(
-                    f"cyclic sum over gamma{tuple(idx)} is nonzero at "
-                    f"tau={t} (residual {np.max(cyc[i]):.3e})",
-                    index=tuple(int(i) for i in idx),
-                    tau=float(t),
-                )
+            for resid, what in ((pair, "gamma{} != gamma with last slots "
+                                       "swapped"),
+                                (cyc, "cyclic sum over gamma{} is nonzero")):
+                if np.max(resid[i]) > tol * ref:
+                    idx = tuple(int(j) for j in np.unravel_index(
+                        np.argmax(resid[i]), (4, 4, 4)))
+                    raise SymmetryError(
+                        f"{what.format(idx)} at tau={t} "
+                        f"(residual {np.max(resid[i]):.3e})",
+                        index=idx, tau=float(t))
         return True
 
 
@@ -290,14 +285,14 @@ def symmetry_projector():
     return _BASIS_CACHE["proj"]
 
 
-def component_rank(kind, velocity=(1.0, 0.31, -0.22, 0.17)):
+def component_rank(kind):
     """Numerical rank of the parameters-to-components map.
 
     For the gauge-quotiented electric kinds the kernel of the map is
     exactly the gauge family, so the plain rank is already the quotient
     dimension.
     """
-    v = np.asarray(velocity, dtype=float)
+    v = np.array([1.0, 0.31, -0.22, 0.17])  # a generic velocity
     if kind == "dipole":
         cols = []
         for a in range(4):
@@ -459,7 +454,7 @@ def make_electric_quadrupole(qgrid, worldline, validate=True):
     return out
 
 
-def embed_dipole_as_quadrupole(p, worldline, validate=True):
+def embed_dipole_as_quadrupole(p, worldline):
     """gamma[abc] = p^{ab} v^c + p^{ac} v^b for antisymmetric p."""
     X = _input_fields(p, 2)
     taus = sample_taus(worldline.interval, n=11)
@@ -476,8 +471,7 @@ def embed_dipole_as_quadrupole(p, worldline, validate=True):
         )
     terms = (("nc,nab->nabc", 1.0), ("nb,nac->nabc", 1.0))
     out = _velocity_product(QuadrupoleComponents, terms, X, worldline)
-    if validate:
-        out.check_symmetries(sample_taus(worldline.interval), tol=1e-10)
+    out.check_symmetries(sample_taus(worldline.interval), tol=1e-10)
     return out
 
 
@@ -602,9 +596,9 @@ class AdaptedCoefficients:
             [a.reshape(n, -1) for a in self.arrays(taus, *_FAMILIES)], axis=1)
         return np.einsum("ni,ni->n", coeffs, probes)
 
-    def _checks(self, n):
-        """(closedness residuals, largest coefficient) over n taus."""
-        taus = np.linspace(*self.interval, n)
+    def _checks(self):
+        """(closedness residuals, largest coefficient) over 33 taus."""
+        taus = np.linspace(*self.interval, 33)
         *values, dcharge, dfirst_0, dsecond_0 = self.arrays(
             taus, *_FAMILIES, ("charge", 1), ("first_0", 1), ("second_0", 1))
         _, zeroth, _, first, _, second = values
@@ -636,13 +630,13 @@ class AdaptedCoefficients:
         }
         return residuals, _worst(values)
 
-    def is_closed(self, tol=1e-9, n=33):
-        res, scale = self._checks(n)
+    def is_closed(self, tol=1e-9):
+        res, scale = self._checks()
         scale = max(1.0, scale)
         return all(v <= tol * scale for v in res.values()), res
 
-    def _scale(self, n=17):
-        return _worst(self.arrays(np.linspace(*self.interval, n), *_FAMILIES))
+    def _scale(self):
+        return _worst(self.arrays(np.linspace(*self.interval, 17), *_FAMILIES))
 
 
 def _worst(values):
@@ -730,7 +724,7 @@ def _gamma_from_zeta_map():
 _GAMMA_FROM_ZETA = _gamma_from_zeta_map()
 
 
-def gamma_from_zeta(z, constants=None, tol=1e-10):
+def gamma_from_zeta(z, constants=None):
     """Rebuild (monopole, quadrupole components) from adapted-basis
     coefficients.
 
@@ -752,7 +746,7 @@ def gamma_from_zeta(z, constants=None, tol=1e-10):
     )
     cum_v00 = CumulativeIntegral(
         lambda t: 2.0 * z.arrays(t, "first_0")[0],
-        t0, t1, 3, tol_abs=tol * 1e-2, tol_rel=tol * 1e-2,
+        t0, t1, 3, tol_abs=1e-12, tol_rel=1e-12,
         label="gamma[mu][0][0] reconstruction",
     )
 
@@ -765,7 +759,7 @@ def gamma_from_zeta(z, constants=None, tol=1e-10):
                          for nu, mu in _SPAIRS], axis=-1)
 
     cum_anti = CumulativeIntegral(
-        anti, t0, t1, 3, tol_abs=tol * 1e-2, tol_rel=tol * 1e-2,
+        anti, t0, t1, 3, tol_abs=1e-12, tol_rel=1e-12,
         label="spatial-time antisymmetric reconstruction",
     )
 

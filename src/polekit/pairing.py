@@ -48,10 +48,10 @@ class Box:
             axis=-1,
         )
 
-    def grid(self, n=3, factor=1.0):
-        """The n^4 points of a regular grid over the box scaled by
-        ``factor`` about its center, as an (n^4, 4) array."""
-        axes = [np.linspace(c - factor * h, c + factor * h, n)
+    def grid(self, factor=1.0):
+        """The 3^4 points of a regular grid over the box scaled by
+        ``factor`` about its center, as an (81, 4) array."""
+        axes = [np.linspace(c - factor * h, c + factor * h, 3)
                 for c, h in zip(self.center, self.half)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
@@ -373,19 +373,19 @@ def make_test_form(polys, center, half_widths):
     return ProductTestForm(comps, box)
 
 
-def pull_back_test_form(hatted, pair, pad=0.1, samples_per_axis=3):
+def pull_back_test_form(hatted, pair):
     """Transport a hatted-chart test form (or family) to the source chart
     of ``pair``.
 
     The support is carried conservatively, member by member: boundary
     samples of the hatted box are mapped through the inverse chart and
-    their bounding box, padded, becomes the source-side box.  Raises
+    their bounding box, padded by 10%, becomes the source-side box.  Raises
     :class:`DomainError` when the support escapes the chart domain.
     """
     boxes = []
     for hatted_box in hatted.boxes:
         try:
-            mapped = pair.inverse.value_at(hatted_box.grid(samples_per_axis))
+            mapped = pair.inverse.value_at(hatted_box.grid())
         except DomainError as err:
             raise DomainError(
                 f"test-form support escapes the chart domain: {err}"
@@ -393,7 +393,7 @@ def pull_back_test_form(hatted, pair, pad=0.1, samples_per_axis=3):
         lo = mapped.min(axis=0)
         hi = mapped.max(axis=0)
         center = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo) * (1.0 + pad) + 1e-12
+        half = 0.5 * (hi - lo) * 1.1 + 1e-12
         boxes.append(Box(tuple(center), tuple(half)))
     return PulledBackForm(pair.forward, hatted, boxes)
 
@@ -445,7 +445,7 @@ def _support_window(worldline, form, k=0):
             min(t1, float(hits[-1]) + 2 * step))
 
 
-def _pairings(worldline, form, integrands, tol_abs, tol_rel, min_panels):
+def _pairings(worldline, form, integrands, tol_abs, tol_rel):
     """The pairings of every member of ``form`` (a family, or a single
     form as a family of one) with the sum of ``integrands``: one report
     per member.
@@ -453,8 +453,9 @@ def _pairings(worldline, form, integrands, tol_abs, tol_rel, min_panels):
     An integrand is a function of an array of taus and their member
     indices, or None for one that pairs to zero.  The support windows
     are scanned once, and each integral is one :func:`integrate_many`
-    over them: every member keeps its own window and panel tree, and
-    each refinement level of all members is one integrand call.
+    over them, starting from 5 panels: every member keeps its own
+    window and panel tree, and each refinement level of all members is
+    one integrand call.
     """
     reports = [PairingReport(0.0, 0.0, 0) for _ in form.boxes]
     windows = None
@@ -465,7 +466,7 @@ def _pairings(worldline, form, integrands, tol_abs, tol_rel, min_panels):
             windows = [_support_window(worldline, form, k)
                        for k in range(len(reports))]
         for report, res in zip(reports, integrate_many(
-                integrand, windows, tol_abs, tol_rel, min_panels)):
+                integrand, windows, tol_abs, tol_rel, 5)):
             report.value += float(res.value)
             report.quadrature_error_estimate += float(res.error)
             report.nodes_used += int(res.nodes)
@@ -530,8 +531,8 @@ class SourceBundle:
     dipole: DipoleComponents | None = None
     quadrupole: QuadrupoleComponents | None = None
 
-    def scale(self, n=17):
-        taus = np.linspace(*self.worldline.interval, n)
+    def scale(self):
+        taus = np.linspace(*self.worldline.interval, 17)
         s = 0.0
         if self.monopole is not None:
             s = max(s, abs(self.monopole.q))
@@ -542,8 +543,7 @@ class SourceBundle:
         return s
 
 
-def pair_bundle_family(bundle, family, tol_abs=1e-10, tol_rel=1e-10,
-                       min_panels=5):
+def pair_bundle_family(bundle, family, tol_abs=1e-10, tol_rel=1e-10):
     """The pairing of ``bundle`` with every member of a form family
     (:class:`AffineFormFamily` or its pull-back; a single form is a
     family of one) in lockstep: a list of reports, one per member.
@@ -555,37 +555,33 @@ def pair_bundle_family(bundle, family, tol_abs=1e-10, tol_rel=1e-10,
         [_charge_integrand(bundle.monopole, worldline, family),
          _gamma_integrand(bundle.dipole, bundle.quadrupole, worldline,
                           family)],
-        tol_abs, tol_rel, min_panels)
+        tol_abs, tol_rel)
 
 
-def pair_bundle(bundle, form, tol_abs=1e-10, tol_rel=1e-10, min_panels=5):
+def pair_bundle(bundle, form, tol_abs=1e-10, tol_rel=1e-10):
     """The pairing of ``bundle`` with one form."""
-    return pair_bundle_family(bundle, form, tol_abs, tol_rel, min_panels)[0]
+    return pair_bundle_family(bundle, form, tol_abs, tol_rel)[0]
 
 
-def pair_monopole(m, worldline, form, tol_abs=1e-10, tol_rel=1e-10,
-                  min_panels=5):
+def pair_monopole(m, worldline, form, tol_abs=1e-10, tol_rel=1e-10):
     """q * integral of v^a phi_a along the worldline."""
     return pair_bundle(SourceBundle(worldline, monopole=m), form, tol_abs,
-                       tol_rel, min_panels)
+                       tol_rel)
 
 
-def pair_dipole(gamma2, worldline, form, tol_abs=1e-10, tol_rel=1e-10,
-                min_panels=5):
+def pair_dipole(gamma2, worldline, form, tol_abs=1e-10, tol_rel=1e-10):
     """-integral of gamma[ab] d_b phi_a along the worldline."""
     return pair_bundle(SourceBundle(worldline, dipole=gamma2), form, tol_abs,
-                       tol_rel, min_panels)
+                       tol_rel)
 
 
-def pair_quadrupole(gamma3, worldline, form, tol_abs=1e-10, tol_rel=1e-10,
-                    min_panels=5):
+def pair_quadrupole(gamma3, worldline, form, tol_abs=1e-10, tol_rel=1e-10):
     """(1/2) integral of gamma[abc] d_b d_c phi_a along the worldline."""
     return pair_bundle(SourceBundle(worldline, quadrupole=gamma3), form,
-                       tol_abs, tol_rel, min_panels)
+                       tol_abs, tol_rel)
 
 
-def pair_adapted_coefficients(z, worldline, form, tol_abs=1e-10,
-                              tol_rel=1e-10, min_panels=5):
+def pair_adapted_coefficients(z, worldline, form):
     """Pairing of a distribution given directly by adapted-basis
     coefficients; the independent cross-check for the coefficient
     dictionary."""
@@ -597,5 +593,4 @@ def pair_adapted_coefficients(z, worldline, form, tol_abs=1e-10,
         return z.density(taus, *(stacked(jets, taus.shape, k)
                                  for k in range(3)))
 
-    return _pairings(worldline, form, [integrand], tol_abs, tol_rel,
-                     min_panels)[0]
+    return _pairings(worldline, form, [integrand], 1e-10, 1e-10)[0]

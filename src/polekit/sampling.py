@@ -67,22 +67,22 @@ def random_quadrupole(rng, degree=2, scale=1.0, directions=5):
                                             mask=mask)
 
 
-def random_antisym_poly_grid(rng, degree=2, scale=1.0):
+def random_antisym_poly_grid(rng, degree=2):
     """Antisymmetric 4x4 grid of polynomial expressions in tau
     (embedding input)."""
     grid = [[ex.const(0.0) for _ in range(4)] for _ in range(4)]
     for a in range(4):
         for b in range(a + 1, 4):
-            p = poly_tau_expr(rng, degree, scale)
+            p = poly_tau_expr(rng, degree)
             grid[a][b] = p
             grid[b][a] = ex.neg(p)
     return grid
 
 
-def random_linear_pair(rng, spread=0.35):
+def random_linear_pair(rng):
     """A well-conditioned random linear chart with its exact inverse."""
     while True:
-        M = np.eye(4) + spread * rng.uniform(-1, 1, (4, 4))
+        M = np.eye(4) + 0.35 * rng.uniform(-1, 1, (4, 4))
         if abs(np.linalg.det(M)) > 0.3:
             break
     fw = linear_chart(M, "random linear")
@@ -90,48 +90,43 @@ def random_linear_pair(rng, spread=0.35):
     return ChartPair(fw, bw)
 
 
-def _random_affine(rng, half_widths, amplitude):
+def _random_affine(rng, half_widths):
     """The constants (4,) and coefficients (4, 4) of four random affine
     component polynomials."""
     consts = np.empty(4)
     coefs = np.empty((4, 4))
     for a in range(4):
-        consts[a] = amplitude * rng.uniform(0.4, 1.6) * rng.choice([-1, 1])
+        consts[a] = rng.uniform(0.4, 1.6) * rng.choice([-1, 1])
         for b in range(4):
-            coefs[a, b] = (amplitude * rng.uniform(-1, 1)
-                           / max(half_widths[b], 1e-9))
+            coefs[a, b] = rng.uniform(-1, 1) / max(half_widths[b], 1e-9)
     return consts, coefs
 
 
-def random_test_form(rng, center, half_widths, amplitude=1.0):
+def random_test_form(rng, center, half_widths):
     """Product test form with random affine component polynomials, as a
     family of one."""
-    consts, coefs = _random_affine(rng, half_widths, amplitude)
+    consts, coefs = _random_affine(rng, half_widths)
     return AffineFormFamily(consts, coefs, center, half_widths)
 
 
-def random_test_form_along(rng, worldline, margin=0.2,
-                           rel_width=(0.08, 0.2), chart=None,
-                           space_scale=1.0, count=1):
+def random_test_form_along(rng, worldline, margin=0.2, count=1):
     """``count`` test forms, drawn one after the other, as one
     :class:`AffineFormFamily`; each box sits on the worldline image, away
     from the parameter interval ends (pairing identities integrate by
     parts in tau, so probes must vanish at the interval boundary).
 
-    The time half-width scales with the parameter interval; spatial
-    half-widths scale with ``space_scale`` so boxes stay small compared
-    to chart features (axis distance, branch cuts)."""
+    The time half-width is 0.08 to 0.2 of the parameter interval; the
+    spatial half-widths are 0.08 to 0.2, so boxes stay small compared to
+    chart features (axis distance, branch cuts)."""
     t0, t1 = worldline.interval
     length = t1 - t0
     draws = []
     for _ in range(count):
         tc = rng.uniform(t0 + margin * length, t1 - margin * length)
         point = worldline.point_at(np.array([tc]))
-        if chart is not None:
-            point = chart.value_at(point)
-        tw = float(rng.uniform(rel_width[0], rel_width[1]) * length)
-        sw = rng.uniform(rel_width[0], rel_width[1], 3) * space_scale
+        tw = float(rng.uniform(0.08, 0.2) * length)
+        sw = rng.uniform(0.08, 0.2, 3)
         widths = (tw, float(sw[0]), float(sw[1]), float(sw[2]))
-        draws.append((*_random_affine(rng, widths, 1.0), point[0], widths))
+        draws.append((*_random_affine(rng, widths), point[0], widths))
     return AffineFormFamily(*(np.array([d[i] for d in draws])
                               for i in range(4)))

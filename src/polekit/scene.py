@@ -20,7 +20,8 @@ import numpy as np
 
 from . import charts as chartmod
 from . import expr as ex
-from .errors import PolekitError, SceneError, SymmetryError
+from .errors import DomainError, PolekitError, SceneError, SymmetryError
+from .fields import StaticSource
 from .moments import (
     DipoleComponents,
     Monopole,
@@ -31,6 +32,7 @@ from .pairing import SourceBundle
 from .worldlines import Worldline
 
 _COMMANDS = ("transform", "verify", "classify", "charge", "potentials")
+_BUNDLE_COMMANDS = ("transform", "verify", "classify", "charge")
 
 
 @dataclass
@@ -156,14 +158,15 @@ def _parse_multipole(name, spec, problems):
             out["monopole"] = Monopole(q)
         else:
             problems.append(f"{path}.charge: must be a finite number")
-    if "dipole" in spec:
-        entries = _parse_components(spec["dipole"], 2, f"{path}.dipole",
-                                    problems)
-        out["dipole"] = DipoleComponents.from_dict(entries)
-    if "quadrupole" in spec:
-        entries = _parse_components(spec["quadrupole"], 3,
-                                    f"{path}.quadrupole", problems)
-        out["quadrupole"] = QuadrupoleComponents.from_dict(entries)
+    for key, arity, cls in (("dipole", 2, DipoleComponents),
+                            ("quadrupole", 3, QuadrupoleComponents)):
+        if key in spec:
+            before = len(problems)
+            entries = _parse_components(spec[key], arity, f"{path}.{key}",
+                                        problems)
+            # A block with a bad entry is left out of symmetry checks.
+            if len(problems) == before:
+                out[key] = cls.from_dict(entries)
     if not known & spec.keys():
         problems.append(f"{path}: declare at least one of {sorted(known)}")
         return None
@@ -215,29 +218,50 @@ def _list_of(ok):
     return lambda v: isinstance(v, list) and all(ok(k) for k in v)
 
 
-def _positive_finite(v):
-    """Whether v is a JSON number (not a bool) in (0, inf) as a float."""
+def _finite(v):
+    """Whether v is a JSON number (not a bool), finite as a float."""
     try:
-        return type(v) in (int, float) and 0.0 < float(v) < math.inf
+        return type(v) in (int, float) and math.isfinite(v)
     except OverflowError:  # an integer beyond the float range
         return False
 
 
-# Numeric job fields: the commands that read each, the check and what it
-# asks for.
-_JOB_NUMBERS = (
-    ("forms", ("verify",), _positive_int, "a positive integer"),
-    ("samples", ("transform", "potentials"), _positive_int,
-     "a positive integer"),
-    ("choices", ("charge",), _positive_int, "a positive integer"),
-    ("tolerance", ("transform", "verify", "charge"), _positive_finite,
-     "a positive finite number"),
-    ("seed", _COMMANDS, _non_negative_int, "a non-negative integer"),
-    ("orders", ("classify",), _list_of(_non_negative_int),
-     "a list of non-negative integers"),
-    ("electric_orders", ("classify",), _list_of(_positive_int),
-     "a list of positive integers"),
-)
+def _positive_finite(v):
+    return _finite(v) and v > 0
+
+
+def _directions(v):
+    """Whether v is a non-empty list of nonzero finite 3-vectors."""
+    return isinstance(v, list) and len(v) > 0 and all(
+        isinstance(d, list) and len(d) == 3 and all(map(_finite, d))
+        and any(d) for d in v)
+
+
+# Job fields: key -> ({command: default}, check, what the check asks
+# for).  A command reads only its own fields; a default of None marks
+# a field as optional (a classify job's ``orders`` default depends on
+# its bundle).
+JOB_FIELDS = {
+    "forms": ({"verify": 20}, _positive_int, "a positive integer"),
+    "samples": ({"transform": 20, "potentials": 50}, _positive_int,
+                "a positive integer"),
+    "choices": ({"charge": 5}, _positive_int, "a positive integer"),
+    "tolerance": ({"transform": 1e-9, "verify": 1e-6, "charge": 1e-8},
+                  _positive_finite, "a positive finite number"),
+    "seed": (dict.fromkeys(_COMMANDS, 0), _non_negative_int,
+             "a non-negative integer"),
+    "orders": ({"classify": None}, _list_of(_non_negative_int),
+               "a list of non-negative integers"),
+    "electric_orders": ({"classify": ()}, _list_of(_positive_int),
+                        "a list of positive integers"),
+    "expect": ({"charge": None}, _finite, "a finite number"),
+    "r_lo": ({"potentials": 10.0}, _positive_finite,
+             "a positive finite number"),
+    "r_hi": ({"potentials": 1000.0}, _positive_finite,
+             "a positive finite number"),
+    "directions": ({"potentials": ((0.0, 0.0, 1.0),)}, _directions,
+                   "a non-empty list of nonzero 3-vectors of numbers"),
+}
 
 
 def _validate_job(i, job, scene_charts, scene_worldlines, scene_multipoles,
@@ -254,26 +278,33 @@ def _validate_job(i, job, scene_charts, scene_worldlines, scene_multipoles,
         return None
     out = dict(job)
     out.setdefault("name", f"{cmd}-{i}")
-    out.setdefault("seed", 0)
-    if cmd in ("transform", "verify", "classify", "charge"):
-        m = job.get("multipole")
-        if m not in scene_multipoles:
-            problems.append(f"{path}: unknown multipole {m!r}")
-        w = job.get("worldline")
-        if w not in scene_worldlines:
-            problems.append(f"{path}: unknown worldline {w!r}")
-    if cmd in ("transform", "verify"):
-        c = job.get("chart")
-        if c not in scene_charts:
-            problems.append(f"{path}: unknown chart {c!r}")
-    for key, commands, ok, want in _JOB_NUMBERS:
-        if cmd in commands and key in job and not ok(job[key]):
+    for key, names, commands in (
+            ("multipole", scene_multipoles, _BUNDLE_COMMANDS),
+            ("worldline", scene_worldlines, _BUNDLE_COMMANDS),
+            ("chart", scene_charts, ("transform", "verify"))):
+        ref = job.get(key)
+        if cmd in commands and ref not in names:
+            problems.append(f"{path}: unknown {key} {ref!r}")
+    for key, (defaults, ok, want) in JOB_FIELDS.items():
+        if cmd not in defaults:
+            continue
+        if key not in job:
+            out[key] = defaults[cmd]
+        elif not ok(job[key]):
             problems.append(f"{path}: {key} {job[key]!r} must be {want}")
     if cmd == "transform":
         out["kappa0"] = parse_kappa0(job.get("kappa0"), path, problems)
     if cmd == "potentials":
-        if "source" not in job:
-            problems.append(f"{path}: potentials job needs a 'source'")
+        spec = job.get("source")
+        if not isinstance(spec, dict):
+            problems.append(f"{path}: source must be an object with 'kind' "
+                            f"and 'moments'")
+            return out
+        try:
+            out["source"] = StaticSource(spec.get("kind"), spec.get("moments"),
+                                         spec.get("eps0", 1.0))
+        except DomainError as err:
+            problems.append(f"{path}.source: {err}")
     return out
 
 
@@ -281,15 +312,10 @@ def _parse_interval(interval):
     """The pair of floats (t0, t1) of ``interval``, or None unless it is
     a list of two finite numbers with t0 < t1."""
     if not (isinstance(interval, list) and len(interval) == 2
-            and all(type(t) in (int, float) for t in interval)):
+            and all(map(_finite, interval))):
         return None
-    try:
-        t0, t1 = float(interval[0]), float(interval[1])
-    except OverflowError:  # an integer beyond the float range
-        return None
-    if math.isfinite(t0) and math.isfinite(t1) and t0 < t1:
-        return t0, t1
-    return None
+    t0, t1 = map(float, interval)
+    return (t0, t1) if t0 < t1 else None
 
 
 def parse_scene(text):
@@ -348,9 +374,9 @@ def parse_scene(text):
             taus = sample_taus(interval)
             try:
                 if "dipole" in spec:
-                    spec["dipole"].check_antisymmetry(taus, tol=1e-12)
+                    spec["dipole"].check_antisymmetry(taus)
                 if "quadrupole" in spec:
-                    spec["quadrupole"].check_symmetries(taus, tol=1e-12)
+                    spec["quadrupole"].check_symmetries(taus)
             except SymmetryError as err:
                 problems.append(f"multipoles.{name}: {err}")
                 break

@@ -180,7 +180,7 @@ def transform_dipole(gamma2, chart, worldline, rep=None):
 
 
 def transform_quadrupole(gamma3, chart, worldline, rep=None, kappa0=None,
-                         tol_abs=1e-10, tol_rel=1e-10, split_dipole=False):
+                         split_dipole=False):
     """Full quadrupole transport, integral term included.
 
     Returns a :class:`TransportResult`; ``split_dipole`` additionally
@@ -205,7 +205,6 @@ def transform_quadrupole(gamma3, chart, worldline, rep=None, kappa0=None,
 
     cumulative = CumulativeIntegral(
         integrand, t0, t1, len(_PPAIRS),
-        tol_abs=tol_abs, tol_rel=tol_rel,
         label=f"integral term through {chart.label!r}",
     )
     P = PTerm(cumulative, kappa0)

@@ -83,9 +83,9 @@ class Worldline:
         t0, t1 = self.interval
         return np.linspace(t0, t1, n)
 
-    def check_regular(self, n=33):
-        """The curve must have a nonzero velocity at every sample node."""
-        taus = self.sample_taus(n)
+    def check_regular(self):
+        """The curve must have a nonzero velocity at 33 sample nodes."""
+        taus = self.sample_taus(33)
         _, v = self.eval(taus)
         still = np.max(np.abs(v), axis=1) == 0.0
         if np.any(still):
@@ -95,9 +95,10 @@ class Worldline:
             )
         return True
 
-    def is_adapted(self, n=17, tol=1e-12):
-        """True when C(tau) = (tau, 0, 0, 0) on sample nodes."""
-        taus = self.sample_taus(n)
+    def is_adapted(self):
+        """True when C(tau) = (tau, 0, 0, 0) to 1e-12 at 17 nodes."""
+        tol = 1e-12
+        taus = self.sample_taus(17)
         p, v = self.eval(taus)
         return bool(
             np.all(np.abs(p[:, 0] - taus) <= tol * np.maximum(1.0, np.abs(taus)))

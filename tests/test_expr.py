@@ -325,7 +325,8 @@ def test_subs_and_variables_walk_every_node_kind():
 
 
 @pytest.mark.parametrize("text", [
-    "x0^(1/0)", "x0^(0^-1)", "x0^(10^400)", "x0^((-8)^0.5)"])
+    "x0^(1/0)", "x0^(0^-1)", "x0^(10^400)", "x0^((-8)^0.5)",
+    "x0^(1e308*10)", "x0^sin(1e308*10)"])
 def test_exponent_that_fails_to_evaluate_is_a_scene_error(text):
     with pytest.raises(SceneError) as err:
         ex.parse(text)

@@ -628,3 +628,123 @@ def test_valid_classify_orders_accepted():
     doc = json.loads((SCENES / "classify_example.scene").read_text())
     doc["jobs"][0].update(orders=[0, 1, 2], electric_orders=[])
     parse_scene(json.dumps(doc))
+
+
+def test_exponent_failure_is_the_only_problem_of_its_block():
+    """A block with an entry that fails to parse is not checked for
+    symmetry without that entry, which would report a second problem."""
+    doc = json.loads((SCENES / "worked_example.scene").read_text())
+    doc["multipoles"]["resting_quadrupole"]["quadrupole"]["211"] = \
+        "2*tau^(1/0)"
+    with pytest.raises(SceneError) as err:
+        parse_scene(json.dumps(doc))
+    assert err.value.problems == [
+        "multipoles.resting_quadrupole.quadrupole.211: column 6: exponent "
+        "1.0/0.0 cannot be evaluated: div: division by a zero value"]
+
+
+def test_symmetry_problems_print_plain_indices():
+    doc = json.loads(MINIMAL)
+    doc["multipoles"]["lop"] = {"quadrupole": {"211": "1"}}
+    doc["multipoles"]["dip"] = {"dipole": {"01": "1"}}
+    doc["jobs"] += [{"command": "classify", "multipole": m,
+                     "worldline": "rest"} for m in ("lop", "dip")]
+    with pytest.raises(SceneError) as err:
+        parse_scene(json.dumps(doc))
+    lop, dip = err.value.problems
+    assert lop.startswith("multipoles.lop: cyclic sum over gamma(1, 1, 2) ")
+    assert dip.startswith("multipoles.dip: dipole components not "
+                          "antisymmetric at tau=")
+    assert dip.endswith(": |gamma(0, 1) + gamma(1, 0)| = 1.000e+00")
+
+
+def _potentials_doc(**fields):
+    doc = json.loads(MINIMAL)
+    doc["jobs"] = [{"command": "potentials",
+                    "source": {"kind": "electric_dipole",
+                               "moments": [0.1, 0.2, 1.0]}}]
+    doc["jobs"][0].update(fields)
+    return doc
+
+
+_DIRECTIONS = "must be a non-empty list of nonzero 3-vectors of numbers"
+
+
+def _charge_doc(**fields):
+    doc = json.loads(MINIMAL)
+    doc["jobs"][0].update(fields)
+    return doc
+
+
+@pytest.mark.parametrize("doc, problem", [
+    (_potentials_doc(r_lo="x"),
+     "jobs[0]: r_lo 'x' must be a positive finite number"),
+    (_potentials_doc(r_lo=-10),
+     "jobs[0]: r_lo -10 must be a positive finite number"),
+    (_potentials_doc(r_hi=float("inf")),
+     "jobs[0]: r_hi inf must be a positive finite number"),
+    (_potentials_doc(source={"kind": "monopole"}),
+     "jobs[0].source: monopole moments must be one finite number"),
+    (_potentials_doc(source=[1]),
+     "jobs[0]: source must be an object with 'kind' and 'moments'"),
+    (_potentials_doc(source=None),
+     "jobs[0]: source must be an object with 'kind' and 'moments'"),
+    (_potentials_doc(directions=[[1, 2]]),
+     "jobs[0]: directions [[1, 2]] " + _DIRECTIONS),
+    (_potentials_doc(directions="z"),
+     "jobs[0]: directions 'z' " + _DIRECTIONS),
+    (_potentials_doc(directions=[]), "jobs[0]: directions [] " + _DIRECTIONS),
+    (_potentials_doc(directions=[[0, 0, 0]]),
+     "jobs[0]: directions [[0, 0, 0]] " + _DIRECTIONS),
+    (_potentials_doc(source={"kind": "monopole", "moments": 1, "eps0": "a"}),
+     "jobs[0].source: eps0 'a' must be a positive finite number"),
+    (_potentials_doc(source={"kind": "monopole", "moments": 1, "eps0": 0}),
+     "jobs[0].source: eps0 0 must be a positive finite number"),
+    (_potentials_doc(source={"kind": "electric_dipole", "moments": [1, 2]}),
+     "jobs[0].source: electric_dipole moments must be 3 finite numbers"),
+    (_potentials_doc(source={"kind": "monopole", "moments": "q"}),
+     "jobs[0].source: monopole moments must be one finite number"),
+    (_charge_doc(expect="x"), "jobs[0]: expect 'x' must be a finite number"),
+    (_charge_doc(expect=[1]), "jobs[0]: expect [1] must be a finite number"),
+])
+def test_potentials_and_charge_inputs_checked(tmp_path, capsys, doc,
+                                              problem):
+    """Outside input of potentials and charge jobs is a scene problem
+    (exit 2), not a traceback or a job that runs on nonsense."""
+    with pytest.raises(SceneError) as err:
+        parse_scene(json.dumps(doc))
+    assert err.value.problems == [problem]
+    path = tmp_path / "bad.scene"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert f"scene error: {problem}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("fields, error", [
+    ({"samples": 1}, "a ray needs 2 distinct radii, got 1 on [10.0, 1000.0]"),
+    ({"r_lo": 10, "r_hi": 10}, "a ray needs 2 distinct radii, got 50 on "
+                               "[10.0, 10.0]"),
+])
+def test_potentials_job_needs_two_radii(tmp_path, fields, error):
+    """A falloff exponent cannot be fitted to one radius: the job FAILs
+    instead of passing with a meaningless slope."""
+    doc = _potentials_doc(**fields)
+    results, code = run(parse_scene(json.dumps(doc)), out_dir=tmp_path)
+    assert code == 1
+    assert results[0].data == {"error": error}
+
+
+def test_potentials_example_scene_passes_every_job(tmp_path):
+    results, code = run(
+        parse_scene((SCENES / "potentials_example.scene").read_text()),
+        out_dir=tmp_path)
+    assert code == 0
+    falloff = {"monopole": -1.0, "electric_dipole": -2.0,
+               "magnetic_dipole": -2.0, "electric_quadrupole": -3.0,
+               "magnetic_quadrupole": -3.0}
+    assert sorted(r.data["kind"] for r in results) == sorted(falloff)
+    for r in results:
+        assert len(r.files) == 2
+        assert all(abs(e - falloff[r.data["kind"]]) < 0.01
+                   for e in r.data["exponents"])
