@@ -22,9 +22,9 @@ from . import transport as tp
 from .errors import PolekitError, SceneError
 from .fields import loglog_slope, ray_magnitudes
 from .moments import sample_taus
-from .pairing import SourceBundle, pair_bundle_family, pull_back_test_form
+from .pairing import (SourceBundle, pair_bundle_family, pull_back_test_form,
+                      random_test_form_along)
 from .scene import JOB_FIELDS, parse_kappa0, parse_scene
-from .sampling import rng_from_seed, random_test_form_along
 
 
 @dataclass
@@ -58,9 +58,7 @@ def _run_transform(scene, job, out_dir):
     passed = True
     if spec.get("quadrupole") is not None:
         tr = tp.transform_quadrupole(
-            spec["quadrupole"], chart, C, kappa0=job["kappa0"],
-            split_dipole=True,
-        )
+            spec["quadrupole"], chart, C, kappa0=job["kappa0"])
         t0, t1 = tr.interval_hat
         ts = np.linspace(t0, t1, n)
         p_fits = {}
@@ -122,12 +120,12 @@ def _run_transform(scene, job, out_dir):
 
 
 def _run_verify(scene, job, out_dir):
-    pair = scene.chart_pair(job["chart"])
+    pair = scene.charts[job["chart"]]
     bundle = scene.bundle(job["multipole"], job["worldline"])
     n = job["forms"]
     tol = float(job["tolerance"])
     seed = job["seed"]
-    rng = rng_from_seed(seed)
+    rng = np.random.default_rng(seed)
     C = bundle.worldline
     hatC = C.push_through_chart(pair.forward)
     hat = SourceBundle(

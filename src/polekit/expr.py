@@ -403,9 +403,9 @@ def var(i):
     return Var(i)
 
 
-def linear_combination(coeffs, offset=0.0):
-    """offset + sum_a coeffs[a] * x^a as a folded tree."""
-    e = Const(float(offset))
+def linear_combination(coeffs):
+    """sum_a coeffs[a] * x^a as a folded tree."""
+    e = Const(0.0)
     for a, c in enumerate(coeffs):
         e = add(e, mul(Const(float(c)), Var(a)))
     return e

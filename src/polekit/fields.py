@@ -2,11 +2,8 @@
 
 The scalar Coulomb kernel q/(4 pi eps0 r) is the only primitive; every
 other potential is a directional first or second derivative of it,
-computed by jets at runtime.  Closed-form expression fields are also
-provided (and cross-checked against the jet path in tests) so that
-potentials can themselves be jet-differentiated, e.g. for harmonicity
-checks.  Units default to eps0 = 1; falloff exponents and ratios are
-unit-free either way.
+computed by jets at runtime.  Units default to eps0 = 1; falloff
+exponents and ratios are unit-free either way.
 """
 
 from __future__ import annotations
@@ -18,7 +15,6 @@ import numpy as np
 from . import expr as ex
 from .errors import DomainError
 from .jets import Jet2, columns, stacked
-from .moments import _EPS
 
 EPS0_SI = 8.8541878128e-12
 
@@ -31,8 +27,6 @@ _MOMENT_SHAPES = {
     "magnetic_quadrupole": (3, 3, 3),
 }
 KINDS = tuple(_MOMENT_SHAPES)
-
-_SPATIAL = (1, 2, 3)
 
 
 def _spatial_hessian(j):
@@ -132,60 +126,6 @@ class StaticSource:
         if self.kind == "electric_quadrupole":
             return np.einsum("mn,kmn->k", self.moments, hess), np.zeros((n, 3))
         return np.zeros(n), np.einsum("mns,kns->km", self.moments, hess)
-
-    def potential_exprs(self):
-        """Closed-form scalar and vector potential expressions in
-        x1..x3 (hand-differentiated Coulomb derivatives; verified
-        against the jet path in tests)."""
-        ker = _coulomb_expr(1.0, self.eps0)
-        grads = [ker.diff(mu) for mu in _SPATIAL]
-        if self.kind == "monopole":
-            return ex.mul(ex.const(float(self.moments)), ker), None
-        if self.kind == "electric_dipole":
-            e = ex.const(0.0)
-            for k, mu in enumerate(_SPATIAL):
-                e = ex.add(e, ex.mul(ex.const(self.moments[k]), grads[k]))
-            return e, None
-        if self.kind == "magnetic_dipole":
-            p = self.moments
-            comps = []
-            for m in range(3):
-                e = ex.const(0.0)
-                for n in range(3):
-                    for s in range(3):
-                        sign = _EPS[m + 1, n + 1, s + 1]
-                        if sign:
-                            e = ex.add(
-                                e,
-                                ex.mul(ex.const(sign * p[n]), grads[s]),
-                            )
-                comps.append(e)
-            return None, tuple(comps)
-        hessians = [
-            [grads[m].diff(nu) for nu in _SPATIAL] for m in range(3)
-        ]
-        if self.kind == "electric_quadrupole":
-            e = ex.const(0.0)
-            for m in range(3):
-                for n in range(3):
-                    if self.moments[m, n]:
-                        e = ex.add(
-                            e,
-                            ex.mul(ex.const(self.moments[m, n]), hessians[m][n]),
-                        )
-            return e, None
-        comps = []
-        for m in range(3):
-            e = ex.const(0.0)
-            for n in range(3):
-                for s in range(3):
-                    if self.moments[m, n, s]:
-                        e = ex.add(
-                            e,
-                            ex.mul(ex.const(self.moments[m, n, s]), hessians[n][s]),
-                        )
-            comps.append(e)
-        return None, tuple(comps)
 
 
 def potential_magnitude(source, x3):

@@ -203,14 +203,6 @@ class Jet2:
         """The packed Hessian, ``(*S, n(n+1)/2)`` (a view)."""
         return _point_major(self._h)
 
-    def hess_entry(self, a, b):
-        """Hessian entry (a, b), over the batch."""
-        return self._h[_layout(len(self._g)).full[a, b]]
-
-    def hessian_rows(self):
-        """The full symmetric Hessian, shape ``(*S, n, n)``."""
-        return full_hessian(self.hess)
-
     def scatter(self, mask):
         """A jet over the points of a batch where ``mask`` holds, spread
         over the whole batch with the zero jet elsewhere (held in

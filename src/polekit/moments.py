@@ -361,24 +361,6 @@ def make_static_dipole(p_ed, p_md):
     return _constant(DipoleComponents, g)
 
 
-def static_dipole_vectors(dip, tau=0.0):
-    """Inverse of :func:`make_static_dipole` at one tau."""
-    g = dip.values_at(np.array([tau]))[0]
-    p_ed = np.array([g[0, mu] for mu in _SPATIAL])
-    p_md = np.array(
-        [
-            0.5
-            * sum(
-                _EPS[mu, nu, s] * g[mu, nu]
-                for mu in _SPATIAL
-                for nu in _SPATIAL
-            )
-            for s in _SPATIAL
-        ]
-    )
-    return p_ed, p_md
-
-
 def make_toroidal_quadrupole(T):
     """Spatial quadrupole pattern built from a 3-vector.
 
@@ -630,10 +612,13 @@ class AdaptedCoefficients:
         }
         return residuals, _worst(values)
 
-    def is_closed(self, tol=1e-9):
+    def is_closed(self):
+        """Whether every closedness residual is at most 1e-9 times the
+        largest coefficient or 1, whichever is larger; and the
+        residuals."""
         res, scale = self._checks()
         scale = max(1.0, scale)
-        return all(v <= tol * scale for v in res.values()), res
+        return all(v <= 1e-9 * scale for v in res.values()), res
 
     def _scale(self):
         return _worst(self.arrays(np.linspace(*self.interval, 17), *_FAMILIES))

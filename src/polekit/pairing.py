@@ -251,6 +251,42 @@ class AffineFormFamily(_BatchForm):
             [p * w for p in self._polys(columns(pts), owner)], (len(pts),))
 
 
+def _random_affine(rng, half_widths):
+    """The constants (4,) and coefficients (4, 4) of four random affine
+    component polynomials."""
+    consts = np.empty(4)
+    coefs = np.empty((4, 4))
+    for a in range(4):
+        consts[a] = rng.uniform(0.4, 1.6) * rng.choice([-1, 1])
+        for b in range(4):
+            coefs[a, b] = rng.uniform(-1, 1) / max(half_widths[b], 1e-9)
+    return consts, coefs
+
+
+def random_test_form_along(rng, worldline, count=1):
+    """``count`` test forms, drawn one after the other from the numpy
+    Generator ``rng``, as one :class:`AffineFormFamily`; each box sits
+    on the worldline image, its center parameter at least 0.2 of the
+    interval from either end (pairing identities integrate by parts in
+    tau, so probes must vanish at the interval boundary).
+
+    The time half-width is 0.08 to 0.2 of the parameter interval; the
+    spatial half-widths are 0.08 to 0.2, so boxes stay small compared to
+    chart features (axis distance, branch cuts)."""
+    t0, t1 = worldline.interval
+    length = t1 - t0
+    draws = []
+    for _ in range(count):
+        tc = rng.uniform(t0 + 0.2 * length, t1 - 0.2 * length)
+        point = worldline.point_at(np.array([tc]))
+        tw = float(rng.uniform(0.08, 0.2) * length)
+        sw = rng.uniform(0.08, 0.2, 3)
+        widths = (tw, float(sw[0]), float(sw[1]), float(sw[2]))
+        draws.append((*_random_affine(rng, widths), point[0], widths))
+    return AffineFormFamily(*(np.array([d[i] for d in draws])
+                              for i in range(4)))
+
+
 class ExprCovector(_BatchForm):
     """Four raw expression components; support box is advisory (used
     for bracketing the quadrature, not enforced)."""
@@ -445,7 +481,7 @@ def _support_window(worldline, form, k=0):
             min(t1, float(hits[-1]) + 2 * step))
 
 
-def _pairings(worldline, form, integrands, tol_abs, tol_rel):
+def _pairings(worldline, form, integrands):
     """The pairings of every member of ``form`` (a family, or a single
     form as a family of one) with the sum of ``integrands``: one report
     per member.
@@ -453,9 +489,9 @@ def _pairings(worldline, form, integrands, tol_abs, tol_rel):
     An integrand is a function of an array of taus and their member
     indices, or None for one that pairs to zero.  The support windows
     are scanned once, and each integral is one :func:`integrate_many`
-    over them, starting from 5 panels: every member keeps its own
-    window and panel tree, and each refinement level of all members is
-    one integrand call.
+    over them to 1e-10 absolute and relative, starting from 5 panels:
+    every member keeps its own window and panel tree, and each
+    refinement level of all members is one integrand call.
     """
     reports = [PairingReport(0.0, 0.0, 0) for _ in form.boxes]
     windows = None
@@ -466,7 +502,7 @@ def _pairings(worldline, form, integrands, tol_abs, tol_rel):
             windows = [_support_window(worldline, form, k)
                        for k in range(len(reports))]
         for report, res in zip(reports, integrate_many(
-                integrand, windows, tol_abs, tol_rel, 5)):
+                integrand, windows, 1e-10, 1e-10, 5)):
             report.value += float(res.value)
             report.quadrature_error_estimate += float(res.error)
             report.nodes_used += int(res.nodes)
@@ -543,7 +579,7 @@ class SourceBundle:
         return s
 
 
-def pair_bundle_family(bundle, family, tol_abs=1e-10, tol_rel=1e-10):
+def pair_bundle_family(bundle, family):
     """The pairing of ``bundle`` with every member of a form family
     (:class:`AffineFormFamily` or its pull-back; a single form is a
     family of one) in lockstep: a list of reports, one per member.
@@ -554,31 +590,27 @@ def pair_bundle_family(bundle, family, tol_abs=1e-10, tol_rel=1e-10):
         worldline, family,
         [_charge_integrand(bundle.monopole, worldline, family),
          _gamma_integrand(bundle.dipole, bundle.quadrupole, worldline,
-                          family)],
-        tol_abs, tol_rel)
+                          family)])
 
 
-def pair_bundle(bundle, form, tol_abs=1e-10, tol_rel=1e-10):
+def pair_bundle(bundle, form):
     """The pairing of ``bundle`` with one form."""
-    return pair_bundle_family(bundle, form, tol_abs, tol_rel)[0]
+    return pair_bundle_family(bundle, form)[0]
 
 
-def pair_monopole(m, worldline, form, tol_abs=1e-10, tol_rel=1e-10):
+def pair_monopole(m, worldline, form):
     """q * integral of v^a phi_a along the worldline."""
-    return pair_bundle(SourceBundle(worldline, monopole=m), form, tol_abs,
-                       tol_rel)
+    return pair_bundle(SourceBundle(worldline, monopole=m), form)
 
 
-def pair_dipole(gamma2, worldline, form, tol_abs=1e-10, tol_rel=1e-10):
+def pair_dipole(gamma2, worldline, form):
     """-integral of gamma[ab] d_b phi_a along the worldline."""
-    return pair_bundle(SourceBundle(worldline, dipole=gamma2), form, tol_abs,
-                       tol_rel)
+    return pair_bundle(SourceBundle(worldline, dipole=gamma2), form)
 
 
-def pair_quadrupole(gamma3, worldline, form, tol_abs=1e-10, tol_rel=1e-10):
+def pair_quadrupole(gamma3, worldline, form):
     """(1/2) integral of gamma[abc] d_b d_c phi_a along the worldline."""
-    return pair_bundle(SourceBundle(worldline, quadrupole=gamma3), form,
-                       tol_abs, tol_rel)
+    return pair_bundle(SourceBundle(worldline, quadrupole=gamma3), form)
 
 
 def pair_adapted_coefficients(z, worldline, form):
@@ -593,4 +625,4 @@ def pair_adapted_coefficients(z, worldline, form):
         return z.density(taus, *(stacked(jets, taus.shape, k)
                                  for k in range(3)))
 
-    return _pairings(worldline, form, [integrand], 1e-10, 1e-10)[0]
+    return _pairings(worldline, form, [integrand])[0]

@@ -7,14 +7,15 @@ chart components use ``x0..x3``.  Component dictionaries are explicit:
 every nonzero entry is written out (index digits as the key, e.g.
 ``"211"``), and the declared set must satisfy the symmetry constraints,
 which is validated at parse time with the failing index and tau sample
-reported otherwise.
+reported otherwise.  A chart's declared ``inverse`` is checked at parse
+time too, along the worldlines its transform and verify jobs use.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,17 +42,6 @@ class Scene:
     worldlines: dict
     multipoles: dict
     jobs: list
-    raw: dict = field(repr=False, default_factory=dict)
-
-    def to_text(self):
-        """Canonical serialization; reparses to an equivalent scene."""
-        return json.dumps(self.raw, indent=2, sort_keys=True) + "\n"
-
-    def chart_pair(self, name):
-        entry = self.charts[name]
-        if isinstance(entry, chartmod.ChartPair):
-            return entry
-        raise SceneError([f"chart {name!r} has no verified inverse"])
 
     def chart_forward(self, name):
         entry = self.charts[name]
@@ -264,6 +254,35 @@ JOB_FIELDS = {
 }
 
 
+def _known(ref, names):
+    """Whether ``ref`` is one of the (string) names (any JSON value may
+    be given)."""
+    return isinstance(ref, str) and ref in names
+
+
+def _check_inverses(specs, charts, worldlines, jobs, problems):
+    """Check each declared chart ``inverse`` with
+    :meth:`ChartPair.verify` at 17 points along every worldline that a
+    transform or verify job uses with that chart; registry pairs are
+    verified by the test suite instead."""
+    use = {}
+    for job in jobs:
+        c, w = job.get("chart"), job.get("worldline")
+        if (job["command"] in ("transform", "verify") and _known(c, charts)
+                and _known(w, worldlines) and "registry" not in specs[c]
+                and isinstance(charts[c], chartmod.ChartPair)):
+            use.setdefault(c, {})[w] = None
+    for c, names in use.items():
+        for w in names:
+            line = worldlines[w]
+            try:
+                charts[c].verify(line.point_at(line.sample_taus(17)))
+            except PolekitError as err:
+                problems.append(
+                    f"charts.{c}: inverse fails along worldline {w!r}: {err}")
+                break
+
+
 def _validate_job(i, job, scene_charts, scene_worldlines, scene_multipoles,
                   problems):
     path = f"jobs[{i}]"
@@ -283,8 +302,13 @@ def _validate_job(i, job, scene_charts, scene_worldlines, scene_multipoles,
             ("worldline", scene_worldlines, _BUNDLE_COMMANDS),
             ("chart", scene_charts, ("transform", "verify"))):
         ref = job.get(key)
-        if cmd in commands and ref not in names:
+        if cmd in commands and not _known(ref, names):
             problems.append(f"{path}: unknown {key} {ref!r}")
+    chart = job.get("chart")
+    if (cmd == "verify" and _known(chart, scene_charts)
+            and not isinstance(scene_charts[chart], chartmod.ChartPair)):
+        problems.append(f"{path}: chart {chart!r} has no verified inverse, "
+                        f"which verify needs")
     for key, (defaults, ok, want) in JOB_FIELDS.items():
         if cmd not in defaults:
             continue
@@ -364,8 +388,10 @@ def parse_scene(text):
     for job in jobs:
         m = job.get("multipole")
         w = job.get("worldline")
-        if m in multipoles and w in worldlines:
+        if _known(m, multipoles) and _known(w, worldlines):
             use.setdefault(m, set()).add(w)
+    _check_inverses(raw.get("charts") or {}, charts, worldlines, jobs,
+                    problems)
     for name, spec in multipoles.items():
         intervals = [worldlines[w].interval for w in use.get(name, ())]
         if not intervals:
@@ -382,4 +408,4 @@ def parse_scene(text):
                 break
     if problems:
         raise SceneError(problems)
-    return Scene(charts, worldlines, multipoles, jobs, raw)
+    return Scene(charts, worldlines, multipoles, jobs)

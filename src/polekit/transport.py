@@ -80,13 +80,17 @@ class PTerm:
 @dataclass
 class TransportResult:
     gamma3_hat: QuadrupoleComponents
-    gamma2_hat: DipoleComponents | None
     P: PTerm
     integration_constant: np.ndarray
     worldline_hat: object
     interval_hat: tuple
     chart_label: str
     rep: object = None
+
+    @property
+    def gamma2_hat(self):
+        """The emergent dipole, :func:`dipole_part` of this result."""
+        return dipole_part(self)
 
 
 def _frames(chart, worldline, taus):
@@ -179,17 +183,15 @@ def transform_dipole(gamma2, chart, worldline, rep=None):
     return DipoleComponents.from_arrays(values, derivs)
 
 
-def transform_quadrupole(gamma3, chart, worldline, rep=None, kappa0=None,
-                         split_dipole=False):
+def transform_quadrupole(gamma3, chart, worldline, rep=None, kappa0=None):
     """Full quadrupole transport, integral term included.
 
-    Returns a :class:`TransportResult`; ``split_dipole`` additionally
-    populates the emergent-dipole field with :func:`dipole_part` of the
-    result.  Raises :class:`polekit.errors.QuadratureError` when the
-    integral term cannot reach tolerance.  The transported components
-    are computed as whole arrays over batches of taus (chart frames,
-    components and ``P`` at once), so reading all 64 entries at a node
-    costs one evaluation.
+    Returns a :class:`TransportResult`, whose ``gamma2_hat`` is the
+    emergent dipole.  Raises :class:`polekit.errors.QuadratureError`
+    when the integral term cannot reach tolerance.  The transported
+    components are computed as whole arrays over batches of taus (chart
+    frames, components and ``P`` at once), so reading all 64 entries at
+    a node costs one evaluation.
     """
     worldline.check_regular()
     if kappa0 is None:
@@ -244,9 +246,8 @@ def transform_quadrupole(gamma3, chart, worldline, rep=None, kappa0=None,
     interval_hat = rep.interval_hat if rep is not None else worldline.interval
     if rep is not None:
         worldline_hat = worldline_hat.reparametrized(rep)
-    result = TransportResult(
+    return TransportResult(
         gamma3_hat=gamma3_hat,
-        gamma2_hat=None,
         P=P,
         integration_constant=kappa0,
         worldline_hat=worldline_hat,
@@ -254,9 +255,6 @@ def transform_quadrupole(gamma3, chart, worldline, rep=None, kappa0=None,
         chart_label=chart.label,
         rep=rep,
     )
-    if split_dipole:
-        result.gamma2_hat = dipole_part(result)
-    return result
 
 
 def dipole_part(result):

@@ -20,14 +20,6 @@ from .expr import Const, Expr, Var, tau_derivative, tau_rows
 from .jets import Jet2, stacked
 
 
-def _as_tau_expr(obj):
-    if isinstance(obj, Expr):
-        return obj
-    if isinstance(obj, (int, float)):
-        return Const(float(obj))
-    raise TypeError(f"worldline components must be Expr or numbers, got {obj!r}")
-
-
 @dataclass(frozen=True)
 class Worldline:
     components: tuple  # four Expr in tau
@@ -37,13 +29,6 @@ class Worldline:
         t0, t1 = self.interval
         if not t0 < t1:
             raise DomainError(f"empty parameter interval [{t0}, {t1}]")
-
-    @staticmethod
-    def from_exprs(components, interval):
-        comps = tuple(_as_tau_expr(c) for c in components)
-        if len(comps) != 4:
-            raise DomainError("a worldline needs exactly 4 components")
-        return Worldline(comps, (float(interval[0]), float(interval[1])))
 
     @staticmethod
     def static_at(position, interval):

@@ -24,7 +24,7 @@ def adapted_worldline():
 def wobble_worldline():
     """A worldline staying near r = 1 in cylindrical-style coordinates,
     safe for every registry chart."""
-    return Worldline.from_exprs(
+    return Worldline(
         (
             ex.Var(0),
             ex.parse("1 + 0.2*sin(0.7*tau)", ex.TAU_VARS),

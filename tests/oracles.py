@@ -1,10 +1,22 @@
-"""Independent numerical oracles used by the tests.
+"""Independent numerical oracles and seeded generators used by the
+tests.
 
 Finite differences here are a test oracle only; the library itself
-never falls back to them.
+never falls back to them.  The generators draw from a numpy Generator,
+so a recorded seed reproduces a test input bit for bit.
 """
 
 import numpy as np
+
+from polekit import expr as ex
+from polekit.charts import ChartPair, linear_chart
+from polekit.expr import tau_rows
+from polekit.fields import _coulomb_expr
+from polekit.moments import (_EPS, DipoleComponents, QuadrupoleComponents,
+                             quadrupole_basis)
+from polekit.pairing import AffineFormFamily, _random_affine
+
+_SPATIAL = (1, 2, 3)
 
 
 def fd_gradient(f, x, h=1e-4):
@@ -163,3 +175,163 @@ def family_jets_by_products(family, pts, owner):
             e = e + (x[b] - m[:, b]) * c[:, a, b]
         out.append(e * w)
     return out
+
+
+# -- seeded test inputs ------------------------------------------------------
+
+
+def poly_tau_expr(rng, degree=2, scale=1.0):
+    """Random polynomial in tau with uniform coefficients."""
+    e = ex.const(scale * rng.uniform(-1, 1))
+    for k in range(1, degree + 1):
+        c = scale * rng.uniform(-1, 1)
+        e = ex.add(e, ex.mul(ex.const(c), ex.Pow(ex.Var(0), float(k))))
+    return e
+
+
+def random_dipole(rng, degree=2, scale=1.0):
+    """Antisymmetric dipole components with polynomial tau dependence."""
+    entries = {}
+    for a in range(4):
+        for b in range(a + 1, 4):
+            p = poly_tau_expr(rng, degree, scale)
+            entries[(a, b)] = p
+            entries[(b, a)] = ex.neg(p)
+    return DipoleComponents.from_dict(entries)
+
+
+def random_quadrupole(rng, degree=2, scale=1.0, directions=5):
+    """Valid quadrupole components: a few random directions in the
+    20-dimensional constraint null space, each with a polynomial
+    coefficient.
+
+    The coefficient polynomials are shared across all 64 entries, so
+    the whole tensor is computed at once for a batch of taus; entries
+    that no picked direction touches are exact zeros.
+    """
+    basis = quadrupole_basis()
+    picks = rng.choice(len(basis), size=min(directions, len(basis)),
+                       replace=False)
+    tensors = np.array([basis[i] for i in picks])
+    coeffs = [poly_tau_expr(rng, degree, scale) for _ in picks]
+    mask = np.max(np.abs(tensors), axis=0) >= 1e-300
+    tensors = np.where(mask, tensors, 0.0)
+
+    def combo(order):
+        def field(taus):
+            return np.einsum("ni,iabc->nabc", tau_rows(coeffs, taus, order),
+                             tensors)
+
+        return field
+
+    return QuadrupoleComponents.from_arrays(combo(0), combo(1), combo(2),
+                                            mask=mask)
+
+
+def random_antisym_poly_grid(rng, degree=2):
+    """Antisymmetric 4x4 grid of polynomial expressions in tau
+    (embedding input)."""
+    grid = [[ex.const(0.0) for _ in range(4)] for _ in range(4)]
+    for a in range(4):
+        for b in range(a + 1, 4):
+            p = poly_tau_expr(rng, degree)
+            grid[a][b] = p
+            grid[b][a] = ex.neg(p)
+    return grid
+
+
+def random_linear_pair(rng):
+    """A well-conditioned random linear chart with its exact inverse."""
+    while True:
+        M = np.eye(4) + 0.35 * rng.uniform(-1, 1, (4, 4))
+        if abs(np.linalg.det(M)) > 0.3:
+            break
+    fw = linear_chart(M, "random linear")
+    bw = linear_chart(np.linalg.inv(M), "random linear inverse")
+    return ChartPair(fw, bw)
+
+
+def random_test_form(rng, center, half_widths):
+    """Product test form with random affine component polynomials, as a
+    family of one."""
+    consts, coefs = _random_affine(rng, half_widths)
+    return AffineFormFamily(consts, coefs, center, half_widths)
+
+
+# -- second paths that tests compare with the library ------------------------
+
+
+def static_dipole_vectors(dip, tau=0.0):
+    """Inverse of :func:`polekit.moments.make_static_dipole` at one
+    tau."""
+    g = dip.values_at(np.array([tau]))[0]
+    p_ed = np.array([g[0, mu] for mu in _SPATIAL])
+    p_md = np.array(
+        [
+            0.5
+            * sum(
+                _EPS[mu, nu, s] * g[mu, nu]
+                for mu in _SPATIAL
+                for nu in _SPATIAL
+            )
+            for s in _SPATIAL
+        ]
+    )
+    return p_ed, p_md
+
+
+def potential_exprs(source):
+    """Closed-form scalar and vector potential expressions in x1..x3 of
+    a :class:`polekit.fields.StaticSource` (hand-differentiated Coulomb
+    derivatives, compared with its jet path)."""
+    ker = _coulomb_expr(1.0, source.eps0)
+    grads = [ker.diff(mu) for mu in _SPATIAL]
+    if source.kind == "monopole":
+        return ex.mul(ex.const(float(source.moments)), ker), None
+    if source.kind == "electric_dipole":
+        e = ex.const(0.0)
+        for k, mu in enumerate(_SPATIAL):
+            e = ex.add(e, ex.mul(ex.const(source.moments[k]), grads[k]))
+        return e, None
+    if source.kind == "magnetic_dipole":
+        p = source.moments
+        comps = []
+        for m in range(3):
+            e = ex.const(0.0)
+            for n in range(3):
+                for s in range(3):
+                    sign = _EPS[m + 1, n + 1, s + 1]
+                    if sign:
+                        e = ex.add(
+                            e,
+                            ex.mul(ex.const(sign * p[n]), grads[s]),
+                        )
+            comps.append(e)
+        return None, tuple(comps)
+    hessians = [
+        [grads[m].diff(nu) for nu in _SPATIAL] for m in range(3)
+    ]
+    if source.kind == "electric_quadrupole":
+        e = ex.const(0.0)
+        for m in range(3):
+            for n in range(3):
+                if source.moments[m, n]:
+                    e = ex.add(
+                        e,
+                        ex.mul(ex.const(source.moments[m, n]),
+                               hessians[m][n]),
+                    )
+        return e, None
+    comps = []
+    for m in range(3):
+        e = ex.const(0.0)
+        for n in range(3):
+            for s in range(3):
+                if source.moments[m, n, s]:
+                    e = ex.add(
+                        e,
+                        ex.mul(ex.const(source.moments[m, n, s]),
+                               hessians[n][s]),
+                    )
+        comps.append(e)
+    return None, tuple(comps)

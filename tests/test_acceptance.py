@@ -9,7 +9,16 @@ import time
 
 import numpy as np
 
-from oracles import fd_gradient, fd_hessian, random_safe_expression
+from oracles import (
+    fd_gradient,
+    fd_hessian,
+    random_antisym_poly_grid,
+    random_dipole,
+    random_linear_pair,
+    random_quadrupole,
+    random_safe_expression,
+    static_dipole_vectors,
+)
 from polekit import expr as ex
 from polekit.charts import cylindrical_to_cartesian_chart, get, lorentz_boost_chart
 from polekit.classify import (
@@ -19,7 +28,7 @@ from polekit.classify import (
     test_order as probe_order,
 )
 from polekit.errors import EvaluationError
-from polekit.jets import Jet2
+from polekit.jets import Jet2, full_hessian
 from polekit.moments import (
     AdaptedCoefficients,
     Monopole,
@@ -31,7 +40,6 @@ from polekit.moments import (
     make_electric_quadrupole,
     make_toroidal_quadrupole,
     sample_taus,
-    static_dipole_vectors,
     zeta_from_gamma,
 )
 from polekit.fields import StaticSource, falloff_exponent
@@ -41,14 +49,7 @@ from polekit.pairing import (
     pair_monopole,
     pair_quadrupole,
     pull_back_test_form,
-)
-from polekit.sampling import (
-    random_antisym_poly_grid,
-    random_dipole,
-    random_linear_pair,
-    random_quadrupole,
     random_test_form_along,
-    rng_from_seed,
 )
 from polekit.transport import transform_dipole, transform_quadrupole
 from polekit.worldlines import Worldline
@@ -62,7 +63,7 @@ def _report(n, desc, ok, detail=""):
     assert ok, line
 
 
-def worked_example_transport(kappa=1.0, kappa0=None, split=True):
+def worked_example_transport(kappa=1.0, kappa0=None):
     quad = QuadrupoleComponents.from_dict({
         (2, 1, 1): ex.const(2 * kappa),
         (1, 2, 1): ex.const(-kappa),
@@ -70,9 +71,7 @@ def worked_example_transport(kappa=1.0, kappa0=None, split=True):
     })
     C = Worldline.static_at((1.0, 0.0, 0.0), (0.0, 10.0))
     return transform_quadrupole(
-        quad, cylindrical_to_cartesian_chart(), C, kappa0=kappa0,
-        split_dipole=split,
-    )
+        quad, cylindrical_to_cartesian_chart(), C, kappa0=kappa0)
 
 
 def test_criterion_1_worked_example():
@@ -100,8 +99,8 @@ def test_criterion_1_worked_example():
 
 def test_criterion_2_pairing_invariance():
     start = time.monotonic()
-    rng = rng_from_seed(2024)
-    C = Worldline.from_exprs(
+    rng = np.random.default_rng(2024)
+    C = Worldline(
         (
             ex.Var(0),
             ex.parse("1 + 0.2*sin(0.7*tau)", ex.TAU_VARS),
@@ -123,17 +122,16 @@ def test_criterion_2_pairing_invariance():
         hatC = C.push_through_chart(pair.forward)
         dhat = transform_dipole(d, pair.forward, C)
         qhat = transform_quadrupole(q, pair.forward, C)
-        tol = {"tol_abs": 1e-9, "tol_rel": 1e-9}
         for _ in range(20):
-            form = random_test_form_along(rng, hatC, margin=0.22)
+            form = random_test_form_along(rng, hatC)
             pulled = pull_back_test_form(form, pair)
             checks = (
-                (pair_monopole(m, C, pulled, **tol).value,
-                 pair_monopole(m, hatC, form, **tol).value),
-                (pair_dipole(d, C, pulled, **tol).value,
-                 pair_dipole(dhat, hatC, form, **tol).value),
-                (pair_quadrupole(q, C, pulled, **tol).value,
-                 pair_quadrupole(qhat.gamma3_hat, hatC, form, **tol).value),
+                (pair_monopole(m, C, pulled).value,
+                 pair_monopole(m, hatC, form).value),
+                (pair_dipole(d, C, pulled).value,
+                 pair_dipole(dhat, hatC, form).value),
+                (pair_quadrupole(q, C, pulled).value,
+                 pair_quadrupole(qhat.gamma3_hat, hatC, form).value),
             )
             for src, hat in checks:
                 worst = max(worst,
@@ -149,7 +147,7 @@ def test_criterion_2_pairing_invariance():
 
 
 def test_criterion_3_linear_tensoriality():
-    rng = rng_from_seed(3)
+    rng = np.random.default_rng(3)
     C = Worldline.static_at((0.4, -0.3, 0.2), (0.0, 2.0))
     worst_p = 0.0
     worst_t = 0.0
@@ -182,14 +180,14 @@ def test_criterion_3_linear_tensoriality():
 
 
 def test_criterion_4_dipole_embedding():
-    rng = rng_from_seed(4)
+    rng = np.random.default_rng(4)
     C = Worldline.static_at((0.0, 0.0, 0.0), (0.0, 4.0))
     worst = 0.0
     for _ in range(10):
         p = random_antisym_poly_grid(rng, degree=2)
         quad = embed_dipole_as_quadrupole(p, C)
         dip = extract_dipole(p)
-        form = random_test_form_along(rng, C, margin=0.25)
+        form = random_test_form_along(rng, C)
         a = pair_quadrupole(quad, C, form).value
         b = pair_dipole(dip, C, form).value
         worst = max(worst, abs(a - b) / max(1.0, abs(a)))
@@ -204,8 +202,8 @@ def test_criterion_4_dipole_embedding():
 
 
 def test_criterion_5_kappa0_independence():
-    rng = rng_from_seed(5)
-    C = Worldline.from_exprs(
+    rng = np.random.default_rng(5)
+    C = Worldline(
         (
             ex.Var(0),
             ex.parse("1 + 0.2*sin(0.7*tau)", ex.TAU_VARS),
@@ -227,7 +225,7 @@ def test_criterion_5_kappa0_independence():
     hatC = transports[0].worldline_hat
     worst = 0.0
     for _ in range(5):
-        form = random_test_form_along(rng, hatC, margin=0.25)
+        form = random_test_form_along(rng, hatC)
         vals = [
             pair_quadrupole(tr.gamma3_hat, hatC, form).value
             for tr in transports
@@ -245,8 +243,8 @@ def test_criterion_5_kappa0_independence():
 
 
 def test_criterion_6_symmetry_preservation():
-    rng = rng_from_seed(6)
-    C = Worldline.from_exprs(
+    rng = np.random.default_rng(6)
+    C = Worldline(
         (
             ex.Var(0),
             ex.parse("1 + 0.2*sin(0.7*tau)", ex.TAU_VARS),
@@ -279,7 +277,7 @@ def test_criterion_6_symmetry_preservation():
 
 
 def test_criterion_7_charge_behavior():
-    rng = rng_from_seed(7)
+    rng = np.random.default_rng(7)
     C = Worldline.static_at((0.0, 0.0, 0.0), (0.0, 4.0))
     mono = SourceBundle(C, monopole=Monopole(3.0))
     worst_q = max(
@@ -304,7 +302,7 @@ def test_criterion_7_charge_behavior():
 
 
 def test_criterion_8_classification():
-    rng = rng_from_seed(8)
+    rng = np.random.default_rng(8)
     C = Worldline.static_at((0.0, 0.0, 0.0), (0.0, 4.0))
     dip = SourceBundle(C, dipole=random_dipole(rng))
     quad = SourceBundle(C, quadrupole=random_quadrupole(rng))
@@ -387,7 +385,7 @@ def test_criterion_10_falloffs():
 
 
 def test_criterion_11_coefficient_dictionary():
-    rng = rng_from_seed(11)
+    rng = np.random.default_rng(11)
     C = Worldline.static_at((0.0, 0.0, 0.0), (0.0, 4.0))
     q = random_quadrupole(rng)
     m = Monopole(-0.7)
@@ -408,7 +406,7 @@ def test_criterion_11_coefficient_dictionary():
     )
     round_trip_ok = worst <= 1e-10 and abs(m2.q - m.q) <= 1e-12
 
-    accepts_valid = z.is_closed(tol=1e-9)[0]
+    accepts_valid = z.is_closed()[0]
 
     # single violations must each be rejected, with the right family
     def shifted(zz, row, f, df):
@@ -428,7 +426,7 @@ def test_criterion_11_coefficient_dictionary():
 
     def violated(row, f, df, family):
         z2 = shifted(zeta_from_gamma(m, q, C), row, f, df)
-        ok2, res = z2.is_closed(tol=1e-9)
+        ok2, res = z2.is_closed()
         others = {k: v for k, v in res.items() if k != family}
         scale = 1e-9 * max(1.0, z2._scale())
         return (not ok2) and res[family] > 1e-3 and all(
@@ -458,7 +456,7 @@ def test_criterion_11_coefficient_dictionary():
 
 
 def test_criterion_12_jet_engine():
-    rng = rng_from_seed(12)
+    rng = np.random.default_rng(12)
     worst_fd = 0.0
     checked = 0
     while checked < 1000:
@@ -482,7 +480,7 @@ def test_criterion_12_jet_engine():
                 worst_fd,
                 abs(j.grad[a] - g[a]) / max(1.0, abs(j.grad[a])),
             )
-        jh = np.array(j.hessian_rows())
+        jh = full_hessian(j.hess)
         worst_fd = max(
             worst_fd,
             float(np.max(np.abs(jh - H) / np.maximum(1.0, np.abs(jh)))),
@@ -513,7 +511,7 @@ def test_criterion_12_jet_engine():
             worst_poly,
             abs(j.value - value) / scale,
             float(np.max(np.abs(np.array(j.grad) - grad))) / scale,
-            float(np.max(np.abs(np.array(j.hessian_rows()) - hess))) / scale,
+            float(np.max(np.abs(full_hessian(j.hess) - hess))) / scale,
         )
     ok = worst_fd <= 1e-6 and worst_poly <= 1e-13
     _report(

@@ -10,7 +10,12 @@ one-value paths.
 
 import numpy as np
 
-from oracles import random_safe_expression
+from oracles import (
+    random_dipole,
+    random_quadrupole,
+    random_safe_expression,
+    random_test_form,
+)
 from polekit import expr as ex
 from polekit import pairing
 from polekit.charts import (
@@ -34,14 +39,9 @@ from polekit.pairing import (
     pair_monopole,
     pair_quadrupole,
     pull_back_test_form,
-)
-from polekit.quadrature import _NODES, CumulativeIntegral
-from polekit.sampling import (
-    random_dipole,
-    random_quadrupole,
-    random_test_form,
     random_test_form_along,
 )
+from polekit.quadrature import _NODES, CumulativeIntegral
 from polekit.transport import transform_dipole, transform_quadrupole
 from polekit.worldlines import Reparametrization, Worldline
 
@@ -162,7 +162,7 @@ def test_pairing_integrand_batch_equals_pointwise(rng, wobble_worldline,
     q = random_quadrupole(rng)
     dhat = transform_dipole(d, pair.forward, C)
     qhat = transform_quadrupole(q, pair.forward, C)
-    form = random_test_form_along(rng, hatC, margin=0.25)
+    form = random_test_form_along(rng, hatC)
     pulled = pull_back_test_form(form, pair)
     pair_monopole(Monopole(1.3), C, pulled)
     pair_monopole(Monopole(1.3), hatC, form)

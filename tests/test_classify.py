@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import random_dipole, random_quadrupole
 from polekit import expr as ex
 from polekit.classify import (
     charge_probe_variations,
@@ -18,7 +19,6 @@ from polekit.moments import (
     make_toroidal_quadrupole,
 )
 from polekit.pairing import SourceBundle
-from polekit.sampling import random_dipole, random_quadrupole
 from polekit.worldlines import Worldline
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -87,7 +87,7 @@ def test_default_probe_description_has_plain_numbers(C):
 
 def test_charge_probe_on_moving_worldline(rng):
     # tube widening follows the worldline's spatial spread
-    C = Worldline.from_exprs(
+    C = Worldline(
         (ex.Var(0), ex.parse("0.5*tau", ex.TAU_VARS),
          ex.parse("sin(tau)", ex.TAU_VARS), ex.const(0.0)),
         (0.0, 4.0),

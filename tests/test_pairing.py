@@ -5,8 +5,16 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import (family_jets_by_products, fd_gradient_plain,
-                     same_bits, window_by_products)
+from oracles import (
+    family_jets_by_products,
+    fd_gradient_plain,
+    random_dipole,
+    random_linear_pair,
+    random_quadrupole,
+    random_test_form,
+    same_bits,
+    window_by_products,
+)
 from polekit import expr as ex
 from polekit import pairing
 from polekit.charts import get
@@ -24,11 +32,6 @@ from polekit.pairing import (
     pair_monopole,
     pair_quadrupole,
     pull_back_test_form,
-)
-from polekit.sampling import (
-    random_dipole,
-    random_quadrupole,
-    random_test_form,
     random_test_form_along,
 )
 from polekit.worldlines import Worldline
@@ -258,8 +261,6 @@ def test_pullback_identity(rng, adapted_worldline):
 
 
 def test_pullback_linear_mixes_with_transpose(rng):
-    from polekit.sampling import random_linear_pair
-
     pair = random_linear_pair(rng)
     M = pair.forward.jacobian_at(np.zeros((1, 4)))[0]
     center_hat = pair.forward.value_at(np.zeros((1, 4)))[0]
@@ -300,7 +301,7 @@ def test_pullback_pairing_invariance_all_kinds(rng, wobble_worldline):
     dhat = transform_dipole(d, pair.forward, C)
     qhat = transform_quadrupole(q, pair.forward, C)
     for _ in range(3):
-        form = random_test_form_along(rng, hatC, margin=0.25)
+        form = random_test_form_along(rng, hatC)
         pulled = pull_back_test_form(form, pair)
         pairs = [
             (pair_monopole(m, C, pulled).value,
@@ -340,7 +341,7 @@ def test_dipole_quadrupole_bundle_is_one_integral(rng, wobble_worldline):
     bundle = SourceBundle(C, dipole=d, quadrupole=q)
     for _ in range(3):
         form = pull_back_test_form(
-            random_test_form_along(rng, hatC, margin=0.25), pair)
+            random_test_form_along(rng, hatC), pair)
         both = pair_bundle(bundle, form)
         dipole = pair_dipole(d, C, form)
         quadrupole = pair_quadrupole(q, C, form)
@@ -441,7 +442,7 @@ def test_pulled_back_family_rows_equal_pulled_back_members(
         rng, wobble_worldline, name, params):
     pair = get(name, params)
     hatC = wobble_worldline.push_through_chart(pair.forward)
-    family = random_test_form_along(rng, hatC, margin=0.25, count=4)
+    family = random_test_form_along(rng, hatC, count=4)
     pulled = pull_back_test_form(family, pair)
     members = [pull_back_test_form(_tree_member(family, k), pair)
                for k in range(4)]
@@ -466,7 +467,7 @@ def test_family_pairing_equals_serial_bundle_pairing(rng, wobble_worldline):
         hatC, bundle.monopole,
         transform_dipole(bundle.dipole, pair.forward, C),
         transform_quadrupole(bundle.quadrupole, pair.forward, C).gamma3_hat)
-    family = random_test_form_along(rng, hatC, margin=0.25, count=4)
+    family = random_test_form_along(rng, hatC, count=4)
     source = pairing.pair_bundle_family(bundle,
                                         pull_back_test_form(family, pair))
     hatted = pairing.pair_bundle_family(hat, family)
@@ -495,8 +496,9 @@ def test_concurrent_pairing_is_deterministic(rng, wobble_worldline):
 
 
 def _fast_worldline(speed):
-    return Worldline.from_exprs(
-        (ex.Var(0), ex.mul(ex.const(speed), ex.Var(0)), 0.0, 0.0), (0.0, 10.0)
+    return Worldline(
+        (ex.Var(0), ex.mul(ex.const(speed), ex.Var(0)), ex.const(0.0),
+         ex.const(0.0)), (0.0, 10.0)
     )
 
 

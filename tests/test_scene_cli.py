@@ -81,11 +81,86 @@ def test_unresolved_job_reference():
     assert any("ghost" in p for p in err.value.problems)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("worldline", {"a": 1}),
+    ("multipole", [1]),
+    ("chart", [1]),
+])
+def test_unhashable_job_reference_is_a_scene_error(tmp_path, capsys, key,
+                                                   value):
+    """A job reference that is not a string is an unknown name (exit 2),
+    not a TypeError from a dictionary lookup."""
+    doc = json.loads((SCENES / "worked_example.scene").read_text())
+    doc["jobs"][1][key] = value
+    with pytest.raises(SceneError) as err:
+        parse_scene(json.dumps(doc))
+    want = f"jobs[1]: unknown {key} {value!r}"
+    assert err.value.problems == [want]
+    path = tmp_path / "bad.scene"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"scene error: {want}\n"
+
+
+def _sheared_scene(inverse, command="verify"):
+    """MINIMAL with a custom shear chart declaring ``inverse`` and one
+    job through it."""
+    doc = json.loads(MINIMAL)
+    doc["charts"]["shear"] = {"components": ["x0", "x1 + 0.5*x2", "x2", "x3"],
+                              "inverse": inverse}
+    doc["jobs"] = [{"command": command, "multipole": "charge",
+                    "chart": "shear", "worldline": "rest"}]
+    return doc
+
+
+@pytest.mark.parametrize("inverse, command, error", [
+    (["x0", "x1 + 3*x2", "x2 + 2", "x3"], "verify", "round trip error"),
+    (["x0", "x1 + 3*x2", "x2 + 2", "x3"], "transform", "round trip error"),
+    (["x0", "x1", "sqrt(x2 - 1)", "x3"], "verify",
+     "sqrt: argument -1.0 is not positive"),
+])
+def test_wrong_declared_inverse_is_a_scene_error(inverse, command, error):
+    """A declared inverse that fails its check along a job's worldline,
+    or cannot be evaluated there, is a scene problem naming the chart."""
+    with pytest.raises(SceneError) as err:
+        parse_scene(json.dumps(_sheared_scene(inverse, command)))
+    [problem] = err.value.problems
+    assert problem.startswith(
+        f"charts.shear: inverse fails along worldline 'rest': {error}")
+
+
+def test_declared_inverse_that_holds_parses_and_verifies(tmp_path):
+    doc = _sheared_scene(["x0", "x1 - 0.5*x2", "x2", "x3"])
+    doc["jobs"][0]["forms"] = 3
+    results, code = run(parse_scene(json.dumps(doc)), out_dir=tmp_path)
+    assert code == 0 and results[0].passed
+
+
+@pytest.mark.parametrize("chart", [
+    {"registry": "spherical_to_cartesian"},
+    {"components": ["x0", "x1", "x2", "x3"]},
+])
+def test_verify_job_needs_a_chart_inverse(tmp_path, capsys, chart):
+    doc = json.loads(MINIMAL)
+    doc["charts"]["sph"] = chart
+    doc["jobs"].append({"command": "verify", "multipole": "charge",
+                        "chart": "sph", "worldline": "rest"})
+    want = "jobs[1]: chart 'sph' has no verified inverse, which verify needs"
+    with pytest.raises(SceneError) as err:
+        parse_scene(json.dumps(doc))
+    assert err.value.problems == [want]
+    path = tmp_path / "bad.scene"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"scene error: {want}\n"
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
 def test_scene_round_trip_structural():
     text = (SCENES / "worked_example.scene").read_text()
     scene = parse_scene(text)
-    again = parse_scene(scene.to_text())
-    assert scene.raw == again.raw
+    again = parse_scene(json.dumps(json.loads(text), indent=2,
+                                   sort_keys=True))
     # expression trees compare structurally
     for name in scene.worldlines:
         assert scene.worldlines[name].components == \
@@ -495,10 +570,10 @@ def _serial_verify(scene, job):
     """A verify job's pairings as a serial loop: each form is drawn, then
     paired on both sides by pair_bundle before the next is drawn."""
     from polekit import transport as tp
-    from polekit.pairing import SourceBundle, pair_bundle, pull_back_test_form
-    from polekit.sampling import random_test_form_along, rng_from_seed
+    from polekit.pairing import (SourceBundle, pair_bundle,
+                                 pull_back_test_form, random_test_form_along)
 
-    pair = scene.chart_pair(job["chart"])
+    pair = scene.charts[job["chart"]]
     bundle = scene.bundle(job["multipole"], job["worldline"])
     C = bundle.worldline
     hatC = C.push_through_chart(pair.forward)
@@ -507,7 +582,7 @@ def _serial_verify(scene, job):
         tp.transform_dipole(bundle.dipole, pair.forward, C),
         tp.transform_quadrupole(bundle.quadrupole, pair.forward,
                                 C).gamma3_hat)
-    rng = rng_from_seed(job["seed"])
+    rng = np.random.default_rng(job["seed"])
     rows = []
     for _ in range(job["forms"]):
         form = random_test_form_along(rng, hatC)
@@ -547,17 +622,16 @@ def test_verify_job_with_one_nonconvergent_probe_fails_as_serial(
     NaN), the job fails with the error its serial pairing raises."""
     from polekit.errors import QuadratureError
     from polekit.pairing import (AffineFormFamily, pair_bundle,
-                                 pull_back_test_form)
-    from polekit.sampling import random_test_form_along, rng_from_seed
+                                 pull_back_test_form, random_test_form_along)
 
     doc = json.loads(MINIMAL)
     doc["jobs"] = [{"command": "verify", "name": "poisoned",
                     "multipole": "charge", "chart": "id",
                     "worldline": "rest", "forms": 3, "seed": 4}]
     scene = parse_scene(json.dumps(doc))
-    pair = scene.chart_pair("id")
+    pair = scene.charts["id"]
     hatC = scene.worldlines["rest"].push_through_chart(pair.forward)
-    forms = random_test_form_along(rng_from_seed(4), hatC, count=3)
+    forms = random_test_form_along(np.random.default_rng(4), hatC, count=3)
     family_values = AffineFormFamily._values_inside
 
     def poisoned(self, pts, owner):
