@@ -268,6 +268,21 @@ _NAMES = ("identity", "linear", "lorentz_boost", "cylindrical_to_cartesian",
           "cartesian_to_cylindrical", "spherical_to_cartesian", "polynomial")
 
 
+def _params(name, params, count):
+    """``params`` as a flat array of ``count`` floats; a RegistryError
+    naming the chart when they are missing, not numbers, or too few or
+    too many."""
+    try:
+        values = np.asarray(params, dtype=float).ravel()
+    except (TypeError, ValueError):
+        values = None
+    if params is None or values is None or values.size != count:
+        raise RegistryError(
+            f"{name} chart needs params of {count} number"
+            f"{'s' if count > 1 else ''}, got {params!r}")
+    return values
+
+
 def get(name, params=None):
     """Fetch a chart from the registry; paired names return a ChartPair.
 
@@ -277,16 +292,12 @@ def get(name, params=None):
     if name == "identity":
         return ChartPair(identity_chart(), identity_chart())
     if name == "linear":
-        if params is None:
-            raise RegistryError("linear chart needs matrix parameters")
-        M = np.asarray(params, dtype=float).reshape(4, 4)
+        M = _params(name, params, 16).reshape(4, 4)
         fw = linear_chart(M)
         bw = linear_chart(np.linalg.inv(M), "linear inverse")
         return ChartPair(fw, bw)
     if name == "lorentz_boost":
-        if params is None:
-            raise RegistryError("lorentz_boost needs a speed parameter")
-        v = float(np.atleast_1d(params)[0])
+        v = _params(name, params, 1)[0]
         return ChartPair(
             lorentz_boost_chart(v), lorentz_boost_chart(v, inverse=True)
         )
@@ -301,9 +312,7 @@ def get(name, params=None):
     if name == "spherical_to_cartesian":
         return spherical_to_cartesian_chart()
     if name == "polynomial":
-        if params is None:
-            raise RegistryError("polynomial chart needs coefficients")
-        return polynomial_chart(params)
+        return polynomial_chart(_params(name, params, 60))
     raise RegistryError(
         f"unknown chart {name!r}; known: {', '.join(_NAMES)}"
     )

@@ -3,7 +3,9 @@
 ``polekit run scene.json`` executes the scene's job list (optionally
 filtered to one command) and writes ``report.txt`` and ``report.json``
 (plus CSV files for potential rays) into the output directory.  Given
-the same scene and seed the reports are byte-identical.  Exit codes:
+the same scene and seed the reports are byte-identical, whether the
+hatted side of the verify jobs runs in a forked worker (when a second
+CPU is usable) or in this process.  Exit codes:
 0 all checks passed, 1 at least one failed, 2 usage or parse error.
 """
 
@@ -11,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import pickle
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -119,16 +123,18 @@ def _run_transform(scene, job, out_dir):
     return JobResult(job["name"], "transform", passed, lines, data)
 
 
-def _run_verify(scene, job, out_dir):
+def _verify_inputs(scene, job):
+    """A verify job's chart pair, its bundle, and the bundle's worldline
+    pushed through the pair's forward chart."""
     pair = scene.charts[job["chart"]]
     bundle = scene.bundle(job["multipole"], job["worldline"])
-    n = job["forms"]
-    tol = float(job["tolerance"])
-    seed = job["seed"]
-    rng = np.random.default_rng(seed)
+    return pair, bundle, bundle.worldline.push_through_chart(pair.forward)
+
+
+def _transported(pair, bundle, hatC):
+    """The bundle moved through the pair's forward chart onto ``hatC``."""
     C = bundle.worldline
-    hatC = C.push_through_chart(pair.forward)
-    hat = SourceBundle(
+    return SourceBundle(
         hatC,
         bundle.monopole,
         None if bundle.dipole is None
@@ -137,14 +143,115 @@ def _run_verify(scene, job, out_dir):
         else tp.transform_quadrupole(bundle.quadrupole, pair.forward,
                                      C).gamma3_hat,
     )
-    # Pairing draws nothing from rng, so drawing every form first gives
-    # the forms of drawing each before its pairings.
-    forms = random_test_form_along(rng, hatC, count=n)
+
+
+def _forms(job, hatC):
+    """The job's random test forms along ``hatC``, drawn from its seed.
+    Pairing draws nothing from the generator, so drawing every form
+    first gives the forms of drawing each before its pairings."""
+    return random_test_form_along(np.random.default_rng(job["seed"]), hatC,
+                                  count=job["forms"])
+
+
+def _source_side(scene, job):
+    """The bundle's pairings with the job's forms pulled back; None when
+    they raise (the job then reruns in order and raises it there)."""
+    try:
+        pair, bundle, hatC = _verify_inputs(scene, job)
+        return pair_bundle_family(
+            bundle, pull_back_test_form(_forms(job, hatC), pair))
+    except Exception:
+        return None
+
+
+def _hatted_side(scene, job):
+    """The transported bundle's pairings with the job's forms."""
+    pair, bundle, hatC = _verify_inputs(scene, job)
+    hat = _transported(pair, bundle, hatC)
+    return pair_bundle_family(hat, _forms(job, hatC))
+
+
+class _HattedWorker:
+    """A forked process that computes the hatted side of each verify job
+    in order and sends each job's reports through a pipe, pickled (None
+    for a job whose hatted side raised)."""
+
+    def __init__(self, scene, jobs):
+        read, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            raise
+        if self.pid == 0:
+            # Never return into the caller's stack, whatever happens.
+            try:
+                os.close(read)
+                with open(write, "wb") as pipe:
+                    for job in jobs:
+                        try:
+                            reports = _hatted_side(scene, job)
+                        except Exception:  # the parent reruns the job
+                            reports = None
+                        pickle.dump(reports, pipe)
+                        pipe.flush()
+            finally:
+                os._exit(0)
+        os.close(write)
+        self.pipe = open(read, "rb")
+
+    def receive(self):
+        """The next job's hatted reports; None when its hatted side
+        raised or the worker is gone."""
+        if self.pipe.closed:
+            return None
+        try:
+            return pickle.load(self.pipe)
+        except (EOFError, pickle.UnpicklingError):  # the worker died
+            self.pipe.close()
+            return None
+
+    def stop(self):
+        """Kill the worker if it is still running and reap it."""
+        import signal  # loaded only by runs that fork
+
+        self.pipe.close()
+        try:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+        except OSError:  # already reaped elsewhere
+            pass
+
+
+def _can_fork():
+    """A second CPU is usable and forking is safe.  From Python 3.12 a
+    fork warns in a process with other threads, and numpy's OpenBLAS
+    starts some."""
+    return (sys.version_info < (3, 12) and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
+def _run_verify(scene, job, out_dir):
+    """A verify job in this process, in the order transported bundle,
+    forms, source pairings, hatted pairings."""
+    pair, bundle, hatC = _verify_inputs(scene, job)
+    hat = _transported(pair, bundle, hatC)
+    forms = _forms(job, hatC)
+    return _verify_result(
+        job, pair_bundle_family(bundle, pull_back_test_form(forms, pair)),
+        pair_bundle_family(hat, forms))
+
+
+def _verify_result(job, source_reports, hatted_reports):
+    """A verify job's result from its source and hatted pairing
+    reports."""
+    n = job["forms"]
+    tol = float(job["tolerance"])
+    seed = job["seed"]
     rows = []
     passed = True
-    for src, hatted in zip(
-            pair_bundle_family(bundle, pull_back_test_form(forms, pair)),
-            pair_bundle_family(hat, forms)):
+    for src, hatted in zip(source_reports, hatted_reports):
         resid = abs(src.value - hatted.value) / max(1.0, abs(src.value))
         rows.append((src, hatted, resid))
         passed = passed and resid <= tol
@@ -291,6 +398,14 @@ def run(scene, command="all", out_dir="."):
         if command == "all" or j["command"] == command
     ]
 
+    verify = [j for j in jobs if j["command"] == "verify"]
+    worker = None
+    if verify and _can_fork():
+        try:
+            worker = _HattedWorker(scene, verify)
+        except OSError:  # no pipe or process to spare: verify runs here
+            pass
+
     def run_one(job):
         try:
             return _RUNNERS[job["command"]](scene, job, out)
@@ -300,7 +415,27 @@ def run(scene, command="all", out_dir="."):
                 [f"  error: {err}"], {"error": str(err)},
             )
 
-    results = [run_one(j) for j in jobs]
+    def finish_verify(job, source):
+        # A job whose side raised, or whose worker is gone, reruns here
+        # in order, so that it fails with the error a serial run gives.
+        hatted = worker.receive()
+        if source is None or hatted is None:
+            return run_one(job)
+        return _verify_result(job, source, hatted)
+
+    try:
+        if worker is None:
+            results = [run_one(j) for j in jobs]
+        else:
+            # This process runs the other jobs and the source sides
+            # before it waits for any hatted side.
+            early = [_source_side(scene, j) if j["command"] == "verify"
+                     else run_one(j) for j in jobs]
+            results = [finish_verify(j, r) if j["command"] == "verify"
+                       else r for j, r in zip(jobs, early)]
+    finally:
+        if worker is not None:
+            worker.stop()
 
     text_lines = []
     for r in results:

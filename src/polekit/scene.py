@@ -342,6 +342,20 @@ def _parse_interval(interval):
     return (t0, t1) if t0 < t1 else None
 
 
+def _section(raw, key, kind, problems):
+    """The top-level section ``raw[key]`` of JSON type ``kind`` (dict or
+    list); absent or null is empty, and a section of another type is a
+    problem and reads as empty."""
+    value = raw.get(key)
+    if value is None:
+        return kind()
+    if not isinstance(value, kind):
+        want = "an object" if kind is dict else "an array"
+        problems.append(f"{key}: section must be {want}")
+        return kind()
+    return value
+
+
 def parse_scene(text):
     """Parse and validate scene text; raises SceneError listing every
     problem found (JSON position or scene path plus expression column)."""
@@ -354,13 +368,14 @@ def parse_scene(text):
     if not isinstance(raw, dict):
         raise SceneError(["scene must be a JSON object"])
     problems = []
+    chart_specs = _section(raw, "charts", dict, problems)
     charts = {}
-    for name, spec in (raw.get("charts") or {}).items():
+    for name, spec in chart_specs.items():
         parsed = _parse_chart(name, spec, problems)
         if parsed is not None:
             charts[name] = parsed
     worldlines = {}
-    for name, spec in (raw.get("worldlines") or {}).items():
+    for name, spec in _section(raw, "worldlines", dict, problems).items():
         path = f"worldlines.{name}"
         parsed = _parse_four(spec, "components", ex.TAU_VARS, path, problems)
         if parsed is None:
@@ -372,12 +387,12 @@ def parse_scene(text):
             continue
         worldlines[name] = Worldline(parsed, interval)
     multipoles = {}
-    for name, spec in (raw.get("multipoles") or {}).items():
+    for name, spec in _section(raw, "multipoles", dict, problems).items():
         parsed = _parse_multipole(name, spec, problems)
         if parsed is not None:
             multipoles[name] = parsed
     jobs = []
-    for i, job in enumerate(raw.get("jobs") or []):
+    for i, job in enumerate(_section(raw, "jobs", list, problems)):
         parsed = _validate_job(i, job, charts, worldlines, multipoles,
                                problems)
         if parsed is not None:
@@ -390,8 +405,7 @@ def parse_scene(text):
         w = job.get("worldline")
         if _known(m, multipoles) and _known(w, worldlines):
             use.setdefault(m, set()).add(w)
-    _check_inverses(raw.get("charts") or {}, charts, worldlines, jobs,
-                    problems)
+    _check_inverses(chart_specs, charts, worldlines, jobs, problems)
     for name, spec in multipoles.items():
         intervals = [worldlines[w].interval for w in use.get(name, ())]
         if not intervals:

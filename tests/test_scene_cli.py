@@ -102,6 +102,47 @@ def test_unhashable_job_reference_is_a_scene_error(tmp_path, capsys, key,
     assert capsys.readouterr().err == f"scene error: {want}\n"
 
 
+@pytest.mark.parametrize("key, value, want", [
+    ("charts", [1], "an object"),
+    ("worldlines", [1], "an object"),
+    ("multipoles", "x", "an object"),
+    ("jobs", 3, "an array"),
+])
+def test_section_of_the_wrong_type_is_a_scene_error(tmp_path, capsys, key,
+                                                    value, want):
+    """A top-level section of the wrong JSON type is a scene problem
+    naming the section (exit 2), not an AttributeError or TypeError."""
+    doc = json.loads(MINIMAL)
+    doc[key] = value
+    with pytest.raises(SceneError) as err:
+        parse_scene(json.dumps(doc))
+    assert f"{key}: section must be {want}" in err.value.problems
+    path = tmp_path / "bad.scene"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert f"scene error: {key}: section must be {want}\n" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("registry, params, want", [
+    ("linear", [1, 2], "linear chart needs params of 16 numbers, got [1, 2]"),
+    ("linear", "abc", "linear chart needs params of 16 numbers, got 'abc'"),
+    ("lorentz_boost", "x",
+     "lorentz_boost chart needs params of 1 number, got 'x'"),
+])
+def test_registry_params_of_the_wrong_type_or_count(tmp_path, capsys,
+                                                    registry, params, want):
+    doc = json.loads(MINIMAL)
+    doc["charts"]["bad"] = {"registry": registry, "params": params}
+    with pytest.raises(SceneError) as err:
+        parse_scene(json.dumps(doc))
+    assert err.value.problems == [f"charts.bad: {want}"]
+    path = tmp_path / "bad.scene"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"scene error: charts.bad: {want}\n"
+
+
 def _sheared_scene(inverse, command="verify"):
     """MINIMAL with a custom shear chart declaring ``inverse`` and one
     job through it."""
