@@ -12,6 +12,7 @@ CPU is usable) or in this process.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import pickle
@@ -386,11 +387,37 @@ _RUNNERS = {
 }
 
 
+# glibc's mallopt parameter M_TOP_PAD, and the free memory run keeps at
+# the top of the heap.
+_M_TOP_PAD = -2
+_TOP_PAD = 64 << 20
+
+
+@functools.cache
+def _keep_heap():
+    """Have glibc's malloc keep up to 64 MiB of freed memory at the top
+    of the heap, once per process.  By default it gives the memory of a
+    large numpy temporary back to the kernel when it is freed and faults
+    it in again for the next one, which costs a verify run a large share
+    of its time.  A forked worker inherits the setting.  Skipped where
+    the C library has no ``mallopt``."""
+    import ctypes  # loaded only by run
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TOP_PAD, _TOP_PAD)
+
+
 def run(scene, command="all", out_dir="."):
     """Execute the scene's jobs (filtered by ``command`` unless "all").
 
     Writes report.txt / report.json into ``out_dir`` and returns
     (results, exit_code)."""
+    _keep_heap()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     jobs = [

@@ -9,9 +9,13 @@ The pairing numbers are the chart-invariant content of a source:
 
 all evaluated along the worldline.  A source bundle pairs as at most
 two integrals: the charge over the form's values, and the dipole and
-quadrupole together over one read of the form's jets.  Everything else
-in this module (charge extraction, order and closedness probes) is
-built by feeding specially shaped covector fields into these integrals.
+quadrupole together over one read of the form's jets.  The jet
+integrands find the rows of a batch where the worldline meets the
+form's support once per call, read the components and the form's jets
+at those rows alone, contract there, and give exact zeros (the zeros
+the contraction gives) at every other row.  Everything else in this
+module (charge extraction, order and closedness probes) is built by
+feeding specially shaped covector fields into these integrals.
 
 Test forms are polynomials times a product of smooth bumps, so they
 vanish identically (with all derivatives) outside their box.  Probes
@@ -74,10 +78,11 @@ class PairingReport:
 # (:class:`AffineFormFamily`, or its pull-back) evaluates row i as its
 # member owner[i], and without an index as member 0.  Work is done only
 # at points inside the support, and the result is exactly zero
-# elsewhere.  The bump window's jet and a family's polynomial jets are
-# formed from their structure, with the bits of the general jet products
-# up to the sign of zeros (pinned by the ``*_bit_for_bit`` tests of
-# tests/test_pairing.py).
+# elsewhere; when every point is inside, the jets are returned as
+# formed, with no copy into batch-wide arrays.  The bump window's jet
+# and a family's polynomial jets are formed from their structure, with
+# the bits of the general jet products up to the sign of zeros (pinned
+# by the ``*_bit_for_bit`` tests of tests/test_pairing.py).
 
 
 def _zero_jets(n):
@@ -152,6 +157,8 @@ class _BatchForm:
         live = self._live(pts, owner)
         if not np.any(live):
             return _zero_jets(len(pts))
+        if np.all(live):
+            return self._jets_inside(pts, owner)
         return tuple(j.scatter(live)
                      for j in self._jets_inside(pts[live], owner[live]))
 
@@ -414,23 +421,32 @@ def pull_back_test_form(hatted, pair):
     of ``pair``.
 
     The support is carried conservatively, member by member: boundary
-    samples of the hatted box are mapped through the inverse chart and
-    their bounding box, padded by 10%, becomes the source-side box.  Raises
-    :class:`DomainError` when the support escapes the chart domain.
+    samples of the hatted box are mapped through the inverse chart (all
+    members' samples in one call) and their bounding box, padded by
+    10%, becomes the source-side box.  Raises :class:`DomainError` when
+    the support escapes the chart domain, naming a point of the first
+    member whose support escapes.
     """
-    boxes = []
-    for hatted_box in hatted.boxes:
+    grids = [box.grid() for box in hatted.boxes]
+    try:
         try:
-            mapped = pair.inverse.value_at(hatted_box.grid())
-        except DomainError as err:
-            raise DomainError(
-                f"test-form support escapes the chart domain: {err}"
-            )
-        lo = mapped.min(axis=0)
-        hi = mapped.max(axis=0)
-        center = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo) * 1.1 + 1e-12
-        boxes.append(Box(tuple(center), tuple(half)))
+            mapped = pair.inverse.value_at(np.concatenate(grids))
+        except Exception:
+            # Member by member, so that the first member that fails
+            # raises the error it raises alone.
+            for grid in grids:
+                pair.inverse.value_at(grid)
+            raise
+    except DomainError as err:
+        raise DomainError(
+            f"test-form support escapes the chart domain: {err}"
+        )
+    mapped = mapped.reshape(len(grids), -1, 4)
+    lo = mapped.min(axis=1)
+    hi = mapped.max(axis=1)
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo) * 1.1 + 1e-12
+    boxes = [Box(tuple(c), tuple(h)) for c, h in zip(center, half)]
     return PulledBackForm(pair.forward, hatted, boxes)
 
 
@@ -510,10 +526,16 @@ def _pairings(worldline, form, integrands):
     return reports
 
 
-def _form_jets(worldline, form, taus, owner):
-    """The form's four jets at the worldline's points over ``taus``."""
+def _live_jets(worldline, form, taus, owner):
+    """The rows of ``taus`` where the worldline meets the form's support
+    (a row outside a pulled-back form's chart domain raises), the taus
+    of those rows, and the form's four jets there alone; the last two
+    are None when no row is live."""
     points, _ = worldline.eval(taus)
-    return form.jets_at(points, owner)
+    live = form._live(points, owner)
+    if not np.any(live):
+        return live, None, None
+    return live, taus[live], form.jets_at(points[live], owner[live])
 
 
 def _charge_integrand(m, worldline, form):
@@ -544,15 +566,24 @@ def _gamma_integrand(gamma2, gamma3, worldline, form):
         return None
 
     def integrand(taus, owner):
-        jets = _form_jets(worldline, form, taus, owner)
+        # Each contraction over the live rows, exact zeros elsewhere
+        # (what the contraction gives there), then the same combination
+        # over every row.
+        live, t, jets = _live_jets(worldline, form, taus, owner)
+        sums = np.zeros((2, len(taus)))
+        if jets is not None:
+            if dipole:
+                sums[0, live] = np.einsum("nab,nab->n", gamma2.values_at(t),
+                                          stacked(jets, t.shape, 1))
+            if quadrupole:
+                sums[1, live] = np.einsum("nabc,nabc->n",
+                                          gamma3.values_at(t),
+                                          stacked(jets, t.shape, 2))
         terms = []
         if dipole:
-            terms.append(-np.einsum("nab,nab->n", gamma2.values_at(taus),
-                                    stacked(jets, taus.shape, 1)))
+            terms.append(-sums[0])
         if quadrupole:
-            terms.append(0.5 * np.einsum("nabc,nabc->n",
-                                         gamma3.values_at(taus),
-                                         stacked(jets, taus.shape, 2)))
+            terms.append(0.5 * sums[1])
         return sum(terms[1:], terms[0])
 
     return integrand
@@ -621,8 +652,11 @@ def pair_adapted_coefficients(z, worldline, form):
         raise DomainError("adapted-basis pairing needs an adapted worldline")
 
     def integrand(taus, owner):
-        jets = _form_jets(worldline, form, taus, owner)
-        return z.density(taus, *(stacked(jets, taus.shape, k)
-                                 for k in range(3)))
+        live, t, jets = _live_jets(worldline, form, taus, owner)
+        out = np.zeros(len(taus))
+        if jets is not None:
+            out[live] = z.density(t, *(stacked(jets, t.shape, k)
+                                       for k in range(3)))
+        return out
 
     return _pairings(worldline, form, [integrand])[0]

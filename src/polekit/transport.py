@@ -133,31 +133,21 @@ def _tensorial(A, g, dA=None, dg=None):
     return over_a(dA, b) + over_a(A, db)
 
 
-def _rep_factors(rep):
-    """(tau_of, speed, speed_deriv) of a reparametrization, each a
-    function of an array of tau_hat values."""
-    if rep is None:
-        return (
-            lambda th: th,
-            lambda th: np.ones_like(th),
-            lambda th: np.zeros_like(th),
-        )
-    return rep.tau_of, rep.speed, rep.speed_deriv
-
-
 def _reparametrized(F, dF, rep, rank):
     """Batch functions of tau_hat for components F(tau) and their
-    derivative: (dtau/dtau_hat) F and its tau_hat derivative."""
-    tau_of, speed, speed_deriv = _rep_factors(rep)
+    derivative: (dtau/dtau_hat) F and its tau_hat derivative; F and dF
+    themselves when there is no reparametrization."""
+    if rep is None:
+        return F, dF
     tail = (Ellipsis,) + (None,) * rank
 
     def values(th):
-        return speed(th)[tail] * F(tau_of(th))
+        return rep.speed(th)[tail] * F(rep.tau_of(th))
 
     def derivs(th):
-        w = speed(th)[tail]
-        tau = tau_of(th)
-        return speed_deriv(th)[tail] * F(tau) + w * w * dF(tau)
+        w = rep.speed(th)[tail]
+        tau = rep.tau_of(th)
+        return rep.speed_deriv(th)[tail] * F(tau) + w * w * dF(tau)
 
     return values, derivs
 
@@ -263,10 +253,6 @@ def dipole_part(result):
 
     Constant shifts of P (the kappa0 freedom) drop out here.
     """
-    tau_of, speed, _ = _rep_factors(result.rep)
-    P = result.P
-
-    def values(th):
-        return speed(th)[:, None, None] * P.deriv_matrix_at(tau_of(th))
-
+    values, _ = _reparametrized(result.P.deriv_matrix_at, None,
+                                result.rep, 2)
     return DipoleComponents.from_arrays(values)

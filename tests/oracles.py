@@ -177,6 +177,40 @@ def family_jets_by_products(family, pts, owner):
     return out
 
 
+# -- full-batch pairing integrands -----------------------------------------
+#
+# The pairing integrands as whole-batch formulas: the form read at every
+# row (exact zeros outside its support) and each contraction an einsum
+# over all rows.  The library contracts over the live rows alone; the
+# tests compare the two bit for bit.
+
+
+def gamma_integrand_by_full_batch(gamma2, gamma3, worldline, form, taus,
+                                  owner):
+    """-gamma2[ab] d_b phi_a + (1/2) gamma3[abc] d_b d_c phi_a at every
+    row, either term left out when its components are None."""
+    from polekit.jets import stacked
+
+    points, _ = worldline.eval(taus)
+    jets = form.jets_at(points, owner)
+    terms = []
+    if gamma2 is not None:
+        terms.append(-np.einsum("nab,nab->n", gamma2.values_at(taus),
+                                stacked(jets, taus.shape, 1)))
+    if gamma3 is not None:
+        terms.append(0.5 * np.einsum("nabc,nabc->n", gamma3.values_at(taus),
+                                     stacked(jets, taus.shape, 2)))
+    return sum(terms[1:], terms[0])
+
+
+def charge_integrand_by_full_batch(q, worldline, form, taus, owner):
+    """q v^a phi_a at every row."""
+    points, vel = worldline.eval(taus)
+    vals = form.values_at(points, owner)
+    return q * (vel[:, 0] * vals[:, 0] + vel[:, 1] * vals[:, 1]
+                + vel[:, 2] * vals[:, 2] + vel[:, 3] * vals[:, 3])
+
+
 # -- seeded test inputs ------------------------------------------------------
 
 

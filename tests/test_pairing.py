@@ -6,8 +6,10 @@ import pytest
 from scipy.integrate import quad
 
 from oracles import (
+    charge_integrand_by_full_batch,
     family_jets_by_products,
     fd_gradient_plain,
+    gamma_integrand_by_full_batch,
     random_dipole,
     random_linear_pair,
     random_quadrupole,
@@ -477,6 +479,76 @@ def test_family_pairing_equals_serial_bundle_pairing(rng, wobble_worldline):
                                         pull_back_test_form(member, pair))
         assert hatted[k] == pair_bundle(hat, member)
         assert source[k].nodes_used > 0
+
+
+def _crafted_batches(rng, worldline, form):
+    """Batches of (taus, member indices) over the members of ``form``
+    along ``worldline``: every row outside the support, exactly one row
+    inside, every row inside, and all rows of every member shuffled."""
+    taus = np.linspace(*worldline.interval, 201)
+    points = worldline.point_at(taus)
+    live, dead = [], []
+    for k in range(len(form.boxes)):
+        inside = form.in_support(points, np.full(len(taus), k))
+        assert np.any(inside) and not np.all(inside)
+        live += [(t, k) for t in taus[inside]]
+        dead += [(t, k) for t in taus[~inside]]
+    one = [live[len(live) // 2]] + dead[::25]
+    every = [(t, k) for t in taus for k in range(len(form.boxes))]
+    batches = {"dead": dead[::7], "one live": one, "live": live,
+               "mixed": [every[i] for i in rng.permutation(len(every))]}
+    out = {name: (np.array([t for t, _ in rows]),
+                  np.array([k for _, k in rows], dtype=np.intp))
+           for name, rows in batches.items()}
+    n_live = {name: np.count_nonzero(
+        form.in_support(worldline.point_at(taus), owner))
+        for name, (taus, owner) in out.items()}
+    assert n_live["dead"] == 0 and n_live["one live"] == 1
+    assert n_live["live"] == len(out["live"][0])
+    assert 0 < n_live["mixed"] < len(out["mixed"][0])
+    return out
+
+
+def _same_bits(a, b):
+    """Equal arrays, down to the sign of each zero."""
+    return (a.shape == b.shape
+            and np.array_equal(a.view(np.int64), b.view(np.int64)))
+
+
+def test_integrands_on_live_rows_equal_full_batch_formulas(
+        rng, wobble_worldline):
+    """The pairing integrands contract over the rows inside the support
+    alone; on crafted batches (no row inside, exactly one, every row,
+    and mixed) they equal the whole-batch formulas bit for bit, zeros
+    outside the support included, for a family with transported
+    components and for its pull-back with the source components."""
+    from polekit.transport import transform_dipole, transform_quadrupole
+
+    pair = get("cylindrical_to_cartesian")
+    C = wobble_worldline
+    hatC = C.push_through_chart(pair.forward)
+    d, q = random_dipole(rng), random_quadrupole(rng)
+    family = random_test_form_along(rng, hatC, count=3)
+    sides = [
+        (hatC, family, transform_dipole(d, pair.forward, C),
+         transform_quadrupole(q, pair.forward, C).gamma3_hat),
+        (C, pull_back_test_form(family, pair), d, q),
+    ]
+    for worldline, form, gamma2, gamma3 in sides:
+        for name, (taus, owner) in _crafted_batches(
+                rng, worldline, form).items():
+            for g2, g3 in ((gamma2, None), (None, gamma3), (gamma2, gamma3)):
+                got = pairing._gamma_integrand(g2, g3, worldline, form)(
+                    taus, owner)
+                want = gamma_integrand_by_full_batch(g2, g3, worldline,
+                                                     form, taus, owner)
+                assert _same_bits(got, want), name
+            for charge in (1.3, -0.7):
+                got = pairing._charge_integrand(
+                    Monopole(charge), worldline, form)(taus, owner)
+                want = charge_integrand_by_full_batch(
+                    charge, worldline, form, taus, owner)
+                assert _same_bits(got, want), name
 
 
 def test_concurrent_pairing_is_deterministic(rng, wobble_worldline):
