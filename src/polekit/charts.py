@@ -68,17 +68,18 @@ class Chart:
         return entries_array([comp.eval(env) for comp in self.forward],
                              (len(x),))
 
-    def jets_at(self, x):
-        """Jets of the four components over the rows of x."""
+    def jets_at(self, x, order=2):
+        """Jets of the four components over the rows of x, truncated at
+        ``order``."""
         env = columns(x)
         self._check_domain(x)
-        seeds = Jet2.seed_point(env)
+        seeds = Jet2.seed_point(env, order)
         return tuple(comp.eval(seeds) for comp in self.forward)
 
     def jacobian_at(self, x):
         """A^a_b = d(hatted x^a)/d x^b as an (N, 4, 4) array; warns when
         |det A| is below the cutoff at any row."""
-        A = self.frames_at(x)[1]
+        A = self.frames_at(x, 1)[1]
         det = np.abs(np.linalg.det(A))
         if np.any(det < _DET_CUTOFF):
             i = np.argmin(det)
@@ -90,11 +91,12 @@ class Chart:
             )
         return A
 
-    def frames_at(self, x):
+    def frames_at(self, x, order=2):
         """(value, Jacobian, Hessian) from a single jet pass: arrays of
-        shape (N, 4), (N, 4, 4) and (N, 4, 4, 4)."""
-        jlist = self.jets_at(x)
-        return tuple(stacked(jlist, (len(x),), k) for k in range(3))
+        shape (N, 4), (N, 4, 4) and (N, 4, 4, 4); (value, Jacobian) for
+        ``order`` 1."""
+        jlist = self.jets_at(x, order)
+        return tuple(stacked(jlist, (len(x),), k) for k in range(order + 1))
 
     def jacobian_exprs(self):
         """Symbolic Jacobian entries, J[a][b] = d forward[a] / d x^b."""

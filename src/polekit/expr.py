@@ -372,12 +372,13 @@ def gradient_exprs(e):
 def tau_rows(trees, taus, order=0):
     """The ``order``-th (0, 1 or 2) tau derivatives of k trees (functions
     of variable 0 only) over a 1-D array of N taus, as (N, k) rows: from
-    the taus themselves for order 0, else from one-variable seed jets.
-    Each tree is walked on its own (no memo: a memo would keep every
-    intermediate array of every tree alive until the last is read)."""
+    the taus themselves for order 0, else from one-variable seed jets
+    truncated at that order.  Each tree is walked on its own (no memo: a
+    memo would keep every intermediate array of every tree alive until
+    the last is read)."""
     if order == 0:
         return entries_array([e.eval((taus,)) for e in trees], taus.shape)
-    seeds = Jet2.seed_point((taus,))
+    seeds = Jet2.seed_point((taus,), order)
     rows = stacked([e.eval(seeds) for e in trees], taus.shape, order)
     return rows.reshape(taus.shape + (len(trees),))
 

@@ -41,6 +41,20 @@ elementary functions (domain checks, the support of ``bump`` and of the
 ``sstep`` family) are applied elementwise; a domain error anywhere in a
 batch raises.
 
+A jet is truncated at order 2 or at order 1.  An order-1 jet carries
+no Hessian rows (``_h`` is None): :meth:`Jet2.seed_point`,
+:meth:`Jet2.affine` and :meth:`Jet2.zeros` make one when asked for
+``order=1``, and every operation (``+``, ``-``, ``*``, the chain rules
+behind :func:`divide`, :func:`power`, :func:`apply` and :func:`atan2`,
+:func:`compose` and :meth:`Jet2.scatter`) gives an order-1 jet when an
+operand is one.  Value and gradient come from the same formulas at
+either order, so an order-1 jet has the bits of the value and gradient
+of its order-2 twin.  Readers ask for the order they read: the
+worldline's points and velocity, the Jacobian of the transported
+components' values and the form jets of a pairing with no quadrupole
+term are order 1; Hessian reads stay order 2, and :func:`stacked` of
+order 2 raises on an order-1 jet.  A constant is of either order.
+
 Expression trees (:mod:`polekit.expr`) have one evaluator, which runs on
 seed jets and on coordinate values alike: ``+``, ``-`` and ``*`` are
 the operators, and division, powers, the primitives and ``atan2`` go
@@ -121,6 +135,11 @@ def _is_constant(j):
     return j._g is _layout(len(j._g)).zero_grad
 
 
+def _first_order(*jets):
+    """Whether any of the jets is of order 1 (has no Hessian rows)."""
+    return any(j._h is None for j in jets)
+
+
 def _jet(value, g, h):
     """A jet from entry-major rows (no copy, no check)."""
     j = Jet2.__new__(Jet2)
@@ -142,8 +161,9 @@ class Jet2:
 
     ``Jet2(value, grad, hess)`` takes the point-major layout: ``grad``
     ``(*S, n)`` and ``hess`` ``(*S, n(n+1)/2)``, or ``(n,)`` and
-    ``(n(n+1)/2,)`` when S = ().  Jets are not modified after
-    construction; all operations return new jets.
+    ``(n(n+1)/2,)`` when S = (); ``hess`` is None for an order-1 jet.
+    Jets are not modified after construction; all operations return
+    new jets.
     """
 
     __slots__ = ("value", "_g", "_h")
@@ -151,7 +171,7 @@ class Jet2:
     def __init__(self, value, grad, hess):
         self.value = value
         self._g = _entry_major(np.asarray(grad))
-        self._h = _entry_major(np.asarray(hess))
+        self._h = None if hess is None else _entry_major(np.asarray(hess))
 
     # -- constructors -------------------------------------------------
 
@@ -163,33 +183,35 @@ class Jet2:
         return _jet(x, lay.zero_grad, lay.zero_hess)
 
     @staticmethod
-    def seed_point(x):
-        """Jets of the coordinate functions at the point x: one jet per
-        coordinate, in ``n = len(x)`` variables (each x[a] the array of
-        that coordinate over the batch)."""
+    def seed_point(x, order=2):
+        """Jets of the coordinate functions at the point x, truncated at
+        ``order``: one jet per coordinate, in ``n = len(x)`` variables
+        (each x[a] the array of that coordinate over the batch)."""
         lay = _layout(len(x))
         k = max(np.ndim(xa) for xa in x)
-        zero = _shared(lay.zero_hess, k)
+        zero = _shared(lay.zero_hess, k) if order == 2 else None
         return tuple(_jet(xa, _shared(lay.seeds[a], k), zero)
                      for a, xa in enumerate(x))
 
     @staticmethod
-    def affine(value, grad):
-        """Jet of an affine function: ``value`` over the batch, the
-        gradient ``grad``, (n,) the same at every point or entry-major
-        rows (n, *S), and zero Hessian."""
+    def affine(value, grad, order=2):
+        """Jet of an affine function, truncated at ``order``: ``value``
+        over the batch, the gradient ``grad``, (n,) the same at every
+        point or entry-major rows (n, *S), and zero Hessian."""
         grad = np.asarray(grad, dtype=float)
         k = np.ndim(value)
-        return _jet(value, _shared(grad, k + 1 - grad.ndim),
-                    _shared(_layout(len(grad)).zero_hess, k))
+        hess = (_shared(_layout(len(grad)).zero_hess, k) if order == 2
+                else None)
+        return _jet(value, _shared(grad, k + 1 - grad.ndim), hess)
 
     @staticmethod
-    def zeros(size, n):
+    def zeros(size, n, order):
         """The zero function over a batch of ``size`` points in ``n``
-        variables, its gradient and Hessian held in full."""
+        variables, truncated at ``order``, its gradient (and at order 2
+        its Hessian) held in full."""
         m = len(_layout(n).rows)
         return _jet(np.zeros(size), np.zeros((n, size)),
-                    np.zeros((m, size)))
+                    np.zeros((m, size)) if order == 2 else None)
 
     # -- views ---------------------------------------------------------
 
@@ -200,8 +222,9 @@ class Jet2:
 
     @property
     def hess(self):
-        """The packed Hessian, ``(*S, n(n+1)/2)`` (a view)."""
-        return _point_major(self._h)
+        """The packed Hessian, ``(*S, n(n+1)/2)`` (a view); None for an
+        order-1 jet."""
+        return None if self._h is None else _point_major(self._h)
 
     def scatter(self, mask):
         """A jet over the points of a batch where ``mask`` holds, spread
@@ -215,7 +238,8 @@ class Jet2:
 
         value = np.zeros(np.shape(mask))
         value[mask] = self.value
-        return _jet(value, put(self._g), put(self._h))
+        return _jet(value, put(self._g),
+                    None if self._h is None else put(self._h))
 
     def __repr__(self):
         return f"Jet2({self.value!r}, grad={self.grad!r}, hess={self.hess!r})"
@@ -230,7 +254,8 @@ class Jet2:
                 return other + self.value
             else:
                 return _jet(self.value + other.value, self._g + other._g,
-                            self._h + other._h)
+                            None if _first_order(self, other)
+                            else self._h + other._h)
         return _jet(self.value + other, self._g, self._h)
 
     __radd__ = __add__
@@ -243,7 +268,8 @@ class Jet2:
                 return -other + self.value
             else:
                 return _jet(self.value - other.value, self._g - other._g,
-                            self._h - other._h)
+                            None if _first_order(self, other)
+                            else self._h - other._h)
         return _jet(self.value - other, self._g, self._h)
 
     def __rsub__(self, other):
@@ -252,7 +278,8 @@ class Jet2:
     def __neg__(self):
         if _is_constant(self):
             return Jet2.constant(-self.value, len(self._g))
-        return _jet(-self.value, -self._g, -self._h)
+        return _jet(-self.value, -self._g,
+                    None if self._h is None else -self._h)
 
     def __mul__(self, other):
         if isinstance(other, Jet2):
@@ -261,20 +288,24 @@ class Jet2:
             elif _is_constant(self):
                 return other * self.value
             else:
-                # Entry by entry: fv*gh + gv*fh + 2 f_a g_a on the
-                # diagonal, fv*gh + gv*fh + f_a g_b + f_b g_a off it, in
-                # this order.
                 f, g = self._g, other._g
                 fv, gv = self.value, other.value
-                lay = _layout(len(f))
-                w = _shared(lay.cross_w, f.ndim - 1)
-                cross = (w * f[lay.cross_f]) * g[lay.cross_g]
-                m = len(lay.rows)
-                hess = fv * other._h + gv * self._h + cross[:m] + cross[m:]
+                hess = None
+                if not _first_order(self, other):
+                    # Entry by entry: fv*gh + gv*fh + 2 f_a g_a on the
+                    # diagonal, fv*gh + gv*fh + f_a g_b + f_b g_a off
+                    # it, in this order.
+                    lay = _layout(len(f))
+                    w = _shared(lay.cross_w, f.ndim - 1)
+                    cross = (w * f[lay.cross_f]) * g[lay.cross_g]
+                    m = len(lay.rows)
+                    hess = (fv * other._h + gv * self._h + cross[:m]
+                            + cross[m:])
                 return _jet(fv * gv, fv * g + gv * f, hess)
         if _is_constant(self):
             return Jet2.constant(self.value * other, len(self._g))
-        return _jet(self.value * other, self._g * other, self._h * other)
+        return _jet(self.value * other, self._g * other,
+                    None if self._h is None else self._h * other)
 
     __rmul__ = __mul__
 
@@ -323,6 +354,8 @@ def _chain(u, f0, f1, f2):
     g = u._g
     if _is_constant(u):
         return Jet2.constant(f0, len(g))
+    if u._h is None:
+        return _jet(f0, f1 * g, None)
     lay = _layout(len(g))
     return _jet(f0, f1 * g, f1 * u._h + (f2 * g[lay.rows]) * g[lay.cols])
 
@@ -334,6 +367,8 @@ def _chain2(u, v, f0, fu, fv, fuu, fuv, fvv):
     if _is_constant(u):
         return _chain(v, f0, fv, fvv)
     ug, vg = u._g, v._g
+    if _first_order(u, v):
+        return _jet(f0, fu * ug + fv * vg, None)
     lay = _layout(len(ug))
     ua, ub = ug[lay.rows], ug[lay.cols]
     va, vb = vg[lay.rows], vg[lay.cols]
@@ -478,8 +513,15 @@ def _sstep(v, k):
 
 
 def _sstep3(v, k):
-    """(s^(k), s^(k+1), s^(k+2)) of the step, elementwise."""
-    return tuple(_sstep(v, k + i) for i in range(3))
+    """(s^(k), s^(k+1), s^(k+2)) of the step, elementwise: the bits of
+    :func:`_sstep` for each, from one inside mask and one clipped
+    argument."""
+    inside = (v > 0.0) & (v < 1.0)
+    w = np.where(inside, v, 0.5)
+    return (np.where(inside, _SSTEP[k](w),
+                     np.where(v >= 1.0, 1.0, 0.0) if k == 0 else 0.0),
+            np.where(inside, _SSTEP[k + 1](w), 0.0),
+            np.where(inside, _SSTEP[k + 2](w), 0.0))
 
 
 #: name -> (value f, (f, f', f'')) of the primitive at the argument.
@@ -546,13 +588,16 @@ def stacked(jets, shape, order):
     the layout numpy gives that fancy-index result: the two Hessian
     axes outermost in memory, so it is not contiguous.  Sums that read
     it (einsum, matmul) take their summation order from that layout, so
-    changing it moves the last bits of their results.
+    changing it moves the last bits of their results.  Order 2 raises
+    ValueError when a jet is of order 1.
     """
     if order == 0:
         return entries_array([j.value for j in jets], shape)
     n = len(jets[0]._g)
     if order == 1:
         return entries_array([j.grad for j in jets], shape, (n,))
+    if _first_order(*jets):
+        raise ValueError("Hessians read from an order-1 jet")
     m = len(_layout(n).rows)
     return full_hessian(entries_array([j.hess for j in jets], shape, (m,)))
 
@@ -590,15 +635,18 @@ def compose(outers, inner):
     The inner rows are stacked once; each contraction is a sum of whole
     entry-major rows over the contracted index, in index order:
     grad_a = sum_b F_b J^b_a, hess_ac = sum_b J^b_a (sum_d F_bd J^d_c)
-    + sum_b F_b K^b_ac."""
+    + sum_b F_b K^b_ac.  The composed jets are of order 1 when an outer
+    or an inner jet is."""
     p, n = len(inner), len(inner[0]._g)
     lay = _layout(n)
     shape = np.broadcast_shapes(*(np.shape(j.value) for j in (*outers, *inner)))
     J = _stack_rows([y._g for y in inner], shape)             # (b, a, *S)
-    K = _stack_rows([y._h for y in inner], shape)             # (b, ac, *S)
     G = _stack_rows([f._g for f in outers], shape)            # (F, b, *S)
-    H = _stack_rows([f._h for f in outers], shape)[:, _layout(p).full]
     grad = _index_sum(lambda b: G[:, b, None] * J[b], p)
+    if _first_order(*outers, *inner):
+        return tuple(_jet(f.value, g, None) for f, g in zip(outers, grad))
+    K = _stack_rows([y._h for y in inner], shape)             # (b, ac, *S)
+    H = _stack_rows([f._h for f in outers], shape)[:, _layout(p).full]
     HJ = _index_sum(lambda d: H[:, :, d, None] * J[d], p)     # (F, b, c, *S)
     hess = (_index_sum(lambda b: J[b, lay.rows] * HJ[:, b, lay.cols], p)
             + _index_sum(lambda b: G[:, b, None] * K[b], p))

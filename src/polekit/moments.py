@@ -56,7 +56,13 @@ def sample_taus(interval, n=50, seed=0):
 
 def _expr_fields(entries, rank):
     """(values, derivs, derivs2, mask) batch fields of components given
-    as {index: Expr or number}; zero constants are left out of the mask."""
+    as {index: Expr or number}; zero constants are left out of the mask.
+
+    Entries with equal trees (mirror entries written alike, such as a
+    quadrupole's "001" and "010") are read once per call and copied to
+    each of their slots.  Trees that compare equal may still differ in
+    the sign of a zero constant, which their printed form shows, so the
+    two are grouped only when that agrees too."""
     exprs = {}
     for idx, e in entries.items():
         if isinstance(e, (int, float)):
@@ -70,13 +76,16 @@ def _expr_fields(entries, rank):
     for idx in exprs:
         mask[idx] = True
     flat = [np.ravel_multi_index(idx, shape) for idx in exprs]
-    trees = list(exprs.values())
+    column = {}
+    source = [column.setdefault((e, e.to_str()), len(column))
+              for e in exprs.values()]
+    trees = [e for e, _ in column]
 
     def field(order):
         def f(taus):
             out = np.zeros(taus.shape + (4 ** rank,))
             if trees:
-                out[..., flat] = tau_rows(trees, taus, order)
+                out[..., flat] = tau_rows(trees, taus, order)[..., source]
             return out.reshape(taus.shape + shape)
 
         return f

@@ -13,9 +13,13 @@ quadrupole together over one read of the form's jets.  The jet
 integrands find the rows of a batch where the worldline meets the
 form's support once per call, read the components and the form's jets
 at those rows alone, contract there, and give exact zeros (the zeros
-the contraction gives) at every other row.  Everything else in this
-module (charge extraction, order and closedness probes) is built by
-feeding specially shaped covector fields into these integrals.
+the contraction gives) at every other row.  They read the form to the
+order the bundle needs: first-order jets (no Hessian rows, see
+:mod:`polekit.jets`) when it has no quadrupole term, second-order jets
+when it has one; the gradients are the same bits either way.
+Everything else in this module (charge extraction, order and
+closedness probes) is built by feeding specially shaped covector
+fields into these integrals.
 
 Test forms are polynomials times a product of smooth bumps, so they
 vanish identically (with all derivatives) outside their box.  Probes
@@ -73,7 +77,8 @@ class PairingReport:
 # Test forms evaluate over batches: ``jets_at`` / ``values_at`` /
 # ``in_support`` take an (N, 4) array of points (N = 1 for one point),
 # and optionally the (N,) member index of each row, and return four jets
-# over the batch, an (N, 4) array and an (N,) boolean array.  A single
+# over the batch, an (N, 4) array and an (N,) boolean array; ``jets_at``
+# also takes the order (1 or 2) its jets are truncated at.  A single
 # form is the one-member case and ignores the index; a family
 # (:class:`AffineFormFamily`, or its pull-back) evaluates row i as its
 # member owner[i], and without an index as member 0.  Work is done only
@@ -85,8 +90,8 @@ class PairingReport:
 # by the ``*_bit_for_bit`` tests of tests/test_pairing.py).
 
 
-def _zero_jets(n):
-    return (Jet2.zeros(n, 4),) * 4
+def _zero_jets(n, order):
+    return (Jet2.zeros(n, 4, order),) * 4
 
 
 def _owner(owner, n):
@@ -99,26 +104,31 @@ def _owner(owner, n):
 _TRIU_OF_COLUMNS = np.array([0, 1, 3, 6, 2, 4, 7, 5, 8, 9])
 
 
-def _window_jet(pts, center, half):
+def _window_jet(pts, center, half, order):
     """Jet of prod_b bump((x^b - center^b) / half^b) at the rows of
-    ``pts``; ``center`` and ``half`` are (4,) or one row per point.
-    Factor b depends on x^b alone, so only the entries that can be
-    nonzero are formed, each multiplied in the order of the general
-    product ((b0 b1) b2) b3, whose bits it has."""
+    ``pts``, truncated at ``order``; ``center`` and ``half`` are (4,) or
+    one row per point.  Factor b depends on x^b alone, so only the
+    entries that can be nonzero are formed, each multiplied in the order
+    of the general product ((b0 b1) b2) b3, whose bits it has."""
     ihw = 1.0 / np.atleast_2d(half).T
     v, grad, h = PRIMITIVES["bump"][1](((pts - center) / half).T)
-    grad, h = grad * ihw, (h * ihw) * ihw
-    value, hess = v[0], np.empty((10,) + v[0].shape)
-    hess[0] = h[0]
+    grad = grad * ihw
+    value = v[0]
+    if order == 2:
+        h = (h * ihw) * ihw
+        hess = np.empty((10,) + value.shape)
+        hess[0] = h[0]
     for k in range(1, 4):
-        t = k * (k + 1) // 2
-        hess[t:t + k] = grad[:k] * grad[k]
-        hess[t + k] = value * h[k]
-        hess[:t] *= v[k]
+        if order == 2:
+            t = k * (k + 1) // 2
+            hess[t:t + k] = grad[:k] * grad[k]
+            hess[t + k] = value * h[k]
+            hess[:t] *= v[k]
         grad[:k] *= v[k]
         grad[k] *= value
         value = value * v[k]
-    return Jet2(value, grad.T, hess[_TRIU_OF_COLUMNS].T)
+    return Jet2(value, grad.T,
+                hess[_TRIU_OF_COLUMNS].T if order == 2 else None)
 
 
 def _window_values(pts, center, half):
@@ -151,16 +161,16 @@ class _BatchForm:
     def _live(self, pts, owner):
         return self.in_support(pts, owner)
 
-    def jets_at(self, x, owner=None):
+    def jets_at(self, x, owner=None, order=2):
         pts = np.asarray(x, dtype=float)
         owner = _owner(owner, len(pts))
         live = self._live(pts, owner)
         if not np.any(live):
-            return _zero_jets(len(pts))
+            return _zero_jets(len(pts), order)
         if np.all(live):
-            return self._jets_inside(pts, owner)
-        return tuple(j.scatter(live)
-                     for j in self._jets_inside(pts[live], owner[live]))
+            return self._jets_inside(pts, owner, order)
+        return tuple(j.scatter(live) for j in
+                     self._jets_inside(pts[live], owner[live], order))
 
     def values_at(self, x, owner=None):
         pts = np.asarray(x, dtype=float)
@@ -185,9 +195,9 @@ class ProductTestForm(_BatchForm):
     def in_support(self, x, owner=None):
         return self.box.contains(x)
 
-    def _jets_inside(self, pts, owner):
-        w = _window_jet(pts, *self._window)
-        seeds = Jet2.seed_point(columns(pts))
+    def _jets_inside(self, pts, owner, order):
+        w = _window_jet(pts, *self._window, order)
+        seeds = Jet2.seed_point(columns(pts), order)
         return tuple(
             Jet2.constant(0.0, 4) if isinstance(p, ex.Const) and p.v == 0.0
             else p.eval(seeds) * w
@@ -246,10 +256,10 @@ class AffineFormFamily(_BatchForm):
             out.append(e)
         return out
 
-    def _jets_inside(self, pts, owner):
-        w = _window_jet(pts, self.centers[owner], self.halves[owner])
+    def _jets_inside(self, pts, owner, order):
+        w = _window_jet(pts, self.centers[owner], self.halves[owner], order)
         c = self.coefs[owner].T
-        return tuple(Jet2.affine(p, c[:, a]) * w for a, p in
+        return tuple(Jet2.affine(p, c[:, a], order) * w for a, p in
                      enumerate(self._polys(columns(pts), owner)))
 
     def _values_inside(self, pts, owner):
@@ -307,8 +317,8 @@ class ExprCovector(_BatchForm):
             return self.box.contains(x)
         return np.ones(len(x), dtype=bool)
 
-    def _jets_inside(self, pts, owner):
-        return ex.eval_all(self.comps, Jet2.seed_point(columns(pts)))
+    def _jets_inside(self, pts, owner, order):
+        return ex.eval_all(self.comps, Jet2.seed_point(columns(pts), order))
 
     def _values_inside(self, pts, owner):
         return entries_array(ex.eval_all(self.comps, columns(pts)),
@@ -330,9 +340,10 @@ class ScaledCovector(_BatchForm):
     def in_support(self, x, owner=None):
         return self.base.in_support(x, owner)
 
-    def _jets_inside(self, pts, owner):
-        s = self.scalar.eval(Jet2.seed_point(columns(pts))) ** self.power
-        return tuple(j * s for j in self.base.jets_at(pts, owner))
+    def _jets_inside(self, pts, owner, order):
+        seeds = Jet2.seed_point(columns(pts), order)
+        s = self.scalar.eval(seeds) ** self.power
+        return tuple(j * s for j in self.base.jets_at(pts, owner, order))
 
     def _values_inside(self, pts, owner):
         s = self.scalar.eval(columns(pts)) ** self.power
@@ -372,11 +383,11 @@ class PulledBackForm(_BatchForm):
         chart domain raises."""
         return self.hatted.in_support(self.chart.value_at(pts), owner)
 
-    def _jets_inside(self, pts, owner):
-        Y = self.chart.jets_at(pts)
-        outer = self.hatted.jets_at(stacked(Y, (len(pts),), 0), owner)
+    def _jets_inside(self, pts, owner, order):
+        Y = self.chart.jets_at(pts, order)
+        outer = self.hatted.jets_at(stacked(Y, (len(pts),), 0), owner, order)
         composed = compose(outer, Y)
-        seeds = Jet2.seed_point(columns(pts))
+        seeds = Jet2.seed_point(columns(pts), order)
         out = []
         for a in range(4):
             acc = Jet2.constant(0.0, 4)
@@ -526,16 +537,16 @@ def _pairings(worldline, form, integrands):
     return reports
 
 
-def _live_jets(worldline, form, taus, owner):
+def _live_jets(worldline, form, taus, owner, order):
     """The rows of ``taus`` where the worldline meets the form's support
     (a row outside a pulled-back form's chart domain raises), the taus
-    of those rows, and the form's four jets there alone; the last two
-    are None when no row is live."""
+    of those rows, and the form's four jets there alone, truncated at
+    ``order``; the last two are None when no row is live."""
     points, _ = worldline.eval(taus)
     live = form._live(points, owner)
     if not np.any(live):
         return live, None, None
-    return live, taus[live], form.jets_at(points[live], owner[live])
+    return live, taus[live], form.jets_at(points[live], owner[live], order)
 
 
 def _charge_integrand(m, worldline, form):
@@ -558,18 +569,20 @@ def _charge_integrand(m, worldline, form):
 
 def _gamma_integrand(gamma2, gamma3, worldline, form):
     """-gamma[ab] d_b phi_a + (1/2) gamma[abc] d_b d_c phi_a over one
-    read of the form's jets, either term absent when its components are
-    None or zero; None when both are."""
+    read of the form's jets (of order 2 only when there is a quadrupole
+    term), either term absent when its components are None or zero;
+    None when both are."""
     dipole = gamma2 is not None and gamma2.mask.any()
     quadrupole = gamma3 is not None and gamma3.mask.any()
     if not (dipole or quadrupole):
         return None
+    order = 2 if quadrupole else 1
 
     def integrand(taus, owner):
         # Each contraction over the live rows, exact zeros elsewhere
         # (what the contraction gives there), then the same combination
         # over every row.
-        live, t, jets = _live_jets(worldline, form, taus, owner)
+        live, t, jets = _live_jets(worldline, form, taus, owner, order)
         sums = np.zeros((2, len(taus)))
         if jets is not None:
             if dipole:
@@ -652,7 +665,7 @@ def pair_adapted_coefficients(z, worldline, form):
         raise DomainError("adapted-basis pairing needs an adapted worldline")
 
     def integrand(taus, owner):
-        live, t, jets = _live_jets(worldline, form, taus, owner)
+        live, t, jets = _live_jets(worldline, form, taus, owner, 2)
         out = np.zeros(len(taus))
         if jets is not None:
             out[live] = z.density(t, *(stacked(jets, t.shape, k)

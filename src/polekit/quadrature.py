@@ -91,10 +91,6 @@ def _batched(f, tail=()):
     return call
 
 
-def _panel_taus(a, b):
-    return 0.5 * (a + b) + 0.5 * (b - a) * _NODES
-
-
 def _panel_sum(vals, a, b):
     return 0.5 * (b - a) * float(_WEIGHTS @ vals)
 
@@ -127,21 +123,30 @@ def _refine(f, windows, tol_abs, tol_rel, min_panels, label):
     splits = [0] * len(windows)
     floor_panels = [0] * len(windows)
     while pending:
-        taus = []
+        # The 16 nodes of each panel still without its one-panel values
+        # and of every half panel, in panel order, as one array.
+        ends = []
         counts = []
         for k, pa, pb, coarse in pending:
             pm = 0.5 * (pa + pb)
             if coarse is None:
-                taus.append(_panel_taus(pa, pb))
-            taus.append(_panel_taus(pa, pm))
-            taus.append(_panel_taus(pm, pb))
+                ends.append((pa, pb))
+            ends += [(pa, pm), (pm, pb)]
             counts.append(_N * (2 if coarse is not None else 3))
             nodes[k] += counts[-1]
-        taus = np.concatenate(taus)
+        lo, hi = np.array(ends).T[:, :, None]
+        taus = (0.5 * (lo + hi) + 0.5 * (hi - lo) * _NODES).ravel()
         owner = np.repeat([panel[0] for panel in pending], counts)
         vals = np.concatenate([
             f(taus[i:i + _MAX_BATCH], owner[i:i + _MAX_BATCH])
             for i in range(0, len(taus), _MAX_BATCH)])
+        # The error of one integral is a scalar's abs; a vector
+        # integrand's is the largest over its components.
+        if vals.ndim == 1:
+            size = abs
+        else:
+            def size(x):
+                return np.max(np.abs(x))
         i = 0
         children = []
         for k, pa, pb, coarse in pending:
@@ -156,9 +161,9 @@ def _refine(f, windows, tol_abs, tol_rel, min_panels, label):
             fine = 0.5 * (pm - pa) * (_WEIGHTS @ vl) + 0.5 * (pb - pm) * (
                 _WEIGHTS @ vr
             )
-            diff = float(np.max(np.abs(fine - c)))
+            diff = float(size(fine - c))
             budget = tol_abs * (pb - pa) / width + tol_rel * float(
-                np.max(np.abs(fine))
+                size(fine)
             )
             at_floor = (pb - pa) < 1e-14 * width
             if diff <= budget or at_floor:

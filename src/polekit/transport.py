@@ -93,18 +93,19 @@ class TransportResult:
         return dipole_part(self)
 
 
-def _frames(chart, worldline, taus):
-    """Worldline velocity (N, 4), chart Jacobian A^a_b (N, 4, 4) and
-    Hessian A^a_bc (N, 4, 4, 4) at a batch of N taus."""
+def _frames(chart, worldline, taus, order):
+    """Worldline velocity (N, 4), chart Jacobian A^a_b (N, 4, 4) and,
+    for ``order`` 2, Hessian A^a_bc (N, 4, 4, 4) at a batch of N taus,
+    from chart jets truncated at ``order``."""
     points, vel = worldline.eval(taus)
-    _, A, H = chart.frames_at(points)
+    _, A, *hessian = chart.frames_at(points, order)
     singular = np.abs(np.linalg.det(A)) < _DET_CUTOFF
     if np.any(singular):
         raise DomainError(
             f"chart {chart.label!r} is singular along the worldline "
             f"at tau = {taus[np.argmax(singular)]}"
         )
-    return vel, A, H
+    return (vel, A, *hessian)
 
 
 def _tensorial(A, g, dA=None, dg=None):
@@ -157,11 +158,11 @@ def transform_dipole(gamma2, chart, worldline, rep=None):
     worldline.check_regular()
 
     def F(taus):
-        _, A, _ = _frames(chart, worldline, taus)
+        _, A = _frames(chart, worldline, taus, 1)
         return A @ gamma2.values_at(taus) @ np.swapaxes(A, -1, -2)
 
     def dF(taus):
-        vel, A, H = _frames(chart, worldline, taus)
+        vel, A, H = _frames(chart, worldline, taus, 2)
         At = np.swapaxes(A, -1, -2)
         dA = np.einsum("ndab,nb->nda", H, vel)
         g = gamma2.values_at(taus)
@@ -190,7 +191,7 @@ def transform_quadrupole(gamma3, chart, worldline, rep=None, kappa0=None):
     t0, t1 = worldline.interval
 
     def integrand(taus):
-        _, A, H = _frames(chart, worldline, taus)
+        _, A, H = _frames(chart, worldline, taus, 2)
         # gamma[abc] (A^d_c A^e_ab - A^e_c A^d_ab) for pairs d < e.
         term = np.einsum("nabc,ndc,neab->nde", gamma3.values_at(taus), A, H)
         return (term - np.swapaxes(term, -1, -2))[:, _PD, _PE]
@@ -202,7 +203,7 @@ def transform_quadrupole(gamma3, chart, worldline, rep=None, kappa0=None):
     P = PTerm(cumulative, kappa0)
 
     def F(taus):
-        vel, A, _ = _frames(chart, worldline, taus)
+        vel, A = _frames(chart, worldline, taus, 1)
         Pm = P.matrix_at(taus)
         vhat = np.einsum("nab,nb->na", A, vel)
         return (
@@ -212,7 +213,7 @@ def transform_quadrupole(gamma3, chart, worldline, rep=None, kappa0=None):
         )
 
     def dF(taus):
-        vel, A, H = _frames(chart, worldline, taus)
+        vel, A, H = _frames(chart, worldline, taus, 2)
         acc = worldline.acceleration_at(taus)
         dA = np.einsum("ndab,nb->nda", H, vel)
         dtens = _tensorial(A, gamma3.values_at(taus),

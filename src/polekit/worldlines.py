@@ -46,9 +46,10 @@ class Worldline:
             )
 
     def eval(self, tau):
-        """(point, velocity) as (N, 4) arrays from one jet pass."""
+        """(point, velocity) as (N, 4) arrays from one pass of
+        first-order jets."""
         self._check_tau(tau)
-        seeds = Jet2.seed_point((tau,))
+        seeds = Jet2.seed_point((tau,), 1)
         jlist = [c.eval(seeds) for c in self.components]
         return (stacked(jlist, tau.shape, 0),
                 stacked(jlist, tau.shape, 1)[..., 0])

@@ -121,6 +121,25 @@ def same_bits(j, ref):
             and np.array_equal(j.hess, ref.hess))
 
 
+def same_signed_bits(a, b):
+    """Whether two float arrays (or floats) have equal shapes and equal
+    bits, down to the sign of each zero."""
+    a, b = (np.ascontiguousarray(x, dtype=float) for x in (a, b))
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+def first_order_part(j, ref):
+    """Whether ``j`` is an order-1 jet (no Hessian rows, or a constant,
+    which is of either order) with the value and gradient of ``ref``
+    bit for bit, down to the sign of each zero."""
+    from polekit.jets import _is_constant
+
+    return ((j.hess is None or _is_constant(j))
+            and same_signed_bits(j.value, ref.value)
+            and same_signed_bits(j.grad, ref.grad))
+
+
 def compose_by_einsum(outer, inner):
     """Jet of F(Y(x)) for one outer jet F: the gradient and Hessian
     rows of Y stacked point-major and contracted by einsum."""

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (compose_by_einsum, fd_gradient, fd_hessian,
-                     random_safe_expression, same_bits)
+                     first_order_part, random_safe_expression, same_bits,
+                     same_signed_bits)
 from polekit import expr as ex
 from polekit.errors import EvaluationError
-from polekit.jets import PRIMITIVES, Jet2, apply, compose, full_hessian
+from polekit.jets import (PRIMITIVES, Jet2, _sstep, _sstep3, apply, compose,
+                          full_hessian, stacked)
 
 
 def jet_of(e, x):
@@ -433,3 +435,78 @@ def test_one_point_jets_keep_point_shapes(n):
               apply("sin", u), apply("exp", u * v), -u, 1.0 - v):
         assert np.shape(j.grad) == (n,)
         assert np.shape(j.hess) == (m,)
+
+
+def _batch_point(rng, shape, n=4):
+    """n coordinates, floats for S = () and arrays of shape S else."""
+    x = rng.uniform(-1, 1, size=(n,) + shape)
+    return tuple(float(a) for a in x) if shape == () else tuple(x)
+
+
+def _with_every_primitive(t):
+    """Trees over ``t`` that reach every primitive, both chain rules and
+    both kinds of power, with arguments inside their domains."""
+    c, sq = ex.Const, ex.Mul(t, t)
+    return (t, -t, ex.Pow(t, 3.0), ex.Pow(ex.Add(c(1.5), sq), 2.5),
+            ex.Div(c(1.0), ex.Add(c(2.0), sq)),
+            ex.Atan2(t, ex.Add(c(2.0), sq)),
+            ex.Fun("bump", ex.Mul(c(0.5), ex.Fun("sin", t))),
+            *(ex.Fun(name, ex.Mul(c(0.7), t))
+              for name in ("sstep", "sstep_d1", "sstep_d2")))
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (2, 3)])
+def test_order_one_is_the_first_order_part_of_order_two(rng, shape):
+    """Expression trees evaluated on order-1 seeds give, with no Hessian
+    rows, the value and gradient of order-2 evaluation bit for bit."""
+    for _ in range(60):
+        x = _batch_point(rng, shape)
+        low, high = Jet2.seed_point(x, 1), Jet2.seed_point(x, 2)
+        for tree in _with_every_primitive(random_safe_expression(rng)):
+            assert first_order_part(tree.eval(low), tree.eval(high))
+        # An order-2 operand with an order-1 one gives order 1.
+        t = random_safe_expression(rng)
+        mixed = t.eval(low) * t.eval(high) + t.eval(high)
+        assert first_order_part(mixed, t.eval(high) * t.eval(high)
+                                + t.eval(high))
+
+
+@pytest.mark.parametrize("shape", [(), (7,)])
+def test_compose_at_order_one_is_the_first_order_part(rng, shape):
+    """compose of order-1 jets, or with an order-1 side, has the value
+    and gradient of the order-2 composition bit for bit."""
+    for _ in range(20):
+        x = _batch_point(rng, shape)
+        inner = [random_safe_expression(rng) for _ in range(4)]
+        outer = [random_safe_expression(rng) for _ in range(3)]
+
+        def jets(order):
+            Y = tuple(e.eval(Jet2.seed_point(x, order)) for e in inner)
+            y = Jet2.seed_point(tuple(j.value for j in Y), order)
+            return [t.eval(y) for t in outer], Y
+
+        (F1, Y1), (F2, Y2) = jets(1), jets(2)
+        full = compose(F2, Y2)
+        for composed in (compose(F1, Y1), compose(F1, Y2), compose(F2, Y1)):
+            for j, ref in zip(composed, full):
+                assert first_order_part(j, ref)
+
+
+def test_hessians_of_an_order_one_jet_raise():
+    x = (np.array([0.1, 0.2]),) * 4
+    low, high = Jet2.seed_point(x, 1), Jet2.seed_point(x, 2)
+    j = low[0] * low[1]
+    assert stacked([j], (2,), 1).shape == (2, 1, 4)
+    for jets in ([j], [high[0] * high[1], j]):
+        with pytest.raises(ValueError):
+            stacked(jets, (2,), 2)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_sstep3_is_three_sstep_reads(k):
+    """The three derivatives read under one mask have the bits of three
+    separate reads, inside, outside and on the edges of the step."""
+    v = np.array([-2.0, -1e-300, 0.0, 1e-300, 1e-3, 0.3, 0.5, 0.77,
+                  1.0 - 1e-16, 1.0, 1.0 + 1e-15, 3.0])
+    for got, want in zip(_sstep3(v, k), (_sstep(v, k + i) for i in range(3))):
+        assert same_signed_bits(got, want)

@@ -4,6 +4,7 @@ import pytest
 from oracles import (
     random_antisym_poly_grid,
     random_quadrupole,
+    same_signed_bits,
     static_dipole_vectors,
 )
 from polekit import expr as ex
@@ -286,6 +287,45 @@ def test_component_ranks():
     assert component_rank("quadrupole") == 20
     assert component_rank("electric_dipole_mod_gauge") == 3
     assert component_rank("electric_quadrupole_mod_gauge") == 12
+
+
+def test_mirror_entries_are_read_once(monkeypatch):
+    """Entries written alike are read as one tree per call, and each
+    slot has the bits of reading its own entry, for values and both
+    tau derivatives; trees that compare equal but differ in the sign of
+    a zero constant are read apart."""
+    from polekit import moments
+
+    reads = []
+    tau_rows = moments.tau_rows
+
+    def counted(trees, taus, order):
+        reads.append(len(trees))
+        return tau_rows(trees, taus, order)
+
+    monkeypatch.setattr(moments, "tau_rows", counted)
+    texts = {"211": "2 + 0.4*tau", "121": "-1 - 0.2*tau",
+             "112": "-1 - 0.2*tau", "300": "0.6*tau^2", "030": "-0.3*tau^2",
+             "003": "-0.3*tau^2"}
+    quad = {tuple(int(c) for c in k): ex.parse(v, ex.TAU_VARS)
+            for k, v in texts.items()}
+    y = ex.Var(0)
+    signed = {(0, 1): ex.Atan2(ex.Mul(ex.Const(0.0), y), ex.Const(-1.0)),
+              (1, 0): ex.Atan2(ex.Mul(ex.Const(-0.0), y), ex.Const(-1.0))}
+    assert signed[(0, 1)] == signed[(1, 0)]
+    taus = np.linspace(0.1, 3.0, 11)
+    for cls, entries, distinct in ((QuadrupoleComponents, quad, 4),
+                                   (DipoleComponents, signed, 2)):
+        comps = cls.from_dict(entries)
+        reads.clear()
+        for k in range(3):
+            got = comps._arrays[k](taus)
+            for idx, tree in entries.items():
+                want = ex.tau_derivative(tree, taus, k)
+                assert same_signed_bits(got[(Ellipsis, *idx)], want)
+        assert reads == [distinct] * 3
+    assert np.array_equal(comps.values_at(taus)[:, 0, 1], np.full(11, np.pi))
+    assert np.array_equal(comps.values_at(taus)[:, 1, 0], np.full(11, -np.pi))
 
 
 def test_rank_hierarchy():

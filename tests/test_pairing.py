@@ -14,6 +14,7 @@ from oracles import (
     random_linear_pair,
     random_quadrupole,
     random_test_form,
+    first_order_part,
     same_bits,
     window_by_products,
 )
@@ -27,6 +28,8 @@ from polekit.pairing import (
     AffineFormFamily,
     Box,
     ExprCovector,
+    ProductTestForm,
+    ScaledCovector,
     SourceBundle,
     make_test_form,
     pair_bundle,
@@ -112,17 +115,19 @@ def _points_near(rng, center, half, n):
 def test_window_jet_matches_general_product_bit_for_bit(rng, n):
     """The separable window jet, and its values, have the bits of the
     general product of one-coordinate bump jets, for a shared box and a
-    box per row."""
+    box per row; at order 1, the value and gradient of order 2."""
     for _ in range(10):
         center = rng.normal(size=4)
         half = rng.uniform(0.3, 2.0, 4)
         pts = _points_near(rng, center, half, n)
         centers = center + 0.1 * rng.normal(size=(n, 4))
         halves = half * rng.uniform(0.5, 1.5, size=(n, 4))
-        assert pairing._window_jet(pts, center, half).value[0] == 0.0
+        assert pairing._window_jet(pts, center, half, 2).value[0] == 0.0
         for c, h in ((center, half), (centers, halves)):
             ref = window_by_products(pts, c, h)
-            assert same_bits(pairing._window_jet(pts, c, h), ref)
+            full = pairing._window_jet(pts, c, h, 2)
+            assert same_bits(full, ref)
+            assert first_order_part(pairing._window_jet(pts, c, h, 1), full)
             assert np.array_equal(pairing._window_values(pts, c, h),
                                   ref.value)
 
@@ -131,7 +136,7 @@ def test_window_jet_matches_general_product_bit_for_bit(rng, n):
 def test_family_jets_match_general_arithmetic_bit_for_bit(rng, n):
     """A family's closed-form jets (affine polynomial times window) have
     the bits of its polynomials over seed jets times the general window
-    product."""
+    product; at order 1, the values and gradients of order 2."""
     for _ in range(10):
         center = rng.normal(size=4)
         half = rng.uniform(0.3, 2.0, 4)
@@ -141,9 +146,11 @@ def test_family_jets_match_general_arithmetic_bit_for_bit(rng, n):
             half * rng.uniform(0.9, 1.1, size=(3, 4)))
         pts = _points_near(rng, center, half, n)
         owner = rng.integers(0, 3, size=n)
-        for j, ref in zip(family._jets_inside(pts, owner),
-                          family_jets_by_products(family, pts, owner)):
+        full = family._jets_inside(pts, owner, 2)
+        for j, ref in zip(full, family_jets_by_products(family, pts, owner)):
             assert same_bits(j, ref)
+        for j, ref in zip(family._jets_inside(pts, owner, 1), full):
+            assert first_order_part(j, ref)
 
 
 # -- monopole pairing ---------------------------------------------------------
@@ -549,6 +556,39 @@ def test_integrands_on_live_rows_equal_full_batch_formulas(
                 want = charge_integrand_by_full_batch(
                     charge, worldline, form, taus, owner)
                 assert _same_bits(got, want), name
+
+
+def test_form_jets_at_order_one_are_the_first_order_part(
+        rng, wobble_worldline):
+    """Every form kind gives at order 1 the values and gradients of its
+    order-2 jets bit for bit, and no Hessian rows, on batches with no
+    row, one row, every row and some rows inside the support."""
+    from polekit.classify import compact_window_expr, random_poly_expr
+
+    pair = get("cylindrical_to_cartesian")
+    C = wobble_worldline
+    hatC = C.push_through_chart(pair.forward)
+    family = random_test_form_along(rng, hatC, count=3)
+    center = C.point_at(np.array([3.0]))[0]
+    box = Box(tuple(float(c) for c in center), (0.8, 0.15, 0.15, 0.15))
+    lam = ex.Mul(random_poly_expr(rng, degree=2),
+                 compact_window_expr(box.center, box.half))
+    base = ProductTestForm(tuple(random_poly_expr(rng) for _ in range(4)),
+                           box)
+    forms = {
+        "AffineFormFamily": (hatC, family),
+        "PulledBackForm": (C, pull_back_test_form(family, pair)),
+        "ProductTestForm": (C, base),
+        "ExprCovector": (C, ExprCovector(ex.gradient_exprs(lam), box)),
+        "ScaledCovector": (C, ScaledCovector(lam, 2, base)),
+    }
+    for kind, (worldline, form) in forms.items():
+        for name, (taus, owner) in _crafted_batches(
+                rng, worldline, form).items():
+            x = worldline.point_at(taus)
+            for j, ref in zip(form.jets_at(x, owner, 1),
+                              form.jets_at(x, owner, 2)):
+                assert first_order_part(j, ref), (kind, name)
 
 
 def test_concurrent_pairing_is_deterministic(rng, wobble_worldline):
