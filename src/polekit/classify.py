@@ -129,7 +129,7 @@ class ClassificationReport:
 def _probe_norm(form, box):
     """Sup of |phi_a| over an interior grid: the test-form norm used in
     the pass/fail scale."""
-    return float(np.max(np.abs(form.values_at(box.grid(0.6)))))
+    return float(np.max(np.abs(form.values_at(box.grid(0.6), None))))
 
 
 def _require_adapted(bundle):

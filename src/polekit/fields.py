@@ -108,7 +108,9 @@ class StaticSource:
         if np.any(x[0] * x[0] + x[1] * x[1] + x[2] * x[2] == 0.0):
             raise DomainError("potential evaluated at the source point")
         ker = _coulomb_expr(1.0, self.eps0)
-        return ker.eval(Jet2.seed_point((np.zeros(len(x[0])), *x)))
+        # potential_at reads the Hessian for the quadrupoles alone.
+        order = 2 if self.kind.endswith("quadrupole") else 1
+        return ker.eval(Jet2.seed_point((np.zeros(len(x[0])), *x), order))
 
     def potential_at(self, x3):
         """(scalar potential (N,), vector potential (N, 3)) at the rows

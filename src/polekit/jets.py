@@ -42,17 +42,17 @@ elementary functions (domain checks, the support of ``bump`` and of the
 batch raises.
 
 A jet is truncated at order 2 or at order 1.  An order-1 jet carries
-no Hessian rows (``_h`` is None): :meth:`Jet2.seed_point`,
-:meth:`Jet2.affine` and :meth:`Jet2.zeros` make one when asked for
-``order=1``, and every operation (``+``, ``-``, ``*``, the chain rules
-behind :func:`divide`, :func:`power`, :func:`apply` and :func:`atan2`,
-:func:`compose` and :meth:`Jet2.scatter`) gives an order-1 jet when an
-operand is one.  Value and gradient come from the same formulas at
-either order, so an order-1 jet has the bits of the value and gradient
-of its order-2 twin.  Readers ask for the order they read: the
-worldline's points and velocity, the Jacobian of the transported
-components' values and the form jets of a pairing with no quadrupole
-term are order 1; Hessian reads stay order 2, and :func:`stacked` of
+no Hessian rows (``_h`` is None): :meth:`Jet2.seed_point` and
+:meth:`Jet2.affine` make one when asked for ``order=1``, and every
+operation (``+``, ``-``, ``*``, the chain rules behind :func:`divide`,
+:func:`power`, :func:`apply` and :func:`atan2`, and :func:`compose`)
+gives an order-1 jet when an operand is one.  Value and gradient come
+from the same formulas at either order, so an order-1 jet has the bits
+of the value and gradient of its order-2 twin.  Readers ask for the
+order they read: the worldline's points and velocity, the Jacobian of
+the transported components' values, the form jets of a pairing with no
+quadrupole term and the Coulomb kernel of a monopole or dipole
+potential are order 1; Hessian reads stay order 2, and :func:`stacked` of
 order 2 raises on an order-1 jet.  A constant is of either order.
 
 Expression trees (:mod:`polekit.expr`) have one evaluator, which runs on
@@ -204,15 +204,6 @@ class Jet2:
                 else None)
         return _jet(value, _shared(grad, k + 1 - grad.ndim), hess)
 
-    @staticmethod
-    def zeros(size, n, order):
-        """The zero function over a batch of ``size`` points in ``n``
-        variables, truncated at ``order``, its gradient (and at order 2
-        its Hessian) held in full."""
-        m = len(_layout(n).rows)
-        return _jet(np.zeros(size), np.zeros((n, size)),
-                    np.zeros((m, size)) if order == 2 else None)
-
     # -- views ---------------------------------------------------------
 
     @property
@@ -225,21 +216,6 @@ class Jet2:
         """The packed Hessian, ``(*S, n(n+1)/2)`` (a view); None for an
         order-1 jet."""
         return None if self._h is None else _point_major(self._h)
-
-    def scatter(self, mask):
-        """A jet over the points of a batch where ``mask`` holds, spread
-        over the whole batch with the zero jet elsewhere (held in
-        full)."""
-
-        def put(rows):
-            out = np.zeros((len(rows),) + np.shape(mask))
-            out[:, mask] = rows.reshape(len(rows), -1)
-            return out
-
-        value = np.zeros(np.shape(mask))
-        value[mask] = self.value
-        return _jet(value, put(self._g),
-                    None if self._h is None else put(self._h))
 
     def __repr__(self):
         return f"Jet2({self.value!r}, grad={self.grad!r}, hess={self.hess!r})"

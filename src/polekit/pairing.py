@@ -9,12 +9,12 @@ The pairing numbers are the chart-invariant content of a source:
 
 all evaluated along the worldline.  A source bundle pairs as at most
 two integrals: the charge over the form's values, and the dipole and
-quadrupole together over one read of the form's jets.  The jet
-integrands find the rows of a batch where the worldline meets the
-form's support once per call, read the components and the form's jets
-at those rows alone, contract there, and give exact zeros (the zeros
-the contraction gives) at every other row.  They read the form to the
-order the bundle needs: first-order jets (no Hessian rows, see
+quadrupole together over one read of the form's jets.  Each integrand
+decides the support once per call (:func:`_on_support`): it finds the
+rows of a batch where the worldline meets the form's support, reads
+the components and the form there alone, and gives exact zeros at
+every other row.  The jet integrand reads the form to the order the
+bundle needs: first-order jets (no Hessian rows, see
 :mod:`polekit.jets`) when it has no quadrupole term, second-order jets
 when it has one; the gradients are the same bits either way.
 Everything else in this module (charge extraction, order and
@@ -74,28 +74,26 @@ class PairingReport:
     floor_panels: int = 0
 
 
-# Test forms evaluate over batches: ``jets_at`` / ``values_at`` /
-# ``in_support`` take an (N, 4) array of points (N = 1 for one point),
-# and optionally the (N,) member index of each row, and return four jets
-# over the batch, an (N, 4) array and an (N,) boolean array; ``jets_at``
-# also takes the order (1 or 2) its jets are truncated at.  A single
-# form is the one-member case and ignores the index; a family
-# (:class:`AffineFormFamily`, or its pull-back) evaluates row i as its
-# member owner[i], and without an index as member 0.  Work is done only
-# at points inside the support, and the result is exactly zero
-# elsewhere; when every point is inside, the jets are returned as
-# formed, with no copy into batch-wide arrays.  The bump window's jet
-# and a family's polynomial jets are formed from their structure, with
-# the bits of the general jet products up to the sign of zeros (pinned
-# by the ``*_bit_for_bit`` tests of tests/test_pairing.py).
-
-
-def _zero_jets(n, order):
-    return (Jet2.zeros(n, 4, order),) * 4
+# Test forms evaluate over batches: ``jets_at(x, owner, order)``,
+# ``values_at(x, owner)`` and ``in_support(x, owner)`` take an
+# (N, 4) array of points (N = 1 for one point) and the (N,) member
+# index of each row or None, and return four jets over the batch
+# truncated at ``order`` (1 or 2), an (N, 4) array and an (N,) boolean
+# array.  A single form is the one-member case and ignores the index; a
+# family (:class:`AffineFormFamily`, or its pull-back) evaluates row i
+# as its member owner[i], and with None as member 0.  ``jets_at`` and
+# ``values_at`` evaluate the rows they are given, which the caller has
+# in the support: they test no support themselves (the pairing
+# integrands pick the live rows, see :func:`_on_support`).  A form
+# windowed by ``bump`` or ``sstep`` reads exact zeros outside its box
+# anyway.  The bump window's jet and a family's polynomial jets are
+# formed from their structure, with the bits of the general jet
+# products up to the sign of zeros (pinned by the ``*_bit_for_bit``
+# tests of tests/test_pairing.py).
 
 
 def _owner(owner, n):
-    """The member index of each of n rows: member 0 when not given."""
+    """The member index of each of n rows: member 0 when None."""
     return np.zeros(n, dtype=np.intp) if owner is None else owner
 
 
@@ -137,22 +135,14 @@ def _window_values(pts, center, half):
 
 
 class _BatchForm:
-    """The batch front end shared by the test forms.
+    """What the test forms share.
 
-    A form gives ``in_support`` and its work on the live rows of an
-    (N, 4) array of points, ``_jets_inside`` and ``_values_inside``
-    (which take the points and their member indices); ``_live`` picks
-    those rows (by default the support).  ``boxes`` holds the support
-    box of each member (None when a form has none); ``box`` is the
-    first.
+    A form gives ``in_support``, and ``jets_at`` and ``values_at`` over
+    rows the caller has in the support; ``_live`` picks those rows of
+    an (N, 4) array of points and their member indices (by default the
+    support).  ``boxes`` holds the support box of each member (None
+    when a form has none); ``box`` is the first.
     """
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        # Each form class holds its own entry points, so that tools that
-        # wrap methods class by class (perfbench/tracing.py) see them all.
-        cls.jets_at = cls.jets_at
-        cls.values_at = cls.values_at
 
     @property
     def box(self):
@@ -160,26 +150,6 @@ class _BatchForm:
 
     def _live(self, pts, owner):
         return self.in_support(pts, owner)
-
-    def jets_at(self, x, owner=None, order=2):
-        pts = np.asarray(x, dtype=float)
-        owner = _owner(owner, len(pts))
-        live = self._live(pts, owner)
-        if not np.any(live):
-            return _zero_jets(len(pts), order)
-        if np.all(live):
-            return self._jets_inside(pts, owner, order)
-        return tuple(j.scatter(live) for j in
-                     self._jets_inside(pts[live], owner[live], order))
-
-    def values_at(self, x, owner=None):
-        pts = np.asarray(x, dtype=float)
-        owner = _owner(owner, len(pts))
-        live = self._live(pts, owner)
-        out = np.zeros((len(pts), 4))
-        if np.any(live):
-            out[live] = self._values_inside(pts[live], owner[live])
-        return out
 
 
 class ProductTestForm(_BatchForm):
@@ -192,23 +162,23 @@ class ProductTestForm(_BatchForm):
         self.boxes = (box,)
         self._window = (np.array(box.center), np.array(box.half))
 
-    def in_support(self, x, owner=None):
+    def in_support(self, x, owner):
         return self.box.contains(x)
 
-    def _jets_inside(self, pts, owner, order):
-        w = _window_jet(pts, *self._window, order)
-        seeds = Jet2.seed_point(columns(pts), order)
+    def jets_at(self, x, owner, order):
+        w = _window_jet(x, *self._window, order)
+        seeds = Jet2.seed_point(columns(x), order)
         return tuple(
             Jet2.constant(0.0, 4) if isinstance(p, ex.Const) and p.v == 0.0
             else p.eval(seeds) * w
             for p in self.polys
         )
 
-    def _values_inside(self, pts, owner):
-        w = _window_values(pts, *self._window)
-        env = columns(pts)
+    def values_at(self, x, owner):
+        w = _window_values(x, *self._window)
+        env = columns(x)
         return entries_array([p.eval(env) * w for p in self.polys],
-                             (len(pts),))
+                             (len(x),))
 
 
 class AffineFormFamily(_BatchForm):
@@ -233,12 +203,7 @@ class AffineFormFamily(_BatchForm):
             Box(tuple(float(c) for c in m), tuple(float(h) for h in w))
             for m, w in zip(self.centers, self.halves))
 
-    def member(self, k):
-        """Member k as a family of one."""
-        return AffineFormFamily(self.consts[k], self.coefs[k],
-                                self.centers[k], self.halves[k])
-
-    def in_support(self, x, owner=None):
+    def in_support(self, x, owner):
         pts = np.asarray(x, dtype=float)
         owner = _owner(owner, len(pts))
         return np.all(
@@ -256,16 +221,18 @@ class AffineFormFamily(_BatchForm):
             out.append(e)
         return out
 
-    def _jets_inside(self, pts, owner, order):
-        w = _window_jet(pts, self.centers[owner], self.halves[owner], order)
+    def jets_at(self, x, owner, order):
+        owner = _owner(owner, len(x))
+        w = _window_jet(x, self.centers[owner], self.halves[owner], order)
         c = self.coefs[owner].T
         return tuple(Jet2.affine(p, c[:, a], order) * w for a, p in
-                     enumerate(self._polys(columns(pts), owner)))
+                     enumerate(self._polys(columns(x), owner)))
 
-    def _values_inside(self, pts, owner):
-        w = _window_values(pts, self.centers[owner], self.halves[owner])
+    def values_at(self, x, owner):
+        owner = _owner(owner, len(x))
+        w = _window_values(x, self.centers[owner], self.halves[owner])
         return entries_array(
-            [p * w for p in self._polys(columns(pts), owner)], (len(pts),))
+            [p * w for p in self._polys(columns(x), owner)], (len(x),))
 
 
 def _random_affine(rng, half_widths):
@@ -312,17 +279,16 @@ class ExprCovector(_BatchForm):
         self.comps = tuple(comps)
         self.boxes = (box,)
 
-    def in_support(self, x, owner=None):
+    def in_support(self, x, owner):
         if self.box is not None:
             return self.box.contains(x)
         return np.ones(len(x), dtype=bool)
 
-    def _jets_inside(self, pts, owner, order):
-        return ex.eval_all(self.comps, Jet2.seed_point(columns(pts), order))
+    def jets_at(self, x, owner, order):
+        return ex.eval_all(self.comps, Jet2.seed_point(columns(x), order))
 
-    def _values_inside(self, pts, owner):
-        return entries_array(ex.eval_all(self.comps, columns(pts)),
-                             (len(pts),))
+    def values_at(self, x, owner):
+        return entries_array(ex.eval_all(self.comps, columns(x)), (len(x),))
 
 
 class ScaledCovector(_BatchForm):
@@ -337,17 +303,16 @@ class ScaledCovector(_BatchForm):
     def boxes(self):
         return self.base.boxes
 
-    def in_support(self, x, owner=None):
+    def in_support(self, x, owner):
         return self.base.in_support(x, owner)
 
-    def _jets_inside(self, pts, owner, order):
-        seeds = Jet2.seed_point(columns(pts), order)
-        s = self.scalar.eval(seeds) ** self.power
-        return tuple(j * s for j in self.base.jets_at(pts, owner, order))
+    def jets_at(self, x, owner, order):
+        s = self.scalar.eval(Jet2.seed_point(columns(x), order)) ** self.power
+        return tuple(j * s for j in self.base.jets_at(x, owner, order))
 
-    def _values_inside(self, pts, owner):
-        s = self.scalar.eval(columns(pts)) ** self.power
-        return self.base.values_at(pts, owner) * np.reshape(s, (-1, 1))
+    def values_at(self, x, owner):
+        s = self.scalar.eval(columns(x)) ** self.power
+        return self.base.values_at(x, owner) * np.reshape(s, (-1, 1))
 
 
 class PulledBackForm(_BatchForm):
@@ -368,7 +333,7 @@ class PulledBackForm(_BatchForm):
         self.boxes = tuple(boxes)
         self._jac = chart.jacobian_exprs()
 
-    def in_support(self, x, owner=None):
+    def in_support(self, x, owner):
         pts = np.asarray(x, dtype=float)
         owner = _owner(owner, len(pts))
         ok = self.chart.in_domain(pts)
@@ -383,11 +348,11 @@ class PulledBackForm(_BatchForm):
         chart domain raises."""
         return self.hatted.in_support(self.chart.value_at(pts), owner)
 
-    def _jets_inside(self, pts, owner, order):
-        Y = self.chart.jets_at(pts, order)
-        outer = self.hatted.jets_at(stacked(Y, (len(pts),), 0), owner, order)
+    def jets_at(self, x, owner, order):
+        Y = self.chart.jets_at(x, order)
+        outer = self.hatted.jets_at(stacked(Y, (len(x),), 0), owner, order)
         composed = compose(outer, Y)
-        seeds = Jet2.seed_point(columns(pts), order)
+        seeds = Jet2.seed_point(columns(x), order)
         out = []
         for a in range(4):
             acc = Jet2.constant(0.0, 4)
@@ -403,10 +368,10 @@ class PulledBackForm(_BatchForm):
             out.append(acc)
         return tuple(out)
 
-    def _values_inside(self, pts, owner):
-        hv = self.hatted.values_at(self.chart.value_at(pts), owner)
-        env = columns(pts)
-        out = np.zeros((len(pts), 4))
+    def values_at(self, x, owner):
+        hv = self.hatted.values_at(self.chart.value_at(x), owner)
+        env = columns(x)
+        out = np.zeros((len(x), 4))
         for a in range(4):
             for b in range(4):
                 d = self._jac[b][a]
@@ -537,16 +502,22 @@ def _pairings(worldline, form, integrands):
     return reports
 
 
-def _live_jets(worldline, form, taus, owner, order):
-    """The rows of ``taus`` where the worldline meets the form's support
-    (a row outside a pulled-back form's chart domain raises), the taus
-    of those rows, and the form's four jets there alone, truncated at
-    ``order``; the last two are None when no row is live."""
-    points, _ = worldline.eval(taus)
-    live = form._live(points, owner)
-    if not np.any(live):
-        return live, None, None
-    return live, taus[live], form.jets_at(points[live], owner[live], order)
+def _on_support(worldline, form, f):
+    """The integrand, a function of taus and their member indices, that
+    evaluates the worldline once, picks the rows where it meets the
+    form's support (a row outside a pulled-back form's chart domain
+    raises), gives ``f(taus, points, vel, owner)`` over those rows alone
+    and exact zeros at every other row."""
+
+    def integrand(taus, owner):
+        points, vel = worldline.eval(taus)
+        live = form._live(points, owner)
+        out = np.zeros(len(taus))
+        if np.any(live):
+            out[live] = f(taus[live], points[live], vel[live], owner[live])
+        return out
+
+    return integrand
 
 
 def _charge_integrand(m, worldline, form):
@@ -556,15 +527,14 @@ def _charge_integrand(m, worldline, form):
     if q == 0.0:
         return None
 
-    def integrand(taus, owner):
-        points, vel = worldline.eval(taus)
+    def charge(taus, points, vel, owner):
         vals = form.values_at(points, owner)
         return q * (
             vel[:, 0] * vals[:, 0] + vel[:, 1] * vals[:, 1]
             + vel[:, 2] * vals[:, 2] + vel[:, 3] * vals[:, 3]
         )
 
-    return integrand
+    return _on_support(worldline, form, charge)
 
 
 def _gamma_integrand(gamma2, gamma3, worldline, form):
@@ -578,28 +548,19 @@ def _gamma_integrand(gamma2, gamma3, worldline, form):
         return None
     order = 2 if quadrupole else 1
 
-    def integrand(taus, owner):
-        # Each contraction over the live rows, exact zeros elsewhere
-        # (what the contraction gives there), then the same combination
-        # over every row.
-        live, t, jets = _live_jets(worldline, form, taus, owner, order)
-        sums = np.zeros((2, len(taus)))
-        if jets is not None:
-            if dipole:
-                sums[0, live] = np.einsum("nab,nab->n", gamma2.values_at(t),
-                                          stacked(jets, t.shape, 1))
-            if quadrupole:
-                sums[1, live] = np.einsum("nabc,nabc->n",
-                                          gamma3.values_at(t),
-                                          stacked(jets, t.shape, 2))
+    def gamma(taus, points, vel, owner):
+        jets = form.jets_at(points, owner, order)
         terms = []
         if dipole:
-            terms.append(-sums[0])
+            terms.append(-np.einsum("nab,nab->n", gamma2.values_at(taus),
+                                    stacked(jets, taus.shape, 1)))
         if quadrupole:
-            terms.append(0.5 * sums[1])
+            terms.append(0.5 * np.einsum("nabc,nabc->n",
+                                         gamma3.values_at(taus),
+                                         stacked(jets, taus.shape, 2)))
         return sum(terms[1:], terms[0])
 
-    return integrand
+    return _on_support(worldline, form, gamma)
 
 
 @dataclass
@@ -664,12 +625,10 @@ def pair_adapted_coefficients(z, worldline, form):
     if not worldline.is_adapted():
         raise DomainError("adapted-basis pairing needs an adapted worldline")
 
-    def integrand(taus, owner):
-        live, t, jets = _live_jets(worldline, form, taus, owner, 2)
-        out = np.zeros(len(taus))
-        if jets is not None:
-            out[live] = z.density(t, *(stacked(jets, t.shape, k)
-                                       for k in range(3)))
-        return out
+    def density(taus, points, vel, owner):
+        jets = form.jets_at(points, owner, 2)
+        return z.density(taus, *(stacked(jets, taus.shape, k)
+                                 for k in range(3)))
 
-    return _pairings(worldline, form, [integrand])[0]
+    return _pairings(worldline, form,
+                     [_on_support(worldline, form, density)])[0]

@@ -199,9 +199,10 @@ def family_jets_by_products(family, pts, owner):
 # -- full-batch pairing integrands -----------------------------------------
 #
 # The pairing integrands as whole-batch formulas: the form read at every
-# row (exact zeros outside its support) and each contraction an einsum
-# over all rows.  The library contracts over the live rows alone; the
-# tests compare the two bit for bit.
+# row (its bump window gives zeros outside its support) and each
+# contraction an einsum over all rows.  The library contracts over the
+# live rows alone and writes +0.0 at every other row; the tests compare
+# the two bit for bit on the live rows.
 
 
 def gamma_integrand_by_full_batch(gamma2, gamma3, worldline, form, taus,
@@ -211,7 +212,7 @@ def gamma_integrand_by_full_batch(gamma2, gamma3, worldline, form, taus,
     from polekit.jets import stacked
 
     points, _ = worldline.eval(taus)
-    jets = form.jets_at(points, owner)
+    jets = form.jets_at(points, owner, 2)
     terms = []
     if gamma2 is not None:
         terms.append(-np.einsum("nab,nab->n", gamma2.values_at(taus),
@@ -309,6 +310,12 @@ def random_test_form(rng, center, half_widths):
     family of one."""
     consts, coefs = _random_affine(rng, half_widths)
     return AffineFormFamily(consts, coefs, center, half_widths)
+
+
+def family_member(family, k):
+    """Member k of an :class:`AffineFormFamily` as a family of one."""
+    return AffineFormFamily(family.consts[k], family.coefs[k],
+                            family.centers[k], family.halves[k])
 
 
 # -- second paths that tests compare with the library ------------------------

@@ -125,17 +125,17 @@ def test_test_forms_batch_equals_pointwise(rng):
         pts = _edge_points(box, rng)
         if isinstance(form, pairing.PulledBackForm):
             pts = pts[form.chart.in_domain(pts)]
-        batch_jets = form.jets_at(pts)
-        batch_values = form.values_at(pts)
-        batch_support = form.in_support(pts)
+        batch_jets = form.jets_at(pts, None, 2)
+        batch_values = form.values_at(pts, None)
+        batch_support = form.in_support(pts, None)
         assert batch_values.shape == (len(pts), 4)
         for i, p in enumerate(pts):
-            jets = form.jets_at(p[None])
+            jets = form.jets_at(p[None], None, 2)
             for a in range(4):
                 _close(_jet_rows(batch_jets[a], len(pts))[i],
                        _jet_rows(jets[a], 1)[0])
-            _close(batch_values[i], form.values_at(p[None])[0])
-            assert batch_support[i] == form.in_support(p[None])[0]
+            _close(batch_values[i], form.values_at(p[None], None)[0])
+            assert batch_support[i] == form.in_support(p[None], None)[0]
         # outside the support everything is exactly zero
         outside = ~batch_support
         assert np.all(batch_values[outside] == 0.0)
@@ -242,9 +242,12 @@ def _evaluators(rng, wobble_worldline, adapted_worldline):
         fpts = _edge_points(fbox, rng)
         if isinstance(form, pairing.PulledBackForm):
             fpts = fpts[form.chart.in_domain(fpts)]
-        cases += [(f"{name}.jets_at", form.jets_at, fpts),
-                  (f"{name}.values_at", form.values_at, fpts),
-                  (f"{name}.in_support", form.in_support, fpts)]
+        cases += [(f"{name}.jets_at",
+                   lambda x, f=form: f.jets_at(x, None, 2), fpts),
+                  (f"{name}.values_at",
+                   lambda x, f=form: f.values_at(x, None), fpts),
+                  (f"{name}.in_support",
+                   lambda x, f=form: f.in_support(x, None), fpts)]
     return cases
 
 

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import re
 from collections import Counter
 from pathlib import Path
@@ -50,3 +51,21 @@ def test_no_library_name_is_reached_only_by_tests():
         if name not in polekit.__all__
         and len(re.findall(rf"\b{name}\b", text)) <= defined[name])
     assert test_only == sorted(TEST_ONLY_ALLOWED)
+
+
+def test_benchmark_tracer_finds_every_entry_point():
+    """perfbench/tracing.py wraps a method only where its class defines
+    it, so each test form must hold its own ``jets_at`` and
+    ``values_at``; the tracer finds every entry point it names and puts
+    every original back."""
+    spec = importlib.util.spec_from_file_location(
+        "tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+    finally:
+        restored = tracer.restore()
+    assert tracer.absent == []
+    assert restored

@@ -661,6 +661,7 @@ def test_verify_job_with_one_nonconvergent_probe_fails_as_serial(
         tmp_path, monkeypatch):
     """When one probe of a verify job cannot converge (its form reads
     NaN), the job fails with the error its serial pairing raises."""
+    from oracles import family_member
     from polekit.errors import QuadratureError
     from polekit.pairing import (AffineFormFamily, pair_bundle,
                                  pull_back_test_form, random_test_form_along)
@@ -673,21 +674,21 @@ def test_verify_job_with_one_nonconvergent_probe_fails_as_serial(
     pair = scene.charts["id"]
     hatC = scene.worldlines["rest"].push_through_chart(pair.forward)
     forms = random_test_form_along(np.random.default_rng(4), hatC, count=3)
-    family_values = AffineFormFamily._values_inside
+    family_values = AffineFormFamily.values_at
 
-    def poisoned(self, pts, owner):
-        out = family_values(self, pts, owner)
+    def poisoned(self, x, owner):
+        out = family_values(self, x, owner)
         out[self.consts[owner, 0] == forms.consts[1, 0]] = np.nan
         return out
 
-    monkeypatch.setattr(AffineFormFamily, "_values_inside", poisoned)
+    monkeypatch.setattr(AffineFormFamily, "values_at", poisoned)
     results, code = run(scene, out_dir=tmp_path)
     assert code == 1
     error = results[0].data["error"]
     assert "no convergence after 2001 splits" in error
     with pytest.raises(QuadratureError) as serial:
         pair_bundle(scene.bundle("charge", "rest"),
-                    pull_back_test_form(forms.member(1), pair))
+                    pull_back_test_form(family_member(forms, 1), pair))
     assert error == str(serial.value)
 
 
