@@ -52,7 +52,7 @@ from .pairing import (
 from .scene import Scene, parse_scene
 from .transport import TransportResult, dipole_part, transform_dipole, \
     transform_quadrupole
-from .worldlines import Reparametrization, Worldline
+from .worldlines import Worldline
 
 __version__ = "0.1.0"
 
@@ -72,7 +72,6 @@ __all__ = [
     "QuadratureError",
     "QuadrupoleComponents",
     "RegistryError",
-    "Reparametrization",
     "Scene",
     "SceneError",
     "SourceBundle",

@@ -68,7 +68,7 @@ class Chart:
         return entries_array([comp.eval(env) for comp in self.forward],
                              (len(x),))
 
-    def jets_at(self, x, order=2):
+    def jets_at(self, x, order):
         """Jets of the four components over the rows of x, truncated at
         ``order``."""
         env = columns(x)
@@ -91,7 +91,7 @@ class Chart:
             )
         return A
 
-    def frames_at(self, x, order=2):
+    def frames_at(self, x, order):
         """(value, Jacobian, Hessian) from a single jet pass: arrays of
         shape (N, 4), (N, 4, 4) and (N, 4, 4, 4); (value, Jacobian) for
         ``order`` 1."""

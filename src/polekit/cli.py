@@ -64,7 +64,7 @@ def _run_transform(scene, job, out_dir):
     if spec.get("quadrupole") is not None:
         tr = tp.transform_quadrupole(
             spec["quadrupole"], chart, C, kappa0=job["kappa0"])
-        t0, t1 = tr.interval_hat
+        t0, t1 = C.interval
         ts = np.linspace(t0, t1, n)
         p_fits = {}
         P_samples = tr.P.matrix_at(ts)

@@ -15,12 +15,11 @@ subtree once per call.
 Functions of the curve parameter (worldlines, component entries) are
 trees in variable 0; :func:`tau_rows` reads k of them over a 1-D array
 of taus as (N, k) rows of their exact values, first or second tau
-derivatives (from one-variable jets), tree by tree, and
-:func:`tau_derivative` is its one-tree case.  They are combined as trees
-(``add``, ``mul``, ``Expr.diff``).  Trees support structural equality,
-substitution (for chart composition) and symbolic differentiation, which
-is what pullbacks of covector fields need: the Jacobian of a chart must
-itself be jet-evaluable.
+derivatives (from one-variable jets), tree by tree.  They are combined
+as trees (``add``, ``mul``, ``Expr.diff``).  Trees support structural
+equality, substitution (for chart composition) and symbolic
+differentiation, which is what pullbacks of covector fields need: the
+Jacobian of a chart must itself be jet-evaluable.
 
 Each walk is written once: :meth:`Expr.subs` and :meth:`Expr.variables`
 on the base class over a node's child fields, the printer and the parser
@@ -383,13 +382,6 @@ def tau_rows(trees, taus, order=0):
     return rows.reshape(taus.shape + (len(trees),))
 
 
-def tau_derivative(e, t, order=0):
-    """The ``order``-th (0, 1 or 2) tau derivative of the expression
-    ``e`` (a function of variable 0 only) over a 1-D array of taus, as
-    an array of the same shape: :func:`tau_rows` of one tree."""
-    return tau_rows([e], t, order).reshape(t.shape)
-
-
 # -- helpers used throughout ---------------------------------------------
 
 TAU_VARS = {"tau": 0}
@@ -501,6 +493,9 @@ class _Tokens:
                     raise SceneError(
                         [f"column {start + 1}: bad number {text[start:pos]!r}"]
                     )
+                if not math.isfinite(value):
+                    raise SceneError([f"column {start + 1}: number "
+                                      f"{text[start:pos]!r} is not finite"])
                 self.items.append(("num", value, start))
                 continue
             if ch.isalpha() or ch == "_":

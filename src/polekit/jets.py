@@ -183,7 +183,7 @@ class Jet2:
         return _jet(x, lay.zero_grad, lay.zero_hess)
 
     @staticmethod
-    def seed_point(x, order=2):
+    def seed_point(x, order):
         """Jets of the coordinate functions at the point x, truncated at
         ``order``: one jet per coordinate, in ``n = len(x)`` variables
         (each x[a] the array of that coordinate over the batch)."""
@@ -194,7 +194,7 @@ class Jet2:
                      for a, xa in enumerate(x))
 
     @staticmethod
-    def affine(value, grad, order=2):
+    def affine(value, grad, order):
         """Jet of an affine function, truncated at ``order``: ``value``
         over the batch, the gradient ``grad``, (n,) the same at every
         point or entry-major rows (n, *S), and zero Hessian."""

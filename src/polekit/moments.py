@@ -129,14 +129,11 @@ class _Components:
         self._arrays = (values, derivs, derivs2)
 
     @classmethod
-    def from_arrays(cls, values, derivs=None, derivs2=None, mask=None):
-        """Components given by batch functions of taus.
-
-        ``values``, ``derivs`` and ``derivs2`` map a 1-D array of N taus
-        to an (N, 4, ...) array (derivatives are optional); ``mask``
-        marks the entries that may be nonzero (default: all).
-        """
-        return cls(values, derivs, derivs2, mask)
+    def from_arrays(cls, values, derivs=None):
+        """Components given by batch functions of taus: ``values`` and
+        ``derivs`` (optional) map a 1-D array of N taus to an (N, 4,
+        ...) array; every entry may be nonzero."""
+        return cls(values, derivs)
 
     @classmethod
     def from_dict(cls, entries, **kwargs):
@@ -185,13 +182,14 @@ class DipoleComponents(_Components):
 
     rank = 2
 
-    def check_antisymmetry(self, taus, tol=1e-12):
-        """Largest |gamma[ab] + gamma[ba]|; raises above tol * scale."""
+    def check_antisymmetry(self, taus):
+        """Largest |gamma[ab] + gamma[ba]|; raises above 1e-12 * scale
+        or at a NaN residual."""
         ref = max(1.0, self.scale(taus))
         g = self.values_at(np.asarray(taus))
         resid = np.abs(g + np.swapaxes(g, -1, -2))
         per_tau = resid.reshape(len(g), -1).max(axis=1)
-        bad = np.nonzero(per_tau > tol * ref)[0]
+        bad = np.nonzero(~(per_tau <= 1e-12 * ref))[0]
         if len(bad):
             i = bad[0]
             r = per_tau[i]
@@ -239,7 +237,7 @@ class QuadrupoleComponents(_Components):
             for resid, what in ((pair, "gamma{} != gamma with last slots "
                                        "swapped"),
                                 (cyc, "cyclic sum over gamma{} is nonzero")):
-                if np.max(resid[i]) > tol * ref:
+                if not np.max(resid[i]) <= tol * ref:
                     idx = tuple(int(j) for j in np.unravel_index(
                         np.argmax(resid[i]), (4, 4, 4)))
                     raise SymmetryError(
@@ -434,14 +432,13 @@ def make_electric_dipole(w, worldline):
                              worldline)
 
 
-def make_electric_quadrupole(qgrid, worldline, validate=True):
+def make_electric_quadrupole(qgrid, worldline):
     """gamma[abc] = v^a q^{bc} + v^a q^{cb} - v^b q^{ac} - v^c q^{ab}."""
     terms = (("na,nbc->nabc", 1.0), ("na,ncb->nabc", 1.0),
              ("nb,nac->nabc", -1.0), ("nc,nab->nabc", -1.0))
     out = _velocity_product(QuadrupoleComponents, terms,
                             _input_fields(qgrid, 2), worldline)
-    if validate:
-        out.check_symmetries(sample_taus(worldline.interval), tol=1e-10)
+    out.check_symmetries(sample_taus(worldline.interval), tol=1e-10)
     return out
 
 
@@ -533,12 +530,12 @@ class AdaptedCoefficients:
         self.interval = interval
 
     @classmethod
-    def from_arrays(cls, interval, values, derivs=None, derivs2=None):
-        """Coefficients given directly: ``values`` (and the optional
-        derivatives) map N taus to (N, 40) arrays in family order."""
+    def from_arrays(cls, interval, values):
+        """Coefficients given directly: ``values`` maps N taus to (N, 40)
+        arrays in family order; they have no tau derivatives."""
         weights = np.zeros((3, 40, 40))
         weights[0] = np.eye(40)
-        return cls((values, derivs, derivs2), weights, interval)
+        return cls((values, None, None), weights, interval)
 
     def arrays(self, taus, *wanted):
         """Arrays of coefficient families at a 1-D array of N taus, one
@@ -740,8 +737,7 @@ def gamma_from_zeta(z, constants=None):
     )
     cum_v00 = CumulativeIntegral(
         lambda t: 2.0 * z.arrays(t, "first_0")[0],
-        t0, t1, 3, tol_abs=1e-12, tol_rel=1e-12,
-        label="gamma[mu][0][0] reconstruction",
+        t0, t1, 3, 1e-12, label="gamma[mu][0][0] reconstruction",
     )
 
     def anti(t):
@@ -753,7 +749,7 @@ def gamma_from_zeta(z, constants=None):
                          for nu, mu in _SPAIRS], axis=-1)
 
     cum_anti = CumulativeIntegral(
-        anti, t0, t1, 3, tol_abs=1e-12, tol_rel=1e-12,
+        anti, t0, t1, 3, 1e-12,
         label="spatial-time antisymmetric reconstruction",
     )
 

@@ -76,12 +76,12 @@ class PairingReport:
 
 # Test forms evaluate over batches: ``jets_at(x, owner, order)``,
 # ``values_at(x, owner)`` and ``in_support(x, owner)`` take an
-# (N, 4) array of points (N = 1 for one point) and the (N,) member
-# index of each row or None, and return four jets over the batch
+# (N, 4) array of points (N = 1 for one point) and the (N,) int array
+# of the member index of each row, and return four jets over the batch
 # truncated at ``order`` (1 or 2), an (N, 4) array and an (N,) boolean
-# array.  A single form is the one-member case and ignores the index; a
-# family (:class:`AffineFormFamily`, or its pull-back) evaluates row i
-# as its member owner[i], and with None as member 0.  ``jets_at`` and
+# array.  A single form is the one-member case and ignores the index
+# (None will do); a family (:class:`AffineFormFamily`, or its
+# pull-back) evaluates row i as its member owner[i].  ``jets_at`` and
 # ``values_at`` evaluate the rows they are given, which the caller has
 # in the support: they test no support themselves (the pairing
 # integrands pick the live rows, see :func:`_on_support`).  A form
@@ -90,11 +90,6 @@ class PairingReport:
 # formed from their structure, with the bits of the general jet
 # products up to the sign of zeros (pinned by the ``*_bit_for_bit``
 # tests of tests/test_pairing.py).
-
-
-def _owner(owner, n):
-    """The member index of each of n rows: member 0 when None."""
-    return np.zeros(n, dtype=np.intp) if owner is None else owner
 
 
 # _window_jet forms its packed Hessian by column, entry (a, b) at row
@@ -205,7 +200,6 @@ class AffineFormFamily(_BatchForm):
 
     def in_support(self, x, owner):
         pts = np.asarray(x, dtype=float)
-        owner = _owner(owner, len(pts))
         return np.all(
             np.abs(pts - self.centers[owner]) < self.halves[owner], axis=-1)
 
@@ -222,14 +216,12 @@ class AffineFormFamily(_BatchForm):
         return out
 
     def jets_at(self, x, owner, order):
-        owner = _owner(owner, len(x))
         w = _window_jet(x, self.centers[owner], self.halves[owner], order)
         c = self.coefs[owner].T
         return tuple(Jet2.affine(p, c[:, a], order) * w for a, p in
                      enumerate(self._polys(columns(x), owner)))
 
     def values_at(self, x, owner):
-        owner = _owner(owner, len(x))
         w = _window_values(x, self.centers[owner], self.halves[owner])
         return entries_array(
             [p * w for p in self._polys(columns(x), owner)], (len(x),))
@@ -335,7 +327,6 @@ class PulledBackForm(_BatchForm):
 
     def in_support(self, x, owner):
         pts = np.asarray(x, dtype=float)
-        owner = _owner(owner, len(pts))
         ok = self.chart.in_domain(pts)
         out = np.zeros(len(pts), dtype=bool)
         if np.any(ok):
@@ -493,8 +484,7 @@ def _pairings(worldline, form, integrands):
         if windows is None:
             windows = [_support_window(worldline, form, k)
                        for k in range(len(reports))]
-        for report, res in zip(reports, integrate_many(
-                integrand, windows, 1e-10, 1e-10, 5)):
+        for report, res in zip(reports, integrate_many(integrand, windows)):
             report.value += float(res.value)
             report.quadrature_error_estimate += float(res.error)
             report.nodes_used += int(res.nodes)

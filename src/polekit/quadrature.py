@@ -4,9 +4,11 @@ Integrands here are smooth (chart derivatives along a worldline, bump
 windows), so a high-order rule converges fast; the embedded error
 estimate per panel is the difference between the one-panel rule and the
 sum over its two halves.  A panel is accepted when that difference is
-below ``tol_abs * (panel width / total width) + tol_rel * |panel value|``
-and the two halves are then stored, so cumulative values stay exactly
-consistent with the accepted quadrature.
+below ``tol * (panel width / total width) + tol * |panel value|`` and
+the two halves are then stored, so cumulative values stay exactly
+consistent with the accepted quadrature.  :func:`integrate_many` (and
+so :func:`integrate`) starts from 5 panels at ``tol`` 1e-10, a
+:class:`CumulativeIntegral` from 4 panels at the ``tol`` it is given.
 
 Integrands are evaluated over batches of nodes: ``f`` receives a 1-D
 array of N taus and returns the array of its values, of shape (N,) (or
@@ -59,6 +61,11 @@ _LEG_AT_NODES = _legendre_rows()
 _PROJ = ((2 * np.arange(_N) + 1) / 2.0)[:, None] * (_WEIGHTS[None, :] * _LEG_AT_NODES[:_N])
 
 _MAX_SPLITS = 2000
+# Tolerance and starting panel count of integrate_many, and the starting
+# panel count of a CumulativeIntegral.
+_TOL = 1e-10
+_PANELS = 5
+_CUMULATIVE_PANELS = 4
 # Largest number of nodes passed to an integrand in one call.  Larger
 # calls save little more time but hold more memory: on the worked-example
 # benchmark, lockstep verify with 2048 nodes per call raised peak RSS by
@@ -95,29 +102,28 @@ def _panel_sum(vals, a, b):
     return 0.5 * (b - a) * float(_WEIGHTS @ vals)
 
 
-def _refine(f, windows, tol_abs, tol_rel, min_panels, label):
+def _refine(f, windows, tol, panels, label):
     """The adaptive panel trees of the windows [a, b] (None or empty
     windows have none), refined level by level in lockstep.
 
-    Each panel [pa, pb] is accepted when the 16-node rule on it and the
-    sum of the rules on its halves differ by at most ``tol_abs * (pb -
-    pa) / (b - a) + tol_rel * |halves|`` (or when it is narrower than
-    1e-14 of its window), else it is split; each window may split
-    ``_MAX_SPLITS`` times.
+    Each window starts as ``panels`` equal panels.  Each panel [pa, pb]
+    is accepted when the 16-node rule on it and the sum of the rules on
+    its halves differ by at most ``tol * (pb - pa) / (b - a) + tol *
+    |halves|`` (or when it is narrower than 1e-14 of its window), else
+    it is split; each window may split ``_MAX_SPLITS`` times.
 
     Returns per window the accepted panels as (pa, pm, pb, left values,
     right values, difference) in the order of a right-to-left
     depth-first walk, the number of nodes evaluated, and the number of
     accepted panels narrower than the width floor.
     """
-    n0 = max(1, min_panels)
     pending = []
     for k, window in enumerate(windows):
         if window is not None and not window[1] <= window[0]:
             a, b = window
-            step = (b - a) / n0
+            step = (b - a) / panels
             pending += [(k, a + i * step, min(b, a + (i + 1) * step), None)
-                        for i in range(n0)]
+                        for i in range(panels)]
     accepted = [[] for _ in windows]
     nodes = [0] * len(windows)
     splits = [0] * len(windows)
@@ -162,9 +168,7 @@ def _refine(f, windows, tol_abs, tol_rel, min_panels, label):
                 _WEIGHTS @ vr
             )
             diff = float(size(fine - c))
-            budget = tol_abs * (pb - pa) / width + tol_rel * float(
-                size(fine)
-            )
+            budget = tol * (pb - pa) / width + tol * float(size(fine))
             at_floor = (pb - pa) < 1e-14 * width
             if diff <= budget or at_floor:
                 accepted[k].append((pa, pm, pb, vl, vr, diff))
@@ -187,7 +191,7 @@ def _refine(f, windows, tol_abs, tol_rel, min_panels, label):
     return list(zip(accepted, nodes, floor_panels))
 
 
-def integrate_many(f, windows, tol_abs=1e-10, tol_rel=1e-10, min_panels=4):
+def integrate_many(f, windows):
     """Adaptively integrate the scalar function ``f`` over each window
     [a, b] of ``windows``: one :class:`QuadResult` per window, each the
     result :func:`integrate` gives for that window alone, bit for bit.
@@ -202,8 +206,7 @@ def integrate_many(f, windows, tol_abs=1e-10, tol_rel=1e-10, min_panels=4):
     Raises :class:`QuadratureError` carrying the worst subinterval if a
     window exhausts its split budget before the tolerance is met.
     """
-    trees = _refine(_batched(f), windows, tol_abs, tol_rel, min_panels,
-                    "integral")
+    trees = _refine(_batched(f), windows, _TOL, _PANELS, "integral")
     results = []
     for accepted, nodes, floor_panels in trees:
         total = 0.0
@@ -215,25 +218,23 @@ def integrate_many(f, windows, tol_abs=1e-10, tol_rel=1e-10, min_panels=4):
     return results
 
 
-def integrate(f, a, b, tol_abs=1e-10, tol_rel=1e-10, min_panels=4):
+def integrate(f, a, b):
     """Adaptively integrate the scalar function ``f``, which maps a 1-D
     array of taus to the array of its values, over [a, b]: the
     one-window case of :func:`integrate_many`."""
-    return integrate_many(lambda taus, owner: f(taus), [(a, b)], tol_abs,
-                          tol_rel, min_panels)[0]
+    return integrate_many(lambda taus, owner: f(taus), [(a, b)])[0]
 
 
 class CumulativeIntegral:
     """F(t) = F(a) + integral_a^t f, for vector-valued smooth f.
 
     ``f`` maps a 1-D array of N taus to an (N, ``dim``) array.
-    Segments are refined as in :func:`integrate`
-    (``nodes`` and ``floor_panels`` count as there); evaluation anywhere
-    uses the per-segment Legendre antiderivative.
+    Segments are refined as in :func:`integrate`, to ``tol`` from 4
+    panels (``nodes`` and ``floor_panels`` count as there); evaluation
+    anywhere uses the per-segment Legendre antiderivative.
     """
 
-    def __init__(self, f, a, b, dim, tol_abs=1e-10, tol_rel=1e-10,
-                 min_panels=4, label="cumulative integral"):
+    def __init__(self, f, a, b, dim, tol, label="cumulative integral"):
         if b <= a:
             raise QuadratureError(f"{label}: empty interval [{a}, {b}]")
         self.f = _batched(f, (dim,))
@@ -242,8 +243,8 @@ class CumulativeIntegral:
         self.dim = dim
         self.error = 0.0
         [(accepted, self.nodes, self.floor_panels)] = _refine(
-            lambda taus, owner: self.f(taus), [(a, b)], tol_abs, tol_rel,
-            min_panels, label)
+            lambda taus, owner: self.f(taus), [(a, b)], tol,
+            _CUMULATIVE_PANELS, label)
         halves = []
         for pa, pm, pb, vl, vr, diff in accepted:
             self.error += diff

@@ -1,21 +1,22 @@
 """Transport of multipole components between coordinate charts.
 
-Dipole components move tensorially: two Jacobian factors and the
-parameter-change factor.  Quadrupole components pick up an extra,
-non-tensorial piece coupling the chart Hessian to the components through
-a running integral
+Dipole components move tensorially: two Jacobian factors.  Quadrupole
+components pick up an extra, non-tensorial piece coupling the chart
+Hessian to the components through a running integral
 
     P[d][e](tau) = kappa0[d][e]
         + integral_tau0^tau gamma[abc] (A^d_c A^e_ab - A^e_c A^d_ab),
 
-which enters as hatted_gamma[def] = (dtau/dtau_hat) * (
+which enters as hatted_gamma[def] =
     A^d_a A^e_b A^f_c gamma[abc]
-    + P[d][e] vhat^f + P[d][f] vhat^e),
+    + P[d][e] vhat^f + P[d][f] vhat^e,
 
 with vhat the hatted-coordinate velocity of the worldline (d/dtau of
-the image curve).  The integration constant kappa0 shifts component
-arrays but never any pairing; the lower limit is anchored at the
-interval start so runs are reproducible.
+the image curve).  The image curve keeps the parameter tau, so the
+parameter-change factor dtau/dtau_hat of the paper's law is 1.  The
+integration constant kappa0 shifts component arrays but never any
+pairing; the lower limit is anchored at the interval start so runs are
+reproducible.
 
 The tensorial image A^d_a A^e_b A^f_c gamma[abc] is evaluated as three
 two-operand contractions in a fixed order: over c with A^f_c first,
@@ -83,9 +84,7 @@ class TransportResult:
     P: PTerm
     integration_constant: np.ndarray
     worldline_hat: object
-    interval_hat: tuple
     chart_label: str
-    rep: object = None
 
     @property
     def gamma2_hat(self):
@@ -134,27 +133,9 @@ def _tensorial(A, g, dA=None, dg=None):
     return over_a(dA, b) + over_a(A, db)
 
 
-def _reparametrized(F, dF, rep, rank):
-    """Batch functions of tau_hat for components F(tau) and their
-    derivative: (dtau/dtau_hat) F and its tau_hat derivative; F and dF
-    themselves when there is no reparametrization."""
-    if rep is None:
-        return F, dF
-    tail = (Ellipsis,) + (None,) * rank
-
-    def values(th):
-        return rep.speed(th)[tail] * F(rep.tau_of(th))
-
-    def derivs(th):
-        w = rep.speed(th)[tail]
-        tau = rep.tau_of(th)
-        return rep.speed_deriv(th)[tail] * F(tau) + w * w * dF(tau)
-
-    return values, derivs
-
-
-def transform_dipole(gamma2, chart, worldline, rep=None):
-    """Tensorial transport: hatted[cd] = (dtau/dtau_hat) A^c_a A^d_b g[ab]."""
+def transform_dipole(gamma2, chart, worldline):
+    """Tensorial transport: hatted[cd] = A^c_a A^d_b g[ab], along the
+    image curve, which keeps the parameter tau."""
     worldline.check_regular()
 
     def F(taus):
@@ -170,11 +151,10 @@ def transform_dipole(gamma2, chart, worldline, rep=None):
         return (dA @ g @ At + A @ dg @ At
                 + A @ g @ np.swapaxes(dA, -1, -2))
 
-    values, derivs = _reparametrized(F, dF, rep, 2)
-    return DipoleComponents.from_arrays(values, derivs)
+    return DipoleComponents.from_arrays(F, dF)
 
 
-def transform_quadrupole(gamma3, chart, worldline, rep=None, kappa0=None):
+def transform_quadrupole(gamma3, chart, worldline, kappa0=None):
     """Full quadrupole transport, integral term included.
 
     Returns a :class:`TransportResult`, whose ``gamma2_hat`` is the
@@ -197,7 +177,7 @@ def transform_quadrupole(gamma3, chart, worldline, rep=None, kappa0=None):
         return (term - np.swapaxes(term, -1, -2))[:, _PD, _PE]
 
     cumulative = CumulativeIntegral(
-        integrand, t0, t1, len(_PPAIRS),
+        integrand, t0, t1, len(_PPAIRS), 1e-10,
         label=f"integral term through {chart.label!r}",
     )
     P = PTerm(cumulative, kappa0)
@@ -231,29 +211,19 @@ def transform_quadrupole(gamma3, chart, worldline, rep=None, kappa0=None):
             + Pm[:, :, None, :] * dvhat[:, None, :, None]
         )
 
-    values, derivs = _reparametrized(F, dF, rep, 3)
-    gamma3_hat = QuadrupoleComponents.from_arrays(values, derivs)
-    worldline_hat = worldline.push_through_chart(chart)
-    interval_hat = rep.interval_hat if rep is not None else worldline.interval
-    if rep is not None:
-        worldline_hat = worldline_hat.reparametrized(rep)
     return TransportResult(
-        gamma3_hat=gamma3_hat,
+        gamma3_hat=QuadrupoleComponents.from_arrays(F, dF),
         P=P,
         integration_constant=kappa0,
-        worldline_hat=worldline_hat,
-        interval_hat=interval_hat,
+        worldline_hat=worldline.push_through_chart(chart),
         chart_label=chart.label,
-        rep=rep,
     )
 
 
 def dipole_part(result):
     """The dipole hidden in a transport result: the derivative of its
-    integral term, reparametrized like the components themselves.
+    integral term.
 
     Constant shifts of P (the kappa0 freedom) drop out here.
     """
-    values, _ = _reparametrized(result.P.deriv_matrix_at, None,
-                                result.rep, 2)
-    return DipoleComponents.from_arrays(values)
+    return DipoleComponents.from_arrays(result.P.deriv_matrix_at)

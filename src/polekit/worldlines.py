@@ -1,4 +1,4 @@
-"""Parametrized worldlines and their reparametrizations.
+"""Parametrized worldlines.
 
 Worldlines are expression trees in one variable (``tau``, stored as
 variable 0), not sample arrays: the transport law needs the exact
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .expr import Const, Expr, Var, tau_derivative, tau_rows
+from .expr import Const, Var, tau_rows
 from .jets import Jet2, stacked
 
 
@@ -98,39 +98,3 @@ class Worldline:
         mapping = {i: self.components[i] for i in range(4)}
         comps = tuple(c.subs(mapping) for c in chart.forward)
         return Worldline(comps, self.interval)
-
-    def reparametrized(self, rep):
-        """The same curve as a function of the new parameter."""
-        mapping = {0: rep.map}
-        comps = tuple(c.subs(mapping) for c in self.components)
-        return Worldline(comps, rep.interval_hat)
-
-
-@dataclass(frozen=True)
-class Reparametrization:
-    """Orientation-preserving parameter change tau(tau_hat)."""
-
-    map: Expr  # tau as an expression in tau_hat (variable 0)
-    interval_hat: tuple
-
-    def __post_init__(self):
-        t0, t1 = self.interval_hat
-        if not t0 < t1:
-            raise DomainError(f"empty parameter interval [{t0}, {t1}]")
-        ths = np.linspace(t0, t1, 33)
-        bad = self.speed(ths) <= 0.0
-        if np.any(bad):
-            raise DomainError(
-                f"reparametrization is not orientation-preserving at "
-                f"tau_hat = {ths[np.argmax(bad)]}"
-            )
-
-    def tau_of(self, tau_hat):
-        return tau_derivative(self.map, tau_hat, 0)
-
-    def speed(self, tau_hat):
-        """d tau / d tau_hat."""
-        return tau_derivative(self.map, tau_hat, 1)
-
-    def speed_deriv(self, tau_hat):
-        return tau_derivative(self.map, tau_hat, 2)

@@ -15,6 +15,7 @@ from polekit.fields import _coulomb_expr
 from polekit.moments import (_EPS, DipoleComponents, QuadrupoleComponents,
                              quadrupole_basis)
 from polekit.pairing import AffineFormFamily, _random_affine
+from polekit.worldlines import Worldline
 
 _SPATIAL = (1, 2, 3)
 
@@ -171,7 +172,7 @@ def window_by_products(pts, center, half):
         u = (pts[:, b] - center[..., b]) / hw
         grad = np.zeros((4,) + np.shape(hw))
         grad[b] = 1.0 / hw
-        bj = apply("bump", Jet2.affine(u, grad))
+        bj = apply("bump", Jet2.affine(u, grad, 2))
         w = bj if w is None else w * bj
     return w
 
@@ -185,7 +186,7 @@ def family_jets_by_products(family, pts, owner):
 
     k, c, m = (family.consts[owner], family.coefs[owner],
                family.centers[owner])
-    x = Jet2.seed_point(tuple(pts.T))
+    x = Jet2.seed_point(tuple(pts.T), 2)
     w = window_by_products(pts, m, family.halves[owner])
     out = []
     for a in range(4):
@@ -278,8 +279,7 @@ def random_quadrupole(rng, degree=2, scale=1.0, directions=5):
 
         return field
 
-    return QuadrupoleComponents.from_arrays(combo(0), combo(1), combo(2),
-                                            mask=mask)
+    return QuadrupoleComponents(combo(0), combo(1), combo(2), mask=mask)
 
 
 def random_antisym_poly_grid(rng, degree=2):
@@ -316,6 +316,33 @@ def family_member(family, k):
     """Member k of an :class:`AffineFormFamily` as a family of one."""
     return AffineFormFamily(family.consts[k], family.coefs[k],
                             family.centers[k], family.halves[k])
+
+
+def reparametrized(worldline, components, tau_of, interval_hat):
+    """A source (a worldline and its dipole or quadrupole components) as
+    a function of a new parameter tau_hat, where tau = ``tau_of``, an
+    orientation-preserving expression in variable 0 that maps
+    ``interval_hat`` onto the worldline's interval: the curve by
+    substitution, and the components times dtau/dtau_hat, so that the
+    source pairs as before."""
+    curve = Worldline(
+        tuple(c.subs({0: tau_of}) for c in worldline.components),
+        interval_hat)
+    tail = (Ellipsis,) + (None,) * components.rank
+
+    def tau_and_speeds(th):
+        return [tau_rows([tau_of], th, k)[:, 0] for k in range(3)]
+
+    def values(th):
+        tau, speed, _ = tau_and_speeds(th)
+        return speed[tail] * components.values_at(tau)
+
+    def derivs(th):
+        tau, speed, accel = tau_and_speeds(th)
+        return (accel[tail] * components.values_at(tau)
+                + (speed * speed)[tail] * components.derivs_at(tau))
+
+    return curve, type(components).from_arrays(values, derivs)
 
 
 # -- second paths that tests compare with the library ------------------------

@@ -26,7 +26,7 @@ from polekit.charts import (
 )
 from polekit.classify import compact_window_expr, vanishing_scalar_expr
 from polekit.errors import EvaluationError
-from polekit.expr import tau_derivative
+from polekit.expr import tau_rows
 from polekit.jets import Jet2
 from polekit.moments import Monopole, zeta_from_gamma
 from polekit.pairing import (
@@ -43,7 +43,7 @@ from polekit.pairing import (
 )
 from polekit.quadrature import _NODES, CumulativeIntegral
 from polekit.transport import transform_dipole, transform_quadrupole
-from polekit.worldlines import Reparametrization, Worldline
+from polekit.worldlines import Worldline
 
 
 ULPS = 32 * np.finfo(float).eps
@@ -74,12 +74,12 @@ def test_random_expressions_batch_equals_pointwise(rng):
         e = random_safe_expression(rng)
         pts = rng.uniform(-1.5, 1.5, (16, 4))
         try:
-            single = [e.eval(Jet2.seed_point(tuple(p))) for p in pts]
+            single = [e.eval(Jet2.seed_point(tuple(p), 2)) for p in pts]
         except EvaluationError:
             continue
-        batch = e.eval(Jet2.seed_point(tuple(pts.T)))
+        batch = e.eval(Jet2.seed_point(tuple(pts.T), 2))
         _close(_jet_rows(batch, len(pts)), [_jet_row(j) for j in single])
-        one = e.eval(Jet2.seed_point(tuple(pts[:1].T)))
+        one = e.eval(Jet2.seed_point(tuple(pts[:1].T), 2))
         _close(_jet_rows(batch, len(pts))[0], _jet_rows(one, 1)[0])
         values = e.eval(tuple(pts.T))
         _close(np.broadcast_to(values, (len(pts),)),
@@ -105,6 +105,11 @@ def _edge_points(box, rng):
     return np.array(pts)
 
 
+def _member_0(pts):
+    """The member index of each row of ``pts``: all member 0."""
+    return np.zeros(len(pts), dtype=np.intp)
+
+
 def _forms(rng):
     box = Box((0.5, -0.3, 0.2, 0.1), (0.8, 0.7, 0.9, 0.6))
     product = random_test_form(rng, box.center, box.half)
@@ -125,17 +130,18 @@ def test_test_forms_batch_equals_pointwise(rng):
         pts = _edge_points(box, rng)
         if isinstance(form, pairing.PulledBackForm):
             pts = pts[form.chart.in_domain(pts)]
-        batch_jets = form.jets_at(pts, None, 2)
-        batch_values = form.values_at(pts, None)
-        batch_support = form.in_support(pts, None)
+        owner = _member_0(pts)
+        batch_jets = form.jets_at(pts, owner, 2)
+        batch_values = form.values_at(pts, owner)
+        batch_support = form.in_support(pts, owner)
         assert batch_values.shape == (len(pts), 4)
         for i, p in enumerate(pts):
-            jets = form.jets_at(p[None], None, 2)
+            jets = form.jets_at(p[None], owner[:1], 2)
             for a in range(4):
                 _close(_jet_rows(batch_jets[a], len(pts))[i],
                        _jet_rows(jets[a], 1)[0])
-            _close(batch_values[i], form.values_at(p[None], None)[0])
-            assert batch_support[i] == form.in_support(p[None], None)[0]
+            _close(batch_values[i], form.values_at(p[None], owner[:1])[0])
+            assert batch_support[i] == form.in_support(p[None], owner[:1])[0]
         # outside the support everything is exactly zero
         outside = ~batch_support
         assert np.all(batch_values[outside] == 0.0)
@@ -194,14 +200,13 @@ def _evaluators(rng, wobble_worldline, adapted_worldline):
     C = wobble_worldline
     taus = np.sort(rng.uniform(*C.interval, n))
     box = Box((0.5, -0.3, 0.2, 0.1), (0.8, 0.7, 0.9, 0.6))
-    rep = Reparametrization(ex.parse("tau + 0.1*tau^2", ex.TAU_VARS),
-                            (0.0, 2.0))
     q = random_quadrupole(rng)
     tr = transform_quadrupole(q, cyl, C)
     z = zeta_from_gamma(Monopole(0.4), q, adapted_worldline)
     ztaus = np.sort(rng.uniform(*adapted_worldline.interval, n))
     cum = CumulativeIntegral(
-        lambda t: np.stack([np.sin(t), np.cos(3 * t)], axis=1), 0.0, 4.0, 2)
+        lambda t: np.stack([np.sin(t), np.cos(3 * t)], axis=1), 0.0, 4.0, 2,
+        1e-10)
     wave = ex.parse("1 + 0.2*sin(0.7*tau)", ex.TAU_VARS)
     cases = [
         ("Box.contains", box.contains, _edge_points(box, rng)),
@@ -209,17 +214,14 @@ def _evaluators(rng, wobble_worldline, adapted_worldline):
         ("Chart.in_domain", cyl.in_domain, mixed),
         ("compose_charts predicate", both.domain_hint.contains, mixed),
         ("Chart.value_at", cyl.value_at, pts),
-        ("Chart.jets_at", cyl.jets_at, pts),
-        ("Chart.frames_at", cyl.frames_at, pts),
+        ("Chart.jets_at", lambda x: cyl.jets_at(x, 2), pts),
+        ("Chart.frames_at", lambda x: cyl.frames_at(x, 2), pts),
         ("Chart.jacobian_at", cyl.jacobian_at, pts),
-        ("composed Chart.frames_at", both.frames_at, pts),
+        ("composed Chart.frames_at", lambda x: both.frames_at(x, 2), pts),
         ("Worldline.eval", C.eval, taus),
         ("Worldline.point_at", C.point_at, taus),
         ("Worldline.velocity_at", C.velocity_at, taus),
         ("Worldline.acceleration_at", C.acceleration_at, taus),
-        ("Reparametrization.tau_of", rep.tau_of, taus / 3.0),
-        ("Reparametrization.speed", rep.speed, taus / 3.0),
-        ("Reparametrization.speed_deriv", rep.speed_deriv, taus / 3.0),
         ("components values_at", q.values_at, taus),
         ("components derivs_at", q.derivs_at, taus),
         ("component entry", q[1, 2, 3], taus),
@@ -232,10 +234,10 @@ def _evaluators(rng, wobble_worldline, adapted_worldline):
         ("CumulativeIntegral.derivative", cum.derivative, taus),
     ]
     for k in range(3):
-        cases.append((f"tau_derivative order {k}",
-                      lambda t, k=k: tau_derivative(wave, t, k), taus))
-        cases.append((f"tau_derivative of a constant, order {k}",
-                      lambda t, k=k: tau_derivative(ex.const(2.5), t, k),
+        cases.append((f"tau_rows order {k}",
+                      lambda t, k=k: tau_rows([wave], t, k), taus))
+        cases.append((f"tau_rows of a constant, order {k}",
+                      lambda t, k=k: tau_rows([ex.const(2.5)], t, k),
                       taus))
     for form, fbox in _forms(rng):
         name = type(form).__name__
@@ -243,11 +245,11 @@ def _evaluators(rng, wobble_worldline, adapted_worldline):
         if isinstance(form, pairing.PulledBackForm):
             fpts = fpts[form.chart.in_domain(fpts)]
         cases += [(f"{name}.jets_at",
-                   lambda x, f=form: f.jets_at(x, None, 2), fpts),
+                   lambda x, f=form: f.jets_at(x, _member_0(x), 2), fpts),
                   (f"{name}.values_at",
-                   lambda x, f=form: f.values_at(x, None), fpts),
+                   lambda x, f=form: f.values_at(x, _member_0(x)), fpts),
                   (f"{name}.in_support",
-                   lambda x, f=form: f.in_support(x, None), fpts)]
+                   lambda x, f=form: f.in_support(x, _member_0(x)), fpts)]
     return cases
 
 

@@ -23,7 +23,7 @@ def test_identity_chart():
     pair = get("identity")
     x = np.array([[0.4, -1.0, 2.0, 0.3]])
     assert np.allclose(pair.forward.jacobian_at(x)[0], np.eye(4))
-    assert np.max(np.abs(pair.forward.frames_at(x)[2])) == 0.0
+    assert np.max(np.abs(pair.forward.frames_at(x, 2)[2])) == 0.0
 
 
 def test_cylindrical_jacobian_at_axis_point():
@@ -50,7 +50,7 @@ def test_cylindrical_jacobian_general_angle():
 def test_cylindrical_hessian_entries():
     ch = cylindrical_to_cartesian_chart()
     r, th = 1.0, 0.0
-    H = ch.frames_at(np.array([[0.0, r, th, 0.0]]))[2][0]
+    H = ch.frames_at(np.array([[0.0, r, th, 0.0]]), 2)[2][0]
     assert H[1][1][2] == pytest.approx(-math.sin(th))   # = 0
     assert H[1][2][1] == pytest.approx(-math.sin(th))
     assert H[2][1][2] == pytest.approx(math.cos(th))    # = 1
@@ -67,7 +67,7 @@ def test_linear_chart_constant_jacobian(rng):
     for _ in range(5):
         x = rng.uniform(-2, 2, (1, 4))
         assert np.allclose(ch.jacobian_at(x)[0], M, atol=1e-14)
-        assert np.max(np.abs(ch.frames_at(x)[2])) == 0.0
+        assert np.max(np.abs(ch.frames_at(x, 2)[2])) == 0.0
 
 
 def test_quadratic_chart_hessian():
@@ -77,7 +77,7 @@ def test_quadratic_chart_hessian():
         coeffs[a, 1 + a] = 1.0
     coeffs[1, 5 + 7] = 1.0  # quadratic pair index (2,2) is slot 7
     ch = polynomial_chart(coeffs.reshape(-1))
-    H = ch.frames_at(np.array([[0.1, 0.2, 0.3, 0.4]]))[2][0]
+    H = ch.frames_at(np.array([[0.1, 0.2, 0.3, 0.4]]), 2)[2][0]
     assert H[1][2][2] == pytest.approx(2.0)
     H[1][2][2] = 0.0
     assert np.max(np.abs(H)) == 0.0
@@ -188,5 +188,5 @@ def test_singular_jacobian_warns():
 def test_hessian_symmetric_by_storage(rng):
     ch = cylindrical_to_cartesian_chart()
     x = np.array([[0.0, 1.3, 0.4, -0.2]])
-    H = ch.frames_at(x)[2][0]
+    H = ch.frames_at(x, 2)[2][0]
     assert np.array_equal(H, H.transpose(0, 2, 1))

@@ -88,7 +88,7 @@ def test_symbolic_diff_matches_jet_gradient(rng):
         e = random_safe_expression(rng)
         x = tuple(rng.uniform(-1, 1, 4))
         try:
-            j = e.eval(Jet2.seed_point(x))
+            j = e.eval(Jet2.seed_point(x, 2))
         except Exception:
             continue
         for a in range(4):
@@ -101,7 +101,7 @@ def test_symbolic_diff_matches_jet_gradient(rng):
 def test_diff_of_atan2():
     e = ex.Atan2(ex.Var(2), ex.Var(1))
     x = (0.0, 0.8, -1.3, 0.0)
-    j = e.eval(Jet2.seed_point(x))
+    j = e.eval(Jet2.seed_point(x, 2))
     for a in (1, 2):
         assert e.diff(a).eval(x) == pytest.approx(j.grad[a], rel=1e-12)
 
@@ -124,7 +124,7 @@ def test_value_and_jet_paths_agree(rng):
         e = random_safe_expression(rng)
         x = tuple(rng.uniform(-1, 1, 4))
         assert e.eval(x) == pytest.approx(
-            e.eval(Jet2.seed_point(x)).value, rel=1e-13, abs=1e-13
+            e.eval(Jet2.seed_point(x, 2)).value, rel=1e-13, abs=1e-13
         )
 
 
@@ -170,7 +170,7 @@ def test_every_node_tree_covers_all_node_types():
 
 @pytest.mark.parametrize("env", [_POINT, _BATCH], ids=["point", "batch"])
 def test_seed_env_gives_jets_at_every_node(env):
-    seeds = Jet2.seed_point(env)
+    seeds = Jet2.seed_point(env, 2)
     for node in _subtrees(_EVERY_NODE):
         assert isinstance(node.eval(seeds), Jet2), node
 
@@ -188,7 +188,7 @@ def test_coordinate_env_gives_floats_or_arrays_at_every_node():
 def test_constant_quotient_in_seed_env_is_jet_rule():
     """In a seed env a constant quotient stays a constant jet and takes
     the jet rule a * (1/b), not the float a / b."""
-    seeds = Jet2.seed_point(_POINT)
+    seeds = Jet2.seed_point(_POINT, 2)
     for a, b in ((2.0, 3.0), (3.0, 10.0)):
         e = ex.parse(f"{a!r}/{b!r}")
         jet = e.eval(seeds)
@@ -209,7 +209,7 @@ def test_domain_errors_raise_in_every_env(text):
     batch = tuple(np.array([p + 3.0, p]) for p in point)
     if e.variables():
         assert np.isfinite(e.eval(tuple(c[0] for c in batch)))
-    for env in (point, batch, Jet2.seed_point(point), Jet2.seed_point(batch)):
+    for env in (point, batch, Jet2.seed_point(point, 2), Jet2.seed_point(batch, 2)):
         with pytest.raises(EvaluationError):
             e.eval(env)
 
@@ -232,7 +232,7 @@ def _envs(seed):
     rng = np.random.default_rng(seed)
     point = tuple(rng.uniform(-0.3, 0.3, (4, 1)))
     batch = tuple(rng.uniform(-0.3, 0.3, (4, 7)))
-    return [point, batch, Jet2.seed_point(point), Jet2.seed_point(batch)]
+    return [point, batch, Jet2.seed_point(point, 2), Jet2.seed_point(batch, 2)]
 
 
 def _bits(r):
@@ -287,7 +287,7 @@ def test_domain_error_in_a_shared_subtree_raises_in_every_env():
     trees = ex.gradient_exprs(e)
     assert sum(n is e.b for t in trees for n in _subtrees(t)) > 1
     point = (2.0, 0.5, 0.5, 0.0)
-    for env in (point, Jet2.seed_point(point)):
+    for env in (point, Jet2.seed_point(point, 2)):
         with pytest.raises(EvaluationError):
             ex.eval_all(trees, env)
 
@@ -369,4 +369,5 @@ def test_tau_rows_equal_per_tree_tau_derivative(n, order):
     rows = ex.tau_rows(trees, taus, order)
     assert rows.shape == (n, len(trees))
     for i, tree in enumerate(trees):
-        assert np.array_equal(rows[:, i], ex.tau_derivative(tree, taus, order))
+        assert np.array_equal(rows[:, i],
+                              ex.tau_rows([tree], taus, order)[:, 0])

@@ -101,7 +101,7 @@ def test_scalar_potentials_are_harmonic(rng):
             x = rng.uniform(-4, 4, 3)
             if np.linalg.norm(x) < 0.7:
                 continue
-            j = phi_expr.eval(Jet2.seed_point((0.0, *x)))
+            j = phi_expr.eval(Jet2.seed_point((0.0, *x), 2))
             H = full_hessian(j.hess)
             lap = H[1, 1] + H[2, 2] + H[3, 3]
             local = max(abs(j.value), 1e-12)

@@ -15,12 +15,12 @@ from polekit.jets import (PRIMITIVES, Jet2, _sstep, _sstep3, apply, compose,
 
 
 def jet_of(e, x):
-    return e.eval(Jet2.seed_point(x))
+    return e.eval(Jet2.seed_point(x, 2))
 
 
 def test_seed_semantics():
     x = (0.3, -1.2, 4.0, 0.5)
-    for a, j in enumerate(Jet2.seed_point(x)):
+    for a, j in enumerate(Jet2.seed_point(x, 2)):
         assert j.value == x[a]
         assert np.array_equal(j.grad, np.eye(4)[a])
         assert all(h == 0.0 for h in j.hess)
@@ -181,7 +181,7 @@ def test_thousand_random_expressions_match_fd(rng):
         e = random_safe_expression(rng)
         x = tuple(rng.uniform(-1.5, 1.5, 4))
         try:
-            j = e.eval(Jet2.seed_point(x))
+            j = e.eval(Jet2.seed_point(x, 2))
         except EvaluationError:
             continue
         mags = [abs(j.value), *map(abs, j.grad), *map(abs, j.hess)]
@@ -218,7 +218,7 @@ def test_exact_on_degree_two_polynomials(rng):
                     ex.mul(ex.const(coeff), ex.Mul(ex.Var(a), ex.Var(b))),
                 )
         x = rng.uniform(-2, 2, 4)
-        j = e.eval(Jet2.seed_point(tuple(x)))
+        j = e.eval(Jet2.seed_point(tuple(x), 2))
         value = c0 + lin @ x + x @ quad @ x
         grad = lin + 2 * quad @ x
         hess = 2 * quad
@@ -237,8 +237,8 @@ def test_mul_commutes_and_hessian_symmetric(coeffs, point):
     a = ex.add(ex.const(0.5), ex.linear_combination(coeffs))
     b = ex.Fun("sin", ex.Var(1))
     x = tuple(point)
-    j1 = ex.Mul(a, b).eval(Jet2.seed_point(x))
-    j2 = ex.Mul(b, a).eval(Jet2.seed_point(x))
+    j1 = ex.Mul(a, b).eval(Jet2.seed_point(x, 2))
+    j2 = ex.Mul(b, a).eval(Jet2.seed_point(x, 2))
     assert j1.value == j2.value
     assert np.array_equal(j1.grad, j2.grad)
     assert np.array_equal(j1.hess, j2.hess)
@@ -254,10 +254,10 @@ def test_compose_matches_substitution(rng):
     inner = [random_safe_expression(rng) for _ in range(4)]
     outer = random_safe_expression(rng)
     x = tuple(rng.uniform(-1, 1, 4))
-    seeds = Jet2.seed_point(x)
+    seeds = Jet2.seed_point(x, 2)
     Y = tuple(e.eval(seeds) for e in inner)
     yvals = tuple(j.value for j in Y)
-    outer_jet = outer.eval(Jet2.seed_point(yvals))
+    outer_jet = outer.eval(Jet2.seed_point(yvals, 2))
     composed = compose((outer_jet,), Y)[0]
     direct = outer.subs({i: inner[i] for i in range(4)}).eval(seeds)
     assert composed.value == pytest.approx(direct.value, rel=1e-12, abs=1e-12)
@@ -266,7 +266,7 @@ def test_compose_matches_substitution(rng):
     # Several outer trees through the same inner jets in one call.
     outers = [random_safe_expression(rng) for _ in range(3)]
     for tree, composed in zip(outers, compose(
-            [t.eval(Jet2.seed_point(yvals)) for t in outers], Y)):
+            [t.eval(Jet2.seed_point(yvals, 2)) for t in outers], Y)):
         direct = tree.subs({i: inner[i] for i in range(4)}).eval(seeds)
         assert composed.value == pytest.approx(direct.value, rel=1e-12,
                                                abs=1e-12)
@@ -286,10 +286,10 @@ def test_compose_matches_einsum_reference_bit_for_bit(rng, shape):
                     rng.normal(size=shape + (10,)))
 
     x = tuple(rng.uniform(-1, 1, size=shape) for _ in range(4))
-    seeds = Jet2.seed_point(x)
+    seeds = Jet2.seed_point(x, 2)
     for _ in range(8):
         inner = (general(), seeds[1], Jet2.constant(rng.normal(), 4),
-                 Jet2.affine(x[3] * 2.0, rng.normal(size=4)))
+                 Jet2.affine(x[3] * 2.0, rng.normal(size=4), 2))
         inner = tuple(inner[i] for i in rng.permutation(4))
         outers = [general() for _ in range(3)] + [Jet2.constant(1.5, 4)]
         for outer, composed in zip(outers, compose(outers, inner)):
@@ -370,7 +370,7 @@ def test_constant_operands_match_the_general_formulas(rng, n, shape):
 
     consts = [(Jet2.constant(c, n), full(c)) for c in (value(), value())]
     consts.append((Jet2.constant(-1.75, n), full(-1.75)))
-    seeds = Jet2.seed_point(tuple(value() for _ in range(n)))
+    seeds = Jet2.seed_point(tuple(value() for _ in range(n)), 2)
     general = Jet2(value(), rng.normal(size=shape + (n,)),
                    rng.normal(size=shape + (m,)))
     partners = [(s, s) for s in seeds] + [(general, general)] + consts
@@ -409,7 +409,7 @@ def test_value_only_primitives_match_jet_values(name):
         v = v[v >= 1e-3]
     for x in (v, *v):
         value = apply(name, x)
-        jet = apply(name, Jet2.seed_point((x,))[0])
+        jet = apply(name, Jet2.seed_point((x,), 2)[0])
         assert np.shape(value) == np.shape(jet.value)
         assert np.array_equal(np.asarray(value).view(np.int64),
                               np.asarray(jet.value).view(np.int64))
@@ -420,7 +420,7 @@ def test_value_only_primitives_raise_like_jets():
         with pytest.raises(EvaluationError):
             apply(name, x)
         with pytest.raises(EvaluationError):
-            apply(name, Jet2.seed_point((x,))[0])
+            apply(name, Jet2.seed_point((x,), 2)[0])
 
 
 @pytest.mark.parametrize("n", [1, 4])
@@ -428,7 +428,7 @@ def test_one_point_jets_keep_point_shapes(n):
     """Jets of a float environment (one point, S = ()) read back as a
     gradient (n,) and a packed Hessian (n(n+1)/2,)."""
     m = n * (n + 1) // 2
-    seeds = Jet2.seed_point(tuple(0.3 + 0.1 * a for a in range(n)))
+    seeds = Jet2.seed_point(tuple(0.3 + 0.1 * a for a in range(n)), 2)
     u, v = seeds[0], seeds[-1]
     c = Jet2.constant(2.0, n)
     for j in (u, c, u * v, u + c, c - v, u * c, u / v, c / u, u ** 3,

@@ -81,6 +81,10 @@ def test_zero_width_rejected():
         make_test_form((ex.const(1.0),) * 4, (0.0,) * 4, (1.0, 0.0, 1.0, 1.0))
 
 
+# The member index of one row read from a family of one.
+_ONE_ROW_OF_MEMBER_0 = np.zeros(1, dtype=np.intp)
+
+
 def test_form_jets_match_finite_differences(rng):
     form = random_test_form(rng, (0.5, -0.3, 0.2, 0.0),
                             (0.8, 0.7, 0.9, 0.6))
@@ -90,10 +94,11 @@ def test_form_jets_match_finite_differences(rng):
             form.box.center[i] + 0.85 * form.box.half[i] * rng.uniform(-1, 1)
             for i in range(4)
         )
-        jets = form.jets_at(np.array([x]), None, 2)
+        jets = form.jets_at(np.array([x]), _ONE_ROW_OF_MEMBER_0, 2)
         for a in range(4):
             def f(p, _a=a):
-                return form.values_at(np.array([p]), None)[0][_a]
+                return form.values_at(np.array([p]),
+                                      _ONE_ROW_OF_MEMBER_0)[0][_a]
 
             g = fd_gradient_plain(f, x, h=1e-5)
             for i in range(4):
@@ -265,8 +270,8 @@ def test_pullback_identity(rng, adapted_worldline):
             form.box.center[i] + form.box.half[i] * rng.uniform(-0.9, 0.9)
             for i in range(4)
         ]])
-        assert np.allclose(pulled.values_at(x, None), form.values_at(x, None),
-                           atol=1e-14)
+        assert np.allclose(pulled.values_at(x, _ONE_ROW_OF_MEMBER_0),
+                           form.values_at(x, _ONE_ROW_OF_MEMBER_0), atol=1e-14)
 
 
 def test_pullback_linear_mixes_with_transpose(rng):
@@ -278,9 +283,10 @@ def test_pullback_linear_mixes_with_transpose(rng):
     for _ in range(10):
         x = rng.uniform(-0.2, 0.2, (1, 4))
         y = pair.forward.value_at(x)
-        hatted = np.array(form.values_at(y, None)[0])
+        hatted = np.array(form.values_at(y, _ONE_ROW_OF_MEMBER_0)[0])
         expected = M.T @ hatted
-        assert np.allclose(pulled.values_at(x, None)[0], expected, atol=1e-12)
+        assert np.allclose(pulled.values_at(x, _ONE_ROW_OF_MEMBER_0)[0],
+                           expected, atol=1e-12)
 
 
 def test_pullback_support_escape_raises():
@@ -424,14 +430,15 @@ def _assert_rows_equal_members(family, members, pts, owner):
     for k, member in enumerate(members):
         rows = owner == k
         assert np.any(support[rows])
-        want = member.jets_at(pts[rows], None, 2)
+        alone = np.zeros(int(rows.sum()), dtype=np.intp)
+        want = member.jets_at(pts[rows], alone, 2)
         for order in range(3):
             assert np.array_equal(
                 jets[order][rows],
                 stacked(want, (int(rows.sum()),), order))
-        assert np.array_equal(values[rows], member.values_at(pts[rows], None))
+        assert np.array_equal(values[rows], member.values_at(pts[rows], alone))
         assert np.array_equal(support[rows],
-                              member.in_support(pts[rows], None))
+                              member.in_support(pts[rows], alone))
 
 
 def test_form_family_rows_equal_member_forms(rng, wobble_worldline):
@@ -440,11 +447,9 @@ def test_form_family_rows_equal_member_forms(rng, wobble_worldline):
     members = [_tree_member(family, k) for k in range(5)]
     pts, owner = _points_by_member(rng, family.boxes, 40, 1.3)
     _assert_rows_equal_members(family, members, pts, owner)
-    # Member k on its own, and member 0 without member indices.
+    # Member k on its own.
     _assert_rows_equal_members(family_member(family, 3), [members[3]], pts,
                                np.zeros(len(pts), dtype=int))
-    assert np.array_equal(family.values_at(pts, None),
-                          members[0].values_at(pts, None))
 
 
 @pytest.mark.parametrize("name, params", [

@@ -45,7 +45,7 @@ def test_empty_interval():
 
 def test_cumulative_matches_antiderivative():
     cum = CumulativeIntegral(
-        lambda t: np.stack([np.cos(t), 2 * t], axis=1), 0.0, 3.0, 2
+        lambda t: np.stack([np.cos(t), 2 * t], axis=1), 0.0, 3.0, 2, 1e-10
     )
     for t in np.linspace(0.0, 3.0, 17):
         v = cum.value(np.array([t]))[0]
@@ -60,14 +60,16 @@ def test_cumulative_interior_consistency():
     # quadrature of the same integrand
     f = lambda t: math.exp(-0.5 * t) * math.sin(3 * t)
     cum = CumulativeIntegral(
-        lambda t: (np.exp(-0.5 * t) * np.sin(3 * t))[:, None], 0.0, 2.0, 1)
+        lambda t: (np.exp(-0.5 * t) * np.sin(3 * t))[:, None], 0.0, 2.0, 1,
+        1e-10)
     for t in (0.137, 0.51, 1.03, 1.99):
         ref, _ = quad(f, 0.0, t, epsabs=1e-13, epsrel=1e-13)
         assert cum.value(np.array([t]))[0][0] == pytest.approx(ref, abs=1e-11)
 
 
 def test_cumulative_clamps_outside():
-    cum = CumulativeIntegral(lambda t: np.ones((len(t), 1)), 0.0, 1.0, 1)
+    cum = CumulativeIntegral(lambda t: np.ones((len(t), 1)), 0.0, 1.0, 1,
+                             1e-10)
     assert cum.value(np.array([-5.0]))[0][0] == 0.0
     assert cum.value(np.array([7.0]))[0][0] == pytest.approx(1.0, abs=1e-13)
 
@@ -79,7 +81,10 @@ def test_nonconvergent_integrand_raises():
         return np.where(np.sin(1 / (np.abs(t) + 1e-9)) > 0, 1.0, -1.0)
 
     with pytest.raises(QuadratureError) as err:
-        integrate(nasty, -1.0, 1.0, tol_abs=1e-14, tol_rel=1e-14)
+        integrate(nasty, -1.0, 1.0)
+    assert err.value.worst_interval is not None
+    with pytest.raises(QuadratureError) as err:
+        CumulativeIntegral(lambda t: nasty(t)[:, None], -1.0, 1.0, 1, 1e-10)
     assert err.value.worst_interval is not None
 
 
@@ -97,7 +102,7 @@ def test_each_node_evaluated_once():
                         0.0)
 
     res = integrate(narrow_bump, 0.0, 1.0)
-    assert res.nodes > 4 * 48  # the initial panels alone use 4 * 48
+    assert res.nodes > 5 * 48  # the initial panels alone use 5 * 48
     assert len(set(seen)) == len(seen)
     assert res.nodes == len(seen)
     assert res.value == pytest.approx(0.01 * 0.4439938161680793, abs=1e-10)
@@ -110,11 +115,11 @@ def test_floor_panels_counted():
     assert step.floor_panels >= 1
     assert step.value == pytest.approx(2 / 3, abs=1e-12)
     cum = CumulativeIntegral(lambda t: (t[:, None] > 1 / 3).astype(float),
-                             0.0, 1.0, 1)
+                             0.0, 1.0, 1, 1e-10)
     assert cum.floor_panels >= 1
     assert integrate(np.sin, 0.0, 1.0).floor_panels == 0
     assert CumulativeIntegral(lambda t: np.sin(t)[:, None], 0.0, 1.0,
-                              1).floor_panels == 0
+                              1, 1e-10).floor_panels == 0
 
 
 def _three_columns(t):
@@ -125,20 +130,22 @@ def test_cumulative_independent_of_integrand_memory_layout():
     """The same values returned in Fortran order give the same running
     integrals bit for bit."""
     ts = np.linspace(0.0, 4.0, 50)
-    c_order = CumulativeIntegral(_three_columns, 0.0, 4.0, 3)
+    c_order = CumulativeIntegral(_three_columns, 0.0, 4.0, 3, 1e-10)
     f_order = CumulativeIntegral(
-        lambda t: np.asfortranarray(_three_columns(t)), 0.0, 4.0, 3)
+        lambda t: np.asfortranarray(_three_columns(t)), 0.0, 4.0, 3, 1e-10)
     assert np.array_equal(c_order.value(ts), f_order.value(ts))
     assert np.array_equal(c_order.derivative(ts), f_order.derivative(ts))
 
 
 def test_integrand_of_wrong_shape_raises():
-    with pytest.raises(ValueError, match=r"shape \(\) .*expected \(48,\)"):
-        integrate(lambda t: 1.0, 0.0, 1.0, min_panels=1)
+    # The first call takes the 48 nodes of each starting panel: 5 panels
+    # for integrate, 4 for a CumulativeIntegral.
+    with pytest.raises(ValueError, match=r"shape \(\) .*expected \(240,\)"):
+        integrate(lambda t: 1.0, 0.0, 1.0)
     with pytest.raises(ValueError,
-                       match=r"shape \(48, 2\) .*expected \(48, 3\)"):
+                       match=r"shape \(192, 2\) .*expected \(192, 3\)"):
         CumulativeIntegral(lambda t: np.ones((len(t), 2)), 0.0, 1.0, 3,
-                           min_panels=1)
+                           1e-10)
 
 
 def test_error_inside_batch_integrand_propagates():
@@ -147,7 +154,8 @@ def test_error_inside_batch_integrand_propagates():
     with pytest.raises(TypeError):
         integrate(math.sin, 0.0, 1.0)
     with pytest.raises(TypeError):
-        CumulativeIntegral(lambda t: np.array([math.cos(t)]), 0.0, 1.0, 1)
+        CumulativeIntegral(lambda t: np.array([math.cos(t)]), 0.0, 1.0, 1,
+                           1e-10)
 
 
 def _narrow_bump(t, center=0.3, width=0.01):
@@ -189,7 +197,7 @@ def test_integrate_many_equals_integrate_per_window():
         alone = (integrate(fk, *window) if window is not None
                  else quadrature.QuadResult(0.0, 0.0, 0))
         assert res == alone
-    assert results[0].nodes > 4 * 48  # the narrow bump splits many times
+    assert results[0].nodes > 5 * 48  # the narrow bump splits many times
     assert results[6].floor_panels >= 1
     assert results[1].nodes == results[3].nodes == results[5].nodes == 0
     assert max(len(owners) for owners in calls) > 1
@@ -235,11 +243,10 @@ def test_integrate_many_error_reaches_caller():
         return np.where(np.sin(1 / (np.abs(t) + 1e-9)) > 0, 1.0, -1.0)
 
     with pytest.raises(QuadratureError) as alone:
-        integrate(nasty, -1.0, 1.0, tol_abs=1e-14, tol_rel=1e-14)
+        integrate(nasty, -1.0, 1.0)
     with pytest.raises(QuadratureError) as many:
         integrate_many(
             lambda t, owner: np.where(owner == 1, nasty(t), np.cos(t)),
-            [(0.0, 1.0), (-1.0, 1.0), (0.0, 3.0)], tol_abs=1e-14,
-            tol_rel=1e-14)
+            [(0.0, 1.0), (-1.0, 1.0), (0.0, 3.0)])
     assert str(many.value) == str(alone.value)
     assert many.value.worst_interval == alone.value.worst_interval

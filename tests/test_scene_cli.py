@@ -102,6 +102,24 @@ def test_unhashable_job_reference_is_a_scene_error(tmp_path, capsys, key,
     assert capsys.readouterr().err == f"scene error: {want}\n"
 
 
+def test_non_finite_number_literal_is_a_scene_error(tmp_path, capsys):
+    """A number literal beyond the float range (it would read as inf) is
+    a scene problem naming it (exit 2), not a constant inf whose NaN
+    symmetry residual passes; no warning comes first (the suite turns
+    warnings into errors)."""
+    doc = json.loads((SCENES / "worked_example.scene").read_text())
+    doc["multipoles"]["resting_quadrupole"]["quadrupole"]["211"] = "1e400"
+    want = ("multipoles.resting_quadrupole.quadrupole.211: column 1: "
+            "number '1e400' is not finite")
+    with pytest.raises(SceneError) as err:
+        parse_scene(json.dumps(doc))
+    assert err.value.problems == [want]
+    path = tmp_path / "bad.scene"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"scene error: {want}\n"
+
+
 @pytest.mark.parametrize("key, value, want", [
     ("charts", [1], "an object"),
     ("worldlines", [1], "an object"),

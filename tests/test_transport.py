@@ -8,6 +8,7 @@ from oracles import (
     random_dipole,
     random_linear_pair,
     random_quadrupole,
+    reparametrized as reparametrize,
 )
 from polekit import expr as ex
 from polekit.charts import (
@@ -20,6 +21,7 @@ from polekit.charts import (
     polynomial_chart,
 )
 from polekit.errors import DomainError
+from polekit.expr import tau_rows
 from polekit.moments import (
     QuadrupoleComponents,
     embed_dipole_as_quadrupole,
@@ -35,7 +37,7 @@ from polekit.pairing import (
     random_test_form_along,
 )
 from polekit.transport import dipole_part, transform_dipole, transform_quadrupole
-from polekit.worldlines import Reparametrization, Worldline
+from polekit.worldlines import Worldline
 
 
 def worked_example(kappa=1.0, interval=(0.0, 10.0)):
@@ -96,8 +98,7 @@ def test_dipole_transport_preserves_antisymmetry(rng, wobble_worldline):
     dhat = transform_dipole(d, cylindrical_to_cartesian_chart(),
                             wobble_worldline)
     assert dhat.check_antisymmetry(
-        sample_taus(wobble_worldline.interval, n=20), tol=1e-12
-    ) < 1e-12
+        sample_taus(wobble_worldline.interval, n=20)) < 1e-12
 
 
 # -- worked example -----------------------------------------------------------
@@ -266,27 +267,34 @@ def test_transported_values_and_derivatives(rng, wobble_worldline,
                                             chart_name, reparametrized):
     """gamma3_hat against the module docstring's law, written out with
     one four-operand contraction, and its derivative against a
-    Richardson-extrapolated central difference of its values."""
+    Richardson-extrapolated central difference of its values.  The
+    source is given in tau or in a new parameter tau_hat: the transport
+    of the reparametrized source is the law at tau(tau_hat) times
+    dtau/dtau_hat, with its own P."""
     C = wobble_worldline
     chart = _CHARTS[chart_name]()
     q = random_quadrupole(rng, directions=8)
     kappa0 = np.zeros((4, 4))
     kappa0[np.triu_indices(4, 1)] = (0.4, -1.1, 0.3, 0.9, -0.2, 0.7)
     kappa0 -= kappa0.T
-    rep = None
+    ths = taus = np.linspace(*C.interval, 9)[1:-1]
+    speed = np.ones_like(ths)
+    source, q_source = C, q
     if reparametrized:
         # tau = tau_hat / 2 + tau_hat^2 / 4 maps [0, 4] onto [0, 6]
-        rep = Reparametrization(
-            ex.parse("0.5*tau + 0.25*tau*tau", ex.TAU_VARS), (0.0, 4.0))
-    tr = transform_quadrupole(q, chart, C, rep=rep, kappa0=kappa0)
-    t0, t1 = tr.interval_hat
-    ths = np.linspace(t0, t1, 9)[1:-1]
+        tau_of = ex.parse("0.5*tau + 0.25*tau*tau", ex.TAU_VARS)
+        source, q_source = reparametrize(C, q, tau_of, (0.0, 4.0))
+        ths = np.linspace(0.0, 4.0, 9)[1:-1]
+        taus, speed = (tau_rows([tau_of], ths, k)[:, 0] for k in (0, 1))
+    tr = transform_quadrupole(q_source, chart, source, kappa0=kappa0)
 
-    taus = rep.tau_of(ths) if rep is not None else ths
-    speed = rep.speed(ths) if rep is not None else np.ones_like(ths)
     A = chart.jacobian_at(C.point_at(taus))
     vhat = np.einsum("nab,nb->na", A, C.velocity_at(taus))
-    Pm = tr.P.matrix_at(taus)
+    Pm = tr.P.matrix_at(ths)
+    if reparametrized:
+        # P depends on the curve, not on its parameter.
+        P_tau = transform_quadrupole(q, chart, C, kappa0=kappa0).P
+        assert np.max(np.abs(Pm - P_tau.matrix_at(taus))) <= 1e-8
     expected = speed[:, None, None, None] * (
         np.einsum("nda,neb,nfc,nabc->ndef", A, A, A, q.values_at(taus))
         + np.einsum("nde,nf->ndef", Pm, vhat)
@@ -392,23 +400,19 @@ def test_pairing_invariance_spot_check(rng, wobble_worldline):
 
 
 def test_quadrupole_transport_with_reparametrization(rng):
-    """The full law with a parameter change: pairings of the
-    reparametrized transport along the reparametrized image worldline
-    match the source pairings."""
-    from polekit.worldlines import Reparametrization
-
+    """The full law with a parameter change: the source given in tau_hat
+    (tau = tau_hat^2) transports to pairings along its image worldline
+    that match the pairings of the source in tau."""
     C = Worldline(
         (ex.Var(0), ex.parse("1 + 0.1*sin(tau)", ex.TAU_VARS),
          ex.parse("0.2*cos(0.6*tau)", ex.TAU_VARS), ex.const(0.0)),
         (0.25, 4.0),
     )
-    rep = Reparametrization(
-        ex.Mul(ex.Var(0), ex.Var(0)), (0.5, 2.0)
-    )
     q = random_quadrupole(rng)
+    C_rep, q_rep = reparametrize(
+        C, q, ex.Mul(ex.Var(0), ex.Var(0)), (0.5, 2.0))
     chart = cylindrical_to_cartesian_chart()
-    tr = transform_quadrupole(q, chart, C, rep=rep)
-    assert tr.interval_hat == (0.5, 2.0)
+    tr = transform_quadrupole(q_rep, chart, C_rep)
     hatC = tr.worldline_hat
     assert hatC.interval == (0.5, 2.0)
     rng2 = np.random.default_rng(31)
