@@ -12,16 +12,22 @@ after round-trip and Jacobian-inverse checks).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr as ex
-from .errors import DomainError, RegistryError, SingularJacobianWarning
+from .errors import DomainError, RegistryError
 from .jets import Jet2, columns, entries_array, stacked
 
 _DET_CUTOFF = 1e-12
+
+
+def singular_row(A):
+    """The first of the (N, 4, 4) Jacobians A whose |det A| is below
+    the regularity cutoff, or None when there is none."""
+    singular = np.abs(np.linalg.det(A)) < _DET_CUTOFF
+    return int(np.argmax(singular)) if np.any(singular) else None
 
 
 @dataclass(frozen=True)
@@ -77,18 +83,15 @@ class Chart:
         return tuple(comp.eval(seeds) for comp in self.forward)
 
     def jacobian_at(self, x):
-        """A^a_b = d(hatted x^a)/d x^b as an (N, 4, 4) array; warns when
-        |det A| is below the cutoff at any row."""
+        """A^a_b = d(hatted x^a)/d x^b as an (N, 4, 4) array; raises
+        DomainError when |det A| is below the cutoff at any row."""
         A = self.frames_at(x, 1)[1]
-        det = np.abs(np.linalg.det(A))
-        if np.any(det < _DET_CUTOFF):
-            i = np.argmin(det)
-            warnings.warn(
-                f"chart {self.label!r} has |det A| = {det[i]:.3e} "
-                f"at {tuple(float(c) for c in x[i])!r}",
-                SingularJacobianWarning,
-                stacklevel=2,
-            )
+        i = singular_row(A)
+        if i is not None:
+            raise DomainError(
+                f"chart {self.label!r} has |det A| = "
+                f"{abs(np.linalg.det(A[i])):.3e} "
+                f"at {tuple(float(c) for c in x[i])!r}")
         return A
 
     def frames_at(self, x, order):
@@ -272,13 +275,13 @@ _NAMES = ("identity", "linear", "lorentz_boost", "cylindrical_to_cartesian",
 
 def _params(name, params, count):
     """``params`` as a flat array of ``count`` floats; a RegistryError
-    naming the chart when they are missing, not numbers, or too few or
-    too many."""
+    naming the chart when they are missing, not finite numbers (``null``
+    included), or too few or too many."""
     try:
         values = np.asarray(params, dtype=float).ravel()
-    except (TypeError, ValueError):
-        values = None
-    if params is None or values is None or values.size != count:
+    except (TypeError, ValueError, OverflowError):
+        values = np.array([np.nan])
+    if values.size != count or not np.all(np.isfinite(values)):
         raise RegistryError(
             f"{name} chart needs params of {count} number"
             f"{'s' if count > 1 else ''}, got {params!r}")

@@ -115,7 +115,6 @@ class ClassificationReport:
     fail_threshold: float
     scale: float
     seed: int
-    samples: int
 
     def summary(self):
         status = "consistent" if self.passed else "refuted"
@@ -181,7 +180,7 @@ def _probe_test(bundle, build, test, order, samples, seed):
         test=test, order=order, passed=worst <= threshold,
         max_residual=worst, threshold=threshold,
         fail_threshold=_FAIL_TOL * scale, scale=scale,
-        seed=seed, samples=samples,
+        seed=seed,
     )
 
 

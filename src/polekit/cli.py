@@ -29,7 +29,7 @@ from .fields import loglog_slope, ray_magnitudes
 from .moments import sample_taus
 from .pairing import (SourceBundle, pair_bundle_family, pull_back_test_form,
                       random_test_form_along)
-from .scene import JOB_FIELDS, parse_kappa0, parse_scene
+from .scene import parse_scene
 
 
 @dataclass
@@ -502,14 +502,6 @@ def main(argv=None):
     runp.add_argument("--command", default="all",
                       choices=("all",) + tuple(_RUNNERS))
     runp.add_argument("--out-dir", default="polekit-out")
-    runp.add_argument("--seed", type=int, default=None,
-                      help="override every job seed")
-    runp.add_argument("--tol", type=float, default=None,
-                      help="override every job tolerance")
-    runp.add_argument("--samples", type=int, default=None,
-                      help="override sample counts")
-    runp.add_argument("--kappa0", default=None,
-                      help="antisymmetric entries, e.g. '12=1,01=-2'")
     valp = sub.add_parser("validate", help="parse and validate a scene")
     valp.add_argument("scene")
     args = parser.parse_args(argv)
@@ -532,36 +524,6 @@ def main(argv=None):
               f"{len(scene.jobs)} jobs")
         return 0
 
-    # Each flag sets its job fields in every job, checked as they are.
-    overrides = (("--samples", args.samples, ("samples", "forms")),
-                 ("--tol", args.tol, ("tolerance",)),
-                 ("--seed", args.seed, ("seed",)))
-    usage = []
-    for flag, value, keys in overrides:
-        _, ok, want = JOB_FIELDS[keys[0]]
-        if value is not None and not ok(value):
-            usage.append(f"{flag} {value!r} must be {want}")
-    for p in usage:
-        print(f"usage error: {p}", file=sys.stderr)
-    if usage:
-        return 2
-    for _, value, keys in overrides:
-        if value is not None:
-            for job in scene.jobs:
-                job.update(dict.fromkeys(keys, value))
-    if args.kappa0 is not None:
-        problems = []
-        items = [item.partition("=") for item in args.kappa0.split(",")
-                 if item.strip()]
-        M = parse_kappa0({key.strip(): val for key, _, val in items},
-                         "--kappa0", problems)
-        if problems:
-            for p in problems:
-                print(f"usage error: {p}", file=sys.stderr)
-            return 2
-        for job in scene.jobs:
-            if job["command"] == "transform":
-                job["kappa0"] = M
     _, code = run(scene, command=args.command, out_dir=args.out_dir)
     return code
 

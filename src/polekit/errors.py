@@ -70,7 +70,3 @@ class SceneError(PolekitError):
             problems = [problems]
         super().__init__("; ".join(problems))
         self.problems = list(problems)
-
-
-class SingularJacobianWarning(UserWarning):
-    """A chart Jacobian determinant fell below the regularity cutoff."""

@@ -392,10 +392,6 @@ def const(v):
     return Const(float(v))
 
 
-def var(i):
-    return Var(i)
-
-
 def linear_combination(coeffs):
     """sum_a coeffs[a] * x^a as a folded tree."""
     e = Const(0.0)

@@ -529,14 +529,6 @@ class AdaptedCoefficients:
         self.weights = np.asarray(weights, dtype=float)
         self.interval = interval
 
-    @classmethod
-    def from_arrays(cls, interval, values):
-        """Coefficients given directly: ``values`` maps N taus to (N, 40)
-        arrays in family order; they have no tau derivatives."""
-        weights = np.zeros((3, 40, 40))
-        weights[0] = np.eye(40)
-        return cls((values, None, None), weights, interval)
-
     def arrays(self, taus, *wanted):
         """Arrays of coefficient families at a 1-D array of N taus, one
         per ``wanted`` item: a family name (its values) or a (name, k)

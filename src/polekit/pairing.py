@@ -323,7 +323,13 @@ class PulledBackForm(_BatchForm):
         self.chart = chart
         self.hatted = hatted
         self.boxes = tuple(boxes)
-        self._jac = chart.jacobian_exprs()
+        # The (a, b) pairs where d hatted^b / d x^a is not the constant
+        # zero, with those Jacobian entries, evaluated in one pass.
+        jac = chart.jacobian_exprs()
+        self._terms = [(a, b) for a in range(4) for b in range(4)
+                       if not (isinstance(jac[b][a], ex.Const)
+                               and jac[b][a].v == 0.0)]
+        self._jac = [jac[b][a] for a, b in self._terms]
 
     def in_support(self, x, owner):
         pts = np.asarray(x, dtype=float)
@@ -343,34 +349,17 @@ class PulledBackForm(_BatchForm):
         Y = self.chart.jets_at(x, order)
         outer = self.hatted.jets_at(stacked(Y, (len(x),), 0), owner, order)
         composed = compose(outer, Y)
-        seeds = Jet2.seed_point(columns(x), order)
-        out = []
-        for a in range(4):
-            acc = Jet2.constant(0.0, 4)
-            for b in range(4):
-                d = self._jac[b][a]
-                if isinstance(d, ex.Const):
-                    if d.v == 1.0:
-                        acc = acc + composed[b]
-                    elif d.v != 0.0:
-                        acc = acc + composed[b] * d.v
-                else:
-                    acc = acc + d.eval(seeds) * composed[b]
-            out.append(acc)
+        jac = ex.eval_all(self._jac, Jet2.seed_point(columns(x), order))
+        out = [Jet2.constant(0.0, 4)] * 4
+        for (a, b), d in zip(self._terms, jac):
+            out[a] = out[a] + d * composed[b]
         return tuple(out)
 
     def values_at(self, x, owner):
         hv = self.hatted.values_at(self.chart.value_at(x), owner)
-        env = columns(x)
         out = np.zeros((len(x), 4))
-        for a in range(4):
-            for b in range(4):
-                d = self._jac[b][a]
-                if isinstance(d, ex.Const):
-                    if d.v != 0.0:
-                        out[:, a] += d.v * hv[:, b]
-                else:
-                    out[:, a] += d.eval(env) * hv[:, b]
+        for (a, b), d in zip(self._terms, ex.eval_all(self._jac, columns(x))):
+            out[:, a] += d * hv[:, b]
         return out
 
 

@@ -163,9 +163,9 @@ def _parse_multipole(name, spec, problems):
     return out
 
 
-def parse_kappa0(spec, path, problems):
+def _parse_kappa0(spec, path, problems):
     """The antisymmetric 4x4 matrix of ``spec``, an object of two-digit
-    index: number (the upper or lower entry), or zeros for None;
+    index: JSON number (the upper or lower entry), or zeros for None;
     malformed entries are recorded as problems and left out."""
     M = np.zeros((4, 4))
     if spec is None:
@@ -181,17 +181,13 @@ def parse_kappa0(spec, path, problems):
         if d == e:
             problems.append(f"{path}: kappa0 diagonal {key!r} must be zero")
             continue
-        try:
-            v = float(val)
-        except (TypeError, ValueError):
-            v = math.nan
-        if not math.isfinite(v):
+        if not _finite(val):
             problems.append(
                 f"{path}: kappa0 value {val!r} at {key!r} must be a finite "
                 f"number")
             continue
-        M[d, e] = v
-        M[e, d] = -v
+        M[d, e] = val
+        M[e, d] = -val
     return M
 
 
@@ -231,7 +227,7 @@ def _directions(v):
 # for).  A command reads only its own fields; a default of None marks
 # a field as optional (a classify job's ``orders`` default depends on
 # its bundle).
-JOB_FIELDS = {
+_JOB_FIELDS = {
     "forms": ({"verify": 20}, _positive_int, "a positive integer"),
     "samples": ({"transform": 20, "potentials": 50}, _positive_int,
                 "a positive integer"),
@@ -309,7 +305,7 @@ def _validate_job(i, job, scene_charts, scene_worldlines, scene_multipoles,
             and not isinstance(scene_charts[chart], chartmod.ChartPair)):
         problems.append(f"{path}: chart {chart!r} has no verified inverse, "
                         f"which verify needs")
-    for key, (defaults, ok, want) in JOB_FIELDS.items():
+    for key, (defaults, ok, want) in _JOB_FIELDS.items():
         if cmd not in defaults:
             continue
         if key not in job:
@@ -317,7 +313,7 @@ def _validate_job(i, job, scene_charts, scene_worldlines, scene_multipoles,
         elif not ok(job[key]):
             problems.append(f"{path}: {key} {job[key]!r} must be {want}")
     if cmd == "transform":
-        out["kappa0"] = parse_kappa0(job.get("kappa0"), path, problems)
+        out["kappa0"] = _parse_kappa0(job.get("kappa0"), path, problems)
     if cmd == "potentials":
         spec = job.get("source")
         if not isinstance(spec, dict):

@@ -30,11 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .charts import singular_row
 from .errors import DomainError
 from .moments import DipoleComponents, QuadrupoleComponents
 from .quadrature import CumulativeIntegral
 
-_DET_CUTOFF = 1e-12
 _PPAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _PD = np.array([d for d, _ in _PPAIRS])
 _PE = np.array([e for _, e in _PPAIRS])
@@ -53,8 +53,9 @@ def _check_antisym(M, what):
     M = np.asarray(M, dtype=float)
     if M.shape != (4, 4):
         raise DomainError(f"{what} must be a 4x4 array")
-    if np.max(np.abs(M + M.T)) > 1e-12:
-        raise DomainError(f"{what} must be antisymmetric")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.max(np.abs(M + M.T)) <= 1e-12:
+            raise DomainError(f"{what} must be antisymmetric")
     return M
 
 
@@ -82,9 +83,7 @@ class PTerm:
 class TransportResult:
     gamma3_hat: QuadrupoleComponents
     P: PTerm
-    integration_constant: np.ndarray
     worldline_hat: object
-    chart_label: str
 
     @property
     def gamma2_hat(self):
@@ -98,11 +97,11 @@ def _frames(chart, worldline, taus, order):
     from chart jets truncated at ``order``."""
     points, vel = worldline.eval(taus)
     _, A, *hessian = chart.frames_at(points, order)
-    singular = np.abs(np.linalg.det(A)) < _DET_CUTOFF
-    if np.any(singular):
+    i = singular_row(A)
+    if i is not None:
         raise DomainError(
             f"chart {chart.label!r} is singular along the worldline "
-            f"at tau = {taus[np.argmax(singular)]}"
+            f"at tau = {taus[i]}"
         )
     return (vel, A, *hessian)
 
@@ -214,9 +213,7 @@ def transform_quadrupole(gamma3, chart, worldline, kappa0=None):
     return TransportResult(
         gamma3_hat=QuadrupoleComponents.from_arrays(F, dF),
         P=P,
-        integration_constant=kappa0,
         worldline_hat=worldline.push_through_chart(chart),
-        chart_label=chart.label,
     )
 
 

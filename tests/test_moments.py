@@ -382,9 +382,11 @@ def test_zeta_requires_adapted_worldline(rng):
 
 def test_zero_zeta_with_charge_is_monopole_only(adapted_worldline):
     charge = 2.0 * np.eye(40)[0]
-    z = AdaptedCoefficients.from_arrays(
-        adapted_worldline.interval,
-        lambda taus: np.broadcast_to(charge, (len(taus), 40)))
+    weights = np.zeros((3, 40, 40))
+    weights[0] = np.eye(40)
+    z = AdaptedCoefficients(
+        (lambda taus: np.broadcast_to(charge, (len(taus), 40)), None, None),
+        weights, adapted_worldline.interval)
     m, q = gamma_from_zeta(z)
     assert m.q == 2.0
     assert np.max(np.abs(q.values_at(np.array([1.0]))[0])) == 0.0

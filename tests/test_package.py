@@ -152,6 +152,26 @@ def test_every_defaulted_parameter_is_passed_by_the_program():
     assert unpassed == sorted(UNPASSED_ALLOWED)
 
 
+def test_every_dataclass_field_is_read():
+    """Each field of a dataclass of src/polekit is read as an attribute
+    somewhere in src/polekit, perfbench/*.py or the README's Python
+    code: a field that only tests read, or nothing reads, is dead
+    state.  Reads are matched by attribute name alone."""
+    trees = _program_trees()
+    reads = {node.attr for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load)}
+    unread = [
+        f"{c.name}.{f.target.id}"
+        for tree in trees[:len(SOURCES)] for c in tree.body
+        if isinstance(c, ast.ClassDef) and any(
+            getattr(getattr(d, "func", d), "id", None) == "dataclass"
+            for d in c.decorator_list)
+        for f in c.body
+        if isinstance(f, ast.AnnAssign) and f.target.id not in reads]
+    assert unread == []
+
+
 def test_benchmark_tracer_finds_every_entry_point():
     """perfbench/tracing.py wraps a method only where its class defines
     it, so each test form must hold its own ``jets_at`` and

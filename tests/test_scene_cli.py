@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -120,6 +121,51 @@ def test_non_finite_number_literal_is_a_scene_error(tmp_path, capsys):
     assert capsys.readouterr().err == f"scene error: {want}\n"
 
 
+def _null_boost_speed():
+    doc = json.loads((SCENES / "invariance_example.scene").read_text())
+    doc["charts"]["boost"]["params"] = [None]
+    return doc, ["charts.boost: lorentz_boost chart needs params of 1 "
+                 "number, got [None]", "jobs[0]: unknown chart 'boost'"]
+
+
+def _nearly_singular_chart():
+    doc = json.loads((SCENES / "invariance_example.scene").read_text())
+    doc["charts"]["near"] = {"components": ["x0", "1e-13*x1", "x2", "x3"],
+                             "inverse": ["x0", "1e13*x1", "x2", "x3"]}
+    doc["jobs"][0]["chart"] = "near"
+    return doc, ["charts.near: inverse fails along worldline 'curve': chart "
+                 "'near' has |det A| = 1.000e-13 at (0.0, 1.0, 0.3, 0.0)"]
+
+
+def _overflowing_moments():
+    doc = json.loads((SCENES / "potentials_example.scene").read_text())
+    i, job = next((i, j) for i, j in enumerate(doc["jobs"])
+                  if j["source"]["kind"] == "magnetic_quadrupole")
+    m = job["source"]["moments"]
+    m[0][1][1] = m[1][0][1] = m[1][1][0] = 1e308
+    return doc, [f"jobs[{i}].source: magnetic quadrupole moments must "
+                 f"satisfy the spatial component symmetries (last-two-slot "
+                 f"symmetry and vanishing cyclic sum)"]
+
+
+@pytest.mark.parametrize("make", [_null_boost_speed, _nearly_singular_chart,
+                                  _overflowing_moments])
+def test_nan_or_singular_input_is_a_scene_error(tmp_path, capsys, make):
+    """A null chart parameter, a declared chart whose Jacobian is nearly
+    singular and source moments whose symmetry residual overflows are
+    scene problems (exit 2) with no warning first (the suite turns
+    warnings into errors), not a scene that validates and then fails."""
+    doc, want = make()
+    with pytest.raises(SceneError) as err:
+        parse_scene(json.dumps(doc))
+    assert err.value.problems == want
+    path = tmp_path / "bad.scene"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == "".join(f"scene error: {p}\n"
+                                              for p in want)
+
+
 @pytest.mark.parametrize("key, value, want", [
     ("charts", [1], "an object"),
     ("worldlines", [1], "an object"),
@@ -147,6 +193,12 @@ def test_section_of_the_wrong_type_is_a_scene_error(tmp_path, capsys, key,
     ("linear", "abc", "linear chart needs params of 16 numbers, got 'abc'"),
     ("lorentz_boost", "x",
      "lorentz_boost chart needs params of 1 number, got 'x'"),
+    ("lorentz_boost", [None],
+     "lorentz_boost chart needs params of 1 number, got [None]"),
+    ("lorentz_boost", [float("inf")],
+     "lorentz_boost chart needs params of 1 number, got [inf]"),
+    ("linear", [10 ** 400] * 16,
+     f"linear chart needs params of 16 numbers, got {[10 ** 400] * 16!r}"),
 ])
 def test_registry_params_of_the_wrong_type_or_count(tmp_path, capsys,
                                                     registry, params, want):
@@ -287,12 +339,22 @@ def test_verify_lists_zero_node_probes(tmp_path):
     assert "zero_node" not in (tmp_path / "report.txt").read_text()
 
 
+def _kappa0_scene(tmp_path, kappa0):
+    """The worked example with its transform job's ``kappa0`` set, as a
+    scene file in ``tmp_path``."""
+    doc = json.loads((SCENES / "worked_example.scene").read_text())
+    transform = next(j for j in doc["jobs"] if j["command"] == "transform")
+    transform["kappa0"] = kappa0
+    path = tmp_path / "kappa0.scene"
+    path.write_text(json.dumps(doc))
+    return str(path), doc["jobs"].index(transform)
+
+
 def test_kappa0_flag_offsets_intercept(tmp_path):
-    scene_path = SCENES / "worked_example.scene"
-    code = main([
-        "run", str(scene_path), "--command", "transform",
-        "--out-dir", str(tmp_path), "--kappa0", "12=0.5",
-    ])
+    """A scene's transform ``kappa0`` is the intercept of its P fit."""
+    path, _ = _kappa0_scene(tmp_path, {"12": 0.5})
+    code = main(["run", path, "--command", "transform",
+                 "--out-dir", str(tmp_path)])
     assert code == 0
     payload = json.loads((tmp_path / "report.json").read_text())
     fit = payload["jobs"][0]["data"]["P_fits"]["12"]
@@ -300,23 +362,39 @@ def test_kappa0_flag_offsets_intercept(tmp_path):
     assert fit["slope"] == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("flag, problem", [
-    ("1=2", "key '1' must be two digits"),
-    ("ab=1", "key 'ab' must be two digits"),
-    ("12=x", "value 'x' at '12' must be a finite number"),
-    ("11=1", "diagonal '11' must be zero"),
-    ("12", "value '' at '12' must be a finite number"),
+@pytest.mark.parametrize("kappa0, problem", [
+    pytest.param({"1": 2}, "key '1' must be two digits",
+                 id="1=2-key '1' must be two digits"),
+    pytest.param({"ab": 1}, "key 'ab' must be two digits",
+                 id="ab=1-key 'ab' must be two digits"),
+    pytest.param({"12": "x"}, "value 'x' at '12' must be a finite number",
+                 id="12=x-value 'x' at '12' must be a finite number"),
+    pytest.param({"11": 1}, "diagonal '11' must be zero",
+                 id="11=1-diagonal '11' must be zero"),
+    pytest.param({"12": ""}, "value '' at '12' must be a finite number",
+                 id="12-value '' at '12' must be a finite number"),
+    ({"12": "0.5"}, "value '0.5' at '12' must be a finite number"),
+    ({"12": True}, "value True at '12' must be a finite number"),
+    ({"12": float("nan")}, "value nan at '12' must be a finite number"),
 ])
-def test_kappa0_flag_malformed_is_usage_error(tmp_path, capsys, flag,
+def test_kappa0_flag_malformed_is_usage_error(tmp_path, capsys, kappa0,
                                               problem):
-    code = main([
-        "run", str(SCENES / "worked_example.scene"), "--command",
-        "transform", "--out-dir", str(tmp_path), "--kappa0", flag,
-    ])
+    """A malformed scene ``kappa0`` is a scene problem (exit 2) naming
+    its job; its values must be JSON numbers."""
+    path, i = _kappa0_scene(tmp_path, kappa0)
+    code = main(["run", path, "--out-dir", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
-    assert f"usage error: --kappa0: kappa0 {problem}" in err
+    assert f"scene error: jobs[{i}]: kappa0 {problem}" in err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_job_settings_come_from_the_scene_alone(capsys):
+    """``polekit run`` has no options that rewrite job settings."""
+    with pytest.raises(SystemExit):
+        main(["run", "-h"])
+    assert set(re.findall(r"--[\w-]+", capsys.readouterr().out)) == {
+        "--help", "--command", "--out-dir"}
 
 
 def test_scene_kappa0_non_numeric_reported():
@@ -344,6 +422,8 @@ def _worked_example_job(command):
     ("transform", "samples", False, "a positive integer"),
     ("verify", "tolerance", 0, "a positive finite number"),
     ("verify", "tolerance", -1e-6, "a positive finite number"),
+    ("verify", "tolerance", float("inf"), "a positive finite number"),
+    ("verify", "tolerance", float("nan"), "a positive finite number"),
     ("transform", "tolerance", float("inf"), "a positive finite number"),
     ("transform", "tolerance", float("nan"), "a positive finite number"),
     ("verify", "tolerance", "1e-6", "a positive finite number"),
@@ -389,23 +469,6 @@ def test_valid_job_numbers_accepted():
     doc, job = _worked_example_job("verify")
     job.update(forms=1, tolerance=1, seed=0)
     parse_scene(json.dumps(doc))
-
-
-@pytest.mark.parametrize("flags, problem", [
-    (["--samples", "0"], "--samples 0 must be a positive integer"),
-    (["--tol", "0"], "--tol 0.0 must be a positive finite number"),
-    (["--tol=-1e-6"], "--tol -1e-06 must be a positive finite number"),
-    (["--tol", "nan"], "--tol nan must be a positive finite number"),
-    (["--tol", "inf"], "--tol inf must be a positive finite number"),
-    (["--seed", "-1"], "--seed -1 must be a non-negative integer"),
-])
-def test_count_tolerance_and_seed_flags_checked(tmp_path, capsys, flags,
-                                                problem):
-    code = main(["run", str(SCENES / "worked_example.scene"),
-                 "--out-dir", str(tmp_path), *flags])
-    assert code == 2
-    assert f"usage error: {problem}" in capsys.readouterr().err
-    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("inverse", [["x0", "x1", "x2"], "x0"])

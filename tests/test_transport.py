@@ -172,6 +172,17 @@ def test_kappa0_must_be_antisymmetric():
         transform_quadrupole(quad, chart, C, kappa0=bad)
 
 
+@pytest.mark.parametrize("entry", [np.nan, 1e308])
+def test_kappa0_that_is_nan_or_overflows_is_rejected(entry):
+    """A NaN kappa0, or one whose antisymmetry residual overflows, fails
+    the check with no warning."""
+    quad, C, chart = worked_example()
+    bad = np.zeros((4, 4))
+    bad[1, 2] = bad[2, 1] = entry
+    with pytest.raises(DomainError, match="must be antisymmetric"):
+        transform_quadrupole(quad, chart, C, kappa0=bad)
+
+
 # -- linear charts: purely tensorial -----------------------------------------
 
 
@@ -453,7 +464,7 @@ def test_worked_example_pairing_against_mpmath():
 
     quad, C, chart = worked_example()
     tr = transform_quadrupole(quad, chart, C)
-    coords = tuple(ex.var(a) for a in range(4))
+    coords = tuple(ex.Var(a) for a in range(4))
     x = sp.symbols("x0:4")
     for (p1, p2), center, half in _ORACLE_FORMS:
         form = make_test_form([0, p1(coords), p2(coords), 0], center, half)
