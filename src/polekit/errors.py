@@ -30,7 +30,8 @@ class DomainError(PolekitError):
 
 
 class QuadratureError(PolekitError):
-    """Adaptive quadrature failed to reach the requested tolerance.
+    """Adaptive quadrature failed to reach the requested tolerance, or
+    its integrand returned a value that is not finite.
 
     ``worst_interval`` is the (a, b) subinterval with the largest
     remaining error estimate.

@@ -54,37 +54,6 @@ from .jets import Jet2, entries_array, stacked
 class Expr:
     __slots__ = ()
 
-    # Builder sugar so tests and constructors read naturally.
-    def __add__(self, other):
-        return Add(self, _coerce(other))
-
-    def __radd__(self, other):
-        return Add(_coerce(other), self)
-
-    def __sub__(self, other):
-        return Sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return Sub(_coerce(other), self)
-
-    def __mul__(self, other):
-        return Mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return Mul(_coerce(other), self)
-
-    def __truediv__(self, other):
-        return Div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return Div(_coerce(other), self)
-
-    def __neg__(self):
-        return Neg(self)
-
-    def __pow__(self, p):
-        return Pow(self, float(p))
-
     def eval(self, env, memo=None):
         """Evaluate at ``env``: the tuple of seed jets of
         :meth:`Jet2.seed_point` gives a :class:`Jet2`, a tuple of
@@ -457,7 +426,6 @@ _FUNCTIONS = tuple(jets.PRIMITIVES)
 class _Tokens:
     def __init__(self, text):
         self.text = text
-        self.pos = 0
         self.items = []
         self._scan()
         self.i = 0

@@ -5,14 +5,14 @@ gamma3[a][b][c] are symmetric in the last two slots and cyclic-free
 (gamma[abc] + gamma[bca] + gamma[cab] = 0), leaving 20 independent
 entries.  Components are held as batch fields: functions mapping an
 array of N taus to the (N, 4, ...) arrays of the values and of their
-exact first and second tau derivatives, plus a mask of the entries
-that may be nonzero.  There are two ways in: ``from_dict`` for
-components given entry by entry as expressions or numbers, and
-``from_arrays`` for batch fields computed elsewhere (transport results,
-sampled quadrupoles).  Whole arrays read back as ``values_at`` /
-``derivs_at``; an entry ``q[a, b, c]`` is the function of tau that
-reads its slot of ``values_at``.  Functions of tau are combined as
-expression trees (:mod:`polekit.expr`), not entry by entry.
+exact first and second tau derivatives, plus a flag ``zero`` for
+components known to be zero everywhere.  There are two ways in:
+``from_dict`` for components given entry by entry as expressions or
+numbers, and the constructor for batch fields computed elsewhere
+(transport results, sampled quadrupoles).  Whole arrays read back as
+``values_at`` / ``derivs_at``; an entry ``q[a, b, c]`` is the function
+of tau that reads its slot of ``values_at``.  Functions of tau are
+combined as expression trees (:mod:`polekit.expr`), not entry by entry.
 Symmetry is validated at sampled tau values, never assumed.
 
 The adapted-basis coefficient dictionary (:class:`AdaptedCoefficients`)
@@ -55,8 +55,9 @@ def sample_taus(interval, n=50, seed=0):
 
 
 def _expr_fields(entries, rank):
-    """(values, derivs, derivs2, mask) batch fields of components given
-    as {index: Expr or number}; zero constants are left out of the mask.
+    """(values, derivs, derivs2, zero) batch fields of components given
+    as {index: Expr or number}; zero constants are left out, and
+    ``zero`` tells whether that left every entry out.
 
     Entries with equal trees (mirror entries written alike, such as a
     quadrupole's "001" and "010") are read once per call and copied to
@@ -72,9 +73,6 @@ def _expr_fields(entries, rank):
         if not (isinstance(e, Const) and e.v == 0.0):
             exprs[tuple(idx)] = e
     shape = (4,) * rank
-    mask = np.zeros(shape, dtype=bool)
-    for idx in exprs:
-        mask[idx] = True
     flat = [np.ravel_multi_index(idx, shape) for idx in exprs]
     column = {}
     source = [column.setdefault((e, e.to_str()), len(column))
@@ -90,14 +88,14 @@ def _expr_fields(entries, rank):
 
         return f
 
-    return field(0), field(1), field(2), mask
+    return field(0), field(1), field(2), not exprs
 
 
 def _input_fields(obj, rank):
-    """Batch fields and mask of a constructor input: a container, or a
-    nested grid (lists or an array) of Expr or numbers."""
+    """Batch fields and zero flag of a constructor input: a container,
+    or a nested grid (lists or an array) of Expr or numbers."""
     if isinstance(obj, _Components):
-        return obj._arrays + (obj.mask,)
+        return obj._arrays + (obj.zero,)
     entries = {idx: reduce(lambda g, i: g[i], idx, obj)
                for idx in np.ndindex(*(4,) * rank)}
     return _expr_fields(entries, rank)
@@ -115,35 +113,21 @@ class _Components:
 
     ``values``, ``derivs`` and ``derivs2`` map a 1-D array of N taus to
     an (N, 4, ...) array (derivatives are optional: reading a missing
-    one raises :class:`DerivativeUnavailable`); ``mask`` marks the
-    entries that may be nonzero.
+    one raises :class:`DerivativeUnavailable`); ``zero`` marks
+    components known to be zero everywhere, which pairings skip.
     """
 
     rank = None
 
-    def __init__(self, values, derivs=None, derivs2=None, mask=None):
-        shape = (4,) * self.rank
-        if mask is None:
-            mask = np.ones(shape, dtype=bool)
-        self.mask = np.asarray(mask, dtype=bool).reshape(shape)
+    def __init__(self, values, derivs=None, derivs2=None, zero=False):
+        self.zero = zero
         self._arrays = (values, derivs, derivs2)
 
     @classmethod
-    def from_arrays(cls, values, derivs=None):
-        """Components given by batch functions of taus: ``values`` and
-        ``derivs`` (optional) map a 1-D array of N taus to an (N, 4,
-        ...) array; every entry may be nonzero."""
-        return cls(values, derivs)
-
-    @classmethod
-    def from_dict(cls, entries, **kwargs):
+    def from_dict(cls, entries):
         """Components from {index tuple: Expr or number}; entries not
         listed are zero."""
-        return cls(*_expr_fields(entries, cls.rank), **kwargs)
-
-    @classmethod
-    def zero(cls):
-        return cls.from_dict({})
+        return cls(*_expr_fields(entries, cls.rank))
 
     def _read(self, k, taus):
         """Array ``k`` (0: values, 1: derivatives) at a 1-D array of
@@ -172,7 +156,7 @@ class _Components:
         return self._read(1, tau)
 
     def scale(self, taus):
-        if not np.any(self.mask):
+        if self.zero:
             return 0.0
         return float(np.max(np.abs(self.values_at(np.asarray(taus)))))
 
@@ -213,11 +197,6 @@ class QuadrupoleComponents(_Components):
     """
 
     rank = 3
-
-    def __init__(self, values, derivs=None, derivs2=None, mask=None,
-                 meta=None):
-        super().__init__(values, derivs, derivs2, mask)
-        self.meta = dict(meta) if meta else {}
 
     def _residuals(self, taus):
         g = self.values_at(np.asarray(taus))
@@ -340,7 +319,7 @@ def component_rank(kind):
 # -- constructors -----------------------------------------------------------
 
 
-def _constant(cls, g, **kwargs):
+def _constant(cls, g):
     """Components equal to the constant array ``g``."""
 
     def values(taus):
@@ -349,7 +328,7 @@ def _constant(cls, g, **kwargs):
     def zeros(taus):
         return np.zeros(taus.shape + g.shape)
 
-    return cls(values, zeros, zeros, g != 0.0, **kwargs)
+    return cls(values, zeros, zeros, not g.any())
 
 
 def make_static_dipole(p_ed, p_md):
@@ -372,8 +351,7 @@ def make_toroidal_quadrupole(T):
     """Spatial quadrupole pattern built from a 3-vector.
 
     The delta-pattern recipe is symmetrized onto the valid-component
-    subspace by orthogonal projection; ``meta['projection_residual']``
-    records how much of the raw pattern the projection removed.
+    subspace by orthogonal projection.
     """
     T = np.asarray(T, dtype=float)
     raw = np.zeros((4, 4, 4))
@@ -388,11 +366,8 @@ def make_toroidal_quadrupole(T):
                 if nu == sg:
                     val -= 2.0 * T[sg - 1]
                 raw[mu, nu, sg] = val
-    flat = raw.reshape(64)
-    proj = symmetry_projector() @ flat
-    resid = float(np.linalg.norm(flat - proj))
-    return _constant(QuadrupoleComponents, proj.reshape(4, 4, 4),
-                     meta={"projection_residual": resid})
+    proj = symmetry_projector() @ raw.reshape(64)
+    return _constant(QuadrupoleComponents, proj.reshape(4, 4, 4))
 
 
 def _velocity_product(cls, terms, X, worldline):
@@ -400,10 +375,10 @@ def _velocity_product(cls, terms, X, worldline):
     worldline velocity v and the input fields X.
 
     Derivatives follow the product rule with the curve's acceleration;
-    second derivatives are not available.  An entry may be nonzero where
-    some term meets a nonzero input entry.
+    second derivatives are not available.  The product is zero where the
+    input is.
     """
-    xv, xd, _, xmask = X
+    xv, xd, _, xzero = X
 
     def combine(v, x):
         return sum(sign * np.einsum(spec, v, x) for spec, sign in terms)
@@ -419,10 +394,7 @@ def _velocity_product(cls, terms, X, worldline):
         return (combine(worldline.acceleration_at(taus), xv(taus))
                 + combine(worldline.velocity_at(taus), xd(taus)))
 
-    ones = np.ones((1, 4))
-    hits = sum(np.einsum(spec, ones, xmask[None].astype(float))
-               for spec, _ in terms)
-    return cls(values, derivs, None, hits[0] > 0.0)
+    return cls(values, derivs, None, xzero)
 
 
 def make_electric_dipole(w, worldline):
@@ -466,12 +438,12 @@ def embed_dipole_as_quadrupole(p, worldline):
 def extract_dipole(p):
     """The dipole gamma[ab] = d p^{ab} / d tau hiding in an embedded
     antisymmetric p."""
-    _, derivs, derivs2, mask = _input_fields(p, 2)
+    _, derivs, derivs2, zero = _input_fields(p, 2)
     if derivs is None:
         raise DerivativeUnavailable(
             "no exact first-derivative rule for this component"
         )
-    return DipoleComponents(derivs, derivs2, None, mask)
+    return DipoleComponents(derivs, derivs2, None, zero)
 
 
 # -- adapted-coordinate coefficient dictionary ------------------------------

@@ -70,8 +70,7 @@ class PairingReport:
     value: float
     quadrature_error_estimate: float
     nodes_used: int
-    seed: int | None = None
-    floor_panels: int = 0
+    floor_panels: int
 
 
 # Test forms evaluate over batches: ``jets_at(x, owner, order)``,
@@ -465,7 +464,7 @@ def _pairings(worldline, form, integrands):
     every member keeps its own window and panel tree, and each
     refinement level of all members is one integrand call.
     """
-    reports = [PairingReport(0.0, 0.0, 0) for _ in form.boxes]
+    reports = [PairingReport(0.0, 0.0, 0, 0) for _ in form.boxes]
     windows = None
     for integrand in integrands:
         if integrand is None:
@@ -521,8 +520,8 @@ def _gamma_integrand(gamma2, gamma3, worldline, form):
     read of the form's jets (of order 2 only when there is a quadrupole
     term), either term absent when its components are None or zero;
     None when both are."""
-    dipole = gamma2 is not None and gamma2.mask.any()
-    quadrupole = gamma3 is not None and gamma3.mask.any()
+    dipole = gamma2 is not None and not gamma2.zero
+    quadrupole = gamma3 is not None and not gamma3.zero
     if not (dipole or quadrupole):
         return None
     order = 2 if quadrupole else 1

@@ -12,7 +12,9 @@ so :func:`integrate`) starts from 5 panels at ``tol`` 1e-10, a
 
 Integrands are evaluated over batches of nodes: ``f`` receives a 1-D
 array of N taus and returns the array of its values, of shape (N,) (or
-(N, dim) for :class:`CumulativeIntegral`); any other shape raises.
+(N, dim) for :class:`CumulativeIntegral`); any other shape raises, and
+so does a NaN or an infinity among the values (a panel difference that
+is not finite cannot be judged against its budget).
 Values are read as a C-ordered array, so results do not depend on the
 memory layout of the array ``f`` returns.  A split passes the values of
 its two halves on to the children, whose one-panel rule they are, so
@@ -110,7 +112,9 @@ def _refine(f, windows, tol, panels, label):
     is accepted when the 16-node rule on it and the sum of the rules on
     its halves differ by at most ``tol * (pb - pa) / (b - a) + tol *
     |halves|`` (or when it is narrower than 1e-14 of its window), else
-    it is split; each window may split ``_MAX_SPLITS`` times.
+    it is split; each window may split ``_MAX_SPLITS`` times.  The first
+    level whose values hold a NaN or an infinity raises, naming ``label``
+    and the tau of the first such value.
 
     Returns per window the accepted panels as (pa, pm, pb, left values,
     right values, difference) in the order of a right-to-left
@@ -146,6 +150,11 @@ def _refine(f, windows, tol, panels, label):
         vals = np.concatenate([
             f(taus[i:i + _MAX_BATCH], owner[i:i + _MAX_BATCH])
             for i in range(0, len(taus), _MAX_BATCH)])
+        finite = np.isfinite(vals)
+        if not finite.all():
+            row = np.argmin(finite.reshape(len(vals), -1).all(axis=1))
+            raise QuadratureError(
+                f"{label}: non-finite integrand value at tau={taus[row]}")
         # The error of one integral is a scalar's abs; a vector
         # integrand's is the largest over its components.
         if vals.ndim == 1:
@@ -204,7 +213,8 @@ def integrate_many(f, windows):
     refinement stopped whether or not the panel met its error budget.
 
     Raises :class:`QuadratureError` carrying the worst subinterval if a
-    window exhausts its split budget before the tolerance is met.
+    window exhausts its split budget before the tolerance is met, and
+    one naming the tau if ``f`` returns a value that is not finite.
     """
     trees = _refine(_batched(f), windows, _TOL, _PANELS, "integral")
     results = []
@@ -240,7 +250,6 @@ class CumulativeIntegral:
         self.f = _batched(f, (dim,))
         self.a = a
         self.b = b
-        self.dim = dim
         self.error = 0.0
         [(accepted, self.nodes, self.floor_panels)] = _refine(
             lambda taus, owner: self.f(taus), [(a, b)], tol,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,8 @@ from .worldlines import Worldline
 
 _COMMANDS = ("transform", "verify", "classify", "charge", "potentials")
 _BUNDLE_COMMANDS = ("transform", "verify", "classify", "charge")
+# A job name; it names the job's files in the output directory too.
+_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 
 
 @dataclass
@@ -140,12 +143,8 @@ def _parse_multipole(name, spec, problems):
         if key not in known:
             problems.append(f"{path}: unknown field {key!r}")
     if "charge" in spec:
-        try:
-            q = float(spec["charge"])
-        except (TypeError, ValueError, OverflowError):
-            q = math.nan
-        if math.isfinite(q):
-            out["monopole"] = Monopole(q)
+        if _finite(spec["charge"]):
+            out["monopole"] = Monopole(float(spec["charge"]))
         else:
             problems.append(f"{path}.charge: must be a finite number")
     for key, arity, cls in (("dipole", 2, DipoleComponents),
@@ -280,7 +279,7 @@ def _check_inverses(specs, charts, worldlines, jobs, problems):
 
 
 def _validate_job(i, job, scene_charts, scene_worldlines, scene_multipoles,
-                  problems):
+                  job_names, problems):
     path = f"jobs[{i}]"
     if not isinstance(job, dict):
         problems.append(f"{path}: job must be an object")
@@ -293,6 +292,16 @@ def _validate_job(i, job, scene_charts, scene_worldlines, scene_multipoles,
         return None
     out = dict(job)
     out.setdefault("name", f"{cmd}-{i}")
+    name = out["name"]
+    if not (isinstance(name, str) and _NAME.fullmatch(name)):
+        problems.append(f"{path}: name {name!r} must be a string of letters, "
+                        f"digits, '_', '.' and '-' that starts with a letter "
+                        f"or digit")
+    elif name in job_names:
+        problems.append(f"{path}: name {name!r} is already used by "
+                        f"jobs[{job_names[name]}]")
+    else:
+        job_names[name] = i
     for key, names, commands in (
             ("multipole", scene_multipoles, _BUNDLE_COMMANDS),
             ("worldline", scene_worldlines, _BUNDLE_COMMANDS),
@@ -388,9 +397,10 @@ def parse_scene(text):
         if parsed is not None:
             multipoles[name] = parsed
     jobs = []
+    job_names = {}
     for i, job in enumerate(_section(raw, "jobs", list, problems)):
         parsed = _validate_job(i, job, charts, worldlines, multipoles,
-                               problems)
+                               job_names, problems)
         if parsed is not None:
             jobs.append(parsed)
 

@@ -150,7 +150,7 @@ def transform_dipole(gamma2, chart, worldline):
         return (dA @ g @ At + A @ dg @ At
                 + A @ g @ np.swapaxes(dA, -1, -2))
 
-    return DipoleComponents.from_arrays(F, dF)
+    return DipoleComponents(F, dF)
 
 
 def transform_quadrupole(gamma3, chart, worldline, kappa0=None):
@@ -211,7 +211,7 @@ def transform_quadrupole(gamma3, chart, worldline, kappa0=None):
         )
 
     return TransportResult(
-        gamma3_hat=QuadrupoleComponents.from_arrays(F, dF),
+        gamma3_hat=QuadrupoleComponents(F, dF),
         P=P,
         worldline_hat=worldline.push_through_chart(chart),
     )
@@ -223,4 +223,4 @@ def dipole_part(result):
 
     Constant shifts of P (the kappa0 freedom) drop out here.
     """
-    return DipoleComponents.from_arrays(result.P.deriv_matrix_at)
+    return DipoleComponents(result.P.deriv_matrix_at)

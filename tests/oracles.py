@@ -279,7 +279,8 @@ def random_quadrupole(rng, degree=2, scale=1.0, directions=5):
 
         return field
 
-    return QuadrupoleComponents(combo(0), combo(1), combo(2), mask=mask)
+    return QuadrupoleComponents(combo(0), combo(1), combo(2),
+                                zero=not mask.any())
 
 
 def random_antisym_poly_grid(rng, degree=2):
@@ -342,7 +343,7 @@ def reparametrized(worldline, components, tau_of, interval_hat):
         return (accel[tail] * components.values_at(tau)
                 + (speed * speed)[tail] * components.derivs_at(tau))
 
-    return curve, type(components).from_arrays(values, derivs)
+    return curve, type(components)(values, derivs)
 
 
 # -- second paths that tests compare with the library ------------------------

@@ -447,7 +447,7 @@ def _with_every_primitive(t):
     """Trees over ``t`` that reach every primitive, both chain rules and
     both kinds of power, with arguments inside their domains."""
     c, sq = ex.Const, ex.Mul(t, t)
-    return (t, -t, ex.Pow(t, 3.0), ex.Pow(ex.Add(c(1.5), sq), 2.5),
+    return (t, ex.Neg(t), ex.Pow(t, 3.0), ex.Pow(ex.Add(c(1.5), sq), 2.5),
             ex.Div(c(1.0), ex.Add(c(2.0), sq)),
             ex.Atan2(t, ex.Add(c(2.0), sq)),
             ex.Fun("bump", ex.Mul(c(0.5), ex.Fun("sin", t))),

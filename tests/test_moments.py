@@ -84,11 +84,10 @@ def test_nan_residual_fails_the_symmetry_checks():
         return values
 
     with pytest.raises(SymmetryError) as err:
-        DipoleComponents.from_arrays(nan_at((1, 2))).check_antisymmetry(TAUS)
+        DipoleComponents(nan_at((1, 2))).check_antisymmetry(TAUS)
     assert err.value.index == (1, 2)
     with pytest.raises(SymmetryError) as err:
-        QuadrupoleComponents.from_arrays(
-            nan_at((2, 1, 1))).check_symmetries(TAUS)
+        QuadrupoleComponents(nan_at((2, 1, 1))).check_symmetries(TAUS)
     assert err.value.tau == TAUS[0]
 
 
@@ -123,10 +122,17 @@ def test_toroidal_zero_vector():
 
 def test_toroidal_z_fixed_entries():
     # frozen output of the symmetry projection of the delta pattern for
-    # T = e_z (the raw printed pattern violates the cyclic constraint;
-    # meta records how much was removed)
-    q = make_toroidal_quadrupole((0.0, 0.0, 1.0))
+    # T = e_z (the raw printed pattern violates the cyclic constraint,
+    # so the projection moves it)
+    T = np.array([0.0, 0.0, 1.0])
+    d = np.eye(3)
+    raw = np.zeros((4, 4, 4))
+    raw[1:, 1:, 1:] = (np.einsum("ms,n->mns", d, T)
+                       + np.einsum("mn,s->mns", d, T)
+                       - 2.0 * (d * T)[None])
+    q = make_toroidal_quadrupole(T)
     g = q.values_at(np.array([0.0]))[0]
+    assert np.linalg.norm(raw - g) > 1.0
     third = 1.0 / 3.0
     expected = {
         (1, 1, 3): third, (1, 3, 1): third, (1, 3, 3): -4 * third,
@@ -139,7 +145,6 @@ def test_toroidal_z_fixed_entries():
         assert g[idx] == pytest.approx(val, abs=1e-12)
         g[idx] = 0.0
     assert np.max(np.abs(g)) < 1e-12
-    assert q.meta["projection_residual"] > 1.0
 
 
 def test_toroidal_any_vector_passes_symmetries(rng):
@@ -413,7 +418,7 @@ def test_closedness_reads_each_field_once_per_taus(rng, adapted_worldline):
         return f
 
     fields = [counted(k, field) for k, field in enumerate(q._arrays)]
-    counted_q = QuadrupoleComponents(*fields, mask=q.mask)
+    counted_q = QuadrupoleComponents(*fields, zero=q.zero)
     z = zeta_from_gamma(Monopole(1.2), counted_q, adapted_worldline)
     ok, residuals = z.is_closed()
     assert ok, residuals
@@ -441,7 +446,7 @@ def test_coefficient_derivatives_are_exact_or_unavailable(
     with pytest.raises(DerivativeUnavailable):
         z.arrays(np.ones(1), ("zeroth", 1))
     # without second derivatives of gamma, zeroth itself is unavailable
-    q1 = QuadrupoleComponents(*q._arrays[:2], mask=q.mask)
+    q1 = QuadrupoleComponents(*q._arrays[:2], zero=q.zero)
     z1 = zeta_from_gamma(Monopole(1.2), q1, adapted_worldline)
     assert z1.arrays(np.ones(1), "first")[0][0].shape == (3, 3)
     with pytest.raises(DerivativeUnavailable):

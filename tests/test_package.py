@@ -25,6 +25,20 @@ UNPASSED_ALLOWED = {
 }
 
 
+# Instance attributes that nothing in the program reads, each with the
+# reason it is kept.
+UNREAD_ALLOWED = {
+    "EvaluationError.op":
+        "exception payload: the failing primitive, for callers that catch",
+    "QuadratureError.worst_interval":
+        "exception payload: where the refinement gave up",
+    "SymmetryError.tau":
+        "exception payload: the tau sample of the violation",
+    "PTerm.quadrature_error":
+        "error estimate of the integral term (ROADMAP items 6 and 10)",
+}
+
+
 def test_every_exported_name_resolves():
     """Each name in polekit.__all__ is an attribute of the package, so a
     removed object cannot stay listed as an export."""
@@ -101,11 +115,24 @@ def _call_sites(trees):
                     yield getattr(f, "id", None) or f.attr, node
 
 
+def _is_dataclass(node):
+    return isinstance(node, ast.ClassDef) and any(
+        getattr(getattr(d, "func", d), "id", None) == "dataclass"
+        for d in node.decorator_list)
+
+
 def _defaulted_parameters(tree):
     """(qualified parameter, called name, position or None) for each
-    defaulted parameter of a top-level function or a method; the
+    defaulted parameter of a top-level function or a method, and for
+    each defaulted field of a dataclass (a parameter of the class); the
     position counts the arguments a call passes, so a method's ``self``
     or ``cls`` is not one, and a keyword-only parameter has none."""
+    for c in tree.body:
+        if _is_dataclass(c):
+            fields = [f for f in c.body if isinstance(f, ast.AnnAssign)]
+            for i, f in enumerate(fields):
+                if f.value is not None:
+                    yield f"{c.name}({f.target.id})", c.name, f.target.id, i
     defs = [(node.name, node.name, node, 0) for node in tree.body
             if isinstance(node, ast.FunctionDef)]
     for c in tree.body:
@@ -158,18 +185,49 @@ def test_every_dataclass_field_is_read():
     code: a field that only tests read, or nothing reads, is dead
     state.  Reads are matched by attribute name alone."""
     trees = _program_trees()
-    reads = {node.attr for tree in trees for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute)
-             and isinstance(node.ctx, ast.Load)}
+    reads = _attribute_reads(trees)
     unread = [
         f"{c.name}.{f.target.id}"
-        for tree in trees[:len(SOURCES)] for c in tree.body
-        if isinstance(c, ast.ClassDef) and any(
-            getattr(getattr(d, "func", d), "id", None) == "dataclass"
-            for d in c.decorator_list)
+        for tree in trees[:len(SOURCES)] for c in tree.body if _is_dataclass(c)
         for f in c.body
         if isinstance(f, ast.AnnAssign) and f.target.id not in reads]
     assert unread == []
+
+
+def _attribute_reads(trees):
+    """The attribute names that ``trees`` read: attribute loads and the
+    string constants named by ``getattr`` calls."""
+    reads = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Load):
+                reads.add(node.attr)
+            elif (isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) == "getattr"
+                  and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant)):
+                reads.add(node.args[1].value)
+    return reads
+
+
+def test_every_instance_attribute_is_read():
+    """Each attribute that a method of src/polekit stores on ``self`` is
+    read, as an attribute or by ``getattr``, somewhere in src/polekit,
+    perfbench/*.py or the README's Python code: state that only tests
+    read, or nothing reads, is dead.  Reads are matched by attribute
+    name alone."""
+    trees = _program_trees()
+    reads = _attribute_reads(trees)
+    unread = sorted({
+        f"{c.name}.{node.attr}"
+        for tree in trees[:len(SOURCES)] for c in ast.walk(tree)
+        if isinstance(c, ast.ClassDef)
+        for node in ast.walk(c)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and getattr(node.value, "id", None) == "self"
+        and node.attr not in reads})
+    assert unread == sorted(UNREAD_ALLOWED)
 
 
 def test_benchmark_tracer_finds_every_entry_point():

@@ -198,9 +198,51 @@ def test_monopole_time_bump_oracle(adapted_worldline):
 def test_dipole_zero_components(adapted_worldline, rng):
     from polekit.moments import DipoleComponents
 
-    r = pair_dipole(DipoleComponents.zero(), adapted_worldline,
+    r = pair_dipole(DipoleComponents.from_dict({}), adapted_worldline,
                     random_test_form_along(rng, adapted_worldline))
     assert r.value == 0.0
+
+
+def test_nan_component_value_raises(adapted_worldline, rng):
+    """One NaN component value makes the pairing integrand NaN at one
+    node: the pairing raises, naming the tau, and returns no NaN."""
+    from polekit.moments import DipoleComponents
+
+    d = make_static_dipole((0.3, 0.0, 0.0), (0.0, 0.0, 1.0))
+    first = []
+
+    def values(taus):
+        first.append(taus[0])
+        out = d.values_at(taus)
+        out[0, 1, 2] = np.nan
+        return out
+
+    with pytest.raises(QuadratureError) as err:
+        pair_dipole(DipoleComponents(values), adapted_worldline,
+                    random_test_form_along(rng, adapted_worldline))
+    assert str(err.value) == (
+        f"integral: non-finite integrand value at tau={first[0]}")
+
+
+def test_nan_form_value_in_the_charge_integrand_raises(
+        adapted_worldline, rng, monkeypatch):
+    """One NaN value of the form read by the charge integrand stops the
+    pairing, naming the tau."""
+    family_values = AffineFormFamily.values_at
+    first = []
+
+    def poisoned(self, x, owner):
+        first.append(x[0, 0])
+        out = family_values(self, x, owner)
+        out[0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(AffineFormFamily, "values_at", poisoned)
+    with pytest.raises(QuadratureError) as err:
+        pair_monopole(Monopole(1.5), adapted_worldline,
+                      random_test_form_along(rng, adapted_worldline))
+    assert str(err.value) == (
+        f"integral: non-finite integrand value at tau={first[0]}")
 
 
 def test_dipole_constant_component_region(adapted_worldline):
@@ -236,7 +278,7 @@ def test_dipole_bump_reduction_oracle(adapted_worldline):
 def test_quadrupole_zero(adapted_worldline, rng):
     from polekit.moments import QuadrupoleComponents
 
-    r = pair_quadrupole(QuadrupoleComponents.zero(), adapted_worldline,
+    r = pair_quadrupole(QuadrupoleComponents.from_dict({}), adapted_worldline,
                         random_test_form_along(rng, adapted_worldline))
     assert r.value == 0.0
 
@@ -247,7 +289,7 @@ def test_pairing_linearity(rng, adapted_worldline):
     alpha, beta = 0.6, -1.7
     from polekit.moments import QuadrupoleComponents
 
-    combo = QuadrupoleComponents.from_arrays(
+    combo = QuadrupoleComponents(
         lambda t: alpha * q1.values_at(t) + beta * q2.values_at(t))
     for _ in range(3):
         form = random_test_form_along(rng, adapted_worldline)

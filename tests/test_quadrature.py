@@ -250,3 +250,38 @@ def test_integrate_many_error_reaches_caller():
             [(0.0, 1.0), (-1.0, 1.0), (0.0, 3.0)])
     assert str(many.value) == str(alone.value)
     assert many.value.worst_interval == alone.value.worst_interval
+
+
+def test_nan_at_one_node_raises():
+    """A NaN integrand value is no panel difference that can be judged:
+    the first level that reads one raises, naming the label and the
+    tau, instead of splitting it down to the width floor."""
+    first = []
+
+    def f(taus, owner):
+        first.append(taus[np.argmax(owner == 1)])
+        return np.where(taus == first[0], np.nan, np.sin(taus))
+
+    with pytest.raises(QuadratureError) as err:
+        integrate_many(f, [(0.0, 1.0), (1.0, 3.0)])
+    assert len(first) == 1
+    assert str(err.value) == (
+        f"integral: non-finite integrand value at tau={first[0]}")
+
+
+def test_inf_at_one_node_of_cumulative_integral_raises():
+    """An infinite value would make its panel's error budget infinite
+    and the running integral infinite with it."""
+    first = []
+
+    def f(taus):
+        first.append(taus[3])
+        out = np.stack([np.cos(taus), np.sin(taus)], axis=-1)
+        out[taus == first[0], 0] = np.inf
+        return out
+
+    with pytest.raises(QuadratureError) as err:
+        CumulativeIntegral(f, 0.0, 1.0, 2, 1e-10, label="running")
+    assert len(first) == 1
+    assert str(err.value) == (
+        f"running: non-finite integrand value at tau={first[0]}")

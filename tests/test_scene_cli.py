@@ -671,11 +671,13 @@ def test_classify_example_scene_passes_every_job(tmp_path):
 
 
 @pytest.mark.parametrize("charge", [float("inf"), float("-inf"),
-                                    float("nan"), 10**400, "x"],
-                         ids=["inf", "-inf", "nan", "huge", "text"])
+                                    float("nan"), 10**400, "x", True, "1.3"],
+                         ids=["inf", "-inf", "nan", "huge", "text", "bool",
+                              "numeric-text"])
 def test_non_finite_charge_reported(tmp_path, charge):
-    """A charge that is not a finite number is a scene problem (exit 2),
-    not a quadrature that gives up after its split budget."""
+    """A charge that is not a finite JSON number is a scene problem (exit
+    2), not a quadrature that gives up after its split budget, nor a
+    boolean read as 1.0 or a string read as the number it spells."""
     bad = json.loads(MINIMAL)
     bad["multipoles"]["charge"]["charge"] = charge
     text = json.dumps(bad)
@@ -686,6 +688,53 @@ def test_non_finite_charge_reported(tmp_path, charge):
     f = tmp_path / "bad.scene"
     f.write_text(text)
     assert main(["run", str(f), "--out-dir", str(tmp_path / "o")]) == 2
+
+
+_NAME_RULE = ("must be a string of letters, digits, '_', '.' and '-' that "
+              "starts with a letter or digit")
+
+
+def _run_named(tmp_path, capsys, *names):
+    """Exit code and stderr of ``polekit run`` on potentials jobs with
+    these names, writing into tmp_path/out."""
+    doc = json.loads(MINIMAL)
+    doc["jobs"] = [{"command": "potentials", "name": name,
+                    "source": {"kind": "monopole", "moments": 1.0}}
+                   for name in names]
+    path = tmp_path / "named.scene"
+    path.write_text(json.dumps(doc))
+    code = main(["run", str(path), "--out-dir", str(tmp_path / "out")])
+    return code, capsys.readouterr().err
+
+
+def test_job_name_that_leaves_the_out_dir_is_rejected(tmp_path, capsys):
+    """A job name names its CSV files, so a path in it would write
+    outside --out-dir."""
+    code, err = _run_named(tmp_path, capsys, "../escaped")
+    assert code == 2
+    assert f"scene error: jobs[0]: name '../escaped' {_NAME_RULE}" in err
+    assert not (tmp_path / "escaped_ray0.csv").exists()
+    assert not (tmp_path / "out").exists()
+
+
+def test_duplicate_job_names_are_rejected(tmp_path, capsys):
+    """Two jobs of one name would write the same CSV files, the second
+    overwriting the first while the report lists the file for both."""
+    code, err = _run_named(tmp_path, capsys, "dup", "dup")
+    assert code == 2
+    assert ("scene error: jobs[1]: name 'dup' is already used by jobs[0]"
+            in err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_job_name_that_is_not_a_string_is_rejected(tmp_path, capsys):
+    doc = json.loads(MINIMAL)
+    doc["jobs"][0]["name"] = 7
+    path = tmp_path / "named.scene"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert (f"scene error: jobs[0]: name 7 {_NAME_RULE}"
+            in capsys.readouterr().err)
 
 
 def _serial_verify(scene, job):
@@ -740,8 +789,9 @@ def test_invariance_example_scene_passes_every_job(tmp_path):
 
 def test_verify_job_with_one_nonconvergent_probe_fails_as_serial(
         tmp_path, monkeypatch):
-    """When one probe of a verify job cannot converge (its form reads
-    NaN), the job fails with the error its serial pairing raises."""
+    """When one probe of a verify job cannot converge (its form
+    oscillates far faster than the split budget can resolve), the job
+    fails with the error its serial pairing raises."""
     from oracles import family_member
     from polekit.errors import QuadratureError
     from polekit.pairing import (AffineFormFamily, pair_bundle,
@@ -759,7 +809,8 @@ def test_verify_job_with_one_nonconvergent_probe_fails_as_serial(
 
     def poisoned(self, x, owner):
         out = family_values(self, x, owner)
-        out[self.consts[owner, 0] == forms.consts[1, 0]] = np.nan
+        rows = self.consts[owner, 0] == forms.consts[1, 0]
+        out[rows] = np.cos(1e6 * x[rows, :1])
         return out
 
     monkeypatch.setattr(AffineFormFamily, "values_at", poisoned)

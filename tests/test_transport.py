@@ -20,7 +20,7 @@ from polekit.charts import (
     lorentz_boost_chart,
     polynomial_chart,
 )
-from polekit.errors import DomainError
+from polekit.errors import DomainError, QuadratureError
 from polekit.expr import tau_rows
 from polekit.moments import (
     QuadrupoleComponents,
@@ -162,6 +162,29 @@ def test_worked_example_kappa0_offset():
     # the dipole part is unchanged by the constant
     d = dipole_part(tr)
     assert d[1, 2](np.array([t]))[0] == pytest.approx(kappa, abs=1e-9)
+
+
+def test_nan_component_value_in_the_integral_term_raises(monkeypatch):
+    """One NaN component value read by the integral term's integrand
+    stops the transport, naming the tau, instead of giving a P with a
+    NaN error estimate."""
+    quad, C, chart = worked_example()
+    values_at = QuadrupoleComponents.values_at
+    first = []
+
+    def poisoned(self, taus):
+        first.append(taus[0])
+        out = values_at(self, taus)
+        out[0, 2, 1, 1] = np.nan
+        return out
+
+    monkeypatch.setattr(QuadrupoleComponents, "values_at", poisoned)
+    with pytest.raises(QuadratureError) as err:
+        transform_quadrupole(quad, chart, C)
+    assert len(first) == 1
+    assert str(err.value) == (
+        f"integral term through {chart.label!r}: non-finite integrand "
+        f"value at tau={first[0]}")
 
 
 def test_kappa0_must_be_antisymmetric():
@@ -443,11 +466,9 @@ def test_quadrupole_transport_with_reparametrization(rng):
 # coordinates, so the same formula builds a polekit expression and an
 # mpmath value.
 _ORACLE_FORMS = (
-    ((lambda x: 1 + x[0] * x[2] + 0.5 * x[1],
-      lambda x: x[1] * x[1] - 0.3 * x[0] + x[2]),
+    (("1 + x0 * x2 + 0.5 * x1", "x1 * x1 - 0.3 * x0 + x2"),
      (5.0, 1.1, 0.05, -0.02), (1.5, 0.6, 0.5, 0.5)),
-    ((lambda x: x[0] * x[1] - x[2] * x[2],
-      lambda x: 0.7 + x[0] * x[2] - x[1] * x[2]),
+    (("x0 * x1 - x2 * x2", "0.7 + x0 * x2 - x1 * x2"),
      (3.2, 0.8, -0.1, 0.1), (0.9, 0.5, 0.4, 0.3)),
 )
 
@@ -464,17 +485,18 @@ def test_worked_example_pairing_against_mpmath():
 
     quad, C, chart = worked_example()
     tr = transform_quadrupole(quad, chart, C)
-    coords = tuple(ex.Var(a) for a in range(4))
     x = sp.symbols("x0:4")
     for (p1, p2), center, half in _ORACLE_FORMS:
-        form = make_test_form([0, p1(coords), p2(coords), 0], center, half)
+        form = make_test_form([0, ex.parse(p1, ex.CHART_VARS),
+                               ex.parse(p2, ex.CHART_VARS), 0], center, half)
         got = pair_quadrupole(tr.gamma3_hat, tr.worldline_hat, form)
 
         # Exact rationals keep |u| < 1 at every mpmath node inside the box.
         window = sp.Mul(*(
             sp.exp(-1 / (1 - ((xb - sp.Rational(cb)) / sp.Rational(hb)) ** 2))
             for xb, cb, hb in zip(x, center, half)))
-        phi1, phi2 = p1(x) * window, p2(x) * window
+        phi1, phi2 = (sp.sympify(p, locals=dict(zip(map(str, x), x)))
+                      * window for p in (p1, p2))
         # (1/2) gamma[abc] d_b d_c phi_a with tau = x0 on the worldline
         density = (x[0] * sp.diff(phi1, x[0], x[2])
                    - x[0] * sp.diff(phi2, x[0], x[1])
