@@ -2,6 +2,8 @@
 coordinate charts, and a distributional pairing oracle that verifies
 every transport."""
 
+from types import ModuleType as _ModuleType
+
 from .charts import Chart, ChartPair, compose_charts, get as registry_get
 from .classify import (
     ChargeProbe,
@@ -40,7 +42,6 @@ from .moments import (
     zeta_from_gamma,
 )
 from .pairing import (
-    PairingReport,
     SourceBundle,
     make_test_form,
     pair_bundle,
@@ -50,61 +51,12 @@ from .pairing import (
     pull_back_test_form,
 )
 from .scene import Scene, parse_scene
-from .transport import TransportResult, dipole_part, transform_dipole, \
-    transform_quadrupole
+from .transport import TransportResult, transform_dipole, transform_quadrupole
 from .worldlines import Worldline
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdaptedCoefficients",
-    "Chart",
-    "ChartPair",
-    "ChargeProbe",
-    "ClassificationReport",
-    "DipoleComponents",
-    "DomainError",
-    "EvaluationError",
-    "Jet2",
-    "Monopole",
-    "PairingReport",
-    "PolekitError",
-    "QuadratureError",
-    "QuadrupoleComponents",
-    "RegistryError",
-    "Scene",
-    "SceneError",
-    "SourceBundle",
-    "StaticSource",
-    "SymmetryError",
-    "TransportResult",
-    "Worldline",
-    "charge_probe_variations",
-    "component_rank",
-    "compose_charts",
-    "dipole_part",
-    "embed_dipole_as_quadrupole",
-    "extract_charge",
-    "extract_dipole",
-    "falloff_exponent",
-    "gamma_from_zeta",
-    "make_charge_probe",
-    "make_electric_dipole",
-    "make_electric_quadrupole",
-    "make_static_dipole",
-    "make_test_form",
-    "make_toroidal_quadrupole",
-    "pair_bundle",
-    "pair_dipole",
-    "pair_monopole",
-    "pair_quadrupole",
-    "parse_scene",
-    "pull_back_test_form",
-    "registry_get",
-    "test_closed",
-    "test_electric_order",
-    "test_order",
-    "transform_dipole",
-    "transform_quadrupole",
-    "zeta_from_gamma",
-]
+# Every public name imported above; the submodules are not exports.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, _ModuleType))

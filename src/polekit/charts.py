@@ -5,9 +5,9 @@ Jet evaluation of the component trees gives the Jacobian A^a_b and the
 Hessian A^a_bc in one pass, which is everything the transport law needs.
 Every evaluator takes an (N, 4) array of points (N = 1 for one point)
 and returns arrays with a leading axis of length N.
-The registry provides the built-in charts; pairs carry a verified
-inverse (no numerical inversion anywhere: an inverse is trusted only
-after round-trip and Jacobian-inverse checks).
+The registry provides the built-in charts as pairs, with a verified
+inverse where one is known (no numerical inversion anywhere: an inverse
+is trusted only after round-trip and Jacobian-inverse checks).
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ def compose_charts(outer, inner):
 @dataclass(frozen=True)
 class ChartPair:
     forward: Chart
-    inverse: Chart
+    inverse: Chart | None  # None when no inverse is known
 
     def verify(self, points):
         """Check the inverse on sample points (an (N, 4) array).
@@ -289,7 +289,8 @@ def _params(name, params, count):
 
 
 def get(name, params=None):
-    """Fetch a chart from the registry; paired names return a ChartPair.
+    """Fetch a chart from the registry as a ChartPair, whose inverse is
+    None for ``spherical_to_cartesian`` and ``polynomial``.
 
     ``params``: 16 matrix entries for ``linear``, one speed for
     ``lorentz_boost``, 60 coefficients for ``polynomial``.
@@ -315,9 +316,9 @@ def get(name, params=None):
             cartesian_to_cylindrical_chart(), cylindrical_to_cartesian_chart()
         )
     if name == "spherical_to_cartesian":
-        return spherical_to_cartesian_chart()
+        return ChartPair(spherical_to_cartesian_chart(), None)
     if name == "polynomial":
-        return polynomial_chart(_params(name, params, 60))
+        return ChartPair(polynomial_chart(_params(name, params, 60)), None)
     raise RegistryError(
         f"unknown chart {name!r}; known: {', '.join(_NAMES)}"
     )

@@ -94,11 +94,7 @@ def random_poly_expr(rng, degree=1, offset=1.0):
 def vanishing_scalar_expr(rng, window):
     """(random spatial combination) * polynomial * compact window; zero
     on any adapted worldline."""
-    coeffs = rng.uniform(-1, 1, 3)
-    lead = None
-    for mu in (1, 2, 3):
-        term = ex.mul(ex.const(float(coeffs[mu - 1])), ex.Var(mu))
-        lead = term if lead is None else ex.add(lead, term)
+    lead = ex.linear_combination((0.0, *rng.uniform(-1, 1, 3)))
     return ex.Mul(ex.Mul(lead, random_poly_expr(rng)), window)
 
 
@@ -204,12 +200,8 @@ def test_electric_order(bundle, ell, samples=8, seed=0):
 
     def build(rng, box, window):
         lam = vanishing_scalar_expr(rng, window)
-        coeffs = rng.uniform(-1, 1, 3)
-        mu = None
-        for m in (1, 2, 3):
-            term = ex.mul(ex.const(float(coeffs[m - 1])), ex.Var(m))
-            mu = term if mu is None else ex.add(mu, term)
-        mu = ex.Mul(mu, random_poly_expr(rng))
+        mu = ex.Mul(ex.linear_combination((0.0, *rng.uniform(-1, 1, 3))),
+                    random_poly_expr(rng))
         return ScaledCovector(lam, ell, ExprCovector(ex.gradient_exprs(mu),
                                                      box))
 

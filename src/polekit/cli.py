@@ -46,13 +46,8 @@ def _fmt(x):
     return f"{x:.12e}"
 
 
-def _fit_line(ts, vals):
-    slope, intercept = np.polyfit(ts, vals, 1)
-    return float(slope), float(intercept)
-
-
 def _run_transform(scene, job, out_dir):
-    chart = scene.chart_forward(job["chart"])
+    chart = scene.charts[job["chart"]].forward
     C = scene.worldlines[job["worldline"]]
     spec = scene.multipoles[job["multipole"]]
     n = job["samples"]
@@ -71,7 +66,7 @@ def _run_transform(scene, job, out_dir):
         for d, e in tp._PPAIRS:
             vals = [float(v) for v in P_samples[:, d, e]]
             if max(abs(v) for v in vals) > tol:
-                slope, intercept = _fit_line(ts, vals)
+                slope, intercept = map(float, np.polyfit(ts, vals, 1))
                 p_fits[f"{d}{e}"] = {"slope": slope, "intercept": intercept}
                 lines.append(
                     f"  integral term P[{d}{e}]: slope {_fmt(slope)}, "
@@ -132,20 +127,6 @@ def _verify_inputs(scene, job):
     return pair, bundle, bundle.worldline.push_through_chart(pair.forward)
 
 
-def _transported(pair, bundle, hatC):
-    """The bundle moved through the pair's forward chart onto ``hatC``."""
-    C = bundle.worldline
-    return SourceBundle(
-        hatC,
-        bundle.monopole,
-        None if bundle.dipole is None
-        else tp.transform_dipole(bundle.dipole, pair.forward, C),
-        None if bundle.quadrupole is None
-        else tp.transform_quadrupole(bundle.quadrupole, pair.forward,
-                                     C).gamma3_hat,
-    )
-
-
 def _forms(job, hatC):
     """The job's random test forms along ``hatC``, drawn from its seed.
     Pairing draws nothing from the generator, so drawing every form
@@ -155,20 +136,26 @@ def _forms(job, hatC):
 
 
 def _source_side(scene, job):
-    """The bundle's pairings with the job's forms pulled back; None when
-    they raise (the job then reruns in order and raises it there)."""
-    try:
-        pair, bundle, hatC = _verify_inputs(scene, job)
-        return pair_bundle_family(
-            bundle, pull_back_test_form(_forms(job, hatC), pair))
-    except Exception:
-        return None
+    """The bundle's pairings with the job's forms pulled back."""
+    pair, bundle, hatC = _verify_inputs(scene, job)
+    return pair_bundle_family(
+        bundle, pull_back_test_form(_forms(job, hatC), pair))
 
 
 def _hatted_side(scene, job):
-    """The transported bundle's pairings with the job's forms."""
+    """The pairings of the bundle, moved through the pair's forward
+    chart onto its image worldline, with the job's forms."""
     pair, bundle, hatC = _verify_inputs(scene, job)
-    hat = _transported(pair, bundle, hatC)
+    C = bundle.worldline
+    hat = SourceBundle(
+        hatC,
+        bundle.monopole,
+        None if bundle.dipole is None
+        else tp.transform_dipole(bundle.dipole, pair.forward, C),
+        None if bundle.quadrupole is None
+        else tp.transform_quadrupole(bundle.quadrupole, pair.forward,
+                                     C).gamma3_hat,
+    )
     return pair_bundle_family(hat, _forms(job, hatC))
 
 
@@ -234,14 +221,10 @@ def _can_fork():
 
 
 def _run_verify(scene, job, out_dir):
-    """A verify job in this process, in the order transported bundle,
-    forms, source pairings, hatted pairings."""
-    pair, bundle, hatC = _verify_inputs(scene, job)
-    hat = _transported(pair, bundle, hatC)
-    forms = _forms(job, hatC)
-    return _verify_result(
-        job, pair_bundle_family(bundle, pull_back_test_form(forms, pair)),
-        pair_bundle_family(hat, forms))
+    """A verify job in this process: the hatted side, then the source
+    side."""
+    hatted = _hatted_side(scene, job)
+    return _verify_result(job, _source_side(scene, job), hatted)
 
 
 def _verify_result(job, source_reports, hatted_reports):
@@ -442,6 +425,15 @@ def run(scene, command="all", out_dir="."):
                 [f"  error: {err}"], {"error": str(err)},
             )
 
+    def start(job):
+        # A verify job's source side (None when it raises), or the job.
+        if job["command"] != "verify":
+            return run_one(job)
+        try:
+            return _source_side(scene, job)
+        except Exception:
+            return None
+
     def finish_verify(job, source):
         # A job whose side raised, or whose worker is gone, reruns here
         # in order, so that it fails with the error a serial run gives.
@@ -456,8 +448,7 @@ def run(scene, command="all", out_dir="."):
         else:
             # This process runs the other jobs and the source sides
             # before it waits for any hatted side.
-            early = [_source_side(scene, j) if j["command"] == "verify"
-                     else run_one(j) for j in jobs]
+            early = [start(j) for j in jobs]
             results = [finish_verify(j, r) if j["command"] == "verify"
                        else r for j, r in zip(jobs, early)]
     finally:

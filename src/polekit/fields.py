@@ -132,19 +132,13 @@ class StaticSource:
         return np.zeros(n), np.einsum("mns,kns->km", self.moments, hess)
 
 
-def potential_magnitude(source, x3):
-    """|(phi, A)| at the rows of an (N, 3) array of spatial points."""
-    phi, A = source.potential_at(x3)
-    return np.hypot(np.abs(phi), np.linalg.norm(A, axis=-1))
-
-
 def ray_magnitudes(source, direction, r_lo, r_hi, n):
     """Radii ``rs`` geometrically spaced on [r_lo, r_hi] and the
-    potential magnitudes ``mags`` at ``rs`` along a ray.
+    potential magnitudes ``mags`` = |(phi, A)| at ``rs`` along a ray.
 
     Raises :class:`DomainError` below two distinct radii (no slope can
-    be fitted) and when the potential vanishes along the ray (pick
-    another direction).
+    be fitted), when a magnitude is not finite (it overflows), and when
+    the potential vanishes along the ray (pick another direction).
     """
     if n < 2 or r_lo == r_hi:
         raise DomainError(f"a ray needs 2 distinct radii, got {n} on "
@@ -155,7 +149,12 @@ def ray_magnitudes(source, direction, r_lo, r_hi, n):
         raise DomainError("direction must be nonzero")
     d = d / norm
     rs = np.geomspace(r_lo, r_hi, n)
-    mags = potential_magnitude(source, rs[:, None] * d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi, A = source.potential_at(rs[:, None] * d)
+        mags = np.hypot(np.abs(phi), np.linalg.norm(A, axis=-1))
+    if not np.all(np.isfinite(mags)):
+        raise DomainError(f"potential magnitude is not finite along "
+                          f"direction {tuple(direction)!r}")
     if np.min(mags) <= 0.0 or np.max(mags) < 1e-300:
         raise DomainError(
             f"potential vanishes along direction {tuple(direction)!r}; "

@@ -160,6 +160,18 @@ class _Components:
             return 0.0
         return float(np.max(np.abs(self.values_at(np.asarray(taus)))))
 
+    def _finite_values_at(self, taus):
+        """The values at ``taus``; raises SymmetryError at the first
+        entry that is not finite, naming its index and tau."""
+        g = self.values_at(np.asarray(taus))
+        bad = np.argwhere(~np.isfinite(g))
+        if len(bad):
+            i, *idx = (int(j) for j in bad[0])
+            raise SymmetryError(
+                f"gamma{tuple(idx)} is not finite at tau={taus[i]}",
+                index=tuple(idx), tau=float(taus[i]))
+        return g
+
 
 class DipoleComponents(_Components):
     """Antisymmetric 4x4 tau-dependent dipole components."""
@@ -167,24 +179,23 @@ class DipoleComponents(_Components):
     rank = 2
 
     def check_antisymmetry(self, taus):
-        """Largest |gamma[ab] + gamma[ba]|; raises above 1e-12 * scale
-        or at a NaN residual."""
+        """Largest |gamma[ab] + gamma[ba]|; raises at a value that is not
+        finite and at a residual above 1e-12 * scale (one that overflows
+        included)."""
+        g = self._finite_values_at(taus)
         ref = max(1.0, self.scale(taus))
-        g = self.values_at(np.asarray(taus))
-        resid = np.abs(g + np.swapaxes(g, -1, -2))
+        with np.errstate(over="ignore"):
+            resid = np.abs(g + np.swapaxes(g, -1, -2))
         per_tau = resid.reshape(len(g), -1).max(axis=1)
         bad = np.nonzero(~(per_tau <= 1e-12 * ref))[0]
         if len(bad):
             i = bad[0]
-            r = per_tau[i]
             idx = tuple(int(j) for j in np.unravel_index(
                 np.argmax(resid[i]), (4, 4)))
             raise SymmetryError(
                 f"dipole components not antisymmetric at tau={taus[i]}: "
-                f"|gamma{idx} + gamma{idx[::-1]}| = {r:.3e}",
-                index=idx,
-                tau=float(taus[i]),
-            )
+                f"|gamma{idx} + gamma{idx[::-1]}| = {per_tau[i]:.3e}",
+                index=idx, tau=float(taus[i]))
         return float(per_tau.max(initial=0.0))
 
 
@@ -198,20 +209,25 @@ class QuadrupoleComponents(_Components):
 
     rank = 3
 
-    def _residuals(self, taus):
-        g = self.values_at(np.asarray(taus))
-        pair = np.abs(g - g.transpose(0, 1, 3, 2))
-        cyc = np.abs(g + g.transpose(0, 2, 3, 1) + g.transpose(0, 3, 1, 2))
+    @staticmethod
+    def _residuals(g):
+        with np.errstate(over="ignore"):  # an overflow reads inf
+            pair = np.abs(g - g.transpose(0, 1, 3, 2))
+            cyc = np.abs(g + g.transpose(0, 2, 3, 1)
+                         + g.transpose(0, 3, 1, 2))
         return pair, cyc
 
     def symmetry_residuals(self, taus):
         """(max |g[abc]-g[acb]|, max |g[abc]+g[bca]+g[cab]|) over taus."""
-        pair, cyc = self._residuals(taus)
+        pair, cyc = self._residuals(self.values_at(np.asarray(taus)))
         return float(pair.max(initial=0.0)), float(cyc.max(initial=0.0))
 
     def check_symmetries(self, taus, tol=1e-12):
+        """Raises at a value that is not finite and at a residual above
+        ``tol`` * scale (one that overflows included)."""
+        g = self._finite_values_at(taus)
         ref = max(1.0, self.scale(taus))
-        pair, cyc = self._residuals(taus)
+        pair, cyc = self._residuals(g)
         for i, t in enumerate(taus):
             for resid, what in ((pair, "gamma{} != gamma with last slots "
                                        "swapped"),

@@ -11,9 +11,12 @@ all evaluated along the worldline.  A source bundle pairs as at most
 two integrals: the charge over the form's values, and the dipole and
 quadrupole together over one read of the form's jets.  Each integrand
 decides the support once per call (:func:`_on_support`): it finds the
-rows of a batch where the worldline meets the form's support, reads
-the components and the form there alone, and gives exact zeros at
-every other row.  The jet integrand reads the form to the order the
+rows of a batch where the worldline meets the form's support (the
+form's ``in_support``), reads the components and the form there alone,
+and gives exact zeros at every other row.  A pairing returns the
+:class:`~polekit.quadrature.QuadResult` of its integrals: the value,
+the summed error estimate, the nodes used and the floor-accepted
+panels.  The jet integrand reads the form to the order the
 bundle needs: first-order jets (no Hessian rows, see
 :mod:`polekit.jets`) when it has no quadrupole term, second-order jets
 when it has one; the gradients are the same bits either way.
@@ -40,7 +43,7 @@ from .errors import DomainError, QuadratureError
 from .jets import (PRIMITIVES, Jet2, apply, columns, compose, entries_array,
                    stacked)
 from .moments import DipoleComponents, Monopole, QuadrupoleComponents
-from .quadrature import integrate_many
+from .quadrature import QuadResult, integrate_many
 
 
 @dataclass(frozen=True)
@@ -65,14 +68,6 @@ class Box:
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-@dataclass
-class PairingReport:
-    value: float
-    quadrature_error_estimate: float
-    nodes_used: int
-    floor_panels: int
-
-
 # Test forms evaluate over batches: ``jets_at(x, owner, order)``,
 # ``values_at(x, owner)`` and ``in_support(x, owner)`` take an
 # (N, 4) array of points (N = 1 for one point) and the (N,) int array
@@ -83,12 +78,12 @@ class PairingReport:
 # pull-back) evaluates row i as its member owner[i].  ``jets_at`` and
 # ``values_at`` evaluate the rows they are given, which the caller has
 # in the support: they test no support themselves (the pairing
-# integrands pick the live rows, see :func:`_on_support`).  A form
-# windowed by ``bump`` or ``sstep`` reads exact zeros outside its box
-# anyway.  The bump window's jet and a family's polynomial jets are
-# formed from their structure, with the bits of the general jet
-# products up to the sign of zeros (pinned by the ``*_bit_for_bit``
-# tests of tests/test_pairing.py).
+# integrands pick the live rows with ``in_support``, see
+# :func:`_on_support`).  A form windowed by ``bump`` or ``sstep`` reads
+# exact zeros outside its box anyway.  The bump window's jet and a
+# family's polynomial jets are formed from their structure, with the
+# bits of the general jet products up to the sign of zeros (pinned by
+# the ``*_bit_for_bit`` tests of tests/test_pairing.py).
 
 
 # _window_jet forms its packed Hessian by column, entry (a, b) at row
@@ -132,18 +127,17 @@ class _BatchForm:
     """What the test forms share.
 
     A form gives ``in_support``, and ``jets_at`` and ``values_at`` over
-    rows the caller has in the support; ``_live`` picks those rows of
-    an (N, 4) array of points and their member indices (by default the
-    support).  ``boxes`` holds the support box of each member (None
-    when a form has none); ``box`` is the first.
+    rows the caller has in the support.  ``boxes`` holds the support box
+    of each member; ``box`` is the first, and a single form's support
+    is its box unless the form says otherwise.
     """
 
     @property
     def box(self):
         return self.boxes[0]
 
-    def _live(self, pts, owner):
-        return self.in_support(pts, owner)
+    def in_support(self, x, owner):
+        return self.box.contains(x)
 
 
 class ProductTestForm(_BatchForm):
@@ -155,9 +149,6 @@ class ProductTestForm(_BatchForm):
         self.polys = tuple(polys)
         self.boxes = (box,)
         self._window = (np.array(box.center), np.array(box.half))
-
-    def in_support(self, x, owner):
-        return self.box.contains(x)
 
     def jets_at(self, x, owner, order):
         w = _window_jet(x, *self._window, order)
@@ -263,17 +254,12 @@ def random_test_form_along(rng, worldline, count=1):
 
 
 class ExprCovector(_BatchForm):
-    """Four raw expression components; support box is advisory (used
-    for bracketing the quadrature, not enforced)."""
+    """Four raw expression components, read as zero outside ``box``
+    (its ``in_support``)."""
 
-    def __init__(self, comps, box=None):
+    def __init__(self, comps, box):
         self.comps = tuple(comps)
         self.boxes = (box,)
-
-    def in_support(self, x, owner):
-        if self.box is not None:
-            return self.box.contains(x)
-        return np.ones(len(x), dtype=bool)
 
     def jets_at(self, x, owner, order):
         return ex.eval_all(self.comps, Jet2.seed_point(columns(x), order))
@@ -313,9 +299,11 @@ class PulledBackForm(_BatchForm):
     Jacobian factors are symbolic derivatives of the chart components so
     that second jet derivatives of the pullback stay exact.  They and the
     chart jets do not depend on the member, so one pull-back serves a
-    whole family, with a source-side box per member.  Points outside
-    the chart's domain raise :class:`DomainError` (except in
-    ``in_support``, where they are outside the support).
+    whole family, with a source-side box per member.  The support is
+    the preimage of the hatted support, which lies inside the chart's
+    domain: ``in_support`` reads a point outside the domain as outside
+    the support, and the other evaluators raise :class:`DomainError`
+    there.
     """
 
     def __init__(self, chart, hatted, boxes):
@@ -338,11 +326,6 @@ class PulledBackForm(_BatchForm):
             out[ok] = self.hatted.in_support(self.chart.value_at(pts[ok]),
                                              owner[ok])
         return out
-
-    def _live(self, pts, owner):
-        """Rows whose image lies in the hatted support; a row outside the
-        chart domain raises."""
-        return self.hatted.in_support(self.chart.value_at(pts), owner)
 
     def jets_at(self, x, owner, order):
         Y = self.chart.jets_at(x, order)
@@ -412,7 +395,7 @@ def pull_back_test_form(hatted, pair):
 _MAX_SCAN = 100_000
 
 
-def _support_window(worldline, form, k=0):
+def _support_window(worldline, form, k):
     """The parameter window where the worldline meets the support of
     member ``k`` of the form, padded by two scan steps; None when it
     misses the support.
@@ -464,7 +447,7 @@ def _pairings(worldline, form, integrands):
     every member keeps its own window and panel tree, and each
     refinement level of all members is one integrand call.
     """
-    reports = [PairingReport(0.0, 0.0, 0, 0) for _ in form.boxes]
+    reports = [QuadResult(0.0, 0.0, 0, 0) for _ in form.boxes]
     windows = None
     for integrand in integrands:
         if integrand is None:
@@ -473,23 +456,23 @@ def _pairings(worldline, form, integrands):
             windows = [_support_window(worldline, form, k)
                        for k in range(len(reports))]
         for report, res in zip(reports, integrate_many(integrand, windows)):
-            report.value += float(res.value)
-            report.quadrature_error_estimate += float(res.error)
-            report.nodes_used += int(res.nodes)
-            report.floor_panels += int(res.floor_panels)
+            report.value += res.value
+            report.quadrature_error_estimate += res.quadrature_error_estimate
+            report.nodes_used += res.nodes_used
+            report.floor_panels += res.floor_panels
     return reports
 
 
 def _on_support(worldline, form, f):
     """The integrand, a function of taus and their member indices, that
     evaluates the worldline once, picks the rows where it meets the
-    form's support (a row outside a pulled-back form's chart domain
-    raises), gives ``f(taus, points, vel, owner)`` over those rows alone
-    and exact zeros at every other row."""
+    form's support (``form.in_support``), gives ``f(taus, points, vel,
+    owner)`` over those rows alone and exact zeros at every other
+    row."""
 
     def integrand(taus, owner):
         points, vel = worldline.eval(taus)
-        live = form._live(points, owner)
+        live = form.in_support(points, owner)
         out = np.zeros(len(taus))
         if np.any(live):
             out[live] = f(taus[live], points[live], vel[live], owner[live])

@@ -18,8 +18,9 @@ is not finite cannot be judged against its budget).
 Values are read as a C-ordered array, so results do not depend on the
 memory layout of the array ``f`` returns.  A split passes the values of
 its two halves on to the children, whose one-panel rule they are, so
-every node is evaluated exactly once.  The ``nodes`` a result reports
-count those evaluations: 16 per half panel plus 16 per initial panel.
+every node is evaluated exactly once.  A :class:`QuadResult` counts
+those evaluations as ``nodes_used``: 16 per half panel plus 16 per
+initial panel.
 
 :func:`integrate_many` runs several integrals in lockstep, and
 :func:`integrate` is its one-interval case.  Each integral keeps its own
@@ -79,9 +80,9 @@ _MAX_BATCH = 512
 @dataclass
 class QuadResult:
     value: float
-    error: float
-    nodes: int
-    floor_panels: int = 0
+    quadrature_error_estimate: float
+    nodes_used: int
+    floor_panels: int
 
 
 def _batched(f, tail=()):
@@ -207,10 +208,11 @@ def integrate_many(f, windows):
 
     ``f(taus, owner)`` maps a 1-D array of taus and the int array of
     their window indices to the array of values.  A window that is None
-    or has b <= a integrates to zero with no nodes.  ``nodes`` counts a
-    window's integrand evaluations, ``floor_panels`` its accepted panels
-    narrower than the width floor (1e-14 of the window), where the
-    refinement stopped whether or not the panel met its error budget.
+    or has b <= a integrates to zero with no nodes.  A result's
+    ``nodes_used`` counts its integrand evaluations, ``floor_panels``
+    its accepted panels narrower than the width floor (1e-14 of the
+    window), where the refinement stopped whether or not the panel met
+    its error budget.
 
     Raises :class:`QuadratureError` carrying the worst subinterval if a
     window exhausts its split budget before the tolerance is met, and
@@ -224,7 +226,8 @@ def integrate_many(f, windows):
         for pa, pm, pb, vl, vr, diff in accepted:
             total += _panel_sum(vl, pa, pm) + _panel_sum(vr, pm, pb)
             err += diff
-        results.append(QuadResult(total, err, nodes, floor_panels))
+        results.append(
+            QuadResult(float(total), float(err), nodes, int(floor_panels)))
     return results
 
 
@@ -240,8 +243,9 @@ class CumulativeIntegral:
 
     ``f`` maps a 1-D array of N taus to an (N, ``dim``) array.
     Segments are refined as in :func:`integrate`, to ``tol`` from 4
-    panels (``nodes`` and ``floor_panels`` count as there); evaluation
-    anywhere uses the per-segment Legendre antiderivative.
+    panels (``nodes`` and ``floor_panels`` count as ``nodes_used`` and
+    ``floor_panels`` do there); evaluation anywhere uses the per-segment
+    Legendre antiderivative.
     """
 
     def __init__(self, f, a, b, dim, tol, label="cumulative integral"):

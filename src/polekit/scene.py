@@ -22,7 +22,7 @@ import numpy as np
 
 from . import charts as chartmod
 from . import expr as ex
-from .errors import DomainError, PolekitError, SceneError, SymmetryError
+from .errors import DomainError, PolekitError, SceneError
 from .fields import StaticSource
 from .moments import (
     DipoleComponents,
@@ -45,12 +45,6 @@ class Scene:
     worldlines: dict
     multipoles: dict
     jobs: list
-
-    def chart_forward(self, name):
-        entry = self.charts[name]
-        if isinstance(entry, chartmod.ChartPair):
-            return entry.forward
-        return entry
 
     def bundle(self, multipole_name, worldline_name):
         spec = self.multipoles[multipole_name]
@@ -122,7 +116,7 @@ def _parse_chart(name, spec, problems):
             return None
         fw = chartmod.Chart(parsed, spec.get("label", name))
         if spec.get("inverse") is None:
-            return fw
+            return chartmod.ChartPair(fw, None)
         inverse = _parse_four(spec, "inverse", ex.CHART_VARS, path, problems)
         if inverse is None:
             return None
@@ -265,7 +259,7 @@ def _check_inverses(specs, charts, worldlines, jobs, problems):
         c, w = job.get("chart"), job.get("worldline")
         if (job["command"] in ("transform", "verify") and _known(c, charts)
                 and _known(w, worldlines) and "registry" not in specs[c]
-                and isinstance(charts[c], chartmod.ChartPair)):
+                and charts[c].inverse is not None):
             use.setdefault(c, {})[w] = None
     for c, names in use.items():
         for w in names:
@@ -311,7 +305,7 @@ def _validate_job(i, job, scene_charts, scene_worldlines, scene_multipoles,
             problems.append(f"{path}: unknown {key} {ref!r}")
     chart = job.get("chart")
     if (cmd == "verify" and _known(chart, scene_charts)
-            and not isinstance(scene_charts[chart], chartmod.ChartPair)):
+            and scene_charts[chart].inverse is None):
         problems.append(f"{path}: chart {chart!r} has no verified inverse, "
                         f"which verify needs")
     for key, (defaults, ok, want) in _JOB_FIELDS.items():
@@ -423,7 +417,7 @@ def parse_scene(text):
                     spec["dipole"].check_antisymmetry(taus)
                 if "quadrupole" in spec:
                     spec["quadrupole"].check_symmetries(taus)
-            except SymmetryError as err:
+            except PolekitError as err:
                 problems.append(f"multipoles.{name}: {err}")
                 break
     if problems:

@@ -16,7 +16,8 @@ the image curve).  The image curve keeps the parameter tau, so the
 parameter-change factor dtau/dtau_hat of the paper's law is 1.  The
 integration constant kappa0 shifts component arrays but never any
 pairing; the lower limit is anchored at the interval start so runs are
-reproducible.
+reproducible.  The emergent dipole dP/dtau, free of kappa0, is
+``TransportResult.gamma2_hat``.
 
 The tensorial image A^d_a A^e_b A^f_c gamma[abc] is evaluated as three
 two-operand contractions in a fixed order: over c with A^f_c first,
@@ -87,8 +88,9 @@ class TransportResult:
 
     @property
     def gamma2_hat(self):
-        """The emergent dipole, :func:`dipole_part` of this result."""
-        return dipole_part(self)
+        """The emergent dipole: the derivative of the integral term.
+        Constant shifts of P (the kappa0 freedom) drop out here."""
+        return DipoleComponents(self.P.deriv_matrix_at)
 
 
 def _frames(chart, worldline, taus, order):
@@ -216,11 +218,3 @@ def transform_quadrupole(gamma3, chart, worldline, kappa0=None):
         worldline_hat=worldline.push_through_chart(chart),
     )
 
-
-def dipole_part(result):
-    """The dipole hidden in a transport result: the derivative of its
-    integral term.
-
-    Constant shifts of P (the kappa0 freedom) drop out here.
-    """
-    return DipoleComponents(result.P.deriv_matrix_at)

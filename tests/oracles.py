@@ -423,3 +423,10 @@ def potential_exprs(source):
                     )
         comps.append(e)
     return None, tuple(comps)
+
+
+def central_difference(components, taus, h=1e-3):
+    """Central differences in tau of the values of a component
+    container at a 1-D array of taus."""
+    return (components.values_at(taus + h)
+            - components.values_at(taus - h)) / (2.0 * h)

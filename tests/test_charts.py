@@ -7,6 +7,7 @@ from oracles import random_linear_pair
 from polekit import expr as ex
 from polekit.charts import (
     Chart,
+    ChartPair,
     compose_charts,
     cylindrical_to_cartesian_chart,
     get,
@@ -95,6 +96,23 @@ def test_boost_matrix():
     expected[0, 0] = expected[1, 1] = g
     expected[0, 1] = expected[1, 0] = -g * v
     assert np.allclose(A, expected, atol=1e-14)
+
+
+@pytest.mark.parametrize("name, params, inverse", [
+    ("identity", None, True),
+    ("linear", np.eye(4).ravel() * 2.0, True),
+    ("lorentz_boost", [0.3], True),
+    ("cylindrical_to_cartesian", None, True),
+    ("cartesian_to_cylindrical", None, True),
+    ("spherical_to_cartesian", None, False),
+    ("polynomial", np.eye(4, 15, 1).ravel(), False),
+])
+def test_every_registry_name_gives_a_pair(name, params, inverse):
+    """Every registry chart is a pair, whose inverse is None where none
+    is known."""
+    pair = get(name, params)
+    assert isinstance(pair, ChartPair) and isinstance(pair.forward, Chart)
+    assert (pair.inverse is not None) == inverse
 
 
 def test_registry_errors():

@@ -371,3 +371,26 @@ def test_tau_rows_equal_per_tree_tau_derivative(n, order):
     for i, tree in enumerate(trees):
         assert np.array_equal(rows[:, i],
                               ex.tau_rows([tree], taus, order)[:, 0])
+
+
+def test_diff_of_negation():
+    """-(x0 sin x1) differentiates to the negated derivatives."""
+    e = ex.Neg(ex.Mul(ex.Var(0), ex.Fun("sin", ex.Var(1))))
+    x = (0.4, 0.7, -0.2, 1.1)
+    want = (-math.sin(0.7), -0.4 * math.cos(0.7), 0.0, 0.0)
+    assert [e.diff(a).eval(x) for a in range(4)] == pytest.approx(
+        want, rel=1e-14, abs=0.0)
+
+
+def test_second_symbolic_derivative_of_sstep():
+    """Differentiating sstep twice reaches the ``sstep_d1`` rule; it
+    equals the second derivative of 35v^4 - 84v^5 + 70v^6 - 20v^7 inside
+    (0, 1) and zero outside."""
+    e = ex.Fun("sstep", ex.Mul(ex.Const(2.0), ex.Var(1))).diff(1).diff(1)
+    for v in (0.12, 0.5, 0.93, -0.5, 1.5):
+        want = 0.0
+        if 0.0 < v < 1.0:
+            want = 4.0 * (420 * v ** 2 - 1680 * v ** 3 + 2100 * v ** 4
+                          - 840 * v ** 5)
+        assert e.eval((0.0, v / 2.0, 0.0, 0.0)) == pytest.approx(
+            want, rel=1e-12, abs=1e-12)

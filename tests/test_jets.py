@@ -510,3 +510,18 @@ def test_sstep3_is_three_sstep_reads(k):
                   1.0 - 1e-16, 1.0, 1.0 + 1e-15, 3.0])
     for got, want in zip(_sstep3(v, k), (_sstep(v, k + i) for i in range(3))):
         assert same_signed_bits(got, want)
+
+
+def test_number_divided_by_a_jet():
+    """``1.5 / jet`` (``Jet2.__rtruediv__``) has the value, gradient and
+    Hessian of 1.5 / (x1 x2 + 2) by finite differences."""
+    x = (0.3, -0.8, 1.7, 0.4)
+    r = 1.5 / jet_of(ex.parse("x1*x2 + 2"), x)
+
+    def f(p):
+        return 1.5 / (p[1] * p[2] + 2.0)
+
+    assert r.value == pytest.approx(f(x), rel=1e-15)
+    assert np.allclose(r.grad, fd_gradient(f, x), rtol=0.0, atol=1e-9)
+    assert np.allclose(full_hessian(r.hess), fd_hessian(f, x), rtol=0.0,
+                       atol=1e-6)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    central_difference,
     random_antisym_poly_grid,
     random_quadrupole,
     same_signed_bits,
@@ -523,3 +524,45 @@ def test_worked_example_in_adapted_frame(rng):
     first = z.arrays(np.array([t]), "first")[0][0]
     assert first[0, 1] == pytest.approx(kappa, abs=1e-9)
     assert first[1, 0] == pytest.approx(-kappa, abs=1e-9)
+
+
+def test_non_finite_value_is_named_before_any_residual():
+    """Both symmetry checks name the first entry that is not finite and
+    its tau, before a residual is formed (so no warning comes first)."""
+
+    def inf_at(idx):
+        def values(taus):
+            out = np.zeros((len(taus),) + (4,) * len(idx))
+            out[(slice(None),) + idx] = np.inf
+            return out
+
+        return values
+
+    with pytest.raises(SymmetryError,
+                       match=r"^gamma\(1, 2\) is not finite at tau=-1.0$"):
+        DipoleComponents(inf_at((1, 2))).check_antisymmetry(TAUS)
+    with pytest.raises(SymmetryError) as err:
+        QuadrupoleComponents(inf_at((2, 1, 1))).check_symmetries(TAUS)
+    assert str(err.value) == "gamma(2, 1, 1) is not finite at tau=-1.0"
+    assert (err.value.index, err.value.tau) == ((2, 1, 1), -1.0)
+
+
+def test_electric_dipole_derivative_matches_central_differences(
+        wobble_worldline):
+    """The product rule of the velocity product (acceleration times w
+    plus velocity times dw/dtau) agrees with central differences."""
+    w = [ex.parse("0.3*tau", ex.TAU_VARS), ex.Const(1.0),
+         ex.parse("sin(tau)", ex.TAU_VARS), ex.parse("tau^2", ex.TAU_VARS)]
+    d = make_electric_dipole(w, wobble_worldline)
+    taus = np.linspace(0.5, 5.5, 7)
+    exact = d.derivs_at(taus)
+    fd = central_difference(d, taus)
+    assert np.max(np.abs(exact - fd)) <= 1e-6 * np.max(np.abs(exact))
+
+
+def test_static_dipole_derivatives_are_zero():
+    d = make_static_dipole([0.3, -1.0, 2.0], [0.5, 0.0, -0.7])
+    taus = np.array([0.0, 1.5, 4.0])
+    assert d.derivs_at(taus).shape == (3, 4, 4)
+    assert not np.any(d.derivs_at(taus))
+    assert np.array_equal(central_difference(d, taus), np.zeros((3, 4, 4)))

@@ -596,7 +596,7 @@ def test_integrands_on_live_rows_equal_full_batch_formulas(
     for worldline, form, gamma2, gamma3 in sides:
         for name, (taus, owner) in _crafted_batches(
                 rng, worldline, form).items():
-            live = form._live(worldline.eval(taus)[0], owner)
+            live = form.in_support(worldline.eval(taus)[0], owner)
             for g2, g3 in ((gamma2, None), (None, gamma3), (gamma2, gamma3)):
                 got = pairing._gamma_integrand(g2, g3, worldline, form)(
                     taus, owner)

@@ -996,3 +996,45 @@ def test_potentials_example_scene_passes_every_job(tmp_path):
         assert len(r.files) == 2
         assert all(abs(e - falloff[r.data["kind"]]) < 0.01
                    for e in r.data["exponents"])
+
+
+@pytest.mark.parametrize("scene, multipole, kind, key, text, want", [
+    ("worked_example", "resting_quadrupole", "quadrupole", "211",
+     "sqrt(-1)", "sqrt: argument -1.0 is not positive"),
+    ("classify_example", "charged_dipole", "dipole", "10", "1/(tau - tau)",
+     "div: division by a zero value"),
+    ("worked_example", "resting_quadrupole", "quadrupole", "211",
+     "1e308*10", "gamma(2, 1, 1) is not finite at tau=0.02738500170148095"),
+])
+def test_component_that_cannot_be_evaluated_is_a_scene_error(
+        tmp_path, capsys, scene, multipole, kind, key, text, want):
+    """A component entry that raises when evaluated, or reads inf, is a
+    scene problem naming its multipole (exit 2), with no warning first
+    (the suite turns warnings into errors), not a traceback or a
+    symmetry residual of NaN."""
+    doc = json.loads((SCENES / f"{scene}.scene").read_text())
+    doc["multipoles"][multipole][kind][key] = text
+    want = f"multipoles.{multipole}: {want}"
+    with pytest.raises(SceneError) as err:
+        parse_scene(json.dumps(doc))
+    assert err.value.problems == [want]
+    path = tmp_path / "bad.scene"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"scene error: {want}\n"
+
+
+def test_potential_that_overflows_fails_its_job(tmp_path):
+    """Moments whose potential magnitude overflows along a ray fail that
+    job (exit 1), with no warning first, instead of a PASS with falloff
+    exponent NaN and inf in the ray CSV."""
+    doc = json.loads((SCENES / "potentials_example.scene").read_text())
+    job = next(j for j in doc["jobs"] if j["name"] == "magnetic-dipole")
+    job["source"]["moments"] = [1e300, 0.7, 1.0]
+    results, code = run(parse_scene(json.dumps(doc)), out_dir=tmp_path)
+    assert code == 1
+    assert [r.name for r in results if not r.passed] == ["magnetic-dipole"]
+    failed = next(r for r in results if not r.passed)
+    assert failed.data == {"error": "potential magnitude is not finite "
+                                    "along direction (0.3, 0.5, 1.0)"}
+    assert not (tmp_path / "magnetic-dipole_ray0.csv").exists()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    central_difference,
     random_antisym_poly_grid,
     random_dipole,
     random_linear_pair,
@@ -36,7 +37,7 @@ from polekit.pairing import (
     pull_back_test_form,
     random_test_form_along,
 )
-from polekit.transport import dipole_part, transform_dipole, transform_quadrupole
+from polekit.transport import transform_dipole, transform_quadrupole
 from polekit.worldlines import Worldline
 
 
@@ -160,7 +161,7 @@ def test_worked_example_kappa0_offset():
     assert tr.P.matrix_at(np.array([t]))[0, 1, 2] == pytest.approx(
         kappa * t + 0.7, abs=1e-9)
     # the dipole part is unchanged by the constant
-    d = dipole_part(tr)
+    d = tr.gamma2_hat
     assert d[1, 2](np.array([t]))[0] == pytest.approx(kappa, abs=1e-9)
 
 
@@ -510,3 +511,16 @@ def test_worked_example_pairing_against_mpmath():
         assert math.isfinite(ref) and got.nodes_used > 0
         assert abs(got.value - ref) <= 1e-10 * max(1.0, abs(ref)), (
             got.value, ref)
+
+
+def test_transported_dipole_derivative_matches_central_differences(
+        rng, wobble_worldline):
+    """The tau derivative rule of a dipole moved through a nonlinear chart
+    along a moving worldline agrees with central differences of its
+    values."""
+    chart = get("cylindrical_to_cartesian").forward
+    dhat = transform_dipole(random_dipole(rng), chart, wobble_worldline)
+    taus = np.linspace(0.5, 5.5, 7)
+    exact = dhat.derivs_at(taus)
+    fd = central_difference(dhat, taus)
+    assert np.max(np.abs(exact - fd)) <= 1e-6 * np.max(np.abs(exact))

@@ -4,9 +4,10 @@ the in-process run, also when a side raises or the worker dies, and no
 child process may outlive ``run``."""
 
 import ctypes
+import json
 import os
 import resource
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from polekit import cli
 from polekit import transport as tp
 from polekit.cli import run
 from polekit.errors import DomainError
+from polekit.pairing import PulledBackForm
 from polekit.scene import parse_scene
 
 SCENES = Path(__file__).parent.parent / "scenes"
@@ -95,11 +97,39 @@ def test_hatted_side_that_raises_gives_the_serial_report(tmp_path,
     assert run_scene("worked_example", tmp_path / "worker") == serial
 
 
+@pytest.mark.parametrize("cpus", ["one", "all"])
+def test_two_sides_that_raise_report_the_hatted_error(tmp_path, monkeypatch,
+                                                      cpus):
+    """A verify job whose hatted and source pairings both raise fails
+    with the hatted side's error, as the serial order (hatted side, then
+    source side) gives it, with or without the worker."""
+    def failing(bundle, family):
+        side = "source" if isinstance(family, PulledBackForm) else "hatted"
+        raise DomainError(f"{side} pairing refused")
+
+    monkeypatch.setattr(cli, "pair_bundle_family", failing)
+    with one_cpu() if cpus == "one" else nullcontext():
+        run_scene("worked_example", tmp_path)
+    report = json.loads((tmp_path / "report.json").read_text())
+    verify = [job for job in report["jobs"] if job["command"] == "verify"]
+    assert [job["data"] for job in verify] == [
+        {"error": "hatted pairing refused"}]
+
+
 @needs_worker
 def test_worker_that_dies_gives_the_serial_report(tmp_path, monkeypatch):
     with one_cpu():
         serial = run_scene("invariance_example", tmp_path / "serial")
-    monkeypatch.setattr(cli, "_hatted_side", lambda scene, job: os._exit(3))
+    parent = os.getpid()
+    hatted_side = cli._hatted_side
+
+    def dies_in_the_worker(scene, job):
+        # The serial rerun calls the hatted side here too.
+        if os.getpid() != parent:
+            os._exit(3)
+        return hatted_side(scene, job)
+
+    monkeypatch.setattr(cli, "_hatted_side", dies_in_the_worker)
     assert run_scene("invariance_example", tmp_path / "worker") == serial
 
 
