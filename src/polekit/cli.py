@@ -24,9 +24,9 @@ import numpy as np
 
 from . import classify as cls
 from . import transport as tp
-from .errors import PolekitError, SceneError
+from .errors import DomainError, PolekitError, SceneError
 from .fields import loglog_slope, ray_magnitudes
-from .moments import sample_taus
+from .moments import breaks, sample_taus
 from .pairing import (SourceBundle, pair_bundle_family, pull_back_test_form,
                       random_test_form_along)
 from .scene import parse_scene
@@ -57,6 +57,9 @@ def _run_transform(scene, job, out_dir):
             "multipole": job["multipole"]}
     passed = True
     if spec.get("quadrupole") is not None:
+        if n < 2:
+            raise DomainError(f"a line through the integral term needs 2 "
+                              f"samples, got {n}")
         tr = tp.transform_quadrupole(
             spec["quadrupole"], chart, C, kappa0=job["kappa0"])
         t0, t1 = C.interval
@@ -86,9 +89,8 @@ def _run_transform(scene, job, out_dir):
         if not dip:
             lines.append("  emergent dipole: zero at mid-parameter")
         check_taus = sample_taus((t0, t1), seed=job["seed"])
-        pair_r, cyc_r = tr.gamma3_hat.symmetry_residuals(check_taus)
-        scale = max(1.0, tr.gamma3_hat.scale(check_taus))
-        sym_ok = pair_r <= 1e-10 * scale and cyc_r <= 1e-10 * scale
+        (pair_r, cyc_r), largest = tr.gamma3_hat.residuals(check_taus)
+        sym_ok = not any(breaks(r, 1e-10, largest) for r in (pair_r, cyc_r))
         passed = passed and sym_ok
         lines.append(
             f"  transported symmetry residuals: pair {_fmt(pair_r)}, "

@@ -15,6 +15,7 @@ import numpy as np
 from . import expr as ex
 from .errors import DomainError
 from .jets import Jet2, columns, stacked
+from .moments import satisfies
 
 EPS0_SI = 8.8541878128e-12
 
@@ -27,6 +28,17 @@ _MOMENT_SHAPES = {
     "magnetic_quadrupole": (3, 3, 3),
 }
 KINDS = tuple(_MOMENT_SHAPES)
+# The constraint on the moments of a quadrupole kind, and the message
+# when they break it.
+_MOMENT_CONSTRAINTS = {
+    "electric_quadrupole": (
+        "symmetric", "electric quadrupole moments must be symmetric "
+                     "(time-slot components gamma[0][mu][nu])"),
+    "magnetic_quadrupole": (
+        "quadrupole", "magnetic quadrupole moments must satisfy the spatial "
+                      "component symmetries (last-two-slot symmetry and "
+                      "vanishing cyclic sum)"),
+}
 
 
 def _spatial_hessian(j):
@@ -84,25 +96,10 @@ class StaticSource:
             raise DomainError(
                 f"eps0 {self.eps0!r} must be a positive finite number")
         self.eps0 = eps0
-        # A residual that overflows (inf, or NaN from inf - inf) fails.
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.kind == "electric_quadrupole":
-                if not np.max(np.abs(m - m.T)) <= 1e-12:
-                    raise DomainError(
-                        "electric quadrupole moments must be symmetric "
-                        "(time-slot components gamma[0][mu][nu])"
-                    )
-            elif self.kind == "magnetic_quadrupole":
-                pair = np.max(np.abs(m - m.transpose(0, 2, 1)))
-                cyc = np.max(
-                    np.abs(m + m.transpose(1, 2, 0) + m.transpose(2, 0, 1))
-                )
-                if not (pair <= 1e-12 and cyc <= 1e-12):
-                    raise DomainError(
-                        "magnetic quadrupole moments must satisfy the "
-                        "spatial component symmetries (last-two-slot "
-                        "symmetry and vanishing cyclic sum)"
-                    )
+        if self.kind in _MOMENT_CONSTRAINTS:
+            constraint, message = _MOMENT_CONSTRAINTS[self.kind]
+            if not satisfies(constraint, m, 1e-12):
+                raise DomainError(message)
         self.moments = m
 
     def _kernel_jet(self, x3):

@@ -29,7 +29,7 @@ run 1..3, and the Levi-Civita symbol has eps[1,2,3] = +1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -38,13 +38,6 @@ from .expr import Const, Expr, tau_rows
 from .quadrature import CumulativeIntegral
 
 _SPATIAL = (1, 2, 3)
-
-_EPS = np.zeros((4, 4, 4))
-for _i, _j, _k, _s in (
-    (1, 2, 3, 1.0), (2, 3, 1, 1.0), (3, 1, 2, 1.0),
-    (1, 3, 2, -1.0), (3, 2, 1, -1.0), (2, 1, 3, -1.0),
-):
-    _EPS[_i, _j, _k] = _s
 
 
 def sample_taus(interval, n=50, seed=0):
@@ -114,7 +107,9 @@ class _Components:
     ``values``, ``derivs`` and ``derivs2`` map a 1-D array of N taus to
     an (N, 4, ...) array (derivatives are optional: reading a missing
     one raises :class:`DerivativeUnavailable`); ``zero`` marks
-    components known to be zero everywhere, which pairings skip.
+    components known to be zero everywhere, which pairings skip.  A
+    subclass names its ``constraint`` (a kind of :func:`violations`) and
+    one SymmetryError message per part of it.
     """
 
     rank = None
@@ -155,14 +150,17 @@ class _Components:
         :meth:`values_at`."""
         return self._read(1, tau)
 
-    def scale(self, taus):
-        if self.zero:
-            return 0.0
-        return float(np.max(np.abs(self.values_at(np.asarray(taus)))))
+    def residuals(self, taus):
+        """(largest |violation| of each part of the constraint, largest
+        |entry|) over ``taus``, from one read of the values."""
+        resids, largest = constraint_residuals(
+            self.constraint, self.values_at(np.asarray(taus)))
+        return [float(r.max(initial=0.0)) for r in resids], largest
 
-    def _finite_values_at(self, taus):
-        """The values at ``taus``; raises SymmetryError at the first
-        entry that is not finite, naming its index and tau."""
+    def check(self, taus, tol):
+        """Raises SymmetryError at the first entry that is not finite,
+        then at the first tau where a part of the constraint breaks the
+        rule of :func:`breaks`, naming the worst index there."""
         g = self.values_at(np.asarray(taus))
         bad = np.argwhere(~np.isfinite(g))
         if len(bad):
@@ -170,33 +168,25 @@ class _Components:
             raise SymmetryError(
                 f"gamma{tuple(idx)} is not finite at tau={taus[i]}",
                 index=tuple(idx), tau=float(taus[i]))
-        return g
+        resids, largest = constraint_residuals(self.constraint, g)
+        for i, t in enumerate(taus):
+            for resid, message in zip(resids, self.messages):
+                r = np.max(resid[i])
+                if breaks(r, tol, largest):
+                    idx = tuple(int(j) for j in np.unravel_index(
+                        np.argmax(resid[i]), resid[i].shape))
+                    raise SymmetryError(
+                        message.format(idx=idx, rev=idx[::-1], t=t, r=r),
+                        index=idx, tau=float(t))
 
 
 class DipoleComponents(_Components):
     """Antisymmetric 4x4 tau-dependent dipole components."""
 
     rank = 2
-
-    def check_antisymmetry(self, taus):
-        """Largest |gamma[ab] + gamma[ba]|; raises at a value that is not
-        finite and at a residual above 1e-12 * scale (one that overflows
-        included)."""
-        g = self._finite_values_at(taus)
-        ref = max(1.0, self.scale(taus))
-        with np.errstate(over="ignore"):
-            resid = np.abs(g + np.swapaxes(g, -1, -2))
-        per_tau = resid.reshape(len(g), -1).max(axis=1)
-        bad = np.nonzero(~(per_tau <= 1e-12 * ref))[0]
-        if len(bad):
-            i = bad[0]
-            idx = tuple(int(j) for j in np.unravel_index(
-                np.argmax(resid[i]), (4, 4)))
-            raise SymmetryError(
-                f"dipole components not antisymmetric at tau={taus[i]}: "
-                f"|gamma{idx} + gamma{idx[::-1]}| = {per_tau[i]:.3e}",
-                index=idx, tau=float(taus[i]))
-        return float(per_tau.max(initial=0.0))
+    constraint = "antisymmetric"
+    messages = ("dipole components not antisymmetric at tau={t}: "
+                "|gamma{idx} + gamma{rev}| = {r:.3e}",)
 
 
 class QuadrupoleComponents(_Components):
@@ -208,128 +198,98 @@ class QuadrupoleComponents(_Components):
     """
 
     rank = 3
-
-    @staticmethod
-    def _residuals(g):
-        with np.errstate(over="ignore"):  # an overflow reads inf
-            pair = np.abs(g - g.transpose(0, 1, 3, 2))
-            cyc = np.abs(g + g.transpose(0, 2, 3, 1)
-                         + g.transpose(0, 3, 1, 2))
-        return pair, cyc
-
-    def symmetry_residuals(self, taus):
-        """(max |g[abc]-g[acb]|, max |g[abc]+g[bca]+g[cab]|) over taus."""
-        pair, cyc = self._residuals(self.values_at(np.asarray(taus)))
-        return float(pair.max(initial=0.0)), float(cyc.max(initial=0.0))
-
-    def check_symmetries(self, taus, tol=1e-12):
-        """Raises at a value that is not finite and at a residual above
-        ``tol`` * scale (one that overflows included)."""
-        g = self._finite_values_at(taus)
-        ref = max(1.0, self.scale(taus))
-        pair, cyc = self._residuals(g)
-        for i, t in enumerate(taus):
-            for resid, what in ((pair, "gamma{} != gamma with last slots "
-                                       "swapped"),
-                                (cyc, "cyclic sum over gamma{} is nonzero")):
-                if not np.max(resid[i]) <= tol * ref:
-                    idx = tuple(int(j) for j in np.unravel_index(
-                        np.argmax(resid[i]), (4, 4, 4)))
-                    raise SymmetryError(
-                        f"{what.format(idx)} at tau={t} "
-                        f"(residual {np.max(resid[i]):.3e})",
-                        index=idx, tau=float(t))
-        return True
+    constraint = "quadrupole"
+    messages = ("gamma{idx} != gamma with last slots swapped at tau={t} "
+                "(residual {r:.3e})",
+                "cyclic sum over gamma{idx} is nonzero at tau={t} "
+                "(residual {r:.3e})")
 
 
 # -- symmetry constraint algebra ------------------------------------------
 
 
-def _constraint_matrix():
-    rows = []
-    for a in range(4):
-        for b in range(4):
-            for c in range(b + 1, 4):
-                row = np.zeros(64)
-                row[16 * a + 4 * b + c] += 1.0
-                row[16 * a + 4 * c + b] -= 1.0
-                rows.append(row)
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                row = np.zeros(64)
-                row[16 * a + 4 * b + c] += 1.0
-                row[16 * b + 4 * c + a] += 1.0
-                row[16 * c + 4 * a + b] += 1.0
-                rows.append(row)
-    return np.array(rows)
+def violations(kind, g):
+    """The signed violations of constraint ``kind`` by ``g``, read over
+    its last axes, as a tuple of arrays shaped like ``g``:
+    ``"antisymmetric"`` g[ab] + g[ba]; ``"symmetric"`` g[ab] - g[ba];
+    ``"quadrupole"`` the pair g[abc] - g[acb] and the cyclic sum
+    g[abc] + g[cab] + g[bca].  A violation that overflows reads inf or
+    NaN."""
+    swapped = np.swapaxes(g, -1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "antisymmetric":
+            return (g + swapped,)
+        if kind == "symmetric":
+            return (g - swapped,)
+        return (g - swapped,
+                g + np.moveaxis(g, -3, -1) + np.moveaxis(g, -1, -3))
 
 
-_BASIS_CACHE = {}
+def constraint_residuals(kind, g):
+    """(|violation| of each part of constraint ``kind`` by ``g``,
+    largest |entry| of ``g``)."""
+    return ([np.abs(v) for v in violations(kind, g)],
+            float(np.max(np.abs(g), initial=0.0)))
 
 
+def breaks(resid, tol, largest):
+    """The one tolerance rule, elementwise: whether ``resid`` is not at
+    most ``tol`` * max(1, ``largest``).  A NaN residual breaks it, and
+    so does every residual when ``largest`` is not finite."""
+    return ~np.less_equal(resid, tol * max(1.0, largest)
+                          if largest < np.inf else np.nan)
+
+
+def satisfies(kind, g, tol):
+    """Whether ``g`` satisfies constraint ``kind`` by :func:`breaks`."""
+    resids, largest = constraint_residuals(kind, g)
+    return not any(breaks(r, tol, largest).any() for r in resids)
+
+
+def _null_space(kind, rank):
+    """Orthonormal rows spanning the arrays of ``rank`` axes that satisfy
+    constraint ``kind``: the null space of its violation map on the unit
+    arrays (the quadrupole's pair rows for b < c alone)."""
+    units = np.eye(4 ** rank).reshape((-1,) + (4,) * rank)
+    rows = [v.reshape(len(units), -1).T for v in violations(kind, units)]
+    if kind == "quadrupole":
+        _, b, c = np.indices((4, 4, 4)).reshape(3, -1)
+        rows[0] = rows[0][b < c]
+    C = np.concatenate(rows)
+    _, s, vt = np.linalg.svd(C)
+    return vt[np.sum(s > max(C.shape) * np.finfo(float).eps * s[0]):]
+
+
+@cache
 def quadrupole_basis():
     """Orthonormal basis (as (4,4,4) arrays) of the valid-component space."""
-    if "basis" not in _BASIS_CACHE:
-        C = _constraint_matrix()
-        _, s, vt = np.linalg.svd(C)
-        tol = max(C.shape) * np.finfo(float).eps * s[0]
-        null = vt[np.sum(s > tol):]
-        _BASIS_CACHE["basis"] = [v.reshape(4, 4, 4) for v in null]
-    return _BASIS_CACHE["basis"]
+    return [v.reshape(4, 4, 4) for v in _null_space("quadrupole", 3)]
 
 
+@cache
 def symmetry_projector():
     """Orthogonal projector onto the valid-component subspace (64x64)."""
-    if "proj" not in _BASIS_CACHE:
-        B = np.array([b.reshape(64) for b in quadrupole_basis()])
-        _BASIS_CACHE["proj"] = B.T @ B
-    return _BASIS_CACHE["proj"]
+    B = np.reshape(quadrupole_basis(), (-1, 64))
+    return B.T @ B
 
 
 def component_rank(kind):
-    """Numerical rank of the parameters-to-components map.
-
-    For the gauge-quotiented electric kinds the kernel of the map is
-    exactly the gauge family, so the plain rank is already the quotient
-    dimension.
-    """
-    v = np.array([1.0, 0.31, -0.22, 0.17])  # a generic velocity
+    """Dimension of a component space: the constraint's null space, or
+    for the gauge-quotiented electric kinds the rank of the constructor
+    at a generic velocity (its kernel is exactly the gauge family)."""
     if kind == "dipole":
-        cols = []
-        for a in range(4):
-            for b in range(a + 1, 4):
-                m = np.zeros((4, 4))
-                m[a, b] = 1.0
-                m[b, a] = -1.0
-                cols.append(m.reshape(16))
-        return int(np.linalg.matrix_rank(np.array(cols).T))
+        return len(_null_space("antisymmetric", 2))
     if kind == "quadrupole":
-        B = np.array([b.reshape(64) for b in quadrupole_basis()])
-        return int(np.linalg.matrix_rank(B.T))
-    if kind == "electric_dipole_mod_gauge":
-        cols = []
-        for a in range(4):
-            w = np.zeros(4)
-            w[a] = 1.0
-            g = np.outer(w, v) - np.outer(v, w)
-            cols.append(g.reshape(16))
-        return int(np.linalg.matrix_rank(np.array(cols).T))
-    if kind == "electric_quadrupole_mod_gauge":
-        cols = []
-        for b in range(4):
-            for c in range(4):
-                q = np.zeros((4, 4))
-                q[b, c] = 1.0
-                g = (
-                    np.einsum("a,bc->abc", v, q)
-                    + np.einsum("a,cb->abc", v, q)
-                    - np.einsum("b,ac->abc", v, q)
-                    - np.einsum("c,ab->abc", v, q)
-                )
-                cols.append(g.reshape(64))
-        return int(np.linalg.matrix_rank(np.array(cols).T))
-    raise DomainError(f"unknown component kind {kind!r}")
+        return len(quadrupole_basis())
+    electric = {"electric_dipole_mod_gauge": (_ELECTRIC_DIPOLE, 1),
+                "electric_quadrupole_mod_gauge": (_ELECTRIC_QUADRUPOLE, 2)}
+    if kind not in electric:
+        raise DomainError(f"unknown component kind {kind!r}")
+    terms, rank = electric[kind]
+    x = np.eye(4 ** rank).reshape((-1,) + (4,) * rank)
+    v = np.broadcast_to([1.0, 0.31, -0.22, 0.17], (len(x), 4))
+    return int(np.linalg.matrix_rank(
+        _combine(terms, v, x).reshape(len(x), -1)))
 
 
 # -- constructors -----------------------------------------------------------
@@ -348,47 +308,46 @@ def _constant(cls, g):
 
 
 def make_static_dipole(p_ed, p_md):
-    """Constant dipole from electric and magnetic 3-vectors."""
+    """Constant dipole from electric and magnetic 3-vectors:
+    gamma[0][mu] = p_ed[mu] and gamma[mu][nu] = eps[mu, nu, s] p_md[s]."""
     p_ed = np.asarray(p_ed, dtype=float)
-    p_md = np.asarray(p_md, dtype=float)
+    m1, m2, m3 = np.asarray(p_md, dtype=float)
     g = np.zeros((4, 4))
-    for mu in _SPATIAL:
-        g[0, mu] = p_ed[mu - 1]
-        g[mu, 0] = -p_ed[mu - 1]
-    for mu in _SPATIAL:
-        for nu in _SPATIAL:
-            g[mu, nu] = sum(
-                _EPS[mu, nu, s] * p_md[s - 1] for s in _SPATIAL
-            )
+    g[0, 1:], g[1:, 0] = p_ed, -p_ed
+    g[1:, 1:] = 0.0 + np.array([[0.0, m3, -m2], [-m3, 0.0, m1],
+                                [m2, -m1, 0.0]])
     return _constant(DipoleComponents, g)
 
 
 def make_toroidal_quadrupole(T):
-    """Spatial quadrupole pattern built from a 3-vector.
-
-    The delta-pattern recipe is symmetrized onto the valid-component
-    subspace by orthogonal projection.
-    """
-    T = np.asarray(T, dtype=float)
+    """Spatial quadrupole pattern built from a 3-vector: the delta
+    pattern delta[mu][sg] T[nu] + delta[mu][nu] T[sg]
+    - 2 delta[nu][sg] T[sg], projected orthogonally onto the
+    valid-component subspace."""
+    d, T = np.eye(3), np.asarray(T, dtype=float)
     raw = np.zeros((4, 4, 4))
-    for mu in _SPATIAL:
-        for nu in _SPATIAL:
-            for sg in _SPATIAL:
-                val = 0.0
-                if mu == sg:
-                    val += T[nu - 1]
-                if mu == nu:
-                    val += T[sg - 1]
-                if nu == sg:
-                    val -= 2.0 * T[sg - 1]
-                raw[mu, nu, sg] = val
+    raw[1:, 1:, 1:] = (0.0 + np.einsum("ms,n->mns", d, T)
+                       + np.einsum("mn,s->mns", d, T) - 2.0 * (d * T)[None])
     proj = symmetry_projector() @ raw.reshape(64)
     return _constant(QuadrupoleComponents, proj.reshape(4, 4, 4))
 
 
+# Term tables (einsum spec, sign) of the maps bilinear in the worldline
+# velocity v and an input x.
+_ELECTRIC_DIPOLE = (("nb,na->nab", 1.0), ("na,nb->nab", -1.0))
+_ELECTRIC_QUADRUPOLE = (("na,nbc->nabc", 1.0), ("na,ncb->nabc", 1.0),
+                        ("nb,nac->nabc", -1.0), ("nc,nab->nabc", -1.0))
+_EMBEDDING = (("nc,nab->nabc", 1.0), ("nb,nac->nabc", 1.0))
+
+
+def _combine(terms, v, x):
+    """sum_k sign_k einsum(spec_k, v, x) over a term table."""
+    return sum(sign * np.einsum(spec, v, x) for spec, sign in terms)
+
+
 def _velocity_product(cls, terms, X, worldline):
-    """Components sum_k sign_k einsum(spec_k, v, X) bilinear in the
-    worldline velocity v and the input fields X.
+    """Components ``_combine(terms, v, X)`` bilinear in the worldline
+    velocity v and the input fields X.
 
     Derivatives follow the product rule with the curve's acceleration;
     second derivatives are not available.  The product is zero where the
@@ -396,37 +355,31 @@ def _velocity_product(cls, terms, X, worldline):
     """
     xv, xd, _, xzero = X
 
-    def combine(v, x):
-        return sum(sign * np.einsum(spec, v, x) for spec, sign in terms)
-
     def values(taus):
-        return combine(worldline.velocity_at(taus), xv(taus))
+        return _combine(terms, worldline.velocity_at(taus), xv(taus))
 
     def derivs(taus):
         if xd is None:
             raise DerivativeUnavailable(
                 "no exact derivative rule for the input components"
             )
-        return (combine(worldline.acceleration_at(taus), xv(taus))
-                + combine(worldline.velocity_at(taus), xd(taus)))
+        return (_combine(terms, worldline.acceleration_at(taus), xv(taus))
+                + _combine(terms, worldline.velocity_at(taus), xd(taus)))
 
     return cls(values, derivs, None, xzero)
 
 
 def make_electric_dipole(w, worldline):
     """gamma[ab] = w^a v^b - w^b v^a with v the worldline velocity."""
-    terms = (("nb,na->nab", 1.0), ("na,nb->nab", -1.0))
-    return _velocity_product(DipoleComponents, terms, _input_fields(w, 1),
-                             worldline)
+    return _velocity_product(DipoleComponents, _ELECTRIC_DIPOLE,
+                             _input_fields(w, 1), worldline)
 
 
 def make_electric_quadrupole(qgrid, worldline):
     """gamma[abc] = v^a q^{bc} + v^a q^{cb} - v^b q^{ac} - v^c q^{ab}."""
-    terms = (("na,nbc->nabc", 1.0), ("na,ncb->nabc", 1.0),
-             ("nb,nac->nabc", -1.0), ("nc,nab->nabc", -1.0))
-    out = _velocity_product(QuadrupoleComponents, terms,
+    out = _velocity_product(QuadrupoleComponents, _ELECTRIC_QUADRUPOLE,
                             _input_fields(qgrid, 2), worldline)
-    out.check_symmetries(sample_taus(worldline.interval), tol=1e-10)
+    out.check(sample_taus(worldline.interval), 1e-10)
     return out
 
 
@@ -435,19 +388,17 @@ def embed_dipole_as_quadrupole(p, worldline):
     X = _input_fields(p, 2)
     taus = sample_taus(worldline.interval, n=11)
     pv = X[0](taus)
-    # (a, b, t) order: the first offending pair has a <= b.
-    bad = np.argwhere(np.abs(pv + np.swapaxes(pv, -1, -2)).transpose(1, 2, 0)
-                      > 1e-10)
-    if len(bad):
-        a, b, i = (int(j) for j in bad[0])
-        raise SymmetryError(
-            f"p[{a}][{b}] is not antisymmetric at tau={taus[i]}",
-            index=(a, b),
-            tau=float(taus[i]),
-        )
-    terms = (("nc,nab->nabc", 1.0), ("nb,nac->nabc", 1.0))
-    out = _velocity_product(QuadrupoleComponents, terms, X, worldline)
-    out.check_symmetries(sample_taus(worldline.interval), tol=1e-10)
+    (resid,), largest = constraint_residuals("antisymmetric", pv)
+    for fault, what in ((~np.isfinite(pv), "not finite"),
+                        (breaks(resid, 1e-10, largest), "not antisymmetric")):
+        # (a, b, t) order: the first offending pair has a <= b.
+        bad = np.argwhere(fault.transpose(1, 2, 0))
+        if len(bad):
+            a, b, i = (int(j) for j in bad[0])
+            raise SymmetryError(f"p[{a}][{b}] is {what} at tau={taus[i]}",
+                                index=(a, b), tau=float(taus[i]))
+    out = _velocity_product(QuadrupoleComponents, _EMBEDDING, X, worldline)
+    out.check(sample_taus(worldline.interval), 1e-10)
     return out
 
 

@@ -244,13 +244,13 @@ def random_test_form_along(rng, worldline, count=1):
     draws = []
     for _ in range(count):
         tc = rng.uniform(t0 + 0.2 * length, t1 - 0.2 * length)
-        point = worldline.point_at(np.array([tc]))
         tw = float(rng.uniform(0.08, 0.2) * length)
         sw = rng.uniform(0.08, 0.2, 3)
         widths = (tw, float(sw[0]), float(sw[1]), float(sw[2]))
-        draws.append((*_random_affine(rng, widths), point[0], widths))
-    return AffineFormFamily(*(np.array([d[i] for d in draws])
-                              for i in range(4)))
+        draws.append((*_random_affine(rng, widths), tc, widths))
+    consts, coefs, tcs, halves = (np.array([d[i] for d in draws])
+                                  for i in range(4))
+    return AffineFormFamily(consts, coefs, worldline.point_at(tcs), halves)
 
 
 class ExprCovector(_BatchForm):
@@ -538,10 +538,9 @@ class SourceBundle:
         s = 0.0
         if self.monopole is not None:
             s = max(s, abs(self.monopole.q))
-        if self.dipole is not None:
-            s = max(s, self.dipole.scale(taus))
-        if self.quadrupole is not None:
-            s = max(s, self.quadrupole.scale(taus))
+        for part in (self.dipole, self.quadrupole):
+            if part is not None:
+                s = max(s, part.residuals(taus)[1])
         return s
 
 

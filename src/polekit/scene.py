@@ -272,6 +272,21 @@ def _check_inverses(specs, charts, worldlines, jobs, problems):
                 break
 
 
+def _finite_worldline(line):
+    """``line``, whose points and velocities must be finite at 17 sample
+    taus: raises a PolekitError naming the first that is not, or why it
+    cannot be evaluated."""
+    taus = line.sample_taus(17)
+    with np.errstate(all="ignore"):  # a non-finite value is reported
+        values = np.concatenate(line.eval(taus), axis=1)
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        i, j = bad[0]
+        raise DomainError(f"{('component', 'velocity component')[j // 4]} "
+                          f"{j % 4} is not finite at tau={taus[i]}")
+    return line
+
+
 def _validate_job(i, job, scene_charts, scene_worldlines, scene_multipoles,
                   job_names, problems):
     path = f"jobs[{i}]"
@@ -384,7 +399,10 @@ def parse_scene(text):
             problems.append(
                 f"{path}: interval must be [t0, t1] with finite t0 < t1")
             continue
-        worldlines[name] = Worldline(parsed, interval)
+        try:
+            worldlines[name] = _finite_worldline(Worldline(parsed, interval))
+        except PolekitError as err:
+            problems.append(f"{path}: {err}")
     multipoles = {}
     for name, spec in _section(raw, "multipoles", dict, problems).items():
         parsed = _parse_multipole(name, spec, problems)
@@ -413,10 +431,9 @@ def parse_scene(text):
         for interval in intervals:
             taus = sample_taus(interval)
             try:
-                if "dipole" in spec:
-                    spec["dipole"].check_antisymmetry(taus)
-                if "quadrupole" in spec:
-                    spec["quadrupole"].check_symmetries(taus)
+                for part in ("dipole", "quadrupole"):
+                    if part in spec:
+                        spec[part].check(taus, 1e-12)
             except PolekitError as err:
                 problems.append(f"multipoles.{name}: {err}")
                 break

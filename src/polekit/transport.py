@@ -33,7 +33,7 @@ import numpy as np
 
 from .charts import singular_row
 from .errors import DomainError
-from .moments import DipoleComponents, QuadrupoleComponents
+from .moments import DipoleComponents, QuadrupoleComponents, satisfies
 from .quadrature import CumulativeIntegral
 
 _PPAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -47,16 +47,6 @@ def _antisym_from_vec(vec):
     M = np.zeros(vec.shape[:-1] + (4, 4))
     M[..., _PD, _PE] = vec
     M[..., _PE, _PD] = -vec
-    return M
-
-
-def _check_antisym(M, what):
-    M = np.asarray(M, dtype=float)
-    if M.shape != (4, 4):
-        raise DomainError(f"{what} must be a 4x4 array")
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not np.max(np.abs(M + M.T)) <= 1e-12:
-            raise DomainError(f"{what} must be antisymmetric")
     return M
 
 
@@ -168,7 +158,11 @@ def transform_quadrupole(gamma3, chart, worldline, kappa0=None):
     worldline.check_regular()
     if kappa0 is None:
         kappa0 = np.zeros((4, 4))
-    kappa0 = _check_antisym(kappa0, "kappa0")
+    kappa0 = np.asarray(kappa0, dtype=float)
+    if kappa0.shape != (4, 4):
+        raise DomainError("kappa0 must be a 4x4 array")
+    if not satisfies("antisymmetric", kappa0, 1e-12):
+        raise DomainError("kappa0 must be antisymmetric")
     t0, t1 = worldline.interval
 
     def integrand(taus):

@@ -12,12 +12,20 @@ from polekit import expr as ex
 from polekit.charts import ChartPair, linear_chart
 from polekit.expr import tau_rows
 from polekit.fields import _coulomb_expr
-from polekit.moments import (_EPS, DipoleComponents, QuadrupoleComponents,
+from polekit.moments import (DipoleComponents, QuadrupoleComponents,
                              quadrupole_basis)
 from polekit.pairing import AffineFormFamily, _random_affine
 from polekit.worldlines import Worldline
 
 _SPATIAL = (1, 2, 3)
+
+# The Levi-Civita symbol on spatial indices, eps[1, 2, 3] = +1.
+_EPS = np.zeros((4, 4, 4))
+for _i, _j, _k, _s in (
+    (1, 2, 3, 1.0), (2, 3, 1, 1.0), (3, 1, 2, 1.0),
+    (1, 3, 2, -1.0), (3, 2, 1, -1.0), (2, 1, 3, -1.0),
+):
+    _EPS[_i, _j, _k] = _s
 
 
 def fd_gradient(f, x, h=1e-4):

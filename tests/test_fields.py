@@ -77,6 +77,27 @@ def test_magnetic_quadrupole_falloff():
     assert e == pytest.approx(-3.0, abs=0.01)
 
 
+@pytest.mark.parametrize("factor", [1e3, 1e6])
+def test_moments_are_judged_relative_to_their_largest_entry(factor):
+    """A valid pattern scaled up keeps its rounding relative to its size:
+    the toroidal block times 1e3 has a pair residual of about 1e-12,
+    which passes against 1e-12 times its largest entry.  A residual
+    that is large relative to that entry still fails."""
+    tor = make_toroidal_quadrupole((0.3, -1.1, 0.7))
+    spatial = factor * tor.values_at(np.zeros(1))[0, 1:, 1:, 1:]
+    StaticSource("magnetic_quadrupole", spatial)
+    sym = factor * np.array([[1.0, 0.2, 0.0], [0.2, -0.5, 0.3],
+                             [0.0, 0.3, -0.5]])
+    sym[0, 1] += 1e-13 * factor
+    StaticSource("electric_quadrupole", sym)
+    sym[0, 1] += 1e-6 * factor
+    with pytest.raises(DomainError, match="must be symmetric"):
+        StaticSource("electric_quadrupole", sym)
+    spatial[0, 1, 2] += 1e-6 * factor
+    with pytest.raises(DomainError, match="spatial component symmetries"):
+        StaticSource("magnetic_quadrupole", spatial)
+
+
 def test_zero_potential_direction_rejected():
     s = StaticSource("electric_dipole", (0.0, 0.0, 1.0))
     with pytest.raises(DomainError):

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,8 +26,10 @@ from polekit.moments import (
     make_electric_quadrupole,
     make_static_dipole,
     make_toroidal_quadrupole,
+    _null_space,
     quadrupole_basis,
     sample_taus,
+    symmetry_projector,
     zeta_from_gamma,
 )
 from polekit.pairing import (
@@ -85,17 +90,17 @@ def test_nan_residual_fails_the_symmetry_checks():
         return values
 
     with pytest.raises(SymmetryError) as err:
-        DipoleComponents(nan_at((1, 2))).check_antisymmetry(TAUS)
+        DipoleComponents(nan_at((1, 2))).check(TAUS, 1e-12)
     assert err.value.index == (1, 2)
     with pytest.raises(SymmetryError) as err:
-        QuadrupoleComponents(nan_at((2, 1, 1))).check_symmetries(TAUS)
+        QuadrupoleComponents(nan_at((2, 1, 1))).check(TAUS, 1e-12)
     assert err.value.tau == TAUS[0]
 
 
 def test_dipole_antisymmetry_validation():
     bad = DipoleComponents.from_dict({(0, 1): ex.Const(1.0)})
     with pytest.raises(SymmetryError) as err:
-        bad.check_antisymmetry(TAUS)
+        bad.check(TAUS, 1e-12)
     assert err.value.index is not None
 
 
@@ -105,15 +110,47 @@ def test_quadrupole_symmetry_validation():
          (2, 1, 1): ex.Const(-2.0)}
     )
     with pytest.raises(SymmetryError):
-        bad.check_symmetries(TAUS)
+        bad.check(TAUS, 1e-12)
 
 
 def test_random_quadrupole_is_valid(rng):
     q = random_quadrupole(rng)
-    assert q.check_symmetries(sample_taus((-2.0, 2.0)), tol=1e-10)
+    q.check(sample_taus((-2.0, 2.0)), 1e-10)
 
 
 # -- toroidal pattern ---------------------------------------------------------
+
+
+def test_static_patterns_equal_their_entry_by_entry_loops(rng):
+    """The static dipole and the toroidal pattern are array expressions;
+    they give the bits of the entry-by-entry definitions, signed zeros
+    included."""
+    spatial = (1, 2, 3)
+    eps = np.zeros((4, 4, 4))
+    for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        eps[i, j, k], eps[i, k, j] = 1.0, -1.0
+    for n in range(40):
+        p_ed, p_md, T = (rng.choice([0.0, -0.0, 0.3, -1.1], 3) if n % 2
+                         else rng.uniform(-2, 2, 3) for _ in range(3))
+        g = np.zeros((4, 4))
+        raw = np.zeros((4, 4, 4))
+        for mu in spatial:
+            g[0, mu], g[mu, 0] = p_ed[mu - 1], -p_ed[mu - 1]
+            for nu in spatial:
+                g[mu, nu] = sum(eps[mu, nu, s] * p_md[s - 1] for s in spatial)
+                for sg in spatial:
+                    val = 0.0
+                    if mu == sg:
+                        val += T[nu - 1]
+                    if mu == nu:
+                        val += T[sg - 1]
+                    if nu == sg:
+                        val -= 2.0 * T[sg - 1]
+                    raw[mu, nu, sg] = val
+        tor = (symmetry_projector() @ raw.reshape(64)).reshape(4, 4, 4)
+        for got, want in ((make_static_dipole(p_ed, p_md), g),
+                          (make_toroidal_quadrupole(T), tor)):
+            assert got.values_at(np.zeros(1))[0].tobytes() == want.tobytes()
 
 
 def test_toroidal_zero_vector():
@@ -152,7 +189,7 @@ def test_toroidal_any_vector_passes_symmetries(rng):
     # symmetry-checker oracle over random toroidal vectors
     for _ in range(10):
         q = make_toroidal_quadrupole(rng.uniform(-2, 2, 3))
-        assert q.check_symmetries(TAUS, tol=1e-12)
+        q.check(TAUS, 1e-12)
 
 
 # -- electric constructors ----------------------------------------------------
@@ -272,6 +309,16 @@ def test_embed_rejects_asymmetric_p(adapted_worldline):
         embed_dipole_as_quadrupole(p, adapted_worldline)
 
 
+def test_embed_names_a_p_entry_that_is_not_finite(adapted_worldline):
+    """A NaN in p is a fault of p, not of the embedded quadrupole."""
+    p = [[ex.Const(0.0)] * 4 for _ in range(4)]
+    p[2][1] = ex.Const(np.nan)
+    with pytest.raises(SymmetryError,
+                       match=r"^p\[2\]\[1\] is not finite at tau=") as err:
+        embed_dipole_as_quadrupole(p, adapted_worldline)
+    assert err.value.index == (2, 1)
+
+
 def test_extract_dipole_examples():
     p = [[ex.Const(0.0)] * 4 for _ in range(4)]
     p[1][2] = ex.parse("2.5*tau + 1", ex.TAU_VARS)
@@ -370,6 +417,21 @@ def test_quadrupole_basis_constraints():
         assert np.max(np.abs(b - b.transpose(0, 2, 1))) < 1e-12
         cyc = b + b.transpose(1, 2, 0) + b.transpose(2, 0, 1)
         assert np.max(np.abs(cyc)) < 1e-12
+
+
+def test_projector_matches_a_basis_built_outside_polekit():
+    """perfbench/inputs.py builds the quadrupole null basis with its own
+    numpy code; both span the same space.  The dipole constraint leaves
+    the 6 antisymmetric directions."""
+    spec = importlib.util.spec_from_file_location(
+        "inputs", Path(__file__).parent.parent / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    B = inputs.quadrupole_null_basis().reshape(20, 64)
+    assert np.max(np.abs(B.T @ B - symmetry_projector())) <= 1e-12
+    dipoles = _null_space("antisymmetric", 2).reshape(-1, 4, 4)
+    assert len(dipoles) == 6
+    assert np.max(np.abs(dipoles + dipoles.transpose(0, 2, 1))) <= 1e-15
 
 
 def test_unknown_rank_kind():
@@ -540,9 +602,9 @@ def test_non_finite_value_is_named_before_any_residual():
 
     with pytest.raises(SymmetryError,
                        match=r"^gamma\(1, 2\) is not finite at tau=-1.0$"):
-        DipoleComponents(inf_at((1, 2))).check_antisymmetry(TAUS)
+        DipoleComponents(inf_at((1, 2))).check(TAUS, 1e-12)
     with pytest.raises(SymmetryError) as err:
-        QuadrupoleComponents(inf_at((2, 1, 1))).check_symmetries(TAUS)
+        QuadrupoleComponents(inf_at((2, 1, 1))).check(TAUS, 1e-12)
     assert str(err.value) == "gamma(2, 1, 1) is not finite at tau=-1.0"
     assert (err.value.index, err.value.tau) == ((2, 1, 1), -1.0)
 

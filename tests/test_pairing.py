@@ -494,6 +494,23 @@ def test_form_family_rows_equal_member_forms(rng, wobble_worldline):
                                np.zeros(len(pts), dtype=int))
 
 
+@pytest.mark.parametrize("chart", [None, "cylindrical_to_cartesian"])
+def test_family_of_forms_equals_forms_drawn_one_at_a_time(wobble_worldline,
+                                                          chart):
+    """A family evaluates its box centres in one worldline call; its
+    arrays equal those of drawing each form alone from the same
+    generator, whose centre is the worldline at one tau."""
+    C = wobble_worldline
+    if chart is not None:
+        C = C.push_through_chart(get(chart).forward)
+    family = random_test_form_along(np.random.default_rng(11), C, count=20)
+    rng = np.random.default_rng(11)
+    singles = [random_test_form_along(rng, C) for _ in range(20)]
+    for name in ("consts", "coefs", "centers", "halves"):
+        assert np.array_equal(getattr(family, name), np.concatenate(
+            [getattr(f, name) for f in singles]))
+
+
 @pytest.mark.parametrize("name, params", [
     ("cylindrical_to_cartesian", None), ("lorentz_boost", [0.6])])
 def test_pulled_back_family_rows_equal_pulled_back_members(

@@ -983,6 +983,42 @@ def test_potentials_job_needs_two_radii(tmp_path, fields, error):
     assert results[0].data == {"error": error}
 
 
+@pytest.mark.parametrize("kappa0", [0.5, 0.0])
+def test_transform_job_needs_two_samples(tmp_path, kappa0):
+    """A line through the integral term needs two samples: a job of one
+    FAILs naming ``samples``.  Its one sample is the anchor, where P is
+    kappa0, so no fit of it (nor "zero at all samples") would be true
+    of P[12] = tau + kappa0."""
+    doc = json.loads((SCENES / "worked_example.scene").read_text())
+    job = dict(doc["jobs"][0], samples=1, kappa0={"12": kappa0})
+    doc["jobs"] = [job]
+    results, code = run(parse_scene(json.dumps(doc)), out_dir=tmp_path)
+    assert code == 1
+    assert results[0].data == {
+        "error": "a line through the integral term needs 2 samples, got 1"}
+
+
+@pytest.mark.parametrize("component, problem", [
+    ("1e308*10", "component 1 is not finite at tau=0.0"),
+    ("sqrt(tau - 20)", "sqrt: argument -20.0 is not positive"),
+])
+def test_worldline_that_does_not_evaluate_is_a_scene_error(
+        tmp_path, capsys, component, problem):
+    """A worldline whose points or velocities are not finite numbers at
+    its sample taus is a scene problem (exit 2), with no warning first,
+    not a scene that validates and then fails or warns in ``run``."""
+    doc = json.loads((SCENES / "worked_example.scene").read_text())
+    doc["worldlines"]["axis_rest"]["components"][1] = component
+    with pytest.raises(SceneError) as err:
+        parse_scene(json.dumps(doc))
+    assert err.value.problems[0] == f"worldlines.axis_rest: {problem}"
+    path = tmp_path / "bad.scene"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert f"scene error: worldlines.axis_rest: {problem}" in \
+        capsys.readouterr().err
+
+
 def test_potentials_example_scene_passes_every_job(tmp_path):
     results, code = run(
         parse_scene((SCENES / "potentials_example.scene").read_text()),
