@@ -7,6 +7,14 @@ such properties or be consistent with them, so reports carry the wording
 "consistent with ..." together with the worst residual, the scale it was
 measured against, and the seed that generated the probes.
 
+Each test pairs its probes as one family, in lockstep (one
+:func:`~polekit.pairing.pair_bundle_family` call).  It draws every
+probe's random box and constants first, in the order a probe drawn
+alone would draw them, and builds the probe's expression trees and
+their symbolic gradients once: the trees read member k's constants as
+variables 4, 5, ... (see :class:`_Constants`), so each member has the
+bits of its probe paired alone.
+
 The order and electric-order tests run on adapted worldlines
 C(tau) = (tau, 0, 0, 0): scalars vanishing on the curve are then exact
 (multiples of the spatial coordinates) instead of approximations.  For
@@ -23,7 +31,7 @@ import numpy as np
 from . import expr as ex
 from .errors import DomainError
 from .pairing import Box, ExprCovector, ProductTestForm, ScaledCovector, \
-    pair_bundle
+    pair_bundle, pair_bundle_family
 
 _PASS_TOL = 1e-8
 _FAIL_TOL = 1e-4
@@ -34,10 +42,12 @@ _FAIL_TOL = 1e-4
 
 def compact_window_expr(center, widths):
     """prod_b sstep(1 - u_b^2), u_b = (x^b - c^b)/w^b: a C^3 compactly
-    supported window that symbolic differentiation can chase through."""
+    supported window that symbolic differentiation can chase through;
+    c^b and w^b are floats or trees."""
     out = None
     for b in range(4):
-        u = ex.div(ex.sub(ex.Var(b), ex.const(center[b])), ex.const(widths[b]))
+        u = ex.div(ex.sub(ex.Var(b), ex._coerce(center[b])),
+                   ex._coerce(widths[b]))
         f = ex.Fun("sstep", ex.sub(ex.const(1.0), ex.Mul(u, u)))
         out = f if out is None else ex.Mul(out, f)
     return out
@@ -72,30 +82,66 @@ def ramp_expr(t_on, t_off, lam0, lam1):
     )
 
 
-def random_poly_expr(rng, degree=1, offset=1.0):
+class _Constants:
+    """The random constants of a family of probes, one member per probe.
+
+    A probe's trees are built once, asking this object for each random
+    constant in the order a generator yields it; each answer is the
+    parameter variable that reads the constant, variable 4 + i for the
+    member's i-th (see :class:`~polekit.pairing._BatchForm`).  The first
+    ``given`` constants are set by the caller, who reads them through
+    the variables ``given``.  :meth:`draw` then draws the rest of one
+    member's constants from a generator in that order.
+    """
+
+    def __init__(self, given):
+        self.given = tuple(ex.Var(4 + i) for i in range(given))
+        self.count = given
+        self.draws = []
+
+    def _next(self, n, draw):
+        first = 4 + self.count
+        self.count += n
+        self.draws.append(draw)
+        return tuple(ex.Var(first + i) for i in range(n))
+
+    def uniform(self, lo, hi, size=None):
+        """``rng.uniform(lo, hi, size)``: one constant, or a tuple of
+        ``size``."""
+        out = self._next(size or 1, lambda rng: rng.uniform(lo, hi, size))
+        return out if size else out[0]
+
+    def coordinate(self):
+        """x^b for b drawn by ``rng.integers(0, 4)``, as the sum e_0 x^0 +
+        ... + e_3 x^3 over the one-hot constants e: each product is an
+        exact zero or x^b itself, so the sum has the bits of x^b up to
+        the sign of zeros."""
+        return ex.linear_combination(
+            self._next(4, lambda rng: np.eye(4)[rng.integers(0, 4)]))
+
+    def draw(self, rng):
+        """One member's constants, drawn from ``rng`` (an (n,) array)."""
+        return np.concatenate([np.ravel(d(rng)) for d in self.draws])
+
+
+def random_poly_expr(c, degree=1, offset=1.0):
     """offset + random linear (+ optional bilinear) polynomial in
-    x0..x3."""
-    e = ex.const(offset)
+    x0..x3, its random constants from ``c`` (a :class:`_Constants`)."""
+    e = ex._coerce(offset)
     for b in range(4):
-        e = ex.add(e, ex.mul(ex.const(rng.uniform(-1, 1)), ex.Var(b)))
+        e = ex.add(e, ex.mul(c.uniform(-1, 1), ex.Var(b)))
     if degree >= 2:
-        b1 = int(rng.integers(0, 4))
-        b2 = int(rng.integers(0, 4))
-        e = ex.add(
-            e,
-            ex.mul(
-                ex.const(rng.uniform(-1, 1)),
-                ex.Mul(ex.Var(b1), ex.Var(b2)),
-            ),
-        )
+        x1 = c.coordinate()
+        x2 = c.coordinate()
+        e = ex.add(e, ex.mul(c.uniform(-1, 1), ex.Mul(x1, x2)))
     return e
 
 
-def vanishing_scalar_expr(rng, window):
+def vanishing_scalar_expr(c, window):
     """(random spatial combination) * polynomial * compact window; zero
     on any adapted worldline."""
-    lead = ex.linear_combination((0.0, *rng.uniform(-1, 1, 3)))
-    return ex.Mul(ex.Mul(lead, random_poly_expr(rng)), window)
+    lead = ex.linear_combination((0.0, *c.uniform(-1, 1, 3)))
+    return ex.Mul(ex.Mul(lead, random_poly_expr(c)), window)
 
 
 # -- reports -----------------------------------------------------------------
@@ -121,12 +167,6 @@ class ClassificationReport:
         )
 
 
-def _probe_norm(form, box):
-    """Sup of |phi_a| over an interior grid: the test-form norm used in
-    the pass/fail scale."""
-    return float(np.max(np.abs(form.values_at(box.grid(0.6), None))))
-
-
 def _require_adapted(bundle):
     if not bundle.worldline.is_adapted():
         raise DomainError(
@@ -150,26 +190,35 @@ def _probe_box(worldline, rng):
     return Box(center, tuple(float(w) for w in widths))
 
 
-def _random_base_form(rng, box):
-    polys = [random_poly_expr(rng, offset=float(rng.uniform(0.5, 1.5)))
-             for _ in range(4)]
-    return ProductTestForm(tuple(polys), box)
-
-
 def _probe_test(bundle, build, test, order, samples, seed):
     """Pair ``bundle`` with ``samples`` probes and compare the worst
-    |pairing| with the thresholds.  ``build(rng, box, window)`` returns
-    one probe inside a random box around the worldline, given the
-    compact window over that box."""
+    |pairing| with the thresholds.
+
+    The probes are one family, paired in lockstep.  ``build(c,
+    window)`` builds the probe's trees once, over the random constants
+    of :class:`_Constants` ``c`` and the compact window over the
+    probe's box, and returns the family's constructor over its boxes
+    and constants.  Each probe draws a random box around the worldline
+    and then its constants, in that order, from the generator of
+    ``seed``.  The scale is the sup of |phi_a| over the 3^4-point grid
+    of each box at 0.6 of its size, read in one call."""
+    if samples < 1:
+        raise DomainError(f"{test} test needs at least one probe, got "
+                          f"{samples}")
+    c = _Constants(8)
+    make = build(c, compact_window_expr(c.given[:4], c.given[4:]))
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    scale_ref = 0.0
+    boxes, params = [], []
     for _ in range(samples):
-        box = _probe_box(bundle.worldline, rng)
-        probe = build(rng, box, compact_window_expr(box.center, box.half))
-        report = pair_bundle(bundle, probe)
+        boxes.append(_probe_box(bundle.worldline, rng))
+        params.append((*boxes[-1].center, *boxes[-1].half, *c.draw(rng)))
+    probe = make(boxes, params)
+    worst = 0.0
+    for report in pair_bundle_family(bundle, probe):
         worst = max(worst, abs(report.value))
-        scale_ref = max(scale_ref, _probe_norm(probe, box))
+    grid = np.concatenate([b.grid(0.6) for b in boxes])
+    owner = np.repeat(np.arange(samples), len(grid) // samples)
+    scale_ref = float(np.max(np.abs(probe.values_at(grid, owner))))
     scale = max(1e-12, bundle.scale() * scale_ref)
     threshold = _PASS_TOL * scale
     return ClassificationReport(
@@ -184,9 +233,12 @@ def test_order(bundle, k, samples=8, seed=0):
     """Probe J[lambda^{k+1} phi] = 0 over sampled vanishing scalars."""
     _require_adapted(bundle)
 
-    def build(rng, box, window):
-        lam = vanishing_scalar_expr(rng, window)
-        return ScaledCovector(lam, k + 1, _random_base_form(rng, box))
+    def build(c, window):
+        lam = vanishing_scalar_expr(c, window)
+        polys = [random_poly_expr(c, offset=c.uniform(0.5, 1.5))
+                 for _ in range(4)]
+        return lambda boxes, params: ScaledCovector(
+            lam, k + 1, ProductTestForm(polys, boxes, params))
 
     return _probe_test(bundle, build, "order", k, samples, seed)
 
@@ -198,12 +250,13 @@ def test_electric_order(bundle, ell, samples=8, seed=0):
     if ell < 1:
         raise DomainError("electric-order probes need ell >= 1")
 
-    def build(rng, box, window):
-        lam = vanishing_scalar_expr(rng, window)
-        mu = ex.Mul(ex.linear_combination((0.0, *rng.uniform(-1, 1, 3))),
-                    random_poly_expr(rng))
-        return ScaledCovector(lam, ell, ExprCovector(ex.gradient_exprs(mu),
-                                                     box))
+    def build(c, window):
+        lam = vanishing_scalar_expr(c, window)
+        mu = ex.Mul(ex.linear_combination((0.0, *c.uniform(-1, 1, 3))),
+                    random_poly_expr(c))
+        grad = ex.gradient_exprs(mu)
+        return lambda boxes, params: ScaledCovector(
+            lam, ell, ExprCovector(grad, boxes, params))
 
     return _probe_test(bundle, build, "electric order", ell, samples, seed)
 
@@ -211,9 +264,10 @@ def test_electric_order(bundle, ell, samples=8, seed=0):
 def test_closed(bundle, samples=20, seed=0):
     """Probe J[d lambda] = 0 over sampled compact scalars."""
 
-    def build(rng, box, window):
-        lam = ex.Mul(random_poly_expr(rng, degree=2), window)
-        return ExprCovector(ex.gradient_exprs(lam), box)
+    def build(c, window):
+        grad = ex.gradient_exprs(ex.Mul(random_poly_expr(c, degree=2),
+                                        window))
+        return lambda boxes, params: ExprCovector(grad, boxes, params)
 
     return _probe_test(bundle, build, "closed", None, samples, seed)
 
@@ -264,7 +318,7 @@ def make_charge_probe(worldline, window=None, lam0=0.0, lam1=1.0,
         + tuple(outer_radius * w * 1.05 for w in tube_halfwidths),
     )
     return ChargeProbe(
-        covector=ExprCovector(comps, box),
+        covector=ExprCovector(comps, [box]),
         lam0=lam0,
         lam1=lam1,
         description=(

@@ -8,6 +8,10 @@ variable 0 for functions of the curve parameter).  One evaluator,
 coordinates the value alone, with the same primitives and domain checks
 (:mod:`polekit.jets`).  Either evaluates one point (floats in ``env``)
 or a batch of points (arrays in ``env``).
+Variables past the coordinates stand for constants: a test-form family
+(:mod:`polekit.pairing`) reads its members' constants as variables 4,
+5, ..., given per row after the coordinates (as constant jets among seed
+jets), and a derivative in x0..x3 reads them as constants.
 :meth:`Expr.diff` shares subtrees by reference (``d(fg) = df g + f dg``
 reuses ``f`` and ``g``), so its trees are DAGs; :func:`eval_all`
 evaluates several trees over one memo, which evaluates each shared
@@ -64,20 +68,24 @@ class Expr:
         dict owned by one call, see :func:`eval_all`) every distinct
         composite subtree is evaluated once: the tree is walked as the
         DAG that :meth:`diff` builds by sharing subtrees.  Composite
-        nodes reach their children through :meth:`_once` either way.  Entries are
-        keyed by node id, which cannot collide because every node stays
-        alive for the call."""
+        nodes reach their children through :meth:`_once` either way.
+        Entries are keyed by node id, which cannot collide because every
+        node stays alive for the call."""
         raise NotImplementedError
 
     def _once(self, env, memo):
-        """This subtree's value, looked up in or added to ``memo`` (without
-        one, evaluated directly)."""
+        """This subtree's value: evaluated at its first read from
+        ``memo`` and dropped from it at its last (without one, evaluated
+        directly)."""
         if memo is None:
             return self.eval(env)
-        key = id(self)
-        value = memo.get(key)
+        entry = memo[id(self)]
+        value = entry[1]
         if value is None:
-            value = memo[key] = self.eval(env, memo)
+            value = entry[1] = self.eval(env, memo)
+        entry[0] -= 1
+        if not entry[0]:
+            entry[1] = None
         return value
 
     def diff(self, var):
@@ -115,7 +123,7 @@ class Const(Expr):
 
     def eval(self, env, memo=None):
         if isinstance(env[0], Jet2):
-            return Jet2.constant(self.v, len(env))
+            return Jet2.constant(self.v, env[0].nvars)
         return self.v
 
     _once = eval  # leaves skip the memo
@@ -327,8 +335,24 @@ def neg(a):
 def eval_all(trees, env):
     """Evaluate several trees at one ``env`` with one memo, so that the
     subtrees they share are evaluated once; a tuple of results, each
-    bit-identical to ``tree.eval(env)``."""
+    bit-identical to ``tree.eval(env)``.
+
+    The memo holds, per composite subtree, the number of reads left (its
+    references from the trees and from other subtrees) and its value
+    while any are left, so a value is kept from its first read to its
+    last and no longer."""
     memo = {}
+    stack = list(trees)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (Const, Var)):
+            continue
+        entry = memo.get(id(node))
+        if entry is None:
+            memo[id(node)] = [1, None]
+            stack.extend(v for v in node._fields() if isinstance(v, Expr))
+        else:
+            entry[0] += 1
     return tuple(t._once(env, memo) for t in trees)
 
 
@@ -341,9 +365,8 @@ def tau_rows(trees, taus, order=0):
     """The ``order``-th (0, 1 or 2) tau derivatives of k trees (functions
     of variable 0 only) over a 1-D array of N taus, as (N, k) rows: from
     the taus themselves for order 0, else from one-variable seed jets
-    truncated at that order.  Each tree is walked on its own (no memo: a
-    memo would keep every intermediate array of every tree alive until
-    the last is read)."""
+    truncated at that order.  Each tree is walked on its own, without a
+    memo."""
     if order == 0:
         return entries_array([e.eval((taus,)) for e in trees], taus.shape)
     seeds = Jet2.seed_point((taus,), order)
@@ -362,10 +385,11 @@ def const(v):
 
 
 def linear_combination(coeffs):
-    """sum_a coeffs[a] * x^a as a folded tree."""
+    """sum_a coeffs[a] * x^a as a folded tree; a coefficient is a float
+    or a tree."""
     e = Const(0.0)
     for a, c in enumerate(coeffs):
-        e = add(e, mul(Const(float(c)), Var(a)))
+        e = add(e, mul(_coerce(c), Var(a)))
     return e
 
 
@@ -394,7 +418,7 @@ def _emit(e, parent_prec):
         s = _fmt_number(e.v)
         prec = _PREC_ATOM if e.v >= 0 else _PREC_UNARY
     elif isinstance(e, Var):
-        s = _VAR_NAMES_DEFAULT[e.index]
+        s = f"x{e.index}"
         prec = _PREC_ATOM
     elif isinstance(e, Neg):
         s = f"-{_emit(e.a, _PREC_UNARY)}"
@@ -413,9 +437,6 @@ def _emit(e, parent_prec):
     if prec < parent_prec:
         return f"({s})"
     return s
-
-
-_VAR_NAMES_DEFAULT = ("x0", "x1", "x2", "x3")
 
 
 # -- parser ----------------------------------------------------------------

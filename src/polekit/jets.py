@@ -207,6 +207,11 @@ class Jet2:
     # -- views ---------------------------------------------------------
 
     @property
+    def nvars(self):
+        """The number of variables ``n``."""
+        return len(self._g)
+
+    @property
     def grad(self):
         """The gradient, ``(*S, n)`` (a view)."""
         return _point_major(self._g)

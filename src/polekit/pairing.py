@@ -20,9 +20,9 @@ panels.  The jet integrand reads the form to the order the
 bundle needs: first-order jets (no Hessian rows, see
 :mod:`polekit.jets`) when it has no quadrupole term, second-order jets
 when it has one; the gradients are the same bits either way.
-Everything else in this module (charge extraction, order and
-closedness probes) is built by feeding specially shaped covector
-fields into these integrals.
+The charge extraction and the order and closedness probes of
+:mod:`polekit.classify` feed specially shaped covector fields into
+these integrals.
 
 Test forms are polynomials times a product of smooth bumps, so they
 vanish identically (with all derivatives) outside their box.  Probes
@@ -51,14 +51,6 @@ class Box:
     center: tuple
     half: tuple
 
-    def contains(self, x):
-        """(N,) booleans: whether each row of an (N, 4) array of points
-        is strictly inside the box."""
-        return np.all(
-            np.abs(np.asarray(x, dtype=float) - self.center) < self.half,
-            axis=-1,
-        )
-
     def grid(self, factor=1.0):
         """The 3^4 points of a regular grid over the box scaled by
         ``factor`` about its center, as an (81, 4) array."""
@@ -73,9 +65,9 @@ class Box:
 # (N, 4) array of points (N = 1 for one point) and the (N,) int array
 # of the member index of each row, and return four jets over the batch
 # truncated at ``order`` (1 or 2), an (N, 4) array and an (N,) boolean
-# array.  A single form is the one-member case and ignores the index
-# (None will do); a family (:class:`AffineFormFamily`, or its
-# pull-back) evaluates row i as its member owner[i].  ``jets_at`` and
+# array.  Every form is a family that evaluates row i as its member
+# owner[i]; a single form is the one-member case, for which None will
+# do as the index.  ``jets_at`` and
 # ``values_at`` evaluate the rows they are given, which the caller has
 # in the support: they test no support themselves (the pairing
 # integrands pick the live rows with ``in_support``, see
@@ -128,40 +120,79 @@ class _BatchForm:
 
     A form gives ``in_support``, and ``jets_at`` and ``values_at`` over
     rows the caller has in the support.  ``boxes`` holds the support box
-    of each member; ``box`` is the first, and a single form's support
-    is its box unless the form says otherwise.
+    of each member, also as the (K, 4) arrays ``centers`` and
+    ``halves``; ``box`` is the first, and a form's support is its
+    members' boxes unless the form says otherwise.
+
+    The expression forms (:class:`ProductTestForm`, :class:`ExprCovector`
+    and, through its base, :class:`ScaledCovector`) are families in
+    place: one set of trees serves every member, reading the
+    coordinates as variables 0..3 and the member's constants
+    ``params[k]`` as variables 4, 5, ... (see :meth:`_env`).  A row
+    evaluated as member k gets the bits of a tree built with those
+    constants in it, up to the sign of zeros: every operation on a
+    constant is the same elementwise operation on its column.
     """
+
+    def __init__(self, boxes, params=None):
+        self.boxes = tuple(boxes)
+        self.centers = np.array([b.center for b in self.boxes], dtype=float)
+        self.halves = np.array([b.half for b in self.boxes], dtype=float)
+        if np.any(self.halves <= 0):
+            raise DomainError("test form needs positive half-widths")
+        self.params = (np.zeros((len(self.boxes), 0)) if params is None
+                       else np.asarray(params, dtype=float))
+        # One row per constant, one column per member.
+        self._param_rows = np.ascontiguousarray(self.params.T)
 
     @property
     def box(self):
         return self.boxes[0]
 
     def in_support(self, x, owner):
-        return self.box.contains(x)
+        k = _members(owner)
+        return np.all(np.abs(np.asarray(x, dtype=float) - self.centers[k])
+                      < self.halves[k], axis=-1)
+
+    def _env(self, x, owner, order=None):
+        """What the trees are evaluated at over the rows of ``x``: the
+        coordinates, then the constants of each row's member; as seed
+        jets truncated at ``order`` and constant jets when ``order`` is
+        given."""
+        consts = tuple(np.take(self._param_rows, _members(owner), axis=1))
+        if order is None:
+            return columns(x) + consts
+        return (Jet2.seed_point(columns(x), order)
+                + tuple(Jet2.constant(c, 4) for c in consts))
+
+
+def _members(owner):
+    """The member index of each row, member 0 for ``owner`` None."""
+    return 0 if owner is None else owner
 
 
 class ProductTestForm(_BatchForm):
-    """phi_a(x) = poly_a(x) * prod_b bump((x^b - c^b) / w^b)."""
+    """phi_a(x) = poly_a(x) * prod_b bump((x^b - c^b) / w^b), with the
+    box (c, w) and the constants of each member."""
 
-    def __init__(self, polys, box):
-        if any(h <= 0 for h in box.half):
-            raise DomainError("test form needs positive half-widths")
+    def __init__(self, polys, boxes, params=None):
+        super().__init__(boxes, params)
         self.polys = tuple(polys)
-        self.boxes = (box,)
-        self._window = (np.array(box.center), np.array(box.half))
 
     def jets_at(self, x, owner, order):
-        w = _window_jet(x, *self._window, order)
-        seeds = Jet2.seed_point(columns(x), order)
+        k = _members(owner)
+        w = _window_jet(x, self.centers[k], self.halves[k], order)
+        env = self._env(x, owner, order)
         return tuple(
             Jet2.constant(0.0, 4) if isinstance(p, ex.Const) and p.v == 0.0
-            else p.eval(seeds) * w
+            else p.eval(env) * w
             for p in self.polys
         )
 
     def values_at(self, x, owner):
-        w = _window_values(x, *self._window)
-        env = columns(x)
+        k = _members(owner)
+        w = _window_values(x, self.centers[k], self.halves[k])
+        env = self._env(x, owner)
         return entries_array([p.eval(env) * w for p in self.polys],
                              (len(x),))
 
@@ -178,20 +209,12 @@ class AffineFormFamily(_BatchForm):
     """
 
     def __init__(self, consts, coefs, centers, halves):
+        super().__init__(
+            Box(tuple(float(c) for c in m), tuple(float(h) for h in w))
+            for m, w in zip(np.reshape(centers, (-1, 4)),
+                            np.reshape(halves, (-1, 4))))
         self.consts = np.reshape(np.asarray(consts, dtype=float), (-1, 4))
         self.coefs = np.reshape(np.asarray(coefs, dtype=float), (-1, 4, 4))
-        self.centers = np.reshape(np.asarray(centers, dtype=float), (-1, 4))
-        self.halves = np.reshape(np.asarray(halves, dtype=float), (-1, 4))
-        if np.any(self.halves <= 0):
-            raise DomainError("test form needs positive half-widths")
-        self.boxes = tuple(
-            Box(tuple(float(c) for c in m), tuple(float(h) for h in w))
-            for m, w in zip(self.centers, self.halves))
-
-    def in_support(self, x, owner):
-        pts = np.asarray(x, dtype=float)
-        return np.all(
-            np.abs(pts - self.centers[owner]) < self.halves[owner], axis=-1)
 
     def _polys(self, env, owner):
         """The values of the four polynomials at the coordinates
@@ -254,22 +277,24 @@ def random_test_form_along(rng, worldline, count=1):
 
 
 class ExprCovector(_BatchForm):
-    """Four raw expression components, read as zero outside ``box``
-    (its ``in_support``)."""
+    """Four expression components, with the box and the constants of
+    each member; read as zero outside the box (its ``in_support``)."""
 
-    def __init__(self, comps, box):
+    def __init__(self, comps, boxes, params=None):
+        super().__init__(boxes, params)
         self.comps = tuple(comps)
-        self.boxes = (box,)
 
     def jets_at(self, x, owner, order):
-        return ex.eval_all(self.comps, Jet2.seed_point(columns(x), order))
+        return ex.eval_all(self.comps, self._env(x, owner, order))
 
     def values_at(self, x, owner):
-        return entries_array(ex.eval_all(self.comps, columns(x)), (len(x),))
+        return entries_array(ex.eval_all(self.comps, self._env(x, owner)),
+                             (len(x),))
 
 
 class ScaledCovector(_BatchForm):
-    """phi_a = scalar^power * base_a (integer power >= 1)."""
+    """phi_a = scalar^power * base_a (integer power >= 1); the scalar
+    reads the constants of the base's members."""
 
     def __init__(self, scalar, power, base):
         self.scalar = scalar
@@ -284,11 +309,11 @@ class ScaledCovector(_BatchForm):
         return self.base.in_support(x, owner)
 
     def jets_at(self, x, owner, order):
-        s = self.scalar.eval(Jet2.seed_point(columns(x), order)) ** self.power
+        s = self.scalar.eval(self.base._env(x, owner, order)) ** self.power
         return tuple(j * s for j in self.base.jets_at(x, owner, order))
 
     def values_at(self, x, owner):
-        s = self.scalar.eval(columns(x)) ** self.power
+        s = self.scalar.eval(self.base._env(x, owner)) ** self.power
         return self.base.values_at(x, owner) * np.reshape(s, (-1, 1))
 
 
@@ -351,7 +376,7 @@ def make_test_form(polys, center, half_widths):
     box = Box(tuple(float(c) for c in center),
               tuple(float(h) for h in half_widths))
     comps = tuple(ex._coerce(p) for p in polys)
-    return ProductTestForm(comps, box)
+    return ProductTestForm(comps, [box])
 
 
 def pull_back_test_form(hatted, pair):

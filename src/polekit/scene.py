@@ -287,8 +287,12 @@ def _finite_worldline(line):
     return line
 
 
-def _validate_job(i, job, scene_charts, scene_worldlines, scene_multipoles,
-                  job_names, problems):
+def _validate_job(i, job, declared, scene_charts, job_names, problems):
+    """The job with its defaults filled in, or None when it has no known
+    command.  A reference is checked against the ``declared`` names of
+    its section (a definition rejected for its own problem included, so
+    that it gives no second problem here); ``scene_charts`` holds the
+    charts that parsed."""
     path = f"jobs[{i}]"
     if not isinstance(job, dict):
         problems.append(f"{path}: job must be an object")
@@ -311,12 +315,11 @@ def _validate_job(i, job, scene_charts, scene_worldlines, scene_multipoles,
                         f"jobs[{job_names[name]}]")
     else:
         job_names[name] = i
-    for key, names, commands in (
-            ("multipole", scene_multipoles, _BUNDLE_COMMANDS),
-            ("worldline", scene_worldlines, _BUNDLE_COMMANDS),
-            ("chart", scene_charts, ("transform", "verify"))):
+    for key, commands in (("multipole", _BUNDLE_COMMANDS),
+                          ("worldline", _BUNDLE_COMMANDS),
+                          ("chart", ("transform", "verify"))):
         ref = job.get(key)
-        if cmd in commands and not _known(ref, names):
+        if cmd in commands and not _known(ref, declared[key]):
             problems.append(f"{path}: unknown {key} {ref!r}")
     chart = job.get("chart")
     if (cmd == "verify" and _known(chart, scene_charts)
@@ -388,8 +391,9 @@ def parse_scene(text):
         parsed = _parse_chart(name, spec, problems)
         if parsed is not None:
             charts[name] = parsed
+    worldline_specs = _section(raw, "worldlines", dict, problems)
     worldlines = {}
-    for name, spec in _section(raw, "worldlines", dict, problems).items():
+    for name, spec in worldline_specs.items():
         path = f"worldlines.{name}"
         parsed = _parse_four(spec, "components", ex.TAU_VARS, path, problems)
         if parsed is None:
@@ -403,16 +407,18 @@ def parse_scene(text):
             worldlines[name] = _finite_worldline(Worldline(parsed, interval))
         except PolekitError as err:
             problems.append(f"{path}: {err}")
+    multipole_specs = _section(raw, "multipoles", dict, problems)
     multipoles = {}
-    for name, spec in _section(raw, "multipoles", dict, problems).items():
+    for name, spec in multipole_specs.items():
         parsed = _parse_multipole(name, spec, problems)
         if parsed is not None:
             multipoles[name] = parsed
+    declared = {"chart": chart_specs, "worldline": worldline_specs,
+                "multipole": multipole_specs}
     jobs = []
     job_names = {}
     for i, job in enumerate(_section(raw, "jobs", list, problems)):
-        parsed = _validate_job(i, job, charts, worldlines, multipoles,
-                               job_names, problems)
+        parsed = _validate_job(i, job, declared, charts, job_names, problems)
         if parsed is not None:
             jobs.append(parsed)
 

@@ -10,11 +10,14 @@ import numpy as np
 
 from polekit import expr as ex
 from polekit.charts import ChartPair, linear_chart
+from polekit.classify import (_Constants, compact_window_expr,
+                              random_poly_expr)
 from polekit.expr import tau_rows
 from polekit.fields import _coulomb_expr
 from polekit.moments import (DipoleComponents, QuadrupoleComponents,
                              quadrupole_basis)
-from polekit.pairing import AffineFormFamily, _random_affine
+from polekit.pairing import (AffineFormFamily, ExprCovector,
+                             ProductTestForm, ScaledCovector, _random_affine)
 from polekit.worldlines import Worldline
 
 _SPATIAL = (1, 2, 3)
@@ -322,9 +325,38 @@ def random_test_form(rng, center, half_widths):
 
 
 def family_member(family, k):
-    """Member k of an :class:`AffineFormFamily` as a family of one."""
-    return AffineFormFamily(family.consts[k], family.coefs[k],
-                            family.centers[k], family.halves[k])
+    """Member k of a form family (an :class:`AffineFormFamily` or an
+    expression form) as a family of one."""
+    if isinstance(family, AffineFormFamily):
+        return AffineFormFamily(family.consts[k], family.coefs[k],
+                                family.centers[k], family.halves[k])
+    if isinstance(family, ScaledCovector):
+        return ScaledCovector(family.scalar, family.power,
+                              family_member(family.base, k))
+    one = slice(k, k + 1)
+    if isinstance(family, ProductTestForm):
+        return ProductTestForm(family.polys, family.boxes[one],
+                               family.params[one])
+    return ExprCovector(family.comps, family.boxes[one], family.params[one])
+
+
+def probe_families(rng, boxes):
+    """A :class:`ProductTestForm`, an :class:`ExprCovector` and a
+    :class:`ScaledCovector` with one member per box, built as
+    ``polekit.classify`` builds its probes: trees over the compact
+    window of the member's box and random constants, each member's
+    constants drawn from ``rng``."""
+    c = _Constants(8)
+    window = compact_window_expr(c.given[:4], c.given[4:])
+    lam = ex.Mul(random_poly_expr(c, degree=2), window)
+    polys = [random_poly_expr(c, offset=c.uniform(0.5, 1.5))
+             for _ in range(4)]
+    params = [(*box.center, *box.half, *c.draw(rng)) for box in boxes]
+    base = ProductTestForm(polys, boxes, params)
+    return {"ProductTestForm": base,
+            "ExprCovector": ExprCovector(ex.gradient_exprs(lam), boxes,
+                                         params),
+            "ScaledCovector": ScaledCovector(lam, 2, base)}
 
 
 def reparametrized(worldline, components, tau_of, interval_hat):

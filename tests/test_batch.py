@@ -13,6 +13,7 @@ import numpy as np
 from oracles import (
     random_dipole,
     random_quadrupole,
+    probe_families,
     random_safe_expression,
     random_test_form,
 )
@@ -24,7 +25,7 @@ from polekit.charts import (
     cylindrical_to_cartesian_chart,
     get,
 )
-from polekit.classify import compact_window_expr, vanishing_scalar_expr
+from polekit.classify import compact_window_expr
 from polekit.errors import EvaluationError
 from polekit.expr import tau_rows
 from polekit.jets import Jet2
@@ -34,6 +35,7 @@ from polekit.pairing import (
     ExprCovector,
     ScaledCovector,
     SourceBundle,
+    make_test_form,
     pair_bundle,
     pair_dipole,
     pair_monopole,
@@ -115,14 +117,15 @@ def _forms(rng):
     product = random_test_form(rng, box.center, box.half)
     window = compact_window_expr(box.center, box.half)
     lam = ex.Mul(ex.add(ex.Var(1), ex.const(0.4)), window)
-    gradient = ExprCovector(ex.gradient_exprs(lam), box)
-    scaled = ScaledCovector(vanishing_scalar_expr(rng, window), 2, product)
+    gradient = ExprCovector(ex.gradient_exprs(lam), [box])
+    scaled = ScaledCovector(lam, 2, product)
+    probes = probe_families(rng, [box])
     pair = get("cylindrical_to_cartesian")
     hatted = random_test_form(rng, (0.0, 1.0, 0.4, 0.1),
                               (0.5, 0.3, 0.3, 0.3))
     pulled = pull_back_test_form(hatted, pair)
     return [(product, box), (gradient, box), (scaled, box),
-            (pulled, pulled.box)]
+            (pulled, pulled.box)] + [(form, box) for form in probes.values()]
 
 
 def test_test_forms_batch_equals_pointwise(rng):
@@ -209,7 +212,9 @@ def _evaluators(rng, wobble_worldline, adapted_worldline):
         1e-10)
     wave = ex.parse("1 + 0.2*sin(0.7*tau)", ex.TAU_VARS)
     cases = [
-        ("Box.contains", box.contains, _edge_points(box, rng)),
+        ("_BatchForm.in_support",
+         lambda x: make_test_form([1] * 4, box.center, box.half).in_support(
+             x, None), _edge_points(box, rng)),
         ("DomainHint.contains", cyl.domain_hint.contains, mixed),
         ("Chart.in_domain", cyl.in_domain, mixed),
         ("compose_charts predicate", both.domain_hint.contains, mixed),

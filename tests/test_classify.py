@@ -1,6 +1,10 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
-from oracles import random_dipole, random_quadrupole
+from oracles import family_member, random_dipole, random_quadrupole
+from polekit import classify
 from polekit import expr as ex
 from polekit.classify import (
     charge_probe_variations,
@@ -18,7 +22,7 @@ from polekit.moments import (
     make_electric_dipole,
     make_toroidal_quadrupole,
 )
-from polekit.pairing import SourceBundle
+from polekit.pairing import SourceBundle, pair_bundle_family
 from polekit.worldlines import Worldline
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -219,3 +223,196 @@ def test_closedness_on_offset_worldline(rng):
     })
     rep = probe_closed(SourceBundle(C, quadrupole=broken), samples=8, seed=3)
     assert not rep.passed
+
+
+# -- probes in lockstep ---------------------------------------------------------
+
+
+LOCKSTEP_SEEDS = (3, 41, 2601)
+
+
+def _lockstep_bundles():
+    """A dipole, a quadrupole and a charged dipole on the adapted worldline
+    (tau, 0, 0, 0), each with the order its test uses."""
+    rng = np.random.default_rng(26)
+    C = Worldline.static_at((0.0, 0.0, 0.0), (0.0, 4.0))
+    return {
+        "dipole": (SourceBundle(C, dipole=random_dipole(rng)), 1),
+        "quadrupole": (SourceBundle(C, quadrupole=random_quadrupole(rng)), 2),
+        "charged dipole": (SourceBundle(C, Monopole(1.3),
+                                        random_dipole(rng)), 1),
+    }
+
+
+def _lockstep_reports(seed):
+    """The closedness, order and electric-order (ell = 2) reports of each
+    lockstep bundle at ``seed``."""
+    out = {}
+    for name, (bundle, k) in _lockstep_bundles().items():
+        out[name] = (probe_closed(bundle, samples=4, seed=seed),
+                     probe_order(bundle, k, samples=3, seed=seed),
+                     probe_electric_order(bundle, 2, samples=3, seed=seed))
+    return out
+
+
+@pytest.mark.parametrize("seed", LOCKSTEP_SEEDS)
+def test_lockstep_probe_pairings_equal_each_probe_paired_alone(
+        monkeypatch, seed):
+    """Each test pairs its probes as one family; every member's report
+    equals the report of that member paired alone, as a family of one:
+    value, error estimate, nodes and floor panels."""
+    calls = []
+
+    def recording(bundle, family):
+        reports = pair_bundle_family(bundle, family)
+        calls.append((bundle, family, reports))
+        return reports
+
+    monkeypatch.setattr(classify, "pair_bundle_family", recording)
+    _lockstep_reports(seed)
+    assert [len(reports) for _, _, reports in calls] == [4, 3, 3] * 3
+    for bundle, family, reports in calls:
+        for k, report in enumerate(reports):
+            assert report.nodes_used > 0
+            assert report == pair_bundle_family(
+                bundle, family_member(family, k))[0]
+
+
+# Every report field of _lockstep_reports as the per-probe pairings gave
+# it before the probes were paired in lockstep (floats as float.hex).
+PINNED_REPORTS = {
+    3: {
+        "dipole": [
+            ("closed", None, True, "0x1.34b8911e0ed02p-51",
+             "0x1.8ead30fc5acc9p-19", "0x1.e6aa6a4c0cd6cp-6",
+             "0x1.29098360ead61p+8", 3),
+            ("order", 1, True, "0x0.0p+0",
+             "0x1.ab66de2d597edp-32", "0x1.04dd891b2ddfap-18",
+             "0x1.3e706dddad7f8p-5", 3),
+            ("electric order", 2, True, "0x0.0p+0",
+             "0x1.6a05ad9d0bb88p-26", "0x1.b9ebee6e34cecp-13",
+             "0x1.0dba4046c3bb3p+1", 3),
+        ],
+        "quadrupole": [
+            ("closed", None, True, "0x1.343c18cfa6f34p-44",
+             "0x1.b757fb7fdab5fp-21", "0x1.0c277340c93d9p-7",
+             "0x1.4756283095a7ap+6", 3),
+            ("order", 2, True, "0x0.0p+0",
+             "0x1.319c314fb0772p-35", "0x1.750f2a31c6e97p-22",
+             "0x1.c7650301c34ffp-9", 3),
+            ("electric order", 2, False, "0x1.02b85e4773817p-4",
+             "0x1.8ef34ce584ae4p-28", "0x1.e6ffff5e2c76bp-15",
+             "0x1.293dbf9d3aa37p-1", 3),
+        ],
+        "charged dipole": [
+            ("closed", None, True, "0x1.0e9f7453a1c39p-40",
+             "0x1.b4f306cea3a70p-19", "0x1.0ab154e79f62bp-5",
+             "0x1.458d7824be0ffp+8", 3),
+            ("order", 1, True, "0x0.0p+0",
+             "0x1.d46ea73b2f1e7p-32", "0x1.1de88991df825p-18",
+             "0x1.5d025bee91569p-5", 3),
+            ("electric order", 2, True, "0x0.0p+0",
+             "0x1.8cc6b322d92c6p-26", "0x1.e4588dac0a1aap-13",
+             "0x1.279f0c78412acp+1", 3),
+        ],
+    },
+    41: {
+        "dipole": [
+            ("closed", None, True, "0x1.81d0274a4fcd0p-52",
+             "0x1.43db79ae52248p-18", "0x1.8b556a094b45ap-5",
+             "0x1.e295c3f058627p+8", 41),
+            ("order", 1, True, "0x0.0p+0",
+             "0x1.278d2589581f8p-31", "0x1.68c7cc5228127p-18",
+             "0x1.b867e4ea49ea8p-5", 41),
+            ("electric order", 2, True, "0x0.0p+0",
+             "0x1.ecde09a64c15fp-25", "0x1.2cd28563bff06p-11",
+             "0x1.6f36fbd443ccfp+2", 41),
+        ],
+        "quadrupole": [
+            ("closed", None, True, "0x1.bfffe53d2327cp-45",
+             "0x1.64e47bf5941dap-20", "0x1.b3a8e951474e2p-7",
+             "0x1.09e7d867dbc57p+7", 41),
+            ("order", 2, True, "0x0.0p+0",
+             "0x1.d30de2431dae3p-35", "0x1.1d11395976dd9p-21",
+             "0x1.5bfb8681b5997p-8", 41),
+            ("electric order", 2, False, "0x1.17c917fe8526bp+1",
+             "0x1.0f923c05c4c4fp-26", "0x1.4b8202450ab26p-13",
+             "0x1.94ac33c5478ecp+0", 41),
+        ],
+        "charged dipole": [
+            ("closed", None, True, "0x1.4f1bee468dfcep-44",
+             "0x1.62f28fa8328d9p-18", "0x1.b149185cd1b5dp-5",
+             "0x1.0874dd1ea6ff3p+9", 41),
+            ("order", 1, True, "0x0.0p+0",
+             "0x1.43ec96732ef78p-31", "0x1.8b6a4da79ad53p-18",
+             "0x1.e2af43cb18813p-5", 41),
+            ("electric order", 2, True, "0x0.0p+0",
+             "0x1.0e17593542b42p-24", "0x1.49b3806583ecfp-11",
+             "0x1.92779e3beb8abp+2", 41),
+        ],
+    },
+    2601: {
+        "dipole": [
+            ("closed", None, True, "0x1.d7bbcc3141249p-51",
+             "0x1.147c19396daeap-18", "0x1.51817cca9a63ap-5",
+             "0x1.9bfe90d55176ap+8", 2601),
+            ("order", 1, True, "0x0.0p+0",
+             "0x1.84f2e09759f48p-33", "0x1.daca7b28c14f0p-20",
+             "0x1.21ca15ab9ffc7p-6", 2601),
+            ("electric order", 2, True, "0x0.0p+0",
+             "0x1.bec0640c9fe9cp-30", "0x1.10aced10b49a7p-16",
+             "0x1.4cdb1762e4768p-3", 2601),
+        ],
+        "quadrupole": [
+            ("closed", None, True, "0x1.0f37e4424a43cp-40",
+             "0x1.30b00cb927635p-20", "0x1.73eee7880494cp-7",
+             "0x1.c60521a189979p+6", 2601),
+            ("order", 2, True, "0x0.0p+0",
+             "0x1.8fd3319913927p-37", "0x1.e8114e0b5c644p-24",
+             "0x1.29e48fe26f243p-10", 2601),
+            ("electric order", 2, False, "0x1.99eea3952ee7bp-6",
+             "0x1.ec52951ec4de2p-32", "0x1.2c7d678407a89p-18",
+             "0x1.6ecf14dcab594p-5", 2601),
+        ],
+        "charged dipole": [
+            ("closed", None, True, "0x1.5c5d0dbe00a14p-46",
+             "0x1.2f06f5fa96f96p-18", "0x1.71e7ff44654b7p-5",
+             "0x1.c38bb31afda69p+8", 2601),
+            ("order", 1, True, "0x0.0p+0",
+             "0x1.aa49a4b2fdde5p-33", "0x1.042f72c63f72fp-19",
+             "0x1.3d9beb9b0073dp-6", 2601),
+            ("electric order", 2, True, "0x0.0p+0",
+             "0x1.e9a3b6659b464p-30", "0x1.2ada2c138405ap-16",
+             "0x1.6ccf52cdd2a8ep-3", 2601),
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("seed", LOCKSTEP_SEEDS)
+def test_lockstep_reports_keep_their_bits(seed):
+    got = {name: [dataclasses.astuple(r) for r in reports]
+           for name, reports in _lockstep_reports(seed).items()}
+    want = {name: [tuple(float.fromhex(v) if isinstance(v, str)
+                         and v.startswith(("0x", "-0x")) else v
+                         for v in fields) for fields in reports]
+            for name, reports in PINNED_REPORTS[seed].items()}
+    assert got == want
+
+
+@pytest.mark.parametrize("test", [probe_closed, probe_order,
+                                  probe_electric_order])
+def test_a_test_over_no_probe_is_an_error(dipole_bundle, test):
+    """A test refutes nothing without probes, so it reports none."""
+    args = () if test is probe_closed else (2,)
+    with pytest.raises(DomainError, match="needs at least one probe"):
+        test(dipole_bundle, *args, samples=0)
+
+
+def test_probe_trees_print_their_constants_as_variables():
+    """A probe family's trees read each member's constants as variables
+    4, 5, ..., and print them as x4, x5, ..."""
+    c = classify._Constants(0)
+    tree = classify.random_poly_expr(c)
+    assert tree.to_str() == "1.0 + x4*x0 + x5*x1 + x6*x2 + x7*x3"
+    assert tree.variables() == set(range(8))

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from oracles import fd_gradient_plain, random_safe_expression
 from polekit import expr as ex
 from polekit import jets
-from polekit.classify import compact_window_expr, random_poly_expr
+from polekit.classify import _Constants, compact_window_expr, \
+    random_poly_expr
 from polekit.errors import EvaluationError, SceneError
 from polekit.jets import Jet2
 
@@ -220,19 +222,26 @@ def test_domain_errors_raise_in_every_env(text):
 def _probe_trees(seed):
     """The four gradient trees of a closedness-style probe
     (polynomial * compact window) and of a Div/Atan2 scalar, built as
-    ``polekit.classify`` builds them."""
-    rng = np.random.default_rng(seed)
+    ``polekit.classify`` builds them: the polynomial's random constants
+    are variables 4, 5, ... (read by ``_envs``)."""
     window = compact_window_expr((0.1, 0.0, 0.0, 0.0), (0.6, 0.5, 0.5, 0.5))
-    closed = ex.Mul(random_poly_expr(rng, degree=2), window)
+    closed = ex.Mul(random_poly_expr(_Constants(0), degree=2), window)
     quotient = ex.parse("atan2(x1, 2 + x2) / (3 + x0*x3) + x1*x2")
     return [ex.gradient_exprs(closed), ex.gradient_exprs(quotient)]
 
 
 def _envs(seed):
+    """A point and a batch of coordinates, each followed by the random
+    constants of the ``_probe_trees`` polynomial, and their jets."""
     rng = np.random.default_rng(seed)
+    c = _Constants(0)
+    random_poly_expr(c, degree=2)
     point = tuple(rng.uniform(-0.3, 0.3, (4, 1)))
     batch = tuple(rng.uniform(-0.3, 0.3, (4, 7)))
-    return [point, batch, Jet2.seed_point(point, 2), Jet2.seed_point(batch, 2)]
+    consts = tuple(c.draw(rng))
+    return [xs + consts for xs in (point, batch)] + [
+        Jet2.seed_point(xs, 2) + tuple(Jet2.constant(v, 4) for v in consts)
+        for xs in (point, batch)]
 
 
 def _bits(r):
@@ -278,6 +287,29 @@ def test_eval_all_applies_each_distinct_function_node_once(monkeypatch):
         calls.clear()
         ex.eval_all(trees, env)
         assert len(calls) == len(funs)
+
+
+def test_eval_all_keeps_a_value_only_until_its_last_read(monkeypatch):
+    """The memo drops each subtree's value after its last read, so far
+    fewer values are alive at once than the gradient trees hold
+    distinct subtrees (with values kept to the end, all of them are)."""
+    made = []
+    peak = [0]
+    once = ex.Expr._once
+
+    def tracking(self, env, memo):
+        value = once(self, env, memo)
+        if isinstance(value, np.ndarray):
+            made.append(weakref.ref(value))
+            peak[0] = max(peak[0], sum(r() is not None for r in made))
+        return value
+
+    monkeypatch.setattr(ex.Expr, "_once", tracking)
+    window = compact_window_expr((0.1, 0.0, 0.0, 0.0), (0.6, 0.5, 0.5, 0.5))
+    lam = ex.Mul(ex.parse("0.7 + 0.3*x0 - 0.5*x1 + 0.4*x1*x3"), window)
+    env = tuple(np.random.default_rng(1).uniform(-0.3, 0.3, (4, 7)))
+    ex.eval_all(ex.gradient_exprs(lam), env)
+    assert len(made) > 50 and peak[0] < len(made) / 2
 
 
 def test_domain_error_in_a_shared_subtree_raises_in_every_env():

@@ -15,6 +15,7 @@ TEST_ONLY_ALLOWED = {
         "closedness check of adapted-frame scenes (ROADMAP item 5)",
     "pair_adapted_coefficients":
         "pairing oracle of adapted-frame verify jobs (ROADMAP item 5)",
+    "AdaptedCoefficients._scale": "ROADMAP item 5",
 }
 
 # Defaulted parameters that no program call passes, each with the use
@@ -48,8 +49,8 @@ def test_every_exported_name_resolves():
 
 
 def test_no_library_name_is_reached_only_by_tests():
-    """Each top-level function and class and each public method of
-    src/polekit is named somewhere besides its definitions: in
+    """Each top-level function and class and each method of src/polekit
+    but the dunder ones is named somewhere besides its definitions: in
     src/polekit, perfbench/*.py, README.md or polekit.__all__."""
     trees = [ast.parse(path.read_text()) for path in SOURCES]
     names = []
@@ -61,7 +62,8 @@ def test_no_library_name_is_reached_only_by_tests():
                 names.extend(
                     (f"{node.name}.{m.name}", m.name) for m in node.body
                     if isinstance(m, ast.FunctionDef)
-                    and not m.name.startswith("_"))
+                    and not (m.name.startswith("__")
+                             and m.name.endswith("__")))
     defined = Counter(node.name for tree in trees for node in ast.walk(tree)
                       if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
     text = "\n".join(path.read_text() for path in [

@@ -11,6 +11,7 @@ from oracles import (
     family_member,
     fd_gradient_plain,
     gamma_integrand_by_full_batch,
+    probe_families,
     random_dipole,
     random_linear_pair,
     random_quadrupole,
@@ -182,7 +183,7 @@ def test_monopole_time_bump_oracle(adapted_worldline):
     )
     probe = ExprCovector(
         (comp0, ex.const(0.0), ex.const(0.0), ex.const(0.0)),
-        box=Box((2.0, 0.0, 0.0, 0.0), (w0, 9.0, 9.0, 9.0)),
+        boxes=[Box((2.0, 0.0, 0.0, 0.0), (w0, 9.0, 9.0, 9.0))],
     )
     r = pair_monopole(Monopole(2.0), adapted_worldline, probe)
     oracle, _ = quad(lambda t: 2.0 * bump((t - 2.0) / w0), 1.0, 3.0,
@@ -252,7 +253,7 @@ def test_dipole_constant_component_region(adapted_worldline):
     comp = ex.Fun("bump", ex.sub(ex.Var(0), ex.const(2.0)))
     probe = ExprCovector(
         (ex.const(0.0), comp, comp, ex.const(0.0)),
-        box=Box((2.0, 0.0, 0.0, 0.0), (1.0, 9.0, 9.0, 9.0)),
+        boxes=[Box((2.0, 0.0, 0.0, 0.0), (1.0, 9.0, 9.0, 9.0))],
     )
     r = pair_dipole(d, adapted_worldline, probe)
     assert abs(r.value) <= 1e-12
@@ -447,7 +448,7 @@ def _tree_member(family, k):
             e = ex.add(e, ex.mul(ex.const(family.coefs[k, a, b]),
                                  ex.sub(ex.Var(b), ex.const(box.center[b]))))
         polys.append(e)
-    return pairing.ProductTestForm(tuple(polys), box)
+    return pairing.ProductTestForm(tuple(polys), [box])
 
 
 def _points_by_member(rng, boxes, per_member, spread):
@@ -628,29 +629,42 @@ def test_integrands_on_live_rows_equal_full_batch_formulas(
                 assert _equal_on_support(got, want, live), name
 
 
+def _boxes_along(worldline, taus, half):
+    """One box of half-widths ``half`` centred on the worldline at each
+    tau."""
+    return [Box(tuple(float(c) for c in center), half)
+            for center in worldline.point_at(np.array(taus))]
+
+
+@pytest.mark.parametrize("kind", ["ProductTestForm", "ExprCovector",
+                                  "ScaledCovector"])
+def test_expression_family_rows_equal_member_forms(rng, wobble_worldline,
+                                                   kind):
+    """Row i of an expression family, whose trees read each member's
+    constants, is member owner[i]'s alone, bit for bit."""
+    boxes = _boxes_along(wobble_worldline, [1.5, 2.5, 3.0, 4.5],
+                         (0.6, 0.2, 0.3, 0.25))
+    family = probe_families(rng, boxes)[kind]
+    members = [family_member(family, k) for k in range(len(boxes))]
+    pts, owner = _points_by_member(rng, family.boxes, 40, 1.3)
+    _assert_rows_equal_members(family, members, pts, owner)
+
+
 def test_form_jets_at_order_one_are_the_first_order_part(
         rng, wobble_worldline):
     """Every form kind gives at order 1 the values and gradients of its
     order-2 jets bit for bit, and no Hessian rows, on batches with no
     row, one row, every row and some rows inside the support."""
-    from polekit.classify import compact_window_expr, random_poly_expr
-
     pair = get("cylindrical_to_cartesian")
     C = wobble_worldline
     hatC = C.push_through_chart(pair.forward)
     family = random_test_form_along(rng, hatC, count=3)
-    center = C.point_at(np.array([3.0]))[0]
-    box = Box(tuple(float(c) for c in center), (0.8, 0.15, 0.15, 0.15))
-    lam = ex.Mul(random_poly_expr(rng, degree=2),
-                 compact_window_expr(box.center, box.half))
-    base = ProductTestForm(tuple(random_poly_expr(rng) for _ in range(4)),
-                           box)
+    probes = probe_families(
+        rng, _boxes_along(C, [2.0, 3.0, 4.0], (0.8, 0.15, 0.15, 0.15)))
     forms = {
         "AffineFormFamily": (hatC, family),
         "PulledBackForm": (C, pull_back_test_form(family, pair)),
-        "ProductTestForm": (C, base),
-        "ExprCovector": (C, ExprCovector(ex.gradient_exprs(lam), box)),
-        "ScaledCovector": (C, ScaledCovector(lam, 2, base)),
+        **{kind: (C, form) for kind, form in probes.items()},
     }
     for kind, (worldline, form) in forms.items():
         for name, (taus, owner) in _crafted_batches(

@@ -125,7 +125,7 @@ def _null_boost_speed():
     doc = json.loads((SCENES / "invariance_example.scene").read_text())
     doc["charts"]["boost"]["params"] = [None]
     return doc, ["charts.boost: lorentz_boost chart needs params of 1 "
-                 "number, got [None]", "jobs[0]: unknown chart 'boost'"]
+                 "number, got [None]"]
 
 
 def _nearly_singular_chart():
@@ -350,7 +350,7 @@ def _kappa0_scene(tmp_path, kappa0):
     return str(path), doc["jobs"].index(transform)
 
 
-def test_kappa0_flag_offsets_intercept(tmp_path):
+def test_scene_kappa0_offsets_intercept(tmp_path):
     """A scene's transform ``kappa0`` is the intercept of its P fit."""
     path, _ = _kappa0_scene(tmp_path, {"12": 0.5})
     code = main(["run", path, "--command", "transform",
@@ -362,23 +362,22 @@ def test_kappa0_flag_offsets_intercept(tmp_path):
     assert fit["slope"] == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("kappa0, problem", [
-    pytest.param({"1": 2}, "key '1' must be two digits",
-                 id="1=2-key '1' must be two digits"),
-    pytest.param({"ab": 1}, "key 'ab' must be two digits",
-                 id="ab=1-key 'ab' must be two digits"),
-    pytest.param({"12": "x"}, "value 'x' at '12' must be a finite number",
-                 id="12=x-value 'x' at '12' must be a finite number"),
-    pytest.param({"11": 1}, "diagonal '11' must be zero",
-                 id="11=1-diagonal '11' must be zero"),
-    pytest.param({"12": ""}, "value '' at '12' must be a finite number",
-                 id="12-value '' at '12' must be a finite number"),
+_KAPPA0_PROBLEMS = [
+    ({"1": 2}, "key '1' must be two digits"),
+    ({"ab": 1}, "key 'ab' must be two digits"),
+    ({"12": "x"}, "value 'x' at '12' must be a finite number"),
+    ({"11": 1}, "diagonal '11' must be zero"),
+    ({"12": ""}, "value '' at '12' must be a finite number"),
     ({"12": "0.5"}, "value '0.5' at '12' must be a finite number"),
     ({"12": True}, "value True at '12' must be a finite number"),
     ({"12": float("nan")}, "value nan at '12' must be a finite number"),
-])
-def test_kappa0_flag_malformed_is_usage_error(tmp_path, capsys, kappa0,
-                                              problem):
+]
+
+
+@pytest.mark.parametrize("kappa0, problem", _KAPPA0_PROBLEMS,
+                         ids=[problem for _, problem in _KAPPA0_PROBLEMS])
+def test_scene_kappa0_malformed_is_a_scene_problem(tmp_path, capsys, kappa0,
+                                                   problem):
     """A malformed scene ``kappa0`` is a scene problem (exit 2) naming
     its job; its values must be JSON numbers."""
     path, i = _kappa0_scene(tmp_path, kappa0)
@@ -495,7 +494,7 @@ def test_expression_lists_report_each_entry():
     assert problems[0].startswith("charts.c.components[1]: column")
     assert problems[1] == "charts.d.inverse[2]: expression must be a string"
     assert problems[2].startswith("worldlines.rest.components[3]: column")
-    assert problems[3:] == ["jobs[0]: unknown worldline 'rest'"]
+    assert problems[3:] == []
 
 
 def test_reports_byte_identical(tmp_path):
@@ -1011,12 +1010,36 @@ def test_worldline_that_does_not_evaluate_is_a_scene_error(
     doc["worldlines"]["axis_rest"]["components"][1] = component
     with pytest.raises(SceneError) as err:
         parse_scene(json.dumps(doc))
-    assert err.value.problems[0] == f"worldlines.axis_rest: {problem}"
+    assert err.value.problems == [f"worldlines.axis_rest: {problem}"]
     path = tmp_path / "bad.scene"
     path.write_text(json.dumps(doc))
     assert main(["validate", str(path)]) == 2
     assert f"scene error: worldlines.axis_rest: {problem}" in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, name, spec, problem", [
+    pytest.param("worldlines", "axis_rest",
+                 {"components": ["tau", "1e308*10", "0", "0"],
+                  "interval": [0.0, 10.0]},
+                 "component 1 is not finite at tau=0.0", id="worldline"),
+    pytest.param("charts", "cyl_to_cart", {"registry": "no_such_chart"},
+                 "unknown chart 'no_such_chart'; known: identity, linear, "
+                 "lorentz_boost, cylindrical_to_cartesian, "
+                 "cartesian_to_cylindrical, spherical_to_cartesian, "
+                 "polynomial", id="chart"),
+    pytest.param("multipoles", "resting_quadrupole", "quadrupole",
+                 "multipole spec must be an object", id="multipole"),
+])
+def test_rejected_definition_gives_one_problem(section, name, spec,
+                                               problem):
+    """A definition rejected for its own problem still counts as
+    declared: the jobs that name it report no unknown reference."""
+    doc = json.loads((SCENES / "worked_example.scene").read_text())
+    doc[section][name] = spec
+    with pytest.raises(SceneError) as err:
+        parse_scene(json.dumps(doc))
+    assert err.value.problems == [f"{section}.{name}: {problem}"]
 
 
 def test_potentials_example_scene_passes_every_job(tmp_path):
