@@ -13,6 +13,7 @@ is trusted only after round-trip and Jacobian-inverse checks).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,20 +68,23 @@ class Chart:
                 f"chart {self.label!r} ({self.domain_hint.description})"
             )
 
+    @cached_property
+    def _program(self):
+        """The :class:`~polekit.expr.Program` of the four components."""
+        return ex.Program(self.forward)
+
     def value_at(self, x):
         """Hatted coordinates of the rows of x, an (N, 4) array."""
         env = columns(x)
         self._check_domain(x)
-        return entries_array([comp.eval(env) for comp in self.forward],
-                             (len(x),))
+        return entries_array(self._program(env), (len(x),))
 
     def jets_at(self, x, order):
         """Jets of the four components over the rows of x, truncated at
         ``order``."""
         env = columns(x)
         self._check_domain(x)
-        seeds = Jet2.seed_point(env, order)
-        return tuple(comp.eval(seeds) for comp in self.forward)
+        return self._program(Jet2.seed_point(env, order))
 
     def jacobian_at(self, x):
         """A^a_b = d(hatted x^a)/d x^b as an (N, 4, 4) array; raises

@@ -10,10 +10,13 @@ measured against, and the seed that generated the probes.
 Each test pairs its probes as one family, in lockstep (one
 :func:`~polekit.pairing.pair_bundle_family` call).  It draws every
 probe's random box and constants first, in the order a probe drawn
-alone would draw them, and builds the probe's expression trees and
-their symbolic gradients once: the trees read member k's constants as
-variables 4, 5, ... (see :class:`_Constants`), so each member has the
-bits of its probe paired alone.
+alone would draw them.  The family's expression trees, their symbolic
+gradients and their programs are built once per process, by a cached
+builder per test: the trees read member k's constants as variables 4,
+5, ... (see :class:`_Constants`), so each member has the bits of its
+probe paired alone, and a call only draws boxes and constants.  The
+charge probes share one such tree set too, over their ramp and plateau
+constants; each is still paired alone.
 
 The order and electric-order tests run on adapted worldlines
 C(tau) = (tau, 0, 0, 0): scalars vanishing on the curve are then exact
@@ -25,6 +28,7 @@ Closedness and charge extraction work along any worldline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -53,33 +57,25 @@ def compact_window_expr(center, widths):
     return out
 
 
-def plateau_expr(center, widths, outer_radius):
-    """Spatial plateau: exactly 1 on the unit tube |u| <= 1, exactly 0
-    beyond ``outer_radius``, smooth in between; constant in time."""
-    r2 = outer_radius * outer_radius
+def plateau_expr(center, widths, r2, r2_minus_1):
+    """Spatial plateau, constant in time: with u_mu = (x^mu - c^mu) /
+    w^mu and the outer radius r, exactly 1 on the unit tube |u| <= 1,
+    exactly 0 beyond r, smooth in between; ``center`` and ``widths``
+    are three trees each, ``r2`` and ``r2_minus_1`` the trees of r^2
+    and r^2 - 1."""
     out = None
     for mu in (1, 2, 3):
-        u = ex.div(
-            ex.sub(ex.Var(mu), ex.const(center[mu - 1])),
-            ex.const(widths[mu - 1]),
-        )
-        arg = ex.div(
-            ex.sub(ex.const(r2), ex.Mul(u, u)), ex.const(r2 - 1.0)
-        )
-        f = ex.Fun("sstep", arg)
+        u = ex.div(ex.sub(ex.Var(mu), center[mu - 1]), widths[mu - 1])
+        f = ex.Fun("sstep", ex.div(ex.sub(r2, ex.Mul(u, u)), r2_minus_1))
         out = f if out is None else ex.Mul(out, f)
     return out
 
 
-def ramp_expr(t_on, t_off, lam0, lam1):
-    """lam0 before t_on, lam1 after t_off, C^3 monotone in between."""
-    u = ex.div(
-        ex.sub(ex.Var(0), ex.const(t_on)), ex.const(t_off - t_on)
-    )
-    return ex.add(
-        ex.const(lam0),
-        ex.mul(ex.const(lam1 - lam0), ex.Fun("sstep", u)),
-    )
+def ramp_expr(t_on, t_span, lam0, lam_span):
+    """lam0 before t_on, lam0 + lam_span after t_on + t_span, C^3
+    monotone in between; the arguments are trees."""
+    u = ex.div(ex.sub(ex.Var(0), t_on), t_span)
+    return ex.add(lam0, ex.mul(lam_span, ex.Fun("sstep", u)))
 
 
 class _Constants:
@@ -190,23 +186,57 @@ def _probe_box(worldline, rng):
     return Box(center, tuple(float(w) for w in widths))
 
 
-def _probe_test(bundle, build, test, order, samples, seed):
+def _window(c):
+    """The compact window over a member's box, whose centre and
+    half-widths are the eight constants ``c.given``."""
+    return compact_window_expr(c.given[:4], c.given[4:])
+
+
+@cache
+def _closed_family():
+    """The closedness probes' constants and the program of d(polynomial
+    * window)."""
+    c = _Constants(8)
+    lam = ex.Mul(random_poly_expr(c, degree=2), _window(c))
+    return c, ex.Program(ex.gradient_exprs(lam))
+
+
+@cache
+def _order_family():
+    """The order probes' constants and the programs of the vanishing
+    scalar and of the four polynomials."""
+    c = _Constants(8)
+    lam = vanishing_scalar_expr(c, _window(c))
+    polys = [random_poly_expr(c, offset=c.uniform(0.5, 1.5))
+             for _ in range(4)]
+    return c, ex.Program([lam]), ex.Program(polys)
+
+
+@cache
+def _electric_order_family():
+    """The electric-order probes' constants and the programs of the
+    vanishing scalar and of the gradient of the polynomial mu."""
+    c = _Constants(8)
+    lam = vanishing_scalar_expr(c, _window(c))
+    mu = ex.Mul(ex.linear_combination((0.0, *c.uniform(-1, 1, 3))),
+                random_poly_expr(c))
+    return c, ex.Program([lam]), ex.Program(ex.gradient_exprs(mu))
+
+
+def _probe_test(bundle, c, make, test, order, samples, seed):
     """Pair ``bundle`` with ``samples`` probes and compare the worst
     |pairing| with the thresholds.
 
-    The probes are one family, paired in lockstep.  ``build(c,
-    window)`` builds the probe's trees once, over the random constants
-    of :class:`_Constants` ``c`` and the compact window over the
-    probe's box, and returns the family's constructor over its boxes
-    and constants.  Each probe draws a random box around the worldline
-    and then its constants, in that order, from the generator of
-    ``seed``.  The scale is the sup of |phi_a| over the 3^4-point grid
-    of each box at 0.6 of its size, read in one call."""
+    The probes are one family, paired in lockstep: ``make(boxes,
+    params)`` is the family over the members' boxes and constants,
+    whose random ones are those of :class:`_Constants` ``c``.  Each
+    probe draws a random box around the worldline and then its
+    constants, in that order, from the generator of ``seed``.  The
+    scale is the sup of |phi_a| over the 3^4-point grid of each box at
+    0.6 of its size, read in one call."""
     if samples < 1:
         raise DomainError(f"{test} test needs at least one probe, got "
                           f"{samples}")
-    c = _Constants(8)
-    make = build(c, compact_window_expr(c.given[:4], c.given[4:]))
     rng = np.random.default_rng(seed)
     boxes, params = [], []
     for _ in range(samples):
@@ -232,15 +262,11 @@ def _probe_test(bundle, build, test, order, samples, seed):
 def test_order(bundle, k, samples=8, seed=0):
     """Probe J[lambda^{k+1} phi] = 0 over sampled vanishing scalars."""
     _require_adapted(bundle)
-
-    def build(c, window):
-        lam = vanishing_scalar_expr(c, window)
-        polys = [random_poly_expr(c, offset=c.uniform(0.5, 1.5))
-                 for _ in range(4)]
-        return lambda boxes, params: ScaledCovector(
-            lam, k + 1, ProductTestForm(polys, boxes, params))
-
-    return _probe_test(bundle, build, "order", k, samples, seed)
+    c, lam, polys = _order_family()
+    return _probe_test(
+        bundle, c, lambda boxes, params: ScaledCovector(
+            lam, k + 1, ProductTestForm(polys, boxes, params)),
+        "order", k, samples, seed)
 
 
 def test_electric_order(bundle, ell, samples=8, seed=0):
@@ -249,30 +275,33 @@ def test_electric_order(bundle, ell, samples=8, seed=0):
     _require_adapted(bundle)
     if ell < 1:
         raise DomainError("electric-order probes need ell >= 1")
-
-    def build(c, window):
-        lam = vanishing_scalar_expr(c, window)
-        mu = ex.Mul(ex.linear_combination((0.0, *c.uniform(-1, 1, 3))),
-                    random_poly_expr(c))
-        grad = ex.gradient_exprs(mu)
-        return lambda boxes, params: ScaledCovector(
-            lam, ell, ExprCovector(grad, boxes, params))
-
-    return _probe_test(bundle, build, "electric order", ell, samples, seed)
+    c, lam, grad = _electric_order_family()
+    return _probe_test(
+        bundle, c, lambda boxes, params: ScaledCovector(
+            lam, ell, ExprCovector(grad, boxes, params)),
+        "electric order", ell, samples, seed)
 
 
 def test_closed(bundle, samples=20, seed=0):
     """Probe J[d lambda] = 0 over sampled compact scalars."""
-
-    def build(c, window):
-        grad = ex.gradient_exprs(ex.Mul(random_poly_expr(c, degree=2),
-                                        window))
-        return lambda boxes, params: ExprCovector(grad, boxes, params)
-
-    return _probe_test(bundle, build, "closed", None, samples, seed)
+    c, grad = _closed_family()
+    return _probe_test(bundle, c, lambda boxes, params: ExprCovector(
+        grad, boxes, params), "closed", None, samples, seed)
 
 
 # -- charge extraction -------------------------------------------------------
+
+
+@cache
+def _charge_comps():
+    """The program of psi d lambda, the ramp lambda times the plateau
+    psi, over the constants of one charge probe as variables 4..15:
+    t_on, t_off - t_on, lam0, lam1 - lam0, the tube's centre (3) and
+    half-widths (3), r^2 and r^2 - 1 for the outer radius r."""
+    t_on, t_span, lam0, lam_span, *tube = (ex.Var(4 + i) for i in range(12))
+    lam = ramp_expr(t_on, t_span, lam0, lam_span)
+    psi = plateau_expr(tube[0:3], tube[3:6], tube[6], tube[7])
+    return ex.Program(ex.mul(psi, lam.diff(a)) for a in range(4))
 
 
 @dataclass
@@ -306,11 +335,9 @@ def make_charge_probe(worldline, window=None, lam0=0.0, lam1=1.0,
     center = spatial.mean(axis=0)
     spread = np.max(np.abs(spatial - center), axis=0)
     tube_halfwidths = tuple(float(2.0 * s + 0.5) for s in spread)
-    lam = ramp_expr(t_on, t_off, lam0, lam1)
-    psi = plateau_expr(center, tube_halfwidths, outer_radius)
-    comps = tuple(
-        ex.mul(psi, lam.diff(a)) for a in range(4)
-    )
+    r2 = outer_radius * outer_radius
+    params = (t_on, t_off - t_on, lam0, lam1 - lam0, *center,
+              *tube_halfwidths, r2, r2 - 1.0)
     pad = 0.1 * (t_off - t_on)
     box = Box(
         (0.5 * (t_on + t_off),) + tuple(float(c) for c in center),
@@ -318,7 +345,7 @@ def make_charge_probe(worldline, window=None, lam0=0.0, lam1=1.0,
         + tuple(outer_radius * w * 1.05 for w in tube_halfwidths),
     )
     return ChargeProbe(
-        covector=ExprCovector(comps, [box]),
+        covector=ExprCovector(_charge_comps(), [box], [params]),
         lam0=lam0,
         lam1=lam1,
         description=(

@@ -3,23 +3,27 @@
 Charts, worldlines and multipole component functions are all stored as
 small expression trees in the variables ``x0..x3`` (or ``tau``, which is
 variable 0 for functions of the curve parameter).  One evaluator,
-:meth:`Expr.eval`, serves both uses: on the seed jets of
-:meth:`Jet2.seed_point` it yields value, gradient and Hessian, on plain
-coordinates the value alone, with the same primitives and domain checks
-(:mod:`polekit.jets`).  Either evaluates one point (floats in ``env``)
-or a batch of points (arrays in ``env``).
+:class:`Program`, serves both uses: it compiles a tuple of trees once
+into a flat list of steps, and a call on the seed jets of
+:meth:`Jet2.seed_point` yields values, gradients and Hessians, on plain
+coordinates the values alone, with the same primitives and domain
+checks (:mod:`polekit.jets`).  Either evaluates one point (floats in
+``env``) or a batch of points (arrays in ``env``).  Each owner of trees
+(a chart, a worldline, a component set, a test form, a Coulomb kernel)
+holds one program, compiled at its first evaluation;
+:meth:`Expr.eval` compiles and runs a program of one tree.
 Variables past the coordinates stand for constants: a test-form family
 (:mod:`polekit.pairing`) reads its members' constants as variables 4,
 5, ..., given per row after the coordinates (as constant jets among seed
 jets), and a derivative in x0..x3 reads them as constants.
 :meth:`Expr.diff` shares subtrees by reference (``d(fg) = df g + f dg``
-reuses ``f`` and ``g``), so its trees are DAGs; :func:`eval_all`
-evaluates several trees over one memo, which evaluates each shared
-subtree once per call.
+reuses ``f`` and ``g``), so its trees are DAGs; a program keys nodes by
+identity, so each shared subtree is one step, evaluated once per call,
+and its value is dropped after its last read.
 Functions of the curve parameter (worldlines, component entries) are
-trees in variable 0; :func:`tau_rows` reads k of them over a 1-D array
-of taus as (N, k) rows of their exact values, first or second tau
-derivatives (from one-variable jets), tree by tree.  They are combined
+trees in variable 0; :func:`tau_rows` reads the k trees of a program
+over a 1-D array of taus as (N, k) rows of their exact values, first or
+second tau derivatives (from one-variable jets).  They are combined
 as trees (``add``, ``mul``, ``Expr.diff``).  Trees support structural
 equality, substitution (for chart composition) and symbolic
 differentiation, which is what pullbacks of covector fields need: the
@@ -27,8 +31,8 @@ Jacobian of a chart must itself be jet-evaluable.
 
 Each walk is written once: :meth:`Expr.subs` and :meth:`Expr.variables`
 on the base class over a node's child fields, the printer and the parser
-from one table of binary operators, and constant exponents through the
-evaluator.
+from one table of binary operators, the program's steps from one table
+of node types, and constant exponents through the evaluator.
 
 The grammar accepted by :func:`parse` (and emitted by ``to_str``):
 
@@ -46,7 +50,9 @@ no symbolic derivative here (differentiate the probe, not the window).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -58,35 +64,10 @@ from .jets import Jet2, entries_array, stacked
 class Expr:
     __slots__ = ()
 
-    def eval(self, env, memo=None):
-        """Evaluate at ``env``: the tuple of seed jets of
-        :meth:`Jet2.seed_point` gives a :class:`Jet2`, a tuple of
-        coordinates (floats, or arrays over a batch) gives a value (a
-        constant subtree gives a plain float).
-
-        Without ``memo`` the tree is walked node by node.  With one (a
-        dict owned by one call, see :func:`eval_all`) every distinct
-        composite subtree is evaluated once: the tree is walked as the
-        DAG that :meth:`diff` builds by sharing subtrees.  Composite
-        nodes reach their children through :meth:`_once` either way.
-        Entries are keyed by node id, which cannot collide because every
-        node stays alive for the call."""
-        raise NotImplementedError
-
-    def _once(self, env, memo):
-        """This subtree's value: evaluated at its first read from
-        ``memo`` and dropped from it at its last (without one, evaluated
-        directly)."""
-        if memo is None:
-            return self.eval(env)
-        entry = memo[id(self)]
-        value = entry[1]
-        if value is None:
-            value = entry[1] = self.eval(env, memo)
-        entry[0] -= 1
-        if not entry[0]:
-            entry[1] = None
-        return value
+    def eval(self, env):
+        """The tree's value at ``env``, through a :class:`Program` of
+        this tree alone (compiled on every call)."""
+        return Program((self,))(env)[0]
 
     def diff(self, var):
         raise NotImplementedError
@@ -121,13 +102,6 @@ def _coerce(x):
 class Const(Expr):
     v: float
 
-    def eval(self, env, memo=None):
-        if isinstance(env[0], Jet2):
-            return Jet2.constant(self.v, env[0].nvars)
-        return self.v
-
-    _once = eval  # leaves skip the memo
-
     def diff(self, var):
         return Const(0.0)
 
@@ -135,11 +109,6 @@ class Const(Expr):
 @dataclass(frozen=True, slots=True)
 class Var(Expr):
     index: int
-
-    def eval(self, env, memo=None):
-        return env[self.index]
-
-    _once = eval
 
     def diff(self, var):
         return Const(1.0 if var == self.index else 0.0)
@@ -156,9 +125,6 @@ class Add(Expr):
     a: Expr
     b: Expr
 
-    def eval(self, env, memo=None):
-        return self.a._once(env, memo) + self.b._once(env, memo)
-
     def diff(self, var):
         return add(self.a.diff(var), self.b.diff(var))
 
@@ -168,9 +134,6 @@ class Sub(Expr):
     a: Expr
     b: Expr
 
-    def eval(self, env, memo=None):
-        return self.a._once(env, memo) - self.b._once(env, memo)
-
     def diff(self, var):
         return sub(self.a.diff(var), self.b.diff(var))
 
@@ -179,9 +142,6 @@ class Sub(Expr):
 class Mul(Expr):
     a: Expr
     b: Expr
-
-    def eval(self, env, memo=None):
-        return self.a._once(env, memo) * self.b._once(env, memo)
 
     def diff(self, var):
         return add(
@@ -194,9 +154,6 @@ class Div(Expr):
     a: Expr
     b: Expr
 
-    def eval(self, env, memo=None):
-        return jets.divide(self.a._once(env, memo), self.b._once(env, memo))
-
     def diff(self, var):
         num = sub(
             mul(self.a.diff(var), self.b), mul(self.a, self.b.diff(var))
@@ -208,9 +165,6 @@ class Div(Expr):
 class Neg(Expr):
     a: Expr
 
-    def eval(self, env, memo=None):
-        return -self.a._once(env, memo)
-
     def diff(self, var):
         return neg(self.a.diff(var))
 
@@ -219,9 +173,6 @@ class Neg(Expr):
 class Pow(Expr):
     base: Expr
     exponent: float
-
-    def eval(self, env, memo=None):
-        return jets.power(self.base._once(env, memo), self.exponent)
 
     def diff(self, var):
         du = self.base.diff(var)
@@ -248,9 +199,6 @@ class Fun(Expr):
     name: str
     arg: Expr
 
-    def eval(self, env, memo=None):
-        return jets.apply(self.name, self.arg._once(env, memo))
-
     def diff(self, var):
         du = self.arg.diff(var)
         outer = _OUTER_DERIVATIVES.get(self.name)
@@ -266,9 +214,6 @@ class Atan2(Expr):
     y: Expr
     x: Expr
 
-    def eval(self, env, memo=None):
-        return jets.atan2(self.y._once(env, memo), self.x._once(env, memo))
-
     def diff(self, var):
         dy = self.y.diff(var)
         dx = self.x.diff(var)
@@ -282,6 +227,11 @@ class Atan2(Expr):
 
 def _is_const(e, v=None):
     return isinstance(e, Const) and (v is None or e.v == v)
+
+
+def is_zero(e):
+    """Whether the tree is the constant zero."""
+    return _is_const(e, 0.0)
 
 
 def add(a, b):
@@ -332,28 +282,108 @@ def neg(a):
     return Neg(a)
 
 
-def eval_all(trees, env):
-    """Evaluate several trees at one ``env`` with one memo, so that the
-    subtrees they share are evaluated once; a tuple of results, each
-    bit-identical to ``tree.eval(env)``.
+#: node type -> (the primitive a step applies to the node's children,
+#: the child trees in the order they are evaluated).
+_STEP_OF = {
+    Add: lambda e: (operator.add, (e.a, e.b)),
+    Sub: lambda e: (operator.sub, (e.a, e.b)),
+    Mul: lambda e: (operator.mul, (e.a, e.b)),
+    Div: lambda e: (jets.divide, (e.a, e.b)),
+    Neg: lambda e: (operator.neg, (e.a,)),
+    Pow: lambda e: (partial(jets.power, p=e.exponent), (e.base,)),
+    Fun: lambda e: (partial(jets.apply, e.name), (e.arg,)),
+    Atan2: lambda e: (jets.atan2, (e.y, e.x)),
+}
 
-    The memo holds, per composite subtree, the number of reads left (its
-    references from the trees and from other subtrees) and its value
-    while any are left, so a value is kept from its first read to its
-    last and no longer."""
-    memo = {}
-    stack = list(trees)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (Const, Var)):
-            continue
-        entry = memo.get(id(node))
-        if entry is None:
-            memo[id(node)] = [1, None]
-            stack.extend(v for v in node._fields() if isinstance(v, Expr))
+
+class Program:
+    """A tuple of trees compiled into one flat list of steps, so that a
+    call evaluates each distinct node once (shared subtrees, such as
+    those of :meth:`Expr.diff`, included) and keeps a value only until
+    its last read.
+
+    ``program(env)`` gives the tuple of the trees' values at ``env``:
+    the seed jets of :meth:`Jet2.seed_point` (followed by constant jets)
+    give jets, coordinates (floats, or arrays over a batch) give values
+    (a constant tree gives a plain float).  Slots hold the environment's
+    variables, then the constants (constant jets in ``n`` variables on
+    jets, floats on values), then one value per step.  A step applies
+    the primitive of its node (``+``, ``-``, ``*``, :func:`jets.divide`,
+    :func:`jets.power`, :func:`jets.apply`, :func:`jets.atan2`) to the
+    slots of its children and then frees the slots it read last; the
+    trees' own slots are kept to the end.
+
+    The trees are compiled at the first call, by one post-order walk,
+    left to right, that keys nodes by identity: a node's first read
+    evaluates it, in the order of a recursive walk, so the first domain
+    check that fails is the walk's.
+    """
+
+    __slots__ = ("trees", "_steps", "_consts", "_nenv", "_outputs")
+
+    def __init__(self, trees):
+        self.trees = tuple(trees)
+        self._steps = None
+
+    def __call__(self, env):
+        if self._steps is None:
+            self._compile()
+        if len(env) < self._nenv:
+            raise IndexError(f"the trees read variable {self._nenv - 1}, "
+                             f"the environment has {len(env)}")
+        slots = list(env[:self._nenv])
+        if isinstance(env[0], Jet2):
+            n = env[0].nvars
+            slots += [Jet2.constant(v, n) for v in self._consts]
         else:
-            entry[0] += 1
-    return tuple(t._once(env, memo) for t in trees)
+            slots += self._consts
+        append = slots.append
+        for fn, a, b, free in self._steps:
+            append(fn(slots[a]) if b is None else fn(slots[a], slots[b]))
+            for i in free:
+                slots[i] = None
+        return tuple(slots[i] for i in self._outputs)
+
+    def _compile(self):
+        # The walk names each node's slot as (kind, number): variable i,
+        # constant i or step i.  The trees hold every node alive, so ids
+        # cannot collide.
+        where, consts, ops = {}, [], []
+
+        def visit(node):
+            ref = where.get(id(node))
+            if ref is None:
+                if type(node) is Var:
+                    ref = ("var", node.index)
+                elif type(node) is Const:
+                    ref = ("const", len(consts))
+                    consts.append(node.v)
+                else:
+                    fn, kids = _STEP_OF[type(node)](node)
+                    ops.append((fn, [visit(kid) for kid in kids]))
+                    ref = ("step", len(ops) - 1)
+                where[id(node)] = ref
+            return ref
+
+        for tree in self.trees:
+            visit(tree)
+        nenv = 1 + max((i for kind, i in where.values() if kind == "var"),
+                       default=-1)
+        first = {"var": 0, "const": nenv, "step": nenv + len(consts)}
+        args = [[first[kind] + i for kind, i in refs] for _, refs in ops]
+        outputs = [first[kind] + i
+                   for kind, i in (where[id(t)] for t in self.trees)]
+        last = {}
+        for k, slots in enumerate(args):
+            last.update(dict.fromkeys(slots, k))
+        kept = set(outputs)
+        free = [[] for _ in ops]
+        for slot, k in last.items():
+            if slot >= first["step"] and slot not in kept:
+                free[k].append(slot)
+        self._steps = [(fn, a[0], a[1] if len(a) > 1 else None, tuple(f))
+                       for (fn, _), a, f in zip(ops, args, free)]
+        self._consts, self._nenv, self._outputs = consts, nenv, outputs
 
 
 def gradient_exprs(e):
@@ -361,17 +391,16 @@ def gradient_exprs(e):
     return tuple(e.diff(a) for a in range(4))
 
 
-def tau_rows(trees, taus, order=0):
-    """The ``order``-th (0, 1 or 2) tau derivatives of k trees (functions
-    of variable 0 only) over a 1-D array of N taus, as (N, k) rows: from
-    the taus themselves for order 0, else from one-variable seed jets
-    truncated at that order.  Each tree is walked on its own, without a
-    memo."""
+def tau_rows(program, taus, order=0):
+    """The ``order``-th (0, 1 or 2) tau derivatives of the k trees of a
+    :class:`Program` (functions of variable 0 only) over a 1-D array of
+    N taus, as (N, k) rows: from the taus themselves for order 0, else
+    from one-variable seed jets truncated at that order."""
     if order == 0:
-        return entries_array([e.eval((taus,)) for e in trees], taus.shape)
-    seeds = Jet2.seed_point((taus,), order)
-    rows = stacked([e.eval(seeds) for e in trees], taus.shape, order)
-    return rows.reshape(taus.shape + (len(trees),))
+        return entries_array(program((taus,)), taus.shape)
+    rows = stacked(program(Jet2.seed_point((taus,), order)), taus.shape,
+                   order)
+    return rows.reshape(taus.shape + (len(program.trees),))
 
 
 # -- helpers used throughout ---------------------------------------------

@@ -101,15 +101,16 @@ class StaticSource:
             if not satisfies(constraint, m, 1e-12):
                 raise DomainError(message)
         self.moments = m
+        self._kernel = ex.Program((_coulomb_expr(1.0, eps0),))
 
     def _kernel_jet(self, x3):
         x = columns(x3, 3)
         if np.any(x[0] * x[0] + x[1] * x[1] + x[2] * x[2] == 0.0):
             raise DomainError("potential evaluated at the source point")
-        ker = _coulomb_expr(1.0, self.eps0)
         # potential_at reads the Hessian for the quadrupoles alone.
         order = 2 if self.kind.endswith("quadrupole") else 1
-        return ker.eval(Jet2.seed_point((np.zeros(len(x[0])), *x), order))
+        return self._kernel(
+            Jet2.seed_point((np.zeros(len(x[0])), *x), order))[0]
 
     def potential_at(self, x3):
         """(scalar potential (N,), vector potential (N, 3)) at the rows

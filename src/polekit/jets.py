@@ -358,7 +358,7 @@ def _chain2(u, v, f0, fu, fv, fuu, fuv, fvv):
     return _jet(f0, fu * ug + fv * vg, hess)
 
 
-# -- the entry points of Expr.eval: jets or values ----------------------
+# -- the primitives of expression programs: jets or values ----------------
 #
 # The domain checks use the array methods; a constant subtree evaluates
 # on Python floats, whose comparisons give a plain bool.
@@ -585,7 +585,7 @@ def stacked(jets, shape, order):
 
 def columns(points, n=4):
     """The n coordinate arrays of an (N, n) array of points, as
-    :meth:`Jet2.seed_point` and ``Expr.eval`` take them."""
+    :meth:`Jet2.seed_point` and expression programs take them."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != n:
         raise ValueError(

@@ -34,7 +34,7 @@ from functools import cache, reduce
 import numpy as np
 
 from .errors import DerivativeUnavailable, DomainError, SymmetryError
-from .expr import Const, Expr, tau_rows
+from .expr import Const, Expr, Program, is_zero, tau_rows
 from .quadrature import CumulativeIntegral
 
 _SPATIAL = (1, 2, 3)
@@ -63,20 +63,20 @@ def _expr_fields(entries, rank):
             e = Const(float(e))
         if not isinstance(e, Expr):
             raise TypeError(f"expected Expr or number, got {type(e)!r}")
-        if not (isinstance(e, Const) and e.v == 0.0):
+        if not is_zero(e):
             exprs[tuple(idx)] = e
     shape = (4,) * rank
     flat = [np.ravel_multi_index(idx, shape) for idx in exprs]
     column = {}
     source = [column.setdefault((e, e.to_str()), len(column))
               for e in exprs.values()]
-    trees = [e for e, _ in column]
+    program = Program(e for e, _ in column)
 
     def field(order):
         def f(taus):
             out = np.zeros(taus.shape + (4 ** rank,))
-            if trees:
-                out[..., flat] = tau_rows(trees, taus, order)[..., source]
+            if column:
+                out[..., flat] = tau_rows(program, taus, order)[..., source]
             return out.reshape(taus.shape + shape)
 
         return f

@@ -173,27 +173,26 @@ def _members(owner):
 
 class ProductTestForm(_BatchForm):
     """phi_a(x) = poly_a(x) * prod_b bump((x^b - c^b) / w^b), with the
-    box (c, w) and the constants of each member."""
+    box (c, w) and the constants of each member; ``polys`` is the
+    :class:`~polekit.expr.Program` of the four polynomials."""
 
     def __init__(self, polys, boxes, params=None):
         super().__init__(boxes, params)
-        self.polys = tuple(polys)
+        self.polys = polys
 
     def jets_at(self, x, owner, order):
         k = _members(owner)
         w = _window_jet(x, self.centers[k], self.halves[k], order)
-        env = self._env(x, owner, order)
+        polys = self.polys(self._env(x, owner, order))
         return tuple(
-            Jet2.constant(0.0, 4) if isinstance(p, ex.Const) and p.v == 0.0
-            else p.eval(env) * w
-            for p in self.polys
+            Jet2.constant(0.0, 4) if ex.is_zero(tree) else p * w
+            for tree, p in zip(self.polys.trees, polys)
         )
 
     def values_at(self, x, owner):
         k = _members(owner)
         w = _window_values(x, self.centers[k], self.halves[k])
-        env = self._env(x, owner)
-        return entries_array([p.eval(env) * w for p in self.polys],
+        return entries_array([p * w for p in self.polys(self._env(x, owner))],
                              (len(x),))
 
 
@@ -277,24 +276,25 @@ def random_test_form_along(rng, worldline, count=1):
 
 
 class ExprCovector(_BatchForm):
-    """Four expression components, with the box and the constants of
+    """Four expression components (``comps``, their
+    :class:`~polekit.expr.Program`), with the box and the constants of
     each member; read as zero outside the box (its ``in_support``)."""
 
     def __init__(self, comps, boxes, params=None):
         super().__init__(boxes, params)
-        self.comps = tuple(comps)
+        self.comps = comps
 
     def jets_at(self, x, owner, order):
-        return ex.eval_all(self.comps, self._env(x, owner, order))
+        return self.comps(self._env(x, owner, order))
 
     def values_at(self, x, owner):
-        return entries_array(ex.eval_all(self.comps, self._env(x, owner)),
-                             (len(x),))
+        return entries_array(self.comps(self._env(x, owner)), (len(x),))
 
 
 class ScaledCovector(_BatchForm):
-    """phi_a = scalar^power * base_a (integer power >= 1); the scalar
-    reads the constants of the base's members."""
+    """phi_a = scalar^power * base_a (integer power >= 1); ``scalar`` is
+    the :class:`~polekit.expr.Program` of one tree, which reads the
+    constants of the base's members."""
 
     def __init__(self, scalar, power, base):
         self.scalar = scalar
@@ -309,11 +309,11 @@ class ScaledCovector(_BatchForm):
         return self.base.in_support(x, owner)
 
     def jets_at(self, x, owner, order):
-        s = self.scalar.eval(self.base._env(x, owner, order)) ** self.power
+        s = self.scalar(self.base._env(x, owner, order))[0] ** self.power
         return tuple(j * s for j in self.base.jets_at(x, owner, order))
 
     def values_at(self, x, owner):
-        s = self.scalar.eval(self.base._env(x, owner)) ** self.power
+        s = self.scalar(self.base._env(x, owner))[0] ** self.power
         return self.base.values_at(x, owner) * np.reshape(s, (-1, 1))
 
 
@@ -339,9 +339,8 @@ class PulledBackForm(_BatchForm):
         # zero, with those Jacobian entries, evaluated in one pass.
         jac = chart.jacobian_exprs()
         self._terms = [(a, b) for a in range(4) for b in range(4)
-                       if not (isinstance(jac[b][a], ex.Const)
-                               and jac[b][a].v == 0.0)]
-        self._jac = [jac[b][a] for a, b in self._terms]
+                       if not ex.is_zero(jac[b][a])]
+        self._jac = ex.Program(jac[b][a] for a, b in self._terms)
 
     def in_support(self, x, owner):
         pts = np.asarray(x, dtype=float)
@@ -356,7 +355,7 @@ class PulledBackForm(_BatchForm):
         Y = self.chart.jets_at(x, order)
         outer = self.hatted.jets_at(stacked(Y, (len(x),), 0), owner, order)
         composed = compose(outer, Y)
-        jac = ex.eval_all(self._jac, Jet2.seed_point(columns(x), order))
+        jac = self._jac(Jet2.seed_point(columns(x), order))
         out = [Jet2.constant(0.0, 4)] * 4
         for (a, b), d in zip(self._terms, jac):
             out[a] = out[a] + d * composed[b]
@@ -365,7 +364,7 @@ class PulledBackForm(_BatchForm):
     def values_at(self, x, owner):
         hv = self.hatted.values_at(self.chart.value_at(x), owner)
         out = np.zeros((len(x), 4))
-        for (a, b), d in zip(self._terms, ex.eval_all(self._jac, columns(x))):
+        for (a, b), d in zip(self._terms, self._jac(columns(x))):
             out[:, a] += d * hv[:, b]
         return out
 
@@ -375,8 +374,7 @@ def make_test_form(polys, center, half_widths):
     and a support box."""
     box = Box(tuple(float(c) for c in center),
               tuple(float(h) for h in half_widths))
-    comps = tuple(ex._coerce(p) for p in polys)
-    return ProductTestForm(comps, [box])
+    return ProductTestForm(ex.Program(ex._coerce(p) for p in polys), [box])
 
 
 def pull_back_test_form(hatted, pair):

@@ -12,11 +12,12 @@ only, matching how the curve is consumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError
-from .expr import Const, Var, tau_rows
+from .expr import Const, Program, Var, tau_rows
 from .jets import Jet2, stacked
 
 
@@ -45,25 +46,29 @@ class Worldline:
                 f"parameter {bad} outside the interval [{t0}, {t1}]"
             )
 
+    @cached_property
+    def _program(self):
+        """The :class:`~polekit.expr.Program` of the four components."""
+        return Program(self.components)
+
     def eval(self, tau):
         """(point, velocity) as (N, 4) arrays from one pass of
         first-order jets."""
         self._check_tau(tau)
-        seeds = Jet2.seed_point((tau,), 1)
-        jlist = [c.eval(seeds) for c in self.components]
+        jlist = self._program(Jet2.seed_point((tau,), 1))
         return (stacked(jlist, tau.shape, 0),
                 stacked(jlist, tau.shape, 1)[..., 0])
 
     def point_at(self, tau):
         self._check_tau(tau)
-        return tau_rows(self.components, tau, 0)
+        return tau_rows(self._program, tau, 0)
 
     def velocity_at(self, tau):
         return self.eval(tau)[1]
 
     def acceleration_at(self, tau):
         self._check_tau(tau)
-        return tau_rows(self.components, tau, 2)
+        return tau_rows(self._program, tau, 2)
 
     def sample_taus(self, n):
         t0, t1 = self.interval

@@ -6,14 +6,18 @@ never falls back to them.  The generators draw from a numpy Generator,
 so a recorded seed reproduces a test input bit for bit.
 """
 
+import operator
+
 import numpy as np
 
 from polekit import expr as ex
+from polekit import jets
 from polekit.charts import ChartPair, linear_chart
 from polekit.classify import (_Constants, compact_window_expr,
                               random_poly_expr)
 from polekit.expr import tau_rows
 from polekit.fields import _coulomb_expr
+from polekit.jets import Jet2
 from polekit.moments import (DipoleComponents, QuadrupoleComponents,
                              quadrupole_basis)
 from polekit.pairing import (AffineFormFamily, ExprCovector,
@@ -123,6 +127,32 @@ def random_safe_expression(rng):
 #
 # Each builds a jet by general jet arithmetic; the tests compare it bit
 # for bit with the jet the library forms from its structure.
+
+
+_BINARY = {ex.Add: operator.add, ex.Sub: operator.sub, ex.Mul: operator.mul,
+           ex.Div: lambda a, b: jets.divide(a, b)}
+
+
+def walk(e, env):
+    """A tree's value at ``env`` by the recursive walk: every read of a
+    node evaluates it anew, with the jet engine's primitives (looked up
+    at each call).  The reference for :class:`polekit.expr.Program`."""
+    kind = type(e)
+    if kind is ex.Const:
+        if isinstance(env[0], Jet2):
+            return Jet2.constant(e.v, env[0].nvars)
+        return e.v
+    if kind is ex.Var:
+        return env[e.index]
+    if kind is ex.Neg:
+        return -walk(e.a, env)
+    if kind is ex.Pow:
+        return jets.power(walk(e.base, env), e.exponent)
+    if kind is ex.Fun:
+        return jets.apply(e.name, walk(e.arg, env))
+    if kind is ex.Atan2:
+        return jets.atan2(walk(e.y, env), walk(e.x, env))
+    return _BINARY[kind](walk(e.a, env), walk(e.b, env))
 
 
 def same_bits(j, ref):
@@ -283,9 +313,11 @@ def random_quadrupole(rng, degree=2, scale=1.0, directions=5):
     mask = np.max(np.abs(tensors), axis=0) >= 1e-300
     tensors = np.where(mask, tensors, 0.0)
 
+    program = ex.Program(coeffs)
+
     def combo(order):
         def field(taus):
-            return np.einsum("ni,iabc->nabc", tau_rows(coeffs, taus, order),
+            return np.einsum("ni,iabc->nabc", tau_rows(program, taus, order),
                              tensors)
 
         return field
@@ -352,11 +384,11 @@ def probe_families(rng, boxes):
     polys = [random_poly_expr(c, offset=c.uniform(0.5, 1.5))
              for _ in range(4)]
     params = [(*box.center, *box.half, *c.draw(rng)) for box in boxes]
-    base = ProductTestForm(polys, boxes, params)
+    base = ProductTestForm(ex.Program(polys), boxes, params)
     return {"ProductTestForm": base,
-            "ExprCovector": ExprCovector(ex.gradient_exprs(lam), boxes,
-                                         params),
-            "ScaledCovector": ScaledCovector(lam, 2, base)}
+            "ExprCovector": ExprCovector(ex.Program(ex.gradient_exprs(lam)),
+                                         boxes, params),
+            "ScaledCovector": ScaledCovector(ex.Program([lam]), 2, base)}
 
 
 def reparametrized(worldline, components, tau_of, interval_hat):
@@ -372,7 +404,7 @@ def reparametrized(worldline, components, tau_of, interval_hat):
     tail = (Ellipsis,) + (None,) * components.rank
 
     def tau_and_speeds(th):
-        return [tau_rows([tau_of], th, k)[:, 0] for k in range(3)]
+        return [tau_rows(ex.Program([tau_of]), th, k)[:, 0] for k in range(3)]
 
     def values(th):
         tau, speed, _ = tau_and_speeds(th)

@@ -117,8 +117,8 @@ def _forms(rng):
     product = random_test_form(rng, box.center, box.half)
     window = compact_window_expr(box.center, box.half)
     lam = ex.Mul(ex.add(ex.Var(1), ex.const(0.4)), window)
-    gradient = ExprCovector(ex.gradient_exprs(lam), [box])
-    scaled = ScaledCovector(lam, 2, product)
+    gradient = ExprCovector(ex.Program(ex.gradient_exprs(lam)), [box])
+    scaled = ScaledCovector(ex.Program([lam]), 2, product)
     probes = probe_families(rng, [box])
     pair = get("cylindrical_to_cartesian")
     hatted = random_test_form(rng, (0.0, 1.0, 0.4, 0.1),
@@ -240,9 +240,9 @@ def _evaluators(rng, wobble_worldline, adapted_worldline):
     ]
     for k in range(3):
         cases.append((f"tau_rows order {k}",
-                      lambda t, k=k: tau_rows([wave], t, k), taus))
+                      lambda t, k=k: tau_rows(ex.Program([wave]), t, k), taus))
         cases.append((f"tau_rows of a constant, order {k}",
-                      lambda t, k=k: tau_rows([ex.const(2.5)], t, k),
+                      lambda t, k=k: tau_rows(ex.Program([ex.const(2.5)]), t, k),
                       taus))
     for form, fbox in _forms(rng):
         name = type(form).__name__

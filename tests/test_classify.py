@@ -1,4 +1,7 @@
 import dataclasses
+import importlib.util
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from polekit.moments import (
     make_toroidal_quadrupole,
 )
 from polekit.pairing import SourceBundle, pair_bundle_family
+from polekit.scene import parse_scene
 from polekit.worldlines import Worldline
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -416,3 +420,74 @@ def test_probe_trees_print_their_constants_as_variables():
     tree = classify.random_poly_expr(c)
     assert tree.to_str() == "1.0 + x4*x0 + x5*x1 + x6*x2 + x7*x3"
     assert tree.variables() == set(range(8))
+
+
+# -- probe families built once per process ------------------------------------
+
+
+_TREE_BUILDERS = ("compact_window_expr", "random_poly_expr",
+                  "vanishing_scalar_expr", "ramp_expr", "plateau_expr")
+
+
+def _classify_calls(bundle, k):
+    return (probe_closed(bundle, samples=3, seed=5),
+            probe_order(bundle, k, samples=2, seed=5),
+            probe_electric_order(bundle, 2, samples=2, seed=5),
+            [extract_charge(bundle, p) for p in
+             charge_probe_variations(bundle.worldline, n=2, seed=5)])
+
+
+def test_a_second_call_builds_no_tree_and_compiles_no_program(monkeypatch):
+    """Each test and the charge probes take their trees and programs
+    from a builder cached per process: a second call builds no tree,
+    compiles no program, and reports what the first did."""
+    bundles = _lockstep_bundles()
+    first = {name: _classify_calls(b, k) for name, (b, k) in bundles.items()}
+    counts = []
+    for name in _TREE_BUILDERS:
+        fn = getattr(classify, name)
+        monkeypatch.setattr(
+            classify, name,
+            lambda *a, _fn=fn, _name=name, **kw: counts.append(_name)
+            or _fn(*a, **kw))
+    compile_ = ex.Program._compile
+    monkeypatch.setattr(ex, "gradient_exprs",
+                        lambda e: counts.append("gradient") or ())
+    monkeypatch.setattr(ex.Program, "_compile",
+                        lambda self: counts.append("compile")
+                        or compile_(self))
+    again = {name: _classify_calls(b, k) for name, (b, k) in bundles.items()}
+    assert counts == []
+    assert again == first
+
+
+def _bench_bundles():
+    """The three bundles of the benchmark's classify_probes input at seed
+    2611, with their job seeds."""
+    root = Path(__file__).parent.parent / "perfbench"
+    spec = importlib.util.spec_from_file_location("inputs", root / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    doc, _ = inputs.GENERATORS["classify_probes"](2611)
+    scene = parse_scene(json.dumps(doc))
+    return {job["multipole"]: (scene.bundle(job["multipole"],
+                                            job["worldline"]),
+                               int(job["seed"])) for job in scene.jobs}
+
+
+# extract_charge over charge_probe_variations (5 probes) on each bundle of
+# _bench_bundles, as float.hex, as each probe built its own trees.
+PINNED_CHARGES = {
+    "dipole": ["0x0.0p+0"] * 5,
+    "quadrupole": ["0x0.0p+0"] * 5,
+    "charged_dipole": ["0x1.4ccccccccc0e1p+0", "0x1.4cccccccccccdp+0",
+                       "0x1.4ccccccccccc9p+0", "0x1.4ccccccccb490p+0",
+                       "0x1.4ccccccccc686p+0"],
+}
+
+
+def test_charges_over_the_shared_tree_set_keep_their_bits():
+    got = {name: [extract_charge(bundle, p).hex() for p in
+                  charge_probe_variations(bundle.worldline, n=5, seed=seed)]
+           for name, (bundle, seed) in _bench_bundles().items()}
+    assert got == PINNED_CHARGES

@@ -4,7 +4,8 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import fd_gradient_plain, random_safe_expression
+from oracles import fd_gradient_plain, random_safe_expression, walk
+from polekit import classify
 from polekit import expr as ex
 from polekit import jets
 from polekit.classify import _Constants, compact_window_expr, \
@@ -244,9 +245,26 @@ def _envs(seed):
         for xs in (point, batch)]
 
 
+def _family_envs(seed):
+    """Coordinates over 1 and 512 rows followed by 40 constants per row,
+    as values and as jets of order 1 and 2: the environments of a probe
+    family (no family reads more than 40 constants)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for n in (1, 512):
+        xs = tuple(rng.uniform(-0.3, 0.3, (4, n)))
+        consts = tuple(rng.uniform(0.4, 1.2, (40, n)))
+        out.append(xs + consts)
+        out.extend(Jet2.seed_point(xs, order)
+                   + tuple(Jet2.constant(c, 4) for c in consts)
+                   for order in (1, 2))
+    return out
+
+
 def _bits(r):
     if isinstance(r, Jet2):
-        return [_bits(r.value), _bits(r.grad), _bits(r.hess)]
+        return [_bits(r.value), _bits(r.grad),
+                None if r.hess is None else _bits(r.hess)]
     r = np.asarray(r)
     return r.shape, r.tobytes()
 
@@ -258,12 +276,32 @@ def _distinct(trees, kind):
 
 @pytest.mark.parametrize("seed", [3, 17])
 def test_eval_all_matches_per_tree_eval_bit_for_bit(seed):
-    for trees in _probe_trees(seed):
+    """A program of several trees gives each tree the bits of the
+    recursive walk (tests/oracles.py), which evaluates every read of a
+    shared subtree anew."""
+    rng = np.random.default_rng(seed)
+    randoms = [random_safe_expression(rng) for _ in range(6)]
+    for trees in _probe_trees(seed) + [randoms]:
+        program = ex.Program(trees)
         for env in _envs(seed):
-            shared = ex.eval_all(trees, env)
-            assert len(shared) == 4
+            shared = program(env)
+            assert len(shared) == len(trees)
             for tree, result in zip(trees, shared):
-                assert _bits(result) == _bits(tree.eval(env)), tree
+                assert _bits(result) == _bits(walk(tree, env)), tree
+
+
+def test_probe_family_programs_match_the_walk_bit_for_bit():
+    """The cached programs of the classify families (closedness, order,
+    electric order and charge) give the walk's values, gradients and
+    Hessians, on values and on jets of order 1 and 2, over 1 and 512
+    rows."""
+    programs = [classify._closed_family()[1], *classify._order_family()[1:],
+                *classify._electric_order_family()[1:],
+                classify._charge_comps()]
+    for program in programs:
+        for env in _family_envs(29):
+            for tree, result in zip(program.trees, program(env)):
+                assert _bits(result) == _bits(walk(tree, env)), tree
 
 
 def test_eval_all_applies_each_distinct_function_node_once(monkeypatch):
@@ -282,46 +320,60 @@ def test_eval_all_applies_each_distinct_function_node_once(monkeypatch):
     for env in _envs(5):
         calls.clear()
         for t in trees:
-            t.eval(env)
+            walk(t, env)
         assert len(calls) == walked
         calls.clear()
-        ex.eval_all(trees, env)
+        ex.Program(trees)(env)
         assert len(calls) == len(funs)
 
 
-def test_eval_all_keeps_a_value_only_until_its_last_read(monkeypatch):
-    """The memo drops each subtree's value after its last read, so far
+def test_eval_all_keeps_a_value_only_until_its_last_read():
+    """A program frees each step's value after its last read, so far
     fewer values are alive at once than the gradient trees hold
     distinct subtrees (with values kept to the end, all of them are)."""
     made = []
     peak = [0]
-    once = ex.Expr._once
 
-    def tracking(self, env, memo):
-        value = once(self, env, memo)
-        if isinstance(value, np.ndarray):
-            made.append(weakref.ref(value))
-            peak[0] = max(peak[0], sum(r() is not None for r in made))
-        return value
+    def tracking(fn):
+        def step(*args):
+            value = fn(*args)
+            if isinstance(value, np.ndarray):
+                made.append(weakref.ref(value))
+                peak[0] = max(peak[0], sum(r() is not None for r in made))
+            return value
 
-    monkeypatch.setattr(ex.Expr, "_once", tracking)
+        return step
+
     window = compact_window_expr((0.1, 0.0, 0.0, 0.0), (0.6, 0.5, 0.5, 0.5))
     lam = ex.Mul(ex.parse("0.7 + 0.3*x0 - 0.5*x1 + 0.4*x1*x3"), window)
     env = tuple(np.random.default_rng(1).uniform(-0.3, 0.3, (4, 7)))
-    ex.eval_all(ex.gradient_exprs(lam), env)
+    program = ex.Program(ex.gradient_exprs(lam))
+    program(env)
+    program._steps = [(tracking(fn), *rest) for fn, *rest in program._steps]
+    program(env)
     assert len(made) > 50 and peak[0] < len(made) / 2
 
 
 def test_domain_error_in_a_shared_subtree_raises_in_every_env():
     """Div.diff squares its denominator by sharing it; a zero there
-    raises through eval_all as through eval."""
+    raises through a program as through the walk, and of two failing
+    subtrees the one the walk reaches first raises, with its
+    message."""
     e = ex.parse("x1*x2 / (x0 - 2)")
     trees = ex.gradient_exprs(e)
     assert sum(n is e.b for t in trees for n in _subtrees(t)) > 1
     point = (2.0, 0.5, 0.5, 0.0)
     for env in (point, Jet2.seed_point(point, 2)):
         with pytest.raises(EvaluationError):
-            ex.eval_all(trees, env)
+            ex.Program(trees)(env)
+    for text in ("sqrt(x0 - 3) + 1/(x1 - 0.5)", "1/(x1 - 0.5) + sqrt(x0 - 3)"):
+        tree = ex.parse(text)
+        for env in (point, Jet2.seed_point(point, 2)):
+            with pytest.raises(EvaluationError) as want:
+                walk(tree, env)
+            with pytest.raises(EvaluationError) as got:
+                ex.Program([tree])(env)
+            assert str(got.value) == str(want.value)
 
 
 # -- the generic walks: subs, variables, constant exponents, tau_rows --------
@@ -398,11 +450,11 @@ def test_tau_rows_equal_per_tree_tau_derivative(n, order):
     trees = _tau_trees()
     assert trees[3].a is trees[4].a
     taus = np.linspace(0.1, 2.0, n)
-    rows = ex.tau_rows(trees, taus, order)
+    rows = ex.tau_rows(ex.Program(trees), taus, order)
     assert rows.shape == (n, len(trees))
     for i, tree in enumerate(trees):
         assert np.array_equal(rows[:, i],
-                              ex.tau_rows([tree], taus, order)[:, 0])
+                              ex.tau_rows(ex.Program([tree]), taus, order)[:, 0])
 
 
 def test_diff_of_negation():

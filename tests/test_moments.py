@@ -373,9 +373,9 @@ def test_mirror_entries_are_read_once(monkeypatch):
     reads = []
     tau_rows = moments.tau_rows
 
-    def counted(trees, taus, order):
-        reads.append(len(trees))
-        return tau_rows(trees, taus, order)
+    def counted(program, taus, order):
+        reads.append(len(program.trees))
+        return tau_rows(program, taus, order)
 
     monkeypatch.setattr(moments, "tau_rows", counted)
     texts = {"211": "2 + 0.4*tau", "121": "-1 - 0.2*tau",
@@ -395,7 +395,7 @@ def test_mirror_entries_are_read_once(monkeypatch):
         for k in range(3):
             got = comps._arrays[k](taus)
             for idx, tree in entries.items():
-                want = ex.tau_rows([tree], taus, k)[:, 0]
+                want = ex.tau_rows(ex.Program([tree]), taus, k)[:, 0]
                 assert same_signed_bits(got[(Ellipsis, *idx)], want)
         assert reads == [distinct] * 3
     assert np.array_equal(comps.values_at(taus)[:, 0, 1], np.full(11, np.pi))

@@ -182,7 +182,7 @@ def test_monopole_time_bump_oracle(adapted_worldline):
         "bump", ex.div(ex.sub(ex.Var(0), ex.const(2.0)), ex.const(w0))
     )
     probe = ExprCovector(
-        (comp0, ex.const(0.0), ex.const(0.0), ex.const(0.0)),
+        ex.Program((comp0, ex.const(0.0), ex.const(0.0), ex.const(0.0))),
         boxes=[Box((2.0, 0.0, 0.0, 0.0), (w0, 9.0, 9.0, 9.0))],
     )
     r = pair_monopole(Monopole(2.0), adapted_worldline, probe)
@@ -252,7 +252,7 @@ def test_dipole_constant_component_region(adapted_worldline):
     d = make_static_dipole((0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
     comp = ex.Fun("bump", ex.sub(ex.Var(0), ex.const(2.0)))
     probe = ExprCovector(
-        (ex.const(0.0), comp, comp, ex.const(0.0)),
+        ex.Program((ex.const(0.0), comp, comp, ex.const(0.0))),
         boxes=[Box((2.0, 0.0, 0.0, 0.0), (1.0, 9.0, 9.0, 9.0))],
     )
     r = pair_dipole(d, adapted_worldline, probe)
@@ -448,7 +448,7 @@ def _tree_member(family, k):
             e = ex.add(e, ex.mul(ex.const(family.coefs[k, a, b]),
                                  ex.sub(ex.Var(b), ex.const(box.center[b]))))
         polys.append(e)
-    return pairing.ProductTestForm(tuple(polys), [box])
+    return pairing.ProductTestForm(ex.Program(polys), [box])
 
 
 def _points_by_member(rng, boxes, per_member, spread):

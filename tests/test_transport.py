@@ -334,7 +334,7 @@ def test_transported_values_and_derivatives(rng, wobble_worldline,
         tau_of = ex.parse("0.5*tau + 0.25*tau*tau", ex.TAU_VARS)
         source, q_source = reparametrize(C, q, tau_of, (0.0, 4.0))
         ths = np.linspace(0.0, 4.0, 9)[1:-1]
-        taus, speed = (tau_rows([tau_of], ths, k)[:, 0] for k in (0, 1))
+        taus, speed = (tau_rows(ex.Program([tau_of]), ths, k)[:, 0] for k in (0, 1))
     tr = transform_quadrupole(q_source, chart, source, kappa0=kappa0)
 
     A = chart.jacobian_at(C.point_at(taus))

@@ -151,13 +151,13 @@ def test_one_variable_tau_derivatives_equal_four_variable_seeding(rng):
                   ex.Fun("sqrt", ex.add(ex.mul(p, p), ex.const(1.0)))):
             old = _four_variable(e, taus)
             for k in range(3):
-                new = tau_rows([e], taus, k)[:, 0]
+                new = tau_rows(ex.Program([e]), taus, k)[:, 0]
                 assert np.array_equal(np.broadcast_to(new, taus.shape),
                                       np.broadcast_to(old[k], taus.shape))
             for t in (float(taus[0]), float(taus[17])):
                 single = _four_variable(e, t)
                 for k in range(3):
-                    assert tau_rows([e], np.array([t]), k)[0, 0] == single[k]
+                    assert tau_rows(ex.Program([e]), np.array([t]), k)[0, 0] == single[k]
 
 
 def test_one_variable_worldline_equals_four_variable_seeding(
