@@ -16,7 +16,9 @@ builder per test: the trees read member k's constants as variables 4,
 5, ... (see :class:`_Constants`), so each member has the bits of its
 probe paired alone, and a call only draws boxes and constants.  The
 charge probes share one such tree set too, over their ramp and plateau
-constants; each is still paired alone.
+constants, and the probes of :func:`charge_probe_variations` are one
+family: the first of them asked about a bundle pairs them all with it
+in one call (see :class:`_ChargeFamily`).
 
 The order and electric-order tests run on adapted worldlines
 C(tau) = (tau, 0, 0, 0): scalars vanishing on the curve are then exact
@@ -27,7 +29,7 @@ Closedness and charge extraction work along any worldline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
@@ -35,7 +37,7 @@ import numpy as np
 from . import expr as ex
 from .errors import DomainError
 from .pairing import Box, ExprCovector, ProductTestForm, ScaledCovector, \
-    pair_bundle, pair_bundle_family
+    pair_bundle_family
 
 _PASS_TOL = 1e-8
 _FAIL_TOL = 1e-4
@@ -304,11 +306,33 @@ def _charge_comps():
     return ex.Program(ex.mul(psi, lam.diff(a)) for a in range(4))
 
 
+class _ChargeFamily:
+    """Charge probes as one :class:`ExprCovector` family (``covector``),
+    with the member reports of the one bundle it was last paired with:
+    the first member asked about a bundle pairs the whole family with it
+    in one lockstep call, and the others read their reports.  Bundles
+    are compared by identity."""
+
+    def __init__(self, covector):
+        self.covector = covector
+        self._bundle = None
+        self._reports = None
+
+    def report(self, bundle, member):
+        """The pairing of ``bundle`` with member ``member``."""
+        if bundle is not self._bundle:
+            self._reports = pair_bundle_family(bundle, self.covector)
+            self._bundle = bundle
+        return self._reports[member]
+
+
 @dataclass
 class ChargeProbe:
-    """A plateau-times-gradient covector field with known ramp targets."""
+    """A plateau-times-gradient covector field with known ramp targets:
+    member ``member`` of the charge probe family ``family``."""
 
-    covector: ExprCovector
+    family: _ChargeFamily
+    member: int
     lam0: float
     lam1: float
     description: str
@@ -345,7 +369,8 @@ def make_charge_probe(worldline, window=None, lam0=0.0, lam1=1.0,
         + tuple(outer_radius * w * 1.05 for w in tube_halfwidths),
     )
     return ChargeProbe(
-        covector=ExprCovector(_charge_comps(), [box], [params]),
+        family=_ChargeFamily(ExprCovector(_charge_comps(), [box], [params])),
+        member=0,
         lam0=lam0,
         lam1=lam1,
         description=(
@@ -363,13 +388,15 @@ def extract_charge(bundle, probe=None):
     """
     if probe is None:
         probe = make_charge_probe(bundle.worldline)
-    report = pair_bundle(bundle, probe.covector)
+    report = probe.family.report(bundle, probe.member)
     return report.value / (probe.lam1 - probe.lam0)
 
 
 def charge_probe_variations(worldline, n=5, seed=0):
     """A deterministic family of distinct (ramp, plateau) choices for
-    stability checks of the extracted charge."""
+    stability checks of the extracted charge: ``n`` probes, members of
+    one family, so that :func:`extract_charge` pairs them with a bundle
+    in one lockstep call."""
     rng = np.random.default_rng(seed)
     t0, t1 = worldline.interval
     length = t1 - t0
@@ -386,4 +413,8 @@ def charge_probe_variations(worldline, n=5, seed=0):
                 outer_radius=outer,
             )
         )
-    return probes
+    family = _ChargeFamily(ExprCovector(
+        _charge_comps(), [p.family.covector.box for p in probes],
+        [p.family.covector.params[0] for p in probes]))
+    return [replace(p, family=family, member=k)
+            for k, p in enumerate(probes)]

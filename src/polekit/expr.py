@@ -587,8 +587,11 @@ def _parse_power(toks, variables):
     if exponent.variables():
         raise SceneError([f"column {pos + 1}: exponent must be a constant"])
     try:
-        with np.errstate(all="ignore"):  # a non-finite value is reported
-            value = float(exponent.eval((0.0,) * 4))
+        if isinstance(exponent, Const):
+            value = float(exponent.v)
+        else:
+            with np.errstate(all="ignore"):  # a non-finite value is reported
+                value = float(exponent.eval((0.0,) * 4))
         if math.isfinite(value):
             return Pow(base, value)
         reason = f"{value} is not finite"

@@ -43,7 +43,7 @@ from .errors import DomainError, QuadratureError
 from .jets import (PRIMITIVES, Jet2, apply, columns, compose, entries_array,
                    stacked)
 from .moments import DipoleComponents, Monopole, QuadrupoleComponents
-from .quadrature import QuadResult, integrate_many
+from .quadrature import CALL_ENTRIES, QuadResult, integrate_many
 
 
 @dataclass(frozen=True)
@@ -128,10 +128,12 @@ class _BatchForm:
     and, through its base, :class:`ScaledCovector`) are families in
     place: one set of trees serves every member, reading the
     coordinates as variables 0..3 and the member's constants
-    ``params[k]`` as variables 4, 5, ... (see :meth:`_env`).  A row
-    evaluated as member k gets the bits of a tree built with those
-    constants in it, up to the sign of zeros: every operation on a
-    constant is the same elementwise operation on its column.
+    ``params[k]`` as variables 4, 5, ... (see :meth:`_env`); their
+    :meth:`_jets` and :meth:`_values` read the trees at a given
+    environment.  A row evaluated as member k gets the bits of a tree
+    built with those constants in it, up to the sign of zeros: every
+    operation on a constant is the same elementwise operation on its
+    column.
     """
 
     def __init__(self, boxes, params=None):
@@ -165,6 +167,15 @@ class _BatchForm:
         return (Jet2.seed_point(columns(x), order)
                 + tuple(Jet2.constant(c, 4) for c in consts))
 
+    def _jets(self, env, x, owner, order):
+        """``jets_at`` over the environment ``env`` of :meth:`_env`,
+        which a form without trees does not read."""
+        return self.jets_at(x, owner, order)
+
+    def _values(self, env, x, owner):
+        """``values_at`` over the environment ``env`` of :meth:`_env`."""
+        return self.values_at(x, owner)
+
 
 def _members(owner):
     """The member index of each row, member 0 for ``owner`` None."""
@@ -181,19 +192,23 @@ class ProductTestForm(_BatchForm):
         self.polys = polys
 
     def jets_at(self, x, owner, order):
-        k = _members(owner)
-        w = _window_jet(x, self.centers[k], self.halves[k], order)
-        polys = self.polys(self._env(x, owner, order))
-        return tuple(
-            Jet2.constant(0.0, 4) if ex.is_zero(tree) else p * w
-            for tree, p in zip(self.polys.trees, polys)
-        )
+        return self._jets(self._env(x, owner, order), x, owner, order)
 
     def values_at(self, x, owner):
+        return self._values(self._env(x, owner), x, owner)
+
+    def _jets(self, env, x, owner, order):
+        k = _members(owner)
+        w = _window_jet(x, self.centers[k], self.halves[k], order)
+        return tuple(
+            Jet2.constant(0.0, 4) if ex.is_zero(tree) else p * w
+            for tree, p in zip(self.polys.trees, self.polys(env))
+        )
+
+    def _values(self, env, x, owner):
         k = _members(owner)
         w = _window_values(x, self.centers[k], self.halves[k])
-        return entries_array([p * w for p in self.polys(self._env(x, owner))],
-                             (len(x),))
+        return entries_array([p * w for p in self.polys(env)], (len(x),))
 
 
 class AffineFormFamily(_BatchForm):
@@ -285,16 +300,23 @@ class ExprCovector(_BatchForm):
         self.comps = comps
 
     def jets_at(self, x, owner, order):
-        return self.comps(self._env(x, owner, order))
+        return self._jets(self._env(x, owner, order), x, owner, order)
 
     def values_at(self, x, owner):
-        return entries_array(self.comps(self._env(x, owner)), (len(x),))
+        return self._values(self._env(x, owner), x, owner)
+
+    def _jets(self, env, x, owner, order):
+        return self.comps(env)
+
+    def _values(self, env, x, owner):
+        return entries_array(self.comps(env), (len(x),))
 
 
 class ScaledCovector(_BatchForm):
     """phi_a = scalar^power * base_a (integer power >= 1); ``scalar`` is
     the :class:`~polekit.expr.Program` of one tree, which reads the
-    constants of the base's members."""
+    constants of the base's members.  A call builds the base's
+    environment once, for the scalar and the base's components."""
 
     def __init__(self, scalar, power, base):
         self.scalar = scalar
@@ -309,12 +331,14 @@ class ScaledCovector(_BatchForm):
         return self.base.in_support(x, owner)
 
     def jets_at(self, x, owner, order):
-        s = self.scalar(self.base._env(x, owner, order))[0] ** self.power
-        return tuple(j * s for j in self.base.jets_at(x, owner, order))
+        env = self.base._env(x, owner, order)
+        s = self.scalar(env)[0] ** self.power
+        return tuple(j * s for j in self.base._jets(env, x, owner, order))
 
     def values_at(self, x, owner):
-        s = self.scalar(self.base._env(x, owner))[0] ** self.power
-        return self.base.values_at(x, owner) * np.reshape(s, (-1, 1))
+        env = self.base._env(x, owner)
+        s = self.scalar(env)[0] ** self.power
+        return self.base._values(env, x, owner) * np.reshape(s, (-1, 1))
 
 
 class PulledBackForm(_BatchForm):
@@ -463,12 +487,12 @@ def _pairings(worldline, form, integrands):
     form as a family of one) with the sum of ``integrands``: one report
     per member.
 
-    An integrand is a function of an array of taus and their member
-    indices, or None for one that pairs to zero.  The support windows
-    are scanned once, and each integral is one :func:`integrate_many`
-    over them to 1e-10 absolute and relative, starting from 5 panels:
-    every member keeps its own window and panel tree, and each
-    refinement level of all members is one integrand call.
+    An integrand is one of :func:`_on_support`, or None for one that
+    pairs to zero.  The support windows are scanned once, and each
+    integral is one :func:`integrate_many` over them to 1e-10 absolute
+    and relative, starting from 5 panels: every member keeps its own
+    window and panel tree, and each refinement level of all members
+    goes to the integrand in calls of at most its ``rows`` taus.
     """
     reports = [QuadResult(0.0, 0.0, 0, 0) for _ in form.boxes]
     windows = None
@@ -478,7 +502,8 @@ def _pairings(worldline, form, integrands):
         if windows is None:
             windows = [_support_window(worldline, form, k)
                        for k in range(len(reports))]
-        for report, res in zip(reports, integrate_many(integrand, windows)):
+        for report, res in zip(reports, integrate_many(
+                integrand, windows, integrand.rows)):
             report.value += res.value
             report.quadrature_error_estimate += res.quadrature_error_estimate
             report.nodes_used += res.nodes_used
@@ -486,12 +511,20 @@ def _pairings(worldline, form, integrands):
     return reports
 
 
-def _on_support(worldline, form, f):
+# The entries per component of the form's jets to order 0 (its
+# values), 1 and 2: the value, 4 gradient and 10 packed Hessian entries.
+_JET_ENTRIES = (1, 5, 15)
+
+
+def _on_support(worldline, form, order, f):
     """The integrand, a function of taus and their member indices, that
     evaluates the worldline once, picks the rows where it meets the
     form's support (``form.in_support``), gives ``f(taus, points, vel,
-    owner)`` over those rows alone and exact zeros at every other
-    row."""
+    owner)`` over those rows alone and exact zeros at every other row.
+
+    ``f`` reads the form's jets to ``order`` (0 for its values); the
+    integrand's ``rows``, the most taus one call takes, holds
+    ``CALL_ENTRIES`` of those entries per component."""
 
     def integrand(taus, owner):
         points, vel = worldline.eval(taus)
@@ -501,6 +534,7 @@ def _on_support(worldline, form, f):
             out[live] = f(taus[live], points[live], vel[live], owner[live])
         return out
 
+    integrand.rows = CALL_ENTRIES // _JET_ENTRIES[order]
     return integrand
 
 
@@ -518,7 +552,7 @@ def _charge_integrand(m, worldline, form):
             + vel[:, 2] * vals[:, 2] + vel[:, 3] * vals[:, 3]
         )
 
-    return _on_support(worldline, form, charge)
+    return _on_support(worldline, form, 0, charge)
 
 
 def _gamma_integrand(gamma2, gamma3, worldline, form):
@@ -544,7 +578,7 @@ def _gamma_integrand(gamma2, gamma3, worldline, form):
                                          stacked(jets, taus.shape, 2)))
         return sum(terms[1:], terms[0])
 
-    return _on_support(worldline, form, gamma)
+    return _on_support(worldline, form, order, gamma)
 
 
 @dataclass
@@ -614,4 +648,4 @@ def pair_adapted_coefficients(z, worldline, form):
                                  for k in range(3)))
 
     return _pairings(worldline, form,
-                     [_on_support(worldline, form, density)])[0]
+                     [_on_support(worldline, form, 2, density)])[0]

@@ -25,11 +25,13 @@ initial panel.
 :func:`integrate_many` runs several integrals in lockstep, and
 :func:`integrate` is its one-interval case.  Each integral keeps its own
 panel tree, so its nodes, values and summation order are those it has
-alone; but all panels pending at one refinement level, of all
-integrals, go to one call ``f(taus, owner)``, where ``owner`` holds the
-integral each tau belongs to.  A call takes at most ``_MAX_BATCH``
-nodes: the fixed cost of a call is spread over many nodes, while the
-arrays an integrand builds per node stay small.
+alone; but the panels pending at one refinement level, of all
+integrals, go to the integrand together, in calls ``f(taus, owner)`` of
+at most ``rows`` nodes, where ``owner`` holds the integral each tau
+belongs to.  The caller sizes ``rows`` by what its integrand reads per
+node, to one budget of ``CALL_ENTRIES`` jet entries per call: the fixed
+cost of a call is spread over many nodes, while the arrays it builds
+stay small.
 
 :class:`CumulativeIntegral` materializes an antiderivative: each stored
 segment keeps the Legendre-series coefficients of the integrand, whose
@@ -69,12 +71,18 @@ _MAX_SPLITS = 2000
 _TOL = 1e-10
 _PANELS = 5
 _CUMULATIVE_PANELS = 4
-# Largest number of nodes passed to an integrand in one call.  Larger
-# calls save little more time but hold more memory: on the worked-example
-# benchmark, lockstep verify with 2048 nodes per call raised peak RSS by
-# 19% over one call per integral and level, with 512 nodes by 4%, at
-# the same run time.
-_MAX_BATCH = 512
+# Most jet entries an integrand call reads per component: its rows
+# times the entries of each row's jet, 1 for values, 5 for first-order
+# jets and 15 for second-order jets, so a call takes up to 7680, 1536
+# or 512 rows.  A call has a large fixed cost, which is spread over as
+# many rows as the budget allows: the jets of a classify closedness
+# family take 0.53 ms on 1 row and 0.95 ms on 512 at first order, 0.81
+# and 2.6 ms at second order (2-vCPU Xeon VM, best of 5 x 100 calls).
+# Second order stays at 512 rows because that is where the pulled-back
+# verify forms hold their memory: on the worked-example benchmark, 2048
+# rows per second-order call raised peak RSS by 13-14% (42.9 -> 48.6-
+# 48.8 MB), past the benchmark's 10% bound.
+CALL_ENTRIES = 512 * 15
 
 
 @dataclass
@@ -105,9 +113,10 @@ def _panel_sum(vals, a, b):
     return 0.5 * (b - a) * float(_WEIGHTS @ vals)
 
 
-def _refine(f, windows, tol, panels, label):
+def _refine(f, windows, tol, panels, rows, label):
     """The adaptive panel trees of the windows [a, b] (None or empty
-    windows have none), refined level by level in lockstep.
+    windows have none), refined level by level in lockstep, with at
+    most ``rows`` nodes per call of ``f``.
 
     Each window starts as ``panels`` equal panels.  Each panel [pa, pb]
     is accepted when the 16-node rule on it and the sum of the rules on
@@ -149,8 +158,8 @@ def _refine(f, windows, tol, panels, label):
         taus = (0.5 * (lo + hi) + 0.5 * (hi - lo) * _NODES).ravel()
         owner = np.repeat([panel[0] for panel in pending], counts)
         vals = np.concatenate([
-            f(taus[i:i + _MAX_BATCH], owner[i:i + _MAX_BATCH])
-            for i in range(0, len(taus), _MAX_BATCH)])
+            f(taus[i:i + rows], owner[i:i + rows])
+            for i in range(0, len(taus), rows)])
         finite = np.isfinite(vals)
         if not finite.all():
             row = np.argmin(finite.reshape(len(vals), -1).all(axis=1))
@@ -201,24 +210,25 @@ def _refine(f, windows, tol, panels, label):
     return list(zip(accepted, nodes, floor_panels))
 
 
-def integrate_many(f, windows):
+def integrate_many(f, windows, rows):
     """Adaptively integrate the scalar function ``f`` over each window
     [a, b] of ``windows``: one :class:`QuadResult` per window, each the
     result :func:`integrate` gives for that window alone, bit for bit.
 
-    ``f(taus, owner)`` maps a 1-D array of taus and the int array of
-    their window indices to the array of values.  A window that is None
-    or has b <= a integrates to zero with no nodes.  A result's
-    ``nodes_used`` counts its integrand evaluations, ``floor_panels``
-    its accepted panels narrower than the width floor (1e-14 of the
-    window), where the refinement stopped whether or not the panel met
-    its error budget.
+    ``f(taus, owner)`` maps a 1-D array of at most ``rows`` taus and the
+    int array of their window indices to the array of values; when it
+    maps each tau alone, how a level's nodes are cut into calls changes
+    no result.  A window that is None or has b <= a integrates to zero
+    with no nodes.  A result's ``nodes_used`` counts its integrand
+    evaluations, ``floor_panels`` its accepted panels narrower than the
+    width floor (1e-14 of the window), where the refinement stopped
+    whether or not the panel met its error budget.
 
     Raises :class:`QuadratureError` carrying the worst subinterval if a
     window exhausts its split budget before the tolerance is met, and
     one naming the tau if ``f`` returns a value that is not finite.
     """
-    trees = _refine(_batched(f), windows, _TOL, _PANELS, "integral")
+    trees = _refine(_batched(f), windows, _TOL, _PANELS, rows, "integral")
     results = []
     for accepted, nodes, floor_panels in trees:
         total = 0.0
@@ -234,8 +244,9 @@ def integrate_many(f, windows):
 def integrate(f, a, b):
     """Adaptively integrate the scalar function ``f``, which maps a 1-D
     array of taus to the array of its values, over [a, b]: the
-    one-window case of :func:`integrate_many`."""
-    return integrate_many(lambda taus, owner: f(taus), [(a, b)])[0]
+    one-window case of :func:`integrate_many`, one value per row."""
+    return integrate_many(lambda taus, owner: f(taus), [(a, b)],
+                          CALL_ENTRIES)[0]
 
 
 class CumulativeIntegral:
@@ -245,7 +256,9 @@ class CumulativeIntegral:
     Segments are refined as in :func:`integrate`, to ``tol`` from 4
     panels (``nodes`` and ``floor_panels`` count as ``nodes_used`` and
     ``floor_panels`` do there); evaluation anywhere uses the per-segment
-    Legendre antiderivative.
+    Legendre antiderivative.  A call of ``f`` takes at most 512 taus,
+    the rows of second-order jets (``CALL_ENTRIES // 15``): the
+    integrand of transport's ``P`` reads second-order chart frames.
     """
 
     def __init__(self, f, a, b, dim, tol, label="cumulative integral"):
@@ -257,7 +270,7 @@ class CumulativeIntegral:
         self.error = 0.0
         [(accepted, self.nodes, self.floor_panels)] = _refine(
             lambda taus, owner: self.f(taus), [(a, b)], tol,
-            _CUMULATIVE_PANELS, label)
+            _CUMULATIVE_PANELS, CALL_ENTRIES // 15, label)
         halves = []
         for pa, pm, pb, vl, vr, diff in accepted:
             self.error += diff

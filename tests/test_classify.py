@@ -282,6 +282,35 @@ def test_lockstep_probe_pairings_equal_each_probe_paired_alone(
                 bundle, family_member(family, k))[0]
 
 
+def test_charge_integral_of_a_family_is_one_call_per_level(monkeypatch):
+    """The charge integral reads the form's values, one entry per row
+    and component, so a call takes up to CALL_ENTRIES rows: a charged
+    dipole's closedness family makes one call per refinement level of
+    its charge integral, levels of more than 512 nodes included."""
+    from polekit import pairing
+    from polekit.quadrature import CALL_ENTRIES
+
+    integrals = []
+    real = pairing.integrate_many
+
+    def spy(f, windows, rows):
+        calls = []
+        integrals.append((f, windows, rows, calls))
+        return real(lambda taus, owner: calls.append(len(taus))
+                    or f(taus, owner), windows, rows)
+
+    monkeypatch.setattr(pairing, "integrate_many", spy)
+    bundle, _ = _lockstep_bundles()["charged dipole"]
+    probe_closed(bundle, samples=6, seed=3)
+    (f, windows, rows, calls), (_, _, gamma_rows, _) = integrals
+    assert (rows, gamma_rows) == (CALL_ENTRIES, CALL_ENTRIES // 5)
+    levels = []
+    real(lambda taus, owner: levels.append(len(taus)) or f(taus, owner),
+         windows, 1 << 20)
+    assert calls == levels
+    assert max(levels) > 512
+
+
 # Every report field of _lockstep_reports as the per-probe pairings gave
 # it before the probes were paired in lockstep (floats as float.hex).
 PINNED_REPORTS = {
@@ -491,3 +520,57 @@ def test_charges_over_the_shared_tree_set_keep_their_bits():
                   charge_probe_variations(bundle.worldline, n=5, seed=seed)]
            for name, (bundle, seed) in _bench_bundles().items()}
     assert got == PINNED_CHARGES
+
+
+def _charge_pairings(monkeypatch):
+    """The (bundle, family) of each pair_bundle_family call classify
+    makes from now on."""
+    calls = []
+
+    def recording(bundle, family):
+        calls.append((bundle, family))
+        return pair_bundle_family(bundle, family)
+
+    monkeypatch.setattr(classify, "pair_bundle_family", recording)
+    return calls
+
+
+def test_charge_variations_pair_once_per_bundle(monkeypatch):
+    """The probes of a variation set are one family: the first one asked
+    about a bundle pairs all of them with it in one call, and each
+    charge is the one of its probe's member paired alone."""
+    bundles = _lockstep_bundles()
+    probes = charge_probe_variations(bundles["dipole"][0].worldline, n=4,
+                                     seed=5)
+    calls = _charge_pairings(monkeypatch)
+    charges = {name: [extract_charge(b, p) for p in probes]
+               for name, (b, _) in bundles.items()}
+    assert [(b, len(f.boxes)) for b, f in calls] == [
+        (b, 4) for b, _ in bundles.values()]
+    assert all(b is want for (b, _), (want, _) in zip(calls,
+                                                       bundles.values()))
+    for name, (b, _) in bundles.items():
+        for p, q in zip(probes, charges[name]):
+            alone, = pair_bundle_family(
+                b, family_member(p.family.covector, p.member))
+            assert q == alone.value / (p.lam1 - p.lam0)
+
+
+def test_a_second_bundle_pairs_the_charge_family_again(monkeypatch):
+    """The family keeps the reports of the last bundle alone, compared by
+    identity: switching bundles pairs the family again, and an equal
+    but distinct bundle is paired anew."""
+    bundles = _lockstep_bundles()
+    charged, _ = bundles["charged dipole"]
+    dipole, _ = bundles["dipole"]
+    probes = charge_probe_variations(charged.worldline, n=3, seed=2)
+    calls = _charge_pairings(monkeypatch)
+    first = [extract_charge(charged, p) for p in probes]
+    assert [extract_charge(dipole, p) for p in probes] == pytest.approx(
+        [0.0] * 3, abs=1e-8)
+    copy = dataclasses.replace(charged)
+    assert [extract_charge(copy, p) for p in probes] == first
+    assert [extract_charge(charged, probes[1])] == first[1:2]
+    assert [b is want for (b, _), want in zip(
+        calls, (charged, dipole, copy, charged))] == [True] * 4
+    assert first[0] == pytest.approx(1.3, abs=1e-8)

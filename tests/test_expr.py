@@ -432,6 +432,20 @@ def test_constant_exponents_are_computed_by_the_evaluator(text, exponent):
     assert e.exponent.hex() == exponent.hex()
 
 
+def test_a_constant_exponent_is_read_without_a_program(monkeypatch):
+    """Parsing tau^2 reads the exponent's value from its Const and
+    compiles no program; a constant subtree such as 1/2 is still
+    evaluated by one."""
+    compiled = []
+    compile_ = ex.Program._compile
+    monkeypatch.setattr(ex.Program, "_compile",
+                        lambda self: compiled.append(self) or compile_(self))
+    assert ex.parse("tau^2", ex.TAU_VARS) == ex.Pow(ex.Var(0), 2.0)
+    assert compiled == []
+    assert ex.parse("tau^(1/2)", ex.TAU_VARS) == ex.Pow(ex.Var(0), 0.5)
+    assert len(compiled) == 1
+
+
 def _tau_trees():
     shared = ex.parse("sin(tau)*tau + 1", ex.TAU_VARS)
     return [

@@ -650,6 +650,25 @@ def test_expression_family_rows_equal_member_forms(rng, wobble_worldline,
     _assert_rows_equal_members(family, members, pts, owner)
 
 
+def test_scaled_covector_builds_one_environment_per_call(
+        rng, wobble_worldline, monkeypatch):
+    """A ScaledCovector call builds its base's environment once, for the
+    scalar and for the base's components."""
+    boxes = _boxes_along(wobble_worldline, [1.5, 2.5, 3.0],
+                         (0.6, 0.2, 0.3, 0.25))
+    family = probe_families(rng, boxes)["ScaledCovector"]
+    pts, owner = _points_by_member(rng, family.boxes, 20, 1.3)
+    envs = []
+    real = pairing._BatchForm._env
+    monkeypatch.setattr(pairing._BatchForm, "_env",
+                        lambda self, *args: envs.append(args)
+                        or real(self, *args))
+    family.jets_at(pts, owner, 2)
+    assert len(envs) == 1
+    family.values_at(pts, owner)
+    assert len(envs) == 2
+
+
 def test_form_jets_at_order_one_are_the_first_order_part(
         rng, wobble_worldline):
     """Every form kind gives at order 1 the values and gradients of its

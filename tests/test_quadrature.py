@@ -174,6 +174,15 @@ _LOCKSTEP_CASES = [
     ((1.0, 0.5), np.exp),
     ((0.0, 1.0), lambda t: (t > 1 / 3).astype(float)),
 ]
+_LOCKSTEP_WINDOWS = [w for w, _ in _LOCKSTEP_CASES]
+
+
+def _lockstep_integrand(taus, owner):
+    """Each tau's value under the integrand of its window."""
+    out = np.empty(len(taus))
+    for k in set(owner.tolist()):
+        out[owner == k] = _LOCKSTEP_CASES[k][1](taus[owner == k])
+    return out
 
 
 def test_integrate_many_equals_integrate_per_window():
@@ -181,18 +190,13 @@ def test_integrate_many_equals_integrate_per_window():
     and floor panels of integrate on that window alone, bit for bit:
     its panel tree and summation order do not depend on the others.  A
     None or empty window integrates to zero with no nodes."""
-    windows = [w for w, _ in _LOCKSTEP_CASES]
-    fs = [f for _, f in _LOCKSTEP_CASES]
     calls = []
 
     def f(taus, owner):
         calls.append(set(owner.tolist()))
-        out = np.empty(len(taus))
-        for k in set(owner.tolist()):
-            out[owner == k] = fs[k](taus[owner == k])
-        return out
+        return _lockstep_integrand(taus, owner)
 
-    results = integrate_many(f, windows)
+    results = integrate_many(f, _LOCKSTEP_WINDOWS, quadrature.CALL_ENTRIES)
     for (window, fk), res in zip(_LOCKSTEP_CASES, results):
         alone = (integrate(fk, *window) if window is not None
                  else quadrature.QuadResult(0.0, 0.0, 0, 0))
@@ -204,10 +208,9 @@ def test_integrate_many_equals_integrate_per_window():
     assert max(len(owners) for owners in calls) > 1
 
 
-def test_integrate_many_one_call_per_level(monkeypatch):
+def test_integrate_many_one_call_per_level():
     """With room in the batch, each refinement level of all windows is
     one call: as many calls as the deepest window needs levels."""
-    monkeypatch.setattr(quadrature, "_MAX_BATCH", 1 << 20)
     levels = []
     for window, fk in _LOCKSTEP_CASES:
         count = []
@@ -218,13 +221,28 @@ def test_integrate_many_one_call_per_level(monkeypatch):
 
     def f(taus, owner):
         calls.append(len(taus))
-        out = np.empty(len(taus))
-        for k in set(owner.tolist()):
-            out[owner == k] = _LOCKSTEP_CASES[k][1](taus[owner == k])
-        return out
+        return _lockstep_integrand(taus, owner)
 
-    integrate_many(f, [w for w, _ in _LOCKSTEP_CASES])
+    integrate_many(f, _LOCKSTEP_WINDOWS, 1 << 20)
     assert len(calls) == max(levels)
+
+
+@pytest.mark.parametrize("rows", [16, 512, 1536, 7680, 1 << 20])
+def test_row_limit_changes_no_result(rows):
+    """However a level's nodes are cut into calls of at most ``rows``,
+    every window gets the value, error estimate, nodes and floor panels
+    it gets with one call per level."""
+    calls = []
+
+    def f(taus, owner):
+        calls.append(len(taus))
+        return _lockstep_integrand(taus, owner)
+
+    results = integrate_many(f, _LOCKSTEP_WINDOWS, rows)
+    assert results == integrate_many(_lockstep_integrand, _LOCKSTEP_WINDOWS,
+                                     1 << 20)
+    assert max(calls) <= rows
+    assert sum(calls) == sum(r.nodes_used for r in results)
 
 
 def test_integrate_many_error_reaches_caller():
@@ -238,7 +256,7 @@ def test_integrate_many_error_reaches_caller():
         return np.sin(taus)
 
     with pytest.raises(ZeroDivisionError, match="window 1"):
-        integrate_many(f, [(0.0, 1.0), (0.0, 2.0)])
+        integrate_many(f, [(0.0, 1.0), (0.0, 2.0)], quadrature.CALL_ENTRIES)
 
     def nasty(t):
         return np.where(np.sin(1 / (np.abs(t) + 1e-9)) > 0, 1.0, -1.0)
@@ -248,7 +266,7 @@ def test_integrate_many_error_reaches_caller():
     with pytest.raises(QuadratureError) as many:
         integrate_many(
             lambda t, owner: np.where(owner == 1, nasty(t), np.cos(t)),
-            [(0.0, 1.0), (-1.0, 1.0), (0.0, 3.0)])
+            [(0.0, 1.0), (-1.0, 1.0), (0.0, 3.0)], quadrature.CALL_ENTRIES)
     assert str(many.value) == str(alone.value)
     assert many.value.worst_interval == alone.value.worst_interval
 
@@ -264,7 +282,7 @@ def test_nan_at_one_node_raises():
         return np.where(taus == first[0], np.nan, np.sin(taus))
 
     with pytest.raises(QuadratureError) as err:
-        integrate_many(f, [(0.0, 1.0), (1.0, 3.0)])
+        integrate_many(f, [(0.0, 1.0), (1.0, 3.0)], quadrature.CALL_ENTRIES)
     assert len(first) == 1
     assert str(err.value) == (
         f"integral: non-finite integrand value at tau={first[0]}")
