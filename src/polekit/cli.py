@@ -122,11 +122,11 @@ def _run_transform(scene, job, out_dir):
 
 
 def _verify_inputs(scene, job):
-    """A verify job's chart pair, its bundle, and the bundle's worldline
-    pushed through the pair's forward chart."""
-    pair = scene.charts[job["chart"]]
+    """A verify job's forward chart (verify reads no inverse), its
+    bundle, and the bundle's worldline pushed through the chart."""
+    chart = scene.charts[job["chart"]].forward
     bundle = scene.bundle(job["multipole"], job["worldline"])
-    return pair, bundle, bundle.worldline.push_through_chart(pair.forward)
+    return chart, bundle, bundle.worldline.push_through_chart(chart)
 
 
 def _forms(job, hatC):
@@ -139,24 +139,23 @@ def _forms(job, hatC):
 
 def _source_side(scene, job):
     """The bundle's pairings with the job's forms pulled back."""
-    pair, bundle, hatC = _verify_inputs(scene, job)
+    chart, bundle, hatC = _verify_inputs(scene, job)
     return pair_bundle_family(
-        bundle, pull_back_test_form(_forms(job, hatC), pair))
+        bundle, pull_back_test_form(_forms(job, hatC), chart))
 
 
 def _hatted_side(scene, job):
-    """The pairings of the bundle, moved through the pair's forward
-    chart onto its image worldline, with the job's forms."""
-    pair, bundle, hatC = _verify_inputs(scene, job)
+    """The pairings of the bundle, moved through the job's chart onto
+    its image worldline, with the job's forms."""
+    chart, bundle, hatC = _verify_inputs(scene, job)
     C = bundle.worldline
     hat = SourceBundle(
         hatC,
         bundle.monopole,
         None if bundle.dipole is None
-        else tp.transform_dipole(bundle.dipole, pair.forward, C),
+        else tp.transform_dipole(bundle.dipole, chart, C),
         None if bundle.quadrupole is None
-        else tp.transform_quadrupole(bundle.quadrupole, pair.forward,
-                                     C).gamma3_hat,
+        else tp.transform_quadrupole(bundle.quadrupole, chart, C).gamma3_hat,
     )
     return pair_bundle_family(hat, _forms(job, hatC))
 

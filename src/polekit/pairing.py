@@ -24,6 +24,12 @@ The charge extraction and the order and closedness probes of
 :mod:`polekit.classify` feed specially shaped covector fields into
 these integrals.
 
+A hatted-chart form pulled back to the source chart
+(:func:`pull_back_test_form`) reads the forward chart's jets at the
+worldline's points and nothing else, and its support is scanned in the
+hatted chart, along the worldline's image.  So a pairing through any
+chart needs no inverse of it.
+
 Test forms are polynomials times a product of smooth bumps, so they
 vanish identically (with all derivatives) outside their box.  Probes
 that must be differentiated symbolically (gradient fields, plateau
@@ -51,7 +57,7 @@ class Box:
     center: tuple
     half: tuple
 
-    def grid(self, factor=1.0):
+    def grid(self, factor):
         """The 3^4 points of a regular grid over the box scaled by
         ``factor`` about its center, as an (81, 4) array."""
         axes = [np.linspace(c - factor * h, c + factor * h, 3)
@@ -66,8 +72,7 @@ class Box:
 # of the member index of each row, and return four jets over the batch
 # truncated at ``order`` (1 or 2), an (N, 4) array and an (N,) boolean
 # array.  Every form is a family that evaluates row i as its member
-# owner[i]; a single form is the one-member case, for which None will
-# do as the index.  ``jets_at`` and
+# owner[i]; a single form is the one-member case.  ``jets_at`` and
 # ``values_at`` evaluate the rows they are given, which the caller has
 # in the support: they test no support themselves (the pairing
 # integrands pick the live rows with ``in_support``, see
@@ -119,8 +124,9 @@ class _BatchForm:
     """What the test forms share.
 
     A form gives ``in_support``, and ``jets_at`` and ``values_at`` over
-    rows the caller has in the support.  ``boxes`` holds the support box
-    of each member, also as the (K, 4) arrays ``centers`` and
+    rows the caller has in the support, and :meth:`along`, the curve and
+    boxed form that a support scan runs on.  ``boxes`` holds the support
+    box of each member, also as the (K, 4) arrays ``centers`` and
     ``halves``; ``box`` is the first, and a form's support is its
     members' boxes unless the form says otherwise.
 
@@ -152,16 +158,21 @@ class _BatchForm:
         return self.boxes[0]
 
     def in_support(self, x, owner):
-        k = _members(owner)
-        return np.all(np.abs(np.asarray(x, dtype=float) - self.centers[k])
-                      < self.halves[k], axis=-1)
+        return np.all(np.abs(np.asarray(x, dtype=float) - self.centers[owner])
+                      < self.halves[owner], axis=-1)
+
+    def along(self, worldline):
+        """The curve and the boxed form that a support scan of this form
+        along ``worldline`` runs on: the worldline itself and this form,
+        whose ``boxes`` the scan reads."""
+        return worldline, self
 
     def _env(self, x, owner, order=None):
         """What the trees are evaluated at over the rows of ``x``: the
         coordinates, then the constants of each row's member; as seed
         jets truncated at ``order`` and constant jets when ``order`` is
         given."""
-        consts = tuple(np.take(self._param_rows, _members(owner), axis=1))
+        consts = tuple(np.take(self._param_rows, owner, axis=1))
         if order is None:
             return columns(x) + consts
         return (Jet2.seed_point(columns(x), order)
@@ -175,11 +186,6 @@ class _BatchForm:
     def _values(self, env, x, owner):
         """``values_at`` over the environment ``env`` of :meth:`_env`."""
         return self.values_at(x, owner)
-
-
-def _members(owner):
-    """The member index of each row, member 0 for ``owner`` None."""
-    return 0 if owner is None else owner
 
 
 class ProductTestForm(_BatchForm):
@@ -198,16 +204,14 @@ class ProductTestForm(_BatchForm):
         return self._values(self._env(x, owner), x, owner)
 
     def _jets(self, env, x, owner, order):
-        k = _members(owner)
-        w = _window_jet(x, self.centers[k], self.halves[k], order)
+        w = _window_jet(x, self.centers[owner], self.halves[owner], order)
         return tuple(
             Jet2.constant(0.0, 4) if ex.is_zero(tree) else p * w
             for tree, p in zip(self.polys.trees, self.polys(env))
         )
 
     def _values(self, env, x, owner):
-        k = _members(owner)
-        w = _window_values(x, self.centers[k], self.halves[k])
+        w = _window_values(x, self.centers[owner], self.halves[owner])
         return entries_array([p * w for p in self.polys(env)], (len(x),))
 
 
@@ -348,17 +352,16 @@ class PulledBackForm(_BatchForm):
     Jacobian factors are symbolic derivatives of the chart components so
     that second jet derivatives of the pullback stay exact.  They and the
     chart jets do not depend on the member, so one pull-back serves a
-    whole family, with a source-side box per member.  The support is
-    the preimage of the hatted support, which lies inside the chart's
-    domain: ``in_support`` reads a point outside the domain as outside
-    the support, and the other evaluators raise :class:`DomainError`
-    there.
+    whole family.  The support is the preimage of the hatted support,
+    which lies inside the chart's domain: ``in_support`` reads a point
+    outside the domain as outside the support, and the other evaluators
+    raise :class:`DomainError` there.  The form has no boxes of its own:
+    a support scan runs in the hatted chart (:meth:`along`).
     """
 
-    def __init__(self, chart, hatted, boxes):
+    def __init__(self, chart, hatted):
         self.chart = chart
         self.hatted = hatted
-        self.boxes = tuple(boxes)
         # The (a, b) pairs where d hatted^b / d x^a is not the constant
         # zero, with those Jacobian entries, evaluated in one pass.
         jac = chart.jacobian_exprs()
@@ -374,6 +377,11 @@ class PulledBackForm(_BatchForm):
             out[ok] = self.hatted.in_support(self.chart.value_at(pts[ok]),
                                              owner[ok])
         return out
+
+    def along(self, worldline):
+        """The hatted form's scan along the image of ``worldline``, whose
+        points are the chart's values at the worldline's points."""
+        return self.hatted.along(worldline.push_through_chart(self.chart))
 
     def jets_at(self, x, owner, order):
         Y = self.chart.jets_at(x, order)
@@ -401,38 +409,14 @@ def make_test_form(polys, center, half_widths):
     return ProductTestForm(ex.Program(ex._coerce(p) for p in polys), [box])
 
 
-def pull_back_test_form(hatted, pair):
-    """Transport a hatted-chart test form (or family) to the source chart
-    of ``pair``.
-
-    The support is carried conservatively, member by member: boundary
-    samples of the hatted box are mapped through the inverse chart (all
-    members' samples in one call) and their bounding box, padded by
-    10%, becomes the source-side box.  Raises :class:`DomainError` when
-    the support escapes the chart domain, naming a point of the first
-    member whose support escapes.
-    """
-    grids = [box.grid() for box in hatted.boxes]
-    try:
-        try:
-            mapped = pair.inverse.value_at(np.concatenate(grids))
-        except Exception:
-            # Member by member, so that the first member that fails
-            # raises the error it raises alone.
-            for grid in grids:
-                pair.inverse.value_at(grid)
-            raise
-    except DomainError as err:
-        raise DomainError(
-            f"test-form support escapes the chart domain: {err}"
-        )
-    mapped = mapped.reshape(len(grids), -1, 4)
-    lo = mapped.min(axis=1)
-    hi = mapped.max(axis=1)
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo) * 1.1 + 1e-12
-    boxes = [Box(tuple(c), tuple(h)) for c, h in zip(center, half)]
-    return PulledBackForm(pair.forward, hatted, boxes)
+def pull_back_test_form(hatted, chart):
+    """Transport a hatted-chart test form (or family) to the source side
+    of ``chart``, the forward chart into the hatted chart.  No inverse is
+    needed: a pairing scans the support in the hatted chart, along the
+    worldline pushed through ``chart`` (:meth:`PulledBackForm.along`),
+    and the pairing identity reads the chart's jets along the worldline
+    alone."""
+    return PulledBackForm(chart, hatted)
 
 
 # -- quadrature over the worldline parameter -------------------------------
@@ -488,19 +472,21 @@ def _pairings(worldline, form, integrands):
     per member.
 
     An integrand is one of :func:`_on_support`, or None for one that
-    pairs to zero.  The support windows are scanned once, and each
+    pairs to zero.  The support windows are scanned once, on the curve
+    and boxed form of ``form.along(worldline)``, and each
     integral is one :func:`integrate_many` over them to 1e-10 absolute
     and relative, starting from 5 panels: every member keeps its own
     window and panel tree, and each refinement level of all members
     goes to the integrand in calls of at most its ``rows`` taus.
     """
-    reports = [QuadResult(0.0, 0.0, 0, 0) for _ in form.boxes]
+    curve, boxed = form.along(worldline)
+    reports = [QuadResult(0.0, 0.0, 0, 0) for _ in boxed.boxes]
     windows = None
     for integrand in integrands:
         if integrand is None:
             continue
         if windows is None:
-            windows = [_support_window(worldline, form, k)
+            windows = [_support_window(curve, boxed, k)
                        for k in range(len(reports))]
         for report, res in zip(reports, integrate_many(
                 integrand, windows, integrand.rows)):

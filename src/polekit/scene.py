@@ -287,12 +287,11 @@ def _finite_worldline(line):
     return line
 
 
-def _validate_job(i, job, declared, scene_charts, job_names, problems):
+def _validate_job(i, job, declared, job_names, problems):
     """The job with its defaults filled in, or None when it has no known
     command.  A reference is checked against the ``declared`` names of
     its section (a definition rejected for its own problem included, so
-    that it gives no second problem here); ``scene_charts`` holds the
-    charts that parsed."""
+    that it gives no second problem here)."""
     path = f"jobs[{i}]"
     if not isinstance(job, dict):
         problems.append(f"{path}: job must be an object")
@@ -321,11 +320,6 @@ def _validate_job(i, job, declared, scene_charts, job_names, problems):
         ref = job.get(key)
         if cmd in commands and not _known(ref, declared[key]):
             problems.append(f"{path}: unknown {key} {ref!r}")
-    chart = job.get("chart")
-    if (cmd == "verify" and _known(chart, scene_charts)
-            and scene_charts[chart].inverse is None):
-        problems.append(f"{path}: chart {chart!r} has no verified inverse, "
-                        f"which verify needs")
     for key, (defaults, ok, want) in _JOB_FIELDS.items():
         if cmd not in defaults:
             continue
@@ -418,7 +412,7 @@ def parse_scene(text):
     jobs = []
     job_names = {}
     for i, job in enumerate(_section(raw, "jobs", list, problems)):
-        parsed = _validate_job(i, job, declared, charts, job_names, problems)
+        parsed = _validate_job(i, job, declared, job_names, problems)
         if parsed is not None:
             jobs.append(parsed)
 

@@ -20,7 +20,7 @@ from polekit.fields import _coulomb_expr
 from polekit.jets import Jet2
 from polekit.moments import (DipoleComponents, QuadrupoleComponents,
                              quadrupole_basis)
-from polekit.pairing import (AffineFormFamily, ExprCovector,
+from polekit.pairing import (AffineFormFamily, Box, ExprCovector,
                              ProductTestForm, ScaledCovector, _random_affine)
 from polekit.worldlines import Worldline
 
@@ -82,6 +82,20 @@ def fd_hessian(f, x, h=1e-4):
         return out
 
     return (4.0 * d(h / 2) - d(h)) / 3.0
+
+
+def fd_by_batch(program, x, *oracles):
+    """What each finite-difference oracle ``fd(f, x)`` (such as
+    :func:`fd_gradient` and :func:`fd_hessian`) gives for f the value of
+    the one-tree ``program``, with every point the oracles read
+    evaluated in one batch call: the oracles run once to record their
+    points, then again over the batch's values in the same order."""
+    points = []
+    for fd in oracles:
+        fd(lambda p: points.append(p) or 0.0, x)
+    values = iter(np.broadcast_to(
+        program(tuple(np.array(points).T))[0], len(points)))
+    return [fd(lambda p: next(values), x) for fd in oracles]
 
 
 def random_safe_expression(rng):
@@ -370,6 +384,19 @@ def family_member(family, k):
         return ProductTestForm(family.polys, family.boxes[one],
                                family.params[one])
     return ExprCovector(family.comps, family.boxes[one], family.params[one])
+
+
+def preimage_boxes(hatted, inverse):
+    """A source-side box about the preimage of each member's box of the
+    hatted form ``hatted``: the bounding box of the box's 3^4 grid
+    mapped through the chart ``inverse``, padded by 10%."""
+    out = []
+    for box in hatted.boxes:
+        mapped = inverse.value_at(box.grid(1.0))
+        lo, hi = mapped.min(axis=0), mapped.max(axis=0)
+        out.append(Box(tuple(0.5 * (lo + hi)),
+                       tuple(0.5 * (hi - lo) * 1.1 + 1e-12)))
+    return out
 
 
 def probe_families(rng, boxes):

@@ -11,6 +11,7 @@ from oracles import (
     family_member,
     fd_gradient_plain,
     gamma_integrand_by_full_batch,
+    preimage_boxes,
     probe_families,
     random_dipole,
     random_linear_pair,
@@ -55,12 +56,17 @@ def bump(u):
 # -- test forms ---------------------------------------------------------------
 
 
+# The member index of one row read from a family of one.
+_ONE_ROW_OF_MEMBER_0 = np.zeros(1, dtype=np.intp)
+
+
 def test_peak_value_is_fourth_power_of_bump():
     form = make_test_form(
         (ex.const(1.0), ex.const(0.0), ex.const(0.0), ex.const(0.0)),
         center=(1.0, 2.0, 3.0, 4.0), half_widths=(0.5, 0.5, 0.5, 0.5),
     )
-    vals = form.values_at(np.array([[1.0, 2.0, 3.0, 4.0]]), None)[0]
+    vals = form.values_at(np.array([[1.0, 2.0, 3.0, 4.0]]),
+                          _ONE_ROW_OF_MEMBER_0)[0]
     assert vals[0] == pytest.approx(math.exp(-4.0), rel=1e-14)
     assert vals[1] == vals[2] == vals[3] == 0.0
 
@@ -71,8 +77,9 @@ def test_exactly_zero_outside_box():
         center=(0.0, 0.0, 0.0, 0.0), half_widths=(1.0, 1.0, 1.0, 1.0),
     )
     x = np.array([[0.0, 1.5, 0.0, 0.0]])
-    assert tuple(form.values_at(x, None)[0]) == (0.0, 0.0, 0.0, 0.0)
-    jets = form.jets_at(x, None, 2)
+    assert tuple(form.values_at(x, _ONE_ROW_OF_MEMBER_0)[0]) == (
+        0.0, 0.0, 0.0, 0.0)
+    jets = form.jets_at(x, _ONE_ROW_OF_MEMBER_0, 2)
     for order in range(3):
         assert np.all(stacked(jets, (1,), order) == 0.0)
 
@@ -80,10 +87,6 @@ def test_exactly_zero_outside_box():
 def test_zero_width_rejected():
     with pytest.raises(DomainError):
         make_test_form((ex.const(1.0),) * 4, (0.0,) * 4, (1.0, 0.0, 1.0, 1.0))
-
-
-# The member index of one row read from a family of one.
-_ONE_ROW_OF_MEMBER_0 = np.zeros(1, dtype=np.intp)
 
 
 def test_form_jets_match_finite_differences(rng):
@@ -307,7 +310,7 @@ def test_pairing_linearity(rng, adapted_worldline):
 def test_pullback_identity(rng, adapted_worldline):
     pair = get("identity")
     form = random_test_form_along(rng, adapted_worldline)
-    pulled = pull_back_test_form(form, pair)
+    pulled = pull_back_test_form(form, pair.forward)
     for _ in range(10):
         x = np.array([[
             form.box.center[i] + form.box.half[i] * rng.uniform(-0.9, 0.9)
@@ -322,7 +325,7 @@ def test_pullback_linear_mixes_with_transpose(rng):
     M = pair.forward.jacobian_at(np.zeros((1, 4)))[0]
     center_hat = pair.forward.value_at(np.zeros((1, 4)))[0]
     form = random_test_form(rng, center_hat, (1.0, 1.0, 1.0, 1.0))
-    pulled = pull_back_test_form(form, pair)
+    pulled = pull_back_test_form(form, pair.forward)
     for _ in range(10):
         x = rng.uniform(-0.2, 0.2, (1, 4))
         y = pair.forward.value_at(x)
@@ -332,16 +335,24 @@ def test_pullback_linear_mixes_with_transpose(rng):
                            expected, atol=1e-12)
 
 
-def test_pullback_support_escape_raises():
-    pair = get("cylindrical_to_cartesian")
-    # a Cartesian box containing the spatial origin has no cylindrical
-    # preimage on the chart domain
+def test_pullback_reads_no_point_outside_the_chart_domain():
+    """Through the cylindrical chart, r = -0.5 maps into a Cartesian box
+    about the spatial origin, but lies outside the chart's domain: the
+    pulled-back form reads it as outside its support, and its jets and
+    values raise DomainError there."""
     form = make_test_form(
         (ex.const(1.0),) * 4, center=(0.0, 0.0, 0.0, 0.0),
         half_widths=(1.0, 1.0, 1.0, 1.0),
     )
+    pulled = pull_back_test_form(form, get("cylindrical_to_cartesian").forward)
+    x = np.array([[0.0, 0.5, 0.0, 0.0], [0.0, -0.5, 0.0, 0.0]])
+    owner = np.zeros(2, dtype=np.intp)
+    assert form.in_support(x, owner).tolist() == [True, True]
+    assert pulled.in_support(x, owner).tolist() == [True, False]
     with pytest.raises(DomainError):
-        pull_back_test_form(form, pair)
+        pulled.jets_at(x[1:], owner[1:], 2)
+    with pytest.raises(DomainError):
+        pulled.values_at(x[1:], owner[1:])
 
 
 def test_pullback_pairing_invariance_all_kinds(rng, wobble_worldline):
@@ -360,7 +371,7 @@ def test_pullback_pairing_invariance_all_kinds(rng, wobble_worldline):
     qhat = transform_quadrupole(q, pair.forward, C)
     for _ in range(3):
         form = random_test_form_along(rng, hatC)
-        pulled = pull_back_test_form(form, pair)
+        pulled = pull_back_test_form(form, pair.forward)
         pairs = [
             (pair_monopole(m, C, pulled).value,
              pair_monopole(m, hatC, form).value),
@@ -399,7 +410,7 @@ def test_dipole_quadrupole_bundle_is_one_integral(rng, wobble_worldline):
     bundle = SourceBundle(C, dipole=d, quadrupole=q)
     for _ in range(3):
         form = pull_back_test_form(
-            random_test_form_along(rng, hatC), pair)
+            random_test_form_along(rng, hatC), pair.forward)
         both = pair_bundle(bundle, form)
         dipole = pair_dipole(d, C, form)
         quadrupole = pair_quadrupole(q, C, form)
@@ -407,7 +418,7 @@ def test_dipole_quadrupole_bundle_is_one_integral(rng, wobble_worldline):
         assert 0 < both.nodes_used < dipole.nodes_used + quadrupole.nodes_used
     far = pull_back_test_form(make_test_form(
         (ex.const(1.0),) * 4, center=(3.0, 5.0, 5.0, 5.0),
-        half_widths=(0.5,) * 4), pair)
+        half_widths=(0.5,) * 4), pair.forward)
     missed = pair_bundle(bundle, far)
     assert missed.value == 0.0
     assert missed.nodes_used == 0
@@ -519,13 +530,54 @@ def test_pulled_back_family_rows_equal_pulled_back_members(
     pair = get(name, params)
     hatC = wobble_worldline.push_through_chart(pair.forward)
     family = random_test_form_along(rng, hatC, count=4)
-    pulled = pull_back_test_form(family, pair)
-    members = [pull_back_test_form(_tree_member(family, k), pair)
+    pulled = pull_back_test_form(family, pair.forward)
+    members = [pull_back_test_form(_tree_member(family, k), pair.forward)
                for k in range(4)]
-    assert [m.box for m in members] == list(pulled.boxes)
-    pts, owner = _points_by_member(rng, pulled.boxes, 60, 1.0)
+    pts, owner = _points_by_member(
+        rng, preimage_boxes(family, pair.inverse), 60, 1.0)
     keep = pair.forward.in_domain(pts)
     _assert_rows_equal_members(pulled, members, pts[keep], owner[keep])
+
+
+@pytest.mark.parametrize("name, params", [
+    ("cylindrical_to_cartesian", None), ("lorentz_boost", [0.6])])
+def test_pulled_back_windows_equal_hatted_windows(rng, wobble_worldline,
+                                                  name, params):
+    """The source side scans a pulled-back family in the hatted chart,
+    along the worldline's image: its support windows equal the hatted
+    side's member by member, and the scanned points' support is the
+    pulled-back form's own along the source worldline.  The last member
+    is a small box between two of the 129 coarse samples, so its window
+    comes from the fine scan."""
+    chart = get(name, params).forward
+    C = wobble_worldline
+    hatC = C.push_through_chart(chart)
+    drawn = random_test_form_along(rng, hatC, count=3)
+    t0, t1 = C.interval
+    t_small = t0 + 64.5 * (t1 - t0) / 128
+    family = AffineFormFamily(
+        np.concatenate([drawn.consts, drawn.consts[:1]]),
+        np.concatenate([drawn.coefs, drawn.coefs[:1]]),
+        np.concatenate([drawn.centers, hatC.point_at(np.array([t_small]))]),
+        np.concatenate([drawn.halves, np.full((1, 4), 0.004)]))
+    pulled = pull_back_test_form(family, chart)
+    curve, boxed = pulled.along(C)
+    assert boxed is family
+    hatted = [pairing._support_window(hatC, family, k) for k in range(4)]
+    assert [pairing._support_window(curve, boxed, k)
+            for k in range(4)] == hatted
+    coarse = np.linspace(t0, t1, 129)
+    fine = np.linspace(t0, t1, 20001)
+    for k, taus in enumerate([coarse] * 3 + [fine]):
+        owner = np.full(len(taus), k)
+        inside = family.in_support(hatC.point_at(taus), owner)
+        assert np.array_equal(pulled.in_support(C.point_at(taus), owner),
+                              inside)
+        assert np.any(inside)
+        assert np.any(family.in_support(hatC.point_at(coarse),
+                                        np.full(129, k))) == (k < 3)
+    assert hatted[3][0] < t_small < hatted[3][1]
+    assert hatted[3][1] - hatted[3][0] < (t1 - t0) / 128
 
 
 def test_family_pairing_equals_serial_bundle_pairing(rng, wobble_worldline):
@@ -544,13 +596,13 @@ def test_family_pairing_equals_serial_bundle_pairing(rng, wobble_worldline):
         transform_dipole(bundle.dipole, pair.forward, C),
         transform_quadrupole(bundle.quadrupole, pair.forward, C).gamma3_hat)
     family = random_test_form_along(rng, hatC, count=4)
-    source = pairing.pair_bundle_family(bundle,
-                                        pull_back_test_form(family, pair))
+    source = pairing.pair_bundle_family(
+        bundle, pull_back_test_form(family, pair.forward))
     hatted = pairing.pair_bundle_family(hat, family)
     for k in range(4):
         member = family_member(family, k)
-        assert source[k] == pair_bundle(bundle,
-                                        pull_back_test_form(member, pair))
+        assert source[k] == pair_bundle(
+            bundle, pull_back_test_form(member, pair.forward))
         assert hatted[k] == pair_bundle(hat, member)
         assert source[k].nodes_used > 0
 
@@ -562,13 +614,14 @@ def _crafted_batches(rng, worldline, form):
     taus = np.linspace(*worldline.interval, 201)
     points = worldline.point_at(taus)
     live, dead = [], []
-    for k in range(len(form.boxes)):
+    members = len(form.along(worldline)[1].boxes)
+    for k in range(members):
         inside = form.in_support(points, np.full(len(taus), k))
         assert np.any(inside) and not np.all(inside)
         live += [(t, k) for t in taus[inside]]
         dead += [(t, k) for t in taus[~inside]]
     one = [live[len(live) // 2]] + dead[::25]
-    every = [(t, k) for t in taus for k in range(len(form.boxes))]
+    every = [(t, k) for t in taus for k in range(members)]
     batches = {"dead": dead[::7], "one live": one, "live": live,
                "mixed": [every[i] for i in rng.permutation(len(every))]}
     out = {name: (np.array([t for t, _ in rows]),
@@ -609,7 +662,7 @@ def test_integrands_on_live_rows_equal_full_batch_formulas(
     sides = [
         (hatC, family, transform_dipole(d, pair.forward, C),
          transform_quadrupole(q, pair.forward, C).gamma3_hat),
-        (C, pull_back_test_form(family, pair), d, q),
+        (C, pull_back_test_form(family, pair.forward), d, q),
     ]
     for worldline, form, gamma2, gamma3 in sides:
         for name, (taus, owner) in _crafted_batches(
@@ -682,7 +735,7 @@ def test_form_jets_at_order_one_are_the_first_order_part(
         rng, _boxes_along(C, [2.0, 3.0, 4.0], (0.8, 0.15, 0.15, 0.15)))
     forms = {
         "AffineFormFamily": (hatC, family),
-        "PulledBackForm": (C, pull_back_test_form(family, pair)),
+        "PulledBackForm": (C, pull_back_test_form(family, pair.forward)),
         **{kind: (C, form) for kind, form in probes.items()},
     }
     for kind, (worldline, form) in forms.items():

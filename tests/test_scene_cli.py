@@ -247,24 +247,64 @@ def test_declared_inverse_that_holds_parses_and_verifies(tmp_path):
     assert code == 0 and results[0].passed
 
 
-@pytest.mark.parametrize("chart", [
-    {"registry": "spherical_to_cartesian"},
-    {"components": ["x0", "x1", "x2", "x3"]},
-])
-def test_verify_job_needs_a_chart_inverse(tmp_path, capsys, chart):
-    doc = json.loads(MINIMAL)
-    doc["charts"]["sph"] = chart
-    doc["jobs"].append({"command": "verify", "multipole": "charge",
-                        "chart": "sph", "worldline": "rest"})
-    want = "jobs[1]: chart 'sph' has no verified inverse, which verify needs"
-    with pytest.raises(SceneError) as err:
-        parse_scene(json.dumps(doc))
-    assert err.value.problems == [want]
-    path = tmp_path / "bad.scene"
-    path.write_text(json.dumps(doc))
-    assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == f"scene error: {want}\n"
-    assert not (tmp_path / "o" / "report.json").exists()
+def _verify_through(chart, components=None, multipole="charged_stack"):
+    """invariance_example with one verify job of 8 forms (seed 22)
+    through ``chart``, along its curve or one of ``components``; the
+    scene also declares a charge-only multipole ``charge``."""
+    doc = json.loads((SCENES / "invariance_example.scene").read_text())
+    doc["charts"] = {"c": chart}
+    doc["multipoles"]["charge"] = {"charge": 1.3}
+    if components is not None:
+        doc["worldlines"]["curve"]["components"] = components
+    doc["jobs"] = [{"command": "verify", "multipole": multipole,
+                    "chart": "c", "worldline": "curve", "forms": 8,
+                    "seed": 22}]
+    return parse_scene(json.dumps(doc))
+
+
+def _near_identity_polynomial():
+    """The 60 coefficients of the identity plus 0.05 times every
+    quadratic term."""
+    coeffs = np.zeros((4, 15))
+    coeffs[:, 1:5] = np.eye(4)
+    coeffs[:, 5:] = 0.05
+    return [float(c) for c in coeffs.ravel()]
+
+
+@pytest.mark.parametrize("chart, components", [
+    ({"registry": "spherical_to_cartesian"},
+     ["tau", "2 + 0.1*sin(tau)", "1 + 0.1*cos(0.5*tau)", "0.3*tau"]),
+    ({"registry": "polynomial", "params": _near_identity_polynomial()},
+     None),
+    ({"components": ["x0", "x1 + 0.3*x2*x2", "x2", "x3 + 0.2*x1*x2"]}, None),
+], ids=["spherical", "polynomial", "scene-chart"])
+def test_verify_reaches_charts_without_an_inverse(tmp_path, chart,
+                                                  components):
+    """Verify reads no inverse: a job through the spherical chart, a
+    near-identity polynomial chart or a scene chart that declares no
+    inverse pairs every form on both sides and passes at rounding."""
+    results, code = run(_verify_through(chart, components), out_dir=tmp_path)
+    [result] = results
+    assert code == 0 and result.passed
+    assert result.data["max_residual"] <= 1e-12
+    assert result.data["zero_node_probes"] == []
+
+
+@pytest.mark.parametrize("multipole", ["charged_stack", "charge"])
+def test_verify_off_the_chart_domain_never_passes(tmp_path, multipole):
+    """A worldline that leaves the forward chart's domain (r < 0 in the
+    cylindrical chart from tau = 3) fails its verify job: transporting
+    the dipole raises there, and a charge alone pairs the rows outside
+    the domain on the hatted side only."""
+    scene = _verify_through({"registry": "cylindrical_to_cartesian"},
+                            ["tau", "1.5 - 0.5*tau", "0.3", "0.1*tau"],
+                            multipole)
+    results, code = run(scene, out_dir=tmp_path)
+    assert code == 1 and not results[0].passed
+    if multipole == "charged_stack":
+        assert "outside domain of chart" in results[0].data["error"]
+    else:
+        assert results[0].data["max_residual"] > 1e-3
 
 
 def test_scene_round_trip_structural():
@@ -756,8 +796,8 @@ def _serial_verify(scene, job):
     rows = []
     for _ in range(job["forms"]):
         form = random_test_form_along(rng, hatC)
-        rows.append((pair_bundle(bundle, pull_back_test_form(form, pair)),
-                     pair_bundle(hat, form)))
+        pulled = pull_back_test_form(form, pair.forward)
+        rows.append((pair_bundle(bundle, pulled), pair_bundle(hat, form)))
     return rows
 
 
@@ -819,7 +859,7 @@ def test_verify_job_with_one_nonconvergent_probe_fails_as_serial(
     assert "no convergence after 2001 splits" in error
     with pytest.raises(QuadratureError) as serial:
         pair_bundle(scene.bundle("charge", "rest"),
-                    pull_back_test_form(family_member(forms, 1), pair))
+                    pull_back_test_form(family_member(forms, 1), pair.forward))
     assert error == str(serial.value)
 
 

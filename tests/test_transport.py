@@ -443,7 +443,7 @@ def test_pairing_invariance_spot_check(rng, wobble_worldline):
         form_hat = random_test_form_along(rng, tr.worldline_hat)
         hat = pair_quadrupole(tr.gamma3_hat, tr.worldline_hat, form_hat).value
         src = pair_quadrupole(
-            q, C, pull_back_test_form(form_hat, chart_pair)
+            q, C, pull_back_test_form(form_hat, chart_pair.forward)
         ).value
         assert abs(hat - src) <= 1e-6 * max(1.0, abs(src))
 
@@ -469,7 +469,7 @@ def test_quadrupole_transport_with_reparametrization(rng):
         form = random_test_form_along(rng2, hatC)
         hat = pair_quadrupole(tr.gamma3_hat, hatC, form).value
         src = pair_quadrupole(
-            q, C, pull_back_test_form(form, get("cylindrical_to_cartesian"))
+            q, C, pull_back_test_form(form, chart)
         ).value
         assert abs(hat - src) <= 1e-6 * max(1.0, abs(src))
 
